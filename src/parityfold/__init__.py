@@ -33,9 +33,7 @@ from .pdt import (
     TrialStats,
     build_pdt,
     check_calculus_inequality,
-    depth,
     estimate_bucket_reduction,
-    evaluate_tree,
     folding_sampling_trial,
     sample_parity,
     verify_tree,

@@ -286,25 +286,9 @@ def cmd_mc(args) -> int:
         )
     _emit(args, payload, lines)
     if args.csv:
-        text = pdt.TrialStats.CSV_HEADER + "\n" + _stats_csv_row(stats) + "\n"
+        text = pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(stats) + "\n"
         Path(args.csv).write_text(text)
     return 0
-
-
-def _stats_csv_row(stats: dict) -> str:
-    return ",".join(
-        [
-            str(stats["trials"]),
-            str(stats["k"]),
-            ";".join(repr(p) for p in stats["probabilities"]),
-            str(stats["clamped"]),
-            repr(stats["mean_bucket_fraction_float"]),
-            repr(stats["ci95"][0]),
-            repr(stats["ci95"][1]),
-            stats.get("success_threshold", ""),
-            stats.get("success_fraction", ""),
-        ]
-    )
 
 
 def cmd_experiment(args) -> int:

@@ -8,19 +8,30 @@ property (every support element participates in a class of size >= 3
 once k > 4), the single-nontrivial-direction structure, and the sign
 system that certifies some supports are not realizable by any +-1
 function.
+
+`direction_classes` is the one pair-direction kernel: it XORs the sorted
+support against itself in row blocks of at most BLOCK_ENTRIES = 2^16 int64
+entries (512 KiB; nothing is sized 2^n) and sorts each block's upper
+triangle, O(k^2 log k) numpy work.  Every other check reads class sizes
+from its profile: `size_blocks` binary-searches the same blocks, O(k^2 log D).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .families import addressing_support
 from .spectral import FourierSpectrum, is_plateaued
 
 PAIR_LIST_GUARD = 1 << 12
+BLOCK_ENTRIES = 1 << 16
+# heavy_participants checks the delta*k/3 averaging bound from this k on
+HEAVY_BOUND_MIN_K = 64
 
 
 class SparsityTooSmallError(ValueError):
@@ -44,11 +55,22 @@ class FoldingBoundError(RuntimeError):
     pass
 
 
+def _xor_blocks(masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, masks[rows, None] ^ masks) per block of <= BLOCK_ENTRIES (or one row)."""
+    step = max(1, BLOCK_ENTRIES // len(masks))
+    for lo in range(0, len(masks), step):
+        yield np.arange(lo, min(lo + step, len(masks))), masks[lo : lo + step, None] ^ masks
+
+
 @dataclass(frozen=True)
 class FoldingProfile:
     n: int
     k: int
     classes: dict[int, int]
+    # sorted support, sorted realized directions and their class sizes
+    masks: np.ndarray = field(repr=False, compare=False)
+    directions: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
     pairs: dict[int, tuple[tuple[int, int], ...]] | None = None
 
     @property
@@ -63,12 +85,30 @@ class FoldingProfile:
     def max_class_size(self) -> int:
         return max(self.classes.values())
 
+    def size_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(rows, sizes) blocks covering every ordered pair: sizes[r, j] is
+        the class size of masks[rows[r]] ^ masks[j], and 0 on the diagonal."""
+        for rows, xor in _xor_blocks(self.masks):
+            # every off-diagonal entry is a realized direction; the diagonal
+            # (0, below every direction) lands on index 0 and is cleared
+            sizes = self.counts[np.searchsorted(self.directions, xor)]
+            sizes[np.arange(len(rows)), rows] = 0
+            yield rows, sizes
+
+    def partners(self, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per mask: how many partners lie in classes of size >= threshold,
+        and the index of the smallest such partner (0 when there is none)."""
+        counts, first = [], []
+        for _, sizes in self.size_blocks():
+            hit = sizes >= threshold
+            counts.append(hit.sum(axis=1))
+            first.append(hit.argmax(axis=1))
+        return np.concatenate(counts), np.concatenate(first)
+
     def histogram(self) -> dict[int, int]:
         """class size -> number of directions of that size"""
-        hist: dict[int, int] = {}
-        for count in self.classes.values():
-            hist[count] = hist.get(count, 0) + 1
-        return dict(sorted(hist.items()))
+        sizes, how_many = np.unique(self.counts, return_counts=True)
+        return dict(zip(sizes.tolist(), how_many.tolist()))
 
     def to_dict(self) -> dict:
         out = {
@@ -89,29 +129,39 @@ class FoldingProfile:
 
 
 def direction_classes(
-    support: Iterable[int], n: int | None = None, include_pairs: bool = False
+    support: Iterable[int], include_pairs: bool = False
 ) -> FoldingProfile:
-    """Exact unordered-pair count per folding direction, O(k^2)."""
-    masks = sorted(set(support))
+    """Exact unordered-pair count per folding direction; include_pairs lists
+    each direction's pairs (a, b), a < b, in row-major order of the support."""
+    masks = np.array(sorted(set(support)), dtype=np.int64)
     k = len(masks)
     if k < 2:
         raise ValueError(f"need at least 2 support elements, got {k}")
+    if masks[0] < 0:
+        raise ValueError(f"masks must be non-negative, got {int(masks[0])}")
     if include_pairs and k > PAIR_LIST_GUARD:
         raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
-    if n is None:
-        n = max(masks).bit_length()
-    classes: dict[int, int] = {}
-    pairs: dict[int, list[tuple[int, int]]] | None = {} if include_pairs else None
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            g = a ^ b
-            classes[g] = classes.get(g, 0) + 1
-            if pairs is not None:
-                pairs.setdefault(g, []).append((a, b))
-    frozen = (
-        {g: tuple(v) for g, v in pairs.items()} if pairs is not None else None
-    )
-    return FoldingProfile(n, k, classes, frozen)
+    histograms, found = [], []
+    for rows, xor in _xor_blocks(masks):
+        upper = np.arange(k) > rows[:, None]
+        g = xor[upper]  # row-major
+        histograms.append(np.unique(g, return_counts=True))
+        if include_pairs:
+            r, j = np.nonzero(upper)
+            found.append((g, masks[rows[r]], masks[j]))
+    directions, counts = map(np.concatenate, zip(*histograms))
+    if len(histograms) > 1:
+        directions, inverse = np.unique(directions, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts).astype(np.int64)  # exact: sums < 2^53
+    classes = dict(zip(directions.tolist(), counts.tolist()))
+    pairs = None
+    if include_pairs:
+        g, a, b = map(np.concatenate, zip(*found))
+        order = np.argsort(g, kind="stable")  # grouped by direction, row-major within
+        flat = list(zip(a[order].tolist(), b[order].tolist()))
+        ends = np.cumsum(counts).tolist()
+        pairs = {d: tuple(flat[e - c : e]) for (d, c), e in zip(classes.items(), ends)}
+    return FoldingProfile(int(masks[-1]).bit_length(), k, classes, masks, directions, counts, pairs)
 
 
 @dataclass(frozen=True)
@@ -173,46 +223,41 @@ class FoldingParameters:
     class_size_threshold: int
 
 
+def _heavy_parameters(profile: FoldingProfile, ell: Fraction | float | int) -> FoldingParameters:
+    ell = as_exponent(ell)
+    threshold = heavy_class_threshold(profile.k, ell)
+    heavy = int(profile.counts[profile.counts >= threshold].sum())
+    return FoldingParameters(
+        ell, Fraction(heavy, math.comb(profile.k, 2)), heavy, threshold
+    )
+
+
 def folding_parameters(
     support: Iterable[int], ell: Fraction | float | int
 ) -> FoldingParameters:
     """Largest delta such that a delta fraction of support pairs lie in
     direction classes of size >= k^ell + 1.  Monotone non-increasing in ell."""
-    profile = direction_classes(support)
-    ell = as_exponent(ell)
-    threshold = heavy_class_threshold(profile.k, ell)
-    heavy = sum(count for count in profile.classes.values() if count >= threshold)
-    return FoldingParameters(
-        ell, Fraction(heavy, math.comb(profile.k, 2)), heavy, threshold
-    )
+    return _heavy_parameters(direction_classes(support), ell)
 
 
 def heavy_participants(
     support: Iterable[int],
     delta: Fraction | float | int,
     ell: Fraction | float | int,
-    min_k_for_bound: int = 64,
 ) -> frozenset[int]:
     """Support elements with >= delta*k/2 partners in heavy classes.
 
     When the support actually achieves the claimed (delta, ell) folding and
-    k >= min_k_for_bound, the result is checked to contain at least
+    k >= HEAVY_BOUND_MIN_K, the result is checked to contain at least
     delta*k/3 elements (a guaranteed averaging bound at large k).
     """
-    masks = sorted(set(support))
-    profile = direction_classes(masks)
+    profile = direction_classes(support)
     k = profile.k
     delta = Fraction(delta)
-    threshold = heavy_class_threshold(k, ell)
-    members = []
-    for a in masks:
-        partners = sum(
-            1 for b in masks if b != a and profile.classes[a ^ b] >= threshold
-        )
-        if 2 * partners >= delta * k:
-            members.append(a)
-    hypothesis_holds = folding_parameters(masks, ell).delta >= delta
-    if hypothesis_holds and k >= min_k_for_bound and 3 * len(members) < delta * k:
+    params = _heavy_parameters(profile, ell)
+    counts, _ = profile.partners(params.class_size_threshold)
+    members = [a for a, c in zip(profile.masks.tolist(), counts.tolist()) if 2 * c >= delta * k]
+    if params.delta >= delta and k >= HEAVY_BOUND_MIN_K and 3 * len(members) < delta * k:
         raise FoldingBoundError(
             f"|U| = {len(members)} below delta*k/3 = {delta * k / 3} at k={k}"
         )
@@ -222,14 +267,12 @@ def heavy_participants(
 def three_fold_witnesses(support: Iterable[int]) -> dict[int, int | None]:
     """For each support element, the smallest partner whose direction class
     has size >= 3, or None when no such partner exists (no sparsity gate)."""
-    masks = sorted(set(support))
-    profile = direction_classes(masks)
-    out: dict[int, int | None] = {}
-    for a in masks:
-        out[a] = next(
-            (b for b in masks if b != a and profile.classes[a ^ b] >= 3), None
-        )
-    return out
+    profile = direction_classes(support)
+    masks = profile.masks.tolist()
+    counts, first = profile.partners(3)
+    return {
+        a: masks[j] if c else None for a, c, j in zip(masks, counts.tolist(), first.tolist())
+    }
 
 
 def verify_three_fold(spectrum: FourierSpectrum) -> dict[int, int]:
@@ -280,22 +323,20 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
     implementation bug.  Sign counts and plateaued-ness are exposed for
     corpus-wide consistency checks.
     """
-    masks = sorted(spectrum.support())
-    profile = direction_classes(masks)
-    k = len(masks)
-    counts: dict[int, int] = {}
+    profile = direction_classes(spectrum.support())
+    k = profile.k
+    masks = profile.masks.tolist()
+    nontrivial, first = profile.partners(3)
+    counts = dict(zip(masks, nontrivial.tolist()))
     single: dict[int, tuple[int, int]] = {}
-    for a in masks:
-        partners = [b for b in masks if b != a and profile.classes[a ^ b] >= 3]
-        counts[a] = len(partners)
-        if len(partners) == 1:
-            b = partners[0]
-            size = profile.classes[a ^ b]
+    for a, c, j in zip(masks, nontrivial.tolist(), first.tolist()):
+        if c == 1:
+            size = profile.classes[a ^ masks[j]]
             if k % 2 or size != k // 2:
                 raise SingleDirectionViolationError(
                     f"mask {a}: single nontrivial class has {size} pairs, expected k/2 = {k / 2}"
                 )
-            single[a] = (b, size)
+            single[a] = (masks[j], size)
     return SingleDirectionReport(
         spectrum.n,
         k,
@@ -353,13 +394,9 @@ class SignFeasibilityResult:
 
 def sign_constraints(support: Iterable[int]) -> tuple[SignConstraint, ...]:
     profile = direction_classes(support, include_pairs=True)
-    assert profile.pairs is not None
-    out = []
-    for g in sorted(profile.classes):
-        if profile.classes[g] == 2:
-            p1, p2 = profile.pairs[g]
-            out.append(SignConstraint(g, p1, p2))
-    return tuple(out)
+    return tuple(
+        SignConstraint(g, *profile.pairs[g]) for g, c in sorted(profile.classes.items()) if c == 2
+    )
 
 
 def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:

@@ -18,9 +18,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .folding import folding_parameters
+from .folding import direction_classes, folding_parameters
 from .gf2 import Gf2Basis, coset_label, extend_basis, row_reduce
-from .restriction import AffineConstraintSystem, restrict
+from .restriction import AffineConstraintSystem, bucket_count, restrict
 from .spectral import FourierSpectrum, TruthTable, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -123,14 +123,6 @@ class ParityDecisionTree:
         return cls(int(data["n"]), decode(data["root"]))
 
 
-def evaluate_tree(tree: ParityDecisionTree, x: int) -> int:
-    return tree.evaluate(x)
-
-
-def depth(tree: ParityDecisionTree) -> int:
-    return tree.depth()
-
-
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
     """Exhaustive agreement check over all 2^n inputs (n <= 20)."""
     if tree.n != table.n:
@@ -170,10 +162,6 @@ def sample_parity(
     masks = sorted(support)
     draws = rng.random(len(masks))
     return [m for m, d in zip(masks, draws) if d < p]
-
-
-def _bucket_count(support_sorted: list[int], basis: Gf2Basis) -> int:
-    return len({coset_label(a, basis) for a in support_sorted})
 
 
 def _independent_filter(sampled: list[int], n: int) -> list[int]:
@@ -261,6 +249,13 @@ class BuildResult:
         return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in self.log)
 
 
+def _folding_probabilities(k: int, delta: float, ell: float) -> tuple[float, float]:
+    """Requested two-phase probabilities for a (delta, ell)-folding support."""
+    log_k = math.log2(k)
+    scale = delta * k ** ((1 + ell) / 2)
+    return (4 * log_k / (5 * math.e * scale), 2000 * log_k / scale)
+
+
 def _schedule_probabilities(
     strategy: str, k: int, config: BuildConfig
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -271,9 +266,7 @@ def _schedule_probabilities(
     if strategy == "sampling":
         req = (0.5 / math.sqrt(k),)
     elif config.delta is not None and config.ell is not None:
-        log_k = math.log2(k)
-        scale = float(config.delta) * k ** ((1 + float(config.ell)) / 2)
-        req = (4 * log_k / (5 * math.e * scale), 2000 * log_k / scale)
+        req = _folding_probabilities(k, float(config.delta), float(config.ell))
     else:
         # two-phase variant of the square-root sampling scheme
         req = (0.25 / math.sqrt(k), 0.25 / math.sqrt(k))
@@ -305,7 +298,7 @@ def _select_batch(
             batch = tuple(_independent_filter(sorted(union), n))
             if not batch:
                 continue
-            bcount = _bucket_count(support_sorted, row_reduce(batch, n))
+            bcount = bucket_count(support_sorted, row_reduce(batch, n))
             if best is None or bcount < best[0]:
                 best = (bcount, batch)
             if bcount <= target:
@@ -331,7 +324,7 @@ def _select_batch(
                     best_key = key
                     best_dir = a ^ b
         batch = (best_dir,)
-        bcount = _bucket_count(support_sorted, row_reduce(batch, n))
+        bcount = bucket_count(support_sorted, row_reduce(batch, n))
         return batch, bcount, 1, bcount <= target, (), False
 
     # greedy-min-bucket: repeatedly add the single parity minimizing the
@@ -341,13 +334,9 @@ def _select_batch(
     batch_list: list[int] = []
     bcount = k
     while bcount > 1 and bcount > target:
-        classes: dict[int, int] = {}
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                g = a ^ b
-                classes[g] = classes.get(g, 0) + 1
-        direction = max(classes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        batch_list.append(direction)
+        # largest class; argmax over sorted directions breaks ties to the smallest
+        profile = direction_classes(labels)
+        batch_list.append(int(profile.directions[np.argmax(profile.counts)]))
         basis = row_reduce(batch_list, n)
         labels = sorted({coset_label(a, basis) for a in support_sorted})
         bcount = len(labels)
@@ -475,18 +464,20 @@ class TrialStats:
         "success_threshold,success_fraction"
     )
 
-    def csv_row(self) -> str:
+    @staticmethod
+    def csv_row(stats: dict) -> str:
+        """The CSV_HEADER row of stats in to_dict() form."""
         return ",".join(
             [
-                str(self.trials),
-                str(self.k),
-                ";".join(repr(p) for p in self.probabilities),
-                str(self.clamped),
-                repr(float(self.mean_bucket_fraction)),
-                repr(self.ci95[0]),
-                repr(self.ci95[1]),
-                "" if self.success_threshold is None else str(self.success_threshold),
-                "" if self.success_fraction is None else str(self.success_fraction),
+                str(stats["trials"]),
+                str(stats["k"]),
+                ";".join(repr(p) for p in stats["probabilities"]),
+                str(stats["clamped"]),
+                repr(stats["mean_bucket_fraction_float"]),
+                repr(stats["ci95"][0]),
+                repr(stats["ci95"][1]),
+                stats.get("success_threshold", ""),
+                stats.get("success_fraction", ""),
             ]
         )
 
@@ -512,7 +503,7 @@ def _run_trials(
         for p in probabilities:
             union.update(sample_parity(support_sorted, p, rng))
         basis = row_reduce(sorted(union), n)
-        bucket_counts.append(_bucket_count(support_sorted, basis))
+        bucket_counts.append(bucket_count(support_sorted, basis))
         sample_sizes.append(len(union))
     return bucket_counts, sample_sizes
 
@@ -616,9 +607,7 @@ def folding_sampling_trial(
         raise NotFoldingError(
             f"support achieves delta = {achieved.delta} at this exponent, below requested {delta}"
         )
-    log_k = math.log2(k)
-    scale = float(delta) * k ** ((1 + float(achieved.ell)) / 2)
-    requested = (4 * log_k / (5 * math.e * scale), 2000 * log_k / scale)
+    requested = _folding_probabilities(k, float(delta), float(achieved.ell))
     probs = tuple(min(1.0, p) for p in requested)
     support_sorted = sorted(spectrum.coeffs)
     counts, sizes = _run_trials(support_sorted, spectrum.n, probs, trials, seed)

@@ -164,14 +164,6 @@ def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
     return TruthTable(spectrum.n, (arr // full).astype(np.int8))
 
 
-def support(spectrum: FourierSpectrum) -> set[int]:
-    return spectrum.support()
-
-
-def sparsity(spectrum: FourierSpectrum) -> int:
-    return spectrum.sparsity
-
-
 def verify_parseval(spectrum: FourierSpectrum) -> bool:
     """sum c_a^2 == 4^n, the exact scaled form of sum fhat^2 = 1."""
     return sum(c * c for c in spectrum.coeffs.values()) == 1 << (2 * spectrum.n)

@@ -1,10 +1,12 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parityfold import folding
 from parityfold.families import (
     addressing_support,
     gen_addressing,
@@ -13,6 +15,8 @@ from parityfold.families import (
     gen_random,
 )
 from parityfold.folding import (
+    FoldingBoundError,
+    SingleDirectionViolationError,
     SparsityTooSmallError,
     addressing_folding_profile,
     check_pair_condition,
@@ -37,6 +41,112 @@ def naive_classes(support):
     return out
 
 
+def naive_pairs(support):
+    """Oracle: every direction's pairs (a, b), a < b, in row-major order."""
+    out = {}
+    for a, b in itertools.combinations(sorted(support), 2):
+        out.setdefault(a ^ b, []).append((a, b))
+    return {g: tuple(v) for g, v in out.items()}
+
+
+def naive_three_fold(support):
+    """Oracle: smallest partner in a class of size >= 3, rescanning pairs."""
+    masks = sorted(set(support))
+    classes = naive_classes(masks)
+    return {
+        a: next((b for b in masks if b != a and classes[a ^ b] >= 3), None)
+        for a in masks
+    }
+
+
+def naive_single_direction(spectrum):
+    """Oracle: (nontrivial counts, single map) of single_direction_structure."""
+    masks = sorted(spectrum.support())
+    classes = naive_classes(masks)
+    k = len(masks)
+    counts, single = {}, {}
+    for a in masks:
+        partners = [b for b in masks if b != a and classes[a ^ b] >= 3]
+        counts[a] = len(partners)
+        if len(partners) == 1:
+            size = classes[a ^ partners[0]]
+            if k % 2 or size != k // 2:
+                raise SingleDirectionViolationError(
+                    f"mask {a}: single nontrivial class has {size} pairs, expected k/2 = {k / 2}"
+                )
+            single[a] = (partners[0], size)
+    return counts, single
+
+
+def naive_heavy(support, delta, ell):
+    """Oracle: heavy participants, rescanning pairs, with the bound check."""
+    masks = sorted(set(support))
+    classes = naive_classes(masks)
+    k = len(masks)
+    threshold = heavy_class_threshold(k, ell)
+    members = [
+        a
+        for a in masks
+        if 2 * sum(1 for b in masks if b != a and classes[a ^ b] >= threshold) >= delta * k
+    ]
+    heavy = sum(c for c in classes.values() if c >= threshold)
+    if Fraction(heavy, math.comb(k, 2)) >= delta and k >= 64 and 3 * len(members) < delta * k:
+        raise FoldingBoundError(
+            f"|U| = {len(members)} below delta*k/3 = {delta * k / 3} at k={k}"
+        )
+    return frozenset(members)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (FoldingBoundError, SingleDirectionViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_kernel_matches_oracles(support, delta, ell):
+    spectrum = FourierSpectrum(max(support).bit_length(), {m: 1 for m in support})
+    profile = direction_classes(support, include_pairs=True)
+    assert profile.classes == naive_classes(support)
+    assert profile.pairs == naive_pairs(support)
+    assert three_fold_witnesses(support) == naive_three_fold(support)
+    report = outcome(single_direction_structure, spectrum)
+    if isinstance(report, tuple):
+        assert report == outcome(naive_single_direction, spectrum)
+    else:
+        expected = (report.nontrivial_counts, report.single_direction)
+        assert expected == naive_single_direction(spectrum)
+    assert outcome(heavy_participants, support, delta, ell) == outcome(
+        naive_heavy, support, delta, ell
+    )
+
+
+@given(
+    st.sets(st.integers(0, 255), min_size=2, max_size=80),
+    st.sampled_from([Fraction(1, 100), Fraction(1, 9), Fraction(1, 3), Fraction(1)]),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]),
+    st.sampled_from([1, 64, folding.BLOCK_ENTRIES]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_pair_loop_oracles(support, delta, ell, block_entries):
+    # small block budgets split even tiny supports into many row blocks
+    with mock.patch.object(folding, "BLOCK_ENTRIES", block_entries):
+        assert_kernel_matches_oracles(support, delta, ell)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        counterexample_support(24),  # masks at the n = 24 cap
+        sorted(wht(gen_random(9, 1)).support()),  # k > 256: several row blocks
+        sorted(wht(gen_modified_addressing(16)).support()),  # single directions
+    ],
+    ids=["counterexample-24", "random-9", "modified-addressing-16"],
+)
+def test_kernel_matches_pair_loop_oracles_fixed(support):
+    assert_kernel_matches_oracles(support, Fraction(1, 9), Fraction(1, 4))
+
+
 def and2_support():
     return {0, 1, 2, 3}
 
@@ -50,6 +160,8 @@ def test_direction_classes_and2():
 def test_direction_classes_two_elements():
     profile = direction_classes({0b001, 0b110})
     assert profile.classes == {0b111: 1}
+    with pytest.raises(ValueError):
+        direction_classes({-1, 1})
 
 
 def test_direction_classes_addressing_cross_counts():
@@ -68,8 +180,9 @@ def test_direction_classes_match_oracle_and_sum(n, seed):
     s = wht(gen_random(n, seed))
     if s.sparsity < 2:
         return
-    profile = direction_classes(s.support())
+    profile = direction_classes(s.support(), include_pairs=True)
     assert profile.classes == naive_classes(s.support())
+    assert profile.pairs == naive_pairs(s.support())
     assert profile.total_pairs == math.comb(s.sparsity, 2)
 
 

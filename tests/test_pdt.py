@@ -13,6 +13,7 @@ from parityfold.families import (
     gen_random,
 )
 from parityfold.gf2 import coset_label, row_reduce
+from parityfold.folding import counterexample_support
 from parityfold.pdt import (
     BuildConfig,
     DegenerateInputError,
@@ -23,13 +24,12 @@ from parityfold.pdt import (
     ResampleCapExceededError,
     build_pdt,
     check_calculus_inequality,
-    depth,
     estimate_bucket_reduction,
-    evaluate_tree,
     folding_sampling_trial,
     sample_parity,
     verify_tree,
     warmup_success_rate,
+    _select_batch,
 )
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
@@ -40,27 +40,64 @@ def and2():
 
 def test_evaluate_single_leaf():
     tree = ParityDecisionTree(3, Leaf(1))
-    assert all(evaluate_tree(tree, x) == 1 for x in range(8))
-    assert depth(tree) == 0
+    assert all(tree.evaluate(x) == 1 for x in range(8))
+    assert tree.depth() == 0
 
 
 def test_evaluate_single_query():
     tree = ParityDecisionTree(2, Node(0b01, Leaf(1), Leaf(-1)))
-    assert evaluate_tree(tree, 0b10) == 1  # x1 = 0 so the parity is +1
-    assert evaluate_tree(tree, 0b01) == -1
-    assert depth(tree) == 1
+    assert tree.evaluate(0b10) == 1  # x1 = 0 so the parity is +1
+    assert tree.evaluate(0b01) == -1
+    assert tree.depth() == 1
 
 
 def test_verify_tree():
     result = build_pdt(and2(), BuildConfig(seed=1))
     assert verify_tree(result.tree, and2())
-    assert evaluate_tree(result.tree, 0b11) == -1
+    assert result.tree.evaluate(0b11) == -1
     assert not verify_tree(ParityDecisionTree(2, Leaf(1)), and2())
 
 
 def test_verify_tree_guards():
     with pytest.raises(ValueError):
         verify_tree(ParityDecisionTree(3, Leaf(1)), and2())
+
+
+def naive_greedy_batch(spectrum, epsilon):
+    """Oracle: greedy-min-bucket's batch, counting label pairs in Python."""
+    support_sorted = sorted(spectrum.coeffs)
+    target = (1 - epsilon) * len(support_sorted)
+    labels, batch, bcount = support_sorted, [], len(support_sorted)
+    while bcount > 1 and bcount > target:
+        classes = {}
+        for i, a in enumerate(labels):
+            for b in labels[i + 1 :]:
+                classes[a ^ b] = classes.get(a ^ b, 0) + 1
+        batch.append(max(classes.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+        basis = row_reduce(batch, spectrum.n)
+        labels = sorted({coset_label(a, basis) for a in support_sorted})
+        bcount = len(labels)
+    return tuple(batch), bcount
+
+
+def assert_greedy_matches_oracle(spectrum, epsilon):
+    cfg = BuildConfig(strategy="greedy-min-bucket", epsilon=epsilon)
+    batch, bcount, *_ = _select_batch(spectrum, cfg, np.random.default_rng(0))
+    assert (batch, bcount) == naive_greedy_batch(spectrum, cfg.epsilon)
+
+
+@given(
+    st.sets(st.integers(0, 255), min_size=2, max_size=60),
+    st.sampled_from([Fraction(1, 2), Fraction(9, 10)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_greedy_batch_matches_pair_loop_oracle(support, epsilon):
+    assert_greedy_matches_oracle(FourierSpectrum(8, {m: 1 for m in support}), epsilon)
+
+
+def test_greedy_batch_matches_pair_loop_oracle_at_mask_cap():
+    support = counterexample_support(24)
+    assert_greedy_matches_oracle(FourierSpectrum(24, {m: 1 for m in support}), Fraction(9, 10))
 
 
 def test_tree_json_roundtrip():

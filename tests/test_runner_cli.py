@@ -151,6 +151,33 @@ def test_cli_mc_theorem1(capsys):
     capsys.readouterr()
 
 
+CSV_HEADER = (
+    "trials,k,probabilities,clamped,mean_bucket_fraction,ci95_low,ci95_high,"
+    "success_threshold,success_fraction\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, row",
+    [
+        (
+            ["theorem-1", "inner-product:m=3", "--p", "1/16", "--trials", "25"],
+            "25,64,0.0625,False,0.133125,0.07718035287744979,0.1890696471225502,,\n",
+        ),
+        (
+            ["theorem-2", "inner-product:m=3", "--delta", "1/2", "--ell", "0", "--trials", "10"],
+            "10,64,0.44145532940573085;1.0,True,0.015625,0.015625,0.015625,176/3,1\n",
+        ),
+    ],
+    ids=["theorem-1", "theorem-2"],
+)
+def test_cli_mc_csv_bytes(tmp_path, capsys, args, row):
+    csv_path = tmp_path / "mc.csv"
+    assert run_cli("--seed", "3", "--csv", str(csv_path), "mc", *args) == 0
+    assert csv_path.read_bytes() == (CSV_HEADER + row).encode()
+    capsys.readouterr()
+
+
 def test_cli_mc_theorem2_rejects_non_folding(capsys):
     code = run_cli(
         "mc", "theorem-2", "addressing:k=16", "--delta", "1", "--ell", "1/2"
