@@ -414,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, runner.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (folding.FoldingBoundError, restriction.IdentificationBoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

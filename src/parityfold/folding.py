@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .families import addressing_support
+from .gf2 import Echelon
 from .spectral import FourierSpectrum, is_plateaued
 
 PAIR_LIST_GUARD = 1 << 12
@@ -105,6 +106,34 @@ class FoldingProfile:
             first.append(hit.argmax(axis=1))
         return np.concatenate(counts), np.concatenate(first)
 
+    def folding_parameters(self, ell: Fraction | float | int) -> FoldingParameters:
+        """Largest delta such that a delta fraction of support pairs lie in
+        direction classes of size >= k^ell + 1.  Monotone non-increasing in ell."""
+        ell = as_exponent(ell)
+        threshold = heavy_class_threshold(self.k, ell)
+        heavy = int(self.counts[self.counts >= threshold].sum())
+        return FoldingParameters(ell, Fraction(heavy, math.comb(self.k, 2)), heavy, threshold)
+
+    def heavy_participants(
+        self, delta: Fraction | float | int, ell: Fraction | float | int
+    ) -> frozenset[int]:
+        """Support elements with >= delta*k/2 partners in heavy classes.
+
+        When the support actually achieves the claimed (delta, ell) folding
+        and k >= HEAVY_BOUND_MIN_K, the result is checked to contain at least
+        delta*k/3 elements (a guaranteed averaging bound at large k).
+        """
+        k = self.k
+        delta = Fraction(delta)
+        params = self.folding_parameters(ell)
+        counts, _ = self.partners(params.class_size_threshold)
+        members = [a for a, c in zip(self.masks.tolist(), counts.tolist()) if 2 * c >= delta * k]
+        if params.delta >= delta and k >= HEAVY_BOUND_MIN_K and 3 * len(members) < delta * k:
+            raise FoldingBoundError(
+                f"|U| = {len(members)} below delta*k/3 = {delta * k / 3} at k={k}"
+            )
+        return frozenset(members)
+
     def histogram(self) -> dict[int, int]:
         """class size -> number of directions of that size"""
         sizes, how_many = np.unique(self.counts, return_counts=True)
@@ -179,16 +208,12 @@ def check_pair_condition(support: Iterable[int]) -> PairCondition:
 
 
 def _floor_root(x: int, b: int) -> int:
-    if b == 1:
-        return x
-    if b == 2:
-        return math.isqrt(x)
-    r = max(0, int(round(x ** (1.0 / b))))
-    while r > 0 and r**b > x:
-        r -= 1
-    while (r + 1) ** b <= x:
-        r += 1
-    return r
+    """floor(x ** (1/b)) for x >= 0 and b >= 1, in integers only."""
+    lo, hi = 0, 1 << -(-x.bit_length() // b)  # lo**b <= x < hi**b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**b <= x else (lo, mid)
+    return lo
 
 
 def as_exponent(ell: Fraction | float | int) -> Fraction:
@@ -223,45 +248,16 @@ class FoldingParameters:
     class_size_threshold: int
 
 
-def _heavy_parameters(profile: FoldingProfile, ell: Fraction | float | int) -> FoldingParameters:
-    ell = as_exponent(ell)
-    threshold = heavy_class_threshold(profile.k, ell)
-    heavy = int(profile.counts[profile.counts >= threshold].sum())
-    return FoldingParameters(
-        ell, Fraction(heavy, math.comb(profile.k, 2)), heavy, threshold
-    )
-
-
-def folding_parameters(
-    support: Iterable[int], ell: Fraction | float | int
-) -> FoldingParameters:
-    """Largest delta such that a delta fraction of support pairs lie in
-    direction classes of size >= k^ell + 1.  Monotone non-increasing in ell."""
-    return _heavy_parameters(direction_classes(support), ell)
+def folding_parameters(support: Iterable[int], ell: Fraction | float | int) -> FoldingParameters:
+    """`FoldingProfile.folding_parameters` of the support's profile."""
+    return direction_classes(support).folding_parameters(ell)
 
 
 def heavy_participants(
-    support: Iterable[int],
-    delta: Fraction | float | int,
-    ell: Fraction | float | int,
+    support: Iterable[int], delta: Fraction | float | int, ell: Fraction | float | int
 ) -> frozenset[int]:
-    """Support elements with >= delta*k/2 partners in heavy classes.
-
-    When the support actually achieves the claimed (delta, ell) folding and
-    k >= HEAVY_BOUND_MIN_K, the result is checked to contain at least
-    delta*k/3 elements (a guaranteed averaging bound at large k).
-    """
-    profile = direction_classes(support)
-    k = profile.k
-    delta = Fraction(delta)
-    params = _heavy_parameters(profile, ell)
-    counts, _ = profile.partners(params.class_size_threshold)
-    members = [a for a, c in zip(profile.masks.tolist(), counts.tolist()) if 2 * c >= delta * k]
-    if params.delta >= delta and k >= HEAVY_BOUND_MIN_K and 3 * len(members) < delta * k:
-        raise FoldingBoundError(
-            f"|U| = {len(members)} below delta*k/3 = {delta * k / 3} at k={k}"
-        )
-    return frozenset(members)
+    """`FoldingProfile.heavy_participants` of the support's profile."""
+    return direction_classes(support).heavy_participants(delta, ell)
 
 
 def three_fold_witnesses(support: Iterable[int]) -> dict[int, int | None]:
@@ -414,42 +410,19 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     if len(masks) < 2:
         return SignFeasibilityResult(True, (), {a: 1 for a in masks}, None)
     constraints = sign_constraints(masks)
-    # RREF over variable bitmasks, tracking rhs and which constraints combined
-    rows: list[tuple[int, int, int]] = []  # (varmask, rhs, combo) decreasing leads
+    echelon = Echelon()  # over variable masks; tags name constraints
     for ci, cons in enumerate(constraints):
-        varmask = 0
-        for member in cons.members:
-            varmask |= 1 << index[member]
-        rhs, combo = 1, 1 << ci
-        for r, rb, rc in rows:
-            if (varmask >> (r.bit_length() - 1)) & 1:
-                varmask ^= r
-                rhs ^= rb
-                combo ^= rc
-        if varmask == 0:
-            if rhs == 1:
-                witness = tuple(
-                    constraints[j] for j in range(ci + 1) if (combo >> j) & 1
-                )
+        varmask = sum(1 << index[member] for member in cons.members)  # distinct members
+        if not echelon.insert(varmask):
+            # every rhs is 1, so a combination's rhs is its size's parity
+            combo = echelon.reduce_tagged(varmask)[1] | 1 << ci
+            if combo.bit_count() & 1:
+                witness = tuple(c for j, c in enumerate(constraints) if (combo >> j) & 1)
                 return SignFeasibilityResult(False, constraints, None, witness)
-            continue
-        lead = varmask.bit_length() - 1
-        rows = [
-            (
-                (r ^ varmask, rb ^ rhs, rc ^ combo)
-                if (r >> lead) & 1
-                else (r, rb, rc)
-            )
-            for r, rb, rc in rows
-        ]
-        rows.append((varmask, rhs, combo))
-        rows.sort(reverse=True)
     # RREF leaves each pivot variable only in its own row, so free variables
-    # read +1 and each pivot reads the row's rhs
-    sigma = [0] * len(masks)
-    for r, rb, _ in rows:
-        sigma[r.bit_length() - 1] = rb
-    assignment = {a: (-1 if sigma[i] else 1) for a, i in index.items()}
+    # read +1 and each pivot reads its row's rhs, the parity of the row's tag
+    negative = {pivot.bit_length() - 1 for _, pivot, tag in echelon.rows if tag.bit_count() & 1}
+    assignment = {a: (-1 if i in negative else 1) for a, i in index.items()}
     return SignFeasibilityResult(True, constraints, assignment, None)
 
 

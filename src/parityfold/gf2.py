@@ -3,11 +3,20 @@
 Vectors in F2^n are ints whose bit i is the coefficient of variable
 x_{i+1}; n is capped at 24 so every mask fits comfortably in one word
 and exhaustive checks over 2^n stay desk-scale.
+
+`Echelon` is the one elimination kernel: reduced row-echelon rows, pivots
+(leading bits, kept as one-bit masks) strictly decreasing, each row tagged
+with the independent inserts summing to it (bit j: the j-th insert), so
+tags are unique and a payload packed as one mask reads as
+parity(tag & payload): constraint right-hand sides, or the sign
+constraints a witness combines.  A label or a dependent insert is one
+O(rank) pass that XORs no tags; an independent insert adds a tagged pass
+and an O(rank log rank) re-sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 MAX_DIMENSION = 24
@@ -31,46 +40,77 @@ class Gf2Basis:
 
     n: int
     rows: tuple[int, ...]
+    # (row, pivot, 0) per row, the layout of Echelon.rows
+    entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def __post_init__(self) -> None:
+        entries = []
         lead = 1 << self.n
         for row in self.rows:
             check_vector(row, self.n)
             if row == 0 or row >= lead:
                 raise ValueError("basis rows must be nonzero with decreasing leading bits")
             lead = 1 << (row.bit_length() - 1)
+            entries.append((row, lead, 0))
+        object.__setattr__(self, "entries", tuple(entries))
 
 
-def _reduce(v: int, rows: Iterable[int]) -> int:
-    # rows are in decreasing leading-bit order, so one pass suffices
-    for row in rows:
-        if (v >> (row.bit_length() - 1)) & 1:
+def _reduce(v: int, entries: Iterable[tuple[int, int, int]]) -> int:
+    # the rows are reduced, so clearing one pivot never sets another: one pass
+    for row, pivot, _ in entries:
+        if v & pivot:
             v ^= row
     return v
 
 
+class Echelon:
+    """Tagged reduced row-echelon form: ``rows`` holds (row, pivot, tag)
+    triples by decreasing pivot.  Vectors are not range checked, so
+    systems may be wider than MAX_DIMENSION."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[int, int, int]] = []
+        self.inserted = 0
+
+    def reduce_tagged(self, v: int) -> tuple[int, int]:
+        """(label, tag): v plus the inserted vectors named by tag is label,
+        the canonical representative of v modulo the row span."""
+        tag = 0
+        for row, pivot, row_tag in self.rows:
+            if v & pivot:
+                v ^= row
+                tag ^= row_tag
+        return v, tag
+
+    def insert(self, v: int) -> bool:
+        """Insert v as vector number ``inserted``; False, adding no row, when
+        v already lies in the row span."""
+        self.inserted += 1
+        if not _reduce(v, self.rows):
+            return False
+        red, tag = self.reduce_tagged(v)
+        tag |= 1 << (self.inserted - 1)
+        pivot = 1 << (red.bit_length() - 1)
+        rows = [(r ^ red, p, t ^ tag) if r & pivot else (r, p, t) for r, p, t in self.rows]
+        self.rows = sorted(rows + [(red, pivot, tag)], reverse=True)  # pivots are distinct
+        return True
+
+
 def row_reduce(vectors: Iterable[int], n: int) -> Gf2Basis:
     """Reduced row-echelon basis of the span of ``vectors`` in F2^n."""
-    rows: list[int] = []
+    echelon = Echelon()
     for v in vectors:
         check_vector(v, n)
-        v = _reduce(v, rows)
-        if v == 0:
-            continue
-        lead = v.bit_length() - 1
-        rows = [r ^ v if (r >> lead) & 1 else r for r in rows]
-        rows.append(v)
-        rows.sort(reverse=True)
-    return Gf2Basis(n, tuple(rows))
+        echelon.insert(v)
+    return Gf2Basis(n, tuple(row for row, _, _ in echelon.rows))
 
 
 def in_span(v: int, basis: Gf2Basis) -> bool:
-    check_vector(v, basis.n)
-    return _reduce(v, basis.rows) == 0
+    return coset_label(v, basis) == 0
 
 
 def coset_label(v: int, basis: Gf2Basis) -> int:
@@ -81,17 +121,10 @@ def coset_label(v: int, basis: Gf2Basis) -> int:
     u + v lies in the span.
     """
     check_vector(v, basis.n)
-    return _reduce(v, basis.rows)
+    return _reduce(v, basis.entries)
 
 
 def extend_basis(basis: Gf2Basis, v: int) -> Gf2Basis | None:
     """Basis of span(basis) + v, or None when v already lies in the span."""
-    check_vector(v, basis.n)
-    red = _reduce(v, basis.rows)
-    if red == 0:
-        return None
-    lead = red.bit_length() - 1
-    rows = [r ^ red if (r >> lead) & 1 else r for r in basis.rows]
-    rows.append(red)
-    rows.sort(reverse=True)
-    return Gf2Basis(basis.n, tuple(rows))
+    extended = row_reduce((*basis.rows, v), basis.n)
+    return extended if extended.rank > basis.rank else None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .gf2 import Gf2Basis, check_vector, coset_label, in_span, row_reduce
+from .gf2 import Echelon, Gf2Basis, check_vector, coset_label, in_span, row_reduce
 from .spectral import FourierSpectrum
 
 
@@ -22,59 +22,46 @@ class InconsistentConstraintsError(ValueError):
     """Some F2-combination of the constraints forces 0 = 1."""
 
 
+class IdentificationBoundError(RuntimeError):
+    """A bucket count broke the identification bound: an implementation bug."""
+
+
 @dataclass(frozen=True)
 class AffineConstraintSystem:
-    """List of (mask, bit) parity constraints plus the reduced augmented rows.
+    """List of (mask, bit) parity constraints plus their elimination kernel.
 
+    Bit i of ``bits`` is constraint i's right-hand side, so the value a
+    reduction's combination of constraints takes on H is parity(tag & bits).
     Inconsistent systems can be constructed (e.g. loaded from a file) but
     raise as soon as they are used to restrict.
     """
 
     n: int
     constraints: tuple[tuple[int, int], ...]
-    reduced: tuple[tuple[int, int], ...] = field(init=False)
+    echelon: Echelon = field(init=False, repr=False, compare=False)
+    bits: int = field(init=False, repr=False, compare=False)
     consistent: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        rows: list[tuple[int, int]] = []  # reduced echelon, decreasing leads
+        echelon = Echelon()
+        bits = 0
         consistent = True
-        for mask, bit in self.constraints:
+        for i, (mask, bit) in enumerate(self.constraints):
             check_vector(mask, self.n)
             if bit not in (0, 1):
                 raise ValueError(f"constraint bit must be 0 or 1, got {bit!r}")
-            v, b = self._reduce_pair(mask, bit, rows)
-            if v == 0:
-                if b == 1:
-                    consistent = False
-                continue
-            lead = v.bit_length() - 1
-            rows = [
-                ((r ^ v, rb ^ b) if (r >> lead) & 1 else (r, rb)) for r, rb in rows
-            ]
-            rows.append((v, b))
-            rows.sort(reverse=True)
-        object.__setattr__(self, "reduced", tuple(rows))
+            bits |= bit << i
+            if not echelon.insert(mask):
+                # tag: constraints (this one included) whose masks sum to 0
+                tag = echelon.reduce_tagged(mask)[1] | 1 << i
+                consistent &= not (tag & bits).bit_count() & 1
+        object.__setattr__(self, "echelon", echelon)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "consistent", consistent)
-
-    @staticmethod
-    def _reduce_pair(v: int, b: int, rows: list[tuple[int, int]]) -> tuple[int, int]:
-        for r, rb in rows:
-            if (v >> (r.bit_length() - 1)) & 1:
-                v ^= r
-                b ^= rb
-        return v, b
 
     @property
     def codimension(self) -> int:
-        return len(self.reduced)
-
-    def direction_basis(self) -> Gf2Basis:
-        return Gf2Basis(self.n, tuple(r for r, _ in self.reduced))
-
-    def reduce_with_bit(self, v: int) -> tuple[int, int]:
-        """Canonical coset label of v and the value <v - label, x> takes on H."""
-        check_vector(v, self.n)
-        return self._reduce_pair(v, 0, list(self.reduced))
+        return len(self.echelon.rows)
 
     def contains(self, x: int) -> bool:
         check_vector(x, self.n)
@@ -97,8 +84,9 @@ def restrict(
         raise InconsistentConstraintsError("constraint system forces 0 = 1")
     out: dict[int, int] = {}
     for mask, c in spectrum.coeffs.items():
-        label, bit = system.reduce_with_bit(mask)
-        out[label] = out.get(label, 0) + (-c if bit else c)
+        label, tag = system.echelon.reduce_tagged(mask)
+        # <mask - label, x> is the sum of the tagged constraints' bits on H
+        out[label] = out.get(label, 0) + (-c if (tag & system.bits).bit_count() & 1 else c)
     return FourierSpectrum(spectrum.n, {a: c for a, c in out.items() if c})
 
 
@@ -147,7 +135,6 @@ def bucket_complexity(
     basis = row_reduce(gammas, n)
     groups: dict[int, list[int]] = {}
     for a in support:
-        check_vector(a, n)
         groups.setdefault(coset_label(a, basis), []).append(a)
     buckets = {label: tuple(sorted(members)) for label, members in groups.items()}
     identified = sum(len(b) for b in buckets.values() if len(b) >= 2)
@@ -176,5 +163,6 @@ def identification_bound_check(
     h = report.identified_count
     bound = k - (h + 1) // 2
     # singleton buckets number k - h, shared buckets at most h/2
-    assert 2 * report.bucket_count <= 2 * k - h
+    if 2 * report.bucket_count > 2 * k - h:
+        raise IdentificationBoundError(f"{report.bucket_count} buckets exceed k - h/2 at k={k}, h={h}")
     return IdentificationBound(h, bound, report.bucket_count)

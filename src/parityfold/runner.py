@@ -91,7 +91,7 @@ def fold_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
     profile = folding.direction_classes(
         spectrum.support(), include_pairs=bool(params.get("pairs", False))
     )
-    fp = folding.folding_parameters(spectrum.support(), ell)
+    fp = profile.folding_parameters(ell)
     out = {
         "profile": profile.to_dict(),
         "ell": str(fp.ell),
@@ -101,7 +101,7 @@ def fold_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
     }
     if "delta" in params:
         delta = parse_fraction(params["delta"])
-        members = folding.heavy_participants(spectrum.support(), delta, ell)
+        members = profile.heavy_participants(delta, ell)
         out["heavy_participants"] = sorted(members)
     return out
 

@@ -56,11 +56,13 @@ class TruthTable:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_DIMENSION:
             raise ValueError(f"dimension {self.n} outside [0, {MAX_DIMENSION}]")
-        vals = np.asarray(self.values, dtype=np.int8)
+        # validate before the int8 cast, which would wrap 255 to -1
+        vals = np.asarray(self.values)
         if vals.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} entries, got {vals.shape}")
-        if not np.all(np.abs(vals) == 1):
+        if not np.all((vals == 1) | (vals == -1)):
             raise ValueError("truth table entries must be +-1")
+        vals = vals.astype(np.int8, copy=False)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -251,7 +253,7 @@ def table_to_dict(table: TruthTable) -> dict:
 
 
 def table_from_dict(data: dict) -> TruthTable:
-    return TruthTable(int(data["n"]), np.array(data["values"], dtype=np.int64))
+    return TruthTable(int(data["n"]), np.array(data["values"]))
 
 
 def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:

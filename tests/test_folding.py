@@ -4,9 +4,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from parityfold import folding
+from parityfold import folding, runner
+from parityfold.cli import main
 from parityfold.families import (
     addressing_support,
     gen_addressing,
@@ -25,6 +26,7 @@ from parityfold.folding import (
     folding_parameters,
     heavy_class_threshold,
     heavy_participants,
+    sign_constraints,
     sign_feasibility,
     single_direction_structure,
     three_fold_witnesses,
@@ -404,3 +406,133 @@ def test_addressing_folding_profile_guards():
         addressing_folding_profile(1024)
     with pytest.raises(Exception):
         addressing_folding_profile(8)
+
+
+def seed_sign_system(support):
+    """Oracle: sign_feasibility's own inline RREF from before the shared
+    elimination kernel, as (feasible, assignment, witness)."""
+    masks = sorted(set(support))
+    index = {a: i for i, a in enumerate(masks)}
+    constraints = sign_constraints(masks)
+    rows = []  # (varmask, rhs, combo), decreasing leads
+    for ci, cons in enumerate(constraints):
+        varmask = 0
+        for member in cons.members:
+            varmask |= 1 << index[member]
+        rhs, combo = 1, 1 << ci
+        for r, rb, rc in rows:
+            if (varmask >> (r.bit_length() - 1)) & 1:
+                varmask ^= r
+                rhs ^= rb
+                combo ^= rc
+        if varmask == 0:
+            if rhs == 1:
+                return False, None, tuple(constraints[j] for j in range(ci + 1) if (combo >> j) & 1)
+            continue
+        lead = varmask.bit_length() - 1
+        rows = [
+            (r ^ varmask, rb ^ rhs, rc ^ combo) if (r >> lead) & 1 else (r, rb, rc)
+            for r, rb, rc in rows
+        ]
+        rows.append((varmask, rhs, combo))
+        rows.sort(reverse=True)
+    sigma = [0] * len(masks)
+    for r, rb, _ in rows:
+        sigma[r.bit_length() - 1] = rb
+    return True, {a: (-1 if sigma[i] else 1) for a, i in index.items()}, None
+
+
+def assert_sign_result_sound(result):
+    if result.feasible:
+        for cons in result.constraints:
+            assert math.prod(result.assignment[m] for m in cons.members) == -1
+    else:
+        # the witness's variable sets cancel while its odd count of rhs 1s sums to 1
+        cancelled = set()
+        for cons in result.witness:
+            cancelled ^= set(cons.members)
+        assert not cancelled and len(result.witness) % 2 == 1
+
+
+def sparse_support(data, n):
+    """Sums of a few base vectors, so size-2 classes and dependent sign
+    constraints come up at every n."""
+    base = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=6))
+    picks = st.lists(st.booleans(), min_size=len(base), max_size=len(base))
+    support = set()
+    for _ in range(data.draw(st.integers(2, 24))):
+        acc = 0
+        for b, p in zip(base, data.draw(picks)):
+            acc ^= b if p else 0
+        support.add(acc)
+    return support
+
+
+@given(st.one_of(st.integers(3, 6), st.just(24)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sign_feasibility_matches_seed_rref(n, data):
+    support = sparse_support(data, n)
+    if len(support) < 2:
+        return
+    result = sign_feasibility(support)
+    assert (result.feasible, result.assignment, result.witness) == seed_sign_system(support)
+    assert_sign_result_sound(result)
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_counterexample_sign_system_matches_seed_rref(n):
+    support = counterexample_support(n)
+    result = sign_feasibility(support)
+    assert (result.feasible, result.assignment, result.witness) == seed_sign_system(support)
+
+
+@given(st.sets(st.integers(0, 63), min_size=2, max_size=10))
+@example(set(counterexample_support(5)))  # k = 8, infeasible
+@example({0, 1, 2, 3})
+@settings(max_examples=150, deadline=None)
+def test_sign_feasibility_matches_all_sign_vectors(support):
+    result = sign_feasibility(support)
+    masks = sorted(support)
+    feasible = False
+    for signs in itertools.product((1, -1), repeat=len(masks)):
+        sign = dict(zip(masks, signs))
+        feasible |= all(math.prod(sign[m] for m in c.members) == -1 for c in result.constraints)
+    assert result.feasible == feasible
+    assert_sign_result_sound(result)
+
+
+def test_floor_root_matches_brute_force():
+    for b in range(1, 8):
+        r = 0
+        for x in range(3000):
+            while (r + 1) ** b <= x:
+                r += 1
+            assert folding._floor_root(x, b) == r, (x, b)
+    assert folding._floor_root(64**9999, 10000) == 63
+    assert folding._floor_root(7**10000, 10000) == 7
+
+
+def test_fold_ell_near_one_needs_no_float_root(capsys):
+    assert heavy_class_threshold(64, Fraction(9999, 10000)) == 65
+    assert main(["fold", "inner-product:m=3", "--ell", "9999/10000"]) == 0
+    assert "class threshold 65" in capsys.readouterr().out
+
+
+def test_fold_op_builds_one_profile(monkeypatch):
+    spectrum = wht(gen_addressing(16))
+    ell, delta = Fraction(1, 2), Fraction(1, 4)
+    expected_params = folding_parameters(spectrum.support(), ell)
+    expected_members = heavy_participants(spectrum.support(), delta, ell)
+    calls = []
+    real = folding.direction_classes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(folding, "direction_classes", counting)
+    out = runner.fold_summary(spectrum, {"ell": "1/2", "delta": "1/4"})
+    assert len(calls) == 1
+    assert out["delta"] == str(expected_params.delta)
+    assert out["class_size_threshold"] == expected_params.class_size_threshold
+    assert out["heavy_participants"] == sorted(expected_members)

@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parityfold.gf2 import (
     DimensionMismatchError,
+    Echelon,
     Gf2Basis,
     coset_label,
+    extend_basis,
     in_span,
     row_reduce,
 )
@@ -114,3 +116,72 @@ def test_basis_invariant_enforced():
         Gf2Basis(3, (0b011, 0b110))  # leading bits not decreasing
     with pytest.raises(ValueError):
         Gf2Basis(3, (0,))
+
+
+# small n is checked over all of F2^n; n = 24 (the cap) on drawn vectors,
+# with few generators so the brute-force span stays small
+DIMENSIONS = st.one_of(st.integers(1, 6), st.just(24))
+
+
+def vectors_and_probes(n, data):
+    vecs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6 if n <= 6 else 8))
+    if n <= 6:
+        return vecs, range(1 << n)
+    return vecs, data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+
+
+def named_sum(vecs, tag):
+    """Sum of the vectors whose indices are set in tag."""
+    acc = 0
+    for j, v in enumerate(vecs):
+        if (tag >> j) & 1:
+            acc ^= v
+    return acc
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_span_and_labels_match_brute_force(n, data):
+    vecs, probes = vectors_and_probes(n, data)
+    span = brute_span(vecs)
+    basis = row_reduce(vecs, n)
+    assert 1 << basis.rank == len(span)
+    assert brute_span(basis.rows) == span
+    # reduced: no row has a bit at another row's pivot
+    for row, pivot, _ in basis.entries:
+        assert sum(1 for other in basis.rows if other & pivot) == 1
+    for v in list(probes) + sorted(span)[:20]:
+        assert in_span(v, basis) == (v in span)
+        assert coset_label(v, basis) == min(v ^ g for g in span)
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_extend_basis_matches_brute_force(n, data):
+    vecs, probes = vectors_and_probes(n, data)
+    basis = row_reduce(vecs, n)
+    span = brute_span(vecs)
+    for v in list(probes)[:64]:
+        extended = extend_basis(basis, v)
+        if v in span:
+            assert extended is None
+        else:
+            assert extended == row_reduce(vecs + [v], n)
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_tags_name_the_inserts_summing_to_each_row(n, data):
+    vecs, probes = vectors_and_probes(n, data)
+    echelon = Echelon()
+    independent = [echelon.insert(v) for v in vecs]
+    assert echelon.inserted == len(vecs)
+    assert tuple(row for row, _, _ in echelon.rows) == row_reduce(vecs, n).rows
+    for row, pivot, tag in echelon.rows:
+        assert pivot == 1 << (row.bit_length() - 1)
+        assert named_sum(vecs, tag) == row
+        assert all(independent[j] for j in range(len(vecs)) if (tag >> j) & 1)
+    for v in list(probes)[:64]:
+        label, tag = echelon.reduce_tagged(v)
+        assert label ^ named_sum(vecs, tag) == v
+        assert label == coset_label(v, row_reduce(vecs, n))

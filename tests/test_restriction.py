@@ -1,16 +1,25 @@
+import functools
+import itertools
+import json
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parityfold import restriction
+from parityfold.cli import main
 from parityfold.restriction import (
     AffineConstraintSystem,
+    BucketReport,
+    IdentificationBoundError,
     InconsistentConstraintsError,
     bucket_complexity,
     identification_bound_check,
     identified,
     restrict,
 )
-from parityfold.spectral import TruthTable, wht
+from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
 def and2():
@@ -160,3 +169,90 @@ def test_codimension():
     system = AffineConstraintSystem(3, ((0b011, 0), (0b101, 1), (0b110, 1)))
     assert system.consistent  # third constraint is the sum of the first two
     assert system.codimension == 2
+
+
+def test_identification_bound_violation_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    # one bucket of two masks reported as two buckets: 2 * 2 > 2k - h = 2
+    bogus = BucketReport(2, {0: (0, 3)}, 2)
+    monkeypatch.setattr(restriction, "bucket_complexity", lambda *args: bogus)
+    with pytest.raises(IdentificationBoundError):
+        identification_bound_check({0, 3}, [0b11], 2)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"mask": 3, "bit": 1}]))
+    assert main(["analyze", "addressing:k=16", "--restrict", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# Differential checks of the elimination kernel behind AffineConstraintSystem:
+# small n against all of F2^n, n = 24 (the cap) against drawn points.  Masks
+# are sums of a few base vectors so that dependent and inconsistent
+# constraints come up often.
+DIMENSIONS = st.one_of(st.integers(1, 6), st.just(24))
+
+
+def draw_masks(data, n, base, max_size):
+    combos = st.lists(st.booleans(), min_size=len(base), max_size=len(base))
+    extra = st.integers(0, (1 << n) - 1)
+    masks = []
+    for _ in range(data.draw(st.integers(0, max_size))):
+        if data.draw(st.booleans()):
+            picks = data.draw(combos)
+            masks.append(functools.reduce(operator.xor, (b for b, p in zip(base, picks) if p), 0))
+        else:
+            masks.append(data.draw(extra))
+    return masks
+
+
+def forces_zero_equals_one(constraints):
+    """Oracle: some nonempty subset of constraints sums to mask 0 with odd bits."""
+    for r in range(1, len(constraints) + 1):
+        for subset in itertools.combinations(constraints, r):
+            mask = bit = 0
+            for m, b in subset:
+                mask ^= m
+                bit ^= b
+            if mask == 0 and bit == 1:
+                return True
+    return False
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_consistency_matches_brute_force(n, data):
+    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    masks = draw_masks(data, n, base, 8)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
+    system = AffineConstraintSystem(n, tuple(zip(masks, bits)))
+    assert system.consistent == (not forces_zero_equals_one(system.constraints))
+    if n <= 6:
+        assert system.consistent == any(system.contains(x) for x in range(1 << n))
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_restrict_matches_spectrum_on_every_point_of_h(n, data):
+    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    coeffs = {}
+    for mask in draw_masks(data, n, base, 12):
+        coeffs[mask] = data.draw(st.integers(-5, 5).filter(bool))
+    spectrum = FourierSpectrum(n, coeffs)
+    gammas = draw_masks(data, n, base, 4)
+    x0 = data.draw(st.integers(0, (1 << n) - 1))
+    bits = [(g & x0).bit_count() & 1 for g in gammas]
+    if gammas and data.draw(st.booleans()):
+        bits[0] ^= 1  # may make the system inconsistent
+    system = AffineConstraintSystem(n, tuple(zip(gammas, bits)))
+    if n <= 6:
+        points = [x for x in range(1 << n) if system.contains(x)]
+    else:
+        drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+        points = [x for x in [x0] + [x0 ^ y for y in drawn] if system.contains(x)]
+    if not system.consistent:
+        assert not points
+        with pytest.raises(InconsistentConstraintsError):
+            restrict(spectrum, system)
+        return
+    out = restrict(spectrum, system)
+    for x in points:
+        assert out.evaluate_scaled(x) == spectrum.evaluate_scaled(x)
+    assert out.sparsity <= bucket_complexity(coeffs, gammas, n).bucket_count

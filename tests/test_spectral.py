@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parityfold.cli import main
 from parityfold.spectral import (
     AlphaNotInSupportError,
     BetaNotInSupportError,
@@ -270,3 +271,22 @@ def test_table_validation():
         TruthTable(1, np.array([1, 2]))
     with pytest.raises(ValueError):
         table_from_dict({"n": 1, "values": [1, 0]})
+
+
+@pytest.mark.parametrize(
+    "values", [[255, 1], [1, 257], [1.5, 1], [1, "1"], [None, 1], [10**30, -1], [-129, 1]]
+)
+def test_table_values_are_validated_before_the_int8_cast(values):
+    # 255 and 257 wrap to -1 and 1 in int8
+    with pytest.raises(ValueError):
+        TruthTable(1, np.array(values))
+    with pytest.raises(ValueError):
+        table_from_dict({"n": 1, "values": values})
+
+
+def test_cli_rejects_out_of_range_table_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 1, "values": [255, 1]}))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
