@@ -51,7 +51,6 @@ from .runner import ExperimentReport, run_experiment
 from .spectral import (
     FourierSpectrum,
     TruthTable,
-    granularity_check,
     inverse_wht,
     is_plateaued,
     load_function,

@@ -4,6 +4,8 @@ Functions are given either as a JSON file path (truth table or spectrum)
 or as an inline family expression like ``addressing:k=16`` or
 ``random:n=6,seed=3``.  ``--json`` switches every command to canonical
 machine-readable output; seeded commands byte-reproduce their reports.
+The op subcommands (analyze, fold, verify, pdt build, mc) run one op of
+the runner's op table on one function, as an ``experiment`` config does.
 
 Exit codes: 0 all checks pass, 1 a verifier failed, 2 usage error.
 """
@@ -18,8 +20,8 @@ from pathlib import Path
 
 from . import families, folding, pdt, restriction, runner, spectral
 from .families import FunctionSpec, build_function
-from .runner import canonical_json, parse_fraction
-from .spectral import TruthTable
+from .runner import canonical_json
+from .spectral import FourierSpectrum, TruthTable
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -29,31 +31,38 @@ class UsageError(ValueError):
     pass
 
 
-def parse_function_arg(text: str, max_n: int) -> tuple[str, TruthTable]:
-    path = Path(text)
-    if path.exists():
-        loaded = spectral.load_function(path)
-        if isinstance(loaded, spectral.FourierSpectrum):
-            loaded = spectral.inverse_wht(loaded)
-        label = text
-    elif ":" in text:
-        family, _, body = text.partition(":")
-        params: dict = {}
-        for item in body.split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if not value:
-                raise UsageError(f"bad family parameter {item!r} in {text!r}")
-            params[key] = int(value)
-        spec = FunctionSpec(family, params)
-        loaded = build_function(spec)
-        label = spec.label()
-    else:
+def function_entry(text: str) -> dict:
+    """The corpus entry a FUNCTION argument names: an existing file, else
+    a family expression with integer parameters."""
+    if Path(text).exists():
+        return {"path": text}
+    if ":" not in text:
         raise UsageError(f"{text!r} is neither an existing file nor a family expression")
-    if loaded.n > max_n:
-        raise UsageError(f"{label}: n = {loaded.n} exceeds --max-n = {max_n}")
-    return label, loaded
+    family, _, body = text.partition(":")
+    entry: dict = {"family": family}
+    for item in body.split(","):
+        if not item:
+            continue
+        key, _, value = item.partition("=")
+        if not value:
+            raise UsageError(f"bad family parameter {item!r} in {text!r}")
+        entry[key] = int(value)
+    return entry
+
+
+def _resolve(args) -> tuple[str, TruthTable]:
+    return runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
+
+
+def _run(args, op: str, params: dict) -> tuple[str, TruthTable, FourierSpectrum, dict]:
+    label, table = _resolve(args)
+    spectrum = spectral.wht(table)
+    return label, table, spectrum, runner.run_op(op, table, spectrum, params, args.seed)
+
+
+def _params(**fields) -> dict:
+    """Op params from argparse fields; an unset (None) field is left out."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -78,9 +87,7 @@ def cmd_gen(args) -> int:
     if args.family == "junta":
         if not args.inner:
             raise UsageError("gen junta requires --inner FILE")
-        inner = spectral.load_function(args.inner)
-        if isinstance(inner, spectral.FourierSpectrum):
-            inner = spectral.inverse_wht(inner)
+        _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
         masks = params.get("masks")
         if not isinstance(masks, list):
             masks = [masks] if masks is not None else []
@@ -100,9 +107,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    label, table = parse_function_arg(args.function, args.max_n)
-    spectrum = spectral.wht(table)
-    result = runner.analyze_summary(spectrum)
+    label, table, spectrum, result = _run(args, "analyze", {})
     payload = {"function": label, "n": table.n, "analyze": result}
     lines = [
         f"function: {label} (n = {table.n})",
@@ -121,20 +126,19 @@ def cmd_analyze(args) -> int:
         bound = restriction.identification_bound_check(
             spectrum.support(), gammas, table.n
         )
-        report = restriction.bucket_complexity(spectrum.support(), gammas, table.n)
         payload["restrict"] = {
             "constraints": restriction.system_to_list(system),
             "codimension": system.codimension,
             "restricted_sparsity": restricted.sparsity,
             "restricted_support": sorted(restricted.coeffs),
-            "bucket_report": report.to_dict(),
+            "bucket_report": bound.report.to_dict(),
             "identified_count": bound.identified_count,
             "identification_bound": bound.bound,
         }
         lines += [
             f"restricted by {args.restrict} (codimension {system.codimension}): "
             f"sparsity {restricted.sparsity}",
-            f"buckets {report.bucket_count} <= bound {bound.bound} "
+            f"buckets {bound.actual} <= bound {bound.bound} "
             f"(h = {bound.identified_count})",
         ]
     _emit(args, payload, lines)
@@ -143,14 +147,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    label, table = parse_function_arg(args.function, args.max_n)
-    spectrum = spectral.wht(table)
-    params: dict = {"ell": args.ell}
-    if args.delta is not None:
-        params["delta"] = args.delta
-    if args.pairs:
-        params["pairs"] = True
-    result = runner.fold_summary(spectrum, params)
+    params = _params(ell=args.ell, delta=args.delta, pairs=args.pairs)
+    label, _, spectrum, result = _run(args, "fold", params)
     payload = {"function": label, "fold": result}
     lines = [
         f"function: {label} (k = {spectrum.sparsity})",
@@ -192,12 +190,7 @@ def cmd_verify(args) -> int:
         return 0 if passed else CHECK_FAILED
     if args.function is None:
         raise UsageError(f"verify {args.check} requires a FUNCTION argument")
-    label, table = parse_function_arg(args.function, args.max_n)
-    spectrum = spectral.wht(table)
-    try:
-        result = runner.verify_summary(spectrum, {"check": args.check})
-    except folding.SparsityTooSmallError as exc:
-        raise UsageError(str(exc)) from None
+    label, _, _, result = _run(args, "verify", {"check": args.check})
     payload = {"function": label, "verify": result}
     lines = [f"function: {label}", f"{args.check}: {'pass' if result['passed'] else 'FAIL'}"]
     _emit(args, payload, lines)
@@ -206,44 +199,32 @@ def cmd_verify(args) -> int:
 
 def cmd_pdt(args) -> int:
     if args.pdt_command == "build":
-        label, table = parse_function_arg(args.function, args.max_n)
-        config = pdt.BuildConfig(
+        # the pdt op in two halves, so the tree and log come from its build
+        label, table = _resolve(args)
+        params = _params(
             strategy=args.strategy,
-            probability=(
-                float(parse_fraction(args.probability)) if args.probability else None
-            ),
+            probability=args.probability,
             resample_cap=args.resample_cap,
-            epsilon=parse_fraction(args.epsilon),
-            seed=args.seed,
-            delta=parse_fraction(args.delta) if args.delta else None,
-            ell=parse_fraction(args.ell) if args.ell else None,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            ell=args.ell,
         )
-        build = pdt.build_pdt(table, config)
-        verified = pdt.verify_tree(build.tree, table)
+        build = runner.build_tree(spectral.wht(table), params, args.seed)
+        result = runner.tree_summary(table, build)
         if args.output:
             Path(args.output).write_text(canonical_json(build.tree.to_dict()))
         if args.log:
             Path(args.log).write_text(build.log_jsonl() + "\n")
-        payload = {
-            "function": label,
-            "pdt": {
-                "strategy": config.strategy,
-                "seed": config.seed,
-                "depth": build.depth(),
-                "verified": verified,
-                "node_records": [r.to_dict() for r in build.log],
-            },
-        }
         lines = [
             f"function: {label}",
-            f"strategy {config.strategy}, seed {config.seed}",
-            f"depth {build.depth()}, verified {verified}",
+            f"strategy {result['strategy']}, seed {result['seed']}",
+            f"depth {result['depth']}, verified {result['verified']}",
         ]
-        _emit(args, payload, lines)
-        return 0 if verified else CHECK_FAILED
+        _emit(args, {"function": label, "pdt": result}, lines)
+        return 0 if result["verified"] else CHECK_FAILED
+    tree = pdt.ParityDecisionTree.from_dict(json.loads(Path(args.tree).read_text()))
     if args.pdt_command == "verify":
-        tree = pdt.ParityDecisionTree.from_dict(json.loads(Path(args.tree).read_text()))
-        label, table = parse_function_arg(args.function, args.max_n)
+        label, table = _resolve(args)
         ok = pdt.verify_tree(tree, table)
         _emit(
             args,
@@ -251,25 +232,13 @@ def cmd_pdt(args) -> int:
             [f"tree {args.tree} vs {label}: {'agree on all inputs' if ok else 'MISMATCH'}"],
         )
         return 0 if ok else CHECK_FAILED
-    tree = pdt.ParityDecisionTree.from_dict(json.loads(Path(args.tree).read_text()))
     _emit(args, {"tree": args.tree, "depth": tree.depth()}, [f"depth {tree.depth()}"])
     return 0
 
 
 def cmd_mc(args) -> int:
-    label, table = parse_function_arg(args.function, args.max_n)
-    params: dict = {"kind": args.kind, "trials": args.trials, "seed": args.seed}
-    if args.kind == "theorem-1":
-        if args.p is None:
-            raise UsageError("mc theorem-1 requires --p")
-        params["p"] = args.p
-    if args.kind == "theorem-2":
-        params["delta"] = args.delta or "1"
-        params["ell"] = args.ell or "0"
-    try:
-        result = runner.mc_summary(table, params, args.seed)
-    except (pdt.NotFoldingError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    params = _params(kind=args.kind, trials=args.trials, p=args.p, delta=args.delta, ell=args.ell)
+    label, _, _, result = _run(args, "mc", params)
     stats = result["stats"]
     payload = {"function": label, "mc": result}
     lines = [
@@ -321,8 +290,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="canonical JSON output")
     parser.add_argument("--csv", default=default(None),
                         help="write a CSV summary to this path")
-    parser.add_argument("--max-n", type=int, default=default(20), dest="max_n",
-                        help="refuse functions above this dimension (default 20)")
+    max_n = runner.DEFAULT_MAX_N
+    parser.add_argument("--max-n", type=int, default=default(max_n), dest="max_n",
+                        help=f"refuse functions above this dimension (default {max_n})")
 
 
 def build_parser() -> argparse.ArgumentParser:

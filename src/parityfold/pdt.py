@@ -164,8 +164,9 @@ def sample_parity(
     return [m for m, d in zip(masks, draws) if d < p]
 
 
-def _independent_filter(sampled: list[int], n: int) -> list[int]:
-    """Drop sampled parities already spanned by earlier ones (and 0^n)."""
+def _independent_filter(sampled: list[int], n: int) -> tuple[list[int], Gf2Basis]:
+    """Drop sampled parities already spanned by earlier ones (and 0^n);
+    returns the kept parities and the reduced basis of their span."""
     basis = Gf2Basis(n, ())
     kept: list[int] = []
     for v in sampled:
@@ -173,7 +174,7 @@ def _independent_filter(sampled: list[int], n: int) -> list[int]:
         if extended is not None:
             kept.append(v)
             basis = extended
-    return kept
+    return kept, basis
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,7 @@ class NodeRecord:
 class BuildResult:
     tree: ParityDecisionTree
     log: tuple[NodeRecord, ...]
+    config: BuildConfig
 
     def depth(self) -> int:
         return self.tree.depth()
@@ -295,10 +297,11 @@ def _select_batch(
             union: set[int] = set()
             for p in probs:
                 union.update(sample_parity(support_sorted, p, rng))
-            batch = tuple(_independent_filter(sorted(union), n))
+            kept, basis = _independent_filter(sorted(union), n)
+            batch = tuple(kept)
             if not batch:
                 continue
-            bcount = bucket_count(support_sorted, row_reduce(batch, n))
+            bcount = bucket_count(support_sorted, basis)
             if best is None or bcount < best[0]:
                 best = (bcount, batch)
             if bcount <= target:
@@ -418,7 +421,7 @@ def build_pdt(
         return subtree
 
     root = build(spectrum, 0)
-    return BuildResult(ParityDecisionTree(n, root), tuple(log))
+    return BuildResult(ParityDecisionTree(n, root), tuple(log), config)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,12 @@ def identified(beta: int, delta: int, gammas: Iterable[int], n: int) -> bool:
 class IdentificationBound:
     identified_count: int  # h: support elements sharing a bucket with another
     bound: int  # k - ceil(h/2)
-    actual: int  # the bucket count
+    report: BucketReport  # the partition the bound was checked on
+
+    @property
+    def actual(self) -> int:
+        """The bucket count."""
+        return self.report.bucket_count
 
 
 def identification_bound_check(
@@ -165,4 +170,4 @@ def identification_bound_check(
     # singleton buckets number k - h, shared buckets at most h/2
     if 2 * report.bucket_count > 2 * k - h:
         raise IdentificationBoundError(f"{report.bucket_count} buckets exceed k - h/2 at k={k}, h={h}")
-    return IdentificationBound(h, bound, report.bucket_count)
+    return IdentificationBound(h, bound, report)

@@ -4,6 +4,11 @@ A config names a corpus of functions and a list of analyses; the report
 echoes the config and holds one result block per (function, analysis).
 Reports are byte-identical across runs with the same config and seeds,
 so they carry no wall-clock data (the CLI prints timing to stderr).
+
+``OPS`` is the op table: it maps each analysis op to a function
+``(table, spectrum, params, seed) -> dict``, reached through ``run_op``.
+``run_experiment`` and every CLI op subcommand run ops through it, with
+functions resolved by ``resolve_function``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 
 from . import folding, pdt, spectral
 from .families import FunctionSpec, build_function
-from .spectral import TruthTable, load_function
+from .spectral import FourierSpectrum, TruthTable, load_function
 
 VERSION = "0.1.0"
 DEFAULT_MAX_N = 20
@@ -53,7 +58,9 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def _resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
+def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
+    """(label, truth table) of a corpus entry: {"path": file} or
+    {"family": name, **params}; spectrum files are inverted to tables."""
     if "path" in entry:
         path = base_dir / entry["path"]
         loaded = load_function(path)
@@ -72,13 +79,12 @@ def _resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Tru
     return label, loaded
 
 
-def analyze_summary(spectrum: spectral.FourierSpectrum) -> dict:
+def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     l1 = spectral.spectral_l1(spectrum)
     return {
         "sparsity": spectrum.sparsity,
         "support": sorted(spectrum.coeffs),
         "plateaued": spectral.is_plateaued(spectrum),
-        "granular": spectral.granularity_check(spectrum),
         "l1": str(l1),
         "l1_squared_le_sparsity": l1**2 <= spectrum.sparsity,
         "parseval": spectral.verify_parseval(spectrum),
@@ -86,7 +92,7 @@ def analyze_summary(spectrum: spectral.FourierSpectrum) -> dict:
     }
 
 
-def fold_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
+def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     ell = parse_fraction(params.get("ell", "1/2"))
     profile = folding.direction_classes(
         spectrum.support(), include_pairs=bool(params.get("pairs", False))
@@ -106,7 +112,7 @@ def fold_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
     return out
 
 
-def verify_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
+def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     check = params.get("check")
     if check == "pair-condition":
         result = folding.check_pair_condition(spectrum.support())
@@ -138,7 +144,8 @@ def verify_summary(spectrum: spectral.FourierSpectrum, params: dict) -> dict:
     raise ConfigError(f"unknown verify check {check!r}")
 
 
-def pdt_summary(table: TruthTable, params: dict, seed: int) -> dict:
+def build_tree(spectrum: FourierSpectrum, params: dict, seed: int) -> pdt.BuildResult:
+    """The pdt op's build, configured by its params."""
     config = pdt.BuildConfig(
         strategy=params.get("strategy", "sampling"),
         probability=(
@@ -152,29 +159,38 @@ def pdt_summary(table: TruthTable, params: dict, seed: int) -> dict:
         delta=parse_fraction(params["delta"]) if "delta" in params else None,
         ell=parse_fraction(params["ell"]) if "ell" in params else None,
     )
-    result = pdt.build_pdt(table, config)
-    verified = pdt.verify_tree(result.tree, table)
+    return pdt.build_pdt(spectrum, config)
+
+
+def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
+    """The pdt op's result block for a build of table."""
     return {
-        "strategy": config.strategy,
-        "seed": config.seed,
-        "depth": result.depth(),
-        "verified": verified,
-        "node_records": [r.to_dict() for r in result.log],
+        "strategy": build.config.strategy,
+        "seed": build.config.seed,
+        "depth": build.depth(),
+        "verified": pdt.verify_tree(build.tree, table),
+        "node_records": [r.to_dict() for r in build.log],
     }
 
 
-def mc_summary(table: TruthTable, params: dict, seed: int) -> dict:
+def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
+    return tree_summary(table, build_tree(spectrum, params, seed))
+
+
+def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     kind = params.get("kind")
     trials = int(params.get("trials", 100))
     used_seed = int(params.get("seed", seed))
     if kind == "theorem-1":
+        if "p" not in params:
+            raise ConfigError("mc theorem-1 requires p")
         p = float(parse_fraction(params["p"]))
-        stats = pdt.estimate_bucket_reduction(table, p, trials, used_seed)
+        stats = pdt.estimate_bucket_reduction(spectrum, p, trials, used_seed)
     elif kind == "warmup":
-        stats = pdt.warmup_success_rate(table, trials, used_seed)
+        stats = pdt.warmup_success_rate(spectrum, trials, used_seed)
     elif kind == "theorem-2":
         stats = pdt.folding_sampling_trial(
-            table,
+            spectrum,
             parse_fraction(params.get("delta", 1)),
             parse_fraction(params.get("ell", 0)),
             trials,
@@ -183,6 +199,22 @@ def mc_summary(table: TruthTable, params: dict, seed: int) -> dict:
     else:
         raise ConfigError(f"unknown mc kind {kind!r}")
     return {"kind": kind, "seed": used_seed, "stats": stats.to_dict()}
+
+
+OPS = {
+    "analyze": analyze_summary,
+    "fold": fold_summary,
+    "verify": verify_summary,
+    "pdt": pdt_summary,
+    "mc": mc_summary,
+}
+
+
+def run_op(op: str, table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
+    """The result block of one analysis op on one function."""
+    if op not in OPS:
+        raise ConfigError(f"unknown analysis op {op!r}")
+    return OPS[op](table, spectrum, params, seed)
 
 
 @dataclass(frozen=True)
@@ -234,24 +266,13 @@ def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport
         raise ConfigError("'functions' and 'analyses' must be lists")
     results: list[dict] = []
     for entry in functions:
-        label, table = _resolve_function(entry, base_dir, max_n)
+        label, table = resolve_function(entry, base_dir, max_n)
         spectrum = spectral.wht(table)
         block = {"function": label, "n": table.n, "analyses": []}
         for analysis in analyses:
             op = analysis.get("op")
             params = {key: value for key, value in analysis.items() if key != "op"}
-            if op == "analyze":
-                result = analyze_summary(spectrum)
-            elif op == "fold":
-                result = fold_summary(spectrum, params)
-            elif op == "verify":
-                result = verify_summary(spectrum, params)
-            elif op == "pdt":
-                result = pdt_summary(table, params, seed)
-            elif op == "mc":
-                result = mc_summary(table, params, seed)
-            else:
-                raise ConfigError(f"unknown analysis op {op!r}")
+            result = run_op(op, table, spectrum, params, seed)
             block["analyses"].append({"op": op, "result": result})
         results.append(block)
     return ExperimentReport(VERSION, config, results)

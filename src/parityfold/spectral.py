@@ -200,17 +200,6 @@ def is_plateaued(spectrum: FourierSpectrum) -> bool:
     return len({abs(c) for c in spectrum.coeffs.values()}) <= 1
 
 
-def granularity_check(spectrum: FourierSpectrum) -> bool:
-    """All coefficients are integral multiples of 1/2^n in scaled form.
-
-    True by construction for wht outputs; exposed so spectra loaded from
-    files can be vetted through the same gate.
-    """
-    return all(
-        isinstance(c, (int, np.integer)) and c != 0 for c in spectrum.coeffs.values()
-    )
-
-
 def spectral_l1(spectrum: FourierSpectrum) -> Fraction:
     """Exact sum of |fhat(a)|; squares to at most the sparsity for +-1 functions."""
     return Fraction(sum(abs(c) for c in spectrum.coeffs.values()), 1 << spectrum.n)
@@ -253,7 +242,11 @@ def table_to_dict(table: TruthTable) -> dict:
 
 
 def table_from_dict(data: dict) -> TruthTable:
-    return TruthTable(int(data["n"]), np.array(data["values"]))
+    values = data["values"]
+    # np.array would read JSON true/false as 1/0
+    if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+        raise ValueError("truth table entries must be +-1, not booleans")
+    return TruthTable(int(data["n"]), np.array(values))
 
 
 def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:

@@ -29,6 +29,7 @@ from parityfold.pdt import (
     sample_parity,
     verify_tree,
     warmup_success_rate,
+    _independent_filter,
     _select_batch,
 )
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
@@ -296,3 +297,13 @@ def test_calculus_inequality_property(d, data):
     denom = data.draw(st.integers(max(1, d), 4 * max(1, d)))
     p = Fraction(1, denom) if d else data.draw(st.fractions(0, 1))
     assert check_calculus_inequality(d, p)
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_independent_filter_basis_is_row_reduce_of_batch(n, data):
+    sampled = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
+    batch, basis = _independent_filter(sampled, n)
+    assert basis == row_reduce(batch, n)
+    assert basis.rank == len(batch)
+    assert basis == row_reduce(sampled, n)

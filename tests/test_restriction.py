@@ -256,3 +256,26 @@ def test_restrict_matches_spectrum_on_every_point_of_h(n, data):
     for x in points:
         assert out.evaluate_scaled(x) == spectrum.evaluate_scaled(x)
     assert out.sparsity <= bucket_complexity(coeffs, gammas, n).bucket_count
+
+
+def test_analyze_restrict_partitions_the_support_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = restriction.bucket_complexity
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(restriction, "bucket_complexity", counting)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]))
+    assert main(["--json", "analyze", "addressing:k=16", "--restrict", str(path)]) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)["restrict"]
+    assert payload["bucket_report"] == real(*calls[0]).to_dict()
+
+
+def test_identification_bound_keeps_its_report():
+    result = identification_bound_check({0, 1, 2, 3}, [0b11], 2)
+    assert result.report == bucket_complexity({0, 1, 2, 3}, [0b11], 2)
+    assert result.actual == result.report.bucket_count

@@ -12,7 +12,6 @@ from parityfold.spectral import (
     NotBooleanValuedError,
     TruthTable,
     character,
-    granularity_check,
     inverse_wht,
     is_plateaued,
     load_function,
@@ -156,9 +155,12 @@ def test_plateaued_boolean_sparsity_is_power_of_four(n, seed):
     assert c * c * k == 1 << (2 * n)
 
 
-def test_granularity():
-    assert granularity_check(wht(and2()))
-    assert granularity_check(FourierSpectrum(2, {0: 3}))  # 3/4 is granular
+def test_spectrum_constructor_rejects_zero_and_non_integer_coefficients():
+    # why every stored coefficient is a nonzero multiple of 1/2^n
+    with pytest.raises(ValueError):
+        FourierSpectrum(2, {0: 0})
+    with pytest.raises(ValueError):
+        FourierSpectrum(2, {0: 1.5})
 
 
 def test_spectral_l1():
@@ -287,6 +289,21 @@ def test_table_values_are_validated_before_the_int8_cast(values):
 def test_cli_rejects_out_of_range_table_file(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"n": 1, "values": [255, 1]}))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", [[True, 1], [1, False], [-1, True]])
+def test_table_from_dict_rejects_json_booleans(values):
+    # np.array would read true as 1 and false as 0
+    with pytest.raises(ValueError, match="booleans"):
+        table_from_dict({"n": 1, "values": values})
+
+
+def test_cli_rejects_boolean_table_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "values": [true, 1]}')
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
