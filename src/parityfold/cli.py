@@ -384,7 +384,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, runner.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (folding.FoldingBoundError, restriction.IdentificationBoundError) as exc:
+    except (
+        folding.FoldingBoundError,
+        folding.AddressingProfileError,
+        restriction.IdentificationBoundError,
+        pdt.ResampleCapExceededError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

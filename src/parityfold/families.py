@@ -36,11 +36,6 @@ def _check_addressing_k(k: int) -> tuple[int, int]:
     return addr_bits, sqrt_k
 
 
-def addressing_dimension(k: int) -> int:
-    addr_bits, sqrt_k = _check_addressing_k(k)
-    return addr_bits + sqrt_k
-
-
 def addressing_support(k: int) -> tuple[tuple[int, ...], int]:
     """Symbolic support {M union {y_a}}: every subset of the address bits
     joined with exactly one target bit.  Returns (masks, addr_bits)."""

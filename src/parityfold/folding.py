@@ -9,11 +9,10 @@ once k > 4), the single-nontrivial-direction structure, and the sign
 system that certifies some supports are not realizable by any +-1
 function.
 
-`direction_classes` is the one pair-direction kernel: it XORs the sorted
-support against itself in row blocks of at most BLOCK_ENTRIES = 2^16 int64
-entries (512 KiB; nothing is sized 2^n) and sorts each block's upper
-triangle, O(k^2 log k) numpy work.  Every other check reads class sizes
-from its profile: `size_blocks` binary-searches the same blocks, O(k^2 log D).
+`direction_classes` counts the classes with the pair kernel of `pairs`
+(row blocks of at most 2^16 int64 entries, O(k^2 log k) numpy work), in
+exact integers.  Every other check reads class sizes from its profile:
+`partners` binary-searches the same blocks, O(k^2 log D).
 """
 
 from __future__ import annotations
@@ -21,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .families import addressing_support
 from .gf2 import Echelon
+from .pairs import direction_sums, xor_blocks
 from .spectral import FourierSpectrum, is_plateaued
 
 PAIR_LIST_GUARD = 1 << 12
-BLOCK_ENTRIES = 1 << 16
 # heavy_participants checks the delta*k/3 averaging bound from this k on
 HEAVY_BOUND_MIN_K = 64
 
@@ -56,11 +55,8 @@ class FoldingBoundError(RuntimeError):
     pass
 
 
-def _xor_blocks(masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(rows, masks[rows, None] ^ masks) per block of <= BLOCK_ENTRIES (or one row)."""
-    step = max(1, BLOCK_ENTRIES // len(masks))
-    for lo in range(0, len(masks), step):
-        yield np.arange(lo, min(lo + step, len(masks))), masks[lo : lo + step, None] ^ masks
+class AddressingProfileError(RuntimeError):
+    """A class of the addressing support breaks the profile's claims: a bug."""
 
 
 @dataclass(frozen=True)
@@ -86,22 +82,16 @@ class FoldingProfile:
     def max_class_size(self) -> int:
         return max(self.classes.values())
 
-    def size_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(rows, sizes) blocks covering every ordered pair: sizes[r, j] is
-        the class size of masks[rows[r]] ^ masks[j], and 0 on the diagonal."""
-        for rows, xor in _xor_blocks(self.masks):
-            # every off-diagonal entry is a realized direction; the diagonal
-            # (0, below every direction) lands on index 0 and is cleared
-            sizes = self.counts[np.searchsorted(self.directions, xor)]
-            sizes[np.arange(len(rows)), rows] = 0
-            yield rows, sizes
-
     def partners(self, threshold: int) -> tuple[np.ndarray, np.ndarray]:
         """Per mask: how many partners lie in classes of size >= threshold,
         and the index of the smallest such partner (0 when there is none)."""
+        heavy = self.counts >= threshold
         counts, first = [], []
-        for _, sizes in self.size_blocks():
-            hit = sizes >= threshold
+        for rows, xor, _ in xor_blocks(self.masks):
+            # every off-diagonal entry is a realized direction; the diagonal
+            # (0, below every direction) lands on index 0 and is cleared
+            hit = heavy[np.searchsorted(self.directions, xor)]
+            hit[np.arange(len(rows)), rows] = False
             counts.append(hit.sum(axis=1))
             first.append(hit.argmax(axis=1))
         return np.concatenate(counts), np.concatenate(first)
@@ -170,21 +160,14 @@ def direction_classes(
         raise ValueError(f"masks must be non-negative, got {int(masks[0])}")
     if include_pairs and k > PAIR_LIST_GUARD:
         raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
-    histograms, found = [], []
-    for rows, xor in _xor_blocks(masks):
-        upper = np.arange(k) > rows[:, None]
-        g = xor[upper]  # row-major
-        histograms.append(np.unique(g, return_counts=True))
-        if include_pairs:
-            r, j = np.nonzero(upper)
-            found.append((g, masks[rows[r]], masks[j]))
-    directions, counts = map(np.concatenate, zip(*histograms))
-    if len(histograms) > 1:
-        directions, inverse = np.unique(directions, return_inverse=True)
-        counts = np.bincount(inverse, weights=counts).astype(np.int64)  # exact: sums < 2^53
+    directions, counts = direction_sums(masks)
     classes = dict(zip(directions.tolist(), counts.tolist()))
     pairs = None
     if include_pairs:
+        found = []
+        for rows, xor, upper in xor_blocks(masks):
+            r, j = np.nonzero(upper)
+            found.append((xor[upper], masks[rows[r]], masks[j]))  # row-major
         g, a, b = map(np.concatenate, zip(*found))
         order = np.argsort(g, kind="stable")  # grouped by direction, row-major within
         flat = list(zip(a[order].tolist(), b[order].tolist()))
@@ -216,12 +199,17 @@ def _floor_root(x: int, b: int) -> int:
     return lo
 
 
+def float_fraction(x: float) -> Fraction:
+    """The closest fraction to x with denominator <= 10^6, so 0.49 -> 49/100
+    and 1e-4 -> 1/10000 rather than their binary expansions."""
+    return Fraction(x).limit_denominator(10**6)
+
+
 def as_exponent(ell: Fraction | float | int) -> Fraction:
-    """Normalize an exponent to an exact small rational; float inputs snap
-    to the closest fraction with denominator <= 1000 (so 0.5 -> 1/2 and
-    0.49 -> 49/100 rather than their binary expansions)."""
+    """Normalize an exponent to an exact small rational; floats snap by
+    `float_fraction`."""
     if isinstance(ell, float):
-        ell = Fraction(ell).limit_denominator(1000)
+        ell = float_fraction(ell)
     ell = Fraction(ell)
     if ell < 0:
         raise ValueError(f"exponent must be >= 0, got {ell}")
@@ -501,10 +489,11 @@ def addressing_folding_profile(k: int) -> AddressingFoldingReport:
         elif bits == 2:
             cross[g] = count
         else:
-            raise AssertionError(f"direction {g} touches {bits} target bits")
+            raise AddressingProfileError(f"direction {g} touches {bits} target bits")
     sqrt_k = math.isqrt(k)
     if set(cross.values()) != {sqrt_k}:
-        raise AssertionError(f"cross-target class sizes {set(cross.values())} != {{sqrt_k}}")
+        sizes = set(cross.values())
+        raise AddressingProfileError(f"cross-target class sizes {sizes} != {{{sqrt_k}}}")
     total = math.comb(len(support), 2)
     return AddressingFoldingReport(
         k=k,

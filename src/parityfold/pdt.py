@@ -18,10 +18,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .folding import direction_classes, folding_parameters
+from .folding import folding_parameters
 from .gf2 import Gf2Basis, coset_label, extend_basis, row_reduce
+from .pairs import direction_sums, int64_weights, xor_blocks
 from .restriction import AffineConstraintSystem, bucket_count, restrict
-from .spectral import FourierSpectrum, TruthTable, parity, parity_of, wht
+from .spectral import FourierSpectrum, TruthTable, json_int, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
 
@@ -117,10 +118,10 @@ class ParityDecisionTree:
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
         def decode(node: dict) -> TreeNode:
             if "leaf" in node:
-                return Leaf(int(node["leaf"]))
-            return Node(int(node["query"]), decode(node["pos"]), decode(node["neg"]))
+                return Leaf(json_int(node["leaf"], "leaf"))
+            return Node(json_int(node["query"], "query"), decode(node["pos"]), decode(node["neg"]))
 
-        return cls(int(data["n"]), decode(data["root"]))
+        return cls(json_int(data["n"], "n"), decode(data["root"]))
 
 
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
@@ -315,18 +316,17 @@ def _select_batch(
         )
 
     if config.strategy == "max-coefficient":
-        # direction of the support pair with the heaviest coefficient
-        # product; querying it merges at least that pair
-        items = sorted(spectrum.coeffs.items())
-        best_key = None
-        best_dir = 0
-        for i, (a, ca) in enumerate(items):
-            for b, cb in items[i + 1 :]:
-                key = (abs(ca * cb), -(a ^ b), -a)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_dir = a ^ b
-        batch = (best_dir,)
+        # the smallest direction among the support pairs with the heaviest
+        # |c_a c_b|; querying it merges at least that pair
+        masks = np.array(support_sorted, dtype=np.int64)
+        weights = np.abs(int64_weights(spectrum.coeffs[a] for a in support_sorted))
+        best = []
+        for rows, xor, upper in xor_blocks(masks):
+            products = (weights[rows, None] * weights)[upper]
+            if products.size:
+                top = products.max()
+                best.append((int(top), -int(xor[upper][products == top].min())))
+        batch = (-max(best)[1],)
         bcount = bucket_count(support_sorted, row_reduce(batch, n))
         return batch, bcount, 1, bcount <= target, (), False
 
@@ -338,8 +338,8 @@ def _select_batch(
     bcount = k
     while bcount > 1 and bcount > target:
         # largest class; argmax over sorted directions breaks ties to the smallest
-        profile = direction_classes(labels)
-        batch_list.append(int(profile.directions[np.argmax(profile.counts)]))
+        directions, counts = direction_sums(np.array(labels, dtype=np.int64))
+        batch_list.append(int(directions[np.argmax(counts)]))
         basis = row_reduce(batch_list, n)
         labels = sorted({coset_label(a, basis) for a in support_sorted})
         bcount = len(labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .gf2 import Echelon, Gf2Basis, check_vector, coset_label, in_span, row_reduce
-from .spectral import FourierSpectrum
+from .spectral import FourierSpectrum, json_int
 
 
 class InconsistentConstraintsError(ValueError):
@@ -122,10 +122,7 @@ def system_to_list(system: AffineConstraintSystem) -> list[dict]:
 def system_from_list(data: list, n: int) -> AffineConstraintSystem:
     constraints = []
     for entry in data:
-        mask, bit = entry["mask"], entry["bit"]
-        if not isinstance(mask, int) or not isinstance(bit, int):
-            raise ValueError(f"constraint entries need integer mask and bit: {entry!r}")
-        constraints.append((mask, bit))
+        constraints.append((json_int(entry["mask"], "mask"), json_int(entry["bit"], "bit")))
     return AffineConstraintSystem(n, tuple(constraints))
 
 

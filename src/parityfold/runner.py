@@ -41,7 +41,7 @@ def parse_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad fraction {value!r}: {exc}") from None
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**6)
+        return folding.float_fraction(value)
     raise ConfigError(f"expected a number, got {value!r}")
 
 

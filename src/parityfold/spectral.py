@@ -6,6 +6,12 @@ Every coefficient of a +-1 function is an integral multiple of 1/2^n, so
 the scaled form is lossless and all identities below are exact integer
 equations (zero tolerance).
 
+Titsworth sums run on the pair kernel of `pairs`, exact in int64 for any
+spectrum with sum c_a^2 < 2^63 (Parseval spectra have 4^n <= 2^48), and
+raise WeightBoundError above it.  `inverse_wht` refuses |c_a| > 2^n before
+its int64 transform.  File readers take integers only as JSON integers
+(`json_int`): a bool or a float is an error, never a truncated int.
+
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
 
@@ -19,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import MAX_DIMENSION, check_vector
+from .pairs import direction_sums
 
 
 class NotBooleanValuedError(ValueError):
@@ -156,6 +163,9 @@ def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
     full = 1 << spectrum.n
     arr = np.zeros(full, dtype=np.int64)
     for mask, c in spectrum.coeffs.items():
+        # no +-1 function has |c| > 2^n; within it every sum fits int64
+        if abs(int(c)) > full:
+            raise NotBooleanValuedError(f"|c| = {abs(int(c))} > 2^n at mask {mask}")
         arr[mask] = c
     _fwht_inplace(arr)
     if not np.all(np.abs(arr) == full):
@@ -174,26 +184,16 @@ def verify_parseval(spectrum: FourierSpectrum) -> bool:
 def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
     """Directions g != 0 where sum over ordered pairs a1+a2=g of c_a1*c_a2 != 0.
 
-    Iterates only over the sumset S+S (every other direction is vacuously
-    zero).  Empty list == the correlation condition holds exactly; spectra
-    of +-1 functions always pass.
+    Only directions of the sumset S+S can be nonzero, and each ordered sum
+    is twice the unordered one that the pair kernel computes exactly; it
+    raises WeightBoundError once sum c_a^2 >= 2^63.  Empty list == the
+    correlation condition holds exactly; spectra of +-1 functions always pass.
     """
-    masks = np.fromiter(spectrum.coeffs.keys(), dtype=np.int64)
-    coeffs = np.fromiter(spectrum.coeffs.values(), dtype=np.int64)
-    k = masks.size
-    if k <= 1:
+    if spectrum.sparsity <= 1:
         return []
-    sums = np.zeros(1 << spectrum.n, dtype=np.float64)
-    # chunk rows so the k x k intermediates stay modest; per-direction sums
-    # are bounded by 4^n (Cauchy-Schwarz), exact in float64 for n <= 24
-    step = max(1, (1 << 22) // k)
-    for lo in range(0, k, step):
-        rows = slice(lo, min(lo + step, k))
-        dirs = (masks[rows, None] ^ masks[None, :]).ravel()
-        prods = (coeffs[rows, None] * coeffs[None, :]).ravel()
-        sums += np.bincount(dirs, weights=prods, minlength=sums.size)
-    sums[0] = 0
-    return [int(g) for g in np.flatnonzero(sums)]
+    masks = np.fromiter(spectrum.coeffs, dtype=np.int64)
+    directions, sums = direction_sums(masks, spectrum.coeffs.values())
+    return directions[sums != 0].tolist()
 
 
 def is_plateaued(spectrum: FourierSpectrum) -> bool:
@@ -237,6 +237,13 @@ def normalize_signs(table: TruthTable, alpha: int, beta: int) -> TruthTable:
 # ---------------------------------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer read from a file; bools and floats (1.0 too) are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def table_to_dict(table: TruthTable) -> dict:
     return {"n": table.n, "values": [int(v) for v in table.values]}
 
@@ -246,7 +253,7 @@ def table_from_dict(data: dict) -> TruthTable:
     # np.array would read JSON true/false as 1/0
     if isinstance(values, list) and any(isinstance(v, bool) for v in values):
         raise ValueError("truth table entries must be +-1, not booleans")
-    return TruthTable(int(data["n"]), np.array(values))
+    return TruthTable(json_int(data["n"], "n"), np.array(values))
 
 
 def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:
@@ -257,14 +264,14 @@ def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:
 
 
 def spectrum_from_dict(data: dict) -> FourierSpectrum:
-    n = int(data["n"])
+    n = json_int(data["n"], "n")
     coeffs: dict[int, int] = {}
     for entry in data["coeffs"]:
-        mask = entry["mask"]
-        num = entry["num"]
-        if not isinstance(num, int) or isinstance(num, bool) or num == 0:
+        mask = json_int(entry["mask"], "mask")
+        num = json_int(entry["num"], f"coefficient at mask {mask}")
+        if num == 0:
             raise ValueError(f"coefficient at mask {mask} must be a nonzero integer")
-        if not isinstance(mask, int) or mask < 0 or mask >= 1 << n:
+        if mask < 0 or mask >= 1 << n:
             raise ValueError(f"mask {mask} out of range for n={n}")
         if mask in coeffs:
             raise ValueError(f"duplicate mask {mask}")

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from parityfold import folding, runner
+from parityfold import folding, pairs, runner
 from parityfold.cli import main
 from parityfold.families import (
     addressing_support,
@@ -127,12 +127,12 @@ def assert_kernel_matches_oracles(support, delta, ell):
     st.sets(st.integers(0, 255), min_size=2, max_size=80),
     st.sampled_from([Fraction(1, 100), Fraction(1, 9), Fraction(1, 3), Fraction(1)]),
     st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]),
-    st.sampled_from([1, 64, folding.BLOCK_ENTRIES]),
+    st.sampled_from([1, 64, pairs.BLOCK_ENTRIES]),
 )
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_pair_loop_oracles(support, delta, ell, block_entries):
     # small block budgets split even tiny supports into many row blocks
-    with mock.patch.object(folding, "BLOCK_ENTRIES", block_entries):
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
         assert_kernel_matches_oracles(support, delta, ell)
 
 
@@ -406,6 +406,31 @@ def test_addressing_folding_profile_guards():
         addressing_folding_profile(1024)
     with pytest.raises(Exception):
         addressing_folding_profile(8)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda support: [*support, 0b111100],  # a mask on all four target bits
+        lambda support: support[1:],  # cross-target classes of 3, not 4
+    ],
+    ids=["target-bits", "class-sizes"],
+)
+def test_addressing_profile_failure_is_a_typed_error(monkeypatch, capsys, broken):
+    real = folding.direction_classes
+    monkeypatch.setattr(folding, "direction_classes", lambda support: real(broken(support)))
+    with pytest.raises(folding.AddressingProfileError):
+        addressing_folding_profile(16)
+    monkeypatch.setitem(runner.OPS, "fold", lambda *args: addressing_folding_profile(16))
+    assert main(["fold", "addressing:k=16"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("x, expected", [(0.49, "49/100"), (0.3, "3/10"), (1e-4, "1/10000")])
+def test_exponents_and_fractions_snap_floats_alike(x, expected):
+    # a denominator limit of 1000 would read 1e-4 as 0
+    assert folding.float_fraction(x) == Fraction(expected)
+    assert folding.as_exponent(x) == runner.parse_fraction(x) == Fraction(expected)
 
 
 def seed_sign_system(support):

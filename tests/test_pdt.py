@@ -1,10 +1,14 @@
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parityfold import pairs
+from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
     gen_conjunction,
@@ -14,6 +18,7 @@ from parityfold.families import (
 )
 from parityfold.gf2 import coset_label, row_reduce
 from parityfold.folding import counterexample_support
+from parityfold.pairs import WeightBoundError
 from parityfold.pdt import (
     BuildConfig,
     DegenerateInputError,
@@ -101,6 +106,51 @@ def test_greedy_batch_matches_pair_loop_oracle_at_mask_cap():
     assert_greedy_matches_oracle(FourierSpectrum(24, {m: 1 for m in support}), Fraction(9, 10))
 
 
+def naive_max_coefficient_direction(spectrum):
+    """Oracle: the max-coefficient pair scan, one Python loop over all pairs."""
+    items = sorted(spectrum.coeffs.items())
+    best_key = None
+    best_dir = 0
+    for i, (a, ca) in enumerate(items):
+        for b, cb in items[i + 1 :]:
+            key = (abs(ca * cb), -(a ^ b), -a)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_dir = a ^ b
+    return best_dir
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 255),
+        # few magnitudes force ties on |c_a c_b| (2 * 2 == 4 * 1)
+        st.sampled_from([-4, -2, -1, 1, 2, 4]) | st.integers(-(2**30), 2**30).filter(bool),
+        min_size=2,
+        max_size=60,
+    ),
+    st.sampled_from([1, 64, pairs.BLOCK_ENTRIES]),
+)
+@settings(max_examples=80, deadline=None)
+def test_max_coefficient_matches_pair_loop_oracle(coeffs, block_entries):
+    spectrum = FourierSpectrum(8, coeffs)
+    cfg = BuildConfig(strategy="max-coefficient")
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        if sum(c * c for c in coeffs.values()) >= 2**63:
+            with pytest.raises(WeightBoundError):
+                _select_batch(spectrum, cfg, np.random.default_rng(0))
+            return
+        batch, *_ = _select_batch(spectrum, cfg, np.random.default_rng(0))
+    assert batch == (naive_max_coefficient_direction(spectrum),)
+
+
+def test_max_coefficient_ties_go_to_the_smallest_direction():
+    # the heaviest pairs (0,5), (0,6) and (5,6) all weigh 4; the last one
+    # has the smallest direction, and the lighter (0,1) has a smaller one still
+    spectrum = FourierSpectrum(3, {0: 2, 1: 1, 5: -2, 6: 2})
+    batch, *_ = _select_batch(spectrum, BuildConfig(strategy="max-coefficient"), None)
+    assert batch == (3,) == (naive_max_coefficient_direction(spectrum),)
+
+
 def test_tree_json_roundtrip():
     result = build_pdt(gen_addressing(4), BuildConfig(seed=3))
     data = result.tree.to_dict()
@@ -146,6 +196,52 @@ def test_build_resample_cap():
     cfg = BuildConfig(strategy="sampling", probability=1e-12, resample_cap=2, seed=0)
     with pytest.raises(ResampleCapExceededError):
         build_pdt(and2(), cfg)
+
+
+RESAMPLE_CAP_ARGS = ["build", "random:n=6,seed=1", "--resample-cap", "1", "--epsilon", "99/100"]
+
+
+def test_cli_pdt_build_resample_cap_is_a_failed_build(capsys):
+    assert main(["--seed", "1", "pdt", *RESAMPLE_CAP_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no batch met") and "Traceback" not in err
+
+
+def test_cli_experiment_resample_cap_is_a_failed_build(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1,
+        "functions": [{"family": "random", "n": 6, "seed": 1}],
+        "analyses": [{"op": "pdt", "resample_cap": 1, "epsilon": "99/100"}],
+    }))
+    assert main(["experiment", str(config), "-o", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no batch met") and "Traceback" not in err
+
+
+NON_INTEGER_TREES = {
+    "n-float": {"n": 1.5, "root": {"leaf": 1}},
+    "n-bool": {"n": True, "root": {"leaf": 1}},
+    "leaf-float": {"n": 1, "root": {"leaf": 1.7}},
+    "leaf-bool": {"n": 1, "root": {"leaf": True}},
+    "query-float": {"n": 1, "root": {"query": 1.0, "pos": {"leaf": 1}, "neg": {"leaf": -1}}},
+    "query-bool": {"n": 1, "root": {"query": True, "pos": {"leaf": 1}, "neg": {"leaf": -1}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_TREES))
+def test_tree_from_dict_needs_json_integers(name):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ParityDecisionTree.from_dict(NON_INTEGER_TREES[name])
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_TREES))
+def test_cli_rejects_non_integer_tree_files(tmp_path, capsys, name):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(NON_INTEGER_TREES[name]))
+    assert main(["pdt", "depth", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
 
 
 @pytest.mark.parametrize("strategy", ["sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket"])

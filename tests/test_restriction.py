@@ -18,6 +18,7 @@ from parityfold.restriction import (
     identification_bound_check,
     identified,
     restrict,
+    system_from_list,
 )
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
@@ -181,6 +182,29 @@ def test_identification_bound_violation_is_a_typed_error(monkeypatch, tmp_path, 
     path.write_text(json.dumps([{"mask": 3, "bit": 1}]))
     assert main(["analyze", "addressing:k=16", "--restrict", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+NON_INTEGER_SYSTEMS = {
+    "mask-bool": [{"mask": True, "bit": 1}],
+    "mask-float": [{"mask": 1.0, "bit": 1}],
+    "bit-bool": [{"mask": 1, "bit": True}],
+    "bit-float": [{"mask": 1, "bit": 0.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SYSTEMS))
+def test_system_from_list_needs_json_integers(name):
+    with pytest.raises(ValueError, match="must be an integer"):
+        system_from_list(NON_INTEGER_SYSTEMS[name], 2)
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SYSTEMS))
+def test_cli_rejects_non_integer_system_files(tmp_path, capsys, name):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(NON_INTEGER_SYSTEMS[name]))
+    assert main(["analyze", "addressing:k=16", "--restrict", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
 
 
 # Differential checks of the elimination kernel behind AffineConstraintSystem:

@@ -1,10 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from parityfold import pairs
 from parityfold.cli import main
+from parityfold.pairs import WeightBoundError
 from parityfold.spectral import (
     AlphaNotInSupportError,
     BetaNotInSupportError,
@@ -14,6 +17,7 @@ from parityfold.spectral import (
     character,
     inverse_wht,
     is_plateaued,
+    json_int,
     load_function,
     normalize_signs,
     spectral_l1,
@@ -98,6 +102,26 @@ def test_inverse_wht_rejects_non_boolean():
         inverse_wht(FourierSpectrum(2, {0: 2}))  # evaluates to 1/2 everywhere
 
 
+def test_inverse_wht_rejects_coefficients_above_2_to_the_n():
+    # in int64 these two wrap to an evaluation of exactly +-2 everywhere
+    wrapping = FourierSpectrum(1, {0: -(2**63), 1: -(2**63) + 2})
+    with pytest.raises(NotBooleanValuedError, match="> 2\\^n"):
+        inverse_wht(wrapping)
+    with pytest.raises(NotBooleanValuedError, match="> 2\\^n"):
+        inverse_wht(FourierSpectrum(2, {0: 5}))
+    with pytest.raises(NotBooleanValuedError, match="> 2\\^n"):  # abs would wrap in int64
+        inverse_wht(FourierSpectrum(1, {0: np.int64(-(2**63)), 1: 2}))
+
+
+def test_cli_rejects_wrapping_spectrum_file(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    coeffs = [{"mask": 0, "num": -(2**63)}, {"mask": 1, "num": -(2**63) + 2}]
+    path.write_text(json.dumps({"n": 1, "coeffs": coeffs}))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_inverse_wht_constant():
     assert inverse_wht(FourierSpectrum(3, {0: 8})) == TruthTable(3, np.ones(8))
 
@@ -134,6 +158,54 @@ def test_titsworth_matches_oracle_on_perturbed_spectra(n, seed):
     coeffs = {a: c for a, c in coeffs.items() if c}
     perturbed = FourierSpectrum(n, coeffs)
     assert verify_titsworth(perturbed) == naive_titsworth_violations(perturbed)
+
+
+BLOCK_BUDGETS = [1, 64, pairs.BLOCK_ENTRIES]
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.integers(0, (1 << n) - 1),
+                # equal magnitudes let pair products cancel
+                st.sampled_from([-(2**30), -1, 1, 2**30])
+                | st.integers(-(2**30), 2**30).filter(bool),
+                max_size=1 << n,
+            ),
+        )
+    ),
+    st.sampled_from(BLOCK_BUDGETS),
+)
+@example((3, {m: 2**30 for m in range(8)}), pairs.BLOCK_ENTRIES)  # sum c^2 = 2^63
+@settings(max_examples=100, deadline=None)
+def test_titsworth_matches_oracle_on_large_coefficients(spectrum, block_entries):
+    s = FourierSpectrum(*spectrum)
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        if sum(c * c for c in s.coeffs.values()) >= 2**63 and s.sparsity > 1:
+            with pytest.raises(WeightBoundError):
+                verify_titsworth(s)
+        else:
+            assert verify_titsworth(s) == naive_titsworth_violations(s)
+
+
+@pytest.mark.parametrize("block_entries", BLOCK_BUDGETS)
+def test_titsworth_weight_bound(block_entries):
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        # sum c^2 = 2^63 - 2^32 + 1: the product 2^62 - 2^31 is still exact
+        below = FourierSpectrum(1, {0: 2**31, 1: 2**31 - 1})
+        assert verify_titsworth(below) == naive_titsworth_violations(below) == [1]
+        cancel = FourierSpectrum(2, {0: 2**30, 1: 2**30, 2: 2**30, 3: -(2**30)})
+        assert verify_titsworth(cancel) == naive_titsworth_violations(cancel) == []
+        # direction 1 sums to (2^60 - 1) - 2^60 = -1, but 2^60 - 1 rounds to
+        # 2^60 in float64, where the violation would vanish in any order
+        odd = FourierSpectrum(2, {0: 2**30 - 1, 1: 2**30 + 1, 2: 2**30, 3: -(2**30)})
+        assert verify_titsworth(odd) == naive_titsworth_violations(odd) == [1, 2, 3]
+        with pytest.raises(WeightBoundError):
+            verify_titsworth(FourierSpectrum(1, {0: 2**31, 1: 2**31}))  # sum c^2 = 2^63
+        with pytest.raises(WeightBoundError):  # c^2 summed in int64 would wrap
+            verify_titsworth(FourierSpectrum(1, {0: np.int64(2**31), 1: np.int64(2**31)}))
 
 
 def test_is_plateaued():
@@ -307,3 +379,38 @@ def test_cli_rejects_boolean_table_file(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+NON_INTEGER_FILES = {
+    "table-n-float": {"n": 1.5, "values": [1, -1]},
+    "table-n-bool": {"n": True, "values": [1, -1]},
+    "table-n-integral-float": {"n": 1.0, "values": [1, -1]},
+    "spectrum-n-float": {"n": 1.5, "coeffs": [{"mask": 0, "num": 2}]},
+    "spectrum-n-bool": {"n": True, "coeffs": [{"mask": 0, "num": 2}]},
+    "spectrum-mask-bool": {"n": 1, "coeffs": [{"mask": True, "num": 2}]},
+    "spectrum-mask-float": {"n": 1, "coeffs": [{"mask": 1.0, "num": 2}]},
+}
+
+
+def test_json_int():
+    assert json_int(3, "x") == 3
+    for value in (True, False, 1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            json_int(value, "x")
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_FILES))
+def test_function_files_need_json_integers(name):
+    data = NON_INTEGER_FILES[name]
+    reader = table_from_dict if "values" in data else spectrum_from_dict
+    with pytest.raises(ValueError, match="must be an integer"):
+        reader(data)
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_FILES))
+def test_cli_rejects_non_integer_function_files(tmp_path, capsys, name):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(NON_INTEGER_FILES[name]))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
