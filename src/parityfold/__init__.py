@@ -46,6 +46,7 @@ from .restriction import (
     identification_bound_check,
     identified,
     restrict,
+    restrict_batch,
 )
 from .runner import ExperimentReport, run_experiment
 from .spectral import (

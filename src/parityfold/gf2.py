@@ -11,13 +11,16 @@ tags are unique and a payload packed as one mask reads as
 parity(tag & payload): constraint right-hand sides, or the sign
 constraints a witness combines.  A label or a dependent insert is one
 O(rank) pass that XORs no tags; an independent insert adds a tagged pass
-and an O(rank log rank) re-sort.
+and an O(rank log rank) re-sort.  `labels` is the same pass over a numpy
+array of masks, one vectorized step per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 MAX_DIMENSION = 24
 
@@ -122,6 +125,20 @@ def coset_label(v: int, basis: Gf2Basis) -> int:
     """
     check_vector(v, basis.n)
     return _reduce(v, basis.entries)
+
+
+def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, tags) of int64 masks against (row, pivot, tag) rows, as
+    ``Echelon.reduce_tagged`` gives them elementwise; ``rows`` is
+    ``Echelon.rows`` or ``Gf2Basis.entries`` and every tag must fit int64."""
+    out = np.array(masks, dtype=np.int64)
+    tags = np.zeros_like(out)
+    for row, pivot, tag in rows:
+        hit = (out >> (pivot.bit_length() - 1)) & 1
+        out ^= hit * row
+        if tag:
+            tags ^= hit * tag
+    return out, tags
 
 
 def extend_basis(basis: Gf2Basis, v: int) -> Gf2Basis | None:

@@ -6,6 +6,13 @@ n-dimensional space with canonical coset labels as characters.  Labels
 are fully reduced against the queries made so far, so every character of
 a node's spectrum is automatically linearly independent of the node's
 ancestors and trees come out irredundant by construction.
+
+A node's 2^b children come from one batched restriction
+(`restriction.restrict_batch`): bit i of the child index is the branch bit
+of batch[i], and `expand` walks the indices depth first, so node ids and
+the generator's draws follow the tree.  `build_pdt` refuses |c_a| > 2^n
+up front (no +-1 function has it); restriction never raises sum |c_a|, so
+every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import numpy as np
 from .folding import folding_parameters
 from .gf2 import Gf2Basis, coset_label, extend_basis, row_reduce
 from .pairs import direction_sums, int64_weights, xor_blocks
-from .restriction import AffineConstraintSystem, bucket_count, restrict
-from .spectral import FourierSpectrum, TruthTable, json_int, parity, parity_of, wht
+# AffineConstraintSystem and restrict are unused here; bench/tracing.py binds them by name
+from .restriction import AffineConstraintSystem, bucket_count, restrict, restrict_batch
+from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
 
@@ -117,11 +125,11 @@ class ParityDecisionTree:
     @classmethod
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
         def decode(node: dict) -> TreeNode:
-            if "leaf" in node:
+            if "leaf" in json_of(node, dict, "tree node"):
                 return Leaf(json_int(node["leaf"], "leaf"))
             return Node(json_int(node["query"], "query"), decode(node["pos"]), decode(node["neg"]))
 
-        return cls(json_int(data["n"], "n"), decode(data["root"]))
+        return cls(json_int(json_of(data, dict, "tree")["n"], "n"), decode(data["root"]))
 
 
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
@@ -368,6 +376,9 @@ def build_pdt(
         raise DegenerateInputError("empty spectrum")
     n = spectrum.n
     full = 1 << n
+    # no +-1 function has |c| > 2^n; within it restriction is exact in int64
+    if any(abs(int(c)) > full for c in spectrum.coeffs.values()):
+        raise DegenerateInputError("a coefficient has |c| > 2^n; input is not a +-1 function")
     rng = np.random.default_rng(config.seed)
     log: list[NodeRecord] = []
     next_id = 0
@@ -389,21 +400,15 @@ def build_pdt(
         batch, bcount, resamples, target_met, probs, clamped = _select_batch(
             spec_cur, config, rng
         )
-        children: list[FourierSpectrum] = []
+        children = restrict_batch(spec_cur, batch)
 
-        def expand(i: int, bits: tuple[int, ...]) -> TreeNode:
+        def expand(i: int, j: int) -> TreeNode:
+            # bit i of the child index j is the branch bit of batch[i]
             if i == len(batch):
-                system = AffineConstraintSystem(n, tuple(zip(batch, bits)))
-                child = restrict(spec_cur, system)
-                children.append(child)
-                return build(child, depth_now + len(batch))
-            return Node(
-                batch[i],
-                expand(i + 1, bits + (0,)),
-                expand(i + 1, bits + (1,)),
-            )
+                return build(children[j], depth_now + len(batch))
+            return Node(batch[i], expand(i + 1, j), expand(i + 1, j | 1 << i))
 
-        subtree = expand(0, ())
+        subtree = expand(0, 0)
         log.append(
             NodeRecord(
                 node_id,

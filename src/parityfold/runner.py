@@ -64,8 +64,6 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
     if "path" in entry:
         path = base_dir / entry["path"]
         loaded = load_function(path)
-        if isinstance(loaded, spectral.FourierSpectrum):
-            loaded = spectral.inverse_wht(loaded)
         label = str(entry["path"])
     elif "family" in entry:
         params = {key: value for key, value in entry.items() if key != "family"}
@@ -76,6 +74,8 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
         raise ConfigError(f"function entry needs 'family' or 'path': {entry!r}")
     if loaded.n > max_n:
         raise ConfigError(f"{label}: n = {loaded.n} exceeds max_n = {max_n}")
+    if isinstance(loaded, spectral.FourierSpectrum):
+        loaded = spectral.inverse_wht(loaded)  # 2^n entries, so after the max_n check
     return label, loaded
 
 

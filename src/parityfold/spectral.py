@@ -139,21 +139,22 @@ class FourierSpectrum:
         raise NotBooleanValuedError(f"evaluation at {x} is {scaled}/{full}, not +-1")
 
 
-def _fwht_inplace(arr: np.ndarray) -> None:
+def fwht_inplace(arr: np.ndarray) -> None:
+    """Unnormalized WHT along axis 0 (length a power of two) of a
+    C-contiguous array, so that every reshape is a view."""
     h = 1
-    size = arr.size
-    while h < size:
-        view = arr.reshape(-1, 2, h)
-        top = view[:, 0, :].copy()
-        view[:, 0, :] = top + view[:, 1, :]
-        view[:, 1, :] = top - view[:, 1, :]
+    while h < len(arr):
+        view = arr.reshape(len(arr) // (2 * h), 2, h, *arr.shape[1:])
+        top = view[:, 0].copy()
+        view[:, 0] += view[:, 1]
+        view[:, 1] = top - view[:, 1]
         h <<= 1
 
 
 def wht(table: TruthTable) -> FourierSpectrum:
     """Exact Walsh-Hadamard transform, c_a = sum_x f(x) chi_a(x)."""
     arr = table.values.astype(np.int64)
-    _fwht_inplace(arr)
+    fwht_inplace(arr)
     coeffs = {int(mask): int(arr[mask]) for mask in np.nonzero(arr)[0]}
     return FourierSpectrum(table.n, coeffs)
 
@@ -167,7 +168,7 @@ def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
         if abs(int(c)) > full:
             raise NotBooleanValuedError(f"|c| = {abs(int(c))} > 2^n at mask {mask}")
         arr[mask] = c
-    _fwht_inplace(arr)
+    fwht_inplace(arr)
     if not np.all(np.abs(arr) == full):
         bad = int(np.flatnonzero(np.abs(arr) != full)[0])
         raise NotBooleanValuedError(
@@ -244,14 +245,22 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_of(value, kind: type, what: str):
+    """A JSON object (kind dict) or array (kind list) read from a file."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def table_to_dict(table: TruthTable) -> dict:
     return {"n": table.n, "values": [int(v) for v in table.values]}
 
 
 def table_from_dict(data: dict) -> TruthTable:
-    values = data["values"]
+    values = json_of(json_of(data, dict, "truth table")["values"], list, "values")
     # np.array would read JSON true/false as 1/0
-    if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+    if any(isinstance(v, bool) for v in values):
         raise ValueError("truth table entries must be +-1, not booleans")
     return TruthTable(json_int(data["n"], "n"), np.array(values))
 
@@ -264,15 +273,14 @@ def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:
 
 
 def spectrum_from_dict(data: dict) -> FourierSpectrum:
-    n = json_int(data["n"], "n")
+    n = json_int(json_of(data, dict, "spectrum")["n"], "n")
     coeffs: dict[int, int] = {}
-    for entry in data["coeffs"]:
-        mask = json_int(entry["mask"], "mask")
+    for entry in json_of(data["coeffs"], list, "coeffs"):
+        mask = json_int(json_of(entry, dict, "coefficient")["mask"], "mask")
         num = json_int(entry["num"], f"coefficient at mask {mask}")
         if num == 0:
             raise ValueError(f"coefficient at mask {mask} must be a nonzero integer")
-        if mask < 0 or mask >= 1 << n:
-            raise ValueError(f"mask {mask} out of range for n={n}")
+        check_vector(mask, n)
         if mask in coeffs:
             raise ValueError(f"duplicate mask {mask}")
         coeffs[mask] = num
@@ -281,7 +289,7 @@ def spectrum_from_dict(data: dict) -> FourierSpectrum:
 
 def load_function(path: str | Path):
     """Load a truth-table or spectrum JSON file, sniffing by keys."""
-    data = json.loads(Path(path).read_text())
+    data = json_of(json.loads(Path(path).read_text()), dict, str(path))
     if "values" in data:
         return table_from_dict(data)
     if "coeffs" in data:

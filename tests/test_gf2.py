@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from parityfold.gf2 import (
     coset_label,
     extend_basis,
     in_span,
+    labels,
     row_reduce,
 )
 
@@ -185,3 +187,26 @@ def test_echelon_tags_name_the_inserts_summing_to_each_row(n, data):
         label, tag = echelon.reduce_tagged(v)
         assert label ^ named_sum(vecs, tag) == v
         assert label == coset_label(v, row_reduce(vecs, n))
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_vectorized_labels_match_reduce_tagged_and_coset_label(n, data):
+    vecs, probes = vectors_and_probes(n, data)
+    probes = list(probes)
+    echelon = Echelon()
+    for v in vecs:
+        echelon.insert(v)
+    basis = row_reduce(vecs, n)
+    masks = np.array(probes, dtype=np.int64)
+    label, tag = labels(masks, echelon.rows)
+    assert [(int(a), int(t)) for a, t in zip(label, tag)] == [echelon.reduce_tagged(v) for v in probes]
+    plain, zero = labels(masks, basis.entries)
+    assert plain.tolist() == [coset_label(v, basis) for v in probes]
+    assert not zero.any()
+    assert masks.tolist() == probes  # the input is not modified
+
+
+def test_vectorized_labels_of_no_masks():
+    label, tag = labels(np.array([], dtype=np.int64), row_reduce([3], 2).entries)
+    assert label.shape == tag.shape == (0,)

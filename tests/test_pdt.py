@@ -192,6 +192,17 @@ def test_build_degenerate():
         build_pdt(FourierSpectrum(3, {}))
 
 
+def test_build_accepts_coefficients_up_to_two_to_the_n():
+    for n in (3, 24):
+        full = 1 << n
+        assert build_pdt(FourierSpectrum(n, {5: full})).tree.root == Node(5, Leaf(1), Leaf(-1))
+        assert build_pdt(FourierSpectrum(n, {0: -full})).tree.root == Leaf(-1)
+        # rejected up front, before any restriction
+        for coeffs in ({5: full + 1, 6: 1}, {5: 1, 6: -full - 1}, {5: np.int64(-(1 << 63)), 6: 1}):
+            with pytest.raises(DegenerateInputError, match="> 2\\^n"):
+                build_pdt(FourierSpectrum(n, coeffs))
+
+
 def test_build_resample_cap():
     cfg = BuildConfig(strategy="sampling", probability=1e-12, resample_cap=2, seed=0)
     with pytest.raises(ResampleCapExceededError):
@@ -289,6 +300,15 @@ def test_build_log_progress_invariants():
             assert record.bucket_count <= k - 1
         assert len(record.batch) >= 1
         assert record.resamples >= 1
+
+
+@pytest.mark.parametrize("m,strategy", [(5, "sampling"), (6, "sampling"), (5, "max-coefficient")])
+def test_build_inner_product_at_scale(m, strategy):
+    table = gen_inner_product(m)
+    result = build_pdt(table, BuildConfig(strategy=strategy, seed=0))
+    assert verify_tree(result.tree, table)
+    if (m, strategy) == (5, "sampling"):
+        assert result.depth() == 10
 
 
 def test_build_addressing64_sound_within_depth_budget():

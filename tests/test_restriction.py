@@ -15,11 +15,14 @@ from parityfold.restriction import (
     IdentificationBoundError,
     InconsistentConstraintsError,
     bucket_complexity,
+    bucket_count,
     identification_bound_check,
     identified,
     restrict,
+    restrict_batch,
     system_from_list,
 )
+from parityfold.gf2 import DimensionMismatchError, Echelon, coset_label, row_reduce
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -303,3 +306,79 @@ def test_identification_bound_keeps_its_report():
     result = identification_bound_check({0, 1, 2, 3}, [0b11], 2)
     assert result.report == bucket_complexity({0, 1, 2, 3}, [0b11], 2)
     assert result.actual == result.report.bucket_count
+
+
+# Batched restriction and the vectorized bucket count against the
+# single-system path and a Python set: n <= 8 on random tables, n = 24 (the
+# cap) on sparse supports whose masks share a few base vectors.
+BATCH_DIMENSIONS = st.one_of(st.integers(1, 8), st.just(24))
+
+
+def independent(masks):
+    echelon = Echelon()
+    return tuple(m for m in masks if echelon.insert(m))
+
+
+def draw_spectrum_and_batch(data, n):
+    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    if n <= 8:
+        spectrum = wht(random_table(n, data.draw(st.integers(0, 2**32))))
+    else:
+        coeffs = st.integers(-(1 << n), 1 << n).filter(bool)
+        spectrum = FourierSpectrum(n, {m: data.draw(coeffs) for m in draw_masks(data, n, base, 40)})
+    return spectrum, independent(draw_masks(data, n, base, 6))
+
+
+@given(BATCH_DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_restrict_batch_children_match_restrict(n, data):
+    spectrum, batch = draw_spectrum_and_batch(data, n)
+    children = restrict_batch(spectrum, batch)
+    assert len(children) == 1 << len(batch)
+    for j, child in enumerate(children):
+        # bit i of the child index is the branch bit of batch[i]
+        bits = tuple((j >> i) & 1 for i in range(len(batch)))
+        assert child == restrict(spectrum, AffineConstraintSystem(n, tuple(zip(batch, bits))))
+
+
+def test_restrict_batch_of_no_parities_is_the_spectrum():
+    s = wht(random_table(4, 2))
+    assert restrict_batch(s, ()) == [s]
+    assert restrict_batch(FourierSpectrum(4, {}), (1, 2)) == [FourierSpectrum(4, {})] * 4
+
+
+@pytest.mark.parametrize("batch", [(1, 2, 3), (5, 5), (0,)])
+def test_restrict_batch_rejects_dependent_batches(batch):
+    with pytest.raises(ValueError, match="linearly dependent"):
+        restrict_batch(wht(random_table(3, 0)), batch)
+
+
+def test_restrict_batch_rejects_masks_beyond_n():
+    with pytest.raises(DimensionMismatchError):
+        restrict_batch(wht(random_table(3, 0)), (8,))
+
+
+def test_restrict_batch_is_exact_up_to_the_int64_bound():
+    # sum |c_a| = 2^63 - 1: every cell and partial sum still fits int64
+    top = (1 << 62) - 1
+    spectrum = FourierSpectrum(2, {0: 1 << 62, 1: top})
+    children = restrict_batch(spectrum, (1,))
+    assert [c.coeffs for c in children] == [{0: (1 << 62) + top}, {0: (1 << 62) - top}]
+    for bound in ({0: 1 << 62, 3: 1 << 62}, {0: np.int64(-(1 << 63))}):
+        with pytest.raises(ValueError, match="2\\^63"):
+            restrict_batch(FourierSpectrum(2, bound), (1,))
+
+
+@given(BATCH_DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_bucket_count_matches_python_set_oracle(n, data):
+    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    support = set(draw_masks(data, n, base, 40))
+    basis = row_reduce(draw_masks(data, n, base, 6), n)
+    assert bucket_count(support, basis) == len({coset_label(a, basis) for a in support})
+    assert bucket_count(sorted(support), basis) == bucket_count(support, basis)
+
+
+def test_bucket_count_rejects_masks_beyond_n():
+    with pytest.raises(DimensionMismatchError):
+        bucket_count([1, 8], row_reduce([1], 3))

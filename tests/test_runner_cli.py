@@ -7,8 +7,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from parityfold import pdt, runner
+from parityfold import pdt, runner, spectral
 from parityfold.cli import USAGE_ERROR, main
 from parityfold.families import gen_inner_product
 from parityfold.runner import ConfigError, load_config, run_experiment
@@ -196,6 +197,18 @@ def test_cli_mc_theorem2_rejects_non_folding(capsys):
 def test_cli_max_n_guard(capsys):
     assert run_cli("--max-n", "4", "analyze", "addressing:k=16") == 2
     capsys.readouterr()
+
+
+def test_cli_max_n_guard_comes_before_inverting_a_spectrum_file(tmp_path, monkeypatch, capsys):
+    # inverse_wht allocates 2^n entries, so a refused file must not reach it
+    def refuse(spectrum):
+        raise RuntimeError("inverted a spectrum above max_n")
+
+    monkeypatch.setattr(spectral, "inverse_wht", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 21, "coeffs": [{"mask": 0, "num": 1 << 21}]}))
+    assert main(["analyze", str(path)]) == USAGE_ERROR
+    assert "exceeds max_n" in capsys.readouterr().err
 
 
 def test_cli_experiment_byte_reproducible(tmp_path):
@@ -437,3 +450,76 @@ def test_cli_op_subcommands_run_the_op_table(monkeypatch, capsys, argv, op):
     assert main(argv) == 0
     assert calls == [op]
     capsys.readouterr()
+
+
+# File readers check the JSON shape they index into, so a malformed file is
+# a usage error (exit 2) and never a traceback.
+FILE_COMMANDS = {
+    "analyze": ["analyze", "{}"],
+    "pdt-depth": ["pdt", "depth", "{}"],
+    "analyze-restrict": ["analyze", "addressing:k=4", "--restrict", "{}"],
+}
+
+
+def run_on_file(command, path):
+    """main() on a command with its file argument ("{}") at path: (exit, stderr)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(path) if arg == "{}" else arg for arg in FILE_COMMANDS[command]])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command,content", [
+    ("pdt-depth", {"n": 1, "root": 5}),
+    ("analyze", {"n": 1, "coeffs": [5]}),
+    ("analyze-restrict", [5]),
+])
+def test_cli_malformed_shapes_are_usage_errors(tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, err = run_on_file(command, path)
+    assert code == USAGE_ERROR
+    assert err.startswith("error:") and "must be" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+def shaped(*keys):
+    """Objects with the readers' keys, each holding a small integer or any value."""
+    return st.fixed_dictionaries({key: st.integers(-1, 4) | JSON_VALUES for key in keys})
+
+
+def some(strategy):
+    return st.lists(strategy | JSON_VALUES, max_size=6) | JSON_VALUES
+
+
+# arbitrary JSON, plus values shaped like each file kind so that the drawn
+# files also reach the checks behind the first shape check
+TREE_NODES = st.recursive(
+    shaped("leaf"),
+    lambda inner: st.fixed_dictionaries({"query": st.integers(-1, 4), "pos": inner | JSON_VALUES, "neg": inner}),
+    max_leaves=6,
+)
+FILE_VALUES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "values": some(st.sampled_from([1, -1]))}),
+    st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "coeffs": some(shaped("mask", "num"))}),
+    st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "root": TREE_NODES | JSON_VALUES}),
+    some(shaped("mask", "bit")),
+)
+
+
+@pytest.mark.parametrize("command", list(FILE_COMMANDS))
+@given(value=FILE_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_cli_never_tracebacks_on_any_json_value(tmp_path_factory, command, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(value))
+    code, err = run_on_file(command, path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

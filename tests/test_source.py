@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -26,3 +28,16 @@ def test_pair_xor_broadcasts_live_in_the_pair_kernel():
             if re.search(r"(None|newaxis)\s*\]\s*\^", line):
                 found.append(f"{path.name}:{lineno}")
     assert not found, f"pair-XOR broadcasts outside pairs.py: {found}"
+
+
+def test_traced_benchmark_bindings_resolve():
+    # bench/tracing.py wraps these module attributes by name; a kernel move
+    # that drops one would crash the traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [entry[:2] for entry in tracing.SPANS + tracing.AGGREGATES]
+    missing = [f"{module}.{attr}" for module, attr in bindings
+               if not hasattr(importlib.import_module(f"parityfold.{module}"), attr)]
+    assert not missing, f"bench/tracing.py binds missing attributes: {missing}"
