@@ -122,12 +122,7 @@ def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[Fo
     """The restrictions of f to all 2^b affine subspaces a batch of b
     independent parities cuts out: child j is the restriction to
     {x | <batch[i], x> = bit i of j}, equal to ``restrict`` on that system.
-
-    Labels and tags depend on the batch only, so the support is labelled
-    once; c_a goes to cell [tag, bucket] of an int64 table (no cell gets
-    two masks), and one WHT along the tag axis yields every child.  Every
-    cell and butterfly partial sum is bounded by sum |c_a|, checked < 2^63.
-    """
+    Each (tag, bucket) cell of the table gets at most one c_a."""
     echelon = Echelon()
     for g in batch:
         check_vector(g, spectrum.n)
