@@ -13,7 +13,6 @@ Exit codes: 0 all checks pass, 1 a verifier failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -118,9 +117,7 @@ def cmd_analyze(args) -> int:
         f"titsworth violations: {result['titsworth_violations']}",
     ]
     if args.restrict:
-        system = restriction.system_from_list(
-            json.loads(Path(args.restrict).read_text()), table.n
-        )
+        system = restriction.system_from_list(spectral.read_json(args.restrict), table.n)
         restricted = restriction.restrict(spectrum, system)
         gammas = [mask for mask, _ in system.constraints]
         bound = restriction.identification_bound_check(
@@ -222,7 +219,7 @@ def cmd_pdt(args) -> int:
         ]
         _emit(args, {"function": label, "pdt": result}, lines)
         return 0 if result["verified"] else CHECK_FAILED
-    tree = pdt.ParityDecisionTree.from_dict(json.loads(Path(args.tree).read_text()))
+    tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
     if args.pdt_command == "verify":
         label, table = _resolve(args)
         ok = pdt.verify_tree(tree, table)
@@ -392,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

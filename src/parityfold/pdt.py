@@ -13,6 +13,10 @@ of batch[i], and `expand` walks the indices depth first, so node ids and
 the generator's draws follow the tree.  `build_pdt` refuses |c_a| > 2^n
 up front (no +-1 function has it); restriction never raises sum |c_a|, so
 every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
+
+`_sampling_trial` is both a build's resample attempt and a Monte Carlo
+trial.  It draws once per phase, in phase order, over the sorted support,
+from the build's one generator or, in trial t, from default_rng((seed, t)).
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from typing import Iterable, Union
 import numpy as np
 
 from .folding import folding_parameters
-from .gf2 import Gf2Basis, coset_label, extend_basis, row_reduce
+# bench/tracing.py binds coset_label, extend_basis, row_reduce, restrict and
+# AffineConstraintSystem here by name; all but row_reduce are otherwise unused
+from .gf2 import Echelon, Gf2Basis, coset_label, extend_basis, row_reduce
 from .pairs import direction_sums, int64_weights, xor_blocks
-# AffineConstraintSystem and restrict are unused here; bench/tracing.py binds them by name
-from .restriction import AffineConstraintSystem, bucket_count, restrict, restrict_batch
+from .restriction import AffineConstraintSystem, bucket_count, bucket_labels, restrict, restrict_batch
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -173,17 +178,23 @@ def sample_parity(
     return [m for m, d in zip(masks, draws) if d < p]
 
 
-def _independent_filter(sampled: list[int], n: int) -> tuple[list[int], Gf2Basis]:
-    """Drop sampled parities already spanned by earlier ones (and 0^n);
-    returns the kept parities and the reduced basis of their span."""
-    basis = Gf2Basis(n, ())
-    kept: list[int] = []
-    for v in sampled:
-        extended = extend_basis(basis, v)
-        if extended is not None:
-            kept.append(v)
-            basis = extended
-    return kept, basis
+def _sampling_trial(
+    support_sorted: list[int], n: int, probabilities: tuple[float, ...], rng: np.random.Generator
+) -> tuple[tuple[int, ...], int, int]:
+    """One parity-sampling step, the only code that draws a sampling batch.
+
+    Takes the union of one ``sample_parity`` per phase, drawn in phase
+    order, then keeps, in sorted order, the union members that one Echelon
+    pass inserts as independent.  Returns (kept batch, union size, bucket
+    count of the support against the batch's span).
+    """
+    union: set[int] = set()
+    for p in probabilities:
+        union.update(sample_parity(support_sorted, p, rng))
+    echelon = Echelon()
+    batch = tuple(v for v in sorted(union) if echelon.insert(v))
+    basis = Gf2Basis(n, tuple(row for row, _, _ in echelon.rows))
+    return batch, len(union), bucket_count(support_sorted, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +314,9 @@ def _select_batch(
         clamped = requested != probs
         best: tuple[int, tuple[int, ...]] | None = None
         for attempt in range(1, config.resample_cap + 1):
-            union: set[int] = set()
-            for p in probs:
-                union.update(sample_parity(support_sorted, p, rng))
-            kept, basis = _independent_filter(sorted(union), n)
-            batch = tuple(kept)
+            batch, _, bcount = _sampling_trial(support_sorted, n, probs, rng)
             if not batch:
                 continue
-            bcount = bucket_count(support_sorted, basis)
             if best is None or bcount < best[0]:
                 best = (bcount, batch)
             if bcount <= target:
@@ -341,18 +347,21 @@ def _select_batch(
     # greedy-min-bucket: repeatedly add the single parity minimizing the
     # bucket count; candidates are label-pair directions, which cover every
     # achievable single-query merge
-    labels = support_sorted
+    labels = np.array(support_sorted, dtype=np.int64)
     batch_list: list[int] = []
     bcount = k
     while bcount > 1 and bcount > target:
         # largest class; argmax over sorted directions breaks ties to the smallest
-        directions, counts = direction_sums(np.array(labels, dtype=np.int64))
+        directions, counts = direction_sums(labels)
         batch_list.append(int(directions[np.argmax(counts)]))
-        basis = row_reduce(batch_list, n)
-        labels = sorted({coset_label(a, basis) for a in support_sorted})
+        labels = bucket_labels(support_sorted, row_reduce(batch_list, n))
         bcount = len(labels)
     batch = tuple(batch_list)
     return batch, bcount, 1, bcount <= target, (), False
+
+
+def _as_spectrum(f: TruthTable | FourierSpectrum) -> FourierSpectrum:
+    return wht(f) if isinstance(f, TruthTable) else f
 
 
 def build_pdt(
@@ -368,10 +377,7 @@ def build_pdt(
     spectra, and the node log records the progress made.
     """
     config = config or BuildConfig()
-    if isinstance(f, TruthTable):
-        spectrum = wht(f)
-    else:
-        spectrum = f
+    spectrum = _as_spectrum(f)
     if not spectrum.coeffs:
         raise DegenerateInputError("empty spectrum")
     n = spectrum.n
@@ -490,41 +496,26 @@ class TrialStats:
         )
 
 
-def _as_spectrum(f: TruthTable | FourierSpectrum) -> FourierSpectrum:
-    return wht(f) if isinstance(f, TruthTable) else f
-
-
 def _run_trials(
-    support_sorted: list[int],
-    n: int,
-    probabilities: tuple[float, ...],
+    spectrum: FourierSpectrum,
+    requested: tuple[float, ...],
     trials: int,
     seed: int,
-) -> tuple[list[int], list[int]]:
-    """Independent seeded trials; trial t's generator depends only on
+    success_threshold: Fraction | None = None,
+) -> TrialStats:
+    """Independent seeded trials of the sampling step at the requested
+    probabilities, each clamped to 1; trial t's generator depends only on
     (seed, t), so results are identical under any execution order."""
+    support_sorted = sorted(spectrum.coeffs)
+    k = len(support_sorted)
+    probabilities = tuple(min(1.0, p) for p in requested)
     bucket_counts: list[int] = []
     sample_sizes: list[int] = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        union: set[int] = set()
-        for p in probabilities:
-            union.update(sample_parity(support_sorted, p, rng))
-        basis = row_reduce(sorted(union), n)
-        bucket_counts.append(bucket_count(support_sorted, basis))
-        sample_sizes.append(len(union))
-    return bucket_counts, sample_sizes
-
-
-def _stats(
-    k: int,
-    probabilities: tuple[float, ...],
-    requested: tuple[float, ...],
-    bucket_counts: list[int],
-    sample_sizes: list[int],
-    success_threshold: Fraction | None,
-) -> TrialStats:
-    trials = len(bucket_counts)
+        _, size, count = _sampling_trial(support_sorted, spectrum.n, probabilities, rng)
+        bucket_counts.append(count)
+        sample_sizes.append(size)
     mean = Fraction(sum(bucket_counts), trials * k)
     fractions = [b / k for b in bucket_counts]
     mean_f = sum(fractions) / trials
@@ -565,9 +556,7 @@ def estimate_bucket_reduction(
         raise ValueError("need at least one trial")
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    support_sorted = sorted(spectrum.coeffs)
-    counts, sizes = _run_trials(support_sorted, spectrum.n, (p,), trials, seed)
-    return _stats(k, (float(p),), (float(p),), counts, sizes, None)
+    return _run_trials(spectrum, (float(p),), trials, seed)
 
 
 def warmup_success_rate(
@@ -583,10 +572,7 @@ def warmup_success_rate(
     if k < 2:
         raise ValueError(f"need sparsity >= 2, got {k}")
     requested = 2 * math.sqrt(math.log2(k)) / k**0.25
-    p = min(1.0, requested)
-    support_sorted = sorted(spectrum.coeffs)
-    counts, sizes = _run_trials(support_sorted, spectrum.n, (p,), trials, seed)
-    return _stats(k, (p,), (requested,), counts, sizes, Fraction(k, 2))
+    return _run_trials(spectrum, (requested,), trials, seed, Fraction(k, 2))
 
 
 def folding_sampling_trial(
@@ -616,10 +602,7 @@ def folding_sampling_trial(
             f"support achieves delta = {achieved.delta} at this exponent, below requested {delta}"
         )
     requested = _folding_probabilities(k, float(delta), float(achieved.ell))
-    probs = tuple(min(1.0, p) for p in requested)
-    support_sorted = sorted(spectrum.coeffs)
-    counts, sizes = _run_trials(support_sorted, spectrum.n, probs, trials, seed)
-    return _stats(k, probs, requested, counts, sizes, k - delta * k / 6)
+    return _run_trials(spectrum, requested, trials, seed, k - delta * k / 6)
 
 
 def check_calculus_inequality(d: int, p: Fraction | float) -> bool:

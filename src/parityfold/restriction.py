@@ -15,7 +15,8 @@ one WHT along the tag axis gives child j, the subspace where bit i of j is
 the value of batch[i].  It needs sum |c_a| < 2^63, which bounds every cell
 and partial sum.  `restrict` is the single-system path: its systems may
 hold more than 63 constraints, whose tags do not fit int64.
-`bucket_count` counts the distinct labels of the same kernel.
+`bucket_labels` gives the distinct labels of the same kernel, one per bucket,
+and `bucket_count` counts them.
 """
 
 from __future__ import annotations
@@ -167,12 +168,17 @@ class BucketReport:
         }
 
 
-def bucket_count(support: Iterable[int], basis: Gf2Basis) -> int:
-    """Number of cosets of the basis span meeting the support."""
+def bucket_labels(support: Iterable[int], basis: Gf2Basis) -> np.ndarray:
+    """Sorted int64 array of the support's distinct coset labels, one per bucket."""
     masks = np.fromiter(support, dtype=np.int64)
     if np.bitwise_or.reduce(masks, initial=0) >> basis.n:  # a negative mask sets the sign bit
         raise DimensionMismatchError(f"support masks do not fit in {basis.n} bits")
-    return len(_distinct(labels(masks, basis.entries)[0]))
+    return _distinct(labels(masks, basis.entries)[0])
+
+
+def bucket_count(support: Iterable[int], basis: Gf2Basis) -> int:
+    """Number of cosets of the basis span meeting the support."""
+    return len(bucket_labels(support, basis))
 
 
 def system_to_list(system: AffineConstraintSystem) -> list[dict]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import folding, pdt, spectral
 from .families import FunctionSpec, build_function
-from .spectral import FourierSpectrum, TruthTable, load_function
+from .spectral import FourierSpectrum, TruthTable, load_function, read_json
 
 VERSION = "0.1.0"
 DEFAULT_MAX_N = 20
@@ -46,9 +46,8 @@ def parse_fraction(value) -> Fraction:
 
 
 def load_config(path: str | Path) -> dict:
-    text = Path(path).read_text()
     try:
-        config = json.loads(text)
+        config = read_json(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -253,6 +253,15 @@ def json_of(value, kind: type, what: str):
     return value
 
 
+def read_json(path: str | Path):
+    """The JSON value in a file; nesting too deep to parse is a ValueError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def table_to_dict(table: TruthTable) -> dict:
     return {"n": table.n, "values": [int(v) for v in table.values]}
 
@@ -289,7 +298,7 @@ def spectrum_from_dict(data: dict) -> FourierSpectrum:
 
 def load_function(path: str | Path):
     """Load a truth-table or spectrum JSON file, sniffing by keys."""
-    data = json_of(json.loads(Path(path).read_text()), dict, str(path))
+    data = json_of(read_json(path), dict, str(path))
     if "values" in data:
         return table_from_dict(data)
     if "coeffs" in data:

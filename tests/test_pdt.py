@@ -16,7 +16,7 @@ from parityfold.families import (
     gen_parity,
     gen_random,
 )
-from parityfold.gf2 import coset_label, row_reduce
+from parityfold.gf2 import coset_label, extend_basis, row_reduce
 from parityfold.folding import counterexample_support
 from parityfold.pairs import WeightBoundError
 from parityfold.pdt import (
@@ -34,9 +34,10 @@ from parityfold.pdt import (
     sample_parity,
     verify_tree,
     warmup_success_rate,
-    _independent_filter,
+    _sampling_trial,
     _select_batch,
 )
+from parityfold.restriction import bucket_count
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -417,9 +418,44 @@ def test_calculus_inequality_property(d, data):
 
 @given(st.integers(1, 10), st.data())
 @settings(max_examples=80, deadline=None)
-def test_independent_filter_basis_is_row_reduce_of_batch(n, data):
-    sampled = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
-    batch, basis = _independent_filter(sampled, n)
+def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
+    support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14)))
+    probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=2)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    batch, size, bcount = _sampling_trial(support, n, probs, np.random.default_rng(seed))
+    replay = np.random.default_rng(seed)
+    union = set()
+    for p in probs:
+        union.update(sample_parity(support, p, replay))
+    sampled = sorted(union)
+    # oracle: grow the basis one extend_basis per sampled parity, in sorted order
+    kept, basis = [], row_reduce((), n)
+    for v in sampled:
+        extended = extend_basis(basis, v)
+        if extended is not None:
+            kept.append(v)
+            basis = extended
+    assert batch == tuple(kept)
+    assert size == len(union)
     assert basis == row_reduce(batch, n)
     assert basis.rank == len(batch)
     assert basis == row_reduce(sampled, n)
+    assert bcount == bucket_count(support, row_reduce(sampled, n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_attempt_and_mc_trial_are_the_same_step(seed):
+    # one resample attempt of a build and trial 0 of a Monte Carlo run, from
+    # the same generator state, draw the same batch and bucket count
+    spectrum = wht(gen_addressing(16))
+    p = 0.3
+    cfg = BuildConfig(strategy="sampling", probability=p, resample_cap=1, epsilon=Fraction(1, 100))
+    try:
+        batch, bcount, *_ = _select_batch(spectrum, cfg, np.random.default_rng((seed, 0)))
+    except ResampleCapExceededError as exc:  # the attempt made no progress
+        batch, bcount = exc.best_batch, exc.best_bucket_count
+    stats = estimate_bucket_reduction(spectrum, p, 1, seed)
+    step = _sampling_trial(sorted(spectrum.coeffs), spectrum.n, (p,), np.random.default_rng((seed, 0)))
+    assert batch
+    assert (batch, bcount) == (step[0], step[2])
+    assert (stats.sample_sizes, stats.bucket_counts) == ((step[1],), (bcount,))

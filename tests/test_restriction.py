@@ -16,6 +16,7 @@ from parityfold.restriction import (
     InconsistentConstraintsError,
     bucket_complexity,
     bucket_count,
+    bucket_labels,
     identification_bound_check,
     identified,
     restrict,
@@ -375,6 +376,8 @@ def test_bucket_count_matches_python_set_oracle(n, data):
     base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
     support = set(draw_masks(data, n, base, 40))
     basis = row_reduce(draw_masks(data, n, base, 6), n)
+    # greedy-min-bucket's label set, once a Python set of coset labels
+    assert bucket_labels(support, basis).tolist() == sorted({coset_label(a, basis) for a in support})
     assert bucket_count(support, basis) == len({coset_label(a, basis) for a in support})
     assert bucket_count(sorted(support), basis) == bucket_count(support, basis)
 

@@ -461,11 +461,11 @@ FILE_COMMANDS = {
 }
 
 
-def run_on_file(command, path):
-    """main() on a command with its file argument ("{}") at path: (exit, stderr)."""
+def run_on_file(argv, path):
+    """main() on argv with its file argument ("{}") at path: (exit, stderr)."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main([str(path) if arg == "{}" else arg for arg in FILE_COMMANDS[command]])
+        code = main([str(path) if arg == "{}" else arg for arg in argv])
     return code, err.getvalue()
 
 
@@ -477,9 +477,31 @@ def run_on_file(command, path):
 def test_cli_malformed_shapes_are_usage_errors(tmp_path, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    code, err = run_on_file(command, path)
+    code, err = run_on_file(FILE_COMMANDS[command], path)
     assert code == USAGE_ERROR
     assert err.startswith("error:") and "must be" in err
+
+
+# json.loads raises RecursionError on nesting deeper than the recursion
+# limit; built as text because json.dumps hits the same limit
+DEEP_TREE = '{"n": 1, "root": ' + '{"query": 1, "neg": {"leaf": -1}, "pos": ' * 3000 + '{"leaf": 1}' + "}" * 3001
+DEEP_ARRAYS = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["pdt", "depth", "{}"], DEEP_TREE),
+    (["pdt", "verify", "{}", "parity:mask=1,n=1"], DEEP_TREE),
+    (["analyze", "{}"], DEEP_ARRAYS),
+    (["analyze", "addressing:k=4", "--restrict", "{}"], DEEP_ARRAYS),
+    (["experiment", "{}"], DEEP_ARRAYS),
+], ids=["pdt-depth", "pdt-verify", "analyze", "analyze-restrict", "experiment"])
+def test_cli_deeply_nested_json_is_a_usage_error(tmp_path, argv, content):
+    path = tmp_path / "deep.json"
+    path.write_text(content)
+    code, err = run_on_file(argv, path)
+    assert code == USAGE_ERROR
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 JSON_VALUES = st.recursive(
@@ -520,6 +542,6 @@ FILE_VALUES = st.one_of(
 def test_cli_never_tracebacks_on_any_json_value(tmp_path_factory, command, value):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(value))
-    code, err = run_on_file(command, path)
+    code, err = run_on_file(FILE_COMMANDS[command], path)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -30,6 +30,19 @@ def test_pair_xor_broadcasts_live_in_the_pair_kernel():
     assert not found, f"pair-XOR broadcasts outside pairs.py: {found}"
 
 
+def test_sample_parity_is_called_only_in_the_trial_kernel():
+    # a PDT resample attempt and a Monte Carlo trial are one step,
+    # pdt._sampling_trial; a second sampling loop would drift from it
+    callers = set()
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("sample_parity"):
+                        callers.add(f"{path.name}:{func.name}")
+    assert callers == {"pdt.py:_sampling_trial"}, f"sample_parity callers: {sorted(callers)}"
+
+
 def test_traced_benchmark_bindings_resolve():
     # bench/tracing.py wraps these module attributes by name; a kernel move
     # that drops one would crash the traced benchmark run
