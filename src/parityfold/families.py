@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import row_reduce
-from .spectral import TruthTable, parity_of
+from .gf2 import check_vector, row_reduce
+from .spectral import TruthTable, json_int, json_of, parity_of
 
 MAX_TABLE_DIMENSION = 20
 
@@ -89,12 +89,14 @@ def gen_inner_product(m: int) -> TruthTable:
 
 
 def gen_parity(mask: int, n: int) -> TruthTable:
+    check_vector(mask, n)
     idx = np.arange(1 << n, dtype=np.uint64)
     return TruthTable(n, 1 - 2 * parity_of(idx & np.uint64(mask)).astype(np.int64))
 
 
 def gen_conjunction(mask: int, n: int) -> TruthTable:
     """-1 exactly where all variables in mask are set."""
+    check_vector(mask, n)
     idx = np.arange(1 << n, dtype=np.uint64)
     hit = (idx & np.uint64(mask)) == np.uint64(mask)
     return TruthTable(n, np.where(hit, -1, 1).astype(np.int64))
@@ -137,20 +139,27 @@ class FunctionSpec:
 
 
 def build_function(spec: FunctionSpec) -> TruthTable:
+    """The table of a corpus entry; parameters must be integers, as in JSON."""
     family, p = spec.family, spec.params
+
+    def param(key: str) -> int:
+        return json_int(p[key], key)
+
     if family == "addressing":
-        return gen_addressing(int(p["k"]))
+        return gen_addressing(param("k"))
     if family == "modified-addressing":
-        return gen_modified_addressing(int(p["k"]))
+        return gen_modified_addressing(param("k"))
     if family == "inner-product":
-        return gen_inner_product(int(p["m"]))
+        return gen_inner_product(param("m"))
     if family == "parity":
-        return gen_parity(int(p["mask"]), int(p["n"]))
+        return gen_parity(param("mask"), param("n"))
     if family == "conjunction":
-        return gen_conjunction(int(p["mask"]), int(p["n"]))
+        return gen_conjunction(param("mask"), param("n"))
     if family == "junta":
-        inner = build_function(FunctionSpec(p["inner"]["family"], p["inner"]["params"]))
-        return gen_junta(inner, [int(m) for m in p["masks"]], int(p["n"]))
+        inner = json_of(p["inner"], dict, "inner")
+        inner = build_function(FunctionSpec(inner["family"], json_of(inner["params"], dict, "inner params")))
+        masks = [json_int(m, "mask") for m in json_of(p["masks"], list, "masks")]
+        return gen_junta(inner, masks, param("n"))
     if family == "random":
-        return gen_random(int(p["n"]), int(p["seed"]))
+        return gen_random(param("n"), param("seed"))
     raise InvalidFamilyParameterError(f"unknown family {family!r}")

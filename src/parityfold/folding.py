@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .families import addressing_support
-from .gf2 import Echelon
+from .gf2 import MAX_DIMENSION, Echelon
 from .pairs import direction_sums, xor_blocks
 from .spectral import FourierSpectrum, is_plateaued
 
@@ -417,8 +417,8 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
 def counterexample_support(n: int) -> tuple[int, ...]:
     """A 2n-2 element support passing the pair condition whose sign system
     is infeasible, so it is not realizable by any +-1 function."""
-    if n < 5:
-        raise ValueError(f"construction needs n >= 5, got {n}")
+    if not 5 <= n <= MAX_DIMENSION:
+        raise ValueError(f"construction needs 5 <= n <= {MAX_DIMENSION}, got {n}")
     singletons = [1 << i for i in range(n)]
     triples = [1 | (1 << j) | (1 << (n - 1)) for j in range(1, n - 2 + 1)]
     return tuple(sorted(singletons + triples))

@@ -9,10 +9,14 @@ and exhaustive checks over 2^n stay desk-scale.
 with the independent inserts summing to it (bit j: the j-th insert), so
 tags are unique and a payload packed as one mask reads as
 parity(tag & payload): constraint right-hand sides, or the sign
-constraints a witness combines.  A label or a dependent insert is one
-O(rank) pass that XORs no tags; an independent insert adds a tagged pass
-and an O(rank log rank) re-sort.  `labels` is the same pass over a numpy
-array of masks, one vectorized step per row.
+constraints a witness combines.  A label or an insert is one tagged
+O(rank) pass; an independent insert adds a pass over the rows and an
+O(rank log rank) re-sort.
+
+`label_step` is the same elimination on a numpy array of labels, and
+`labels` runs it once per row.  Folding in a nonzero label, or the
+difference of two labels, keeps every label canonical for the grown
+span, as neither has a bit at an existing pivot.
 """
 
 from __future__ import annotations
@@ -62,14 +66,6 @@ class Gf2Basis:
         object.__setattr__(self, "entries", tuple(entries))
 
 
-def _reduce(v: int, entries: Iterable[tuple[int, int, int]]) -> int:
-    # the rows are reduced, so clearing one pivot never sets another: one pass
-    for row, pivot, _ in entries:
-        if v & pivot:
-            v ^= row
-    return v
-
-
 class Echelon:
     """Tagged reduced row-echelon form: ``rows`` holds (row, pivot, tag)
     triples by decreasing pivot.  Vectors are not range checked, so
@@ -93,9 +89,9 @@ class Echelon:
         """Insert v as vector number ``inserted``; False, adding no row, when
         v already lies in the row span."""
         self.inserted += 1
-        if not _reduce(v, self.rows):
-            return False
         red, tag = self.reduce_tagged(v)
+        if not red:
+            return False
         tag |= 1 << (self.inserted - 1)
         pivot = 1 << (red.bit_length() - 1)
         rows = [(r ^ red, p, t ^ tag) if r & pivot else (r, p, t) for r, p, t in self.rows]
@@ -124,7 +120,11 @@ def coset_label(v: int, basis: Gf2Basis) -> int:
     u + v lies in the span.
     """
     check_vector(v, basis.n)
-    return _reduce(v, basis.entries)
+    # the rows are reduced, so clearing one pivot never sets another: one pass
+    for row, pivot, _ in basis.entries:
+        if v & pivot:
+            v ^= row
+    return v
 
 
 def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -133,12 +133,19 @@ def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.
     ``Echelon.rows`` or ``Gf2Basis.entries`` and every tag must fit int64."""
     out = np.array(masks, dtype=np.int64)
     tags = np.zeros_like(out)
-    for row, pivot, tag in rows:
-        hit = (out >> (pivot.bit_length() - 1)) & 1
-        out ^= hit * row
+    for row, _, tag in rows:
+        hit = label_step(out, row)
         if tag:
             tags ^= hit * tag
     return out, tags
+
+
+def label_step(labels: np.ndarray, row: int) -> np.ndarray:
+    """XOR ``row`` into every int64 label that has its leading bit, in
+    place; returns the 0/1 hit per label."""
+    hit = (labels >> (row.bit_length() - 1)) & 1
+    labels ^= hit * row
+    return hit
 
 
 def extend_basis(basis: Gf2Basis, v: int) -> Gf2Basis | None:

@@ -17,6 +17,8 @@ every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
 `_sampling_trial` is both a build's resample attempt and a Monte Carlo
 trial.  It draws once per phase, in phase order, over the sorted support,
 from the build's one generator or, in trial t, from default_rng((seed, t)).
+It and greedy-min-bucket keep the support's coset labels as their only
+GF(2) state, folding each chosen parity in with one `gf2.label_step`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 from .folding import folding_parameters
 # bench/tracing.py binds coset_label, extend_basis, row_reduce, restrict and
 # AffineConstraintSystem here by name; all but row_reduce are otherwise unused
-from .gf2 import Echelon, Gf2Basis, coset_label, extend_basis, row_reduce
+from .gf2 import coset_label, extend_basis, label_step, row_reduce
 from .pairs import direction_sums, int64_weights, xor_blocks
-from .restriction import AffineConstraintSystem, bucket_count, bucket_labels, restrict, restrict_batch
+from .restriction import AffineConstraintSystem, _distinct, bucket_count, restrict, restrict_batch
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -179,22 +181,27 @@ def sample_parity(
 
 
 def _sampling_trial(
-    support_sorted: list[int], n: int, probabilities: tuple[float, ...], rng: np.random.Generator
+    support_sorted: list[int], probabilities: tuple[float, ...], rng: np.random.Generator
 ) -> tuple[tuple[int, ...], int, int]:
     """One parity-sampling step, the only code that draws a sampling batch.
 
     Takes the union of one ``sample_parity`` per phase, drawn in phase
-    order, then keeps, in sorted order, the union members that one Echelon
-    pass inserts as independent.  Returns (kept batch, union size, bucket
-    count of the support against the batch's span).
+    order, then walks it in sorted order over the support's coset labels:
+    a member whose label is nonzero is independent of those kept so far,
+    so it is kept and its label folded in.  Returns (kept batch, union
+    size, bucket count of the support against the batch's span).
     """
     union: set[int] = set()
     for p in probabilities:
         union.update(sample_parity(support_sorted, p, rng))
-    echelon = Echelon()
-    batch = tuple(v for v in sorted(union) if echelon.insert(v))
-    basis = Gf2Basis(n, tuple(row for row, _, _ in echelon.rows))
-    return batch, len(union), bucket_count(support_sorted, basis)
+    masks = np.array(support_sorted, dtype=np.int64)
+    labels = masks.copy()
+    batch = []
+    for i in np.searchsorted(masks, sorted(union)).tolist():
+        if labels[i]:
+            batch.append(support_sorted[i])
+            label_step(labels, int(labels[i]))
+    return tuple(batch), len(union), len(_distinct(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +321,7 @@ def _select_batch(
         clamped = requested != probs
         best: tuple[int, tuple[int, ...]] | None = None
         for attempt in range(1, config.resample_cap + 1):
-            batch, _, bcount = _sampling_trial(support_sorted, n, probs, rng)
+            batch, _, bcount = _sampling_trial(support_sorted, probs, rng)
             if not batch:
                 continue
             if best is None or bcount < best[0]:
@@ -346,18 +353,17 @@ def _select_batch(
 
     # greedy-min-bucket: repeatedly add the single parity minimizing the
     # bucket count; candidates are label-pair directions, which cover every
-    # achievable single-query merge
-    labels = np.array(support_sorted, dtype=np.int64)
+    # achievable single-query merge, and each is a difference of two labels
+    labels = np.array(support_sorted, dtype=np.int64)  # distinct, sorted
     batch_list: list[int] = []
-    bcount = k
-    while bcount > 1 and bcount > target:
+    while len(labels) > 1 and len(labels) > target:
         # largest class; argmax over sorted directions breaks ties to the smallest
         directions, counts = direction_sums(labels)
         batch_list.append(int(directions[np.argmax(counts)]))
-        labels = bucket_labels(support_sorted, row_reduce(batch_list, n))
-        bcount = len(labels)
-    batch = tuple(batch_list)
-    return batch, bcount, 1, bcount <= target, (), False
+        label_step(labels, batch_list[-1])
+        labels = _distinct(labels)
+    bcount = len(labels)
+    return tuple(batch_list), bcount, 1, bcount <= target, (), False
 
 
 def _as_spectrum(f: TruthTable | FourierSpectrum) -> FourierSpectrum:
@@ -513,7 +519,7 @@ def _run_trials(
     sample_sizes: list[int] = []
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        _, size, count = _sampling_trial(support_sorted, spectrum.n, probabilities, rng)
+        _, size, count = _sampling_trial(support_sorted, probabilities, rng)
         bucket_counts.append(count)
         sample_sizes.append(size)
     mean = Fraction(sum(bucket_counts), trials * k)

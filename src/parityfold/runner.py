@@ -14,13 +14,14 @@ functions resolved by ``resolve_function``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import folding, pdt, spectral
 from .families import FunctionSpec, build_function
-from .spectral import FourierSpectrum, TruthTable, load_function, read_json
+from .spectral import FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json
 
 VERSION = "0.1.0"
 DEFAULT_MAX_N = 20
@@ -40,9 +41,9 @@ def parse_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad fraction {value!r}: {exc}") from None
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return folding.float_fraction(value)
-    raise ConfigError(f"expected a number, got {value!r}")
+    raise ConfigError(f"expected a finite number, got {value!r}")
 
 
 def load_config(path: str | Path) -> dict:
@@ -61,6 +62,8 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
     """(label, truth table) of a corpus entry: {"path": file} or
     {"family": name, **params}; spectrum files are inverted to tables."""
     if "path" in entry:
+        if not isinstance(entry["path"], str):
+            raise ConfigError(f"function path must be a string, got {entry['path']!r}")
         path = base_dir / entry["path"]
         loaded = load_function(path)
         label = str(entry["path"])
@@ -152,9 +155,9 @@ def build_tree(spectrum: FourierSpectrum, params: dict, seed: int) -> pdt.BuildR
             if "probability" in params
             else None
         ),
-        resample_cap=int(params.get("resample_cap", 64)),
+        resample_cap=json_int(params.get("resample_cap", 64), "resample_cap"),
         epsilon=parse_fraction(params.get("epsilon", "1/2")),
-        seed=int(params.get("seed", seed)),
+        seed=json_int(params.get("seed", seed), "seed"),
         delta=parse_fraction(params["delta"]) if "delta" in params else None,
         ell=parse_fraction(params["ell"]) if "ell" in params else None,
     )
@@ -178,8 +181,8 @@ def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed
 
 def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     kind = params.get("kind")
-    trials = int(params.get("trials", 100))
-    used_seed = int(params.get("seed", seed))
+    trials = json_int(params.get("trials", 100), "trials")
+    used_seed = json_int(params.get("seed", seed), "seed")
     if kind == "theorem-1":
         if "p" not in params:
             raise ConfigError("mc theorem-1 requires p")
@@ -211,7 +214,7 @@ OPS = {
 
 def run_op(op: str, table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     """The result block of one analysis op on one function."""
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise ConfigError(f"unknown analysis op {op!r}")
     return OPS[op](table, spectrum, params, seed)
 
@@ -257,12 +260,17 @@ def _flatten(obj, prefix: str = "") -> dict:
 
 def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport:
     base_dir = Path(base_dir)
-    seed = int(config.get("seed", 0))
-    max_n = int(config.get("max_n", DEFAULT_MAX_N))
-    functions = config.get("functions", [])
-    analyses = config.get("analyses", [])
-    if not isinstance(functions, list) or not isinstance(analyses, list):
-        raise ConfigError("'functions' and 'analyses' must be lists")
+    try:
+        seed = json_int(config.get("seed", 0), "seed")
+        max_n = json_int(config.get("max_n", DEFAULT_MAX_N), "max_n")
+        functions = json_of(config.get("functions", []), list, "functions")
+        analyses = json_of(config.get("analyses", []), list, "analyses")
+        for entry in functions:
+            json_of(entry, dict, "function entry")
+        for analysis in analyses:
+            json_of(analysis, dict, "analysis")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     results: list[dict] = []
     for entry in functions:
         label, table = resolve_function(entry, base_dir, max_n)

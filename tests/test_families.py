@@ -147,5 +147,21 @@ def test_build_function_specs():
         build_function(FunctionSpec("nope", {}))
 
 
+@pytest.mark.parametrize("family,params", [
+    ("parity", {"mask": -1, "n": 2}),  # once an OverflowError from np.uint64
+    ("conjunction", {"mask": 4, "n": 2}),  # a mask beyond n
+    ("parity", {"mask": [1], "n": 2}),
+    ("parity", {"mask": 1, "n": 2.0}),
+    ("addressing", {"k": "16"}),
+    ("random", {"n": True, "seed": 0}),
+    ("junta", {"inner": 5, "masks": [1], "n": 1}),
+    ("junta", {"inner": {"family": "parity", "params": {"mask": 1, "n": 1}}, "masks": 1, "n": 1}),
+])
+def test_build_function_refuses_malformed_parameters(family, params):
+    # parameters arrive from config files: integers only, masks within n
+    with pytest.raises(ValueError):
+        build_function(FunctionSpec(family, params))
+
+
 def test_labels():
     assert FunctionSpec("addressing", {"k": 16}).label() == "addressing(k=16)"

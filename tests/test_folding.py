@@ -384,8 +384,10 @@ def test_counterexample_support(n):
 
 def test_counterexample_n5_masks():
     assert counterexample_support(5) == (1, 2, 4, 8, 16, 19, 21, 25)
-    with pytest.raises(ValueError):
-        counterexample_support(4)
+    assert max(counterexample_support(24)) < 1 << 24
+    for n in (4, 25, 70):  # masks are capped at n <= 24
+        with pytest.raises(ValueError):
+            counterexample_support(n)
 
 
 @pytest.mark.parametrize("k", [4, 16, 64])

@@ -11,6 +11,7 @@ from parityfold.gf2 import (
     coset_label,
     extend_basis,
     in_span,
+    label_step,
     labels,
     row_reduce,
 )
@@ -205,6 +206,32 @@ def test_vectorized_labels_match_reduce_tagged_and_coset_label(n, data):
     assert plain.tolist() == [coset_label(v, basis) for v in probes]
     assert not zero.any()
     assert masks.tolist() == probes  # the input is not modified
+
+
+@given(DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_label_steps_keep_labels_canonical_as_the_span_grows(n, data):
+    # the sampling trial's walk: a vector is independent of those kept so
+    # far exactly when its current label is nonzero, and folding that label
+    # in leaves every label canonical for the grown span
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    vecs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    current = np.array(masks + vecs, dtype=np.int64)
+    kept = []
+    for j, v in enumerate(vecs):
+        label = int(current[len(masks) + j])
+        if label:
+            kept.append(v)
+            label_step(current, label)
+    oracle, basis = [], row_reduce((), n)
+    for v in vecs:
+        extended = extend_basis(basis, v)
+        if extended is not None:
+            oracle.append(v)
+            basis = extended
+    assert kept == oracle
+    expected = labels(np.array(masks + vecs, dtype=np.int64), row_reduce(kept, n).entries)[0]
+    assert current.tolist() == expected.tolist()
 
 
 def test_vectorized_labels_of_no_masks():

@@ -422,7 +422,7 @@ def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
     support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14)))
     probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=2)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    batch, size, bcount = _sampling_trial(support, n, probs, np.random.default_rng(seed))
+    batch, size, bcount = _sampling_trial(support, probs, np.random.default_rng(seed))
     replay = np.random.default_rng(seed)
     union = set()
     for p in probs:
@@ -455,7 +455,7 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
     except ResampleCapExceededError as exc:  # the attempt made no progress
         batch, bcount = exc.best_batch, exc.best_bucket_count
     stats = estimate_bucket_reduction(spectrum, p, 1, seed)
-    step = _sampling_trial(sorted(spectrum.coeffs), spectrum.n, (p,), np.random.default_rng((seed, 0)))
+    step = _sampling_trial(sorted(spectrum.coeffs), (p,), np.random.default_rng((seed, 0)))
     assert batch
     assert (batch, bcount) == (step[0], step[2])
     assert (stats.sample_sizes, stats.bucket_counts) == ((step[1],), (bcount,))

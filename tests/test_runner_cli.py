@@ -66,9 +66,10 @@ def test_run_experiment_guards():
                         "analyses": []})
     with pytest.raises(ConfigError):
         run_experiment({"functions": [{"oops": 1}], "analyses": []})
-    with pytest.raises(ConfigError):
-        run_experiment({"functions": [{"family": "random", "n": 3, "seed": 0}],
-                        "analyses": [{"op": "nope"}]})
+    for analysis in ({"op": "nope"}, {"op": []}, {"op": "fold", "ell": float("inf")}):
+        with pytest.raises(ConfigError):
+            run_experiment({"functions": [{"family": "random", "n": 3, "seed": 0}],
+                            "analyses": [analysis]})
 
 
 def test_load_config_reports_line(tmp_path):
@@ -115,6 +116,7 @@ def test_cli_gen_and_file_roundtrip(tmp_path, capsys):
 def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "addressing:k=16") == 0
     assert run_cli("verify", "counterexample", "--n", "5") == 0
+    assert run_cli("verify", "counterexample", "--n", "70") == 2  # beyond the mask cap
     # a sparsity-4 function fails the three-fold precondition -> usage error
     assert run_cli("verify", "three-fold", "conjunction:mask=3,n=2") == 2
     assert run_cli("verify", "pair-condition") == 2  # missing function
@@ -458,6 +460,7 @@ FILE_COMMANDS = {
     "analyze": ["analyze", "{}"],
     "pdt-depth": ["pdt", "depth", "{}"],
     "analyze-restrict": ["analyze", "addressing:k=4", "--restrict", "{}"],
+    "experiment": ["experiment", "{}"],
 }
 
 
@@ -473,6 +476,14 @@ def run_on_file(argv, path):
     ("pdt-depth", {"n": 1, "root": 5}),
     ("analyze", {"n": 1, "coeffs": [5]}),
     ("analyze-restrict", [5]),
+    ("experiment", {"seed": None, "functions": [], "analyses": []}),
+    ("experiment", {"functions": [5], "analyses": []}),
+    ("experiment", {"functions": [{"family": "parity", "mask": 1, "n": 2}], "analyses": [5]}),
+    ("experiment", {"functions": [{"path": 5}]}),
+    ("experiment", {"functions": [{"family": "parity", "mask": [1], "n": 2}]}),
+    ("experiment", {"functions": [{"family": "junta", "inner": 5, "masks": [1], "n": 1}]}),
+    ("experiment", {"functions": [{"family": "parity", "mask": 1, "n": 2}],
+                    "analyses": [{"op": "mc", "kind": "warmup", "trials": [1]}]}),
 ])
 def test_cli_malformed_shapes_are_usage_errors(tmp_path, command, content):
     path = tmp_path / "input.json"
@@ -527,8 +538,31 @@ TREE_NODES = st.recursive(
     lambda inner: st.fixed_dictionaries({"query": st.integers(-1, 4), "pos": inner | JSON_VALUES, "neg": inner}),
     max_leaves=6,
 )
+# experiment configs; a family's n stays at most 3, also where an older
+# reader coerced it with int(), so every op is cheap
+FAMILY_ENTRIES = st.fixed_dictionaries({
+    "family": st.sampled_from(["parity", "conjunction"]) | JSON_VALUES,
+    "mask": st.integers(0, 3) | st.integers(-1, 8) | JSON_VALUES,
+    "n": st.integers(2, 3) | st.sampled_from([-1, 0, 1, None, True, 2.0, "2", "x", [2]]),
+})
+ANALYSES = st.sampled_from([
+    {"op": "analyze"},
+    {"op": "fold"},
+    {"op": "verify", "check": "parseval"},
+    {"op": "pdt", "strategy": "greedy-min-bucket"},
+    {"op": "pdt"},
+    {"op": "mc", "kind": "warmup", "trials": 2},
+]) | st.fixed_dictionaries({"op": st.sampled_from(sorted(runner.OPS)) | JSON_VALUES})
+CONFIGS = st.fixed_dictionaries(
+    {
+        "functions": st.lists(FAMILY_ENTRIES, min_size=1, max_size=3) | some(FAMILY_ENTRIES),
+        "analyses": st.lists(ANALYSES, min_size=1, max_size=4) | some(ANALYSES),
+    },
+    optional={"seed": st.integers(-1, 4) | JSON_VALUES, "max_n": st.integers(-1, 4) | JSON_VALUES},
+)
 FILE_VALUES = st.one_of(
     JSON_VALUES,
+    CONFIGS,
     st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "values": some(st.sampled_from([1, -1]))}),
     st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "coeffs": some(shaped("mask", "num"))}),
     st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON_VALUES, "root": TREE_NODES | JSON_VALUES}),
