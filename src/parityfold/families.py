@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import check_vector, row_reduce
+from .gf2 import MAX_DIMENSION, check_vector, row_reduce
 from .spectral import TruthTable, json_int, json_of, parity_of
 
 MAX_TABLE_DIMENSION = 20
@@ -122,6 +122,8 @@ def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
 
 
 def gen_random(n: int, seed: int) -> TruthTable:
+    if not 0 <= n <= MAX_DIMENSION:  # before 2^n entries are drawn
+        raise InvalidFamilyParameterError(f"n must lie in [0, {MAX_DIMENSION}], got {n}")
     rng = np.random.default_rng(seed)
     return TruthTable(n, 1 - 2 * rng.integers(0, 2, size=1 << n, dtype=np.int64))
 

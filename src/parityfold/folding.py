@@ -9,10 +9,16 @@ once k > 4), the single-nontrivial-direction structure, and the sign
 system that certifies some supports are not realizable by any +-1
 function.
 
-`direction_classes` counts the classes with the pair kernel of `pairs`
-(row blocks of at most 2^16 int64 entries, O(k^2 log k) numpy work), in
-exact integers.  Every other check reads class sizes from its profile:
-`partners` binary-searches the same blocks, O(k^2 log D).
+`direction_classes` counts the classes with the pair kernel of `pairs`,
+in exact integers: an XOR autocorrelation of the support's indicator
+through the WHT, O(n 2^n), on dense supports (n 2^n < k^2 / 2), and row
+blocks of at most 2^16 int64 entries, O(k^2 log k), otherwise.  Every
+other check reads class sizes from its profile.  `partners` counts heavy
+partners as the XOR convolution of the support with the heavy directions
+on dense supports and finds each smallest partner by a chunked scan that
+stops once every mask has one; on sparse supports it binary-searches the
+blocks, O(k^2 log D).  Sign constraints list only the pairs of size-2
+classes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .families import addressing_support
 from .gf2 import MAX_DIMENSION, Echelon
-from .pairs import direction_sums, xor_blocks
+from .pairs import direction_pairs, direction_sums, heavy_partners
 from .spectral import FourierSpectrum, is_plateaued
 
 PAIR_LIST_GUARD = 1 << 12
@@ -85,16 +91,7 @@ class FoldingProfile:
     def partners(self, threshold: int) -> tuple[np.ndarray, np.ndarray]:
         """Per mask: how many partners lie in classes of size >= threshold,
         and the index of the smallest such partner (0 when there is none)."""
-        heavy = self.counts >= threshold
-        counts, first = [], []
-        for rows, xor, _ in xor_blocks(self.masks):
-            # every off-diagonal entry is a realized direction; the diagonal
-            # (0, below every direction) lands on index 0 and is cleared
-            hit = heavy[np.searchsorted(self.directions, xor)]
-            hit[np.arange(len(rows)), rows] = False
-            counts.append(hit.sum(axis=1))
-            first.append(hit.argmax(axis=1))
-        return np.concatenate(counts), np.concatenate(first)
+        return heavy_partners(self.masks, self.directions, self.counts >= threshold)
 
     def folding_parameters(self, ell: Fraction | float | int) -> FoldingParameters:
         """Largest delta such that a delta fraction of support pairs lie in
@@ -158,22 +155,19 @@ def direction_classes(
         raise ValueError(f"need at least 2 support elements, got {k}")
     if masks[0] < 0:
         raise ValueError(f"masks must be non-negative, got {int(masks[0])}")
-    if include_pairs and k > PAIR_LIST_GUARD:
-        raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
     directions, counts = direction_sums(masks)
     classes = dict(zip(directions.tolist(), counts.tolist()))
-    pairs = None
-    if include_pairs:
-        found = []
-        for rows, xor, upper in xor_blocks(masks):
-            r, j = np.nonzero(upper)
-            found.append((xor[upper], masks[rows[r]], masks[j]))  # row-major
-        g, a, b = map(np.concatenate, zip(*found))
-        order = np.argsort(g, kind="stable")  # grouped by direction, row-major within
-        flat = list(zip(a[order].tolist(), b[order].tolist()))
-        ends = np.cumsum(counts).tolist()
-        pairs = {d: tuple(flat[e - c : e]) for (d, c), e in zip(classes.items(), ends)}
+    pairs = _pair_lists(masks, directions) if include_pairs else None
     return FoldingProfile(int(masks[-1]).bit_length(), k, classes, masks, directions, counts, pairs)
+
+
+def _pair_lists(
+    masks: np.ndarray, directions: np.ndarray
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """`pairs.direction_pairs`, refused above PAIR_LIST_GUARD masks."""
+    if len(masks) > PAIR_LIST_GUARD:
+        raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
+    return direction_pairs(masks, directions)
 
 
 @dataclass(frozen=True)
@@ -206,13 +200,16 @@ def float_fraction(x: float) -> Fraction:
 
 
 def as_exponent(ell: Fraction | float | int) -> Fraction:
-    """Normalize an exponent to an exact small rational; floats snap by
-    `float_fraction`."""
+    """Normalize an exponent in [0, 1] to an exact small rational; floats
+    snap by `float_fraction`."""
     if isinstance(ell, float):
         ell = float_fraction(ell)
     ell = Fraction(ell)
     if ell < 0:
         raise ValueError(f"exponent must be >= 0, got {ell}")
+    if ell > 1:
+        # classes have at most k/2 pairs, so none reaches k^ell + 1 from ell = 1 on
+        raise ValueError(f"exponent must be <= 1, got {ell}")
     if ell.denominator > 10_000:
         raise ValueError(f"exponent denominator {ell.denominator} too large")
     return ell
@@ -377,10 +374,10 @@ class SignFeasibilityResult:
 
 
 def sign_constraints(support: Iterable[int]) -> tuple[SignConstraint, ...]:
-    profile = direction_classes(support, include_pairs=True)
-    return tuple(
-        SignConstraint(g, *profile.pairs[g]) for g, c in sorted(profile.classes.items()) if c == 2
-    )
+    """One constraint per size-2 class, in direction order."""
+    profile = direction_classes(support)
+    listed = _pair_lists(profile.masks, profile.directions[profile.counts == 2])
+    return tuple(SignConstraint(g, *pairs) for g, pairs in listed.items())
 
 
 def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:

@@ -35,7 +35,8 @@ from .gf2 import (
     labels,
     row_reduce,
 )
-from .spectral import FourierSpectrum, fwht_inplace, json_int, json_of
+from .pairs import fwht_inplace
+from .spectral import FourierSpectrum, json_int, json_of
 
 
 class InconsistentConstraintsError(ValueError):

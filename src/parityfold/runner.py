@@ -70,8 +70,11 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
     elif "family" in entry:
         params = {key: value for key, value in entry.items() if key != "family"}
         spec = FunctionSpec(entry["family"], params)
-        loaded = build_function(spec)
         label = spec.label()
+        n = params.get("n")  # random, parity, conjunction and junta state n
+        if isinstance(n, int) and not isinstance(n, bool) and n > max_n:
+            raise ConfigError(f"{label}: n = {n} exceeds max_n = {max_n}")  # before 2^n entries
+        loaded = build_function(spec)
     else:
         raise ConfigError(f"function entry needs 'family' or 'path': {entry!r}")
     if loaded.n > max_n:

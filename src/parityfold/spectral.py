@@ -8,8 +8,11 @@ equations (zero tolerance).
 
 Titsworth sums run on the pair kernel of `pairs`, exact in int64 for any
 spectrum with sum c_a^2 < 2^63 (Parseval spectra have 4^n <= 2^48), and
-raise WeightBoundError above it.  `inverse_wht` refuses |c_a| > 2^n before
-its int64 transform.  File readers take integers only as JSON integers
+raise WeightBoundError above it.  On dense spectra they are one XOR
+autocorrelation of the coefficients, WHT(WHT(c)^2) / 2^n: WHT(c) is
+2^n f, so this is the transform of 4^n f^2, which vanishes off 0 when
+f^2 = 1.  The WHT butterfly `fwht_inplace` lives in `pairs` for that
+route.  `inverse_wht` refuses |c_a| > 2^n before its int64 transform.  File readers take integers only as JSON integers
 (`json_int`): a bool or a float is an error, never a truncated int.
 
 Truth-table index convention: bit i of the index is variable x_{i+1}.
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import MAX_DIMENSION, check_vector
-from .pairs import direction_sums
+from .pairs import direction_sums, fwht_inplace
 
 
 class NotBooleanValuedError(ValueError):
@@ -137,18 +140,6 @@ class FourierSpectrum:
         if scaled == -full:
             return -1
         raise NotBooleanValuedError(f"evaluation at {x} is {scaled}/{full}, not +-1")
-
-
-def fwht_inplace(arr: np.ndarray) -> None:
-    """Unnormalized WHT along axis 0 (length a power of two) of a
-    C-contiguous array, so that every reshape is a view."""
-    h = 1
-    while h < len(arr):
-        view = arr.reshape(len(arr) // (2 * h), 2, h, *arr.shape[1:])
-        top = view[:, 0].copy()
-        view[:, 0] += view[:, 1]
-        view[:, 1] = top - view[:, 1]
-        h <<= 1
 
 
 def wht(table: TruthTable) -> FourierSpectrum:

@@ -116,6 +116,12 @@ def test_random_deterministic_and_boolean():
     assert verify_titsworth(s) == []
 
 
+@pytest.mark.parametrize("n", [-1, 25, 40])
+def test_random_refuses_a_dimension_beyond_the_cap_before_drawing(n):
+    with pytest.raises(InvalidFamilyParameterError):
+        gen_random(n, 0)
+
+
 def test_generated_tables_pass_exact_identities():
     for table in [
         gen_addressing(16),

@@ -545,6 +545,29 @@ def test_fold_ell_near_one_needs_no_float_root(capsys):
     assert "class threshold 65" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ell", ["100000", "10001/10000", "1/1"])
+def test_exponents_above_one_are_refused(capsys, ell):
+    # no class reaches k^ell + 1 >= k + 1 pairs, and k**numerator could take
+    # unbounded time; ell = 1 itself stays accepted
+    if ell == "1/1":
+        assert heavy_class_threshold(16, 1) == 17
+        assert main(["fold", "addressing:k=16", "--ell", ell]) == 0
+        return
+    with pytest.raises(ValueError, match="exponent must be <= 1"):
+        heavy_class_threshold(16, Fraction(ell))
+    assert main(["fold", "addressing:k=16", "--ell", ell]) == 2
+    assert capsys.readouterr().err.startswith("error: exponent must be <= 1")
+
+
+def test_pair_lists_are_refused_above_the_guard():
+    support = range(folding.PAIR_LIST_GUARD + 1)
+    with pytest.raises(ValueError, match="pair lists disabled"):
+        direction_classes(support, include_pairs=True)
+    with pytest.raises(ValueError, match="pair lists disabled"):
+        sign_constraints(support)
+    assert direction_classes(support).k == folding.PAIR_LIST_GUARD + 1
+
+
 def test_fold_op_builds_one_profile(monkeypatch):
     spectrum = wht(gen_addressing(16))
     ell, delta = Fraction(1, 2), Fraction(1, 4)

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import pdt, runner, spectral
+from parityfold import families, pdt, runner, spectral
 from parityfold.cli import USAGE_ERROR, main
 from parityfold.families import gen_inner_product
 from parityfold.runner import ConfigError, load_config, run_experiment
@@ -211,6 +211,23 @@ def test_cli_max_n_guard_comes_before_inverting_a_spectrum_file(tmp_path, monkey
     path.write_text(json.dumps({"n": 21, "coeffs": [{"mask": 0, "num": 1 << 21}]}))
     assert main(["analyze", str(path)]) == USAGE_ERROR
     assert "exceeds max_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, generator", [
+    ({"family": "random", "n": 23, "seed": 0}, "gen_random"),
+    ({"family": "parity", "mask": 1, "n": 21}, "gen_parity"),
+    ({"family": "conjunction", "mask": 1, "n": 21}, "gen_conjunction"),
+    ({"family": "junta", "inner": {"family": "parity", "params": {"mask": 1, "n": 1}},
+      "masks": [1], "n": 21}, "gen_junta"),
+])
+def test_max_n_guard_comes_before_building_a_family_table(monkeypatch, entry, generator):
+    # the generators allocate 2^n entries, so a refused entry must not reach them
+    def refuse(*args):
+        raise RuntimeError(f"{generator} ran above max_n")
+
+    monkeypatch.setattr(families, generator, refuse)
+    with pytest.raises(runner.ConfigError, match=r"n = 2[13] exceeds max_n = 20"):
+        runner.run_experiment({"functions": [entry], "analyses": []})
 
 
 def test_cli_experiment_byte_reproducible(tmp_path):

@@ -30,6 +30,16 @@ def test_pair_xor_broadcasts_live_in_the_pair_kernel():
     assert not found, f"pair-XOR broadcasts outside pairs.py: {found}"
 
 
+def test_the_wht_butterfly_is_defined_once():
+    # spectral, restriction and the dense pair route share one butterfly
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "fwht_inplace":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, f"fwht_inplace definitions: {found}"
+
+
 def test_label_steps_live_in_the_gf2_kernel():
     # (labels >> (row.bit_length() - 1)) & 1 picks the labels a row's pivot
     # hits; every caller goes through gf2.label_step instead of a copy
