@@ -286,7 +286,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true", default=default(False),
                         help="canonical JSON output")
     parser.add_argument("--csv", default=default(None),
-                        help="write a CSV summary to this path")
+                        help="write a CSV summary to this path (mc and experiment only)")
     max_n = runner.DEFAULT_MAX_N
     parser.add_argument("--max-n", type=int, default=default(max_n), dest="max_n",
                         help=f"refuse functions above this dimension (default {max_n})")
@@ -377,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.csv is not None and args.command not in ("mc", "experiment"):
+            raise UsageError(f"--csv applies only to mc and experiment, not {args.command}")
         return args.func(args)
     except (UsageError, runner.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -159,9 +159,17 @@ def build_function(spec: FunctionSpec) -> TruthTable:
         return gen_conjunction(param("mask"), param("n"))
     if family == "junta":
         inner = json_of(p["inner"], dict, "inner")
-        inner = build_function(FunctionSpec(inner["family"], json_of(inner["params"], dict, "inner params")))
+        inner_params = json_of(inner["params"], dict, "inner params")
         masks = [json_int(m, "mask") for m in json_of(p["masks"], list, "masks")]
-        return gen_junta(inner, masks, param("n"))
+        n = param("n")
+        # before the inner table is built: at most n independent masks, one
+        # per inner variable
+        if len(masks) > n:
+            raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
+        inner_n = inner_params.get("n")
+        if inner_n is not None and json_int(inner_n, "inner n") != len(masks):
+            raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
+        return gen_junta(build_function(FunctionSpec(inner["family"], inner_params)), masks, n)
     if family == "random":
         return gen_random(param("n"), param("seed"))
     raise InvalidFamilyParameterError(f"unknown family {family!r}")

@@ -14,7 +14,7 @@ Per-direction sums take one of two routes, chosen by `dense_route` alone:
 
 Weighted sums are exact in int64 on the blocks while S = sum w^2 < 2^63: a
 mask lies in at most one pair per direction, so every |w_a w_b| and every
-partial sum of one direction is at most S/2.  `int64_weights` checks S
+partial sum of one direction is at most S/2.  `_weights` checks S
 exactly.  On the dense route Parseval bounds every butterfly partial sum
 by 2^n S, so it also needs 2^n S < 2^63, checked in Python integers; above
 that the blocks run instead.
@@ -56,11 +56,6 @@ def _weights(weights: Iterable[int]) -> tuple[np.ndarray, int]:
     if total >= 1 << 63:
         raise WeightBoundError(f"sum of squared weights {total} >= 2^63")
     return np.array(weights, dtype=np.int64), total
-
-
-def int64_weights(weights: Iterable[int]) -> np.ndarray:
-    """The weights as int64, once sum w^2 < 2^63 is checked in Python integers."""
-    return _weights(weights)[0]
 
 
 def _dense_bits(masks: np.ndarray, bound: int) -> int | None:

@@ -17,8 +17,9 @@ every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
 `_sampling_trial` is both a build's resample attempt and a Monte Carlo
 trial.  It draws once per phase, in phase order, over the sorted support,
 from the build's one generator or, in trial t, from default_rng((seed, t)).
-It and greedy-min-bucket keep the support's coset labels as their only
-GF(2) state, folding each chosen parity in with one `gf2.label_step`.
+It and the deterministic strategies keep the support's coset labels as
+their only GF(2) state, folding each chosen parity in with one
+`gf2.label_step`.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .folding import folding_parameters
+from .folding import as_exponent, folding_parameters
 # bench/tracing.py binds coset_label, extend_basis, row_reduce, restrict and
-# AffineConstraintSystem here by name; all but row_reduce are otherwise unused
+# AffineConstraintSystem here by name; they are otherwise unused
 from .gf2 import coset_label, extend_basis, label_step, row_reduce
-from .pairs import direction_sums, int64_weights, xor_blocks
-from .restriction import AffineConstraintSystem, _distinct, bucket_count, restrict, restrict_batch
+from .pairs import direction_sums
+from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_batch
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, parity_of, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -231,9 +232,12 @@ class BuildConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
         object.__setattr__(self, "epsilon", eps)
         if self.delta is not None:
-            object.__setattr__(self, "delta", Fraction(self.delta))
+            delta = Fraction(self.delta)
+            if not 0 < delta <= 1:
+                raise ValueError(f"delta must lie in (0, 1], got {delta}")
+            object.__setattr__(self, "delta", delta)
         if self.ell is not None:
-            object.__setattr__(self, "ell", Fraction(self.ell))
+            object.__setattr__(self, "ell", as_exponent(self.ell))
 
 
 @dataclass(frozen=True)
@@ -302,6 +306,21 @@ def _schedule_probabilities(
     return req, tuple(min(1.0, p) for p in req)
 
 
+def _heaviest_pair_direction(spectrum: FourierSpectrum, support_sorted: list[int]) -> int:
+    """The smallest direction a ^ b among the support pairs with the
+    heaviest |c_a c_b|, in O(k): that product is w1 * w2 for the two largest
+    weights, reached inside the top-weight class when it holds two masks or
+    more, else by the top mask with each mask of the second weight.  The
+    smallest XOR within a sorted set is between neighbours."""
+    weights = [abs(spectrum.coeffs[a]) for a in support_sorted]
+    w1 = max(weights)
+    top = [a for a, w in zip(support_sorted, weights) if w == w1]
+    if len(top) > 1:
+        return min(a ^ b for a, b in zip(top, top[1:]))
+    w2 = max(w for w in weights if w != w1)
+    return min(top[0] ^ a for a, w in zip(support_sorted, weights) if w == w2)
+
+
 def _select_batch(
     spectrum: FourierSpectrum, config: BuildConfig, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], int, int, bool, tuple[float, ...], bool]:
@@ -313,7 +332,6 @@ def _select_batch(
     """
     support_sorted = sorted(spectrum.coeffs)
     k = len(support_sorted)
-    n = spectrum.n
     target = (1 - config.epsilon) * k
 
     if config.strategy in ("sampling", "folding-sampling"):
@@ -336,30 +354,21 @@ def _select_batch(
             best[0] if best else None,
         )
 
-    if config.strategy == "max-coefficient":
-        # the smallest direction among the support pairs with the heaviest
-        # |c_a c_b|; querying it merges at least that pair
-        masks = np.array(support_sorted, dtype=np.int64)
-        weights = np.abs(int64_weights(spectrum.coeffs[a] for a in support_sorted))
-        best = []
-        for rows, xor, upper in xor_blocks(masks):
-            products = (weights[rows, None] * weights)[upper]
-            if products.size:
-                top = products.max()
-                best.append((int(top), -int(xor[upper][products == top].min())))
-        batch = (-max(best)[1],)
-        bcount = bucket_count(support_sorted, row_reduce(batch, n))
-        return batch, bcount, 1, bcount <= target, (), False
-
-    # greedy-min-bucket: repeatedly add the single parity minimizing the
-    # bucket count; candidates are label-pair directions, which cover every
-    # achievable single-query merge, and each is a difference of two labels
+    # the deterministic strategies fold one direction at a time into the
+    # support's labels: max-coefficient once, greedy-min-bucket until the
+    # target is met; each direction is a difference of two labels
+    greedy = config.strategy == "greedy-min-bucket"
     labels = np.array(support_sorted, dtype=np.int64)  # distinct, sorted
     batch_list: list[int] = []
-    while len(labels) > 1 and len(labels) > target:
-        # largest class; argmax over sorted directions breaks ties to the smallest
-        directions, counts = direction_sums(labels)
-        batch_list.append(int(directions[np.argmax(counts)]))
+    while len(labels) > 1 and len(labels) > target and (greedy or not batch_list):
+        if greedy:
+            # largest label-pair class, which covers every achievable
+            # single-query merge; argmax over sorted directions breaks ties
+            # to the smallest
+            directions, counts = direction_sums(labels)
+            batch_list.append(int(directions[np.argmax(counts)]))
+        else:
+            batch_list.append(_heaviest_pair_direction(spectrum, support_sorted))
         label_step(labels, batch_list[-1])
         labels = _distinct(labels)
     bcount = len(labels)

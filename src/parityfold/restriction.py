@@ -15,7 +15,6 @@ one WHT along the tag axis gives child j, the subspace where bit i of j is
 the value of batch[i].  It needs sum |c_a| < 2^63, which bounds every cell
 and partial sum.  `restrict` is the single-system path: its systems may
 hold more than 63 constraints, whose tags do not fit int64.
-`bucket_count` counts the distinct labels of the same kernel.
 """
 
 from __future__ import annotations
@@ -25,16 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import (
-    DimensionMismatchError,
-    Echelon,
-    Gf2Basis,
-    check_vector,
-    coset_label,
-    in_span,
-    labels,
-    row_reduce,
-)
+from .gf2 import Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
 from .spectral import FourierSpectrum, json_int, json_of
 
@@ -166,14 +156,6 @@ class BucketReport:
             "identified_count": self.identified_count,
             "buckets": {str(label): list(self.buckets[label]) for label in sorted(self.buckets)},
         }
-
-
-def bucket_count(support: Iterable[int], basis: Gf2Basis) -> int:
-    """Number of cosets of the basis span meeting the support."""
-    masks = np.fromiter(support, dtype=np.int64)
-    if np.bitwise_or.reduce(masks, initial=0) >> basis.n:  # a negative mask sets the sign bit
-        raise DimensionMismatchError(f"support masks do not fit in {basis.n} bits")
-    return len(_distinct(labels(masks, basis.entries)[0]))
 
 
 def system_to_list(system: AffineConstraintSystem) -> list[dict]:

@@ -1,5 +1,6 @@
 import pytest
 
+from parityfold import families
 from parityfold.families import (
     FunctionSpec,
     InvalidFamilyParameterError,
@@ -167,6 +168,19 @@ def test_build_function_refuses_malformed_parameters(family, params):
     # parameters arrive from config files: integers only, masks within n
     with pytest.raises(ValueError):
         build_function(FunctionSpec(family, params))
+
+
+@pytest.mark.parametrize("masks, n, inner_n", [
+    ([1, 2], 4, 23),  # the inner states more variables than there are masks
+    ([1, 2, 4], 2, 3),  # more masks than can be independent in n
+])
+def test_junta_checks_its_masks_before_building_the_inner_table(monkeypatch, masks, n, inner_n):
+    calls = []
+    monkeypatch.setattr(families, "gen_random", lambda *args: calls.append(args))
+    inner = {"family": "random", "params": {"n": inner_n, "seed": 0}}
+    with pytest.raises(InvalidFamilyParameterError):
+        build_function(FunctionSpec("junta", {"inner": inner, "masks": masks, "n": n}))
+    assert calls == []
 
 
 def test_labels():

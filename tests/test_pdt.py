@@ -1,13 +1,11 @@
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import pairs
 from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
@@ -18,7 +16,6 @@ from parityfold.families import (
 )
 from parityfold.gf2 import coset_label, extend_basis, row_reduce
 from parityfold.folding import counterexample_support
-from parityfold.pairs import WeightBoundError
 from parityfold.pdt import (
     BuildConfig,
     DegenerateInputError,
@@ -37,7 +34,7 @@ from parityfold.pdt import (
     _sampling_trial,
     _select_batch,
 )
-from parityfold.restriction import bucket_count
+from parityfold.restriction import bucket_complexity
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -121,27 +118,46 @@ def naive_max_coefficient_direction(spectrum):
     return best_dir
 
 
+def assert_max_coefficient_matches_oracle(spectrum):
+    cfg = BuildConfig(strategy="max-coefficient")
+    batch, bcount, *_ = _select_batch(spectrum, cfg, None)
+    assert batch == (naive_max_coefficient_direction(spectrum),)
+    assert bcount == bucket_complexity(spectrum.coeffs, batch, spectrum.n).bucket_count
+
+
 @given(
     st.dictionaries(
         st.integers(0, 255),
-        # few magnitudes force ties on |c_a c_b| (2 * 2 == 4 * 1)
-        st.sampled_from([-4, -2, -1, 1, 2, 4]) | st.integers(-(2**30), 2**30).filter(bool),
+        # few magnitudes force ties on |c_a c_b| (2 * 2 == 4 * 1); the wide
+        # range reaches sum c^2 >= 2^63
+        st.sampled_from([-4, -2, -1, 1, 2, 4]) | st.integers(-(2**40), 2**40).filter(bool),
         min_size=2,
         max_size=60,
-    ),
-    st.sampled_from([1, 64, pairs.BLOCK_ENTRIES]),
+    )
 )
 @settings(max_examples=80, deadline=None)
-def test_max_coefficient_matches_pair_loop_oracle(coeffs, block_entries):
-    spectrum = FourierSpectrum(8, coeffs)
-    cfg = BuildConfig(strategy="max-coefficient")
-    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
-        if sum(c * c for c in coeffs.values()) >= 2**63:
-            with pytest.raises(WeightBoundError):
-                _select_batch(spectrum, cfg, np.random.default_rng(0))
-            return
-        batch, *_ = _select_batch(spectrum, cfg, np.random.default_rng(0))
-    assert batch == (naive_max_coefficient_direction(spectrum),)
+def test_max_coefficient_matches_pair_loop_oracle(coeffs):
+    assert_max_coefficient_matches_oracle(FourierSpectrum(8, coeffs))
+
+
+def test_max_coefficient_with_a_unique_top_weight_pairs_it_with_the_second_weight():
+    # 9 * 3 is the heaviest product, and 12 ^ 1 = 13 its smallest direction;
+    # the lighter pairs (1, 3) and (7, 6) have the smaller directions 2 and 1
+    spectrum = FourierSpectrum(4, {12: 9, 1: 3, 3: -3, 7: -1, 6: 1})
+    batch, *_ = _select_batch(spectrum, BuildConfig(strategy="max-coefficient"), None)
+    assert batch == (13,) == (naive_max_coefficient_direction(spectrum),)
+    assert_max_coefficient_matches_oracle(spectrum)
+
+
+def test_max_coefficient_matches_pair_loop_oracle_at_mask_cap():
+    support = counterexample_support(24)
+    coeffs = {m: (-1) ** i * (1 + i % 3) for i, m in enumerate(support)}
+    assert_max_coefficient_matches_oracle(FourierSpectrum(24, coeffs))
+    # a unique top weight on the largest mask, then a top class of two
+    assert_max_coefficient_matches_oracle(FourierSpectrum(24, {**coeffs, support[-1]: 5}))
+    assert_max_coefficient_matches_oracle(
+        FourierSpectrum(24, {**coeffs, support[0]: 5, support[-1]: -5})
+    )
 
 
 def test_max_coefficient_ties_go_to_the_smallest_direction():
@@ -335,6 +351,12 @@ def test_config_validation():
         BuildConfig(resample_cap=0)
     with pytest.raises(ValueError):
         BuildConfig(epsilon=Fraction(1))
+    # folding-sampling parameters: delta in (0, 1], ell an exponent in [0, 1]
+    for bad in ({"delta": 0}, {"delta": Fraction(5)}, {"ell": 100000}, {"ell": Fraction(-1, 2)}):
+        with pytest.raises(ValueError):
+            BuildConfig(strategy="folding-sampling", **bad)
+    config = BuildConfig(strategy="folding-sampling", delta=1, ell=0.5)
+    assert (config.delta, config.ell) == (1, Fraction(1, 2))
 
 
 def test_estimate_bucket_reduction_p0_mean_exactly_one():
@@ -440,7 +462,7 @@ def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
     assert basis == row_reduce(batch, n)
     assert basis.rank == len(batch)
     assert basis == row_reduce(sampled, n)
-    assert bcount == bucket_count(support, row_reduce(sampled, n))
+    assert bcount == len({coset_label(a, basis) for a in support})
 
 
 @pytest.mark.parametrize("seed", range(4))

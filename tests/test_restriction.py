@@ -15,14 +15,13 @@ from parityfold.restriction import (
     IdentificationBoundError,
     InconsistentConstraintsError,
     bucket_complexity,
-    bucket_count,
     identification_bound_check,
     identified,
     restrict,
     restrict_batch,
     system_from_list,
 )
-from parityfold.gf2 import DimensionMismatchError, Echelon, coset_label, row_reduce
+from parityfold.gf2 import DimensionMismatchError, Echelon
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -367,18 +366,3 @@ def test_restrict_batch_is_exact_up_to_the_int64_bound():
     for bound in ({0: 1 << 62, 3: 1 << 62}, {0: np.int64(-(1 << 63))}):
         with pytest.raises(ValueError, match="2\\^63"):
             restrict_batch(FourierSpectrum(2, bound), (1,))
-
-
-@given(BATCH_DIMENSIONS, st.data())
-@settings(max_examples=150, deadline=None)
-def test_bucket_count_matches_python_set_oracle(n, data):
-    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
-    support = set(draw_masks(data, n, base, 40))
-    basis = row_reduce(draw_masks(data, n, base, 6), n)
-    assert bucket_count(support, basis) == len({coset_label(a, basis) for a in support})
-    assert bucket_count(sorted(support), basis) == bucket_count(support, basis)
-
-
-def test_bucket_count_rejects_masks_beyond_n():
-    with pytest.raises(DimensionMismatchError):
-        bucket_count([1, 8], row_reduce([1], 3))

@@ -230,6 +230,31 @@ def test_max_n_guard_comes_before_building_a_family_table(monkeypatch, entry, ge
         runner.run_experiment({"functions": [entry], "analyses": []})
 
 
+FOLDING_BUILD = ["pdt", "build", "addressing:k=16", "--strategy", "folding-sampling"]
+MISFIT_JUNTA = {"family": "junta", "n": 4, "masks": [1, 2],
+                "inner": {"family": "random", "params": {"n": 23, "seed": 0}}}
+
+
+@pytest.mark.parametrize("argv", [
+    FOLDING_BUILD + ["--delta", "1/5", "--ell", "100000"],  # once an OverflowError
+    FOLDING_BUILD + ["--delta", "0", "--ell", "1/2"],  # once a ZeroDivisionError
+    FOLDING_BUILD + ["--delta", "5", "--ell", "1/2"],  # once accepted
+    ["experiment", "junta.json"],
+    ["analyze", "addressing:k=16", "--csv", "x.csv"],
+    ["--csv", "x.csv", "fold", "addressing:k=16"],
+    ["--csv", "x.csv", "verify", "parseval", "addressing:k=16"],
+    ["pdt", "build", "addressing:k=16", "--csv", "x.csv"],
+    ["--csv", "x.csv", "gen", "parity", "mask=1", "n=2"],
+], ids=["ell", "delta-0", "delta-5", "misfit-junta", "csv-analyze", "csv-fold", "csv-verify",
+        "csv-pdt", "csv-gen"])
+def test_cli_out_of_range_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "junta.json").write_text(json.dumps({"functions": [MISFIT_JUNTA], "analyses": []}))
+    assert main(argv) == USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_experiment_byte_reproducible(tmp_path):
     config = make_config(tmp_path, BASIC_CONFIG)
     out1 = tmp_path / "r1.json"
