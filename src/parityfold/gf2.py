@@ -16,7 +16,9 @@ O(rank log rank) re-sort.
 `label_step` is the same elimination on a numpy array of labels, and
 `labels` runs it once per row.  Folding in a nonzero label, or the
 difference of two labels, keeps every label canonical for the grown
-span, as neither has a bit at an existing pivot.
+span, as neither has a bit at an existing pivot.  Given one row per
+leading-axis slice, `label_step` steps every slice of a label matrix at
+once: the Monte Carlo trials of an op fold their pivots in together.
 """
 
 from __future__ import annotations
@@ -140,11 +142,20 @@ def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.
     return out, tags
 
 
-def label_step(labels: np.ndarray, row: int) -> np.ndarray:
+def label_step(labels: np.ndarray, row: int | np.ndarray) -> np.ndarray:
     """XOR ``row`` into every int64 label that has its leading bit, in
-    place; returns the 0/1 hit per label."""
-    hit = (labels >> (row.bit_length() - 1)) & 1
-    labels ^= hit * row
+    place; returns the hit per label as bools.
+
+    ``row`` may also be an int64 array of rows, one per leading-axis slice
+    of ``labels``, where row 0 means no step.  A label has a nonzero row's
+    leading bit exactly when XOR-ing the row in makes it smaller, so the
+    step is an elementwise minimum, exact in integers and free of any
+    bit-length computation; a row 0 leaves every label as it is.
+    """
+    row = np.asarray(row, dtype=np.int64)
+    stepped = labels ^ row.reshape(row.shape + (1,) * (labels.ndim - row.ndim))
+    hit = stepped < labels
+    np.minimum(labels, stepped, out=labels)
     return hit
 
 

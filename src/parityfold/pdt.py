@@ -14,12 +14,14 @@ the generator's draws follow the tree.  `build_pdt` refuses |c_a| > 2^n
 up front (no +-1 function has it); restriction never raises sum |c_a|, so
 every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
 
-`_sampling_trial` is both a build's resample attempt and a Monte Carlo
-trial.  It draws once per phase, in phase order, over the sorted support,
-from the build's one generator or, in trial t, from default_rng((seed, t)).
-It and the deterministic strategies keep the support's coset labels as
-their only GF(2) state, folding each chosen parity in with one
-`gf2.label_step`.
+`_sampling_trial` is both a build's resample attempt and every Monte
+Carlo trial.  It takes one generator per row: the build's one generator,
+or default_rng((seed, t)) for trial t, each drawing once per phase, in
+phase order, over the sorted support.  All trials of an op run as one
+(trials, k) matrix of the support's coset labels, in chunks of at most
+2^16 label cells, with one per-row `gf2.label_step` per pivot.  The
+deterministic strategies keep the same labels as their only GF(2) state,
+folding each chosen parity in with one `gf2.label_step`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import islice
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -167,7 +170,7 @@ def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
 
 
 def sample_parity(
-    support: Iterable[int], p: float, rng: np.random.Generator
+    support: Iterable[int] | np.ndarray, p: float, rng: np.random.Generator
 ) -> list[int]:
     """Include each support element independently with probability p.
 
@@ -176,33 +179,76 @@ def sample_parity(
     """
     if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    masks = sorted(support)
-    draws = rng.random(len(masks))
-    return [m for m, d in zip(masks, draws) if d < p]
+    if not isinstance(support, np.ndarray):
+        support = np.array(list(support), dtype=np.int64)
+    masks = np.sort(support)
+    return masks[rng.random(len(masks)) < p].tolist()
+
+
+# label cells per chunk of trials in _sampling_trial, so its memory is O(k)
+# for any number of trials
+_TRIAL_CHUNK_CELLS = 2**16
 
 
 def _sampling_trial(
-    support_sorted: list[int], probabilities: tuple[float, ...], rng: np.random.Generator
-) -> tuple[tuple[int, ...], int, int]:
-    """One parity-sampling step, the only code that draws a sampling batch.
+    support_sorted: Sequence[int] | np.ndarray,
+    probabilities: tuple[float, ...],
+    rngs: Iterable[np.random.Generator],
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Parity-sampling steps, one per generator: the only code that draws a
+    sampling batch.
 
-    Takes the union of one ``sample_parity`` per phase, drawn in phase
-    order, then walks it in sorted order over the support's coset labels:
-    a member whose label is nonzero is independent of those kept so far,
-    so it is kept and its label folded in.  Returns (kept batch, union
-    size, bucket count of the support against the batch's span).
+    Row t takes the union of one ``sample_parity`` per phase, drawn in
+    phase order from generator t.  The rows then share one (trials, k)
+    matrix of the support's coset labels: each elimination step takes, in
+    every row, the first union member in sorted order whose label is
+    nonzero (it is independent of those kept so far) and folds that label
+    in with one per-row ``label_step``.  A zero label stays zero, so this is
+    the sorted walk over the union, in at most rank <= n steps.  Returns
+    (kept batch, union size, bucket count of the support against the
+    batch's span) per generator.
     """
-    union: set[int] = set()
-    for p in probabilities:
-        union.update(sample_parity(support_sorted, p, rng))
-    masks = np.array(support_sorted, dtype=np.int64)
-    labels = masks.copy()
-    batch = []
-    for i in np.searchsorted(masks, sorted(union)).tolist():
-        if labels[i]:
-            batch.append(support_sorted[i])
-            label_step(labels, int(labels[i]))
-    return tuple(batch), len(union), len(_distinct(labels))
+    masks = np.asarray(support_sorted, dtype=np.int64)
+    k = len(masks)
+    rngs = iter(rngs)
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    while chunk := list(islice(rngs, max(1, _TRIAL_CHUNK_CELLS // (k + 1)))):
+        trials = len(chunk)
+        # column k is a sentinel, live with label 0: a row with no live
+        # member left steps on it, and a step on row 0 is no step
+        live = np.zeros((trials, k + 1), dtype=bool)
+        for t, rng in enumerate(chunk):
+            for p in probabilities:
+                picked = np.array(sample_parity(masks, p, rng), dtype=np.int64)
+                live[t, np.searchsorted(masks, picked)] = True
+        sizes = live.sum(axis=1).tolist()
+        live[:, k] = True
+        labels = np.zeros((trials, k + 1), dtype=np.int64)
+        labels[:, :k] = masks
+        live_body, labels_body = live[:, :k], labels[:, :k]
+        # a live member is a union member whose label is nonzero
+        np.logical_and(live_body, labels_body, out=live_body)
+        starts = np.arange(0, trials * (k + 1), k + 1)
+        firsts = []
+        while True:
+            first = starts + live.argmax(axis=1)  # flat index per row
+            pivot = labels.take(first)
+            if not np.count_nonzero(pivot):
+                break
+            label_step(labels, pivot)
+            np.logical_and(live_body, labels_body, out=live_body)
+            firsts.append(first)
+        # once a row steps on the sentinel it does for good, so its kept
+        # members are the prefix of its steps before the first -1
+        steps = np.array(firsts, dtype=np.int64).reshape(-1, trials) - starts
+        kept = np.append(masks, -1)[steps.T].tolist()
+        labels_body.sort(axis=1)
+        counts = 1 + (labels_body[:, 1:] != labels_body[:, :-1]).sum(axis=1)
+        out.extend(
+            (tuple(m for m in row if m >= 0), size, count)
+            for row, size, count in zip(kept, sizes, counts.tolist())
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +383,10 @@ def _select_batch(
     if config.strategy in ("sampling", "folding-sampling"):
         requested, probs = _schedule_probabilities(config.strategy, k, config)
         clamped = requested != probs
+        masks = np.array(support_sorted, dtype=np.int64)
         best: tuple[int, tuple[int, ...]] | None = None
         for attempt in range(1, config.resample_cap + 1):
-            batch, _, bcount = _sampling_trial(support_sorted, probs, rng)
+            ((batch, _, bcount),) = _sampling_trial(masks, probs, [rng])
             if not batch:
                 continue
             if best is None or bcount < best[0]:
@@ -524,13 +571,11 @@ def _run_trials(
     support_sorted = sorted(spectrum.coeffs)
     k = len(support_sorted)
     probabilities = tuple(min(1.0, p) for p in requested)
-    bucket_counts: list[int] = []
-    sample_sizes: list[int] = []
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        _, size, count = _sampling_trial(support_sorted, probabilities, rng)
-        bucket_counts.append(count)
-        sample_sizes.append(size)
+    steps = _sampling_trial(
+        support_sorted, probabilities, (np.random.default_rng((seed, t)) for t in range(trials))
+    )
+    bucket_counts = [count for _, _, count in steps]
+    sample_sizes = [size for _, size, _ in steps]
     mean = Fraction(sum(bucket_counts), trials * k)
     fractions = [b / k for b in bucket_counts]
     mean_f = sum(fractions) / trials

@@ -183,5 +183,24 @@ def test_junta_checks_its_masks_before_building_the_inner_table(monkeypatch, mas
     assert calls == []
 
 
+@pytest.mark.parametrize("inner, generator", [
+    ({"family": "addressing", "params": {"k": 256}}, "gen_addressing"),  # n = 4 + 16
+    ({"family": "modified-addressing", "params": {"k": 16}}, "gen_modified_addressing"),  # n = 2 + 2 + 4
+    ({"family": "inner-product", "params": {"m": 2}}, "gen_inner_product"),  # n = 4
+])
+def test_junta_derives_the_inner_dimension_before_building_the_inner_table(monkeypatch, inner, generator):
+    calls = []
+    monkeypatch.setattr(families, generator, lambda *args: calls.append(args))
+    with pytest.raises(InvalidFamilyParameterError, match="embedding masks, got 2"):
+        build_function(FunctionSpec("junta", {"inner": inner, "masks": [1, 2], "n": 4}))
+    assert calls == []
+
+
+def test_junta_accepts_derived_inner_dimensions_that_fit():
+    inner = {"family": "addressing", "params": {"k": 4}}  # n = 1 + 2
+    junta = build_function(FunctionSpec("junta", {"inner": inner, "masks": [1, 2, 4], "n": 3}))
+    assert junta == gen_addressing(4)
+
+
 def test_labels():
     assert FunctionSpec("addressing", {"k": 16}).label() == "addressing(k=16)"

@@ -234,6 +234,46 @@ def test_label_steps_keep_labels_canonical_as_the_span_grows(n, data):
     assert current.tolist() == expected.tolist()
 
 
+@given(st.integers(1, 24), st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_row_label_step_matches_the_int_form_on_each_slice(n, data):
+    trials = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 12))
+    cells = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=trials * k, max_size=trials * k))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=trials, max_size=trials))
+    matrix = np.array(cells, dtype=np.int64).reshape(trials, k)
+    expected, hits = matrix.copy(), np.zeros((trials, k), dtype=bool)
+    for t, row in enumerate(rows):
+        if row:
+            hits[t] = label_step(expected[t], row)
+    hit = label_step(matrix, np.array(rows, dtype=np.int64))
+    assert matrix.tolist() == expected.tolist()
+    assert hit.tolist() == hits.tolist()
+
+
+def test_per_row_label_step_row_zero_is_no_step():
+    matrix = np.array([[5, 3, 1, 0], [6, 2, 7, 4]], dtype=np.int64)
+    hit = label_step(matrix, np.array([4, 0], dtype=np.int64))
+    assert matrix.tolist() == [[1, 3, 1, 0], [6, 2, 7, 4]]
+    assert hit.tolist() == [[True, False, False, False], [False] * 4]
+    zero = matrix.copy()
+    assert not label_step(zero, np.zeros(2, dtype=np.int64)).any()
+    assert zero.tolist() == matrix.tolist()
+
+
+def test_per_row_label_step_is_exact_on_24_bit_masks():
+    top = 1 << 23
+    full = (1 << 24) - 1
+    matrix = np.array([[full, top, top - 1, top | 1], [full, top, top - 1, 1]], dtype=np.int64)
+    rows = np.array([full, top - 1], dtype=np.int64)
+    label_step(matrix, rows)
+    # row 0's pivot is bit 23, row 1's is bit 22
+    assert matrix.tolist() == [[0, top ^ full, top - 1, (top | 1) ^ full], [full ^ (top - 1), top, 0, 1]]
+    one_bit = np.array([[top, top >> 1]], dtype=np.int64)
+    label_step(one_bit, np.array([top >> 1], dtype=np.int64))
+    assert one_bit.tolist() == [[top, 0]]
+
+
 def test_vectorized_labels_of_no_masks():
     label, tag = labels(np.array([], dtype=np.int64), row_reduce([3], 2).entries)
     assert label.shape == tag.shape == (0,)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parityfold import pdt
 from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
@@ -186,6 +187,16 @@ def test_sample_parity_deterministic():
     b = sample_parity(supp, 1 / 8, np.random.default_rng(42))
     assert a == b
     assert set(a) <= set(supp)
+
+
+def test_sample_parity_sorts_a_numpy_array_like_a_list():
+    supp = sorted(wht(gen_inner_product(3)).coeffs)
+    shuffled = np.random.default_rng(7).permutation(supp)
+    a = sample_parity(shuffled, 0.4, np.random.default_rng(3))
+    b = sample_parity(shuffled.tolist(), 0.4, np.random.default_rng(3))
+    assert a == b == sample_parity(supp, 0.4, np.random.default_rng(3))
+    assert type(a) is list and all(type(m) is int for m in a)
+    assert shuffled.tolist() != supp  # the caller's array is not sorted in place
 
 
 def test_build_constant():
@@ -444,7 +455,7 @@ def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
     support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14)))
     probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=2)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    batch, size, bcount = _sampling_trial(support, probs, np.random.default_rng(seed))
+    ((batch, size, bcount),) = _sampling_trial(support, probs, [np.random.default_rng(seed)])
     replay = np.random.default_rng(seed)
     union = set()
     for p in probs:
@@ -477,7 +488,43 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
     except ResampleCapExceededError as exc:  # the attempt made no progress
         batch, bcount = exc.best_batch, exc.best_bucket_count
     stats = estimate_bucket_reduction(spectrum, p, 1, seed)
-    step = _sampling_trial(sorted(spectrum.coeffs), (p,), np.random.default_rng((seed, 0)))
+    (step,) = _sampling_trial(sorted(spectrum.coeffs), (p,), [np.random.default_rng((seed, 0))])
     assert batch
     assert (batch, bcount) == (step[0], step[2])
     assert (stats.sample_sizes, stats.bucket_counts) == ((step[1],), (bcount,))
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_trial_rows_equal_one_generator_calls(n, data):
+    # row t of a many-generator call is the step generator t alone draws
+    support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40)))
+    probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=2)))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    rows = _sampling_trial(support, probs, [np.random.default_rng(s) for s in seeds])
+    assert rows == [_sampling_trial(support, probs, [np.random.default_rng(s)])[0] for s in seeds]
+
+
+@pytest.mark.parametrize("cells", [1, 40, 100])
+def test_trials_spanning_several_chunks_match_per_trial_calls(monkeypatch, cells):
+    spectrum = wht(gen_inner_product(2))  # k = 16: 2 trials per 40 cells, 5 per 100
+    support = sorted(spectrum.coeffs)
+    single = [
+        _sampling_trial(support, (0.2,), [np.random.default_rng((9, t))])[0] for t in range(13)
+    ]
+    monkeypatch.setattr(pdt, "_TRIAL_CHUNK_CELLS", cells)
+    stats = estimate_bucket_reduction(spectrum, 0.2, 13, 9)
+    assert stats.bucket_counts == tuple(count for _, _, count in single)
+    assert stats.sample_sizes == tuple(size for _, size, _ in single)
+    assert _sampling_trial(support, (0.2,), (np.random.default_rng((9, t)) for t in range(13))) == single
+
+
+def test_sampling_trial_skips_mask_zero():
+    # mask 0 is in every span: it is drawn and counted in the union, never kept
+    support = [0, 0b001, 0b010, 0b011, 0b100]
+    ((batch, size, bcount),) = _sampling_trial(support, (1.0,), [np.random.default_rng(0)])
+    assert (batch, size, bcount) == ((0b001, 0b010, 0b100), 5, 1)
+    ((batch, size, bcount),) = _sampling_trial([0, 5], (1.0,), [np.random.default_rng(0)])
+    assert (batch, size, bcount) == ((5,), 2, 1)
+    ((batch, size, bcount),) = _sampling_trial([0, 5], (0.0,), [np.random.default_rng(0)])
+    assert (batch, size, bcount) == ((), 0, 2)

@@ -66,6 +66,19 @@ def test_label_steps_live_in_the_gf2_kernel():
     assert not found, f"label steps outside gf2.py: {found}"
 
 
+def test_minimum_label_steps_live_in_the_gf2_kernel():
+    # np.minimum(labels, labels ^ row) is a label step, for one row or one
+    # row per slice; every caller goes through gf2.label_step instead of a copy
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\bminimum\(", line):
+                found.append(f"{path.name}:{lineno}")
+    assert not found, f"elementwise minimum outside gf2.py: {found}"
+
+
 def test_sample_parity_is_called_only_in_the_trial_kernel():
     # a PDT resample attempt and a Monte Carlo trial are one step,
     # pdt._sampling_trial; a second sampling loop would drift from it
