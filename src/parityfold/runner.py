@@ -9,6 +9,15 @@ so they carry no wall-clock data (the CLI prints timing to stderr).
 ``(table, spectrum, params, seed) -> dict``, reached through ``run_op``.
 ``run_experiment`` and every CLI op subcommand run ops through it, with
 functions resolved by ``resolve_function``.
+
+Reports, ``--json`` output, ``gen`` files and saved trees are written
+by ``canonical_json``: the bytes ``json.dumps`` writes with sorted keys
+and a two-space indent, plus a newline.  It is the library's own
+encoder; json's indenting encoder is pure Python and pays one generator
+hop per nesting level for each piece it writes.  Here scalars are
+formatted by a table keyed on their exact type, each run of scalar
+items is one join, and open containers sit on an explicit stack, so the
+cost is linear in the output at any depth.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import folding, pdt, spectral
@@ -245,8 +255,124 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# JSON text of a scalar by its exact type (repr is int.__repr__ on an
+# exact int); other types go through _scalar_text
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _scalar_text(value) -> str:
+    """JSON text of a scalar of any type, tested in json's order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_prefix(key) -> str:
+    """'"key": ' for a dict key, coerced to a string as json coerces it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + _scalar_text(key) + '": '
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+_END = object()
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """What json.dumps writes with sorted keys and indent 2, plus "\\n", byte for byte.
+
+    Containers are dicts, lists and tuples; scalars are str, int, float,
+    bool and None, subclasses included. Any other value raises TypeError,
+    and a container inside itself raises ValueError, as in json.dumps.
+    Open containers live on an explicit stack, not on the call stack, so
+    every depth that json.loads reads is written back. Each run of scalar
+    items is one join, and text goes to ``out`` once, so the cost is
+    linear in the output at any depth.
+    """
+    out: list[str] = []
+    open_ids: set[int] = set()
+    # the open container: parts holds its scalar items not yet in out,
+    # items iterates the rest, inner is "\n" + the indent of its items,
+    # sep goes before its next text in out, and own is its id; the
+    # enclosing ones wait on the stack
+    stack: list[tuple] = []
+    # the top-level value is the one item of a frame without brackets
+    parts, items, keyed, inner, sep, own = [], iter((obj,)), False, "\n", "", None
+    while True:
+        if keyed:
+            for key, value in items:
+                head = encode_basestring_ascii(key) + ": " if type(key) is str else _key_prefix(key)
+                fmt = _SCALAR_TEXT.get(type(value))
+                if fmt is None:
+                    break
+                parts.append(head + fmt(value))
+            else:
+                value = _END
+        else:
+            for value in items:
+                fmt = _SCALAR_TEXT.get(type(value))
+                if fmt is None:
+                    head = ""
+                    break
+                parts.append(fmt(value))
+            else:
+                value = _END
+        if value is not _END:
+            if not isinstance(value, (dict, list, tuple)):
+                parts.append(head + _scalar_text(value))
+                continue
+            if not value:
+                parts.append(head + ("{}" if isinstance(value, dict) else "[]"))
+                continue
+        if parts:
+            out.append(sep + ("," + inner).join(parts))
+            parts, sep = [], "," + inner
+        if value is _END:  # the open container is complete
+            if not stack:
+                return "".join(out) + "\n"
+            out.append(inner[:-2] + ("}" if keyed else "]"))
+            open_ids.discard(own)
+            parts, items, keyed, inner, sep, own = stack.pop()
+            continue
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        keyed_child = isinstance(value, dict)
+        out.append(sep + head + ("{" if keyed_child else "["))
+        stack.append((parts, items, keyed, inner, "," + inner, own))
+        inner = inner + "  "
+        parts, keyed, sep, own = [], keyed_child, inner, id(value)
+        open_ids.add(own)
+        items = iter(sorted(value.items())) if keyed else iter(value)
 
 
 def _flatten(obj, prefix: str = "") -> dict:

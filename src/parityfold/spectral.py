@@ -15,6 +15,12 @@ f^2 = 1.  The WHT butterfly `fwht_inplace` lives in `pairs` for that
 route.  `inverse_wht` refuses |c_a| > 2^n before its int64 transform.  File readers take integers only as JSON integers
 (`json_int`): a bool or a float is an error, never a truncated int.
 
+`wht` turns the transformed array into the coefficient dict in bulk
+(`flatnonzero`, then `tolist`), never one numpy scalar at a time, so
+its keys are Python ints in ascending order.  `FourierSpectrum` checks
+each entry with one inline test and builds an error message only for
+the first entry that fails it.
+
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
 
@@ -110,11 +116,14 @@ class FourierSpectrum:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_DIMENSION:
             raise ValueError(f"dimension {self.n} outside [0, {MAX_DIMENSION}]")
+        n = self.n
+        # one inline test per entry; only a failing entry pays for the
+        # message, so small spectra from restriction stay cheap
         for mask, c in self.coeffs.items():
-            check_vector(mask, self.n)
-            if c == 0:
-                raise ValueError(f"zero coefficient stored at mask {mask}")
-            if not isinstance(c, (int, np.integer)):
+            if mask < 0 or mask >> n or c == 0 or not isinstance(c, (int, np.integer)):
+                check_vector(mask, n)
+                if c == 0:
+                    raise ValueError(f"zero coefficient stored at mask {mask}")
                 raise ValueError(f"non-integer coefficient at mask {mask}: {c!r}")
 
     def __getitem__(self, mask: int) -> int:
@@ -146,8 +155,8 @@ def wht(table: TruthTable) -> FourierSpectrum:
     """Exact Walsh-Hadamard transform, c_a = sum_x f(x) chi_a(x)."""
     arr = table.values.astype(np.int64)
     fwht_inplace(arr)
-    coeffs = {int(mask): int(arr[mask]) for mask in np.nonzero(arr)[0]}
-    return FourierSpectrum(table.n, coeffs)
+    nz = np.flatnonzero(arr)
+    return FourierSpectrum(table.n, dict(zip(nz.tolist(), arr[nz].tolist())))
 
 
 def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
@@ -254,7 +263,7 @@ def read_json(path: str | Path):
 
 
 def table_to_dict(table: TruthTable) -> dict:
-    return {"n": table.n, "values": [int(v) for v in table.values]}
+    return {"n": table.n, "values": table.values.tolist()}
 
 
 def table_from_dict(data: dict) -> TruthTable:

@@ -1,11 +1,15 @@
+import enum
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -555,6 +559,139 @@ def test_cli_deeply_nested_json_is_a_usage_error(tmp_path, argv, content):
     assert code == USAGE_ERROR
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def json_dumps_text(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# canonical_json is the library's own encoder; on every JSON tree it must
+# write exactly what json.dumps(sort_keys=True, indent=2) writes
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+TREE_STRINGS = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\x7f", "a\"b\\c\n\t", "é", "☃", "\U0001f600", "\ud800", "x\udfff"]
+)
+TREE_FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+TREE_INTS = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+TREE_SCALARS = st.none() | st.booleans() | TREE_INTS | TREE_FLOATS | TREE_STRINGS
+JSON_TREES = st.recursive(
+    TREE_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.booleans() | st.integers(-2, 2), max_size=4),  # bools next to ints
+        st.dictionaries(TREE_STRINGS, inner, max_size=4),
+        # numeric keys sort together; None sorts only with itself
+        st.dictionaries(st.booleans() | TREE_INTS | TREE_FLOATS, inner, max_size=4),
+        st.dictionaries(st.none(), inner, max_size=1),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_TREES)
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_equals_json_dumps(tree):
+    assert runner.canonical_json(tree) == json_dumps_text(tree)
+
+
+class IntKind(enum.IntEnum):
+    A = 3
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), [[]], [{}], {"a": {}}, [[[[]]], {"b": [()]}],
+    IntKind.A, {IntKind.A: IntKind.A}, Text("q\n"), {Text("k"): Text("v")},
+    Real(2.5), {Real(-0.0): Real("nan")}, np.float64(1.25), {np.float64(1e300): 1},
+    Items([1, Items()]), Table(b=1, a=Table()), [True, 1, False, 0, 1.0],
+    {True: 1, 2: "x", 1.5: None}, {None: [None]}, [float("nan"), {-math.inf: math.inf}],
+], ids=repr)
+def test_canonical_json_handles_subclasses_and_empty_containers(value):
+    assert runner.canonical_json(value) == json_dumps_text(value)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(1), Fraction(1, 2), {1}, {"a": 1, 1: 2}, {(1,): 1}, [{"a": [np.float32(1)]}],
+    {"x": np.bool_(True)}, [object()],
+], ids=repr)
+def test_canonical_json_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json_dumps_text(value)
+    with pytest.raises(TypeError):
+        runner.canonical_json(value)
+
+
+def test_canonical_json_refuses_a_container_inside_itself():
+    loop = [1]
+    loop.append({"again": loop})
+    with pytest.raises(ValueError, match="Circular reference"):
+        runner.canonical_json(loop)
+    shared = {"x": [1]}
+    assert runner.canonical_json([shared, shared]) == json_dumps_text([shared, shared])
+
+
+def deep_note_config(levels):
+    """A config whose "note" holds `levels` nested dicts: (file text, value)."""
+    text = '{"analyses": [], "functions": [], "note": ' + '{"note": ' * levels + '"deep"' + "}" * (levels + 1)
+    note = "deep"
+    for _ in range(levels):
+        note = {"note": note}
+    return text, {"analyses": [], "functions": [], "note": note}
+
+
+def test_cli_experiment_echoes_the_deepest_config_it_reads(tmp_path):
+    # run_experiment echoes the whole config, so the encoder meets every
+    # depth that read_json lets through
+    path = tmp_path / "deep.json"
+
+    def reads(levels):
+        path.write_text(deep_note_config(levels)[0])
+        code, err = run_on_file(["experiment", "{}"], path)
+        assert code == 0 or "nested too deeply" in err, err
+        return code == 0
+
+    lo, hi = 1, 2
+    while reads(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if reads(mid) else (lo, mid)
+    text, config = deep_note_config(lo)
+    path.write_text(text)
+    report = {"version": runner.VERSION, "config": {**config, "max_n": runner.DEFAULT_MAX_N}, "results": []}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * lo)  # json.dumps recurses once per level
+    try:
+        expected = json_dumps_text(report).encode()
+    finally:
+        sys.setrecursionlimit(limit)
+    out = tmp_path / "in-process.json"
+    code, err = run_on_file(["experiment", "{}", "-o", str(out)], path)
+    assert code == 0 and "Traceback" not in err
+    assert out.read_bytes() == expected
+    out = tmp_path / "cli.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "parityfold.cli", "experiment", str(path), "-o", str(out)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    assert out.read_bytes() == expected
 
 
 JSON_VALUES = st.recursive(

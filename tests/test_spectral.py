@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from parityfold import pairs
 from parityfold.cli import main
+from parityfold.gf2 import DimensionMismatchError
 from parityfold.pairs import WeightBoundError
 from parityfold.spectral import (
     AlphaNotInSupportError,
@@ -233,6 +234,50 @@ def test_spectrum_constructor_rejects_zero_and_non_integer_coefficients():
         FourierSpectrum(2, {0: 0})
     with pytest.raises(ValueError):
         FourierSpectrum(2, {0: 1.5})
+
+
+def test_spectrum_constructor_rejects_masks_outside_n_bits():
+    with pytest.raises(DimensionMismatchError, match="mask -0x1 does not fit in 2 bits"):
+        FourierSpectrum(2, {-1: 2})
+    with pytest.raises(DimensionMismatchError, match="mask 0x4 does not fit in 2 bits"):
+        FourierSpectrum(2, {4: 2})
+    with pytest.raises(TypeError):  # a float mask cannot be shifted
+        FourierSpectrum(2, {1.0: 2})
+
+
+@pytest.mark.parametrize("coeffs,error,message", [
+    ({0: 2, 1: 0, 7: 2, 2: 1.5}, ValueError, "zero coefficient stored at mask 1"),
+    ({0: 2, 7: 2, 1: 0, 2: 1.5}, DimensionMismatchError, "mask 0x7 does not fit in 2 bits"),
+    ({0: 2, 2: 1.5, 1: 0, 7: 2}, ValueError, "non-integer coefficient at mask 2: 1.5"),
+    ({3: 0, 0: 0}, ValueError, "zero coefficient stored at mask 3"),
+    # within one entry the mask is checked first
+    ({0: 2, 4: 0, 1: 0}, DimensionMismatchError, "mask 0x4 does not fit in 2 bits"),
+    ({5: 1.5}, DimensionMismatchError, "mask 0x5 does not fit in 2 bits"),
+])
+def test_spectrum_constructor_reports_the_first_bad_entry(coeffs, error, message):
+    with pytest.raises(error) as info:
+        FourierSpectrum(2, coeffs)
+    assert str(info.value) == message
+
+
+def test_spectrum_constructor_accepts_numpy_integers_and_no_coefficients():
+    s = FourierSpectrum(2, {0: np.int64(2), 3: np.int32(-2), 1: 2})
+    assert s.sparsity == 3
+    assert FourierSpectrum(3, {}).sparsity == 0
+
+
+@given(st.integers(0, 10), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_wht_dict_matches_a_per_mask_reference(n, seed):
+    # the reference indexes one numpy scalar per nonzero entry; wht must
+    # give the same Python ints in the same (ascending) key order
+    t = random_table(n, seed)
+    arr = t.values.astype(np.int64)
+    pairs.fwht_inplace(arr)
+    reference = {int(mask): int(arr[mask]) for mask in np.nonzero(arr)[0]}
+    coeffs = wht(t).coeffs
+    assert list(coeffs.items()) == list(reference.items())
+    assert all(type(mask) is int and type(c) is int for mask, c in coeffs.items())
 
 
 def test_spectral_l1():
