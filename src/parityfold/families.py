@@ -140,15 +140,15 @@ class FunctionSpec:
         return f"{self.family}({items})"
 
 
-def _table_dimension(family: str, params: dict) -> int | None:
-    """The n of a family's table, from its parameters alone: stated, or
-    derived for the families whose parameters imply it."""
+def _table_dimension(family: str, params: dict, what: str) -> int | None:
+    """The n of a family's table from its parameters alone: stated (read
+    as the integer `what`), or derived from the parameters that imply it."""
     if family in ("addressing", "modified-addressing"):
         addr_bits, sqrt_k = _check_addressing_k(json_int(params["k"], "k"))
         return (2 if family == "modified-addressing" else 0) + addr_bits + sqrt_k
     if family == "inner-product":
         return 2 * json_int(params["m"], "m")
-    return None if params.get("n") is None else json_int(params["n"], "inner n")
+    return None if params.get("n") is None else json_int(params["n"], what)
 
 
 def build_function(spec: FunctionSpec) -> TruthTable:
@@ -177,7 +177,7 @@ def build_function(spec: FunctionSpec) -> TruthTable:
         # per inner variable
         if len(masks) > n:
             raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
-        inner_n = _table_dimension(inner["family"], inner_params)
+        inner_n = _table_dimension(inner["family"], inner_params, "inner n")
         if inner_n is not None and inner_n != len(masks):
             raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
         return gen_junta(build_function(FunctionSpec(inner["family"], inner_params)), masks, n)

@@ -398,12 +398,11 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     echelon = Echelon()  # over variable masks; tags name constraints
     for ci, cons in enumerate(constraints):
         varmask = sum(1 << index[member] for member in cons.members)  # distinct members
-        if not echelon.insert(varmask):
-            # every rhs is 1, so a combination's rhs is its size's parity
-            combo = echelon.reduce_tagged(varmask)[1] | 1 << ci
-            if combo.bit_count() & 1:
-                witness = tuple(c for j, c in enumerate(constraints) if (combo >> j) & 1)
-                return SignFeasibilityResult(False, constraints, None, witness)
+        # a dependent insert names the constraints (this one included) whose
+        # varmasks sum to 0; every rhs is 1, so their rhs is the count's parity
+        if (combo := echelon.insert(varmask)).bit_count() & 1:
+            witness = tuple(c for j, c in enumerate(constraints) if (combo >> j) & 1)
+            return SignFeasibilityResult(False, constraints, None, witness)
     # RREF leaves each pivot variable only in its own row, so free variables
     # read +1 and each pivot reads its row's rhs, the parity of the row's tag
     negative = {pivot.bit_length() - 1 for _, pivot, tag in echelon.rows if tag.bit_count() & 1}

@@ -87,18 +87,18 @@ class Echelon:
                 tag ^= row_tag
         return v, tag
 
-    def insert(self, v: int) -> bool:
-        """Insert v as vector number ``inserted``; False, adding no row, when
-        v already lies in the row span."""
-        self.inserted += 1
+    def insert(self, v: int) -> int:
+        """Insert v as vector number ``inserted``; 0 when it adds a row, else
+        the nonzero tag of the inserts, v's own bit included, summing to 0."""
         red, tag = self.reduce_tagged(v)
+        tag |= 1 << self.inserted
+        self.inserted += 1
         if not red:
-            return False
-        tag |= 1 << (self.inserted - 1)
+            return tag
         pivot = 1 << (red.bit_length() - 1)
         rows = [(r ^ red, p, t ^ tag) if r & pivot else (r, p, t) for r, p, t in self.rows]
         self.rows = sorted(rows + [(red, pivot, tag)], reverse=True)  # pivots are distinct
-        return True
+        return 0
 
 
 def row_reduce(vectors: Iterable[int], n: int) -> Gf2Basis:

@@ -15,13 +15,12 @@ up front (no +-1 function has it); restriction never raises sum |c_a|, so
 every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
 
 `_sampling_trial` is both a build's resample attempt and every Monte
-Carlo trial.  It takes one generator per row: the build's one generator,
-or default_rng((seed, t)) for trial t, each drawing once per phase, in
-phase order, over the sorted support.  All trials of an op run as one
-(trials, k) matrix of the support's coset labels, in chunks of at most
-2^16 label cells, with one per-row `gf2.label_step` per pivot.  The
-deterministic strategies keep the same labels as their only GF(2) state,
-folding each chosen parity in with one `gf2.label_step`.
+Carlo trial: row t draws rng.random(k) < p per phase from its generator
+(the build's one, or default_rng((seed, t)) for trial t), `sample_parity`'s
+draw over the sorted support, and the rows of an op share one (trials, k)
+matrix of coset labels, in chunks of at most 2^16 cells, stepped by one
+per-row `gf2.label_step` per pivot.  The deterministic strategies keep the
+same labels as their only GF(2) state.
 """
 
 from __future__ import annotations
@@ -198,16 +197,20 @@ def _sampling_trial(
     """Parity-sampling steps, one per generator: the only code that draws a
     sampling batch.
 
-    Row t takes the union of one ``sample_parity`` per phase, drawn in
-    phase order from generator t.  The rows then share one (trials, k)
-    matrix of the support's coset labels: each elimination step takes, in
-    every row, the first union member in sorted order whose label is
-    nonzero (it is independent of those kept so far) and folds that label
-    in with one per-row ``label_step``.  A zero label stays zero, so this is
-    the sorted walk over the union, in at most rank <= n steps.  Returns
-    (kept batch, union size, bucket count of the support against the
-    batch's span) per generator.
+    Row t marks the union of one ``rng.random(k) < p`` per phase, in phase
+    order, from generator t: ``sample_parity``'s draw over the sorted
+    support, refused before any draw for a p outside [0, 1].  The rows then
+    share one (trials, k) matrix of the support's coset labels: each
+    elimination step takes, in every row, the first union member in sorted
+    order whose label is nonzero (it is independent of those kept so far)
+    and folds that label in with one per-row ``label_step``.  A zero label
+    stays zero, so this is the sorted walk over the union, in at most
+    rank <= n steps.  Returns (kept batch, union size, bucket count of the
+    support against the batch's span) per generator.
     """
+    for p in probabilities:
+        if not 0 <= p <= 1:
+            raise ValueError(f"probability must lie in [0, 1], got {p}")
     masks = np.asarray(support_sorted, dtype=np.int64)
     k = len(masks)
     rngs = iter(rngs)
@@ -217,10 +220,9 @@ def _sampling_trial(
         # column k is a sentinel, live with label 0: a row with no live
         # member left steps on it, and a step on row 0 is no step
         live = np.zeros((trials, k + 1), dtype=bool)
-        for t, rng in enumerate(chunk):
+        for row, rng in zip(live, chunk):
             for p in probabilities:
-                picked = np.array(sample_parity(masks, p, rng), dtype=np.int64)
-                live[t, np.searchsorted(masks, picked)] = True
+                row[:k] |= rng.random(k) < p
         sizes = live.sum(axis=1).tolist()
         live[:, k] = True
         labels = np.zeros((trials, k + 1), dtype=np.int64)

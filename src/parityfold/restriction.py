@@ -62,9 +62,7 @@ class AffineConstraintSystem:
             if bit not in (0, 1):
                 raise ValueError(f"constraint bit must be 0 or 1, got {bit!r}")
             bits |= bit << i
-            if not echelon.insert(mask):
-                # tag: constraints (this one included) whose masks sum to 0
-                tag = echelon.reduce_tagged(mask)[1] | 1 << i
+            if tag := echelon.insert(mask):  # constraints whose masks sum to 0
                 consistent &= not (tag & bits).bit_count() & 1
         object.__setattr__(self, "echelon", echelon)
         object.__setattr__(self, "bits", bits)
@@ -117,7 +115,7 @@ def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[Fo
     echelon = Echelon()
     for g in batch:
         check_vector(g, spectrum.n)
-        if not echelon.insert(g):
+        if echelon.insert(g):
             raise ValueError(f"batch {batch} is linearly dependent")
     if sum(map(abs, map(int, spectrum.coeffs.values()))) >= 1 << 63:
         raise ValueError("sum of |c_a| >= 2^63 would overflow the int64 restriction table")

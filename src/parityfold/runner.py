@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import folding, pdt, spectral
-from .families import FunctionSpec, build_function
+from .families import FunctionSpec, _table_dimension, build_function
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json
 
 VERSION = "0.1.0"
@@ -81,8 +81,8 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
         params = {key: value for key, value in entry.items() if key != "family"}
         spec = FunctionSpec(entry["family"], params)
         label = spec.label()
-        n = params.get("n")  # random, parity, conjunction and junta state n
-        if isinstance(n, int) and not isinstance(n, bool) and n > max_n:
+        n = _table_dimension(spec.family, params, "n")
+        if n is not None and n > max_n:
             raise ConfigError(f"{label}: n = {n} exceeds max_n = {max_n}")  # before 2^n entries
         loaded = build_function(spec)
     else:

@@ -177,8 +177,12 @@ def test_extend_basis_matches_brute_force(n, data):
 def test_echelon_tags_name_the_inserts_summing_to_each_row(n, data):
     vecs, probes = vectors_and_probes(n, data)
     echelon = Echelon()
-    independent = [echelon.insert(v) for v in vecs]
+    dependencies = [echelon.insert(v) for v in vecs]
+    independent = [not tag for tag in dependencies]
     assert echelon.inserted == len(vecs)
+    for j, tag in enumerate(dependencies):
+        # a dependent insert's tag names it and earlier inserts summing to 0
+        assert not tag or (tag >> j == 1 and named_sum(vecs, tag) == 0)
     assert tuple(row for row, _, _ in echelon.rows) == row_reduce(vecs, n).rows
     for row, pivot, tag in echelon.rows:
         assert pivot == 1 << (row.bit_length() - 1)

@@ -528,3 +528,13 @@ def test_sampling_trial_skips_mask_zero():
     assert (batch, size, bcount) == ((5,), 2, 1)
     ((batch, size, bcount),) = _sampling_trial([0, 5], (0.0,), [np.random.default_rng(0)])
     assert (batch, size, bcount) == ((), 0, 2)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("phases", [(None,), (None, 0.3), (0.3, None)])
+@pytest.mark.parametrize("generators", [1, 3])
+def test_sampling_trial_refuses_a_probability_outside_the_unit_interval(bad, phases, generators):
+    probabilities = tuple(bad if p is None else p for p in phases)
+    rngs = [np.random.default_rng(t) for t in range(generators)]
+    with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
+        _sampling_trial([1, 2, 3], probabilities, rngs)

@@ -315,7 +315,7 @@ BATCH_DIMENSIONS = st.one_of(st.integers(1, 8), st.just(24))
 
 def independent(masks):
     echelon = Echelon()
-    return tuple(m for m in masks if echelon.insert(m))
+    return tuple(m for m in masks if not echelon.insert(m))
 
 
 def draw_spectrum_and_batch(data, n):

@@ -234,6 +234,28 @@ def test_max_n_guard_comes_before_building_a_family_table(monkeypatch, entry, ge
         runner.run_experiment({"functions": [entry], "analyses": []})
 
 
+@pytest.mark.parametrize("entry, n", [
+    ({"family": "inner-product", "m": 10}, 20),
+    ({"family": "addressing", "k": 256}, 20),
+    ({"family": "modified-addressing", "k": 64}, 13),
+])
+def test_max_n_guard_comes_before_building_a_derived_dimension_table(monkeypatch, entry, n):
+    # these families imply n instead of stating it; the guard derives it
+    def refuse(*args):
+        raise RuntimeError(f"{entry['family']} ran above max_n")
+
+    for generator in ("gen_inner_product", "gen_addressing", "gen_modified_addressing"):
+        monkeypatch.setattr(families, generator, refuse)
+    with pytest.raises(runner.ConfigError, match=rf"n = {n} exceeds max_n = 8"):
+        runner.run_experiment({"max_n": 8, "functions": [entry], "analyses": []})
+
+
+@pytest.mark.parametrize("n", [1.5, True, "4"])
+def test_a_stated_non_integer_n_is_named_n(n):
+    with pytest.raises(ValueError, match=r"^n must be an integer"):
+        runner.run_experiment({"functions": [{"family": "random", "n": n, "seed": 0}], "analyses": []})
+
+
 FOLDING_BUILD = ["pdt", "build", "addressing:k=16", "--strategy", "folding-sampling"]
 MISFIT_JUNTA = {"family": "junta", "n": 4, "masks": [1, 2],
                 "inner": {"family": "random", "params": {"n": 23, "seed": 0}}}

@@ -79,17 +79,23 @@ def test_minimum_label_steps_live_in_the_gf2_kernel():
     assert not found, f"elementwise minimum outside gf2.py: {found}"
 
 
-def test_sample_parity_is_called_only_in_the_trial_kernel():
+def test_uniform_draws_live_in_the_trial_kernel():
     # a PDT resample attempt and a Monte Carlo trial are one step,
-    # pdt._sampling_trial; a second sampling loop would drift from it
-    callers = set()
+    # pdt._sampling_trial, and sample_parity is its public reference; a
+    # second sampling loop would drift from them
+    drawers = set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(func, ast.FunctionDef):
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("sample_parity"):
-                        callers.add(f"{path.name}:{func.name}")
-    assert callers == {"pdt.py:_sampling_trial"}, f"sample_parity callers: {sorted(callers)}"
+        todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+        while todo:
+            scope, node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope = getattr(node, "name", "<lambda>")  # the innermost one
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".random"):
+                drawers.add(f"{path.name}:{scope}")
+            todo.extend((scope, child) for child in ast.iter_child_nodes(node))
+    assert drawers == {"pdt.py:_sampling_trial", "pdt.py:sample_parity"}, (
+        f"uniform draws outside the trial kernel: {sorted(drawers)}"
+    )
 
 
 def test_traced_benchmark_bindings_resolve():
