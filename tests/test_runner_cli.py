@@ -650,7 +650,7 @@ def test_canonical_json_handles_subclasses_and_empty_containers(value):
 
 @pytest.mark.parametrize("value", [
     np.int64(1), Fraction(1, 2), {1}, {"a": 1, 1: 2}, {(1,): 1}, [{"a": [np.float32(1)]}],
-    {"x": np.bool_(True)}, [object()],
+    {"x": np.bool_(True)}, pytest.param([object()], id="[object()]"),
 ], ids=repr)
 def test_canonical_json_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError):
