@@ -84,13 +84,23 @@ def xor_blocks(masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
 
 
 def _sum_by(keys: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys (all >= 0) and per key its count, or its sum of values."""
+    """Sorted distinct keys (all >= 0) and per key its count, or its sum of values.
+
+    Sums sort one packed int64 array in place, key << w | position with
+    w = len(keys).bit_length(), and read the order back from its low w
+    bits; keys are directions below 2^24, so it fits in 63 bits for any
+    array that fits in memory."""
     if values is None:
         return np.unique(keys, return_counts=True)
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(values[order], starts)
+    w = len(keys).bit_length()
+    packed = keys << w
+    packed |= np.arange(len(keys))
+    packed.sort()
+    keys = packed >> w
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return keys[starts], np.add.reduceat(values.take(packed & ((1 << w) - 1)), starts)
 
 
 def direction_sums(

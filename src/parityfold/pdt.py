@@ -21,12 +21,22 @@ draw over the sorted support, and the rows of an op share one (trials, k)
 matrix of coset labels, in chunks of at most 2^16 cells, stepped by one
 per-row `gf2.label_step` per pivot.  The deterministic strategies keep the
 same labels as their only GF(2) state.
+
+`verify_tree` checks a tree against all 2^n inputs (n <= 20) without
+recursion and without a numpy call per node.  `_flatten` lays the tree out
+once in level order as three arrays: query (uint32, one per internal
+node), child (int32, two per internal node, where ~j names leaf j) and
+values (int8, one per leaf).  Then the inputs, in cache-sized chunks,
+step down one level per array pass, state = child[2 * state +
+<query[state], x>]; inputs that reach a leaf are compared with the table
+and dropped, so a level only handles the inputs still inside the tree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -37,10 +47,10 @@ import numpy as np
 from .folding import as_exponent, folding_parameters
 # bench/tracing.py binds coset_label, extend_basis, row_reduce, restrict and
 # AffineConstraintSystem here by name; they are otherwise unused
-from .gf2 import coset_label, extend_basis, label_step, row_reduce
+from .gf2 import check_vector, coset_label, extend_basis, label_step, row_reduce
 from .pairs import direction_sums
 from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_batch
-from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, parity_of, wht
+from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
 
@@ -134,33 +144,95 @@ class ParityDecisionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
+        n = json_int(json_of(data, dict, "tree")["n"], "n")
+
         def decode(node: dict) -> TreeNode:
             if "leaf" in json_of(node, dict, "tree node"):
                 return Leaf(json_int(node["leaf"], "leaf"))
-            return Node(json_int(node["query"], "query"), decode(node["pos"]), decode(node["neg"]))
+            query = json_int(node["query"], "query")
+            check_vector(query, n)
+            return Node(query, decode(node["pos"]), decode(node["neg"]))
 
-        return cls(json_int(json_of(data, dict, "tree")["n"], "n"), decode(data["root"]))
+        return cls(n, decode(data["root"]))
+
+
+# inputs per chunk in verify_tree: 2^16 keeps each level's arrays (about
+# 1 MiB in all) in cache; without chunks, the 2^20 inputs of a complete
+# depth-11 tree ran about a fifth slower than a walk of one numpy pass per node
+_VERIFY_CHUNK = 1 << 16
+
+
+def _flatten(tree: ParityDecisionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(query, child, values) of the tree in level order, from one pass
+    over a FIFO queue: query[i] is internal node i's mask (uint32),
+    child[2i] and child[2i + 1] name its pos and neg children (int32; j >= 0
+    is internal node j, ~j is leaf j), and values[j] is leaf j's value
+    (int8).  The root is internal node 0, or leaf 0 when the tree is a bare
+    leaf.  A node's children are numbered when it is taken off the queue,
+    which is the order the queue hands them out again, so every list is
+    only appended to; a level's nodes are contiguous."""
+    queries: list[int] = []
+    child: list[int] = []
+    values: list[int] = []
+    queue: deque[Node] = deque()
+
+    def name(sub: TreeNode) -> int:
+        if isinstance(sub, Leaf):
+            values.append(sub.value)
+            return ~(len(values) - 1)
+        queries.append(sub.query)
+        queue.append(sub)
+        return len(queries) - 1
+
+    name(tree.root)
+    while queue:
+        node = queue.popleft()
+        child += (name(node.pos), name(node.neg))
+    if queries:
+        # queries are positive, so all fit in n bits when the largest does
+        check_vector(max(queries), tree.n)
+    return (
+        np.array(queries, dtype=np.uint32),
+        np.array(child, dtype=np.int32),
+        np.array(values, dtype=np.int8),
+    )
 
 
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
-    """Exhaustive agreement check over all 2^n inputs (n <= 20)."""
+    """Exhaustive agreement check over all 2^n inputs, capped at n = 20.
+
+    There is no recursion and no numpy call per node.  The tree is
+    flattened once (`_flatten`), then the inputs run down it together, one
+    array pass per level: an input x at internal node s moves to
+    child[2s + <query[s], x>].  Inputs that reach a leaf are compared with
+    the table and dropped, so each level only handles the inputs still
+    inside the tree and the numpy calls grow with the depth, not with the
+    node count.  The inputs go in chunks of _VERIFY_CHUNK, so a level's
+    arrays stay in the CPU cache.  A query outside n bits is a
+    DimensionMismatchError.
+    """
     if tree.n != table.n:
         raise ValueError(f"dimension mismatch: tree n={tree.n}, table n={table.n}")
     if table.n > 20:
         raise ValueError(f"exhaustive verification capped at n = 20, got {table.n}")
-    out = np.zeros(1 << table.n, dtype=np.int8)
-    indices = np.arange(1 << table.n, dtype=np.uint32)
-
-    def walk(node: TreeNode, idx: np.ndarray) -> None:
-        if isinstance(node, Leaf):
-            out[idx] = node.value
-            return
-        sign_bit = parity_of(idx & np.uint32(node.query))
-        walk(node.pos, idx[sign_bit == 0])
-        walk(node.neg, idx[sign_bit == 1])
-
-    walk(tree.root, indices)
-    return bool(np.array_equal(out, table.values))
+    query, child, values = _flatten(tree)
+    size = 1 << table.n
+    for lo in range(0, size, _VERIFY_CHUNK):
+        x = np.arange(lo, min(lo + _VERIFY_CHUNK, size), dtype=np.uint32)
+        state = np.full(len(x), 0 if len(query) else ~0, dtype=np.int32)
+        while True:
+            # index arrays and take: boolean-mask indexing is slower here
+            done = np.flatnonzero(state < 0)
+            if len(done):
+                if not np.array_equal(table.values.take(x.take(done)), values.take(~state.take(done))):
+                    return False
+                inside = np.flatnonzero(state >= 0)
+                x, state = x.take(inside), state.take(inside)
+                if not len(x):
+                    break
+            bits = np.bitwise_count(x & query.take(state)) & 1
+            state = child.take(2 * state + bits)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,21 @@ def test_dense_route_up_to_the_exact_int64_bound(monkeypatch):
         direction_sums(masks, [2**31, 2**31, 1, 0])
 
 
+def test_weighted_sums_over_many_blocks_match_a_dict_sum():
+    # k = 600 at 24 bits takes the blocks, 109 rows each, so the per-block
+    # sums are summed again across blocks
+    rng = np.random.default_rng(5)
+    masks = np.unique(rng.integers(0, 1 << 24, 620))[:600]
+    weights = rng.integers(-(2**20), 2**20, len(masks)).tolist()
+    assert not pairs.dense_route(24, len(masks)) and len(masks) > pairs.BLOCK_ENTRIES // len(masks)
+    expected = {}
+    for (a, wa), (b, wb) in itertools.combinations(zip(masks.tolist(), weights), 2):
+        expected[a ^ b] = expected.get(a ^ b, 0) + wa * wb
+    directions, sums = direction_sums(masks, weights)
+    assert directions.tolist() == sorted(expected)
+    assert dict(zip(directions.tolist(), sums.tolist())) == expected
+
+
 def fold_verify_ops():
     verify = [{"op": "verify", "check": check}
               for check in ("pair-condition", "three-fold", "single-direction", "sign-feasibility")]

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from parityfold.families import (
     gen_parity,
     gen_random,
 )
-from parityfold.gf2 import coset_label, extend_basis, row_reduce
+from parityfold.gf2 import DimensionMismatchError, coset_label, extend_basis, row_reduce
 from parityfold.folding import counterexample_support
 from parityfold.pdt import (
     BuildConfig,
@@ -66,6 +67,99 @@ def test_verify_tree():
 def test_verify_tree_guards():
     with pytest.raises(ValueError):
         verify_tree(ParityDecisionTree(3, Leaf(1)), and2())
+
+
+def random_trees(n):
+    """Trees at dimension n whose queries come from a pool of at most three
+    masks and their XOR, so repeated and linearly dependent queries are
+    common; at n = 0 only a bare leaf exists."""
+    leaves = st.sampled_from([1, -1]).map(Leaf)
+    if n == 0:
+        return leaves
+    masks = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3)
+    return masks.flatmap(lambda pool: st.recursive(
+        leaves,
+        lambda sub: st.builds(Node, st.sampled_from(sorted({*pool, pool[0] ^ pool[-1]} - {0})), sub, sub),
+        max_leaves=24,
+    ))
+
+
+@st.composite
+def trees_and_tables(draw):
+    n = draw(st.integers(0, 6))
+    tree = ParityDecisionTree(n, draw(random_trees(n)))
+    values = np.array([tree.evaluate(x) for x in range(1 << n)], dtype=np.int8)
+    flip = draw(st.none() | st.integers(0, (1 << n) - 1))
+    if flip is not None:
+        values[flip] = -values[flip]
+    return tree, TruthTable(n, values)
+
+
+@given(trees_and_tables())
+@settings(max_examples=300, deadline=None)
+def test_verify_tree_matches_evaluate(case):
+    tree, table = case
+    oracle = all(tree.evaluate(x) == table.values[x] for x in range(1 << tree.n))
+    # chunks of 3 inputs exercise several chunks and a short last one
+    for chunk in (pdt._VERIFY_CHUNK, 3):
+        with mock.patch.object(pdt, "_VERIFY_CHUNK", chunk):
+            assert verify_tree(tree, table) == oracle
+
+
+def test_verify_tree_checks_every_chunk():
+    # at n = 17 the inputs with x17 = 1 all lie past the first chunk
+    tree = ParityDecisionTree(17, Node(1 << 16, Leaf(1), Leaf(-1)))
+    table = gen_parity(1 << 16, 17)
+    assert verify_tree(tree, table)
+    values = table.values.copy()
+    values[-1] = -values[-1]
+    assert not verify_tree(tree, TruthTable(17, values))
+
+
+def decision_list(depth, n):
+    """A decision list of the given depth computing parity(mask=1, n), built
+    in a loop: queries alternate x1 and x1 + xn, the pos leaf of level i is
+    (-1)^i, and the inputs with x1 = 1, xn = 0 run to the bottom leaf."""
+    node = Leaf(-1)
+    for i in reversed(range(depth)):
+        node = Node(1 if i % 2 == 0 else 1 | 1 << (n - 1), Leaf(-1 if i % 2 else 1), node)
+    return ParityDecisionTree(n, node)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_verify_tree_deep_decision_list(n, depth):
+    # 5000 levels exceed the default recursion limit: the check has no recursion
+    tree, table = decision_list(depth, n), gen_parity(1, n)
+    assert verify_tree(tree, table)
+    assert not verify_tree(tree, table.negate())
+    assert not verify_tree(tree, gen_parity(1 << (n - 1), n))
+
+
+def test_cli_verifies_a_deep_tree_file(tmp_path, capsys):
+    encoded = {"leaf": -1}
+    for i in reversed(range(900)):
+        encoded = {"query": 1 if i % 2 == 0 else 3, "pos": {"leaf": -1 if i % 2 else 1}, "neg": encoded}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"n": 2, "root": encoded}))
+    assert main(["pdt", "verify", str(path), "parity:mask=1,n=2"]) == 0
+    assert main(["pdt", "verify", str(path), "parity:mask=2,n=2"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("query", [4, 2**32, 2**70])
+def test_out_of_range_queries_are_refused(tmp_path, capsys, query):
+    data = {"n": 2, "root": {"query": query, "pos": {"leaf": 1}, "neg": {"leaf": -1}}}
+    with pytest.raises(DimensionMismatchError):
+        ParityDecisionTree.from_dict(data)
+    tree = ParityDecisionTree(2, Node(1, Leaf(1), Node(query, Leaf(-1), Leaf(1))))
+    with pytest.raises(DimensionMismatchError):
+        verify_tree(tree, gen_inner_product(1))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(data))
+    assert main(["pdt", "verify", str(path), "inner-product:m=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not fit in 2 bits" in err
 
 
 def naive_greedy_batch(spectrum, epsilon):
