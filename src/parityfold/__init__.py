@@ -25,7 +25,7 @@ from .folding import (
     single_direction_structure,
     verify_three_fold,
 )
-from .gf2 import Gf2Basis, coset_label, in_span, row_reduce
+from .gf2 import Echelon, coset_label, in_span, row_reduce
 from .pdt import (
     BuildConfig,
     BuildResult,

@@ -395,7 +395,7 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     if len(masks) < 2:
         return SignFeasibilityResult(True, (), {a: 1 for a in masks}, None)
     constraints = sign_constraints(masks)
-    echelon = Echelon()  # over variable masks; tags name constraints
+    echelon = Echelon(len(masks))  # over variable masks; tags name constraints
     for ci, cons in enumerate(constraints):
         varmask = sum(1 << index[member] for member in cons.members)  # distinct members
         # a dependent insert names the constraints (this one included) whose

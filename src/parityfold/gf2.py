@@ -4,26 +4,29 @@ Vectors in F2^n are ints whose bit i is the coefficient of variable
 x_{i+1}; n is capped at 24 so every mask fits comfortably in one word
 and exhaustive checks over 2^n stay desk-scale.
 
-`Echelon` is the one elimination kernel: reduced row-echelon rows, pivots
-(leading bits, kept as one-bit masks) strictly decreasing, each row tagged
-with the independent inserts summing to it (bit j: the j-th insert), so
-tags are unique and a payload packed as one mask reads as
-parity(tag & payload): constraint right-hand sides, or the sign
-constraints a witness combines.  A label or an insert is one tagged
+`Echelon` is the one elimination kernel and the one basis type: reduced
+row-echelon rows, pivots (leading bits, kept as one-bit masks) strictly
+decreasing, each row tagged with the independent inserts summing to it
+(bit j: the j-th insert), so tags are unique and a payload packed as one
+mask reads as parity(tag & payload): constraint right-hand sides, or the
+sign constraints a witness combines.  A label or an insert is one tagged
 O(rank) pass; an independent insert adds a pass over the rows and an
-O(rank log rank) re-sort.
+O(rank log rank) re-sort.  `row_reduce` builds one from range-checked
+vectors, `coset_label` is its `reduce_tagged` label, and `in_span` and
+`extend_basis` wrap that label.
 
 `label_step` is the same elimination on a numpy array of labels, and
-`labels` runs it once per row.  Folding in a nonzero label, or the
-difference of two labels, keeps every label canonical for the grown
-span, as neither has a bit at an existing pivot.  Given one row per
-leading-axis slice, `label_step` steps every slice of a label matrix at
-once: the Monte Carlo trials of an op fold their pivots in together.
+`labels` runs it once per row, XOR-ing the row's tag, or any payload in
+its place, into the tag of each label it hits.  Folding in a nonzero
+label, or the difference of two labels, keeps every label canonical for
+the grown span, as neither has a bit at an existing pivot.  Given one
+row per leading-axis slice, `label_step` steps every slice of a label
+matrix at once: the Monte Carlo trials of an op fold their pivots in
+together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -42,45 +45,25 @@ def check_vector(v: int, n: int) -> None:
         raise DimensionMismatchError(f"mask {v:#x} does not fit in {n} bits")
 
 
-@dataclass(frozen=True)
-class Gf2Basis:
-    """Reduced row-echelon basis: leading bits strictly decreasing, and no
-    row has a bit at another row's leading position."""
+class Echelon:
+    """Tagged reduced row-echelon form in F2^n: ``rows`` holds (row, pivot,
+    tag) triples by decreasing pivot.  Inserts are not range checked, so
+    systems may be wider than MAX_DIMENSION; `row_reduce` checks them."""
 
-    n: int
-    rows: tuple[int, ...]
-    # (row, pivot, 0) per row, the layout of Echelon.rows
-    entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.rows: list[tuple[int, int, int]] = []
+        self.inserted = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def __post_init__(self) -> None:
-        entries = []
-        lead = 1 << self.n
-        for row in self.rows:
-            check_vector(row, self.n)
-            if row == 0 or row >= lead:
-                raise ValueError("basis rows must be nonzero with decreasing leading bits")
-            lead = 1 << (row.bit_length() - 1)
-            entries.append((row, lead, 0))
-        object.__setattr__(self, "entries", tuple(entries))
-
-
-class Echelon:
-    """Tagged reduced row-echelon form: ``rows`` holds (row, pivot, tag)
-    triples by decreasing pivot.  Vectors are not range checked, so
-    systems may be wider than MAX_DIMENSION."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[int, int, int]] = []
-        self.inserted = 0
-
     def reduce_tagged(self, v: int) -> tuple[int, int]:
         """(label, tag): v plus the inserted vectors named by tag is label,
         the canonical representative of v modulo the row span."""
         tag = 0
+        # the rows are reduced, so clearing one pivot never sets another: one pass
         for row, pivot, row_tag in self.rows:
             if v & pivot:
                 v ^= row
@@ -101,38 +84,32 @@ class Echelon:
         return 0
 
 
-def row_reduce(vectors: Iterable[int], n: int) -> Gf2Basis:
+def row_reduce(vectors: Iterable[int], n: int) -> Echelon:
     """Reduced row-echelon basis of the span of ``vectors`` in F2^n."""
-    echelon = Echelon()
+    echelon = Echelon(n)
     for v in vectors:
         check_vector(v, n)
         echelon.insert(v)
-    return Gf2Basis(n, tuple(row for row, _, _ in echelon.rows))
+    return echelon
 
 
-def in_span(v: int, basis: Gf2Basis) -> bool:
+def in_span(v: int, basis: Echelon) -> bool:
     return coset_label(v, basis) == 0
 
 
-def coset_label(v: int, basis: Gf2Basis) -> int:
-    """Canonical representative of the coset span(basis) + v.
-
-    Full reduction against a reduced echelon basis yields the unique
-    minimal coset element, so labels of u and v agree exactly when
-    u + v lies in the span.
-    """
+def coset_label(v: int, basis: Echelon) -> int:
+    """Canonical representative of the coset span(basis) + v: the unique
+    minimal coset element, so labels of u and v agree exactly when u + v
+    lies in the span."""
     check_vector(v, basis.n)
-    # the rows are reduced, so clearing one pivot never sets another: one pass
-    for row, pivot, _ in basis.entries:
-        if v & pivot:
-            v ^= row
-    return v
+    return basis.reduce_tagged(v)[0]
 
 
 def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """(labels, tags) of int64 masks against (row, pivot, tag) rows, as
     ``Echelon.reduce_tagged`` gives them elementwise; ``rows`` is
-    ``Echelon.rows`` or ``Gf2Basis.entries`` and every tag must fit int64."""
+    ``Echelon.rows``, or its triples with each tag replaced by a payload,
+    and every tag must fit int64."""
     out = np.array(masks, dtype=np.int64)
     tags = np.zeros_like(out)
     for row, _, tag in rows:
@@ -159,7 +136,7 @@ def label_step(labels: np.ndarray, row: int | np.ndarray) -> np.ndarray:
     return hit
 
 
-def extend_basis(basis: Gf2Basis, v: int) -> Gf2Basis | None:
+def extend_basis(basis: Echelon, v: int) -> Echelon | None:
     """Basis of span(basis) + v, or None when v already lies in the span."""
-    extended = row_reduce((*basis.rows, v), basis.n)
-    return extended if extended.rank > basis.rank else None
+    rows = (row for row, _, _ in basis.rows)
+    return row_reduce((*rows, v), basis.n) if coset_label(v, basis) else None

@@ -112,48 +112,62 @@ class ParityDecisionTree:
             node = node.pos if parity(node.query, x) == 0 else node.neg
         return node.value
 
-    def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.pos), walk(node.neg))
+    # depth, paths, to_dict and from_dict walk a list, not the call stack,
+    # so every depth verify_tree checks is also read and written
 
-        return walk(self.root)
+    def depth(self) -> int:
+        level, d = [self.root], -1
+        while level:
+            d += 1
+            level = [child for node in level if isinstance(node, Node) for child in (node.pos, node.neg)]
+        return d
 
     def paths(self) -> list[tuple[int, ...]]:
-        """Query masks along every root-to-leaf path."""
+        """Query masks along every root-to-leaf path, pos before neg."""
         out: list[tuple[int, ...]] = []
-
-        def walk(node: TreeNode, prefix: tuple[int, ...]) -> None:
+        stack: list[tuple[TreeNode, tuple[int, ...]]] = [(self.root, ())]
+        while stack:
+            node, prefix = stack.pop()
             if isinstance(node, Leaf):
                 out.append(prefix)
-                return
-            walk(node.pos, prefix + (node.query,))
-            walk(node.neg, prefix + (node.query,))
-
-        walk(self.root, ())
+            else:
+                prefix += (node.query,)
+                stack += ((node.neg, prefix), (node.pos, prefix))
         return out
 
     def to_dict(self) -> dict:
-        def encode(node: TreeNode) -> dict:
+        root: dict = {}
+        stack = [(self.root, root)]  # each node with its dict, filled in here
+        while stack:
+            node, out = stack.pop()
             if isinstance(node, Leaf):
-                return {"leaf": node.value}
-            return {"query": node.query, "pos": encode(node.pos), "neg": encode(node.neg)}
-
-        return {"n": self.n, "root": encode(self.root)}
+                out["leaf"] = node.value
+            else:
+                out["query"] = node.query
+                out["pos"] = pos = {}
+                out["neg"] = neg = {}
+                stack += ((node.pos, pos), (node.neg, neg))
+        return {"n": self.n, "root": root}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
         n = json_int(json_of(data, dict, "tree")["n"], "n")
-
-        def decode(node: dict) -> TreeNode:
-            if "leaf" in json_of(node, dict, "tree node"):
-                return Leaf(json_int(node["leaf"], "leaf"))
-            query = json_int(node["query"], "query")
-            check_vector(query, n)
-            return Node(query, decode(node["pos"]), decode(node["neg"]))
-
-        return cls(n, decode(data["root"]))
+        # (node dict, None) is still to decode; (None, query) joins the two
+        # subtrees decoded last, pos before neg, into an internal node
+        todo: list[tuple] = [(data["root"], None)]
+        done: list[TreeNode] = []
+        while todo:
+            node, query = todo.pop()
+            if query is not None:
+                neg = done.pop()
+                done.append(Node(query, done.pop(), neg))
+            elif "leaf" in json_of(node, dict, "tree node"):
+                done.append(Leaf(json_int(node["leaf"], "leaf")))
+            else:
+                query = json_int(node["query"], "query")
+                check_vector(query, n)
+                todo += ((None, query), (node["neg"], None), (node["pos"], None))
+        return cls(n, done.pop())
 
 
 # inputs per chunk in verify_tree: 2^16 keeps each level's arrays (about

@@ -8,13 +8,16 @@ spectrum keeps the ambient dimension and uses each bucket's canonical
 coset label as its character, so recursive restriction stays in one
 index space.
 
-`restrict_batch` restricts to all 2^b subspaces that b independent
-parities cut out in one pass: `gf2.labels` labels and tags the support
-once, c_a goes to cell [tag, bucket] of a (2^b, buckets) int64 table, and
-one WHT along the tag axis gives child j, the subspace where bit i of j is
-the value of batch[i].  It needs sum |c_a| < 2^63, which bounds every cell
-and partial sum.  `restrict` is the single-system path: its systems may
-hold more than 63 constraints, whose tags do not fit int64.
+Both restrictions label the support once with `gf2.labels` against an
+`Echelon`.  `restrict`, the single-system path, gives each echelon row
+its right-hand-side bit parity(tag & bits) in place of its tag, so the
+tag a mask gets back is its sign flip on H; there are at most 24 rows,
+whatever the number of constraints, and coefficients are summed as
+Python ints.  `restrict_batch` restricts to all 2^b subspaces that b
+independent parities cut out in one pass: c_a goes to cell [tag, bucket]
+of a (2^b, buckets) int64 table, and one WHT along the tag axis gives
+child j, the subspace where bit i of j is the value of batch[i].  It
+needs sum |c_a| < 2^63, which bounds every cell and partial sum.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
+# bench/tracing.py binds coset_label here by name; it is otherwise unused
 from .gf2 import Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
 from .spectral import FourierSpectrum, json_int, json_of
@@ -54,7 +58,7 @@ class AffineConstraintSystem:
     consistent: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        echelon = Echelon()
+        echelon = Echelon(self.n)
         bits = 0
         consistent = True
         for i, (mask, bit) in enumerate(self.constraints):
@@ -70,7 +74,7 @@ class AffineConstraintSystem:
 
     @property
     def codimension(self) -> int:
-        return len(self.echelon.rows)
+        return self.echelon.rank
 
     def contains(self, x: int) -> bool:
         check_vector(x, self.n)
@@ -91,11 +95,12 @@ def restrict(
         raise ValueError(f"dimension mismatch: spectrum n={spectrum.n}, system n={system.n}")
     if not system.consistent:
         raise InconsistentConstraintsError("constraint system forces 0 = 1")
+    # <mask - label, x> on H is the sum of the right-hand sides of the rows hit
+    rows = [(row, pivot, (tag & system.bits).bit_count() & 1) for row, pivot, tag in system.echelon.rows]
+    label, flip = labels(np.fromiter(spectrum.coeffs, dtype=np.int64, count=spectrum.sparsity), rows)
     out: dict[int, int] = {}
-    for mask, c in spectrum.coeffs.items():
-        label, tag = system.echelon.reduce_tagged(mask)
-        # <mask - label, x> is the sum of the tagged constraints' bits on H
-        out[label] = out.get(label, 0) + (-c if (tag & system.bits).bit_count() & 1 else c)
+    for a, negate, c in zip(label.tolist(), flip.tolist(), spectrum.coeffs.values()):
+        out[a] = out.get(a, 0) + (-c if negate else c)
     return FourierSpectrum(spectrum.n, {a: c for a, c in out.items() if c})
 
 
@@ -112,7 +117,7 @@ def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[Fo
     independent parities cuts out: child j is the restriction to
     {x | <batch[i], x> = bit i of j}, equal to ``restrict`` on that system.
     Each (tag, bucket) cell of the table gets at most one c_a."""
-    echelon = Echelon()
+    echelon = Echelon(spectrum.n)
     for g in batch:
         check_vector(g, spectrum.n)
         if echelon.insert(g):
@@ -171,10 +176,14 @@ def system_from_list(data: list, n: int) -> AffineConstraintSystem:
 def bucket_complexity(
     support: Iterable[int], gammas: Iterable[int], n: int
 ) -> BucketReport:
-    basis = row_reduce(gammas, n)
-    groups: dict[int, list[int]] = {}
+    support = list(support)
     for a in support:
-        groups.setdefault(coset_label(a, basis), []).append(a)
+        check_vector(a, n)
+    # tags zeroed: those of more than 63 gammas would not fit int64
+    rows = [(row, pivot, 0) for row, pivot, _ in row_reduce(gammas, n).rows]
+    groups: dict[int, list[int]] = {}
+    for a, label in zip(support, labels(np.array(support, dtype=np.int64), rows)[0].tolist()):
+        groups.setdefault(label, []).append(a)
     buckets = {label: tuple(sorted(members)) for label, members in groups.items()}
     identified = sum(len(b) for b in buckets.values() if len(b) >= 2)
     return BucketReport(len(buckets), buckets, identified)

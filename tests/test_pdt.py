@@ -37,6 +37,7 @@ from parityfold.pdt import (
     _select_batch,
 )
 from parityfold.restriction import bucket_complexity
+from parityfold.runner import canonical_json
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -134,6 +135,30 @@ def test_verify_tree_deep_decision_list(n, depth):
     assert verify_tree(tree, table)
     assert not verify_tree(tree, table.negate())
     assert not verify_tree(tree, gen_parity(1 << (n - 1), n))
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deep_tree_walks_have_no_recursion(depth):
+    # 5000 levels exceed the default recursion limit; the dataclass == on
+    # the Node chain still recurses, so the round trip compares bytes
+    tree = decision_list(depth, 12)
+    assert tree.depth() == depth
+    paths = tree.paths()
+    assert [len(path) for path in paths] == list(range(1, depth + 1)) + [depth]
+    assert paths[-1] == tuple(1 if i % 2 == 0 else 1 | 1 << 11 for i in range(depth))
+    encoded = canonical_json(tree.to_dict())
+    assert canonical_json(ParityDecisionTree.from_dict(tree.to_dict()).to_dict()) == encoded
+
+
+def test_tree_walks_visit_pos_before_neg():
+    tree = ParityDecisionTree(3, Node(1, Node(2, Leaf(1), Node(4, Leaf(1), Leaf(-1))), Leaf(-1)))
+    assert tree.depth() == 3
+    assert tree.paths() == [(1, 2), (1, 2, 4), (1, 2, 4), (1,)]
+    assert json.dumps(tree.to_dict()) == (
+        '{"n": 3, "root": {"query": 1, "pos": {"query": 2, "pos": {"leaf": 1}, '
+        '"neg": {"query": 4, "pos": {"leaf": 1}, "neg": {"leaf": -1}}}, "neg": {"leaf": -1}}}'
+    )
+    assert ParityDecisionTree.from_dict(tree.to_dict()) == tree
 
 
 def test_cli_verifies_a_deep_tree_file(tmp_path, capsys):
@@ -564,9 +589,10 @@ def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
             basis = extended
     assert batch == tuple(kept)
     assert size == len(union)
-    assert basis == row_reduce(batch, n)
+    rows = [row for row, _, _ in basis.rows]
+    assert rows == [row for row, _, _ in row_reduce(batch, n).rows]
     assert basis.rank == len(batch)
-    assert basis == row_reduce(sampled, n)
+    assert rows == [row for row, _, _ in row_reduce(sampled, n).rows]
     assert bcount == len({coset_label(a, basis) for a in support})
 
 

@@ -284,6 +284,31 @@ def test_restrict_matches_spectrum_on_every_point_of_h(n, data):
     assert out.sparsity <= bucket_complexity(coeffs, gammas, n).bucket_count
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_restrict_on_more_constraints_than_an_int64_tag_holds(seed):
+    # 100 constraints from the span of 3 masks: their tags are 100 bits
+    # wide, while the echelon, and so the right-hand sides, has 3 rows or fewer
+    n = 8
+    rng = np.random.default_rng(seed)
+    base = [int(m) for m in rng.integers(1, 1 << n, size=3)]
+    gammas = [functools.reduce(operator.xor, (b for b in base if rng.random() < 0.5), 0) for _ in range(100)]
+    x0 = int(rng.integers(0, 1 << n))
+    constraints = tuple((g, (g & x0).bit_count() & 1) for g in gammas)
+    system = AffineConstraintSystem(n, constraints)
+    assert system.consistent and system.codimension <= 3
+    spectrum = wht(random_table(n, seed))
+    out = restrict(spectrum, system)
+    points = subspace_points(system)
+    assert x0 in points
+    for x in points:
+        assert out.evaluate_scaled(x) == spectrum.evaluate_scaled(x)
+    # g0 + g1 lies in the span and takes its value at x0 on all of H
+    g = gammas[0] ^ gammas[1]
+    wrong = AffineConstraintSystem(n, constraints + ((g, 1 ^ (g & x0).bit_count() & 1),))
+    with pytest.raises(InconsistentConstraintsError):
+        restrict(spectrum, wrong)
+
+
 def test_analyze_restrict_partitions_the_support_once(monkeypatch, tmp_path, capsys):
     calls = []
     real = restriction.bucket_complexity
@@ -313,8 +338,8 @@ def test_identification_bound_keeps_its_report():
 BATCH_DIMENSIONS = st.one_of(st.integers(1, 8), st.just(24))
 
 
-def independent(masks):
-    echelon = Echelon()
+def independent(masks, n):
+    echelon = Echelon(n)
     return tuple(m for m in masks if not echelon.insert(m))
 
 
@@ -325,7 +350,7 @@ def draw_spectrum_and_batch(data, n):
     else:
         coeffs = st.integers(-(1 << n), 1 << n).filter(bool)
         spectrum = FourierSpectrum(n, {m: data.draw(coeffs) for m in draw_masks(data, n, base, 40)})
-    return spectrum, independent(draw_masks(data, n, base, 6))
+    return spectrum, independent(draw_masks(data, n, base, 6), n)
 
 
 @given(BATCH_DIMENSIONS, st.data())

@@ -109,3 +109,50 @@ def test_traced_benchmark_bindings_resolve():
     missing = [f"{module}.{attr}" for module, attr in bindings
                if not hasattr(importlib.import_module(f"parityfold.{module}"), attr)]
     assert not missing, f"bench/tracing.py binds missing attributes: {missing}"
+
+
+def test_the_scalar_elimination_step_lives_in_reduce_tagged():
+    # v ^= row clears one pivot of one vector; Echelon is the one basis
+    # type, and its reduce_tagged the library's one scalar elimination loop
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+        while todo:
+            scope, node = todo.pop()
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor) and ast.unparse(node.value) == "row":
+                found.append(f"{path.name}:{scope}")
+            todo.extend((scope, child) for child in ast.iter_child_nodes(node))
+    assert found == ["gf2.py:Echelon.reduce_tagged"], f"scalar elimination steps: {found}"
+
+
+def test_relative_imports_are_used_exported_or_bench_bound():
+    # a name imported from a sibling module is used where it is imported,
+    # re-exported from there by __init__.py, or bound there by name in
+    # bench/tracing.py; an import kept for nothing else is dead code
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bench_bound = {tuple(entry[:2]) for entry in tracing.SPANS + tracing.AGGREGATES}
+    package = Path(parityfold.__file__).parent
+    exported = {
+        (node.module, alias.asname or alias.name)
+        for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used and (path.stem, name) not in exported | bench_bound:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"relative imports nothing uses: {unused}"
