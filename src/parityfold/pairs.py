@@ -127,6 +127,37 @@ def direction_sums(
     return _sum_by(directions, sums) if len(found) > 1 else (directions, sums)
 
 
+def top_directions(masks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per segment masks[bounds[i]:bounds[i + 1]] of >= 2 sorted distinct
+    masks, the direction of the most pairs, the smallest on a tie: the
+    argmax of its `direction_sums` counts, which segments on the dense route
+    or of over 2^10 pairs take.  The rest go in chunks of < 2 BLOCK_ENTRIES
+    pairs, listed pair by pair and counted by sorting segment << 24 | direction."""
+    sizes = bounds[1:] - bounds[:-1]
+    pairs = sizes * (sizes - 1) // 2
+    small = (pairs <= 1 << 10) & ~dense_route(np.frexp(masks[bounds[1:] - 1])[1], sizes)
+    out = np.zeros(len(sizes), dtype=np.int64)
+    for i in (~small).nonzero()[0].tolist():
+        directions, counts = direction_sums(masks[bounds[i] : bounds[i + 1]])
+        out[i] = directions[np.argmax(counts)]
+    rest = small.nonzero()[0]
+    for chunk in np.split(rest, np.diff(pairs[rest].cumsum() // BLOCK_ENTRIES).nonzero()[0] + 1) if len(rest) else ():
+        size = sizes[chunk]
+        offsets = size.cumsum() - size
+        rank = np.arange(offsets[-1] + size[-1]) - offsets.repeat(size)  # within its segment
+        x = masks.take(bounds[chunk].repeat(size) + rank)
+        later = (size - 1).repeat(size) - rank  # the partners after each mask
+        a = np.arange(len(x)).repeat(later)
+        b = np.arange(1, len(a) + 1) + a - (later.cumsum() - later).repeat(later)
+        keys = np.sort((np.arange(len(chunk)) << 24).repeat(size).take(a) | x.take(a) ^ x.take(b))
+        head = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+        runs, counts = keys[head], np.diff(head, append=len(keys))  # counts < 2^17
+        # by segment, then the most pairs, then the smallest direction
+        packed = np.sort((runs >> 24) << 42 | ((1 << 18) - 1 - counts) << 24 | runs & 0xFFFFFF)
+        out[chunk] = packed[packed.searchsorted(np.arange(len(chunk)) << 42)] & 0xFFFFFF
+    return out
+
+
 def heavy_partners(
     masks: np.ndarray, directions: np.ndarray, heavy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

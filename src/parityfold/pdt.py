@@ -1,35 +1,17 @@
 """Parity decision trees: representation, exhaustive verification,
-randomized construction, and seeded Monte Carlo bucket experiments.
+construction, and seeded Monte Carlo bucket experiments.
 
-The recursive builder keeps every restricted spectrum in the ambient
-n-dimensional space with canonical coset labels as characters.  Labels
-are fully reduced against the queries made so far, so every character of
-a node's spectrum is automatically linearly independent of the node's
-ancestors and trees come out irredundant by construction.
-
-A node's 2^b children come from one batched restriction
-(`restriction.restrict_batch`): bit i of the child index is the branch bit
-of batch[i], and `expand` walks the indices depth first, so node ids and
-the generator's draws follow the tree.  `build_pdt` refuses |c_a| > 2^n
-up front (no +-1 function has it); restriction never raises sum |c_a|, so
-every table entry and butterfly partial sum stays within k * 2^n <= 2^48.
-
-`_sampling_trial` is both a build's resample attempt and every Monte
-Carlo trial: row t draws rng.random(k) < p per phase from its generator
-(the build's one, or default_rng((seed, t)) for trial t), `sample_parity`'s
-draw over the sorted support, and the rows of an op share one (trials, k)
-matrix of coset labels, in chunks of at most 2^16 cells, stepped by one
-per-row `gf2.label_step` per pivot.  The deterministic strategies keep the
-same labels as their only GF(2) state.
-
-`verify_tree` checks a tree against all 2^n inputs (n <= 20) without
-recursion and without a numpy call per node.  `_flatten` lays the tree out
-once in level order as three arrays: query (uint32, one per internal
-node), child (int32, two per internal node, where ~j names leaf j) and
-values (int8, one per leaf).  Then the inputs, in cache-sized chunks,
-step down one level per array pass, state = child[2 * state +
-<query[state], x>]; inputs that reach a leaf are compared with the table
-and dropped, so a level only handles the inputs still inside the tree.
+A tree is three flat arrays in level order (`ParityDecisionTree`).
+`build_pdt` grows it from frontiers of restricted spectra, whose
+characters are coset labels reduced against every query above, so paths
+are irredundant and depth <= n.  The deterministic strategies take a
+level per step: one set of kernel calls picks every batch and one
+`restrict_frontier` per batch width makes every child.  The sampling
+strategies take nodes one by one, depth first, so the generator draws
+follow the tree.  Ids, log order and arrays come from tree positions at
+the end.  |c_a| > 2^n is refused up front (no +-1 function has it), so
+restriction stays within k * 2^n <= 2^48.  `_sampling_trial` is both a
+build's resample attempt and every Monte Carlo trial.
 """
 
 from __future__ import annotations
@@ -40,16 +22,16 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .folding import as_exponent, folding_parameters
-# bench/tracing.py binds coset_label, extend_basis, row_reduce, restrict and
+# bench/tracing.py binds coset_label, extend_basis, restrict and
 # AffineConstraintSystem here by name; they are otherwise unused
-from .gf2 import check_vector, coset_label, extend_basis, label_step, row_reduce
-from .pairs import direction_sums
-from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_batch
+from .gf2 import MAX_DIMENSION, check_vector, coset_label, extend_basis, label_step, labels, row_reduce
+from .pairs import top_directions
+from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_frontier
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -78,158 +60,112 @@ class ResampleCapExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: int  # +1 or -1
-
-    def __post_init__(self) -> None:
-        if self.value not in (-1, 1):
-            raise ValueError(f"leaf value must be +-1, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Node:
-    query: int  # nonzero parity mask
-    pos: "Leaf | Node"  # followed when the queried parity evaluates to +1
-    neg: "Leaf | Node"
-
-    def __post_init__(self) -> None:
-        if self.query <= 0:
-            raise ValueError("internal queries must be nonzero masks")
-
-
-TreeNode = Union[Leaf, Node]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityDecisionTree:
+    """A tree over F2^n in level order (breadth first, pos before neg), so
+    == compares arrays: query[i] is internal node i's mask (uint32), child[2i]
+    and child[2i + 1] its pos (+1) and neg children (int32; ~j is leaf j),
+    values[j] leaf j's +-1 (int8).  The root is node 0, else leaf 0.  No
+    walk recurses; `from_dict` checks each node."""
+
     n: int
-    root: TreeNode
+    query: np.ndarray
+    child: np.ndarray
+    values: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ParityDecisionTree) and self.n == other.n and all(
+            map(np.array_equal, (self.query, self.child, self.values), (other.query, other.child, other.values))
+        )
 
     def evaluate(self, x: int) -> int:
-        node = self.root
-        while isinstance(node, Node):
-            node = node.pos if parity(node.query, x) == 0 else node.neg
-        return node.value
-
-    # depth, paths, to_dict and from_dict walk a list, not the call stack,
-    # so every depth verify_tree checks is also read and written
+        state = 0 if len(self.query) else ~0
+        while state >= 0:
+            state = int(self.child[2 * state + parity(int(self.query[state]), x)])
+        return int(self.values[~state])
 
     def depth(self) -> int:
-        level, d = [self.root], -1
-        while level:
+        # a level's internal nodes are one range; the next level's follow it
+        d, lo, hi = 0, 0, min(1, len(self.query))
+        while lo < hi:
             d += 1
-            level = [child for node in level if isinstance(node, Node) for child in (node.pos, node.neg)]
+            lo, hi = hi, hi + int(np.count_nonzero(self.child[2 * lo : 2 * hi] >= 0))
         return d
 
     def paths(self) -> list[tuple[int, ...]]:
         """Query masks along every root-to-leaf path, pos before neg."""
-        out: list[tuple[int, ...]] = []
-        stack: list[tuple[TreeNode, tuple[int, ...]]] = [(self.root, ())]
+        query, child, out = self.query.tolist(), self.child.tolist(), []
+        stack = [(0 if query else ~0, ())]
         while stack:
             node, prefix = stack.pop()
-            if isinstance(node, Leaf):
+            if node < 0:
                 out.append(prefix)
             else:
-                prefix += (node.query,)
-                stack += ((node.neg, prefix), (node.pos, prefix))
+                stack += ((child[2 * node + i], prefix + (query[node],)) for i in (1, 0))
         return out
 
     def to_dict(self) -> dict:
+        query, child, values = self.query.tolist(), self.child.tolist(), self.values.tolist()
         root: dict = {}
-        stack = [(self.root, root)]  # each node with its dict, filled in here
+        stack = [(0 if query else ~0, root)]  # each node with its dict, filled in here
         while stack:
             node, out = stack.pop()
-            if isinstance(node, Leaf):
-                out["leaf"] = node.value
+            if node < 0:
+                out["leaf"] = values[~node]
             else:
-                out["query"] = node.query
-                out["pos"] = pos = {}
-                out["neg"] = neg = {}
-                stack += ((node.pos, pos), (node.neg, neg))
+                out.update(query=query[node], pos={}, neg={})
+                stack += ((child[2 * node], out["pos"]), (child[2 * node + 1], out["neg"]))
         return {"n": self.n, "root": root}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
-        n = json_int(json_of(data, dict, "tree")["n"], "n")
-        # (node dict, None) is still to decode; (None, query) joins the two
-        # subtrees decoded last, pos before neg, into an internal node
-        todo: list[tuple] = [(data["root"], None)]
-        done: list[TreeNode] = []
-        while todo:
-            node, query = todo.pop()
-            if query is not None:
-                neg = done.pop()
-                done.append(Node(query, done.pop(), neg))
-            elif "leaf" in json_of(node, dict, "tree node"):
-                done.append(Leaf(json_int(node["leaf"], "leaf")))
+        """The tree of a dict, numbered breadth first; a leaf other than
+        +-1, a query outside 1 .. 2^n - 1 or a node without pos or neg is a
+        ValueError."""
+        n = json_int(json_of(data, dict, "tree").get("n"), "n")
+        query, child, values = [], [], []
+        queue = deque([(data.get("root"), None)])
+        while queue:  # each node with the child slot that names it
+            node, slot = queue.popleft()
+            if "leaf" in json_of(node, dict, "tree node"):
+                if json_int(node["leaf"], "leaf") not in (-1, 1):
+                    raise ValueError(f"leaf value must be +-1, got {node['leaf']!r}")
+                number = ~len(values)
+                values.append(node["leaf"])
             else:
-                query = json_int(node["query"], "query")
-                check_vector(query, n)
-                todo += ((None, query), (node["neg"], None), (node["pos"], None))
-        return cls(n, done.pop())
+                check_vector(json_int(node.get("query"), "query"), n)
+                if not node["query"]:
+                    raise ValueError("internal queries must be nonzero masks")
+                number = len(query)
+                query.append(node["query"])
+                child += (0, 0)
+                queue += ((node.get("pos"), 2 * number), (node.get("neg"), 2 * number + 1))
+            if slot is not None:
+                child[slot] = number
+        return cls(n, *(np.array(a, dtype=t) for a, t in ((query, np.uint32), (child, np.int32), (values, np.int8))))
 
 
-# inputs per chunk in verify_tree: 2^16 keeps each level's arrays (about
-# 1 MiB in all) in cache; without chunks, the 2^20 inputs of a complete
-# depth-11 tree ran about a fifth slower than a walk of one numpy pass per node
+# inputs per chunk in verify_tree: 2^16 keeps a level's arrays (about 1 MiB)
+# in cache; unchunked, 2^20 inputs of a complete depth-11 tree ran a fifth
+# slower than a walk of one numpy pass per node
 _VERIFY_CHUNK = 1 << 16
-
-
-def _flatten(tree: ParityDecisionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(query, child, values) of the tree in level order, from one pass
-    over a FIFO queue: query[i] is internal node i's mask (uint32),
-    child[2i] and child[2i + 1] name its pos and neg children (int32; j >= 0
-    is internal node j, ~j is leaf j), and values[j] is leaf j's value
-    (int8).  The root is internal node 0, or leaf 0 when the tree is a bare
-    leaf.  A node's children are numbered when it is taken off the queue,
-    which is the order the queue hands them out again, so every list is
-    only appended to; a level's nodes are contiguous."""
-    queries: list[int] = []
-    child: list[int] = []
-    values: list[int] = []
-    queue: deque[Node] = deque()
-
-    def name(sub: TreeNode) -> int:
-        if isinstance(sub, Leaf):
-            values.append(sub.value)
-            return ~(len(values) - 1)
-        queries.append(sub.query)
-        queue.append(sub)
-        return len(queries) - 1
-
-    name(tree.root)
-    while queue:
-        node = queue.popleft()
-        child += (name(node.pos), name(node.neg))
-    if queries:
-        # queries are positive, so all fit in n bits when the largest does
-        check_vector(max(queries), tree.n)
-    return (
-        np.array(queries, dtype=np.uint32),
-        np.array(child, dtype=np.int32),
-        np.array(values, dtype=np.int8),
-    )
 
 
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
     """Exhaustive agreement check over all 2^n inputs, capped at n = 20.
 
-    There is no recursion and no numpy call per node.  The tree is
-    flattened once (`_flatten`), then the inputs run down it together, one
-    array pass per level: an input x at internal node s moves to
-    child[2s + <query[s], x>].  Inputs that reach a leaf are compared with
-    the table and dropped, so each level only handles the inputs still
-    inside the tree and the numpy calls grow with the depth, not with the
-    node count.  The inputs go in chunks of _VERIFY_CHUNK, so a level's
-    arrays stay in the CPU cache.  A query outside n bits is a
-    DimensionMismatchError.
+    The inputs run down the arrays together, one pass per level: x at
+    internal node s moves to child[2s + <query[s], x>], and inputs that
+    reach a leaf are checked and dropped, so the numpy calls grow with the
+    depth, not the node count.  Chunks of _VERIFY_CHUNK inputs stay in cache.
     """
     if tree.n != table.n:
         raise ValueError(f"dimension mismatch: tree n={tree.n}, table n={table.n}")
     if table.n > 20:
         raise ValueError(f"exhaustive verification capped at n = 20, got {table.n}")
-    query, child, values = _flatten(tree)
+    query, child, values = tree.query, tree.child, tree.values
+    if len(query):  # a query outside n bits is a DimensionMismatchError
+        check_vector(int(query.max()), tree.n)
     size = 1 << table.n
     for lo in range(0, size, _VERIFY_CHUNK):
         x = np.arange(lo, min(lo + _VERIFY_CHUNK, size), dtype=np.uint32)
@@ -388,19 +324,8 @@ class NodeRecord:
     clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "depth": self.depth,
-            "sparsity_before": self.sparsity_before,
-            "batch": list(self.batch),
-            "batch_size": len(self.batch),
-            "bucket_count": self.bucket_count,
-            "max_child_sparsity": self.max_child_sparsity,
-            "resamples": self.resamples,
-            "target_met": self.target_met,
-            "probabilities": list(self.probabilities),
-            "clamped": self.clamped,
-        }
+        tuples = {"batch": list(self.batch), "probabilities": list(self.probabilities)}
+        return {**vars(self), **tuples, "batch_size": len(self.batch)}
 
 
 @dataclass(frozen=True)
@@ -440,149 +365,191 @@ def _schedule_probabilities(
     return req, tuple(min(1.0, p) for p in req)
 
 
-def _heaviest_pair_direction(spectrum: FourierSpectrum, support_sorted: list[int]) -> int:
-    """The smallest direction a ^ b among the support pairs with the
-    heaviest |c_a c_b|, in O(k): that product is w1 * w2 for the two largest
-    weights, reached inside the top-weight class when it holds two masks or
-    more, else by the top mask with each mask of the second weight.  The
-    smallest XOR within a sorted set is between neighbours."""
-    weights = [abs(spectrum.coeffs[a]) for a in support_sorted]
-    w1 = max(weights)
-    top = [a for a, w in zip(support_sorted, weights) if w == w1]
-    if len(top) > 1:
-        return min(a ^ b for a, b in zip(top, top[1:]))
-    w2 = max(w for w in weights if w != w1)
-    return min(top[0] ^ a for a, w in zip(support_sorted, weights) if w == w2)
+def _heaviest_pair_directions(
+    masks: np.ndarray, weights: np.ndarray, seg: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Per segment of >= 2 sorted distinct masks, the smallest direction of
+    the heaviest w_a w_b, in O(k): within a top-weight class of two or more
+    (its smallest XOR is between neighbours), else from the lone top mask to
+    each mask of the second weight."""
+    top = weights == np.maximum.reduceat(weights, starts)[seg]
+    at = top.nonzero()[0]
+    several = np.bincount(seg[at], minlength=len(starts))[seg] > 1
+    inside = several[at[1:]] & (seg[at[1:]] == seg[at[:-1]])
+    second = ~several & (weights == np.maximum.reduceat(np.where(top, -1, weights), starts)[seg])
+    lone = np.zeros(len(starts), dtype=np.int64)
+    lone[seg[at]] = masks[at]
+    out = np.full(len(starts), 1 << MAX_DIMENSION, dtype=np.int64)
+    np.minimum.at(out, seg[at[1:]][inside], (masks[at[1:]] ^ masks[at[:-1]])[inside])
+    np.minimum.at(out, seg[second], masks[second] ^ lone[seg[second]])
+    return out
 
 
-def _select_batch(
-    spectrum: FourierSpectrum, config: BuildConfig, rng: np.random.Generator
-) -> tuple[tuple[int, ...], int, int, bool, tuple[float, ...], bool]:
-    """Choose a batch of independent parities whose span buckets the
-    current support down to at most (1 - epsilon) * k, falling back to the
-    best strictly-progressing batch once the resample cap is hit.
-
-    Returns (batch, bucket_count, resamples, target_met, probabilities, clamped).
-    """
-    support_sorted = sorted(spectrum.coeffs)
-    k = len(support_sorted)
-    target = (1 - config.epsilon) * k
-
+def _select_frontier(
+    masks: np.ndarray, coeffs: np.ndarray, bounds: np.ndarray, config: BuildConfig, rng, n: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Batches for a frontier, node i with the sorted distinct masks
+    masks[bounds[i]:bounds[i + 1]], two or more: each mask's label and tag
+    against its batch (batch[0] on the tag's top bit), and per node (batch,
+    bucket_count, resamples, target_met, probabilities, clamped).  Sampling
+    takes one node, drawing until the span buckets it to (1 - epsilon) k,
+    else keeping the best strictly-progressing batch at the cap.  The
+    deterministic strategies fold a direction per node and round, in one set
+    of kernel calls: max-coefficient once, greedy-min-bucket (the largest
+    label-pair class, covering every single-query merge) to the target."""
     if config.strategy in ("sampling", "folding-sampling"):
+        k, best, met = len(masks), None, False
         requested, probs = _schedule_probabilities(config.strategy, k, config)
-        clamped = requested != probs
-        masks = np.array(support_sorted, dtype=np.int64)
-        best: tuple[int, tuple[int, ...]] | None = None
+        target = (1 - config.epsilon) * k
         for attempt in range(1, config.resample_cap + 1):
             ((batch, _, bcount),) = _sampling_trial(masks, probs, [rng])
-            if not batch:
-                continue
-            if best is None or bcount < best[0]:
-                best = (bcount, batch)
-            if bcount <= target:
-                return batch, bcount, attempt, True, probs, clamped
-        if best is not None and best[0] <= k - 1:
-            return best[1], best[0], config.resample_cap, False, probs, clamped
-        raise ResampleCapExceededError(
-            config.resample_cap,
-            best[1] if best else None,
-            best[0] if best else None,
-        )
-
-    # the deterministic strategies fold one direction at a time into the
-    # support's labels: max-coefficient once, greedy-min-bucket until the
-    # target is met; each direction is a difference of two labels
+            if batch and (best is None or bcount < best[1]):
+                best = (batch, bcount)
+            if met := bool(batch) and bcount <= target:
+                break
+        if not met and (best is None or best[1] > k - 1):
+            raise ResampleCapExceededError(config.resample_cap, best and best[0], best and best[1])
+        picked = (*best, attempt, met, probs, requested != probs)
+        return (*labels(masks, row_reduce(best[0][::-1], n).rows), [picked])
+    sizes = bounds[1:] - bounds[:-1]
+    seg = dseg = np.arange(len(sizes)).repeat(sizes)
+    # a node stops at a bucket count <= (1 - epsilon) k, in integers
+    eps = config.epsilon
+    limit = np.array([(eps.denominator - eps.numerator) * k // eps.denominator for k in sizes.tolist()])
+    stop = np.maximum(limit, 1)
     greedy = config.strategy == "greedy-min-bucket"
-    labels = np.array(support_sorted, dtype=np.int64)  # distinct, sorted
-    batch_list: list[int] = []
-    while len(labels) > 1 and len(labels) > target and (greedy or not batch_list):
-        if greedy:
-            # largest label-pair class, which covers every achievable
-            # single-query merge; argmax over sorted directions breaks ties
-            # to the smallest
-            directions, counts = direction_sums(labels)
-            batch_list.append(int(directions[np.argmax(counts)]))
+    label, tag = masks.copy(), np.zeros_like(masks)
+    counts, distinct, rounds = sizes, masks, []
+    while np.count_nonzero(active := counts > stop) and (greedy or not rounds):
+        if not greedy:
+            step = _heaviest_pair_directions(masks, np.abs(coeffs), seg, bounds[:-1])
         else:
-            batch_list.append(_heaviest_pair_direction(spectrum, support_sorted))
-        label_step(labels, batch_list[-1])
-        labels = _distinct(labels)
-    bcount = len(labels)
-    return tuple(batch_list), bcount, 1, bcount <= target, (), False
+            step = np.zeros(len(sizes), dtype=np.int64)
+            step[active] = top_directions(distinct[active[dseg]], np.concatenate(([0], counts[active].cumsum())))
+        row = step[seg]
+        tag = tag << (row != 0) | label_step(label, row)
+        rounds.append(step)
+        keys = _distinct(seg << MAX_DIMENSION | label)
+        dseg, distinct = keys >> MAX_DIMENSION, keys & (1 << MAX_DIMENSION) - 1
+        counts = np.bincount(dseg, minlength=len(sizes))
+    batches = [tuple(g for g in row if g) for row in np.array(rounds).T.tolist()]
+    met = (counts <= limit).tolist()
+    return label, tag, [(b, c, 1, m, (), False) for b, c, m in zip(batches, counts.tolist(), met)]
 
 
 def _as_spectrum(f: TruthTable | FourierSpectrum) -> FourierSpectrum:
     return wht(f) if isinstance(f, TruthTable) else f
 
 
+_PATH = (1 << MAX_DIMENSION) - 1  # a tree position is depth << MAX_DIMENSION | path
+
+
 def build_pdt(
     f: TruthTable | FourierSpectrum, config: BuildConfig | None = None
 ) -> BuildResult:
-    """Recursively build a tree computing f; the result is always verified
-    sound by construction (restriction agrees with f on each branch).
-
-    At a node of sparsity 1 the function is a signed character on the
-    branch's subspace, closing the recursion; otherwise the configured
-    strategy picks a batch of independent parities whose bucketing shrinks
-    the support, both branch children are built on the exactly-restricted
-    spectra, and the node log records the progress made.
-    """
+    """Build a tree computing f, sound by construction (restriction agrees
+    with f on each branch), from a work list of frontiers.  A node is a
+    restricted spectrum at tree position depth << 24 | path, the branch bits
+    from the root (pos 0, neg 1).  Sparsity 1 settles as a leaf or a query
+    over two leaves; any other node gets a batch (`_select_frontier`), its
+    subtree of queries and 2^b exact children, child j where the branch
+    bits j lead.  Deterministic frontiers are whole levels; sampling ones
+    single nodes, depth first, pos before neg."""
     config = config or BuildConfig()
     spectrum = _as_spectrum(f)
     if not spectrum.coeffs:
         raise DegenerateInputError("empty spectrum")
-    n = spectrum.n
-    full = 1 << n
+    n, full = spectrum.n, 1 << spectrum.n
     # no +-1 function has |c| > 2^n; within it restriction is exact in int64
     if any(abs(int(c)) > full for c in spectrum.coeffs.values()):
         raise DegenerateInputError("a coefficient has |c| > 2^n; input is not a +-1 function")
     rng = np.random.default_rng(config.seed)
-    log: list[NodeRecord] = []
-    next_id = 0
+    sampling = config.strategy in ("sampling", "folding-sampling")
+    support = sorted(spectrum.coeffs)
+    coeffs = np.array([int(spectrum.coeffs[a]) for a in support], dtype=np.int64)
+    stack: list[tuple[np.ndarray, ...]] = []  # (positions, bounds, masks, coefficients)
+    singles: list[tuple[np.ndarray, ...]] = []  # (positions, masks, coefficients) of sparsity-1 nodes
+    records: list[tuple] = []  # (positions, sparsities, selections, max child sparsities) of the others
+    here, counts, masks = np.zeros(1, dtype=np.int64), np.array([len(support)]), np.array(support, dtype=np.int64)
+    while True:
+        # settle the +-1 characters; stack the rest as one frontier, or one by one depth first
+        bounds = np.concatenate(([0], counts.cumsum()))
+        settle = (counts == 1) & (np.abs(coeffs.take(bounds[:-1], mode="clip")) == full)
+        at = bounds[:-1][settle]
+        singles.append((here[settle], masks[at], coeffs[at]))
+        if sampling:
+            for i in (~settle).nonzero()[0][::-1].tolist():
+                a, z = bounds[i], bounds[i + 1]
+                stack.append((here[i : i + 1], bounds[i : i + 2] - a, masks[a:z], coeffs[a:z]))
+        elif not settle.all():
+            keep = (~settle).repeat(counts)
+            stack.append((here[~settle], np.concatenate(([0], counts[~settle].cumsum())), masks[keep], coeffs[keep]))
+        if not stack:
+            break
+        here, bounds, masks, coeffs = stack.pop()
+        sizes = bounds[1:] - bounds[:-1]
+        if np.count_nonzero(sizes < 2):  # what did not settle is no +-1 spectrum
+            i = int(np.argmax(sizes < 2))
+            what = f"sparsity-1 spectrum with |c| = {abs(int(coeffs[bounds[i]]))} != 2^n" if sizes[i] else "no support"
+            raise DegenerateInputError(f"{what}; input is not a +-1 function")
+        label, tag, picked = _select_frontier(masks, coeffs, bounds, config, rng, n)
+        widths = np.array([len(p[0]) for p in picked])
+        kinds = sorted(set(widths.tolist()))
+        seg = np.arange(len(sizes)).repeat(sizes)
+        most = np.empty(len(sizes), dtype=np.int64)
+        kids: list[tuple[np.ndarray, ...]] = []  # (positions, sizes, labels, coefficients)
+        for b in kinds:
+            if len(kinds) == 1:  # always so for one node, and for max-coefficient
+                group, sel, nodes = slice(None), slice(None), seg
+            else:
+                mine = widths == b
+                group, sel = mine.nonzero()[0], mine[seg]
+                nodes = (mine.cumsum() - 1)[seg[sel]]
+            j, node, clabel, ccoef = restrict_frontier(nodes, label[sel], tag[sel], coeffs[sel], b)
+            up = here[group]
+            counts = np.bincount(j * len(up) + node, minlength=len(up) << b)
+            most[group] = np.maximum.reduce(counts.reshape(1 << b, len(up)))
+            # child j at (depth + b, path << b | j)
+            spot = up + (b << MAX_DIMENSION) + (up & _PATH) * ((1 << b) - 1)
+            kids.append((np.add.outer(np.arange(1 << b), spot).ravel(), counts, clabel, ccoef))
+        records.append((here, sizes.tolist(), picked, most.tolist()))
+        here, counts, masks, coeffs = kids[0] if len(kids) == 1 else (np.concatenate(part) for part in zip(*kids))
+    return BuildResult(*_assemble(n, singles, records), config)
 
-    def build(spec_cur: FourierSpectrum, depth_now: int) -> TreeNode:
-        nonlocal next_id
-        node_id = next_id
-        next_id += 1
-        if spec_cur.sparsity == 1:
-            ((mask, c),) = spec_cur.coeffs.items()
-            if abs(c) != full:
-                raise DegenerateInputError(
-                    f"sparsity-1 spectrum with |c| = {abs(c)} != 2^n; input is not a +-1 function"
-                )
-            sign = 1 if c > 0 else -1
-            if mask == 0:
-                return Leaf(sign)
-            return Node(mask, Leaf(sign), Leaf(-sign))
-        batch, bcount, resamples, target_met, probs, clamped = _select_batch(
-            spec_cur, config, rng
-        )
-        children = restrict_batch(spec_cur, batch)
 
-        def expand(i: int, j: int) -> TreeNode:
-            # bit i of the child index j is the branch bit of batch[i]
-            if i == len(batch):
-                return build(children[j], depth_now + len(batch))
-            return Node(batch[i], expand(i + 1, j), expand(i + 1, j | 1 << i))
+def _assemble(n: int, singles: list, records: list) -> tuple[ParityDecisionTree, tuple[NodeRecord, ...]]:
+    """The tree and log from node positions: sorted, the tree's are in level
+    order, so internal node i has children 2i + 1 and 2i + 2.  Ids count all
+    nodes in preorder (left-aligned paths, ancestors first); the log is in
+    post-order (paths padded with ones, deeper first)."""
+    here, mask, c = (np.concatenate(part) for part in zip(*singles))
+    up = np.concatenate([r[0] for r in records] or [here[:0]])
+    picks = [p for r in records for p in r[2]]
+    sign, q = np.where(c > 0, 1, -1), mask != 0  # a query over two leaves, or a leaf
+    below = here[q] + (1 << MAX_DIMENSION) + (here[q] & _PATH)
+    # heap node h of a batch's subtree asks batch[lev] at (depth + lev, path << lev | h + 1 - 2^lev)
+    width = np.array([len(p[0]) for p in picks], dtype=np.int64)
+    size = (1 << width) - 1
+    node = np.arange(len(picks)).repeat(size)
+    h = np.arange(len(node)) - (size.cumsum() - size).repeat(size)
+    lev = np.frexp(h + 1)[1] - 1
+    spots = ((up[node] >> MAX_DIMENSION) + lev) << MAX_DIMENSION | (up[node] & _PATH) << lev | h + 1 - (1 << lev)
+    batches = np.array([g for p in picks for g in p[0]], dtype=np.int64)
+    queries = np.concatenate([mask[q], batches.take((width.cumsum() - width)[node] + lev)])
+    order = np.concatenate([here[q], spots, here[~q], below, below + 1]).argsort()
+    inner = order < len(queries)
+    rank = inner.cumsum() - 1
+    child = np.where(inner, rank, rank - np.arange(len(order)))[1:].astype(np.int32)  # ~j is leaf j
+    values = np.concatenate([sign[~q], sign[q], -sign[q]])[order[~inner] - len(queries)].astype(np.int8)
+    tree = ParityDecisionTree(n, queries[order[inner]].astype(np.uint32), child, values)
 
-        subtree = expand(0, 0)
-        log.append(
-            NodeRecord(
-                node_id,
-                depth_now,
-                spec_cur.sparsity,
-                batch,
-                bcount,
-                max(c.sparsity for c in children),
-                resamples,
-                target_met,
-                probs,
-                clamped,
-            )
-        )
-        return subtree
-
-    root = build(spectrum, 0)
-    return BuildResult(ParityDecisionTree(n, root), tuple(log), config)
+    depth, path = up >> MAX_DIMENSION, up & _PATH
+    every = np.concatenate([up, here])
+    preorder = np.sort((every & _PATH) << (n - (every >> MAX_DIMENSION)) << 5 | every >> MAX_DIMENSION)
+    ids = preorder.searchsorted(path << (n - depth) << 5 | depth).tolist()
+    post = ((path + 1 << (n - depth)) - 1) << 5 | n - depth
+    rows = [(k, *p[:2], m, *p[2:]) for _, sizes, picked, most in records for k, p, m in zip(sizes, picked, most)]
+    return tree, tuple(NodeRecord(ids[i], depth[i].item(), *rows[i]) for i in post.argsort().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,12 @@ spectrum keeps the ambient dimension and uses each bucket's canonical
 coset label as its character, so recursive restriction stays in one
 index space.
 
-Both restrictions label the support once with `gf2.labels` against an
-`Echelon`.  `restrict`, the single-system path, gives each echelon row
-its right-hand-side bit parity(tag & bits) in place of its tag, so the
-tag a mask gets back is its sign flip on H; there are at most 24 rows,
-whatever the number of constraints, and coefficients are summed as
-Python ints.  `restrict_batch` restricts to all 2^b subspaces that b
-independent parities cut out in one pass: c_a goes to cell [tag, bucket]
-of a (2^b, buckets) int64 table, and one WHT along the tag axis gives
-child j, the subspace where bit i of j is the value of batch[i].  It
-needs sum |c_a| < 2^63, which bounds every cell and partial sum.
+Restrictions label the support once with `gf2.labels`.  `restrict` gives
+each echelon row its right-hand-side bit parity(tag & bits) as its tag, so
+a mask's tag is its sign flip on H; sums are Python ints.
+`restrict_frontier` restricts many spectra, each to all 2^b subspaces of
+its batch, with one (2^b, buckets) table and one WHT along the tag axis;
+`restrict_batch` is its one-spectrum form.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 # bench/tracing.py binds coset_label here by name; it is otherwise unused
-from .gf2 import Echelon, check_vector, coset_label, in_span, labels, row_reduce
+from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
 from .spectral import FourierSpectrum, json_int, json_of
 
@@ -115,30 +111,36 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[FourierSpectrum]:
     """The restrictions of f to all 2^b affine subspaces a batch of b
     independent parities cuts out: child j is the restriction to
-    {x | <batch[i], x> = bit i of j}, equal to ``restrict`` on that system.
-    Each (tag, bucket) cell of the table gets at most one c_a."""
-    echelon = Echelon(spectrum.n)
-    for g in batch:
-        check_vector(g, spectrum.n)
-        if echelon.insert(g):
-            raise ValueError(f"batch {batch} is linearly dependent")
+    {x | <batch[i], x> = bit i of j}, equal to ``restrict`` on that system."""
+    echelon = row_reduce(batch, spectrum.n)
+    if echelon.rank < len(batch):
+        raise ValueError(f"batch {batch} is linearly dependent")
     if sum(map(abs, map(int, spectrum.coeffs.values()))) >= 1 << 63:
         raise ValueError("sum of |c_a| >= 2^63 would overflow the int64 restriction table")
     masks = np.fromiter(spectrum.coeffs, dtype=np.int64, count=spectrum.sparsity)
     coeffs = np.fromiter(spectrum.coeffs.values(), dtype=np.int64, count=spectrum.sparsity)
-    label, tag = labels(masks, echelon.rows)
-    keys = _distinct(label)
-    table = np.zeros((1 << len(batch), len(keys)), dtype=np.int64)
-    table[tag, np.searchsorted(keys, label)] = coeffs
+    child, _, label, coeff = restrict_frontier(np.zeros_like(masks), *labels(masks, echelon.rows), coeffs, len(batch))
+    bounds = child.searchsorted(np.arange((1 << len(batch)) + 1)).tolist()
+    items = list(zip(label.tolist(), coeff.tolist()))
+    return [FourierSpectrum(spectrum.n, dict(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def restrict_frontier(
+    nodes: np.ndarray, label: np.ndarray, tag: np.ndarray, coeffs: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Spectra restricted each to the 2^width subspaces of its own batch:
+    element e is c_a of spectrum nodes[e] with a's `gf2.labels` label and
+    tag, and child j is where tag bit i's parity is bit i of j.  A WHT along
+    the tag axis of cells [tag, (node, label)] is exact while each sum |c_a|
+    < 2^63.  Returns (j, node, label, c) of nonzero coefficients, sorted."""
+    keys = nodes << MAX_DIMENSION | label
+    buckets = _distinct(keys)
+    table = np.zeros((1 << width, len(buckets)), dtype=np.int64)
+    table[tag, buckets.searchsorted(keys)] = coeffs  # one c_a per cell: label and tag give back a
     fwht_inplace(table)
-    child, bucket = np.nonzero(table)  # by child, then by label
-    out_masks = keys[bucket].tolist()
-    out_coeffs = table[child, bucket].tolist()
-    bounds = np.searchsorted(child, np.arange(len(table) + 1)).tolist()
-    return [
-        FourierSpectrum(spectrum.n, dict(zip(out_masks[lo:hi], out_coeffs[lo:hi])))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    child, bucket = table.nonzero()
+    keys = buckets[bucket]
+    return child, keys >> MAX_DIMENSION, keys & (1 << MAX_DIMENSION) - 1, table[child, bucket]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -21,8 +23,6 @@ from parityfold.folding import counterexample_support
 from parityfold.pdt import (
     BuildConfig,
     DegenerateInputError,
-    Leaf,
-    Node,
     NotFoldingError,
     ParityDecisionTree,
     ResampleCapExceededError,
@@ -34,9 +34,10 @@ from parityfold.pdt import (
     verify_tree,
     warmup_success_rate,
     _sampling_trial,
-    _select_batch,
+    _select_frontier,
 )
-from parityfold.restriction import bucket_complexity
+from parityfold.pairs import dense_route
+from parityfold.restriction import bucket_complexity, restrict_batch
 from parityfold.runner import canonical_json
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
@@ -45,14 +46,26 @@ def and2():
     return gen_conjunction(0b11, 2)
 
 
+def leaf(value):
+    return {"leaf": value}
+
+
+def node(query, pos, neg):
+    return {"query": query, "pos": pos, "neg": neg}
+
+
+def tree_of(n, root):
+    return ParityDecisionTree.from_dict({"n": n, "root": root})
+
+
 def test_evaluate_single_leaf():
-    tree = ParityDecisionTree(3, Leaf(1))
+    tree = tree_of(3, leaf(1))
     assert all(tree.evaluate(x) == 1 for x in range(8))
     assert tree.depth() == 0
 
 
 def test_evaluate_single_query():
-    tree = ParityDecisionTree(2, Node(0b01, Leaf(1), Leaf(-1)))
+    tree = tree_of(2, node(0b01, leaf(1), leaf(-1)))
     assert tree.evaluate(0b10) == 1  # x1 = 0 so the parity is +1
     assert tree.evaluate(0b01) == -1
     assert tree.depth() == 1
@@ -62,45 +75,52 @@ def test_verify_tree():
     result = build_pdt(and2(), BuildConfig(seed=1))
     assert verify_tree(result.tree, and2())
     assert result.tree.evaluate(0b11) == -1
-    assert not verify_tree(ParityDecisionTree(2, Leaf(1)), and2())
+    assert not verify_tree(tree_of(2, leaf(1)), and2())
 
 
 def test_verify_tree_guards():
     with pytest.raises(ValueError):
-        verify_tree(ParityDecisionTree(3, Leaf(1)), and2())
+        verify_tree(tree_of(3, leaf(1)), and2())
 
 
 def random_trees(n):
     """Trees at dimension n whose queries come from a pool of at most three
     masks and their XOR, so repeated and linearly dependent queries are
     common; at n = 0 only a bare leaf exists."""
-    leaves = st.sampled_from([1, -1]).map(Leaf)
+    leaves = st.sampled_from([1, -1]).map(leaf)
     if n == 0:
         return leaves
     masks = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3)
     return masks.flatmap(lambda pool: st.recursive(
         leaves,
-        lambda sub: st.builds(Node, st.sampled_from(sorted({*pool, pool[0] ^ pool[-1]} - {0})), sub, sub),
+        lambda sub: st.builds(node, st.sampled_from(sorted({*pool, pool[0] ^ pool[-1]} - {0})), sub, sub),
         max_leaves=24,
     ))
+
+
+def evaluate_dict(root, x):
+    """Oracle: a tree's value at x, walking its dict form."""
+    while "leaf" not in root:
+        root = root["neg"] if (root["query"] & x).bit_count() & 1 else root["pos"]
+    return root["leaf"]
 
 
 @st.composite
 def trees_and_tables(draw):
     n = draw(st.integers(0, 6))
-    tree = ParityDecisionTree(n, draw(random_trees(n)))
-    values = np.array([tree.evaluate(x) for x in range(1 << n)], dtype=np.int8)
+    root = draw(random_trees(n))
+    values = np.array([evaluate_dict(root, x) for x in range(1 << n)], dtype=np.int8)
     flip = draw(st.none() | st.integers(0, (1 << n) - 1))
     if flip is not None:
         values[flip] = -values[flip]
-    return tree, TruthTable(n, values)
+    return tree_of(n, root), TruthTable(n, values), flip is None
 
 
 @given(trees_and_tables())
 @settings(max_examples=300, deadline=None)
 def test_verify_tree_matches_evaluate(case):
-    tree, table = case
-    oracle = all(tree.evaluate(x) == table.values[x] for x in range(1 << tree.n))
+    tree, table, oracle = case
+    assert all(tree.evaluate(x) == table.values[x] for x in range(1 << tree.n)) == oracle
     # chunks of 3 inputs exercise several chunks and a short last one
     for chunk in (pdt._VERIFY_CHUNK, 3):
         with mock.patch.object(pdt, "_VERIFY_CHUNK", chunk):
@@ -109,7 +129,7 @@ def test_verify_tree_matches_evaluate(case):
 
 def test_verify_tree_checks_every_chunk():
     # at n = 17 the inputs with x17 = 1 all lie past the first chunk
-    tree = ParityDecisionTree(17, Node(1 << 16, Leaf(1), Leaf(-1)))
+    tree = tree_of(17, node(1 << 16, leaf(1), leaf(-1)))
     table = gen_parity(1 << 16, 17)
     assert verify_tree(tree, table)
     values = table.values.copy()
@@ -121,10 +141,10 @@ def decision_list(depth, n):
     """A decision list of the given depth computing parity(mask=1, n), built
     in a loop: queries alternate x1 and x1 + xn, the pos leaf of level i is
     (-1)^i, and the inputs with x1 = 1, xn = 0 run to the bottom leaf."""
-    node = Leaf(-1)
+    root = leaf(-1)
     for i in reversed(range(depth)):
-        node = Node(1 if i % 2 == 0 else 1 | 1 << (n - 1), Leaf(-1 if i % 2 else 1), node)
-    return ParityDecisionTree(n, node)
+        root = node(1 if i % 2 == 0 else 1 | 1 << (n - 1), leaf(-1 if i % 2 else 1), root)
+    return tree_of(n, root)
 
 
 @pytest.mark.parametrize("n", [2, 12])
@@ -139,8 +159,7 @@ def test_verify_tree_deep_decision_list(n, depth):
 
 @pytest.mark.parametrize("depth", [900, 5000])
 def test_deep_tree_walks_have_no_recursion(depth):
-    # 5000 levels exceed the default recursion limit; the dataclass == on
-    # the Node chain still recurses, so the round trip compares bytes
+    # 5000 levels exceed the default recursion limit
     tree = decision_list(depth, 12)
     assert tree.depth() == depth
     paths = tree.paths()
@@ -148,10 +167,12 @@ def test_deep_tree_walks_have_no_recursion(depth):
     assert paths[-1] == tuple(1 if i % 2 == 0 else 1 | 1 << 11 for i in range(depth))
     encoded = canonical_json(tree.to_dict())
     assert canonical_json(ParityDecisionTree.from_dict(tree.to_dict()).to_dict()) == encoded
+    assert ParityDecisionTree.from_dict(tree.to_dict()) == tree
+    assert tree != decision_list(depth - 1, 12)
 
 
 def test_tree_walks_visit_pos_before_neg():
-    tree = ParityDecisionTree(3, Node(1, Node(2, Leaf(1), Node(4, Leaf(1), Leaf(-1))), Leaf(-1)))
+    tree = tree_of(3, node(1, node(2, leaf(1), node(4, leaf(1), leaf(-1))), leaf(-1)))
     assert tree.depth() == 3
     assert tree.paths() == [(1, 2), (1, 2, 4), (1, 2, 4), (1,)]
     assert json.dumps(tree.to_dict()) == (
@@ -177,9 +198,13 @@ def test_out_of_range_queries_are_refused(tmp_path, capsys, query):
     data = {"n": 2, "root": {"query": query, "pos": {"leaf": 1}, "neg": {"leaf": -1}}}
     with pytest.raises(DimensionMismatchError):
         ParityDecisionTree.from_dict(data)
-    tree = ParityDecisionTree(2, Node(1, Leaf(1), Node(query, Leaf(-1), Leaf(1))))
     with pytest.raises(DimensionMismatchError):
-        verify_tree(tree, gen_inner_product(1))
+        tree_of(2, node(1, leaf(1), node(query, leaf(-1), leaf(1))))
+    if query < 1 << 32:  # an array-built tree holds queries as uint32
+        arrays = [(1, query), (~0, 1, ~1, ~2), (1, -1, 1)]
+        tree = ParityDecisionTree(2, *(np.array(a, dtype=t) for a, t in zip(arrays, (np.uint32, np.int32, np.int8))))
+        with pytest.raises(DimensionMismatchError):
+            verify_tree(tree, gen_inner_product(1))
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(data))
     assert main(["pdt", "verify", str(path), "inner-product:m=1"]) == 2
@@ -204,10 +229,28 @@ def naive_greedy_batch(spectrum, epsilon):
     return tuple(batch), bcount
 
 
+def select(spectra, cfg):
+    """(batch, bucket count) per node of one deterministic frontier of the
+    spectra (all of one n), after checking each mask's label and tag: the
+    mask is its label plus the batch members its tag names, batch[0] on the
+    tag's top bit."""
+    n = spectra[0].n
+    supports = [sorted(s.coeffs) for s in spectra]
+    masks = np.array([a for support in supports for a in support], dtype=np.int64)
+    coeffs = np.array([s.coeffs[a] for s, support in zip(spectra, supports) for a in support], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(support) for support in supports])
+    label, tag, picked = _select_frontier(masks, coeffs, bounds, cfg, None, n)
+    for lo, hi, (batch, *_) in zip(bounds, bounds[1:], picked):
+        basis = row_reduce(batch, n)
+        for a, lab, t in zip(masks[lo:hi].tolist(), label[lo:hi].tolist(), tag[lo:hi].tolist()):
+            named = [g for i, g in enumerate(batch) if t >> (len(batch) - 1 - i) & 1]
+            assert lab == coset_label(a, basis) == functools.reduce(operator.xor, named, a)
+    return [(batch, bcount) for batch, bcount, *_ in picked]
+
+
 def assert_greedy_matches_oracle(spectrum, epsilon):
     cfg = BuildConfig(strategy="greedy-min-bucket", epsilon=epsilon)
-    batch, bcount, *_ = _select_batch(spectrum, cfg, np.random.default_rng(0))
-    assert (batch, bcount) == naive_greedy_batch(spectrum, cfg.epsilon)
+    assert select([spectrum], cfg) == [naive_greedy_batch(spectrum, cfg.epsilon)]
 
 
 @given(
@@ -239,8 +282,7 @@ def naive_max_coefficient_direction(spectrum):
 
 
 def assert_max_coefficient_matches_oracle(spectrum):
-    cfg = BuildConfig(strategy="max-coefficient")
-    batch, bcount, *_ = _select_batch(spectrum, cfg, None)
+    ((batch, bcount),) = select([spectrum], BuildConfig(strategy="max-coefficient"))
     assert batch == (naive_max_coefficient_direction(spectrum),)
     assert bcount == bucket_complexity(spectrum.coeffs, batch, spectrum.n).bucket_count
 
@@ -264,7 +306,7 @@ def test_max_coefficient_with_a_unique_top_weight_pairs_it_with_the_second_weigh
     # 9 * 3 is the heaviest product, and 12 ^ 1 = 13 its smallest direction;
     # the lighter pairs (1, 3) and (7, 6) have the smaller directions 2 and 1
     spectrum = FourierSpectrum(4, {12: 9, 1: 3, 3: -3, 7: -1, 6: 1})
-    batch, *_ = _select_batch(spectrum, BuildConfig(strategy="max-coefficient"), None)
+    ((batch, _),) = select([spectrum], BuildConfig(strategy="max-coefficient"))
     assert batch == (13,) == (naive_max_coefficient_direction(spectrum),)
     assert_max_coefficient_matches_oracle(spectrum)
 
@@ -284,8 +326,33 @@ def test_max_coefficient_ties_go_to_the_smallest_direction():
     # the heaviest pairs (0,5), (0,6) and (5,6) all weigh 4; the last one
     # has the smallest direction, and the lighter (0,1) has a smaller one still
     spectrum = FourierSpectrum(3, {0: 2, 1: 1, 5: -2, 6: 2})
-    batch, *_ = _select_batch(spectrum, BuildConfig(strategy="max-coefficient"), None)
+    ((batch, _),) = select([spectrum], BuildConfig(strategy="max-coefficient"))
     assert batch == (3,) == (naive_max_coefficient_direction(spectrum),)
+
+
+SMALL_SUPPORTS = st.dictionaries(
+    st.integers(0, 255), st.sampled_from([-4, -2, -1, 1, 2, 4]), min_size=2, max_size=40
+)
+
+
+@given(
+    st.lists(SMALL_SUPPORTS, max_size=4),
+    st.dictionaries(st.integers(0, 31), st.sampled_from([-2, -1, 1, 2]), min_size=20, max_size=32),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_frontier_selection_matches_the_per_node_oracles(supports, dense, data):
+    # one frontier of 2-6 supports at n = 24: mixed sizes, one node on the
+    # dense route and one with masks at the 24-bit cap
+    assert dense_route(max(dense).bit_length(), len(dense))
+    cap = {m: (-1) ** i * (1 + i % 3) for i, m in enumerate(counterexample_support(24))}
+    spectra = [FourierSpectrum(24, coeffs) for coeffs in [*supports, dense, cap]]
+    spectra = data.draw(st.permutations(spectra))
+    for epsilon in (Fraction(1, 2), Fraction(9, 10)):
+        cfg = BuildConfig(strategy="greedy-min-bucket", epsilon=epsilon)
+        assert select(spectra, cfg) == [naive_greedy_batch(s, epsilon) for s in spectra]
+    expected = [(naive_max_coefficient_direction(s),) for s in spectra]
+    assert [batch for batch, _ in select(spectra, BuildConfig(strategy="max-coefficient"))] == expected
 
 
 def test_tree_json_roundtrip():
@@ -321,7 +388,7 @@ def test_sample_parity_sorts_a_numpy_array_like_a_list():
 def test_build_constant():
     t = TruthTable(3, np.ones(8))
     result = build_pdt(t)
-    assert result.tree.root == Leaf(1)
+    assert result.tree == tree_of(3, leaf(1))
     assert result.depth() == 0
 
 
@@ -329,8 +396,7 @@ def test_build_single_character():
     t = gen_parity(0b101, 3)
     result = build_pdt(t)
     assert result.depth() == 1
-    assert isinstance(result.tree.root, Node)
-    assert result.tree.root.query == 0b101
+    assert result.tree.to_dict()["root"] == node(0b101, leaf(1), leaf(-1))
     assert verify_tree(result.tree, t)
 
 
@@ -342,8 +408,8 @@ def test_build_degenerate():
 def test_build_accepts_coefficients_up_to_two_to_the_n():
     for n in (3, 24):
         full = 1 << n
-        assert build_pdt(FourierSpectrum(n, {5: full})).tree.root == Node(5, Leaf(1), Leaf(-1))
-        assert build_pdt(FourierSpectrum(n, {0: -full})).tree.root == Leaf(-1)
+        assert build_pdt(FourierSpectrum(n, {5: full})).tree == tree_of(n, node(5, leaf(1), leaf(-1)))
+        assert build_pdt(FourierSpectrum(n, {0: -full})).tree == tree_of(n, leaf(-1))
         # rejected up front, before any restriction
         for coeffs in ({5: full + 1, 6: 1}, {5: 1, 6: -full - 1}, {5: np.int64(-(1 << 63)), 6: 1}):
             with pytest.raises(DegenerateInputError, match="> 2\\^n"):
@@ -604,7 +670,9 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
     p = 0.3
     cfg = BuildConfig(strategy="sampling", probability=p, resample_cap=1, epsilon=Fraction(1, 100))
     try:
-        batch, bcount, *_ = _select_batch(spectrum, cfg, np.random.default_rng((seed, 0)))
+        masks = np.array(sorted(spectrum.coeffs), dtype=np.int64)
+        bounds = np.array([0, len(masks)])
+        ((batch, bcount, *_),) = _select_frontier(masks, masks, bounds, cfg, np.random.default_rng((seed, 0)), spectrum.n)[2]
     except ResampleCapExceededError as exc:  # the attempt made no progress
         batch, bcount = exc.best_batch, exc.best_bucket_count
     stats = estimate_bucket_reduction(spectrum, p, 1, seed)
@@ -658,3 +726,85 @@ def test_sampling_trial_refuses_a_probability_outside_the_unit_interval(bad, pha
     rngs = [np.random.default_rng(t) for t in range(generators)]
     with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
         _sampling_trial([1, 2, 3], probabilities, rngs)
+
+
+BAD_TREES = {
+    "leaf-two": {"n": 2, "root": node(1, leaf(1), leaf(2))},
+    "leaf-zero": {"n": 2, "root": leaf(0)},
+    "query-zero": {"n": 2, "root": node(0, leaf(1), leaf(-1))},
+    "query-negative": {"n": 2, "root": node(1, leaf(1), node(-3, leaf(1), leaf(-1)))},
+    "no-pos": {"n": 2, "root": {"query": 1, "neg": leaf(-1)}},
+    "no-neg": {"n": 2, "root": node(1, leaf(1), {"query": 2, "pos": leaf(1)})},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREES))
+def test_tree_from_dict_refuses_what_no_tree_has(tmp_path, capsys, name):
+    with pytest.raises(ValueError):
+        ParityDecisionTree.from_dict(BAD_TREES[name])
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(BAD_TREES[name]))
+    assert main(["pdt", "depth", str(path)]) == 2
+    assert main(["pdt", "verify", str(path), "parity:mask=1,n=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("strategy", pdt.STRATEGIES)
+def test_build_refuses_a_restriction_with_no_support(strategy):
+    # f = (1 + chi_1) / 2 is 0 where x1 = 1: both children of the query x1
+    # are signed characters only for a +-1 function
+    with pytest.raises(DegenerateInputError, match="no support"):
+        build_pdt(FourierSpectrum(1, {0: 1, 1: 1}), BuildConfig(strategy=strategy))
+
+
+def test_greedy_build_restricts_once_per_level_and_batch_width(monkeypatch):
+    calls = []
+
+    def counting(nodes, label, tag, coeffs, width):
+        calls.append((width, int(nodes.max()) + 1))
+        return restrict_frontier(nodes, label, tag, coeffs, width)
+
+    restrict_frontier = pdt.restrict_frontier
+    monkeypatch.setattr(pdt, "restrict_frontier", counting)
+    result = build_pdt(gen_random(8, 3), BuildConfig(strategy="greedy-min-bucket"))
+    # a level's calls come in increasing width, one per width it has
+    levels = 1 + sum(b <= a for (a, _), (b, _) in zip(calls, calls[1:]))
+    assert levels <= result.depth()
+    assert sum(nodes for _, nodes in calls) == len(result.log)
+    assert len(calls) <= levels * len({len(r.batch) for r in result.log}) < len(result.log)
+
+
+def replay_sampling_build(spectrum, config, log):
+    """Rebuild the log of a sampling build depth first, one node at a time,
+    with restrict_batch and one _sampling_trial per logged resample from a
+    single generator: the draws of a build, in the order it makes them."""
+    rng = np.random.default_rng(config.seed)
+    records = {r.node_id: r for r in log}
+    stack, node_id = [(spectrum, 0)], 0
+    while stack:
+        spec, at = stack.pop()
+        node_id, here = node_id + 1, node_id
+        if spec.sparsity == 1:
+            continue
+        record = records.pop(here)
+        support = sorted(spec.coeffs)
+        steps = [_sampling_trial(support, record.probabilities, [rng])[0] for _ in range(record.resamples)]
+        best = steps[-1] if record.target_met else min((s for s in steps if s[0]), key=lambda s: s[2])
+        assert (record.batch, record.bucket_count, record.depth) == (best[0], best[2], at)
+        assert record.sparsity_before == spec.sparsity
+        children = restrict_batch(spec, record.batch)
+        assert record.max_child_sparsity == max(c.sparsity for c in children)
+        b = len(record.batch)
+        # child j is reached by the branch bits of batch[0], batch[1], ...
+        order = sorted(range(1 << b), key=lambda j: [j >> i & 1 for i in range(b)])
+        stack += [(children[j], at + b) for j in reversed(order)]
+    assert not records
+
+
+@pytest.mark.parametrize("strategy", ["sampling", "folding-sampling"])
+@pytest.mark.parametrize("name,table", [("ip3", gen_inner_product(3)), ("ad16", gen_addressing(16)), ("random6", gen_random(6, 2))])
+def test_sampling_build_draws_as_a_depth_first_replay(strategy, name, table):
+    for seed in range(3):
+        config = BuildConfig(strategy=strategy, seed=seed)
+        replay_sampling_build(wht(table), config, build_pdt(table, config).log)

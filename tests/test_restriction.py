@@ -21,7 +21,7 @@ from parityfold.restriction import (
     restrict_batch,
     system_from_list,
 )
-from parityfold.gf2 import DimensionMismatchError, Echelon
+from parityfold.gf2 import DimensionMismatchError, Echelon, labels, row_reduce
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -363,6 +363,31 @@ def test_restrict_batch_children_match_restrict(n, data):
         # bit i of the child index is the branch bit of batch[i]
         bits = tuple((j >> i) & 1 for i in range(len(batch)))
         assert child == restrict(spectrum, AffineConstraintSystem(n, tuple(zip(batch, bits))))
+
+
+@given(BATCH_DIMENSIONS, st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_frontier_restriction_children_match_restrict(n, count, data):
+    # spectra restricted together, each against its own batch of one width
+    frontier = [draw_spectrum_and_batch(data, n) for _ in range(count)]
+    width = min(len(batch) for _, batch in frontier)
+    frontier = [(spectrum, batch[:width]) for spectrum, batch in frontier]
+    parts = [
+        (np.full(s.sparsity, i), *labels(np.fromiter(s.coeffs, np.int64), row_reduce(batch, n).rows),
+         np.fromiter(s.coeffs.values(), np.int64))
+        for i, (s, batch) in enumerate(frontier)
+    ]
+    child, node, label, coeff = restriction.restrict_frontier(*map(np.concatenate, zip(*parts)), width)
+    rows = list(zip(child.tolist(), node.tolist(), label.tolist()))
+    assert rows == sorted(set(rows))
+    got: dict = {}
+    for (j, i, a), c in zip(rows, coeff.tolist()):
+        got.setdefault((j, i), {})[a] = c
+    for i, (spectrum, batch) in enumerate(frontier):
+        for j in range(1 << width):
+            # tag bit i is batch[i], so bit i of the child index is its branch bit
+            system = AffineConstraintSystem(n, tuple((g, j >> b & 1) for b, g in enumerate(batch)))
+            assert FourierSpectrum(n, got.get((j, i), {})) == restrict(spectrum, system)
 
 
 def test_restrict_batch_of_no_parities_is_the_spectrum():

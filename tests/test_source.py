@@ -111,6 +111,27 @@ def test_traced_benchmark_bindings_resolve():
     assert not missing, f"bench/tracing.py binds missing attributes: {missing}"
 
 
+def test_the_runner_builds_trees_through_the_pdt_module_attribute(monkeypatch):
+    # bench/run.py:capture_trees patches pdt.build_pdt and keeps
+    # result.tree.to_dict(); a runner that bound build_pdt by name would
+    # leave the benchmark's tree digests empty
+    from parityfold import pdt, runner
+
+    built = []
+    original = pdt.build_pdt
+
+    def keep(*args, **kwargs):
+        result = original(*args, **kwargs)
+        built.append(result.tree.to_dict())
+        return result
+
+    monkeypatch.setattr(pdt, "build_pdt", keep)
+    config = {"functions": [{"family": "inner-product", "m": 2}], "analyses": [{"op": "pdt", "strategy": "greedy-min-bucket"}]}
+    report = runner.run_experiment(config)
+    assert len(built) == 1 and built[0]["n"] == 4
+    assert report.results[0]["analyses"][0]["result"]["verified"]
+
+
 def test_the_scalar_elimination_step_lives_in_reduce_tagged():
     # v ^= row clears one pivot of one vector; Echelon is the one basis
     # type, and its reduce_tagged the library's one scalar elimination loop
