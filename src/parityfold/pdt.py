@@ -10,8 +10,9 @@ level per step: one set of kernel calls picks every batch and one
 strategies take nodes one by one, depth first, so the generator draws
 follow the tree.  Ids, log order and arrays come from tree positions at
 the end.  |c_a| > 2^n is refused up front (no +-1 function has it), so
-restriction stays within k * 2^n <= 2^48.  `_sampling_trial` is both a
-build's resample attempt and every Monte Carlo trial.
+restriction stays within k * 2^n <= 2^48.  `_sampling_trial` draws a
+build's resample attempts and every uncertain Monte Carlo trial, and
+`_fold_unions` folds each of them, and a certain union once.
 """
 
 from __future__ import annotations
@@ -221,14 +222,10 @@ def _sampling_trial(
 
     Row t marks the union of one ``rng.random(k) < p`` per phase, in phase
     order, from generator t: ``sample_parity``'s draw over the sorted
-    support, refused before any draw for a p outside [0, 1].  The rows then
-    share one (trials, k) matrix of the support's coset labels: each
-    elimination step takes, in every row, the first union member in sorted
-    order whose label is nonzero (it is independent of those kept so far)
-    and folds that label in with one per-row ``label_step``.  A zero label
-    stays zero, so this is the sorted walk over the union, in at most
-    rank <= n steps.  Returns (kept batch, union size, bucket count of the
-    support against the batch's span) per generator.
+    support, refused before any draw for a p outside [0, 1].  Each chunk
+    of rows then goes to ``_fold_unions``.  Returns (kept batch, union
+    size, bucket count of the support against the batch's span) per
+    generator.
     """
     for p in probabilities:
         if not 0 <= p <= 1:
@@ -238,41 +235,58 @@ def _sampling_trial(
     rngs = iter(rngs)
     out: list[tuple[tuple[int, ...], int, int]] = []
     while chunk := list(islice(rngs, max(1, _TRIAL_CHUNK_CELLS // (k + 1)))):
-        trials = len(chunk)
-        # column k is a sentinel, live with label 0: a row with no live
-        # member left steps on it, and a step on row 0 is no step
-        live = np.zeros((trials, k + 1), dtype=bool)
-        for row, rng in zip(live, chunk):
+        union = np.zeros((len(chunk), k), dtype=bool)
+        for row, rng in zip(union, chunk):
             for p in probabilities:
-                row[:k] |= rng.random(k) < p
-        sizes = live.sum(axis=1).tolist()
-        live[:, k] = True
-        labels = np.zeros((trials, k + 1), dtype=np.int64)
-        labels[:, :k] = masks
-        live_body, labels_body = live[:, :k], labels[:, :k]
-        # a live member is a union member whose label is nonzero
-        np.logical_and(live_body, labels_body, out=live_body)
-        starts = np.arange(0, trials * (k + 1), k + 1)
-        firsts = []
-        while True:
-            first = starts + live.argmax(axis=1)  # flat index per row
-            pivot = labels.take(first)
-            if not np.count_nonzero(pivot):
-                break
-            label_step(labels, pivot)
-            np.logical_and(live_body, labels_body, out=live_body)
-            firsts.append(first)
-        # once a row steps on the sentinel it does for good, so its kept
-        # members are the prefix of its steps before the first -1
-        steps = np.array(firsts, dtype=np.int64).reshape(-1, trials) - starts
-        kept = np.append(masks, -1)[steps.T].tolist()
-        labels_body.sort(axis=1)
-        counts = 1 + (labels_body[:, 1:] != labels_body[:, :-1]).sum(axis=1)
-        out.extend(
-            (tuple(m for m in row if m >= 0), size, count)
-            for row, size, count in zip(kept, sizes, counts.tolist())
-        )
+                row |= rng.random(k) < p
+        out.extend(_fold_unions(masks, union))
     return out
+
+
+def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
+    """(kept batch, union size, bucket count) for each row of a (rows, k)
+    boolean matrix of unions over the sorted support ``masks``; it draws
+    nothing.
+
+    The rows share one (rows, k) matrix of the support's coset labels:
+    each elimination step takes, in every row, the first union member in
+    sorted order whose label is nonzero (it is independent of those kept
+    so far) and folds that label in with one per-row ``label_step``.  A
+    zero label stays zero, so this is the sorted walk over the union, in
+    at most rank <= n steps.  The bucket count is the number of distinct
+    labels in the row.
+    """
+    rows, k = union.shape
+    sizes = union.sum(axis=1).tolist()
+    # column k is a sentinel, live with label 0: a row with no live
+    # member left steps on it, and a step on row 0 is no step
+    live = np.zeros((rows, k + 1), dtype=bool)
+    live[:, k] = True
+    labels = np.zeros((rows, k + 1), dtype=np.int64)
+    labels[:, :k] = masks
+    live_body, labels_body = live[:, :k], labels[:, :k]
+    # a live member is a union member whose label is nonzero
+    np.logical_and(union, labels_body, out=live_body)
+    starts = np.arange(0, rows * (k + 1), k + 1)
+    firsts = []
+    while True:
+        first = starts + live.argmax(axis=1)  # flat index per row
+        pivot = labels.take(first)
+        if not np.count_nonzero(pivot):
+            break
+        label_step(labels, pivot)
+        np.logical_and(live_body, labels_body, out=live_body)
+        firsts.append(first)
+    # once a row steps on the sentinel it does for good, so its kept
+    # members are the prefix of its steps before the first -1
+    steps = np.array(firsts, dtype=np.int64).reshape(-1, rows) - starts
+    kept = np.append(masks, -1)[steps.T].tolist()
+    labels_body.sort(axis=1)
+    counts = 1 + (labels_body[:, 1:] != labels_body[:, :-1]).sum(axis=1)
+    return [
+        (tuple(m for m in row if m >= 0), size, count)
+        for row, size, count in zip(kept, sizes, counts.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +636,28 @@ def _run_trials(
 ) -> TrialStats:
     """Independent seeded trials of the sampling step at the requested
     probabilities, each clamped to 1; trial t's generator depends only on
-    (seed, t), so results are identical under any execution order."""
-    support_sorted = sorted(spectrum.coeffs)
-    k = len(support_sorted)
+    (seed, t), so results are identical under any execution order.
+
+    The union is certain when some clamped phase is exactly 1 or every
+    phase is 0: ``rng.random(k)`` lies in [0, 1), so every generator
+    marks the whole support, or none of it.  Then no generator is seeded
+    and one all-True or all-False row is folded and repeated ``trials``
+    times, which is the step each (seed, t) generator would have drawn.
+    At desk scale that covers the warm-up at k <= 1,897 and theorem 2 at
+    delta = 1 and ell <= 1/2 for every n <= 20 (its second phase clamps
+    to 1).  Every uncertain union is drawn from its (seed, t) generator.
+    """
+    masks = np.array(sorted(spectrum.coeffs), dtype=np.int64)
+    k = len(masks)
     probabilities = tuple(min(1.0, p) for p in requested)
-    steps = _sampling_trial(
-        support_sorted, probabilities, (np.random.default_rng((seed, t)) for t in range(trials))
-    )
+    marked = 1.0 in probabilities
+    if marked or not any(probabilities):
+        (step,) = _fold_unions(masks, np.full((1, k), marked))
+        steps = [step] * trials
+    else:
+        steps = _sampling_trial(
+            masks, probabilities, (np.random.default_rng((seed, t)) for t in range(trials))
+        )
     bucket_counts = [count for _, _, count in steps]
     sample_sizes = [size for _, size, _ in steps]
     mean = Fraction(sum(bucket_counts), trials * k)
@@ -641,7 +670,8 @@ def _run_trials(
         half = 0.0
     success_fraction = None
     if success_threshold is not None:
-        hits = sum(1 for b in bucket_counts if b <= success_threshold)
+        cut = math.floor(success_threshold)  # b <= threshold for an integer b
+        hits = sum(1 for b in bucket_counts if b <= cut)
         success_fraction = Fraction(hits, trials)
     return TrialStats(
         trials=trials,

@@ -728,6 +728,86 @@ def test_sampling_trial_refuses_a_probability_outside_the_unit_interval(bad, pha
         _sampling_trial([1, 2, 3], probabilities, rngs)
 
 
+def drawn_trial_stats(spectrum, requested, trials, seed, threshold):
+    # oracle: the TrialStats of trials drawn one (seed, t) generator each,
+    # with Fraction success comparisons
+    support = sorted(spectrum.coeffs)
+    k = len(support)
+    probabilities = tuple(min(1.0, p) for p in requested)
+    steps = _sampling_trial(support, probabilities, [np.random.default_rng((seed, t)) for t in range(trials)])
+    counts = [count for _, _, count in steps]
+    fractions = [b / k for b in counts]
+    mean_f = sum(fractions) / trials
+    half = 0.0
+    if trials >= 2:
+        var = sum((x - mean_f) ** 2 for x in fractions) / (trials - 1)
+        half = 1.96 * math.sqrt(var / trials)
+    return pdt.TrialStats(
+        trials=trials,
+        k=k,
+        probabilities=probabilities,
+        requested=requested,
+        clamped=probabilities != requested,
+        bucket_counts=tuple(counts),
+        sample_sizes=tuple(size for _, size, _ in steps),
+        mean_bucket_fraction=Fraction(sum(counts), trials * k),
+        ci95=(mean_f - half, mean_f + half),
+        success_threshold=threshold,
+        success_fraction=None if threshold is None else Fraction(sum(b <= threshold for b in counts), trials),
+    )
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_certain_union_equals_the_drawn_trials(n, data):
+    # a phase at 1, or every phase at 0, marks the same union from any
+    # generator, so the folded row repeated must be what each (seed, t)
+    # generator draws; a chunk size of 1 or 40 cells spans several chunks
+    spectrum = wht(gen_random(n, data.draw(st.integers(0, 2**16))))
+    phases = data.draw(
+        st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=3).filter(
+            lambda ps: 1.0 in ps or not any(ps)
+        )
+    )
+    requested = tuple(data.draw(st.sampled_from([p, 1.5, 7.0])) if p == 1.0 else p for p in phases)
+    trials = data.draw(st.integers(1, 13))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    k = spectrum.sparsity
+    threshold = data.draw(st.sampled_from([None, Fraction(k, 2), k - Fraction(k, 6), Fraction(1, 3)]))
+    with mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
+        expected = drawn_trial_stats(spectrum, requested, trials, seed, threshold)
+        assert pdt._run_trials(spectrum, requested, trials, seed, threshold) == expected
+
+
+def test_certain_union_seeds_no_generator(monkeypatch):
+    # at k = 16 the warm-up clamps to p = 1 and theorem 2 clamps its second
+    # phase, so neither op needs a generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certain union seeded a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    warmup = warmup_success_rate(gen_inner_product(2), 50, 0)
+    folding = folding_sampling_trial(gen_inner_product(2), 1, 0, 50, 0)
+    assert warmup.probabilities == (1.0,) and folding.probabilities[1] == 1.0
+    assert warmup.bucket_counts == folding.bucket_counts == (1,) * 50
+    assert warmup.sample_sizes == folding.sample_sizes == (16,) * 50
+    with pytest.raises(AssertionError, match="seeded a generator"):
+        estimate_bucket_reduction(gen_inner_product(2), 0.3, 5, 0)
+
+
+@pytest.mark.parametrize("phases", [(1.0,), (0.3, 1.0)])
+def test_build_attempt_draws_k_uniforms_per_phase_when_certain(phases):
+    # a build shares one generator across its attempts, so an attempt at a
+    # certain union still advances it by one random(k) per phase
+    support = sorted(wht(gen_addressing(16)).coeffs)
+    rng, fresh = np.random.default_rng(11), np.random.default_rng(11)
+    ((batch, size, _),) = _sampling_trial(support, phases, [rng])
+    for _ in phases:
+        fresh.random(len(support))
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    assert size == len(support)
+
+
 BAD_TREES = {
     "leaf-two": {"n": 2, "root": node(1, leaf(1), leaf(2))},
     "leaf-zero": {"n": 2, "root": leaf(0)},
