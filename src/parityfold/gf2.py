@@ -120,16 +120,18 @@ def labels(masks: np.ndarray, rows: Iterable[tuple[int, int, int]]) -> tuple[np.
 
 
 def label_step(labels: np.ndarray, row: int | np.ndarray) -> np.ndarray:
-    """XOR ``row`` into every int64 label that has its leading bit, in
-    place; returns the hit per label as bools.
+    """XOR ``row`` into every label that has its leading bit, in place;
+    returns the hit per label as bools.  ``labels`` is a signed integer
+    array, int64 or, for masks of at most MAX_DIMENSION bits, int32; rows
+    are cast to its dtype.
 
-    ``row`` may also be an int64 array of rows, one per leading-axis slice
-    of ``labels``, where row 0 means no step.  A label has a nonzero row's
+    ``row`` may also be an array of rows, one per leading-axis slice of
+    ``labels``, where row 0 means no step.  A label has a nonzero row's
     leading bit exactly when XOR-ing the row in makes it smaller, so the
     step is an elementwise minimum, exact in integers and free of any
     bit-length computation; a row 0 leaves every label as it is.
     """
-    row = np.asarray(row, dtype=np.int64)
+    row = np.asarray(row, dtype=labels.dtype)
     stepped = labels ^ row.reshape(row.shape + (1,) * (labels.ndim - row.ndim))
     hit = stepped < labels
     np.minimum(labels, stepped, out=labels)

@@ -11,7 +11,8 @@ strategies take nodes one by one, depth first, so the generator draws
 follow the tree.  Ids, log order and arrays come from tree positions at
 the end.  |c_a| > 2^n is refused up front (no +-1 function has it), so
 restriction stays within k * 2^n <= 2^48.  `_sampling_trial` draws a
-build's resample attempts and every uncertain Monte Carlo trial, and
+build's resample attempts and every uncertain Monte Carlo trial, from the
+states `_trial_generators` seeds in one vectorized pass, and
 `_fold_unions` folds each of them, and a certain union once.
 """
 
@@ -22,8 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,10 @@ class DegenerateInputError(ValueError):
 
 class NotFoldingError(ValueError):
     """The requested (delta, ell) folding hypothesis does not hold."""
+
+
+class SeedRangeError(ValueError):
+    """A seed below 0, or more trials than a 32-bit trial index t numbers."""
 
 
 class ResampleCapExceededError(RuntimeError):
@@ -222,9 +226,11 @@ def _sampling_trial(
 
     Row t marks the union of one ``rng.random(k) < p`` per phase, in phase
     order, from generator t: ``sample_parity``'s draw over the sorted
-    support, refused before any draw for a p outside [0, 1].  Each chunk
-    of rows then goes to ``_fold_unions``.  Returns (kept batch, union
-    size, bucket count of the support against the batch's span) per
+    support, refused before any draw for a p outside [0, 1].  Each
+    generator draws its row before the next is taken, so ``rngs`` may
+    yield one generator again in a new state (`_trial_generators`).  Each
+    chunk of rows then goes to ``_fold_unions``.  Returns (kept batch,
+    union size, bucket count of the support against the batch's span) per
     generator.
     """
     for p in probabilities:
@@ -232,14 +238,20 @@ def _sampling_trial(
             raise ValueError(f"probability must lie in [0, 1], got {p}")
     masks = np.asarray(support_sorted, dtype=np.int64)
     k = len(masks)
-    rngs = iter(rngs)
+    union = np.empty((max(1, _TRIAL_CHUNK_CELLS // (k + 1)), k), dtype=bool)
     out: list[tuple[tuple[int, ...], int, int]] = []
-    while chunk := list(islice(rngs, max(1, _TRIAL_CHUNK_CELLS // (k + 1)))):
-        union = np.zeros((len(chunk), k), dtype=bool)
-        for row, rng in zip(union, chunk):
-            for p in probabilities:
-                row |= rng.random(k) < p
-        out.extend(_fold_unions(masks, union))
+    drawn = 0
+    for rng in rngs:
+        row = union[drawn]
+        row.fill(False)
+        for p in probabilities:
+            row |= rng.random(k) < p
+        drawn += 1
+        if drawn == len(union):
+            out.extend(_fold_unions(masks, union))
+            drawn = 0
+    if drawn:
+        out.extend(_fold_unions(masks, union[:drawn]))
     return out
 
 
@@ -254,7 +266,8 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, 
     so far) and folds that label in with one per-row ``label_step``.  A
     zero label stays zero, so this is the sorted walk over the union, in
     at most rank <= n steps.  The bucket count is the number of distinct
-    labels in the row.
+    labels in the row.  Labels are int32: masks have at most MAX_DIMENSION
+    bits.
     """
     rows, k = union.shape
     sizes = union.sum(axis=1).tolist()
@@ -262,7 +275,7 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, 
     # member left steps on it, and a step on row 0 is no step
     live = np.zeros((rows, k + 1), dtype=bool)
     live[:, k] = True
-    labels = np.zeros((rows, k + 1), dtype=np.int64)
+    labels = np.zeros((rows, k + 1), dtype=np.int32)
     labels[:, :k] = masks
     live_body, labels_body = live[:, :k], labels[:, :k]
     # a live member is a union member whose label is nonzero
@@ -311,6 +324,8 @@ class BuildConfig:
             raise ValueError(f"probability must lie in (0, 1], got {self.probability}")
         if self.resample_cap < 1:
             raise ValueError("resample cap must be >= 1")
+        if self.seed < 0:
+            raise SeedRangeError(f"seed must be >= 0, got {self.seed}")
         eps = Fraction(self.epsilon)
         if not 0 < eps < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
@@ -477,8 +492,8 @@ def build_pdt(
     # no +-1 function has |c| > 2^n; within it restriction is exact in int64
     if any(abs(int(c)) > full for c in spectrum.coeffs.values()):
         raise DegenerateInputError("a coefficient has |c| > 2^n; input is not a +-1 function")
-    rng = np.random.default_rng(config.seed)
     sampling = config.strategy in ("sampling", "folding-sampling")
+    rng = np.random.default_rng(config.seed) if sampling else None  # the deterministic strategies never draw
     support = sorted(spectrum.coeffs)
     coeffs = np.array([int(spectrum.coeffs[a]) for a in support], dtype=np.int64)
     stack: list[tuple[np.ndarray, ...]] = []  # (positions, bounds, masks, coefficients)
@@ -627,6 +642,70 @@ class TrialStats:
         )
 
 
+# trials per vectorized seeding pass in _trial_generators, so its arrays
+# stay small for any number of trials
+_SEED_CHUNK = 1 << 12
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the state of ``default_rng((seed, t))``
+    for t = 0 .. trials - 1; each must draw before the next is taken.
+
+    numpy's SeedSequence hashes the entropy words (seed's 32-bit words,
+    little endian, 0 as [0], then t's one word) into a pool of four
+    uint32 words, and the pool out to eight, which PCG64 reads as four
+    uint64: state s, then increment.  Only t's word differs between
+    trials, so the hashing runs in uint32 arrays over a chunk of t at once
+    (wrapping as numpy's uint32 arithmetic does; the hash constants stay
+    Python ints), and PCG64's two-step seeding in Python ints.  Needs
+    seed >= 0 and trials <= 2^32.
+    """
+    word = (1 << 32) - 1
+    words = [seed >> i & word for i in range(0, max(seed.bit_length(), 1), 32)]
+
+    def hasher(h: int, mult: int):
+        """numpy's running hash: each call moves the constant h to h * mult."""
+
+        def step(value: np.ndarray) -> np.ndarray:
+            nonlocal h
+            value = value ^ h
+            h = h * mult & word
+            value = value * h
+            return value ^ value >> 16
+
+        return step
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ r >> 16
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    for lo in range(0, trials, _SEED_CHUNK):
+        t = np.arange(lo, min(lo + _SEED_CHUNK, trials), dtype=np.uint32)
+        entropy = [np.full(len(t), w, dtype=np.uint32) for w in words] + [t]
+        entropy += [np.zeros_like(t)] * (4 - len(entropy))
+        hashmix = hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(w) for w in entropy[:4]]
+        for src in range(4):  # each pool word into every other
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[4:]:  # words past the pool, into every pool word
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        out = hasher(0x8B51F9DD, 0x58F38DED)
+        state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+        for s_hi, s_lo, inc_hi, inc_lo in zip(*halves):
+            # two LCG steps from state 0, adding s between them
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & (1 << 128) - 1
+            s = ((inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & (1 << 128) - 1
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": s, "inc": inc}, "has_uint32": 0, "uinteger": 0
+            }
+            yield rng
+
+
 def _run_trials(
     spectrum: FourierSpectrum,
     requested: tuple[float, ...],
@@ -636,7 +715,11 @@ def _run_trials(
 ) -> TrialStats:
     """Independent seeded trials of the sampling step at the requested
     probabilities, each clamped to 1; trial t's generator depends only on
-    (seed, t), so results are identical under any execution order.
+    (seed, t), so results are identical under any execution order.  It is
+    in the state of ``default_rng((seed, t))``, which `_trial_generators`
+    computes for every t in one vectorized pass and sets on one shared
+    generator, trial by trial.  A seed below 0, or more than 2^32 trials
+    (t past one 32-bit word), is a SeedRangeError.
 
     The union is certain when some clamped phase is exactly 1 or every
     phase is 0: ``rng.random(k)`` lies in [0, 1), so every generator
@@ -645,8 +728,12 @@ def _run_trials(
     times, which is the step each (seed, t) generator would have drawn.
     At desk scale that covers the warm-up at k <= 1,897 and theorem 2 at
     delta = 1 and ell <= 1/2 for every n <= 20 (its second phase clamps
-    to 1).  Every uncertain union is drawn from its (seed, t) generator.
+    to 1).  Every uncertain union is drawn from its (seed, t) state.
     """
+    if seed < 0:
+        raise SeedRangeError(f"seed must be >= 0, got {seed}")
+    if trials > 1 << 32:
+        raise SeedRangeError(f"at most 2^32 trials, got {trials}")
     masks = np.array(sorted(spectrum.coeffs), dtype=np.int64)
     k = len(masks)
     probabilities = tuple(min(1.0, p) for p in requested)
@@ -655,9 +742,7 @@ def _run_trials(
         (step,) = _fold_unions(masks, np.full((1, k), marked))
         steps = [step] * trials
     else:
-        steps = _sampling_trial(
-            masks, probabilities, (np.random.default_rng((seed, t)) for t in range(trials))
-        )
+        steps = _sampling_trial(masks, probabilities, _trial_generators(seed, trials))
     bucket_counts = [count for _, _, count in steps]
     sample_sizes = [size for _, size, _ in steps]
     mean = Fraction(sum(bucket_counts), trials * k)

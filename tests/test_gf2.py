@@ -241,8 +241,9 @@ def test_per_row_label_step_matches_the_int_form_on_each_slice(n, data):
     k = data.draw(st.integers(1, 12))
     cells = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=trials * k, max_size=trials * k))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=trials, max_size=trials))
-    matrix = np.array(cells, dtype=np.int64).reshape(trials, k)
-    expected, hits = matrix.copy(), np.zeros((trials, k), dtype=bool)
+    # int32 labels hold every mask of n <= MAX_DIMENSION bits
+    matrix = np.array(cells, dtype=data.draw(st.sampled_from([np.int64, np.int32]))).reshape(trials, k)
+    expected, hits = matrix.astype(np.int64), np.zeros((trials, k), dtype=bool)
     for t, row in enumerate(rows):
         if row:
             hits[t] = label_step(expected[t], row)
@@ -264,14 +265,16 @@ def test_per_row_label_step_row_zero_is_no_step():
 def test_per_row_label_step_is_exact_on_24_bit_masks():
     top = 1 << 23
     full = (1 << 24) - 1
-    matrix = np.array([[full, top, top - 1, top | 1], [full, top, top - 1, 1]], dtype=np.int64)
-    rows = np.array([full, top - 1], dtype=np.int64)
-    label_step(matrix, rows)
-    # row 0's pivot is bit 23, row 1's is bit 22
-    assert matrix.tolist() == [[0, top ^ full, top - 1, (top | 1) ^ full], [full ^ (top - 1), top, 0, 1]]
-    one_bit = np.array([[top, top >> 1]], dtype=np.int64)
-    label_step(one_bit, np.array([top >> 1], dtype=np.int64))
-    assert one_bit.tolist() == [[top, 0]]
+    for dtype in (np.int64, np.int32):  # int32 holds every 24-bit mask
+        matrix = np.array([[full, top, top - 1, top | 1], [full, top, top - 1, 1]], dtype=dtype)
+        rows = np.array([full, top - 1], dtype=np.int64)
+        label_step(matrix, rows)
+        # row 0's pivot is bit 23, row 1's is bit 22
+        assert matrix.tolist() == [[0, top ^ full, top - 1, (top | 1) ^ full], [full ^ (top - 1), top, 0, 1]]
+        one_bit = np.array([[top, top >> 1]], dtype=dtype)
+        label_step(one_bit, np.array([top >> 1], dtype=np.int64))
+        assert one_bit.tolist() == [[top, 0]]
+        assert matrix.dtype == one_bit.dtype == dtype
 
 
 def test_vectorized_labels_of_no_masks():

@@ -26,6 +26,7 @@ from parityfold.pdt import (
     NotFoldingError,
     ParityDecisionTree,
     ResampleCapExceededError,
+    SeedRangeError,
     build_pdt,
     check_calculus_inequality,
     estimate_bucket_reduction,
@@ -786,6 +787,7 @@ def test_certain_union_seeds_no_generator(monkeypatch):
         raise AssertionError("a certain union seeded a generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(pdt, "_trial_generators", refuse)
     warmup = warmup_success_rate(gen_inner_product(2), 50, 0)
     folding = folding_sampling_trial(gen_inner_product(2), 1, 0, 50, 0)
     assert warmup.probabilities == (1.0,) and folding.probabilities[1] == 1.0
@@ -793,6 +795,89 @@ def test_certain_union_seeds_no_generator(monkeypatch):
     assert warmup.sample_sizes == folding.sample_sizes == (16,) * 50
     with pytest.raises(AssertionError, match="seeded a generator"):
         estimate_bucket_reduction(gen_inner_product(2), 0.3, 5, 0)
+
+
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**96 - 1))
+
+
+@given(SEEDS, st.integers(1, 300), st.sampled_from([1, 7, 1 << 12]))
+@settings(max_examples=40, deadline=None)
+def test_trial_generators_take_numpys_seeded_states(seed, trials, chunk):
+    # numpy is the oracle: trial t's generator is in default_rng((seed, t))'s
+    # state, for seeds of one to three words and across seeding chunks
+    with mock.patch.object(pdt, "_SEED_CHUNK", chunk):
+        got = [(rng.bit_generator.state, rng.random()) for rng in pdt._trial_generators(seed, trials)]
+    fresh = [np.random.default_rng((seed, t)) for t in range(trials)]
+    assert got == [(rng.bit_generator.state, rng.random()) for rng in fresh]
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_uncertain_trials_equal_per_trial_generators(n, data):
+    # theorem 1 (one phase), the warm-up (one phase, success at k/2) and
+    # theorem 2 (two phases, success at k - k/6) below p = 1 draw every
+    # trial; the shared generator must replay default_rng((seed, t)) per trial
+    spectrum = wht(gen_random(n, data.draw(st.integers(0, 2**16))))
+    k = spectrum.sparsity
+    kind = data.draw(st.sampled_from(["theorem-1", "warmup", "theorem-2"]))
+    phases = 2 if kind == "theorem-2" else 1
+    requested = tuple(data.draw(st.lists(st.sampled_from([0.05, 0.3, 0.7, 0.99]), min_size=phases, max_size=phases)))
+    threshold = {"theorem-1": None, "warmup": Fraction(k, 2), "theorem-2": k - Fraction(k, 6)}[kind]
+    trials = data.draw(st.integers(1, 13))
+    seed = data.draw(SEEDS)
+    with mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
+        expected = drawn_trial_stats(spectrum, requested, trials, seed, threshold)
+        assert pdt._run_trials(spectrum, requested, trials, seed, threshold) == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_fold_unions_is_exact_on_24_bit_masks(data):
+    # the fold's int32 labels hold every mask of MAX_DIMENSION = 24 bits;
+    # oracle: the sorted walk of each union with the scalar Echelon kernel
+    top = 1 << 23
+    masks = sorted(data.draw(st.sets(st.integers(0, 2 * top - 1) | st.integers(top, 2 * top - 1), min_size=1, max_size=30)))
+    rows = data.draw(st.integers(1, 5))
+    marks = data.draw(st.lists(st.booleans(), min_size=rows * len(masks), max_size=rows * len(masks)))
+    union = np.array(marks, dtype=bool).reshape(rows, len(masks))
+    expected = []
+    for row in union.tolist():
+        basis = row_reduce((), 24)
+        kept = tuple(m for m, marked in zip(masks, row) if marked and basis.insert(m) == 0)
+        expected.append((kept, sum(row), len({coset_label(a, basis) for a in masks})))
+    assert pdt._fold_unions(np.array(masks, dtype=np.int64), union) == expected
+
+
+@pytest.mark.parametrize("kind", ["certain", "uncertain"])
+def test_run_trials_refuses_what_the_seeding_does_not_number(kind):
+    # t is one 32-bit entropy word and numpy refuses a negative seed; both
+    # are refused up front, before a certain union is repeated trials times
+    spectrum = wht(gen_inner_product(2))
+    requested = (1.0,) if kind == "certain" else (0.3,)
+    with pytest.raises(SeedRangeError, match="seed must be >= 0, got -1"):
+        pdt._run_trials(spectrum, requested, 5, -1)
+    with pytest.raises(SeedRangeError, match=r"at most 2\^32 trials"):
+        pdt._run_trials(spectrum, requested, 2**32 + 1, 0)
+
+
+def test_deterministic_builds_seed_no_generator(monkeypatch):
+    # max-coefficient and greedy-min-bucket never draw, so they make no generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("a deterministic build seeded a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for strategy in ("max-coefficient", "greedy-min-bucket"):
+        result = build_pdt(gen_addressing(16), BuildConfig(strategy=strategy))
+        assert verify_tree(result.tree, gen_addressing(16))
+    with pytest.raises(AssertionError, match="seeded a generator"):
+        build_pdt(gen_addressing(16), BuildConfig(strategy="sampling"))
+
+
+@pytest.mark.parametrize("strategy", pdt.STRATEGIES)
+def test_build_config_refuses_a_negative_seed(strategy):
+    with pytest.raises(SeedRangeError, match="seed must be >= 0, got -1"):
+        BuildConfig(strategy=strategy, seed=-1)
 
 
 @pytest.mark.parametrize("phases", [(1.0,), (0.3, 1.0)])

@@ -192,6 +192,33 @@ def test_cli_mc_csv_bytes(tmp_path, capsys, args, row):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mc", "theorem-1", "inner-product:m=2", "--p", "1/4"],
+        ["mc", "warmup", "inner-product:m=2"],
+        ["mc", "theorem-2", "inner-product:m=2", "--delta", "1", "--ell", "0"],
+        ["pdt", "build", "inner-product:m=2", "--strategy", "greedy-min-bucket"],
+    ],
+    ids=["theorem-1", "warmup", "theorem-2", "greedy-build"],
+)
+def test_cli_refuses_a_negative_seed(capsys, args):
+    # the warm-up and theorem 2 at k = 16 and a greedy build draw nothing,
+    # so only the library's own check refuses their seed
+    assert run_cli("--seed", "-1", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0, got -1") and "Traceback" not in err
+
+
+def test_experiment_refuses_a_negative_mc_seed(tmp_path, capsys):
+    config = {"functions": [{"family": "inner-product", "m": 2}],
+              "analyses": [{"op": "mc", "kind": "warmup", "trials": 5, "seed": -1}]}
+    out = tmp_path / "report.json"
+    assert run_cli("experiment", str(make_config(tmp_path, config)), "-o", str(out)) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_mc_theorem2_rejects_non_folding(capsys):
     code = run_cli(
         "mc", "theorem-2", "addressing:k=16", "--delta", "1", "--ell", "1/2"

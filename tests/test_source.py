@@ -177,3 +177,44 @@ def test_relative_imports_are_used_exported_or_bench_bound():
                     if name not in used and (path.stem, name) not in exported | bench_bound:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"relative imports nothing uses: {unused}"
+
+
+def test_generators_are_made_only_where_they_draw():
+    # default_rng seeds a SeedSequence per call: gen_random makes one per
+    # table and a sampling build one per build, while the Monte Carlo
+    # trials share one that pdt._trial_generators sets to each (seed, t) state
+    found = set()
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+        while todo:
+            scope, node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope = getattr(node, "name", "<lambda>")  # the innermost one
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng"):
+                found.add(f"{path.name}:{scope}")
+            branch = []  # what runs only when an if's test holds
+            if isinstance(node, (ast.If, ast.IfExp)):
+                branch = node.body if isinstance(node, ast.If) else [node.body]
+            for child in ast.iter_child_nodes(node):
+                guarded = any(child is b for b in branch)
+                todo.append((f"{scope} if {ast.unparse(node.test)}" if guarded else scope, child))
+    assert found == {"families.py:gen_random", "pdt.py:build_pdt if sampling"}, (
+        f"generators made outside the drawing code: {sorted(found)}"
+    )
+
+
+def test_the_seeding_constants_live_in_the_trial_seeding_function():
+    # numpy's SeedSequence hash constants and PCG64's multiplier; tests check
+    # pdt._trial_generators against numpy, so a second copy would drift unseen
+    constants = {
+        0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715,
+        0x2360ED051FC65DA44385DF649FCCF645,
+    }
+    found = set()
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and node.value in constants:
+                    found.add((f"{path.name}:{getattr(top, 'name', '<module>')}", node.value))
+    assert {where for where, _ in found} == {"pdt.py:_trial_generators"}, f"seeding constants: {sorted(found)}"
+    assert {value for _, value in found} == constants
