@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
             "constraints": restriction.system_to_list(system),
             "codimension": system.codimension,
             "restricted_sparsity": restricted.sparsity,
-            "restricted_support": sorted(restricted.coeffs),
+            "restricted_support": restricted.masks.tolist(),
             "bucket_report": bound.report.to_dict(),
             "identified_count": bound.identified_count,
             "identification_bound": bound.bound,

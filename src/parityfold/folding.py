@@ -19,6 +19,10 @@ on dense supports and finds each smallest partner by a chunked scan that
 stops once every mask has one; on sparse supports it binary-searches the
 blocks, O(k^2 log D).  Sign constraints list only the pairs of size-2
 classes.
+
+A support is any iterable of masks.  A spectrum's `masks`, sorted int64
+already, is used as it is, and the checks that take a spectrum pass
+theirs; any other support is sorted once, by `_sorted_support`.
 """
 
 from __future__ import annotations
@@ -144,12 +148,22 @@ class FoldingProfile:
         return out
 
 
+def _sorted_support(support: Iterable[int]) -> np.ndarray:
+    """The distinct masks of a support in ascending order, as int64; a
+    strictly increasing int64 array, such as a spectrum's `masks`, is taken
+    as it is."""
+    if isinstance(support, np.ndarray) and support.dtype == np.int64 and support.ndim == 1:
+        if not np.count_nonzero(support[1:] <= support[:-1]):
+            return support
+    return np.array(sorted(set(support)), dtype=np.int64)
+
+
 def direction_classes(
     support: Iterable[int], include_pairs: bool = False
 ) -> FoldingProfile:
     """Exact unordered-pair count per folding direction; include_pairs lists
     each direction's pairs (a, b), a < b, in row-major order of the support."""
-    masks = np.array(sorted(set(support)), dtype=np.int64)
+    masks = _sorted_support(support)
     k = len(masks)
     if k < 2:
         raise ValueError(f"need at least 2 support elements, got {k}")
@@ -263,7 +277,7 @@ def verify_three_fold(spectrum: FourierSpectrum) -> dict[int, int]:
         raise SparsityTooSmallError(
             f"k = {spectrum.sparsity} <= 4; the three-fold guarantee needs k > 4"
         )
-    witnesses = three_fold_witnesses(spectrum.support())
+    witnesses = three_fold_witnesses(spectrum.masks)
     missing = sorted(a for a, b in witnesses.items() if b is None)
     if missing:
         raise ThreeFoldViolationError(missing)
@@ -304,7 +318,7 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
     implementation bug.  Sign counts and plateaued-ness are exposed for
     corpus-wide consistency checks.
     """
-    profile = direction_classes(spectrum.support())
+    profile = direction_classes(spectrum.masks)
     k = profile.k
     masks = profile.masks.tolist()
     nontrivial, first = profile.partners(3)
@@ -321,8 +335,8 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
     return SingleDirectionReport(
         spectrum.n,
         k,
-        sum(1 for c in spectrum.coeffs.values() if c > 0),
-        sum(1 for c in spectrum.coeffs.values() if c < 0),
+        int(np.count_nonzero(spectrum.coefficients > 0)),
+        int(np.count_nonzero(spectrum.coefficients < 0)),
         is_plateaued(spectrum),
         counts,
         single,
@@ -390,10 +404,10 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     function (sound, not complete: larger classes impose magnitude-dependent
     constraints that are deliberately not modeled).
     """
-    masks = sorted(set(support))
-    index = {a: i for i, a in enumerate(masks)}
+    masks = _sorted_support(support)
+    index = {a: i for i, a in enumerate(masks.tolist())}
     if len(masks) < 2:
-        return SignFeasibilityResult(True, (), {a: 1 for a in masks}, None)
+        return SignFeasibilityResult(True, (), {a: 1 for a in index}, None)
     constraints = sign_constraints(masks)
     echelon = Echelon(len(masks))  # over variable masks; tags name constraints
     for ci, cons in enumerate(constraints):

@@ -1,6 +1,24 @@
 """The pair kernel: the pairs (a, b), a before b, of k distinct masks >= 0,
-grouped by direction a ^ b, and the WHT butterfly it shares with
-restriction and the spectral transforms.
+grouped by direction a ^ b, and the WHT it shares with restriction and
+the spectral transforms.
+
+`fwht_inplace` is the library's one WHT.  Level h (a power of two) pairs
+rows h apart, and its contiguous blocks are h * columns cells wide.  While they are at most RADIX_WIDTH = 64 cells wide, it takes
+three levels at a time, one int64 `np.matmul` by the 8x8
+Sylvester-Hadamard matrix (its 2x2 or 4x4 block for the last one or two
+levels): the first nine levels of a one-column table such as a truth
+table (all of it up to n = 9), the first six of a table of up to 8
+columns and the first three of one of up to 64, such as small (2^b,
+buckets) restriction tables.  Wider levels, and tables of more than 64
+columns from the start, take the butterfly, a level at a time: there a
+matmul's eight products per cell cost more than the numpy calls it saves.
+
+Both are exact with no float and no BLAS.  numpy's integer matmul, like
+the butterfly's + and -, is arithmetic mod 2^64, so either computes the
+transform in Z/2^64, and every final value in [-2^63, 2^63) comes back
+exact whatever the partial sums in between do.  A radix step's output is
+the butterfly's value three levels later, so the bounds below on final
+values hold for both.
 
 Per-direction sums take one of two routes, chosen by `dense_route` alone:
 
@@ -15,9 +33,9 @@ Per-direction sums take one of two routes, chosen by `dense_route` alone:
 Weighted sums are exact in int64 on the blocks while S = sum w^2 < 2^63: a
 mask lies in at most one pair per direction, so every |w_a w_b| and every
 partial sum of one direction is at most S/2.  `_weights` checks S
-exactly.  On the dense route Parseval bounds every butterfly partial sum
-by 2^n S, so it also needs 2^n S < 2^63, checked in Python integers; above
-that the blocks run instead.
+exactly.  On the dense route Parseval bounds every value of either
+transform by 2^n S, so it also needs 2^n S < 2^63, checked in Python
+integers; above that the blocks run instead.
 """
 
 from __future__ import annotations
@@ -27,6 +45,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 BLOCK_ENTRIES = 1 << 16
+RADIX_WIDTH = 64
+# the 8x8 Sylvester-Hadamard matrix, (-1)^<s, t>; its leading 2x2 and 4x4
+# blocks are the smaller ones
+_HADAMARD = np.array([[1 - 2 * ((s & t).bit_count() & 1) for t in range(8)] for s in range(8)], dtype=np.int64)
 
 
 class WeightBoundError(ValueError):
@@ -35,10 +57,18 @@ class WeightBoundError(ValueError):
 
 def fwht_inplace(arr: np.ndarray) -> None:
     """Unnormalized WHT along axis 0 (length a power of two) of a
-    C-contiguous array, so that every reshape is a view."""
+    C-contiguous int64 array, so that every reshape is a view: radix steps
+    while a level's blocks are at most RADIX_WIDTH cells wide, butterflies
+    after."""
+    rows, width = len(arr), arr.size // len(arr)  # width: cells per row
     h = 1
-    while h < len(arr):
-        view = arr.reshape(len(arr) // (2 * h), 2, h, *arr.shape[1:])
+    while h < rows and h * width <= RADIX_WIDTH:
+        r = min(3, (rows // h).bit_length() - 1)  # the bits left, up to three
+        view = arr.reshape(rows // (h << r), 1 << r, h * width)
+        view[...] = np.matmul(_HADAMARD[: 1 << r, : 1 << r], view)
+        h <<= r
+    while h < rows:
+        view = arr.reshape(rows // (2 * h), 2, h * width)
         top = view[:, 0].copy()
         view[:, 0] += view[:, 1]
         view[:, 1] = top - view[:, 1]

@@ -486,20 +486,21 @@ def build_pdt(
     single nodes, depth first, pos before neg."""
     config = config or BuildConfig()
     spectrum = _as_spectrum(f)
-    if not spectrum.coeffs:
+    masks, coeffs = spectrum.masks, spectrum.coefficients
+    if not len(masks):
         raise DegenerateInputError("empty spectrum")
     n, full = spectrum.n, 1 << spectrum.n
-    # no +-1 function has |c| > 2^n; within it restriction is exact in int64
-    if any(abs(int(c)) > full for c in spectrum.coeffs.values()):
+    # no +-1 function has |c| > 2^n; within it restriction is exact in int64.
+    # max and min compare exactly, where abs would wrap -2^63
+    if coeffs.max() > full or coeffs.min() < -full:
         raise DegenerateInputError("a coefficient has |c| > 2^n; input is not a +-1 function")
+    coeffs = coeffs.astype(np.int64, copy=False)  # Python ints beyond int64 were refused
     sampling = config.strategy in ("sampling", "folding-sampling")
     rng = np.random.default_rng(config.seed) if sampling else None  # the deterministic strategies never draw
-    support = sorted(spectrum.coeffs)
-    coeffs = np.array([int(spectrum.coeffs[a]) for a in support], dtype=np.int64)
     stack: list[tuple[np.ndarray, ...]] = []  # (positions, bounds, masks, coefficients)
     singles: list[tuple[np.ndarray, ...]] = []  # (positions, masks, coefficients) of sparsity-1 nodes
     records: list[tuple] = []  # (positions, sparsities, selections, max child sparsities) of the others
-    here, counts, masks = np.zeros(1, dtype=np.int64), np.array([len(support)]), np.array(support, dtype=np.int64)
+    here, counts = np.zeros(1, dtype=np.int64), np.array([len(masks)])
     while True:
         # settle the +-1 characters; stack the rest as one frontier, or one by one depth first
         bounds = np.concatenate(([0], counts.cumsum()))
@@ -734,7 +735,7 @@ def _run_trials(
         raise SeedRangeError(f"seed must be >= 0, got {seed}")
     if trials > 1 << 32:
         raise SeedRangeError(f"at most 2^32 trials, got {trials}")
-    masks = np.array(sorted(spectrum.coeffs), dtype=np.int64)
+    masks = spectrum.masks
     k = len(masks)
     probabilities = tuple(min(1.0, p) for p in requested)
     marked = 1.0 in probabilities
@@ -826,7 +827,7 @@ def folding_sampling_trial(
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    achieved = folding_parameters(spectrum.support(), ell)
+    achieved = folding_parameters(spectrum.masks, ell)
     if achieved.delta < delta:
         raise NotFoldingError(
             f"support achieves delta = {achieved.delta} at this exponent, below requested {delta}"

@@ -93,9 +93,9 @@ def restrict(
         raise InconsistentConstraintsError("constraint system forces 0 = 1")
     # <mask - label, x> on H is the sum of the right-hand sides of the rows hit
     rows = [(row, pivot, (tag & system.bits).bit_count() & 1) for row, pivot, tag in system.echelon.rows]
-    label, flip = labels(np.fromiter(spectrum.coeffs, dtype=np.int64, count=spectrum.sparsity), rows)
+    label, flip = labels(spectrum.masks, rows)
     out: dict[int, int] = {}
-    for a, negate, c in zip(label.tolist(), flip.tolist(), spectrum.coeffs.values()):
+    for a, negate, c in zip(label.tolist(), flip.tolist(), spectrum.coefficients.tolist()):
         out[a] = out.get(a, 0) + (-c if negate else c)
     return FourierSpectrum(spectrum.n, {a: c for a, c in out.items() if c})
 
@@ -115,14 +115,14 @@ def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[Fo
     echelon = row_reduce(batch, spectrum.n)
     if echelon.rank < len(batch):
         raise ValueError(f"batch {batch} is linearly dependent")
-    if sum(map(abs, map(int, spectrum.coeffs.values()))) >= 1 << 63:
+    masks, coeffs = spectrum.masks, spectrum.coefficients
+    if sum(map(abs, coeffs.tolist())) >= 1 << 63:
         raise ValueError("sum of |c_a| >= 2^63 would overflow the int64 restriction table")
-    masks = np.fromiter(spectrum.coeffs, dtype=np.int64, count=spectrum.sparsity)
-    coeffs = np.fromiter(spectrum.coeffs.values(), dtype=np.int64, count=spectrum.sparsity)
+    # below that bound every c_a fits, so coeffs is an int64 array
     child, _, label, coeff = restrict_frontier(np.zeros_like(masks), *labels(masks, echelon.rows), coeffs, len(batch))
     bounds = child.searchsorted(np.arange((1 << len(batch)) + 1)).tolist()
-    items = list(zip(label.tolist(), coeff.tolist()))
-    return [FourierSpectrum(spectrum.n, dict(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    # each child's labels are sorted, below 2^n, and its coefficients nonzero
+    return [FourierSpectrum._of_sorted(spectrum.n, label[lo:hi], coeff[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def restrict_frontier(

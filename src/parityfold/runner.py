@@ -98,7 +98,7 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, 
     l1 = spectral.spectral_l1(spectrum)
     return {
         "sparsity": spectrum.sparsity,
-        "support": sorted(spectrum.coeffs),
+        "support": spectrum.masks.tolist(),
         "plateaued": spectral.is_plateaued(spectrum),
         "l1": str(l1),
         "l1_squared_le_sparsity": l1**2 <= spectrum.sparsity,
@@ -109,9 +109,7 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, 
 
 def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     ell = parse_fraction(params.get("ell", "1/2"))
-    profile = folding.direction_classes(
-        spectrum.support(), include_pairs=bool(params.get("pairs", False))
-    )
+    profile = folding.direction_classes(spectrum.masks, include_pairs=bool(params.get("pairs", False)))
     fp = profile.folding_parameters(ell)
     out = {
         "profile": profile.to_dict(),
@@ -130,7 +128,7 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, see
 def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     check = params.get("check")
     if check == "pair-condition":
-        result = folding.check_pair_condition(spectrum.support())
+        result = folding.check_pair_condition(spectrum.masks)
         return {"check": check, "passed": result.ok, "violation": result.violation}
     if check == "three-fold":
         try:
@@ -149,7 +147,7 @@ def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, s
             return {"check": check, "passed": False, "error": str(exc)}
         return {"check": check, "passed": True, "report": report.to_dict()}
     if check == "sign-feasibility":
-        result = folding.sign_feasibility(spectrum.support())
+        result = folding.sign_feasibility(spectrum.masks)
         return {"check": check, "passed": result.feasible, "detail": result.to_dict()}
     if check == "titsworth":
         violations = spectral.verify_titsworth(spectrum)

@@ -11,15 +11,23 @@ spectrum with sum c_a^2 < 2^63 (Parseval spectra have 4^n <= 2^48), and
 raise WeightBoundError above it.  On dense spectra they are one XOR
 autocorrelation of the coefficients, WHT(WHT(c)^2) / 2^n: WHT(c) is
 2^n f, so this is the transform of 4^n f^2, which vanishes off 0 when
-f^2 = 1.  The WHT butterfly `fwht_inplace` lives in `pairs` for that
-route.  `inverse_wht` refuses |c_a| > 2^n before its int64 transform.  File readers take integers only as JSON integers
-(`json_int`): a bool or a float is an error, never a truncated int.
+f^2 = 1.  The WHT `fwht_inplace` lives in `pairs` for that route.
+`inverse_wht` refuses |c_a| > 2^n before its int64 transform.  File
+readers take integers only as JSON integers (`json_int`): a bool or a
+float is an error, never a truncated int.
 
-`wht` turns the transformed array into the coefficient dict in bulk
-(`flatnonzero`, then `tolist`), never one numpy scalar at a time, so
-its keys are Python ints in ascending order.  `FourierSpectrum` checks
-each entry with one inline test and builds an error message only for
-the first entry that fails it.
+A spectrum keeps its support sorted once, as the read-only arrays
+`masks` (int64, ascending) and `coefficients` (aligned), and every
+analysis reads those rather than sorting the dict again; sums that must
+be exact beyond int64 (Parseval, l1, the pair kernel's weight bound) take
+them as Python ints through `tolist`.  `wht` fills the arrays straight
+from `flatnonzero` of the transform and makes no pass over the entries:
+they are in range and nonzero by construction, so nothing is checked,
+and the dict `coeffs` is built from the arrays only on first use, with
+Python int keys in ascending order.  The public constructor takes a dict
+and checks each entry by `json_int`'s rule, an int or a numpy integer
+and never a bool, with one inline test, building an error message only
+for the first entry that fails it; its arrays are sorted on first use.
 
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,38 +112,106 @@ class TruthTable:
         return TruthTable(self.n, self.values[idx])
 
 
-@dataclass(frozen=True)
+def _is_integer(value) -> bool:
+    """`json_int`'s rule for a spectrum entry: an int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_entry(mask, c, n: int) -> None:
+    """The typed error for one spectrum entry, its mask checked first;
+    returns when the entry is valid."""
+    if not _is_integer(mask):
+        raise ValueError(f"mask {mask!r} must be an integer")
+    check_vector(int(mask), n)
+    if not _is_integer(c):
+        raise ValueError(f"non-integer coefficient at mask {mask}: {c!r}")
+    if c == 0:
+        raise ValueError(f"zero coefficient stored at mask {mask}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class FourierSpectrum:
     """Sparse exact spectrum: coeffs maps mask a -> c_a with fhat(a) = c_a / 2^n.
 
-    Only nonzero integer coefficients are stored.
+    Only nonzero integer coefficients are stored.  `masks` and
+    `coefficients` hold the same entries as read-only arrays in ascending
+    mask order.  A spectrum keeps whichever form it was built from and makes
+    the other on first use, once: `wht` builds the arrays, the constructor
+    takes the dict.  Spectra are immutable and compare by n and entries.
     """
 
-    n: int
-    coeffs: dict[int, int]
+    def __init__(self, n: int, coeffs: dict[int, int]) -> None:
+        if not 0 <= n <= MAX_DIMENSION:
+            raise ValueError(f"dimension {n} outside [0, {MAX_DIMENSION}]")
+        # one inline test per entry, passed by nonzero Python ints in range;
+        # only numpy integers and bad entries pay for `_check_entry`, so
+        # small spectra from restriction stay cheap
+        for mask, c in coeffs.items():
+            if type(mask) is not int or type(c) is not int or mask < 0 or mask >> n or not c:
+                _check_entry(mask, c, n)
+        self.__dict__.update(n=n, coeffs=coeffs)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension {self.n} outside [0, {MAX_DIMENSION}]")
-        n = self.n
-        # one inline test per entry; only a failing entry pays for the
-        # message, so small spectra from restriction stay cheap
-        for mask, c in self.coeffs.items():
-            if mask < 0 or mask >> n or c == 0 or not isinstance(c, (int, np.integer)):
-                check_vector(mask, n)
-                if c == 0:
-                    raise ValueError(f"zero coefficient stored at mask {mask}")
-                raise ValueError(f"non-integer coefficient at mask {mask}: {c!r}")
+    @classmethod
+    def _of_sorted(cls, n: int, masks: np.ndarray, coefficients: np.ndarray) -> FourierSpectrum:
+        """The spectrum of int64 masks in ascending order, each below 2^n,
+        and their nonzero int64 coefficients, taken as they are: no check
+        per entry."""
+        spectrum = object.__new__(cls)
+        spectrum.__dict__.update(n=n, _sorted=(_read_only(masks), _read_only(coefficients)))
+        return spectrum
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: spectra are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FourierSpectrum):
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    __hash__ = None  # coeffs is a dict
+
+    def __repr__(self) -> str:
+        return f"FourierSpectrum(n={self.n!r}, coeffs={self.coeffs!r})"
+
+    @cached_property
+    def coeffs(self) -> dict[int, int]:
+        """mask -> c_a; made from the arrays, it has Python int keys in ascending order."""
+        return dict(zip(self.masks.tolist(), self.coefficients.tolist()))
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        masks = sorted(self.coeffs)
+        values = [int(self.coeffs[a]) for a in masks]  # int() first: no unsafe numpy cast
+        try:
+            coefficients = np.array(values, dtype=np.int64)
+        except OverflowError:  # exact Python ints beyond int64
+            coefficients = np.array(values, dtype=object)
+        return _read_only(np.array(masks, dtype=np.int64)), _read_only(coefficients)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The support in ascending order, a read-only int64 array."""
+        return self._sorted[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """c_a aligned with `masks`, read-only: int64, or Python ints in an
+        object array when one does not fit int64."""
+        return self._sorted[1]
 
     def __getitem__(self, mask: int) -> int:
         return self.coeffs.get(mask, 0)
 
     def support(self) -> set[int]:
-        return set(self.coeffs)
+        return set(self.masks.tolist())
 
     @property
     def sparsity(self) -> int:
-        return len(self.coeffs)
+        return len(self.masks)
 
     def evaluate_scaled(self, x: int) -> int:
         """2^n * f(x) as an exact integer character sum."""
@@ -155,8 +232,8 @@ def wht(table: TruthTable) -> FourierSpectrum:
     """Exact Walsh-Hadamard transform, c_a = sum_x f(x) chi_a(x)."""
     arr = table.values.astype(np.int64)
     fwht_inplace(arr)
-    nz = np.flatnonzero(arr)
-    return FourierSpectrum(table.n, dict(zip(nz.tolist(), arr[nz].tolist())))
+    masks = np.flatnonzero(arr)
+    return FourierSpectrum._of_sorted(table.n, masks, arr[masks])
 
 
 def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
@@ -179,7 +256,7 @@ def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
 
 def verify_parseval(spectrum: FourierSpectrum) -> bool:
     """sum c_a^2 == 4^n, the exact scaled form of sum fhat^2 = 1."""
-    return sum(c * c for c in spectrum.coeffs.values()) == 1 << (2 * spectrum.n)
+    return sum(c * c for c in spectrum.coefficients.tolist()) == 1 << (2 * spectrum.n)
 
 
 def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
@@ -192,18 +269,17 @@ def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
     """
     if spectrum.sparsity <= 1:
         return []
-    masks = np.fromiter(spectrum.coeffs, dtype=np.int64)
-    directions, sums = direction_sums(masks, spectrum.coeffs.values())
+    directions, sums = direction_sums(spectrum.masks, spectrum.coefficients.tolist())
     return directions[sums != 0].tolist()
 
 
 def is_plateaued(spectrum: FourierSpectrum) -> bool:
-    return len({abs(c) for c in spectrum.coeffs.values()}) <= 1
+    return len(set(map(abs, spectrum.coefficients.tolist()))) <= 1
 
 
 def spectral_l1(spectrum: FourierSpectrum) -> Fraction:
     """Exact sum of |fhat(a)|; squares to at most the sparsity for +-1 functions."""
-    return Fraction(sum(abs(c) for c in spectrum.coeffs.values()), 1 << spectrum.n)
+    return Fraction(sum(map(abs, spectrum.coefficients.tolist())), 1 << spectrum.n)
 
 
 def normalize_signs(table: TruthTable, alpha: int, beta: int) -> TruthTable:
@@ -276,7 +352,8 @@ def table_from_dict(data: dict) -> TruthTable:
 
 def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:
     coeffs = [
-        {"mask": mask, "num": spectrum.coeffs[mask]} for mask in sorted(spectrum.coeffs)
+        {"mask": mask, "num": c}
+        for mask, c in zip(spectrum.masks.tolist(), spectrum.coefficients.tolist())
     ]
     return {"n": spectrum.n, "coeffs": coeffs}
 

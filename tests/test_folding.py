@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -157,6 +158,18 @@ def test_direction_classes_and2():
     profile = direction_classes(and2_support())
     assert profile.classes == {1: 2, 2: 2, 3: 2}
     assert profile.total_pairs == 6
+
+
+def test_direction_classes_take_a_spectrum_masks_as_they_are():
+    spectrum = wht(gen_random(6, 3))
+    profile = direction_classes(spectrum.masks)
+    assert profile.masks is spectrum.masks  # sorted int64 already: not sorted again
+    # any other array is sorted and deduplicated first
+    shuffled = np.concatenate((spectrum.masks[::-1], spectrum.masks[:3]))
+    for support in (shuffled, shuffled.astype(np.int32), spectrum.masks.tolist()):
+        again = direction_classes(support)
+        assert again.classes == profile.classes and np.array_equal(again.masks, spectrum.masks)
+    assert sign_feasibility(shuffled) == sign_feasibility(spectrum.masks) == sign_feasibility(set(spectrum.masks.tolist()))
 
 
 def test_direction_classes_two_elements():

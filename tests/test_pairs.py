@@ -18,6 +18,73 @@ from parityfold.spectral import FourierSpectrum, verify_titsworth
 ROUTES = ["dense", "blocks", "chosen"]
 
 
+def butterfly_wht(arr):
+    """Oracle: the radix-2 butterfly, one level at a time, as the library
+    ran it before its radix-8 steps."""
+    h = 1
+    while h < len(arr):
+        view = arr.reshape(len(arr) // (2 * h), 2, h, *arr.shape[1:])
+        top = view[:, 0].copy()
+        view[:, 0] += view[:, 1]
+        view[:, 1] = top - view[:, 1]
+        h <<= 1
+
+
+def python_wht(values, n):
+    """Oracle: sum_x (-1)^<a, x> v_x for every a, in Python ints (object arrays)."""
+    signs = [[1 - 2 * ((a & x).bit_count() & 1) for x in range(1 << n)] for a in range(1 << n)]
+    return np.array(signs, dtype=object) @ values.astype(object)
+
+
+def wrapped(values):
+    """Python ints taken mod 2^64 into [-2^63, 2^63), as int64 arithmetic leaves them."""
+    return np.array([(v + (1 << 63)) % (1 << 64) - (1 << 63) for v in values.ravel().tolist()],
+                    dtype=np.int64).reshape(values.shape)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 8, 17, 600])
+def test_fwht_matches_a_python_int_oracle(columns):
+    # 600 columns is a wide (2^b, buckets) restriction table, all butterflies;
+    # full-range entries wrap, and the transform is exact mod 2^64
+    rng = np.random.default_rng(columns)
+    for n in range(8):
+        shape = (1 << n,) if columns == 1 else (1 << n, columns)
+        bounded = rng.integers(-(2**63 >> n), 2**63 >> n, size=shape, dtype=np.int64)
+        full = rng.integers(-(2**63), 2**63, size=shape, dtype=np.int64)
+        for values in (bounded, full):
+            got = values.copy()
+            pairs.fwht_inplace(got)
+            expected = python_wht(values, n)
+            if values is bounded:  # every final value fits int64
+                assert got.tolist() == expected.tolist()
+            assert np.array_equal(got, wrapped(expected))
+
+
+@pytest.mark.parametrize("columns", [1, 3, 64, 65])
+def test_fwht_matches_the_butterfly_on_boolean_tables(columns):
+    rng = np.random.default_rng(columns)
+    for n in range(21 if columns == 1 else 11):
+        shape = (1 << n,) if columns == 1 else (1 << n, columns)
+        table = 1 - 2 * rng.integers(0, 2, size=shape, dtype=np.int64)
+        got, expected = table.copy(), table.copy()
+        pairs.fwht_inplace(got)
+        butterfly_wht(expected)
+        assert np.array_equal(got, expected), n
+
+
+def test_fwht_is_exact_when_partial_sums_wrap():
+    # the radix step's dot products reach 1.5 y (n = 2) and 7 z (n = 3),
+    # beyond 2^63, while every final value fits int64
+    y, z = 2**62 - 2, (2**63 - 1) // 6
+    for values in ([y, y, y, -y], [z] * 7 + [-z]):
+        arr = np.array(values, dtype=np.int64)
+        n = len(values).bit_length() - 1
+        expected = python_wht(arr, n).tolist()
+        assert max(map(abs, expected)) < 2**63 <= max(itertools.accumulate(values))
+        pairs.fwht_inplace(arr)
+        assert arr.tolist() == expected
+
+
 def forced(route):
     """The route choice forced each way, or left to dense_route."""
     if route == "chosen":

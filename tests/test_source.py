@@ -43,14 +43,60 @@ def test_xor_blocks_is_called_only_in_the_pair_kernel():
     assert not found, f"xor_blocks calls outside pairs.py: {found}"
 
 
+def scoped_nodes(path):
+    """(innermost function or class name, node) for every node of a file."""
+    todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
+    while todo:
+        scope, node = todo.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        yield scope, node
+        todo.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
 def test_the_wht_butterfly_is_defined_once():
-    # spectral, restriction and the dense pair route share one butterfly
-    found = []
+    # spectral, restriction and the dense pair route share one WHT, and its
+    # radix steps are the library's only matrix products
+    found, products = [], set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for scope, node in scoped_nodes(path):
             if isinstance(node, ast.FunctionDef) and node.name == "fwht_inplace":
                 found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and re.search(r"\b(matmul|dot|einsum|tensordot)$", ast.unparse(node.func)):
+                products.add(f"{path.name}:{scope}")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                products.add(f"{path.name}:{scope}")
+            if isinstance(node, ast.Name) and node.id == "_HADAMARD" and isinstance(node.ctx, ast.Load):
+                products.add(f"{path.name}:{scope}")
     assert len(found) == 1, f"fwht_inplace definitions: {found}"
+    assert products == {"pairs.py:fwht_inplace"}, f"matrix products outside the WHT: {sorted(products)}"
+
+
+# `sorted(set(...))` outside spectral.py that sorts no spectrum's support
+SORTED_SET_EXCEPTIONS = {
+    "folding.py:_sorted_support",  # a caller's own support list; a spectrum passes its masks
+    "folding.py:addressing_folding_profile",  # class sizes
+    "pdt.py:build_pdt",  # batch widths
+}
+
+
+def test_spectrum_supports_are_sorted_once_in_spectral():
+    # a spectrum keeps its support sorted as arrays (`masks`, `coefficients`);
+    # every other module reads those rather than sorting the dict again
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for scope, node in scoped_nodes(path):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func, arg = ast.unparse(node.func), ast.unparse(node.args[0])
+            where = f"{path.name}:{scope}"
+            if re.search(r"\b(sorted|set|list|fromiter|array)$", func) and re.search(r"\.(coeffs(\.keys\(\))?|support\(\))$", arg):
+                found.append(f"{where} {ast.unparse(node)}")
+            if func == "sorted" and arg.startswith("set(") and where not in SORTED_SET_EXCEPTIONS:
+                found.append(f"{where} {ast.unparse(node)}")
+    assert not found, f"spectrum supports sorted outside spectral.py: {found}"
 
 
 def test_label_steps_live_in_the_gf2_kernel():

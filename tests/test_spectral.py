@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from parityfold import pairs
+from parityfold import families, pairs
 from parityfold.cli import main
 from parityfold.gf2 import DimensionMismatchError
 from parityfold.pairs import WeightBoundError
@@ -241,7 +241,7 @@ def test_spectrum_constructor_rejects_masks_outside_n_bits():
         FourierSpectrum(2, {-1: 2})
     with pytest.raises(DimensionMismatchError, match="mask 0x4 does not fit in 2 bits"):
         FourierSpectrum(2, {4: 2})
-    with pytest.raises(TypeError):  # a float mask cannot be shifted
+    with pytest.raises(ValueError, match="mask 1.0 must be an integer"):
         FourierSpectrum(2, {1.0: 2})
 
 
@@ -258,6 +258,22 @@ def test_spectrum_constructor_reports_the_first_bad_entry(coeffs, error, message
     with pytest.raises(error) as info:
         FourierSpectrum(2, coeffs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ({True: 4}, "mask True must be an integer"),
+    ({1: True}, "non-integer coefficient at mask 1: True"),
+    ({1.0: 2}, "mask 1.0 must be an integer"),
+    ({"1": 2}, "mask '1' must be an integer"),
+    ({np.bool_(True): 2}, "mask "),
+    ({1: np.float64(2.0)}, "non-integer coefficient at mask 1: "),
+])
+def test_spectrum_entries_are_integers_and_never_bools(coeffs, message):
+    # json_int's rule: an int or a numpy integer, never a bool; the arrays
+    # copy entries into int64, where True and 1.0 would pass as 1
+    with pytest.raises(ValueError) as info:
+        FourierSpectrum(2, coeffs)
+    assert type(info.value) is ValueError and str(info.value).startswith(message)
 
 
 def test_spectrum_constructor_accepts_numpy_integers_and_no_coefficients():
@@ -278,6 +294,53 @@ def test_wht_dict_matches_a_per_mask_reference(n, seed):
     coeffs = wht(t).coeffs
     assert list(coeffs.items()) == list(reference.items())
     assert all(type(mask) is int and type(c) is int for mask, c in coeffs.items())
+
+
+NAMED_TABLES = [
+    families.gen_inner_product(3),
+    families.gen_addressing(16),
+    families.gen_modified_addressing(16),
+    families.gen_parity(0b1011, 5),
+    families.gen_conjunction(0b111, 4),
+]
+
+
+def tables():
+    random_tables = st.builds(random_table, st.integers(0, 10), st.integers(0, 2**32))
+    return random_tables | st.sampled_from(NAMED_TABLES)
+
+
+@given(tables(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_wht_arrays_match_the_validating_constructor(t, rnd):
+    s = wht(t)
+    assert s.masks.dtype == np.int64 and s.masks.tolist() == sorted(s.coeffs)
+    assert s.coefficients.dtype == np.int64
+    assert s.coefficients.tolist() == [s.coeffs[a] for a in sorted(s.coeffs)]
+    checked = FourierSpectrum(t.n, dict(s.coeffs))
+    assert checked == s
+    items = list(s.coeffs.items())
+    rnd.shuffle(items)
+    shuffled = FourierSpectrum(t.n, dict(items))
+    for built in (checked, shuffled):
+        assert np.array_equal(built.masks, s.masks) and built.masks.dtype == np.int64
+        assert np.array_equal(built.coefficients, s.coefficients) and built.coefficients.dtype == np.int64
+    for built in (s, shuffled):
+        for arr in (built.masks, built.coefficients):
+            if len(arr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
+            assert not arr.flags.writeable
+
+
+def test_spectrum_arrays_keep_numpy_and_big_coefficients_exact():
+    s = FourierSpectrum(3, {5: np.uint64(2**64 - 1), 1: np.int8(-3), 0: 2**70})
+    assert s.masks.tolist() == [0, 1, 5]
+    assert s.coefficients.tolist() == [2**70, -3, 2**64 - 1]  # no int64 wrap
+    assert all(type(c) is int for c in s.coefficients.tolist())
+    small = FourierSpectrum(2, {3: np.int32(-2), 0: np.int64(-(2**63))})
+    assert small.coefficients.dtype == np.int64 and small.coefficients.tolist() == [-(2**63), -2]
+    assert FourierSpectrum(2, {}).masks.dtype == np.int64
 
 
 def test_spectral_l1():
