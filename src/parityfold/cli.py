@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import families, folding, pdt, restriction, runner, spectral
-from .families import FunctionSpec, build_function
 from .runner import canonical_json
 from .spectral import FourierSpectrum, TruthTable
 
@@ -86,16 +85,19 @@ def cmd_gen(args) -> int:
     if args.family == "junta":
         if not args.inner:
             raise UsageError("gen junta requires --inner FILE")
+        n = params.get("n")
+        if not isinstance(n, int):
+            raise UsageError("gen junta requires one integer n=N")
+        label = f"junta(inner={args.inner},n={n})"
+        if n > args.max_n:
+            raise UsageError(f"{label}: n = {n} exceeds max_n = {args.max_n}")  # before 2^n entries
         _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
         masks = params.get("masks")
         if not isinstance(masks, list):
             masks = [masks] if masks is not None else []
-        table = families.gen_junta(inner, masks, int(params["n"]))
-        label = f"junta(inner={args.inner},n={params['n']})"
+        table = families.gen_junta(inner, masks, n)
     else:
-        spec = FunctionSpec(args.family, params)
-        table = build_function(spec)
-        label = spec.label()
+        label, table = runner.resolve_function({"family": args.family, **params}, Path("."), args.max_n)
     text = canonical_json(spectral.table_to_dict(table))
     if args.output:
         Path(args.output).write_text(text)

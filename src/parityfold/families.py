@@ -140,14 +140,21 @@ class FunctionSpec:
         return f"{self.family}({items})"
 
 
+def _required(family: str, params: dict, key: str):
+    """A family parameter that has no default, named in the error when missing."""
+    if key not in params:
+        raise InvalidFamilyParameterError(f"{family}: missing parameter {key!r}")
+    return params[key]
+
+
 def _table_dimension(family: str, params: dict, what: str) -> int | None:
     """The n of a family's table from its parameters alone: stated (read
     as the integer `what`), or derived from the parameters that imply it."""
     if family in ("addressing", "modified-addressing"):
-        addr_bits, sqrt_k = _check_addressing_k(json_int(params["k"], "k"))
+        addr_bits, sqrt_k = _check_addressing_k(json_int(_required(family, params, "k"), "k"))
         return (2 if family == "modified-addressing" else 0) + addr_bits + sqrt_k
     if family == "inner-product":
-        return 2 * json_int(params["m"], "m")
+        return 2 * json_int(_required(family, params, "m"), "m")
     return None if params.get("n") is None else json_int(params["n"], what)
 
 
@@ -156,7 +163,7 @@ def build_function(spec: FunctionSpec) -> TruthTable:
     family, p = spec.family, spec.params
 
     def param(key: str) -> int:
-        return json_int(p[key], key)
+        return json_int(_required(family, p, key), key)
 
     if family == "addressing":
         return gen_addressing(param("k"))
@@ -169,18 +176,19 @@ def build_function(spec: FunctionSpec) -> TruthTable:
     if family == "conjunction":
         return gen_conjunction(param("mask"), param("n"))
     if family == "junta":
-        inner = json_of(p["inner"], dict, "inner")
-        inner_params = json_of(inner["params"], dict, "inner params")
-        masks = [json_int(m, "mask") for m in json_of(p["masks"], list, "masks")]
+        inner = json_of(_required(family, p, "inner"), dict, "inner")
+        inner_family = _required("junta inner", inner, "family")
+        inner_params = json_of(_required("junta inner", inner, "params"), dict, "inner params")
+        masks = [json_int(m, "mask") for m in json_of(_required(family, p, "masks"), list, "masks")]
         n = param("n")
         # before the inner table is built: at most n independent masks, one
         # per inner variable
         if len(masks) > n:
             raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
-        inner_n = _table_dimension(inner["family"], inner_params, "inner n")
+        inner_n = _table_dimension(inner_family, inner_params, "inner n")
         if inner_n is not None and inner_n != len(masks):
             raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
-        return gen_junta(build_function(FunctionSpec(inner["family"], inner_params)), masks, n)
+        return gen_junta(build_function(FunctionSpec(inner_family, inner_params)), masks, n)
     if family == "random":
         return gen_random(param("n"), param("seed"))
     raise InvalidFamilyParameterError(f"unknown family {family!r}")

@@ -16,18 +16,15 @@ f^2 = 1.  The WHT `fwht_inplace` lives in `pairs` for that route.
 readers take integers only as JSON integers (`json_int`): a bool or a
 float is an error, never a truncated int.
 
-A spectrum keeps its support sorted once, as the read-only arrays
-`masks` (int64, ascending) and `coefficients` (aligned), and every
-analysis reads those rather than sorting the dict again; sums that must
-be exact beyond int64 (Parseval, l1, the pair kernel's weight bound) take
-them as Python ints through `tolist`.  `wht` fills the arrays straight
-from `flatnonzero` of the transform and makes no pass over the entries:
-they are in range and nonzero by construction, so nothing is checked,
-and the dict `coeffs` is built from the arrays only on first use, with
-Python int keys in ascending order.  The public constructor takes a dict
-and checks each entry by `json_int`'s rule, an int or a numpy integer
-and never a bool, with one inline test, building an error message only
-for the first entry that fails it; its arrays are sorted on first use.
+A spectrum has one form, its support sorted once into read-only arrays,
+and every analysis reads those; sums that must be exact beyond int64
+(Parseval, l1, the pair kernel's weight bound) take them as Python ints
+through `tolist`.  `wht` fills the arrays straight from `flatnonzero` of
+the transform with no check per entry: they are in range and nonzero by
+construction.  The public constructor checks a dict's entries by
+`json_int`'s rule, an int or a numpy integer and never a bool, with one
+inline test, building an error message only for the first entry that
+fails it, and copies them into the arrays.
 
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
@@ -87,7 +84,8 @@ class TruthTable:
             raise ValueError(f"expected {1 << self.n} entries, got {vals.shape}")
         if not np.all((vals == 1) | (vals == -1)):
             raise ValueError("truth table entries must be +-1")
-        vals = vals.astype(np.int8, copy=False)
+        # always a copy: the caller's array, and views of it, stay theirs
+        vals = vals.astype(np.int8)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -135,25 +133,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class FourierSpectrum:
-    """Sparse exact spectrum: coeffs maps mask a -> c_a with fhat(a) = c_a / 2^n.
+    """Sparse exact spectrum: the nonzero c_a, with fhat(a) = c_a / 2^n.
 
-    Only nonzero integer coefficients are stored.  `masks` and
-    `coefficients` hold the same entries as read-only arrays in ascending
-    mask order.  A spectrum keeps whichever form it was built from and makes
-    the other on first use, once: `wht` builds the arrays, the constructor
-    takes the dict.  Spectra are immutable and compare by n and entries.
+    Its state is `n` and two read-only arrays in ascending mask order,
+    `masks` (int64) and `coefficients` (int64, or Python ints in an object
+    array when one does not fit int64); `coeffs` is their dict view, made
+    on first use.  Spectra are immutable and compare by n and entries.
     """
 
     def __init__(self, n: int, coeffs: dict[int, int]) -> None:
         if not 0 <= n <= MAX_DIMENSION:
             raise ValueError(f"dimension {n} outside [0, {MAX_DIMENSION}]")
         # one inline test per entry, passed by nonzero Python ints in range;
-        # only numpy integers and bad entries pay for `_check_entry`, so
-        # small spectra from restriction stay cheap
+        # only numpy integers and bad entries pay for `_check_entry`
         for mask, c in coeffs.items():
             if type(mask) is not int or type(c) is not int or mask < 0 or mask >> n or not c:
                 _check_entry(mask, c, n)
-        self.__dict__.update(n=n, coeffs=coeffs)
+        keys = sorted(coeffs)
+        values = [int(coeffs[a]) for a in keys]  # int() first: no unsafe numpy cast
+        try:
+            coefficients = np.array(values, dtype=np.int64)
+        except OverflowError:  # exact Python ints beyond int64
+            coefficients = np.array(values, dtype=object)
+        masks = np.array(keys, dtype=np.int64)
+        self.__dict__.update(n=n, masks=_read_only(masks), coefficients=_read_only(coefficients))
 
     @classmethod
     def _of_sorted(cls, n: int, masks: np.ndarray, coefficients: np.ndarray) -> FourierSpectrum:
@@ -161,7 +164,7 @@ class FourierSpectrum:
         and their nonzero int64 coefficients, taken as they are: no check
         per entry."""
         spectrum = object.__new__(cls)
-        spectrum.__dict__.update(n=n, _sorted=(_read_only(masks), _read_only(coefficients)))
+        spectrum.__dict__.update(n=n, masks=_read_only(masks), coefficients=_read_only(coefficients))
         return spectrum
 
     def __setattr__(self, name: str, value) -> None:
@@ -170,38 +173,21 @@ class FourierSpectrum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FourierSpectrum):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return (
+            self.n == other.n
+            and np.array_equal(self.masks, other.masks)
+            and np.array_equal(self.coefficients, other.coefficients)
+        )
 
-    __hash__ = None  # coeffs is a dict
+    __hash__ = None  # the arrays are not hashable
 
     def __repr__(self) -> str:
         return f"FourierSpectrum(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @cached_property
     def coeffs(self) -> dict[int, int]:
-        """mask -> c_a; made from the arrays, it has Python int keys in ascending order."""
+        """mask -> c_a as Python ints, in ascending mask order."""
         return dict(zip(self.masks.tolist(), self.coefficients.tolist()))
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        masks = sorted(self.coeffs)
-        values = [int(self.coeffs[a]) for a in masks]  # int() first: no unsafe numpy cast
-        try:
-            coefficients = np.array(values, dtype=np.int64)
-        except OverflowError:  # exact Python ints beyond int64
-            coefficients = np.array(values, dtype=object)
-        return _read_only(np.array(masks, dtype=np.int64)), _read_only(coefficients)
-
-    @property
-    def masks(self) -> np.ndarray:
-        """The support in ascending order, a read-only int64 array."""
-        return self._sorted[0]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """c_a aligned with `masks`, read-only: int64, or Python ints in an
-        object array when one does not fit int64."""
-        return self._sorted[1]
 
     def __getitem__(self, mask: int) -> int:
         return self.coeffs.get(mask, 0)

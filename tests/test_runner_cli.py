@@ -117,6 +117,71 @@ def test_cli_gen_and_file_roundtrip(tmp_path, capsys):
     assert "sparsity k = 16" in capsys.readouterr().out
 
 
+def test_cli_gen_refuses_a_dimension_beyond_max_n(tmp_path, capsys):
+    out_path = tmp_path / "f.json"
+    assert run_cli("gen", "random", "n=22", "--max-n", "4", "-o", str(out_path)) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: random(n=22,seed=0): n = 22 exceeds max_n = 4\n"
+    assert not out_path.exists()
+    inner_path = tmp_path / "inner.json"
+    assert run_cli("gen", "conjunction", "mask=3", "n=2", "-o", str(inner_path)) == 0
+    capsys.readouterr()
+    assert run_cli("gen", "junta", "masks=3,5", "n=22", "--max-n", "4", "--inner", str(inner_path),
+                   "-o", str(out_path)) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: junta(") and err.endswith("n = 22 exceeds max_n = 4\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["random", "n=6"], "c47acb3732325789408264a0f4d079d0c299d266e842f5578fc9e6dd3fbac4ba"),
+    (["random", "n=5", "seed=3", "--max-n", "5"], "77aff74bc3a074b520fe057853d61c1e5adfd264c62885f080eba46efe5e5fcc"),
+    (["addressing", "k=16"], "bb0791edc71a3736baa7c8e3ebf6ff6df1c0b7f7d082864ae5a21fae8749a3e4"),
+    (["parity", "mask=5", "n=3"], "fef6ff4fc63f105e6dd673ee19edf2d11f445eeda918def9d9edb18c02812445"),
+    (["inner-product", "m=2"], "d63311e48c836e68da85e0d28066969d35c1f8f064ea48832bd0b9f268cfd539"),
+])
+def test_cli_gen_bytes(capsys, argv, digest):
+    assert run_cli("gen", *argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+JUNTA_INNER = {"family": "inner-product", "params": {"m": 1}}
+MISSING_PARAMETERS = [
+    ({"family": "addressing", "K": 16}, "addressing", "k"),
+    ({"family": "modified-addressing"}, "modified-addressing", "k"),
+    ({"family": "inner-product"}, "inner-product", "m"),
+    ({"family": "parity", "n": 3}, "parity", "mask"),
+    ({"family": "parity", "mask": 1}, "parity", "n"),
+    ({"family": "conjunction", "n": 3}, "conjunction", "mask"),
+    ({"family": "conjunction", "mask": 1}, "conjunction", "n"),
+    ({"family": "random", "n": 6}, "random", "seed"),
+    ({"family": "random", "seed": 1}, "random", "n"),
+    ({"family": "junta", "n": 4, "masks": [1, 2]}, "junta", "inner"),
+    ({"family": "junta", "n": 4, "inner": JUNTA_INNER}, "junta", "masks"),
+    ({"family": "junta", "masks": [1, 2], "inner": JUNTA_INNER}, "junta", "n"),
+    ({"family": "junta", "n": 4, "masks": [1, 2], "inner": {"params": {"m": 1}}}, "junta inner", "family"),
+    ({"family": "junta", "n": 4, "masks": [1, 2], "inner": {"family": "inner-product"}}, "junta inner", "params"),
+    ({"family": "junta", "n": 4, "masks": [1, 2], "inner": {"family": "inner-product", "params": {}}},
+     "inner-product", "m"),
+]
+
+
+@pytest.mark.parametrize("entry,family,parameter", MISSING_PARAMETERS)
+def test_a_missing_family_parameter_is_named(tmp_path, capsys, entry, family, parameter):
+    message = f"{family}: missing parameter {parameter!r}"
+    config = {"functions": [entry], "analyses": [{"op": "analyze"}]}
+    with pytest.raises(families.InvalidFamilyParameterError) as raised:
+        run_experiment(config)
+    assert str(raised.value) == message
+    assert run_cli("experiment", str(make_config(tmp_path, config))) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    params = {key: value for key, value in entry.items() if key != "family"}
+    if all(type(value) is int for value in params.values()):  # an inline expression
+        inline = f"{entry['family']}:" + ",".join(f"{key}={value}" for key, value in params.items())
+        assert run_cli("fold", inline) == USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "addressing:k=16") == 0
     assert run_cli("verify", "counterexample", "--n", "5") == 0

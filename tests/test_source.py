@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import re
+from functools import cached_property
 from pathlib import Path
 
 import parityfold
@@ -97,6 +98,30 @@ def test_spectrum_supports_are_sorted_once_in_spectral():
             if func == "sorted" and arg.startswith("set(") and where not in SORTED_SET_EXCEPTIONS:
                 found.append(f"{where} {ast.unparse(node)}")
     assert not found, f"spectrum supports sorted outside spectral.py: {found}"
+
+
+def test_a_spectrum_stores_one_form():
+    # a spectrum's state is n and its sorted arrays, plus the dict view
+    # once asked for; a second stored form could drift from the arrays
+    from parityfold import families, restriction, spectral
+
+    cached = {name for name, value in vars(spectral.FourierSpectrum).items() if isinstance(value, cached_property)}
+    assert cached == {"coeffs"}, f"cached forms of a spectrum: {sorted(cached)}"
+    spectrum = spectral.wht(families.gen_inner_product(2))
+    system = restriction.AffineConstraintSystem(4, ((3, 1),))
+    built = [
+        spectrum,
+        spectral.FourierSpectrum(4, {3: 4, 0: 4}),
+        spectral.spectrum_from_dict(spectral.spectrum_to_dict(spectrum)),
+        restriction.restrict(spectrum, system),
+        *restriction.restrict_batch(spectrum, (3, 5)),
+    ]
+    for s in built:
+        # readers of the arrays add nothing; the dict view is the one addition
+        assert s == s and s.sparsity == len(s.support())
+        assert set(vars(s)) == {"n", "masks", "coefficients"}
+        assert repr(s).startswith("FourierSpectrum(") and s[3] in (0, 4, -4)
+        assert set(vars(s)) == {"n", "masks", "coefficients", "coeffs"}
 
 
 def test_label_steps_live_in_the_gf2_kernel():

@@ -343,6 +343,51 @@ def test_spectrum_arrays_keep_numpy_and_big_coefficients_exact():
     assert FourierSpectrum(2, {}).masks.dtype == np.int64
 
 
+def test_a_spectrum_copies_its_dict_once():
+    # a zero and a mask wider than n added afterwards reach no form
+    d = {0: 4}
+    s = FourierSpectrum(2, d)
+    d[1] = 0
+    d[5] = 7
+    assert s.masks.tolist() == [0] and s.coefficients.tolist() == [4]
+    assert s.coeffs == {0: 4} and s == FourierSpectrum(2, {0: 4})
+    # nor does an entry added after the arrays have been read
+    d = {0: 4}
+    s = FourierSpectrum(2, d)
+    assert s.masks.tolist() == [0]
+    d[3] = 2
+    assert s.masks.tolist() == [0] and s.coefficients.tolist() == [4]
+    assert s.coeffs == {0: 4} and s == FourierSpectrum(2, {0: 4})
+
+
+@given(st.integers(0, 6), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_a_dict_built_spectrum_equals_the_wht_spectrum(n, seed):
+    t = random_table(n, seed)
+    # numpy integers in descending mask order, as a caller might hold them
+    reference = {np.int64(a): np.int64(c) for a, c in reversed(naive_wht(t).items()) if c}
+    assert FourierSpectrum(n, reference) == wht(t)
+
+
+def test_spectra_with_equal_values_are_equal_in_either_coefficient_array():
+    s = FourierSpectrum(2, {0: 2, 1: 2, 2: 2, 3: -2})
+    wide = FourierSpectrum._of_sorted(2, s.masks.copy(), s.coefficients.astype(object))
+    assert wide.coefficients.dtype == object and s.coefficients.dtype == np.int64
+    assert wide == s and s == wide
+    assert wide != FourierSpectrum(2, {0: 2, 1: 2, 2: 2, 3: 2})
+    big = FourierSpectrum(1, {1: 2**70})
+    assert big == FourierSpectrum(1, {1: 2**70}) and big != FourierSpectrum(1, {1: 2**70 + 1})
+    assert big != FourierSpectrum(1, {0: 2**70}) and big != FourierSpectrum(2, {1: 2**70})
+
+
+def test_coeffs_of_numpy_integers_are_python_ints_in_ascending_order():
+    s = FourierSpectrum(3, {np.int64(5): np.int32(-3), np.uint8(1): np.int64(2), 0: np.int16(4)})
+    assert list(s.coeffs.items()) == [(0, 4), (1, 2), (5, -3)]
+    assert all(type(a) is int and type(c) is int for a, c in s.coeffs.items())
+    assert repr(s) == "FourierSpectrum(n=3, coeffs={0: 4, 1: 2, 5: -3})"
+    assert s[5] == -3 and s[2] == 0
+
+
 def test_spectral_l1():
     assert spectral_l1(wht(and2())) == 2
     assert spectral_l1(FourierSpectrum(3, {0: 8})) == 1
@@ -464,6 +509,17 @@ def test_table_values_are_validated_before_the_int8_cast(values):
         TruthTable(1, np.array(values))
     with pytest.raises(ValueError):
         table_from_dict({"n": 1, "values": values})
+
+
+def test_a_truth_table_copies_the_callers_array():
+    a = np.ones(4, np.int8)
+    v = a[:]
+    t = TruthTable(2, a)
+    assert a.flags.writeable  # the caller's array stays theirs
+    v[0] = 5
+    assert a[0] == 5
+    assert t.values.tolist() == [1, 1, 1, 1] and not t.values.flags.writeable
+    assert wht(t).coeffs == {0: 4}
 
 
 def test_cli_rejects_out_of_range_table_file(tmp_path, capsys):
