@@ -23,7 +23,7 @@ from parityfold import (
 and2 = TruthTable(2, np.array([1, 1, 1, -1]))
 spectrum = wht(and2)
 print("conjunction on 2 variables")
-print(f"  scaled spectrum (c = fhat * 4): {spectrum.coeffs}")
+print(f"  scaled spectrum (c = fhat * 4): {dict(spectrum.coeffs)}")
 print(f"  sparsity k = {spectrum.sparsity}")
 
 # Parseval in scaled form: sum of c^2 equals 4^n exactly.

@@ -21,12 +21,12 @@ from parityfold import (
 
 and2 = TruthTable(2, np.array([1, 1, 1, -1]))
 spectrum = wht(and2)
-print(f"conjunction spectrum: {spectrum.coeffs}")
+print(f"conjunction spectrum: {dict(spectrum.coeffs)}")
 
 # Fix x1 = 1: the function collapses to the sign of x2.
 system = AffineConstraintSystem(2, ((0b01, 1),))
 restricted = restrict(spectrum, system)
-print(f"after fixing x1 = 1: {restricted.coeffs}  (a single character)")
+print(f"after fixing x1 = 1: {dict(restricted.coeffs)}  (a single character)")
 for x in range(4):
     if system.contains(x):
         assert restricted.evaluate(x) == and2.evaluate(x)

@@ -11,14 +11,15 @@ function.
 
 `direction_classes` counts the classes with the pair kernel of `pairs`,
 in exact integers: an XOR autocorrelation of the support's indicator
-through the WHT, O(n 2^n), on dense supports (n 2^n < k^2 / 2), and row
-blocks of at most 2^16 int64 entries, O(k^2 log k), otherwise.  Every
-other check reads class sizes from its profile.  `partners` counts heavy
+through the WHT, O(n 2^n), on dense supports (n 2^n < k^2 / 2), and one
+sort of all pair directions, O(k^2 log k), otherwise.  Every other check
+reads class sizes from the profile's sorted `directions` and `counts`
+(`classes` is a read-only dict view of them).  `partners` counts heavy
 partners as the XOR convolution of the support with the heavy directions
 on dense supports and finds each smallest partner by a chunked scan that
-stops once every mask has one; on sparse supports it binary-searches the
-blocks, O(k^2 log D).  Sign constraints list only the pairs of size-2
-classes.
+stops once every mask has one; on sparse supports it binary-searches each
+pair's direction, O(k^2 log D).  Sign constraints list only the pairs of
+size-2 classes.
 
 A support is any iterable of masks.  A spectrum's `masks`, sorted int64
 already, is used as it is, and the checks that take a spectrum pass
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -69,28 +72,35 @@ class AddressingProfileError(RuntimeError):
     """A class of the addressing support breaks the profile's claims: a bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldingProfile:
     n: int
     k: int
-    classes: dict[int, int]
     # sorted support, sorted realized directions and their class sizes
-    masks: np.ndarray = field(repr=False, compare=False)
-    directions: np.ndarray = field(repr=False, compare=False)
-    counts: np.ndarray = field(repr=False, compare=False)
+    masks: np.ndarray = field(repr=False)
+    directions: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     pairs: dict[int, tuple[tuple[int, int], ...]] | None = None
+
+    def __eq__(self, other: object) -> bool:  # the support determines the classes
+        return isinstance(other, FoldingProfile) and np.array_equal(self.masks, other.masks) and self.pairs == other.pairs
+
+    @cached_property
+    def classes(self) -> MappingProxyType[int, int]:
+        """direction -> class size, a read-only view of the arrays made on first use."""
+        return MappingProxyType(dict(zip(self.directions.tolist(), self.counts.tolist())))
 
     @property
     def total_pairs(self) -> int:
-        return sum(self.classes.values())
+        return int(self.counts.sum())
 
     @property
     def min_class_size(self) -> int:
-        return min(self.classes.values())
+        return int(self.counts.min())
 
     @property
     def max_class_size(self) -> int:
-        return max(self.classes.values())
+        return int(self.counts.max())
 
     def partners(self, threshold: int) -> tuple[np.ndarray, np.ndarray]:
         """Per mask: how many partners lie in classes of size >= threshold,
@@ -134,12 +144,12 @@ class FoldingProfile:
         out = {
             "n": self.n,
             "k": self.k,
-            "direction_count": len(self.classes),
+            "direction_count": len(self.directions),
             "total_pairs": self.total_pairs,
             "min_class_size": self.min_class_size,
             "max_class_size": self.max_class_size,
             "histogram": {str(s): c for s, c in self.histogram().items()},
-            "classes": {str(g): self.classes[g] for g in sorted(self.classes)},
+            "classes": {str(g): c for g, c in zip(self.directions.tolist(), self.counts.tolist())},
         }
         if self.pairs is not None:
             out["pairs"] = {
@@ -170,9 +180,8 @@ def direction_classes(
     if masks[0] < 0:
         raise ValueError(f"masks must be non-negative, got {int(masks[0])}")
     directions, counts = direction_sums(masks)
-    classes = dict(zip(directions.tolist(), counts.tolist()))
     pairs = _pair_lists(masks, directions) if include_pairs else None
-    return FoldingProfile(int(masks[-1]).bit_length(), k, classes, masks, directions, counts, pairs)
+    return FoldingProfile(int(masks[-1]).bit_length(), k, masks, directions, counts, pairs)
 
 
 def _pair_lists(
@@ -194,8 +203,8 @@ def check_pair_condition(support: Iterable[int]) -> PairCondition:
     """Every direction class must have >= 2 pairs; supports of +-1
     functions always pass."""
     profile = direction_classes(support)
-    bad = sorted(g for g, count in profile.classes.items() if count < 2)
-    return PairCondition(not bad, bad[0] if bad else None)
+    bad = profile.directions[profile.counts < 2]
+    return PairCondition(not len(bad), int(bad[0]) if len(bad) else None)
 
 
 def _floor_root(x: int, b: int) -> int:
@@ -323,10 +332,11 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
     masks = profile.masks.tolist()
     nontrivial, first = profile.partners(3)
     counts = dict(zip(masks, nontrivial.tolist()))
+    # partnerless masks look up their XOR with masks[0], which is in range
+    sizes = profile.counts[profile.directions.searchsorted(profile.masks ^ profile.masks[first])]
     single: dict[int, tuple[int, int]] = {}
-    for a, c, j in zip(masks, nontrivial.tolist(), first.tolist()):
+    for a, c, j, size in zip(masks, nontrivial.tolist(), first.tolist(), sizes.tolist()):
         if c == 1:
-            size = profile.classes[a ^ masks[j]]
             if k % 2 or size != k // 2:
                 raise SingleDirectionViolationError(
                     f"mask {a}: single nontrivial class has {size} pairs, expected k/2 = {k / 2}"
@@ -489,31 +499,23 @@ def addressing_folding_profile(k: int) -> AddressingFoldingReport:
         raise ValueError(f"desk-scale guard: k <= 256, got {k}")
     support, addr_bits = addressing_support(k)
     profile = direction_classes(support)
-    same: dict[int, int] = {}
-    cross: dict[int, int] = {}
-    for g, count in profile.classes.items():
-        target_part = g >> addr_bits
-        bits = target_part.bit_count()
-        if bits == 0:
-            same[g] = count
-        elif bits == 2:
-            cross[g] = count
-        else:
-            raise AddressingProfileError(f"direction {g} touches {bits} target bits")
+    bits = np.bitwise_count(profile.directions >> addr_bits)  # target bits
+    if len(bad := np.flatnonzero((bits != 0) & (bits != 2))):
+        raise AddressingProfileError(f"direction {profile.directions[bad[0]]} touches {bits[bad[0]]} target bits")
+    same, cross = profile.counts[bits == 0].tolist(), profile.counts[bits == 2].tolist()
     sqrt_k = math.isqrt(k)
-    if set(cross.values()) != {sqrt_k}:
-        sizes = set(cross.values())
-        raise AddressingProfileError(f"cross-target class sizes {sizes} != {{{sqrt_k}}}")
+    if set(cross) != {sqrt_k}:
+        raise AddressingProfileError(f"cross-target class sizes {set(cross)} != {{{sqrt_k}}}")
     total = math.comb(len(support), 2)
     return AddressingFoldingReport(
         k=k,
         sqrt_k=sqrt_k,
         same_target_direction_count=len(same),
-        same_target_class_sizes=tuple(sorted(set(same.values()))),
-        same_target_pair_count=sum(same.values()),
+        same_target_class_sizes=tuple(sorted(set(same))),
+        same_target_pair_count=sum(same),
         cross_target_direction_count=len(cross),
-        cross_target_class_sizes=tuple(sorted(set(cross.values()))),
-        cross_target_pair_count=sum(cross.values()),
-        cross_target_pair_fraction=Fraction(sum(cross.values()), total),
+        cross_target_class_sizes=tuple(sorted(set(cross))),
+        cross_target_pair_count=sum(cross),
+        cross_target_pair_fraction=Fraction(sum(cross), total),
         counting_note=SAME_TARGET_COUNT_NOTE,
     )

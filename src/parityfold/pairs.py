@@ -22,7 +22,9 @@ values hold for both.
 
 Per-direction sums take one of two routes, chosen by `dense_route` alone:
 
-- Blocks: row blocks of at most BLOCK_ENTRIES = 2^16 int64 pair entries,
+- Blocks: `pair_blocks`, the one sparse pair listing, in blocks of whole
+  rows of at most BLOCK_ENTRIES = 2^16 pairs.  A sum sorts all of a call's
+  pair keys once (segment << 24 | direction for `top_directions`),
   O(k^2 log k) numpy work, nothing sized 2^n.
 - Dense: XOR autocorrelations on (2^n, columns) int64 tables, where n is
   the bit length of the largest mask, O(n 2^n) work.  Over ordered pairs
@@ -103,23 +105,31 @@ def _table(n: int, *columns: tuple[np.ndarray, np.ndarray | int]) -> np.ndarray:
     return table
 
 
-def xor_blocks(masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, masks[rows, None] ^ masks, upper) per block of <= BLOCK_ENTRIES
-    entries (or one row); upper marks the pairs rows[r] < j."""
-    k = len(masks)
-    step = max(1, BLOCK_ENTRIES // k)
-    for lo in range(0, k, step):
-        rows = np.arange(lo, min(lo + step, k))
-        yield rows, masks[lo : lo + step, None] ^ masks, np.arange(k) > rows[:, None]
+def pair_blocks(masks: np.ndarray, bounds: tuple | np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(a, b, masks[a] ^ masks[b]) for the index pairs a < b within each
+    segment masks[bounds[i]:bounds[i + 1]], row-major, in blocks of whole rows
+    of at most BLOCK_ENTRIES pairs (or one row)."""
+    bounds = np.asarray(bounds)
+    rows = np.arange(bounds[0], bounds[-1])
+    later = bounds[1:].repeat(bounds[1:] - bounds[:-1]) - 1 - rows  # the partners after each mask
+    ends = later.cumsum()
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] - later[lo] + BLOCK_ENTRIES, "right")))
+        n = later[lo:hi]
+        a = rows[lo:hi].repeat(n)
+        b = a + np.arange(1, len(a) + 1) - (n.cumsum() - n).repeat(n)
+        yield a, b, masks.take(a) ^ masks.take(b)
+        lo = hi
 
 
 def _sum_by(keys: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys (all >= 0) and per key its count, or its sum of values.
 
-    Sums sort one packed int64 array in place, key << w | position with
-    w = len(keys).bit_length(), and read the order back from its low w
-    bits; keys are directions below 2^24, so it fits in 63 bits for any
-    array that fits in memory."""
+    Counts take any keys, such as segment << 24 | direction.  Sums sort one
+    packed int64 array in place, key << w | position with w = len(keys).bit_length(),
+    and read the order back from its low w bits: keys below 2^(63 - w), as
+    directions below 2^24 are for any array that fits in memory."""
     if values is None:
         return np.unique(keys, return_counts=True)
     w = len(keys).bit_length()
@@ -149,42 +159,32 @@ def direction_sums(
         table >>= n + 1  # ordered pairs to unordered; both divisions are exact
         directions = np.flatnonzero(table[1:, 0]) + 1
         return directions, table[directions, -1]
-    found = [
-        _sum_by(xor[upper], None if w is None else (w[rows, None] * w)[upper])
-        for rows, xor, upper in xor_blocks(masks)
-    ]
-    directions, sums = map(np.concatenate, zip(*found))
-    return _sum_by(directions, sums) if len(found) > 1 else (directions, sums)
+    listed = [(xor, None if w is None else w.take(a) * w.take(b)) for a, b, xor in pair_blocks(masks, (0, k))]
+    keys, values = zip(*listed)
+    return _sum_by(np.concatenate(keys), None if w is None else np.concatenate(values))
 
 
 def top_directions(masks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per segment masks[bounds[i]:bounds[i + 1]] of >= 2 sorted distinct
-    masks, the direction of the most pairs, the smallest on a tie: the
-    argmax of its `direction_sums` counts, which segments on the dense route
-    or of over 2^10 pairs take.  The rest go in chunks of < 2 BLOCK_ENTRIES
-    pairs, listed pair by pair and counted by sorting segment << 24 | direction."""
+    masks, the direction of the most pairs, the smallest on a tie.  Segments
+    on the dense route take the argmax of their `direction_sums` counts; the
+    rest count all their pairs at once, keyed segment << 24 | direction."""
     sizes = bounds[1:] - bounds[:-1]
-    pairs = sizes * (sizes - 1) // 2
-    small = (pairs <= 1 << 10) & ~dense_route(np.frexp(masks[bounds[1:] - 1])[1], sizes)
+    dense = dense_route(np.frexp(masks[bounds[1:] - 1])[1], sizes)
     out = np.zeros(len(sizes), dtype=np.int64)
-    for i in (~small).nonzero()[0].tolist():
+    for i in dense.nonzero()[0].tolist():
         directions, counts = direction_sums(masks[bounds[i] : bounds[i + 1]])
         out[i] = directions[np.argmax(counts)]
-    rest = small.nonzero()[0]
-    for chunk in np.split(rest, np.diff(pairs[rest].cumsum() // BLOCK_ENTRIES).nonzero()[0] + 1) if len(rest) else ():
-        size = sizes[chunk]
-        offsets = size.cumsum() - size
-        rank = np.arange(offsets[-1] + size[-1]) - offsets.repeat(size)  # within its segment
-        x = masks.take(bounds[chunk].repeat(size) + rank)
-        later = (size - 1).repeat(size) - rank  # the partners after each mask
-        a = np.arange(len(x)).repeat(later)
-        b = np.arange(1, len(a) + 1) + a - (later.cumsum() - later).repeat(later)
-        keys = np.sort((np.arange(len(chunk)) << 24).repeat(size).take(a) | x.take(a) ^ x.take(b))
-        head = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
-        runs, counts = keys[head], np.diff(head, append=len(keys))  # counts < 2^17
-        # by segment, then the most pairs, then the smallest direction
-        packed = np.sort((runs >> 24) << 42 | ((1 << 18) - 1 - counts) << 24 | runs & 0xFFFFFF)
-        out[chunk] = packed[packed.searchsorted(np.arange(len(chunk)) << 42)] & 0xFFFFFF
+    if dense.all():
+        return out
+    sparse = (~dense).nonzero()[0]
+    seg = np.arange(len(sparse)).repeat(sizes[sparse])
+    listed = pair_blocks(masks[(~dense).repeat(sizes)], np.concatenate(([0], sizes[sparse].cumsum())))
+    keys, counts = _sum_by(np.concatenate([seg.take(a) << 24 | xor for a, _, xor in listed]), None)
+    # by segment, then the most pairs; the stable sort keeps the smallest
+    # direction first, and each segment starts where it does in the sorted keys
+    order = np.lexsort((-counts, keys >> 24))
+    out[sparse] = keys[order[(keys >> 24).searchsorted(np.arange(len(sparse)))]] & 0xFFFFFF
     return out
 
 
@@ -196,15 +196,14 @@ def heavy_partners(
     index of the smallest such partner (0 when there is none)."""
     n = _dense_bits(masks, max(len(masks), len(directions)))
     if n is None:
-        counts, first = [], []
-        for rows, xor, _ in xor_blocks(masks):
-            # every off-diagonal entry is a realized direction; the diagonal
-            # (0, below every direction) lands on index 0 and is cleared
-            hit = heavy[np.searchsorted(directions, xor)]
-            hit[np.arange(len(rows)), rows] = False
-            counts.append(hit.sum(axis=1))
-            first.append(hit.argmax(axis=1))
-        return np.concatenate(counts), np.concatenate(first)
+        k = len(masks)
+        counts, first = np.zeros(k, dtype=np.int64), np.full(k, k)
+        for a, b, xor in pair_blocks(masks, (0, k)):
+            hit = heavy[directions.searchsorted(xor)]  # every pair's XOR is realized
+            side, partner = np.concatenate((a[hit], b[hit])), np.concatenate((b[hit], a[hit]))
+            counts += np.bincount(side, minlength=k)
+            np.minimum.at(first, side, partner)
+        return counts, np.where(counts > 0, first, 0)
     # counts are the XOR convolution of the support's and the heavy
     # directions' indicators, read at the support; partial sums stay within
     # 2^n * max(k, directions) by Cauchy-Schwarz and Parseval
@@ -238,11 +237,9 @@ def direction_pairs(
     if not len(directions):
         return {}
     found = []
-    for rows, xor, upper in xor_blocks(masks):
-        at = np.searchsorted(directions, xor).clip(max=len(directions) - 1)
-        keep = upper & (directions[at] == xor)
-        r, j = np.nonzero(keep)
-        found.append((xor[keep], masks[rows[r]], masks[j]))  # row-major
+    for a, b, xor in pair_blocks(masks, (0, len(masks))):
+        keep = directions[directions.searchsorted(xor).clip(max=len(directions) - 1)] == xor
+        found.append((xor[keep], masks[a[keep]], masks[b[keep]]))  # row-major
     g, a, b = map(np.concatenate, zip(*found))
     order = np.argsort(g, kind="stable")  # grouped by direction, row-major within
     g, flat = g[order], list(zip(a[order].tolist(), b[order].tolist()))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -137,8 +138,8 @@ class FourierSpectrum:
 
     Its state is `n` and two read-only arrays in ascending mask order,
     `masks` (int64) and `coefficients` (int64, or Python ints in an object
-    array when one does not fit int64); `coeffs` is their dict view, made
-    on first use.  Spectra are immutable and compare by n and entries.
+    array when one does not fit int64); `coeffs` is their read-only dict
+    view, made on first use.  Spectra are immutable and compare by n and entries.
     """
 
     def __init__(self, n: int, coeffs: dict[int, int]) -> None:
@@ -182,12 +183,12 @@ class FourierSpectrum:
     __hash__ = None  # the arrays are not hashable
 
     def __repr__(self) -> str:
-        return f"FourierSpectrum(n={self.n!r}, coeffs={self.coeffs!r})"
+        return f"FourierSpectrum(n={self.n!r}, coeffs={dict(self.coeffs)!r})"
 
     @cached_property
-    def coeffs(self) -> dict[int, int]:
-        """mask -> c_a as Python ints, in ascending mask order."""
-        return dict(zip(self.masks.tolist(), self.coefficients.tolist()))
+    def coeffs(self) -> MappingProxyType[int, int]:
+        """mask -> c_a as Python ints, in ascending mask order, read-only."""
+        return MappingProxyType(dict(zip(self.masks.tolist(), self.coefficients.tolist())))
 
     def __getitem__(self, mask: int) -> int:
         return self.coeffs.get(mask, 0)

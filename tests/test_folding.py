@@ -158,6 +158,11 @@ def test_direction_classes_and2():
     profile = direction_classes(and2_support())
     assert profile.classes == {1: 2, 2: 2, 3: 2}
     assert profile.total_pairs == 6
+    # the classes are a read-only view, and a profile compares by its support
+    with pytest.raises(TypeError):
+        profile.classes[1] = 3
+    assert profile == direction_classes([3, 2, 1, 0])
+    assert profile != direction_classes({0, 1, 2, 4}) and profile != direction_classes({0, 1, 2, 3}, True)
 
 
 def test_direction_classes_take_a_spectrum_masks_as_they_are():

@@ -4,6 +4,7 @@ other, at the exact int64 bound, and in whole reports."""
 
 import contextlib
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -86,10 +87,11 @@ def test_fwht_is_exact_when_partial_sums_wrap():
 
 
 def forced(route):
-    """The route choice forced each way, or left to dense_route."""
+    """The route choice forced each way (elementwise, as dense_route answers
+    for arrays of segments), or left to dense_route."""
     if route == "chosen":
         return contextlib.nullcontext()
-    return mock.patch.object(pairs, "dense_route", lambda n, k: route == "dense")
+    return mock.patch.object(pairs, "dense_route", lambda n, k: np.full(np.shape(k), route == "dense"))
 
 
 def naive_sums(masks, weights=None):
@@ -201,18 +203,52 @@ def test_dense_route_up_to_the_exact_int64_bound(monkeypatch):
 
 
 def test_weighted_sums_over_many_blocks_match_a_dict_sum():
-    # k = 600 at 24 bits takes the blocks, 109 rows each, so the per-block
-    # sums are summed again across blocks
+    # k = 600 at 24 bits takes the blocks: its 179,700 pairs are listed in
+    # three blocks of whole rows and summed by one sort
     rng = np.random.default_rng(5)
     masks = np.unique(rng.integers(0, 1 << 24, 620))[:600]
     weights = rng.integers(-(2**20), 2**20, len(masks)).tolist()
-    assert not pairs.dense_route(24, len(masks)) and len(masks) > pairs.BLOCK_ENTRIES // len(masks)
+    assert not pairs.dense_route(24, len(masks)) and math.comb(len(masks), 2) > 2 * pairs.BLOCK_ENTRIES
     expected = {}
     for (a, wa), (b, wb) in itertools.combinations(zip(masks.tolist(), weights), 2):
         expected[a ^ b] = expected.get(a ^ b, 0) + wa * wb
     directions, sums = direction_sums(masks, weights)
     assert directions.tolist() == sorted(expected)
     assert dict(zip(directions.tolist(), sums.tolist())) == expected
+
+
+@given(st.lists(st.integers(0, 9), max_size=6), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
+@settings(max_examples=60, deadline=None)
+def test_pair_blocks_list_each_segments_combinations(sizes, block_entries):
+    bounds = np.cumsum([0, *sizes])
+    masks = np.arange(bounds[-1]) ** 2
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        blocks = [[part.tolist() for part in block] for block in pairs.pair_blocks(masks, bounds)]
+    listed = [pair for block in blocks for pair in zip(*block)]
+    expected = [(a, b, int(masks[a] ^ masks[b]))
+                for lo, hi in itertools.pairwise(bounds.tolist()) for a, b in itertools.combinations(range(lo, hi), 2)]
+    assert listed == expected  # row-major
+    for (a, _, _), (after, _, _) in itertools.pairwise([block for block in blocks if block[0]]):
+        assert a[-1] != after[0]  # whole rows
+    assert all(len(a) <= block_entries or len(set(a)) == 1 for a, _, _ in blocks)
+
+
+def naive_top(segment):
+    """Oracle: the direction of the most pairs, the smallest on a tie."""
+    counts = naive_sums(segment)
+    return min(counts, key=lambda g: (-counts[g], g))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@given(st.lists(supports.map(sorted), min_size=1, max_size=4), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
+@settings(max_examples=60, deadline=None)
+def test_top_directions_match_pair_loop(route, segments, block_entries):
+    # small block budgets split one segment's rows; large ones span segments
+    masks = np.array([a for segment in segments for a in segment], dtype=np.int64)
+    bounds = np.cumsum([0, *map(len, segments)])
+    with forced(route), mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        top = pairs.top_directions(masks, bounds)
+    assert top.tolist() == [naive_top(segment) for segment in segments]
 
 
 def fold_verify_ops():
@@ -228,7 +264,7 @@ def test_reports_are_byte_identical_on_both_routes(function, monkeypatch):
     config = {"seed": 0, "functions": [function], "analyses": fold_verify_ops()}
     reports = {}
     for dense in (True, False):
-        monkeypatch.setattr(pairs, "dense_route", lambda n, k: dense)
+        monkeypatch.setattr(pairs, "dense_route", lambda n, k: np.full(np.shape(k), dense))
         reports[dense] = runner.run_experiment(config).to_json()
     assert reports[True] == reports[False]
 

@@ -31,17 +31,17 @@ def test_pair_xor_broadcasts_live_in_the_pair_kernel():
     assert not found, f"pair-XOR broadcasts outside pairs.py: {found}"
 
 
-def test_xor_blocks_is_called_only_in_the_pair_kernel():
-    # xor_blocks walks all k^2 pairs; callers outside parityfold.pairs use
+def test_pair_blocks_is_called_only_in_the_pair_kernel():
+    # pair_blocks lists all k^2 / 2 pairs; callers outside parityfold.pairs use
     # its per-direction entry points, which pick the dense route when it is cheaper
     found = []
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
         if path.name == "pairs.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("xor_blocks"):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("pair_blocks"):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"xor_blocks calls outside pairs.py: {found}"
+    assert not found, f"pair_blocks calls outside pairs.py: {found}"
 
 
 def scoped_nodes(path):

@@ -360,6 +360,16 @@ def test_a_spectrum_copies_its_dict_once():
     assert s.coeffs == {0: 4} and s == FourierSpectrum(2, {0: 4})
 
 
+def test_the_dict_view_is_read_only():
+    # a write to the view would change repr, s[3] and evaluation but not
+    # the arrays or ==
+    s = FourierSpectrum(2, {0: 4})
+    with pytest.raises(TypeError):
+        s.coeffs[3] = 2
+    assert repr(s) == "FourierSpectrum(n=2, coeffs={0: 4})"
+    assert s[3] == 0 and s.evaluate_scaled(0) == 4
+
+
 @given(st.integers(0, 6), st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_a_dict_built_spectrum_equals_the_wht_spectrum(n, seed):
