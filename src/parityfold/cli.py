@@ -387,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (
         folding.FoldingBoundError,
-        folding.AddressingProfileError,
         restriction.IdentificationBoundError,
         pdt.ResampleCapExceededError,
     ) as exc:
@@ -395,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         return CHECK_FAILED
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # an input too large for this machine, such as --trials 10^9
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return USAGE_ERROR
 
 

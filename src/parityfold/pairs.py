@@ -124,22 +124,27 @@ def pair_blocks(masks: np.ndarray, bounds: tuple | np.ndarray) -> Iterator[tuple
 
 
 def _sum_by(keys: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys (all >= 0) and per key its count, or its sum of values.
+    """Sorted distinct keys (all >= 0), as int64, and per key its count, or
+    its sum of values.
 
-    Counts take any keys, such as segment << 24 | direction.  Sums sort one
-    packed int64 array in place, key << w | position with w = len(keys).bit_length(),
-    and read the order back from its low w bits: keys below 2^(63 - w), as
-    directions below 2^24 are for any array that fits in memory."""
+    Counts sort the keys in place, so they take any keys, such as
+    segment << 24 | direction.  Sums sort one packed int64 array in place,
+    key << w | position with w = len(keys).bit_length(), and read the order
+    back from its low w bits: keys below 2^(63 - w), as directions below
+    2^24 are for any array that fits in memory."""
     if values is None:
-        return np.unique(keys, return_counts=True)
-    w = len(keys).bit_length()
-    packed = keys << w
-    packed |= np.arange(len(keys))
-    packed.sort()
-    keys = packed >> w
+        keys.sort()
+    else:
+        w = len(keys).bit_length()
+        packed = keys.astype(np.int64) << w
+        packed |= np.arange(len(keys))
+        packed.sort()
+        keys = packed >> w
     head = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = np.flatnonzero(head)
+    if values is None:
+        return keys[starts].astype(np.int64), np.diff(starts, append=len(keys))
     return keys[starts], np.add.reduceat(values.take(packed & ((1 << w) - 1)), starts)
 
 
@@ -159,9 +164,17 @@ def direction_sums(
         table >>= n + 1  # ordered pairs to unordered; both divisions are exact
         directions = np.flatnonzero(table[1:, 0]) + 1
         return directions, table[directions, -1]
-    listed = [(xor, None if w is None else w.take(a) * w.take(b)) for a, b, xor in pair_blocks(masks, (0, k))]
-    keys, values = zip(*listed)
-    return _sum_by(np.concatenate(keys), None if w is None else np.concatenate(values))
+    # every pair's direction, written block by block into one array: int32
+    # unless a mask has 32 bits or more (a spectrum's have at most 24)
+    keys = np.empty(k * (k - 1) // 2, dtype=np.int32 if masks.max() < 1 << 31 else np.int64)
+    values = None if w is None else np.empty(len(keys), dtype=np.int64)
+    lo = 0
+    for a, b, xor in pair_blocks(masks, (0, k)):
+        keys[lo : lo + len(xor)] = xor
+        if w is not None:
+            np.multiply(w.take(a), w.take(b), out=values[lo : lo + len(xor)])
+        lo += len(xor)
+    return _sum_by(keys, values)
 
 
 def top_directions(masks: np.ndarray, bounds: np.ndarray) -> np.ndarray:

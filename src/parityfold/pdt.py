@@ -6,14 +6,15 @@ A tree is three flat arrays in level order (`ParityDecisionTree`).
 characters are coset labels reduced against every query above, so paths
 are irredundant and depth <= n.  The deterministic strategies take a
 level per step: one set of kernel calls picks every batch and one
-`restrict_frontier` per batch width makes every child.  The sampling
-strategies take nodes one by one, depth first, so the generator draws
-follow the tree.  Ids, log order and arrays come from tree positions at
-the end.  |c_a| > 2^n is refused up front (no +-1 function has it), so
-restriction stays within k * 2^n <= 2^48.  `_sampling_trial` draws a
-build's resample attempts and every uncertain Monte Carlo trial, from the
-states `_trial_generators` seeds in one vectorized pass, and
-`_fold_unions` folds each of them, and a certain union once.
+`restrict_frontier` call, as wide as the widest batch, makes every child.
+The sampling strategies take nodes one by one, depth first, so the
+generator draws follow the tree.  Ids, log order and arrays come from
+tree positions at the end.  |c_a| > 2^n is refused up front (no +-1
+function has it), so restriction stays within k * 2^n <= 2^48.  `_draw`
+marks the union of every build resample attempt and every uncertain
+Monte Carlo trial; `_run_trials` sets one generator to each trial's
+state from `_trial_states`; `_fold_unions` folds every drawn union, and
+a certain union once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -211,48 +212,24 @@ def sample_parity(
     return masks[rng.random(len(masks)) < p].tolist()
 
 
-# label cells per chunk of trials in _sampling_trial, so its memory is O(k)
+# label cells per chunk of trials in _run_trials, so its memory is O(k)
 # for any number of trials
 _TRIAL_CHUNK_CELLS = 2**16
 
 
-def _sampling_trial(
-    support_sorted: Sequence[int] | np.ndarray,
-    probabilities: tuple[float, ...],
-    rngs: Iterable[np.random.Generator],
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """Parity-sampling steps, one per generator: the only code that draws a
-    sampling batch.
-
-    Row t marks the union of one ``rng.random(k) < p`` per phase, in phase
-    order, from generator t: ``sample_parity``'s draw over the sorted
-    support, refused before any draw for a p outside [0, 1].  Each
-    generator draws its row before the next is taken, so ``rngs`` may
-    yield one generator again in a new state (`_trial_generators`).  Each
-    chunk of rows then goes to ``_fold_unions``.  Returns (kept batch,
-    union size, bucket count of the support against the batch's span) per
-    generator.
-    """
+def _draw(union: np.ndarray, probabilities: tuple[float, ...], rng: np.random.Generator) -> np.ndarray:
+    """Mark in the boolean array ``union``, one cell per sorted support
+    mask, the union of one ``rng.random(k) < p`` per phase, in phase order:
+    ``sample_parity``'s draw, made for every build resample attempt and
+    every uncertain Monte Carlo trial.  A p outside [0, 1] is refused
+    before any draw.  Returns ``union``, for ``_fold_unions``."""
     for p in probabilities:
         if not 0 <= p <= 1:
             raise ValueError(f"probability must lie in [0, 1], got {p}")
-    masks = np.asarray(support_sorted, dtype=np.int64)
-    k = len(masks)
-    union = np.empty((max(1, _TRIAL_CHUNK_CELLS // (k + 1)), k), dtype=bool)
-    out: list[tuple[tuple[int, ...], int, int]] = []
-    drawn = 0
-    for rng in rngs:
-        row = union[drawn]
-        row.fill(False)
-        for p in probabilities:
-            row |= rng.random(k) < p
-        drawn += 1
-        if drawn == len(union):
-            out.extend(_fold_unions(masks, union))
-            drawn = 0
-    if drawn:
-        out.extend(_fold_unions(masks, union[:drawn]))
-    return out
+    union.fill(False)
+    for p in probabilities:
+        union |= rng.random(union.shape) < p
+    return union
 
 
 def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
@@ -430,8 +407,9 @@ def _select_frontier(
         k, best, met = len(masks), None, False
         requested, probs = _schedule_probabilities(config.strategy, k, config)
         target = (1 - config.epsilon) * k
+        union = np.empty((1, k), dtype=bool)  # one row, drawn again per attempt
         for attempt in range(1, config.resample_cap + 1):
-            ((batch, _, bcount),) = _sampling_trial(masks, probs, [rng])
+            ((batch, _, bcount),) = _fold_unions(masks, _draw(union, probs, rng))
             if batch and (best is None or bcount < best[1]):
                 best = (batch, bcount)
             if met := bool(batch) and bcount <= target:
@@ -523,27 +501,18 @@ def build_pdt(
             what = f"sparsity-1 spectrum with |c| = {abs(int(coeffs[bounds[i]]))} != 2^n" if sizes[i] else "no support"
             raise DegenerateInputError(f"{what}; input is not a +-1 function")
         label, tag, picked = _select_frontier(masks, coeffs, bounds, config, rng, n)
-        widths = np.array([len(p[0]) for p in picked])
-        kinds = sorted(set(widths.tolist()))
-        seg = np.arange(len(sizes)).repeat(sizes)
-        most = np.empty(len(sizes), dtype=np.int64)
-        kids: list[tuple[np.ndarray, ...]] = []  # (positions, sizes, labels, coefficients)
-        for b in kinds:
-            if len(kinds) == 1:  # always so for one node, and for max-coefficient
-                group, sel, nodes = slice(None), slice(None), seg
-            else:
-                mine = widths == b
-                group, sel = mine.nonzero()[0], mine[seg]
-                nodes = (mine.cumsum() - 1)[seg[sel]]
-            j, node, clabel, ccoef = restrict_frontier(nodes, label[sel], tag[sel], coeffs[sel], b)
-            up = here[group]
-            counts = np.bincount(j * len(up) + node, minlength=len(up) << b)
-            most[group] = np.maximum.reduce(counts.reshape(1 << b, len(up)))
-            # child j at (depth + b, path << b | j)
-            spot = up + (b << MAX_DIMENSION) + (up & _PATH) * ((1 << b) - 1)
-            kids.append((np.add.outer(np.arange(1 << b), spot).ravel(), counts, clabel, ccoef))
-        records.append((here, sizes.tolist(), picked, most.tolist()))
-        here, counts, masks, coeffs = kids[0] if len(kids) == 1 else (np.concatenate(part) for part in zip(*kids))
+        # one table as wide as the widest batch: a node of b queries has tags
+        # below 2^b, so its children j >= 2^b repeat child j mod 2^b and are dropped
+        b = np.array([len(p[0]) for p in picked], dtype=np.int64)
+        wide, seg = int(b.max()), np.arange(len(sizes)).repeat(sizes)
+        j, node, masks, coeffs = restrict_frontier(seg, label, tag, coeffs, wide)
+        counts = np.bincount(j * len(here) + node, minlength=len(here) << wide).reshape(1 << wide, len(here))
+        records.append((here, sizes.tolist(), picked, counts.max(axis=0).tolist()))
+        live = np.arange(1 << wide)[:, None] < 1 << b  # [j, node]
+        keep = live[j, node]
+        # child j at (depth + b, path << b | j)
+        spot = here + (b << MAX_DIMENSION) + (here & _PATH) * ((1 << b) - 1)
+        here, counts, masks, coeffs = np.add.outer(np.arange(1 << wide), spot)[live], counts[live], masks[keep], coeffs[keep]
     return BuildResult(*_assemble(n, singles, records), config)
 
 
@@ -643,23 +612,18 @@ class TrialStats:
         )
 
 
-# trials per vectorized seeding pass in _trial_generators, so its arrays
-# stay small for any number of trials
-_SEED_CHUNK = 1 << 12
-
-
-def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the state of ``default_rng((seed, t))``
-    for t = 0 .. trials - 1; each must draw before the next is taken.
+def _trial_states(seed: int, t: np.ndarray) -> list[dict]:
+    """The PCG64 ``bit_generator.state`` of ``default_rng((seed, t))`` for
+    each trial number in the uint32 array t.
 
     numpy's SeedSequence hashes the entropy words (seed's 32-bit words,
     little endian, 0 as [0], then t's one word) into a pool of four
     uint32 words, and the pool out to eight, which PCG64 reads as four
     uint64: state s, then increment.  Only t's word differs between
-    trials, so the hashing runs in uint32 arrays over a chunk of t at once
+    trials, so the hashing runs in uint32 arrays over all of t at once
     (wrapping as numpy's uint32 arithmetic does; the hash constants stay
     Python ints), and PCG64's two-step seeding in Python ints.  Needs
-    seed >= 0 and trials <= 2^32.
+    seed >= 0.
     """
     word = (1 << 32) - 1
     words = [seed >> i & word for i in range(0, max(seed.bit_length(), 1), 32)]
@@ -680,31 +644,27 @@ def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
         r = x * 0xCA01F9DD - y * 0x4973F715
         return r ^ r >> 16
 
-    rng = np.random.Generator(np.random.PCG64(0))
-    for lo in range(0, trials, _SEED_CHUNK):
-        t = np.arange(lo, min(lo + _SEED_CHUNK, trials), dtype=np.uint32)
-        entropy = [np.full(len(t), w, dtype=np.uint32) for w in words] + [t]
-        entropy += [np.zeros_like(t)] * (4 - len(entropy))
-        hashmix = hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(w) for w in entropy[:4]]
-        for src in range(4):  # each pool word into every other
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in entropy[4:]:  # words past the pool, into every pool word
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(w))
-        out = hasher(0x8B51F9DD, 0x58F38DED)
-        state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
-        halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
-        for s_hi, s_lo, inc_hi, inc_lo in zip(*halves):
-            # two LCG steps from state 0, adding s between them
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & (1 << 128) - 1
-            s = ((inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & (1 << 128) - 1
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": s, "inc": inc}, "has_uint32": 0, "uinteger": 0
-            }
-            yield rng
+    entropy = [np.full(len(t), w, dtype=np.uint32) for w in words] + [t]
+    entropy += [np.zeros_like(t)] * (4 - len(entropy))
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):  # each pool word into every other
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:  # words past the pool, into every pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+    states = []
+    for s_hi, s_lo, inc_hi, inc_lo in zip(*halves):
+        # two LCG steps from state 0, adding s between them
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & (1 << 128) - 1
+        s = ((inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & (1 << 128) - 1
+        states.append({"bit_generator": "PCG64", "state": {"state": s, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _run_trials(
@@ -717,10 +677,12 @@ def _run_trials(
     """Independent seeded trials of the sampling step at the requested
     probabilities, each clamped to 1; trial t's generator depends only on
     (seed, t), so results are identical under any execution order.  It is
-    in the state of ``default_rng((seed, t))``, which `_trial_generators`
-    computes for every t in one vectorized pass and sets on one shared
-    generator, trial by trial.  A seed below 0, or more than 2^32 trials
-    (t past one 32-bit word), is a SeedRangeError.
+    in the state of ``default_rng((seed, t))``.  One loop takes the trials
+    in chunks of about _TRIAL_CHUNK_CELLS label cells: `_trial_states`
+    computes the chunk's states in one vectorized pass, one generator is
+    set to each in turn and `_draw`s that trial's row, and `_fold_unions`
+    folds the chunk.  A seed below 0, or more than 2^32 trials (t past one
+    32-bit word), is a SeedRangeError.
 
     The union is certain when some clamped phase is exactly 1 or every
     phase is 0: ``rng.random(k)`` lies in [0, 1), so every generator
@@ -740,10 +702,17 @@ def _run_trials(
     probabilities = tuple(min(1.0, p) for p in requested)
     marked = 1.0 in probabilities
     if marked or not any(probabilities):
-        (step,) = _fold_unions(masks, np.full((1, k), marked))
-        steps = [step] * trials
+        steps = _fold_unions(masks, np.full((1, k), marked)) * trials
     else:
-        steps = _sampling_trial(masks, probabilities, _trial_generators(seed, trials))
+        rng = np.random.Generator(np.random.PCG64(0))
+        union = np.empty((max(1, _TRIAL_CHUNK_CELLS // (k + 1)), k), dtype=bool)
+        steps = []
+        for lo in range(0, trials, len(union)):
+            states = _trial_states(seed, np.arange(lo, min(lo + len(union), trials), dtype=np.uint32))
+            for row, state in zip(union, states):
+                rng.bit_generator.state = state
+                _draw(row, probabilities, rng)
+            steps += _fold_unions(masks, union[: len(states)])
     bucket_counts = [count for _, _, count in steps]
     sample_sizes = [size for _, size, _ in steps]
     mean = Fraction(sum(bucket_counts), trials * k)

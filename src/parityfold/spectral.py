@@ -337,14 +337,6 @@ def table_from_dict(data: dict) -> TruthTable:
     return TruthTable(json_int(data["n"], "n"), np.array(values))
 
 
-def spectrum_to_dict(spectrum: FourierSpectrum) -> dict:
-    coeffs = [
-        {"mask": mask, "num": c}
-        for mask, c in zip(spectrum.masks.tolist(), spectrum.coefficients.tolist())
-    ]
-    return {"n": spectrum.n, "coeffs": coeffs}
-
-
 def spectrum_from_dict(data: dict) -> FourierSpectrum:
     n = json_int(json_of(data, dict, "spectrum")["n"], "n")
     coeffs: dict[int, int] = {}

@@ -436,14 +436,12 @@ def test_addressing_folding_profile_guards():
     ],
     ids=["target-bits", "class-sizes"],
 )
-def test_addressing_profile_failure_is_a_typed_error(monkeypatch, capsys, broken):
+def test_addressing_profile_failure_is_a_typed_error(monkeypatch, broken):
+    # a library check only: no CLI path calls addressing_folding_profile
     real = folding.direction_classes
     monkeypatch.setattr(folding, "direction_classes", lambda support: real(broken(support)))
     with pytest.raises(folding.AddressingProfileError):
         addressing_folding_profile(16)
-    monkeypatch.setitem(runner.OPS, "fold", lambda *args: addressing_folding_profile(16))
-    assert main(["fold", "addressing:k=16"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("x, expected", [(0.49, "49/100"), (0.3, "3/10"), (1e-4, "1/10000")])

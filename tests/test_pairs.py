@@ -144,6 +144,22 @@ def test_direction_sums_match_pair_loop(route, data):
         assert dict(zip(directions.tolist(), sums.tolist())) == naive_sums(masks, weights)
 
 
+@given(st.lists(st.integers(0, 2**24 - 1) | st.integers(2**31 - 3, 2**40), min_size=2, max_size=40, unique=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_direction_sums_are_int64_and_exact_on_wide_masks(masks, data):
+    # the blocks keep their keys in int32 while every mask is below 2^31;
+    # wider masks, which no spectrum has but a support list may, stay exact
+    weights = data.draw(st.lists(weight_values, min_size=len(masks), max_size=len(masks)))
+    array = np.array(masks, dtype=np.int64)
+    with forced("blocks"):
+        directions, counts = direction_sums(array)
+        assert directions.dtype == counts.dtype == np.int64
+        assert dict(zip(directions.tolist(), counts.tolist())) == naive_sums(masks)
+        directions, sums = direction_sums(array, weights)
+        assert directions.dtype == sums.dtype == np.int64
+        assert dict(zip(directions.tolist(), sums.tolist())) == naive_sums(masks, weights)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 @given(supports, st.sampled_from([1, 2, 3, 5, 9]), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
 @settings(max_examples=60, deadline=None)

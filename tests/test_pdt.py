@@ -34,7 +34,6 @@ from parityfold.pdt import (
     sample_parity,
     verify_tree,
     warmup_success_rate,
-    _sampling_trial,
     _select_frontier,
 )
 from parityfold.pairs import dense_route
@@ -57,6 +56,14 @@ def node(query, pos, neg):
 
 def tree_of(n, root):
     return ParityDecisionTree.from_dict({"n": n, "root": root})
+
+
+def one_step(support, probabilities, rng):
+    """One sampling step from rng, as a build attempt takes it: one row
+    drawn, then folded."""
+    masks = np.array(support, dtype=np.int64)
+    (step,) = pdt._fold_unions(masks, pdt._draw(np.empty((1, len(masks)), dtype=bool), probabilities, rng))
+    return step
 
 
 def test_evaluate_single_leaf():
@@ -641,7 +648,7 @@ def test_sampling_trial_basis_is_row_reduce_of_batch(n, data):
     support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14)))
     probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=1, max_size=2)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    ((batch, size, bcount),) = _sampling_trial(support, probs, [np.random.default_rng(seed)])
+    batch, size, bcount = one_step(support, probs, np.random.default_rng(seed))
     replay = np.random.default_rng(seed)
     union = set()
     for p in probs:
@@ -677,7 +684,7 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
     except ResampleCapExceededError as exc:  # the attempt made no progress
         batch, bcount = exc.best_batch, exc.best_bucket_count
     stats = estimate_bucket_reduction(spectrum, p, 1, seed)
-    (step,) = _sampling_trial(sorted(spectrum.coeffs), (p,), [np.random.default_rng((seed, 0))])
+    step = one_step(sorted(spectrum.coeffs), (p,), np.random.default_rng((seed, 0)))
     assert batch
     assert (batch, bcount) == (step[0], step[2])
     assert (stats.sample_sizes, stats.bucket_counts) == ((step[1],), (bcount,))
@@ -686,47 +693,51 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
 @given(st.integers(1, 10), st.data())
 @settings(max_examples=60, deadline=None)
 def test_trial_rows_equal_one_generator_calls(n, data):
-    # row t of a many-generator call is the step generator t alone draws
+    # row t of a many-row fold is the step generator t alone draws and folds
     support = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40)))
     probs = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=2)))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
-    rows = _sampling_trial(support, probs, [np.random.default_rng(s) for s in seeds])
-    assert rows == [_sampling_trial(support, probs, [np.random.default_rng(s)])[0] for s in seeds]
+    union = np.empty((len(seeds), len(support)), dtype=bool)
+    for row, s in zip(union, seeds):
+        pdt._draw(row, probs, np.random.default_rng(s))
+    rows = pdt._fold_unions(np.array(support, dtype=np.int64), union)
+    assert rows == [one_step(support, probs, np.random.default_rng(s)) for s in seeds]
 
 
 @pytest.mark.parametrize("cells", [1, 40, 100])
 def test_trials_spanning_several_chunks_match_per_trial_calls(monkeypatch, cells):
     spectrum = wht(gen_inner_product(2))  # k = 16: 2 trials per 40 cells, 5 per 100
     support = sorted(spectrum.coeffs)
-    single = [
-        _sampling_trial(support, (0.2,), [np.random.default_rng((9, t))])[0] for t in range(13)
-    ]
+    single = [one_step(support, (0.2,), np.random.default_rng((9, t))) for t in range(13)]
     monkeypatch.setattr(pdt, "_TRIAL_CHUNK_CELLS", cells)
     stats = estimate_bucket_reduction(spectrum, 0.2, 13, 9)
     assert stats.bucket_counts == tuple(count for _, _, count in single)
     assert stats.sample_sizes == tuple(size for _, size, _ in single)
-    assert _sampling_trial(support, (0.2,), (np.random.default_rng((9, t)) for t in range(13))) == single
 
 
 def test_sampling_trial_skips_mask_zero():
     # mask 0 is in every span: it is drawn and counted in the union, never kept
     support = [0, 0b001, 0b010, 0b011, 0b100]
-    ((batch, size, bcount),) = _sampling_trial(support, (1.0,), [np.random.default_rng(0)])
-    assert (batch, size, bcount) == ((0b001, 0b010, 0b100), 5, 1)
-    ((batch, size, bcount),) = _sampling_trial([0, 5], (1.0,), [np.random.default_rng(0)])
-    assert (batch, size, bcount) == ((5,), 2, 1)
-    ((batch, size, bcount),) = _sampling_trial([0, 5], (0.0,), [np.random.default_rng(0)])
-    assert (batch, size, bcount) == ((), 0, 2)
+    assert one_step(support, (1.0,), np.random.default_rng(0)) == ((0b001, 0b010, 0b100), 5, 1)
+    assert one_step([0, 5], (1.0,), np.random.default_rng(0)) == ((5,), 2, 1)
+    assert one_step([0, 5], (0.0,), np.random.default_rng(0)) == ((), 0, 2)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
 @pytest.mark.parametrize("phases", [(None,), (None, 0.3), (0.3, None)])
 @pytest.mark.parametrize("generators", [1, 3])
 def test_sampling_trial_refuses_a_probability_outside_the_unit_interval(bad, phases, generators):
+    # the draw refuses before it draws: no generator moves, not even for a
+    # valid phase before the bad one
     probabilities = tuple(bad if p is None else p for p in phases)
-    rngs = [np.random.default_rng(t) for t in range(generators)]
-    with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
-        _sampling_trial([1, 2, 3], probabilities, rngs)
+    union = np.ones((generators, 3), dtype=bool)
+    for t, row in enumerate(union):
+        rng = np.random.default_rng(t)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\], got"):
+            pdt._draw(row, probabilities, rng)
+        assert rng.bit_generator.state == before
+    assert union.all()
 
 
 def drawn_trial_stats(spectrum, requested, trials, seed, threshold):
@@ -735,7 +746,7 @@ def drawn_trial_stats(spectrum, requested, trials, seed, threshold):
     support = sorted(spectrum.coeffs)
     k = len(support)
     probabilities = tuple(min(1.0, p) for p in requested)
-    steps = _sampling_trial(support, probabilities, [np.random.default_rng((seed, t)) for t in range(trials)])
+    steps = [one_step(support, probabilities, np.random.default_rng((seed, t))) for t in range(trials)]
     counts = [count for _, _, count in steps]
     fractions = [b / k for b in counts]
     mean_f = sum(fractions) / trials
@@ -787,7 +798,7 @@ def test_certain_union_seeds_no_generator(monkeypatch):
         raise AssertionError("a certain union seeded a generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(pdt, "_trial_generators", refuse)
+    monkeypatch.setattr(pdt, "_trial_states", refuse)
     warmup = warmup_success_rate(gen_inner_product(2), 50, 0)
     folding = folding_sampling_trial(gen_inner_product(2), 1, 0, 50, 0)
     assert warmup.probabilities == (1.0,) and folding.probabilities[1] == 1.0
@@ -801,15 +812,27 @@ SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
 SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**96 - 1))
 
 
-@given(SEEDS, st.integers(1, 300), st.sampled_from([1, 7, 1 << 12]))
+@given(SEEDS, st.integers(1, 120), st.sampled_from([1, 40, 2**16]), st.lists(st.integers(0, 2**32 - 1), max_size=5))
 @settings(max_examples=40, deadline=None)
-def test_trial_generators_take_numpys_seeded_states(seed, trials, chunk):
-    # numpy is the oracle: trial t's generator is in default_rng((seed, t))'s
-    # state, for seeds of one to three words and across seeding chunks
-    with mock.patch.object(pdt, "_SEED_CHUNK", chunk):
-        got = [(rng.bit_generator.state, rng.random()) for rng in pdt._trial_generators(seed, trials)]
-    fresh = [np.random.default_rng((seed, t)) for t in range(trials)]
-    assert got == [(rng.bit_generator.state, rng.random()) for rng in fresh]
+def test_trial_states_are_numpys_seeded_states(seed, trials, cells, numbers):
+    # numpy is the oracle: trial t's state is default_rng((seed, t))'s, for
+    # seeds of one to three words, any trial numbers, and the chunks of a
+    # run (1 and 40 cells hold 1 and 2 trials of k = 16)
+    def numpys(t):
+        return [np.random.default_rng((seed, int(i))).bit_generator.state for i in t]
+
+    trial_states, seen = pdt._trial_states, []
+    t = np.array(numbers, dtype=np.uint32)
+    assert trial_states(seed, t) == numpys(t)
+
+    def spy(seed, t):
+        seen.append(trial_states(seed, t))
+        return seen[-1]
+
+    with mock.patch.object(pdt, "_trial_states", spy), mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", cells):
+        pdt._run_trials(wht(gen_inner_product(2)), (0.3,), trials, seed)
+    assert [state for chunk in seen for state in chunk] == numpys(range(trials))
+    assert len(seen) == -(-trials // max(1, cells // 17))
 
 
 @given(st.integers(1, 8), st.data())
@@ -886,7 +909,7 @@ def test_build_attempt_draws_k_uniforms_per_phase_when_certain(phases):
     # certain union still advances it by one random(k) per phase
     support = sorted(wht(gen_addressing(16)).coeffs)
     rng, fresh = np.random.default_rng(11), np.random.default_rng(11)
-    ((batch, size, _),) = _sampling_trial(support, phases, [rng])
+    _, size, _ = one_step(support, phases, rng)
     for _ in phases:
         fresh.random(len(support))
     assert rng.bit_generator.state == fresh.bit_generator.state
@@ -923,26 +946,35 @@ def test_build_refuses_a_restriction_with_no_support(strategy):
         build_pdt(FourierSpectrum(1, {0: 1, 1: 1}), BuildConfig(strategy=strategy))
 
 
-def test_greedy_build_restricts_once_per_level_and_batch_width(monkeypatch):
-    calls = []
+def test_greedy_build_restricts_once_per_frontier(monkeypatch):
+    # each frontier's batches, whatever their widths, make every child in
+    # one restrict_frontier call as wide as the widest
+    selected, calls = [], []
+
+    def selecting(*args):
+        out = select_frontier(*args)
+        selected.append([len(p[0]) for p in out[2]])
+        return out
 
     def counting(nodes, label, tag, coeffs, width):
         calls.append((width, int(nodes.max()) + 1))
         return restrict_frontier(nodes, label, tag, coeffs, width)
 
-    restrict_frontier = pdt.restrict_frontier
+    select_frontier, restrict_frontier = pdt._select_frontier, pdt.restrict_frontier
+    monkeypatch.setattr(pdt, "_select_frontier", selecting)
     monkeypatch.setattr(pdt, "restrict_frontier", counting)
-    result = build_pdt(gen_random(8, 3), BuildConfig(strategy="greedy-min-bucket"))
-    # a level's calls come in increasing width, one per width it has
-    levels = 1 + sum(b <= a for (a, _), (b, _) in zip(calls, calls[1:]))
-    assert levels <= result.depth()
+    table = gen_random(12, 0)
+    result = build_pdt(table, BuildConfig(strategy="greedy-min-bucket"))
+    assert verify_tree(result.tree, table)
+    assert calls == [(max(widths), len(widths)) for widths in selected]
+    assert any(len(set(widths)) > 1 for widths in selected)  # a frontier mixes widths
     assert sum(nodes for _, nodes in calls) == len(result.log)
-    assert len(calls) <= levels * len({len(r.batch) for r in result.log}) < len(result.log)
+    assert len(calls) < len(result.log)
 
 
 def replay_sampling_build(spectrum, config, log):
     """Rebuild the log of a sampling build depth first, one node at a time,
-    with restrict_batch and one _sampling_trial per logged resample from a
+    with restrict_batch and one step per logged resample from a
     single generator: the draws of a build, in the order it makes them."""
     rng = np.random.default_rng(config.seed)
     records = {r.node_id: r for r in log}
@@ -954,7 +986,7 @@ def replay_sampling_build(spectrum, config, log):
             continue
         record = records.pop(here)
         support = sorted(spec.coeffs)
-        steps = [_sampling_trial(support, record.probabilities, [rng])[0] for _ in range(record.resamples)]
+        steps = [one_step(support, record.probabilities, rng) for _ in range(record.resamples)]
         best = steps[-1] if record.target_met else min((s for s in steps if s[0]), key=lambda s: s[2])
         assert (record.batch, record.bucket_count, record.depth) == (best[0], best[2], at)
         assert record.sparsity_before == spec.sparsity

@@ -390,6 +390,34 @@ def test_frontier_restriction_children_match_restrict(n, count, data):
             assert FourierSpectrum(n, got.get((j, i), {})) == restrict(spectrum, system)
 
 
+@given(st.one_of(st.integers(3, 8), st.just(24)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_mixed_width_frontier_restricts_in_one_call(n, data):
+    # batches of widths 1 to 3, at least two distinct, in one table as wide
+    # as the widest: node i's children j < 2^b are restrict's on its 2^b
+    # systems, and each child j >= 2^b repeats child j mod 2^b, so build_pdt
+    # drops those
+    widths = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=6).filter(lambda w: len(set(w)) > 1))
+    frontier = []
+    for b in widths:
+        spectrum, _ = draw_spectrum_and_batch(data, n)
+        extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+        frontier.append((spectrum, independent(extra + [1 << i for i in range(n)], n)[:b]))
+    parts = [
+        (np.full(s.sparsity, i), *labels(s.masks, row_reduce(batch, n).rows), s.coefficients)
+        for i, (s, batch) in enumerate(frontier)
+    ]
+    wide = max(widths)
+    child, node, label, coeff = restriction.restrict_frontier(*map(np.concatenate, zip(*parts)), wide)
+    got: dict = {}
+    for j, i, a, c in zip(child.tolist(), node.tolist(), label.tolist(), coeff.tolist()):
+        got.setdefault((j, i), {})[a] = c
+    for i, (spectrum, batch) in enumerate(frontier):
+        for j in range(1 << wide):
+            system = AffineConstraintSystem(n, tuple((g, j >> b & 1) for b, g in enumerate(batch)))
+            assert FourierSpectrum(n, got.get((j, i), {})) == restrict(spectrum, system)
+
+
 def test_restrict_batch_of_no_parities_is_the_spectrum():
     s = wht(random_table(4, 2))
     assert restrict_batch(s, ()) == [s]

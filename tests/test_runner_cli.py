@@ -17,7 +17,7 @@ from parityfold import families, pdt, runner, spectral
 from parityfold.cli import USAGE_ERROR, main
 from parityfold.families import gen_inner_product
 from parityfold.runner import ConfigError, load_config, run_experiment
-from parityfold.spectral import spectrum_to_dict, wht
+from parityfold.spectral import wht
 
 
 def make_config(tmp_path, config):
@@ -453,7 +453,9 @@ def test_cli_usage_error_exit_code():
 # recordings, the one intended difference.
 GOLDEN_FIXTURES = {
     "system.json": json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]),
-    "spectrum.json": json.dumps(spectrum_to_dict(wht(gen_inner_product(2)))),
+    "spectrum.json": json.dumps(
+        {"n": 4, "coeffs": [{"mask": m, "num": c} for m, c in sorted(wht(gen_inner_product(2)).coeffs.items())]}
+    ),
     "config.json": json.dumps(BASIC_CONFIG),
 }
 
@@ -612,6 +614,23 @@ def test_cli_op_subcommands_run_the_op_table(monkeypatch, capsys, argv, op):
     assert main(argv) == 0
     assert calls == [op]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB"])
+@pytest.mark.parametrize("via", ["subcommand", "experiment"])
+def test_cli_turns_running_out_of_memory_into_a_usage_error(tmp_path, monkeypatch, capsys, message, via):
+    # too many trials for the machine ends in MemoryError, from a list or a
+    # numpy allocation; that is an error line and exit 2, not a traceback
+    def exhausted(*args):
+        raise MemoryError(*[message] if message else [])
+
+    monkeypatch.setattr(pdt, "warmup_success_rate", exhausted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"functions": [{"family": "addressing", "k": 16}], "analyses": [{"op": "mc", "kind": "warmup"}]}))
+    argv = ["mc", "warmup", "addressing:k=16", "--trials", "5"] if via == "subcommand" else ["experiment", str(config)]
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
 
 
 # File readers check the JSON shape they index into, so a malformed file is

@@ -77,7 +77,6 @@ def test_the_wht_butterfly_is_defined_once():
 SORTED_SET_EXCEPTIONS = {
     "folding.py:_sorted_support",  # a caller's own support list; a spectrum passes its masks
     "folding.py:addressing_folding_profile",  # class sizes
-    "pdt.py:build_pdt",  # batch widths
 }
 
 
@@ -112,7 +111,9 @@ def test_a_spectrum_stores_one_form():
     built = [
         spectrum,
         spectral.FourierSpectrum(4, {3: 4, 0: 4}),
-        spectral.spectrum_from_dict(spectral.spectrum_to_dict(spectrum)),
+        spectral.spectrum_from_dict(
+            {"n": 4, "coeffs": [{"mask": m, "num": c} for m, c in zip(spectrum.masks.tolist(), spectrum.coefficients.tolist())]}
+        ),
         restriction.restrict(spectrum, system),
         *restriction.restrict_batch(spectrum, (3, 5)),
     ]
@@ -151,8 +152,8 @@ def test_minimum_label_steps_live_in_the_gf2_kernel():
 
 
 def test_uniform_draws_live_in_the_trial_kernel():
-    # a PDT resample attempt and a Monte Carlo trial are one step,
-    # pdt._sampling_trial, and sample_parity is its public reference; a
+    # a PDT resample attempt and a Monte Carlo trial draw through one
+    # function, pdt._draw, and sample_parity is its public reference; a
     # second sampling loop would drift from them
     drawers = set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
@@ -164,7 +165,7 @@ def test_uniform_draws_live_in_the_trial_kernel():
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".random"):
                 drawers.add(f"{path.name}:{scope}")
             todo.extend((scope, child) for child in ast.iter_child_nodes(node))
-    assert drawers == {"pdt.py:_sampling_trial", "pdt.py:sample_parity"}, (
+    assert drawers == {"pdt.py:_draw", "pdt.py:sample_parity"}, (
         f"uniform draws outside the trial kernel: {sorted(drawers)}"
     )
 
@@ -253,7 +254,8 @@ def test_relative_imports_are_used_exported_or_bench_bound():
 def test_generators_are_made_only_where_they_draw():
     # default_rng seeds a SeedSequence per call: gen_random makes one per
     # table and a sampling build one per build, while the Monte Carlo
-    # trials share one that pdt._trial_generators sets to each (seed, t) state
+    # trials share one that pdt._run_trials sets to each (seed, t) state
+    # pdt._trial_states computes
     found = set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
         todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
@@ -276,7 +278,7 @@ def test_generators_are_made_only_where_they_draw():
 
 def test_the_seeding_constants_live_in_the_trial_seeding_function():
     # numpy's SeedSequence hash constants and PCG64's multiplier; tests check
-    # pdt._trial_generators against numpy, so a second copy would drift unseen
+    # pdt._trial_states against numpy, so a second copy would drift unseen
     constants = {
         0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715,
         0x2360ED051FC65DA44385DF649FCCF645,
@@ -287,5 +289,24 @@ def test_the_seeding_constants_live_in_the_trial_seeding_function():
             for node in ast.walk(top):
                 if isinstance(node, ast.Constant) and node.value in constants:
                     found.add((f"{path.name}:{getattr(top, 'name', '<module>')}", node.value))
-    assert {where for where, _ in found} == {"pdt.py:_trial_generators"}, f"seeding constants: {sorted(found)}"
+    assert {where for where, _ in found} == {"pdt.py:_trial_states"}, f"seeding constants: {sorted(found)}"
     assert {value for _, value in found} == constants
+
+
+def test_a_frontier_is_restricted_in_one_call():
+    # build_pdt restricts a whole frontier, whatever its batch widths, with
+    # one restrict_frontier call: its one call site sits in the frontier
+    # loop itself, with no loop or comprehension of its own around it
+    path = Path(parityfold.__file__).parent / "pdt.py"
+    found = []
+    todo = [("<module>", [], ast.parse(path.read_text(), filename=str(path)))]
+    while todo:
+        scope, loops, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope, loops = getattr(node, "name", "<lambda>"), []
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("restrict_frontier"):
+            found.append((scope, loops))
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops = loops + [type(node).__name__]
+        todo.extend((scope, loops, child) for child in ast.iter_child_nodes(node))
+    assert found == [("build_pdt", ["While"])], f"restrict_frontier call sites in pdt.py: {found}"
