@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import families, folding, pdt, restriction, runner, spectral
 from .runner import canonical_json
-from .spectral import FourierSpectrum, TruthTable
+from .spectral import FourierSpectrum, TruthTable, json_int
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -27,6 +27,20 @@ CHECK_FAILED = 1
 
 class UsageError(ValueError):
     pass
+
+
+def key_values(items: list[str], source: str) -> dict:
+    """Family parameters from key=value items: an integer, or integers
+    separated by commas; a key given twice is refused."""
+    params: dict = {}
+    for item in items:
+        key, _, value = item.partition("=")
+        if not key or not value:
+            raise UsageError(f"bad parameter {item!r} in {source!r}; expected key=value")
+        if key in params:
+            raise UsageError(f"parameter {key!r} given twice in {source!r}")
+        params[key] = [int(x) for x in value.split(",")] if "," in value else int(value)
+    return params
 
 
 def function_entry(text: str) -> dict:
@@ -37,30 +51,11 @@ def function_entry(text: str) -> dict:
     if ":" not in text:
         raise UsageError(f"{text!r} is neither an existing file nor a family expression")
     family, _, body = text.partition(":")
-    entry: dict = {"family": family}
-    for item in body.split(","):
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if not value:
-            raise UsageError(f"bad family parameter {item!r} in {text!r}")
-        entry[key] = int(value)
-    return entry
+    return {"family": family, **key_values([item for item in body.split(",") if item], text)}
 
 
 def _resolve(args) -> tuple[str, TruthTable]:
     return runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
-
-
-def _run(args, op: str, params: dict) -> tuple[str, TruthTable, FourierSpectrum, dict]:
-    label, table = _resolve(args)
-    spectrum = spectral.wht(table)
-    return label, table, spectrum, runner.run_op(op, table, spectrum, params, args.seed)
-
-
-def _params(**fields) -> dict:
-    """Op params from argparse fields; an unset (None) field is left out."""
-    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -71,15 +66,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def cmd_gen(args) -> int:
-    params: dict = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if not value:
-            raise UsageError(f"bad parameter {item!r}; expected key=value")
-        if "," in value:
-            params[key] = [int(x) for x in value.split(",")]
-        else:
-            params[key] = int(value)
+    params = key_values(args.param or [], f"gen {args.family}")
     if args.family == "random" and "seed" not in params:
         params["seed"] = args.seed
     if args.family == "junta":
@@ -92,10 +79,8 @@ def cmd_gen(args) -> int:
         if n > args.max_n:
             raise UsageError(f"{label}: n = {n} exceeds max_n = {args.max_n}")  # before 2^n entries
         _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
-        masks = params.get("masks")
-        if not isinstance(masks, list):
-            masks = [masks] if masks is not None else []
-        table = families.gen_junta(inner, masks, n)
+        masks = params.get("masks", [])
+        table = families.gen_junta(inner, masks if isinstance(masks, list) else [masks], n)
     else:
         label, table = runner.resolve_function({"family": args.family, **params}, Path("."), args.max_n)
     text = canonical_json(spectral.table_to_dict(table))
@@ -107,11 +92,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    label, table, spectrum, result = _run(args, "analyze", {})
-    payload = {"function": label, "n": table.n, "analyze": result}
+# each op subcommand's text lines and exit code, from (args, label,
+# spectrum, payload); analyze adds its --restrict block to the payload
+
+
+def _analyze_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
+    result = payload["analyze"]
     lines = [
-        f"function: {label} (n = {table.n})",
+        f"function: {label} (n = {spectrum.n})",
         f"sparsity k = {result['sparsity']}",
         f"plateaued: {result['plateaued']}",
         f"spectral l1 = {result['l1']} (l1^2 <= k: {result['l1_squared_le_sparsity']})",
@@ -119,12 +107,10 @@ def cmd_analyze(args) -> int:
         f"titsworth violations: {result['titsworth_violations']}",
     ]
     if args.restrict:
-        system = restriction.system_from_list(spectral.read_json(args.restrict), table.n)
+        system = restriction.system_from_list(spectral.read_json(args.restrict), spectrum.n)
         restricted = restriction.restrict(spectrum, system)
         gammas = [mask for mask, _ in system.constraints]
-        bound = restriction.identification_bound_check(
-            spectrum.support(), gammas, table.n
-        )
+        bound = restriction.identification_bound_check(spectrum.support(), gammas, spectrum.n)
         payload["restrict"] = {
             "constraints": restriction.system_to_list(system),
             "codimension": system.codimension,
@@ -140,106 +126,43 @@ def cmd_analyze(args) -> int:
             f"buckets {bound.actual} <= bound {bound.bound} "
             f"(h = {bound.identified_count})",
         ]
-    _emit(args, payload, lines)
     ok = result["parseval"] and not result["titsworth_violations"]
-    return 0 if ok else CHECK_FAILED
+    return lines, 0 if ok else CHECK_FAILED
 
 
-def cmd_fold(args) -> int:
-    params = _params(ell=args.ell, delta=args.delta, pairs=args.pairs)
-    label, _, spectrum, result = _run(args, "fold", params)
-    payload = {"function": label, "fold": result}
+def _fold_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
+    result = payload["fold"]
+    profile = result["profile"]
     lines = [
         f"function: {label} (k = {spectrum.sparsity})",
-        f"directions: {result['profile']['direction_count']}, "
-        f"class sizes {result['profile']['min_class_size']}..{result['profile']['max_class_size']}",
-        f"histogram: {result['profile']['histogram']}",
+        f"directions: {profile['direction_count']}, "
+        f"class sizes {profile['min_class_size']}..{profile['max_class_size']}",
+        f"histogram: {profile['histogram']}",
         f"delta at ell = {result['ell']}: {result['delta']} "
         f"({result['heavy_pair_count']} heavy pairs, class threshold {result['class_size_threshold']})",
     ]
     if "heavy_participants" in result:
         lines.append(f"heavy participants: {len(result['heavy_participants'])} of {spectrum.sparsity}")
-    _emit(args, payload, lines)
-    return 0
+    return lines, 0
 
 
-def cmd_verify(args) -> int:
-    if args.check == "counterexample":
-        if args.n is None:
-            raise UsageError("verify counterexample requires --n")
-        support = folding.counterexample_support(args.n)
-        pair = folding.check_pair_condition(support)
-        sign = folding.sign_feasibility(support)
-        passed = pair.ok and not sign.feasible
-        payload = {
-            "check": "counterexample",
-            "n": args.n,
-            "support": list(support),
-            "pair_condition": pair.ok,
-            "sign_feasibility": sign.to_dict(),
-            "passed": passed,
-        }
-        lines = [
-            f"counterexample support, n = {args.n}: {len(support)} masks",
-            f"pair condition holds: {pair.ok}",
-            f"sign system infeasible: {not sign.feasible} "
-            f"(witness of {0 if sign.witness is None else len(sign.witness)} constraints)",
-        ]
-        _emit(args, payload, lines)
-        return 0 if passed else CHECK_FAILED
-    if args.function is None:
-        raise UsageError(f"verify {args.check} requires a FUNCTION argument")
-    label, _, _, result = _run(args, "verify", {"check": args.check})
-    payload = {"function": label, "verify": result}
-    lines = [f"function: {label}", f"{args.check}: {'pass' if result['passed'] else 'FAIL'}"]
-    _emit(args, payload, lines)
-    return 0 if result["passed"] else CHECK_FAILED
+def _verify_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
+    passed = payload["verify"]["passed"]
+    return [f"function: {label}", f"{args.check}: {'pass' if passed else 'FAIL'}"], 0 if passed else CHECK_FAILED
 
 
-def cmd_pdt(args) -> int:
-    if args.pdt_command == "build":
-        # the pdt op in two halves, so the tree and log come from its build
-        label, table = _resolve(args)
-        params = _params(
-            strategy=args.strategy,
-            probability=args.probability,
-            resample_cap=args.resample_cap,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            ell=args.ell,
-        )
-        build = runner.build_tree(spectral.wht(table), params, args.seed)
-        result = runner.tree_summary(table, build)
-        if args.output:
-            Path(args.output).write_text(canonical_json(build.tree.to_dict()))
-        if args.log:
-            Path(args.log).write_text(build.log_jsonl() + "\n")
-        lines = [
-            f"function: {label}",
-            f"strategy {result['strategy']}, seed {result['seed']}",
-            f"depth {result['depth']}, verified {result['verified']}",
-        ]
-        _emit(args, {"function": label, "pdt": result}, lines)
-        return 0 if result["verified"] else CHECK_FAILED
-    tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
-    if args.pdt_command == "verify":
-        label, table = _resolve(args)
-        ok = pdt.verify_tree(tree, table)
-        _emit(
-            args,
-            {"tree": args.tree, "function": label, "verified": ok},
-            [f"tree {args.tree} vs {label}: {'agree on all inputs' if ok else 'MISMATCH'}"],
-        )
-        return 0 if ok else CHECK_FAILED
-    _emit(args, {"tree": args.tree, "depth": tree.depth()}, [f"depth {tree.depth()}"])
-    return 0
+def _pdt_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
+    result = payload["pdt"]
+    lines = [
+        f"function: {label}",
+        f"strategy {result['strategy']}, seed {result['seed']}",
+        f"depth {result['depth']}, verified {result['verified']}",
+    ]
+    return lines, 0 if result["verified"] else CHECK_FAILED
 
 
-def cmd_mc(args) -> int:
-    params = _params(kind=args.kind, trials=args.trials, p=args.p, delta=args.delta, ell=args.ell)
-    label, _, _, result = _run(args, "mc", params)
-    stats = result["stats"]
-    payload = {"function": label, "mc": result}
+def _mc_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
+    stats = payload["mc"]["stats"]
     lines = [
         f"function: {label} (k = {stats['k']})",
         f"{args.kind}: {stats['trials']} trials, p = {stats['probabilities']}"
@@ -252,10 +175,78 @@ def cmd_mc(args) -> int:
             f"success fraction (buckets <= {stats['success_threshold']}): "
             f"{stats['success_fraction']}"
         )
-    _emit(args, payload, lines)
     if args.csv:
         text = pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(stats) + "\n"
         Path(args.csv).write_text(text)
+    return lines, 0
+
+
+_TEXT = {"analyze": _analyze_text, "fold": _fold_text, "verify": _verify_text, "pdt": _pdt_text, "mc": _mc_text}
+
+
+def cmd_op(args) -> int:
+    """One op of the runner's op table on FUNCTION, its params read from
+    args by the op's names (an unset flag is None and left out)."""
+    op = args.op
+    label, table = _resolve(args)
+    spectrum = spectral.wht(table)
+    params = {name: getattr(args, name) for name in runner.OPS[op][1] if getattr(args, name, None) is not None}
+    if op == "pdt":  # the op in two halves, so the tree and log come from its build
+        build = runner.build_tree(spectrum, runner.op_params(op, params, args.seed))
+        result = runner.tree_summary(table, build)
+        if args.output:
+            Path(args.output).write_text(canonical_json(build.tree.to_dict()))
+        if args.log:
+            Path(args.log).write_text(build.log_jsonl() + "\n")
+    else:
+        result = runner.run_op(op, table, spectrum, params, args.seed)
+    payload = {"function": label, op: result, **({"n": table.n} if op == "analyze" else {})}
+    lines, code = _TEXT[op](args, label, spectrum, payload)
+    _emit(args, payload, lines)
+    return code
+
+
+def cmd_verify(args) -> int:
+    if args.check != "counterexample":
+        if args.function is None:
+            raise UsageError(f"verify {args.check} requires a FUNCTION argument")
+        return cmd_op(args)
+    if args.n is None:
+        raise UsageError("verify counterexample requires --n")
+    support = folding.counterexample_support(args.n)
+    pair = folding.check_pair_condition(support)
+    sign = folding.sign_feasibility(support)
+    passed = pair.ok and not sign.feasible
+    payload = {
+        "check": "counterexample",
+        "n": args.n,
+        "support": list(support),
+        "pair_condition": pair.ok,
+        "sign_feasibility": sign.to_dict(),
+        "passed": passed,
+    }
+    lines = [
+        f"counterexample support, n = {args.n}: {len(support)} masks",
+        f"pair condition holds: {pair.ok}",
+        f"sign system infeasible: {not sign.feasible} "
+        f"(witness of {0 if sign.witness is None else len(sign.witness)} constraints)",
+    ]
+    _emit(args, payload, lines)
+    return 0 if passed else CHECK_FAILED
+
+
+def cmd_pdt(args) -> int:
+    tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
+    if args.pdt_command == "verify":
+        label, table = _resolve(args)
+        ok = pdt.verify_tree(tree, table)
+        _emit(
+            args,
+            {"tree": args.tree, "function": label, "verified": ok},
+            [f"tree {args.tree} vs {label}: {'agree on all inputs' if ok else 'MISMATCH'}"],
+        )
+        return 0 if ok else CHECK_FAILED
+    _emit(args, {"tree": args.tree, "depth": tree.depth()}, [f"depth {tree.depth()}"])
     return 0
 
 
@@ -294,6 +285,30 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help=f"refuse functions above this dimension (default {max_n})")
 
 
+def _op_parser(sub, common, command: str, op: str, help: str, choices: dict, function_nargs=None):
+    """The subcommand that runs op: the op's required params as positional
+    choices, then FUNCTION, then a flag per other param, each defaulting to
+    None and showing the op table's default."""
+    parser = sub.add_parser(command, parents=[common], help=help, allow_abbrev=False)  # flags are op keys, in full
+    declared = runner.OPS[op][1]
+    for name, (_, default, *kinds) in declared.items():
+        if default is runner.REQUIRED and not kinds:
+            parser.add_argument(name, choices=choices[name])
+    parser.add_argument("function", nargs=function_nargs)
+    for name, (parse, default, *kinds) in declared.items():
+        if (default is runner.REQUIRED and not kinds) or name == "seed":  # seed: the global --seed
+            continue
+        shown = [f"{' and '.join(kinds)} only"] if kinds else []
+        if parse is bool:
+            kwargs = {"action": "store_true"}
+        else:
+            kwargs = {"type": int if parse is json_int else str, "choices": choices.get(name)}
+            shown += [] if default is None or default is runner.REQUIRED else [f"default {default}"]
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=", ".join(shown) or None, **kwargs)
+    parser.set_defaults(func=cmd_op, op=op)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parityfold",
@@ -314,42 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_analyze = sub.add_parser("analyze", parents=[common], help="spectrum, sparsity, plateaued, l1, exact identities")
-    p_analyze.add_argument("function")
+    p_analyze = _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities", {})
     p_analyze.add_argument("--restrict", default=None,
                            help="constraint-system JSON file to restrict by")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_fold = sub.add_parser("fold", parents=[common], help="direction classes, folding parameters, heavy participants")
-    p_fold.add_argument("function")
-    p_fold.add_argument("--ell", default="1/2")
-    p_fold.add_argument("--delta", default=None)
-    p_fold.add_argument("--pairs", action="store_true",
-                        help="materialize per-direction pair lists (guarded for large k)")
-    p_fold.set_defaults(func=cmd_fold)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="structural verifiers (exit 1 on failure)")
-    p_verify.add_argument("check", choices=[
-        "pair-condition", "three-fold", "single-direction", "sign-feasibility",
-        "counterexample", "titsworth", "parseval",
-    ])
-    p_verify.add_argument("function", nargs="?")
+    _op_parser(sub, common, "fold", "fold", "direction classes, folding parameters, heavy participants", {})
+    checks = ["pair-condition", "three-fold", "single-direction", "sign-feasibility",
+              "counterexample", "titsworth", "parseval"]
+    p_verify = _op_parser(sub, common, "verify", "verify", "structural verifiers (exit 1 on failure)",
+                          {"check": checks}, function_nargs="?")
     p_verify.add_argument("--n", type=int, default=None, help="dimension for counterexample")
     p_verify.set_defaults(func=cmd_verify)
 
     p_pdt = sub.add_parser("pdt", parents=[common], help="build / verify / measure parity decision trees")
     pdt_sub = p_pdt.add_subparsers(dest="pdt_command", required=True)
-    p_build = pdt_sub.add_parser("build", parents=[common])
-    p_build.add_argument("function")
-    p_build.add_argument("--strategy", default="sampling", choices=list(pdt.STRATEGIES))
-    p_build.add_argument("--epsilon", default="1/2")
-    p_build.add_argument("--probability", default=None)
-    p_build.add_argument("--resample-cap", type=int, default=64, dest="resample_cap")
-    p_build.add_argument("--delta", default=None)
-    p_build.add_argument("--ell", default=None)
+    p_build = _op_parser(pdt_sub, common, "build", "pdt", "build a tree", {"strategy": list(pdt.STRATEGIES)})
     p_build.add_argument("-o", "--output", default=None, help="write the tree JSON here")
     p_build.add_argument("--log", default=None, help="write the per-node build log (JSON lines)")
-    p_build.set_defaults(func=cmd_pdt)
     p_tverify = pdt_sub.add_parser("verify", parents=[common])
     p_tverify.add_argument("tree")
     p_tverify.add_argument("function")
@@ -358,14 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_depth.add_argument("tree")
     p_depth.set_defaults(func=cmd_pdt)
 
-    p_mc = sub.add_parser("mc", parents=[common], help="seeded Monte Carlo bucket experiments")
-    p_mc.add_argument("kind", choices=["theorem-1", "warmup", "theorem-2"])
-    p_mc.add_argument("function")
-    p_mc.add_argument("--p", default=None, help="sampling probability (fraction), theorem-1 only")
-    p_mc.add_argument("--trials", type=int, default=200)
-    p_mc.add_argument("--delta", default=None)
-    p_mc.add_argument("--ell", default=None)
-    p_mc.set_defaults(func=cmd_mc)
+    _op_parser(sub, common, "mc", "mc", "seeded Monte Carlo bucket experiments",
+               {"kind": ["theorem-1", "warmup", "theorem-2"]})
 
     p_exp = sub.add_parser("experiment", parents=[common], help="run a config-driven experiment")
     p_exp.add_argument("config")
@@ -382,17 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.csv is not None and args.command not in ("mc", "experiment"):
             raise UsageError(f"--csv applies only to mc and experiment, not {args.command}")
         return args.func(args)
-    except (UsageError, runner.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (
-        folding.FoldingBoundError,
-        restriction.IdentificationBoundError,
-        pdt.ResampleCapExceededError,
-    ) as exc:
+    except (folding.FoldingBoundError, restriction.IdentificationBoundError, pdt.ResampleCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # UsageError and ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:  # an input too large for this machine, such as --trials 10^9

@@ -125,27 +125,32 @@ def pair_blocks(masks: np.ndarray, bounds: tuple | np.ndarray) -> Iterator[tuple
 
 def _sum_by(keys: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys (all >= 0), as int64, and per key its count, or
-    its sum of values.
+    its sum of values.  Both sort `keys` in place.
 
-    Counts sort the keys in place, so they take any keys, such as
-    segment << 24 | direction.  Sums sort one packed int64 array in place,
-    key << w | position with w = len(keys).bit_length(), and read the order
-    back from its low w bits: keys below 2^(63 - w), as directions below
-    2^24 are for any array that fits in memory."""
-    if values is None:
-        keys.sort()
-    else:
-        w = len(keys).bit_length()
-        packed = keys.astype(np.int64) << w
-        packed |= np.arange(len(keys))
-        packed.sort()
-        keys = packed >> w
+    Counts take any keys, such as segment << 24 | direction.  Sums take
+    int64 keys packed as key << w | position, w = len(keys).bit_length(),
+    where position indexes values: keys below 2^(63 - w), as directions
+    below 2^24 are for any array that fits in memory.  They gather values
+    BLOCK_ENTRIES keys at a time, so neither the unpacked keys nor the
+    values in key order are ever whole arrays."""
+    keys.sort()
     head = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
     if values is None:
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
         return keys[starts].astype(np.int64), np.diff(starts, append=len(keys))
-    return keys[starts], np.add.reduceat(values.take(packed & ((1 << w) - 1)), starts)
+    w = len(keys).bit_length()
+    # packed neighbours differ in their key exactly where their XOR reaches bit w
+    np.greater_equal(keys[1:] ^ keys[:-1], 1 << w, out=head[1:])
+    starts = np.flatnonzero(head)
+    distinct = keys[starts] >> w
+    sums = np.empty(len(starts), dtype=np.int64)
+    for lo in range(0, len(starts), BLOCK_ENTRIES):
+        first = starts[lo : lo + BLOCK_ENTRIES]
+        end = starts[lo + BLOCK_ENTRIES] if lo + BLOCK_ENTRIES < len(starts) else len(keys)
+        positions = keys[first[0] : end] & ((1 << w) - 1)
+        sums[lo : lo + len(first)] = np.add.reduceat(values.take(positions), first - first[0])
+    return distinct, sums
 
 
 def direction_sums(
@@ -165,15 +170,20 @@ def direction_sums(
         directions = np.flatnonzero(table[1:, 0]) + 1
         return directions, table[directions, -1]
     # every pair's direction, written block by block into one array: int32
-    # unless a mask has 32 bits or more (a spectrum's have at most 24)
-    keys = np.empty(k * (k - 1) // 2, dtype=np.int32 if masks.max() < 1 << 31 else np.int64)
+    # unless a mask has 32 bits or more (a spectrum's have at most 24);
+    # weighted, int64 and packed with the pair's position, as _sum_by takes it
+    wide = w is not None or masks.max() >= 1 << 31
+    keys = np.empty(k * (k - 1) // 2, dtype=np.int64 if wide else np.int32)
     values = None if w is None else np.empty(len(keys), dtype=np.int64)
     lo = 0
     for a, b, xor in pair_blocks(masks, (0, k)):
-        keys[lo : lo + len(xor)] = xor
+        hi = lo + len(xor)
+        keys[lo:hi] = xor
         if w is not None:
-            np.multiply(w.take(a), w.take(b), out=values[lo : lo + len(xor)])
-        lo += len(xor)
+            keys[lo:hi] <<= len(keys).bit_length()
+            keys[lo:hi] |= np.arange(lo, hi)
+            np.multiply(w.take(a), w.take(b), out=values[lo:hi])
+        lo = hi
     return _sum_by(keys, values)
 
 

@@ -37,6 +37,7 @@ from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_f
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
+SAMPLING = STRATEGIES[:2]  # the strategies that draw
 
 
 class DegenerateInputError(ValueError):
@@ -287,7 +288,7 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, 
 @dataclass(frozen=True)
 class BuildConfig:
     strategy: str = "sampling"
-    probability: float | None = None  # overrides the per-node formula
+    probability: Fraction | float | None = None  # overrides the per-node formula
     resample_cap: int = 64
     epsilon: Fraction = Fraction(1, 2)  # progress requirement per batch
     seed: int = 0
@@ -314,6 +315,16 @@ class BuildConfig:
             object.__setattr__(self, "delta", delta)
         if self.ell is not None:
             object.__setattr__(self, "ell", as_exponent(self.ell))
+        # a parameter the strategy would not read is refused
+        if self.probability is not None and self.strategy not in SAMPLING:
+            raise ValueError(f"strategy {self.strategy} draws nothing, so it takes no probability")
+        if (self.delta, self.ell) != (None, None):
+            if self.strategy != "folding-sampling":
+                raise ValueError(f"delta and ell are folding-sampling's; strategy {self.strategy} takes neither")
+            if None in (self.delta, self.ell):
+                raise ValueError("folding-sampling takes delta and ell together, or neither")
+            if self.probability is not None:
+                raise ValueError("a probability replaces the delta and ell schedule; give one or the other")
 
 
 @dataclass(frozen=True)
@@ -403,7 +414,7 @@ def _select_frontier(
     deterministic strategies fold a direction per node and round, in one set
     of kernel calls: max-coefficient once, greedy-min-bucket (the largest
     label-pair class, covering every single-query merge) to the target."""
-    if config.strategy in ("sampling", "folding-sampling"):
+    if config.strategy in SAMPLING:
         k, best, met = len(masks), None, False
         requested, probs = _schedule_probabilities(config.strategy, k, config)
         target = (1 - config.epsilon) * k
@@ -473,7 +484,7 @@ def build_pdt(
     if coeffs.max() > full or coeffs.min() < -full:
         raise DegenerateInputError("a coefficient has |c| > 2^n; input is not a +-1 function")
     coeffs = coeffs.astype(np.int64, copy=False)  # Python ints beyond int64 were refused
-    sampling = config.strategy in ("sampling", "folding-sampling")
+    sampling = config.strategy in SAMPLING
     rng = np.random.default_rng(config.seed) if sampling else None  # the deterministic strategies never draw
     stack: list[tuple[np.ndarray, ...]] = []  # (positions, bounds, masks, coefficients)
     singles: list[tuple[np.ndarray, ...]] = []  # (positions, masks, coefficients) of sparsity-1 nodes

@@ -5,8 +5,11 @@ echoes the config and holds one result block per (function, analysis).
 Reports are byte-identical across runs with the same config and seeds,
 so they carry no wall-clock data (the CLI prints timing to stderr).
 
-``OPS`` is the op table: it maps each analysis op to a function
-``(table, spectrum, params, seed) -> dict``, reached through ``run_op``.
+``OPS`` is the op table, the one place that knows each op's
+parameters: it maps each analysis op to its function
+``(table, spectrum, params) -> dict`` and to its parameters, each with a
+parser and a default.  ``run_op`` refuses a key its op does not read,
+parses each value once and hands the op the parsed dict.
 ``run_experiment`` and every CLI op subcommand run ops through it, with
 functions resolved by ``resolve_function``.
 
@@ -22,6 +25,7 @@ cost is linear in the output at any depth.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -41,19 +45,19 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_fraction(value) -> Fraction:
+def parse_fraction(value, what: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}")
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad fraction {value!r}: {exc}") from None
+            raise ConfigError(f"{what}: bad fraction {value!r}: {exc}") from None
     if isinstance(value, float) and math.isfinite(value):
         return folding.float_fraction(value)
-    raise ConfigError(f"expected a finite number, got {value!r}")
+    raise ConfigError(f"{what}: expected a finite number, got {value!r}")
 
 
 def load_config(path: str | Path) -> dict:
@@ -94,7 +98,7 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
     return label, loaded
 
 
-def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
+def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
     l1 = spectral.spectral_l1(spectrum)
     return {
         "sparsity": spectrum.sparsity,
@@ -107,9 +111,9 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, 
     }
 
 
-def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
-    ell = parse_fraction(params.get("ell", "1/2"))
-    profile = folding.direction_classes(spectrum.masks, include_pairs=bool(params.get("pairs", False)))
+def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
+    ell = params["ell"]
+    profile = folding.direction_classes(spectrum.masks, include_pairs=params["pairs"])
     fp = profile.folding_parameters(ell)
     out = {
         "profile": profile.to_dict(),
@@ -119,14 +123,12 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, see
         "class_size_threshold": fp.class_size_threshold,
     }
     if "delta" in params:
-        delta = parse_fraction(params["delta"])
-        members = profile.heavy_participants(delta, ell)
-        out["heavy_participants"] = sorted(members)
+        out["heavy_participants"] = sorted(profile.heavy_participants(params["delta"], ell))
     return out
 
 
-def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
-    check = params.get("check")
+def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
+    check = params["check"]
     if check == "pair-condition":
         result = folding.check_pair_condition(spectrum.masks)
         return {"check": check, "passed": result.ok, "violation": result.violation}
@@ -157,22 +159,9 @@ def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, s
     raise ConfigError(f"unknown verify check {check!r}")
 
 
-def build_tree(spectrum: FourierSpectrum, params: dict, seed: int) -> pdt.BuildResult:
-    """The pdt op's build, configured by its params."""
-    config = pdt.BuildConfig(
-        strategy=params.get("strategy", "sampling"),
-        probability=(
-            float(parse_fraction(params["probability"]))
-            if "probability" in params
-            else None
-        ),
-        resample_cap=json_int(params.get("resample_cap", 64), "resample_cap"),
-        epsilon=parse_fraction(params.get("epsilon", "1/2")),
-        seed=json_int(params.get("seed", seed), "seed"),
-        delta=parse_fraction(params["delta"]) if "delta" in params else None,
-        ell=parse_fraction(params["ell"]) if "ell" in params else None,
-    )
-    return pdt.build_pdt(spectrum, config)
+def build_tree(spectrum: FourierSpectrum, params: dict) -> pdt.BuildResult:
+    """The pdt op's build, from its parsed params."""
+    return pdt.build_pdt(spectrum, pdt.BuildConfig(**params))
 
 
 def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
@@ -186,48 +175,90 @@ def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
     }
 
 
-def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
-    return tree_summary(table, build_tree(spectrum, params, seed))
+def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
+    return tree_summary(table, build_tree(spectrum, params))
 
 
-def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
-    kind = params.get("kind")
-    trials = json_int(params.get("trials", 100), "trials")
-    used_seed = json_int(params.get("seed", seed), "seed")
+def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
+    kind, trials, seed = params["kind"], params["trials"], params["seed"]
     if kind == "theorem-1":
-        if "p" not in params:
-            raise ConfigError("mc theorem-1 requires p")
-        p = float(parse_fraction(params["p"]))
-        stats = pdt.estimate_bucket_reduction(spectrum, p, trials, used_seed)
+        stats = pdt.estimate_bucket_reduction(spectrum, params["p"], trials, seed)
     elif kind == "warmup":
-        stats = pdt.warmup_success_rate(spectrum, trials, used_seed)
+        stats = pdt.warmup_success_rate(spectrum, trials, seed)
     elif kind == "theorem-2":
-        stats = pdt.folding_sampling_trial(
-            spectrum,
-            parse_fraction(params.get("delta", 1)),
-            parse_fraction(params.get("ell", 0)),
-            trials,
-            used_seed,
-        )
+        stats = pdt.folding_sampling_trial(spectrum, params["delta"], params["ell"], trials, seed)
     else:
         raise ConfigError(f"unknown mc kind {kind!r}")
-    return {"kind": kind, "seed": used_seed, "stats": stats.to_dict()}
+    return {"kind": kind, "seed": seed, "stats": stats.to_dict()}
 
 
+REQUIRED = object()  # the default of a param that the op cannot run without
+_BUILD = {field.name: field.default for field in dataclasses.fields(pdt.BuildConfig)}
+
+# op -> (function, {param: (parser, default[, kinds...])}).  A parser is a
+# function (value, name) -> value, or the JSON type (bool, str) that the
+# value must have; a string names a choice that the op checks.  A default
+# of None leaves the param out unless it is given; seed defaults to the
+# run's seed; pdt's defaults are BuildConfig's own.  A param that names
+# kinds is read only by those values of the op's kind, and refused for the
+# others.
 OPS = {
-    "analyze": analyze_summary,
-    "fold": fold_summary,
-    "verify": verify_summary,
-    "pdt": pdt_summary,
-    "mc": mc_summary,
+    "analyze": (analyze_summary, {}),
+    "fold": (fold_summary, {
+        "ell": (parse_fraction, Fraction(1, 2)),
+        "delta": (parse_fraction, None),
+        "pairs": (bool, False),
+    }),
+    "verify": (verify_summary, {"check": (str, REQUIRED)}),
+    "pdt": (pdt_summary, {
+        "strategy": (str, _BUILD["strategy"]),
+        "probability": (parse_fraction, None),
+        "resample_cap": (json_int, _BUILD["resample_cap"]),
+        "epsilon": (parse_fraction, _BUILD["epsilon"]),
+        "seed": (json_int, None),
+        "delta": (parse_fraction, None),
+        "ell": (parse_fraction, None),
+    }),
+    "mc": (mc_summary, {
+        "kind": (str, REQUIRED),
+        "trials": (json_int, 100),
+        "seed": (json_int, None),
+        "p": (parse_fraction, REQUIRED, "theorem-1"),
+        "delta": (parse_fraction, Fraction(1), "theorem-2"),
+        "ell": (parse_fraction, Fraction(0), "theorem-2"),
+    }),
 }
+
+
+def op_params(op: str, params: dict, seed: int) -> dict:
+    """The params of one op, parsed, with the op's defaults filled in."""
+    if not isinstance(op, str) or op not in OPS:
+        raise ConfigError(f"unknown analysis op {op!r}")
+    declared = OPS[op][1]
+    kind = params.get("kind")
+    for key in params:
+        if key not in declared:
+            raise ConfigError(f"{op}: unknown parameter {key!r}; {op} reads {', '.join(declared) or 'none'}")
+        kinds = declared[key][2:]
+        if kinds and kind not in kinds:
+            raise ConfigError(f"{op} {kind} does not read {key!r}; only {' and '.join(kinds)} does")
+    values = {"seed": seed} if "seed" in declared else {}
+    for name, (parse, default, *kinds) in declared.items():
+        if name in params:
+            values[name] = json_of(params[name], parse, name) if isinstance(parse, type) else parse(params[name], name)
+        elif kinds and kind not in kinds:
+            continue
+        elif default is REQUIRED:
+            raise ConfigError(f"{op}{f' {kind}' if kinds else ''} requires {name}")
+        elif default is not None:
+            values[name] = default
+    return values
 
 
 def run_op(op: str, table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     """The result block of one analysis op on one function."""
-    if not isinstance(op, str) or op not in OPS:
-        raise ConfigError(f"unknown analysis op {op!r}")
-    return OPS[op](table, spectrum, params, seed)
+    values = op_params(op, params, seed)
+    return OPS[op][0](table, spectrum, values)
 
 
 @dataclass(frozen=True)
@@ -398,15 +429,14 @@ def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport
             json_of(analysis, dict, "analysis")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every analysis is parsed, and refused, before any function is built
+    ops = [(a.get("op"), op_params(a.get("op"), {k: v for k, v in a.items() if k != "op"}, seed)) for a in analyses]
     results: list[dict] = []
     for entry in functions:
         label, table = resolve_function(entry, base_dir, max_n)
         spectrum = spectral.wht(table)
         block = {"function": label, "n": table.n, "analyses": []}
-        for analysis in analyses:
-            op = analysis.get("op")
-            params = {key: value for key, value in analysis.items() if key != "op"}
-            result = run_op(op, table, spectrum, params, seed)
-            block["analyses"].append({"op": op, "result": result})
+        for op, values in ops:
+            block["analyses"].append({"op": op, "result": OPS[op][0](table, spectrum, values)})
         results.append(block)
     return ExperimentReport(VERSION, config, results)

@@ -308,11 +308,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+
+
 def json_of(value, kind: type, what: str):
-    """A JSON object (kind dict) or array (kind list) read from a file."""
+    """A JSON object, array, string or bool (kind dict, list, str or bool)
+    read from a file."""
     if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "an array"
-        raise ValueError(f"{what} must be {expected}, got {type(value).__name__}")
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 

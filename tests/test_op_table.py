@@ -1,0 +1,207 @@
+"""The runner's op table: one home for every op parameter's parser and
+default, shared by experiment configs and the CLI op subcommands."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from parityfold import pdt, runner
+from parityfold.cli import USAGE_ERROR, function_entry, main
+from parityfold.runner import ConfigError, run_experiment
+
+FUNCTION = "addressing:k=16"
+ENTRY = {"family": "addressing", "k": 16}
+
+# each op subcommand with only its required arguments, and the analysis
+# that names the same op in a config
+SUBCOMMANDS = {
+    "analyze": (["analyze", FUNCTION], {"op": "analyze"}),
+    "fold": (["fold", FUNCTION], {"op": "fold"}),
+    "verify": (["verify", "parseval", FUNCTION], {"op": "verify", "check": "parseval"}),
+    "pdt": (["pdt", "build", FUNCTION], {"op": "pdt"}),
+    "mc": (["mc", "warmup", FUNCTION], {"op": "mc", "kind": "warmup"}),
+}
+
+
+def cli(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def experiment(tmp_path, analysis, seed=0):
+    """(exit code, stderr) of the experiment command on one analysis."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": seed, "functions": [ENTRY], "analyses": [analysis]}))
+    code, _, err = cli(["experiment", str(path), "-o", str(tmp_path / "report.json")])
+    return code, err
+
+
+def test_the_table_covers_every_subcommand():
+    assert set(SUBCOMMANDS) == set(runner.OPS)
+
+
+@pytest.mark.parametrize("op", sorted(runner.OPS))
+def test_every_op_refuses_an_unknown_key(tmp_path, op):
+    argv, analysis = SUBCOMMANDS[op]
+    with pytest.raises(ConfigError, match=f"{op}: unknown parameter 'bogus_key'"):
+        run_experiment({"functions": [ENTRY], "analyses": [{**analysis, "bogus_key": 1}]})
+    code, err = experiment(tmp_path, {**analysis, "bogus_key": 1})
+    assert code == USAGE_ERROR and "'bogus_key'" in err
+    code, out, err = cli(argv + ["--bogus-key", "1"])
+    assert code == USAGE_ERROR and "--bogus-key" in err and out == ""
+
+
+@pytest.mark.parametrize("op", sorted(runner.OPS))
+def test_a_subcommand_prints_the_block_its_op_writes_in_a_config(op):
+    argv, analysis = SUBCOMMANDS[op]
+    code, out, _ = cli(["--seed", "3", "--json"] + argv)
+    assert code == 0
+    report = run_experiment({"seed": 3, "functions": [ENTRY], "analyses": [analysis]})
+    expected = json.loads(report.to_json())["results"][0]["analyses"][0]["result"]
+    assert json.loads(out)[op] == expected
+
+
+def test_mc_runs_the_table_default_of_trials():
+    code, out, _ = cli(["--json", "mc", "warmup", "inner-product:m=2"])
+    assert code == 0
+    assert json.loads(out)["mc"]["stats"]["trials"] == runner.OPS["mc"][1]["trials"][1] == 100
+
+
+def test_help_shows_the_table_defaults():
+    code, out, _ = cli(["mc", "--help"])
+    assert code == 0 and "default 100" in out
+    code, out, _ = cli(["fold", "--help"])
+    assert code == 0 and "default 1/2" in out
+    code, out, _ = cli(["pdt", "build", "--help"])
+    assert code == 0 and all(f"default {text}" in out for text in ("sampling", "64", "1/2"))
+
+
+def test_pdt_defaults_are_build_configs_own():
+    params = runner.op_params("pdt", {}, 5)
+    assert pdt.BuildConfig(**params) == pdt.BuildConfig(seed=5)
+
+
+# (config analysis, subcommand argv, the key the error names)
+TYPOS = [
+    ({"op": "pdt", "stratgy": "greedy-min-bucket"}, ["pdt", "build", FUNCTION, "--stratgy", "greedy-min-bucket"], "stratgy"),
+    ({"op": "mc", "kind": "warmup", "trial": 5}, ["mc", "warmup", FUNCTION, "--trial", "5"], "trial"),
+    ({"op": "fold", "elll": "1/4"}, ["fold", FUNCTION, "--elll", "1/4"], "elll"),
+]
+
+
+@pytest.mark.parametrize("analysis, argv, key", TYPOS, ids=["pdt", "mc", "fold"])
+def test_a_misspelt_key_is_a_usage_error_that_names_it(tmp_path, analysis, argv, key):
+    code, err = experiment(tmp_path, analysis)
+    assert code == USAGE_ERROR and repr(key) in err and "Traceback" not in err
+    code, out, err = cli(argv)
+    assert code == USAGE_ERROR and f"--{key}" in err and out == ""
+
+
+# parameters the chosen strategy or kind does not read
+INAPPLICABLE = [
+    ({"op": "pdt", "strategy": "folding-sampling", "delta": "1/5"},
+     ["pdt", "build", FUNCTION, "--strategy", "folding-sampling", "--delta", "1/5"], "together"),
+    ({"op": "pdt", "strategy": "folding-sampling", "ell": "1/2"},
+     ["pdt", "build", FUNCTION, "--strategy", "folding-sampling", "--ell", "1/2"], "together"),
+    ({"op": "pdt", "strategy": "sampling", "delta": "1/5", "ell": "1/2"},
+     ["pdt", "build", FUNCTION, "--strategy", "sampling", "--delta", "1/5", "--ell", "1/2"], "takes neither"),
+    ({"op": "pdt", "delta": "1/5", "ell": "1/2"},
+     ["pdt", "build", FUNCTION, "--delta", "1/5", "--ell", "1/2"], "takes neither"),
+    ({"op": "pdt", "strategy": "greedy-min-bucket", "probability": "1/4"},
+     ["pdt", "build", FUNCTION, "--strategy", "greedy-min-bucket", "--probability", "1/4"], "no probability"),
+    ({"op": "pdt", "strategy": "max-coefficient", "probability": "1/4"},
+     ["pdt", "build", FUNCTION, "--strategy", "max-coefficient", "--probability", "1/4"], "no probability"),
+    ({"op": "pdt", "strategy": "folding-sampling", "probability": "1/4", "delta": "1/5", "ell": "1/2"},
+     ["pdt", "build", FUNCTION, "--strategy", "folding-sampling", "--probability", "1/4",
+      "--delta", "1/5", "--ell", "1/2"], "one or the other"),
+    ({"op": "mc", "kind": "warmup", "p": "1/4"},
+     ["mc", "warmup", FUNCTION, "--p", "1/4"], "mc warmup does not read 'p'"),
+    ({"op": "mc", "kind": "theorem-2", "p": "1/4"},
+     ["mc", "theorem-2", FUNCTION, "--p", "1/4"], "mc theorem-2 does not read 'p'"),
+    ({"op": "mc", "kind": "theorem-1", "p": "1/4", "delta": 1},
+     ["mc", "theorem-1", FUNCTION, "--p", "1/4", "--delta", "1"], "mc theorem-1 does not read 'delta'"),
+    ({"op": "mc", "kind": "warmup", "ell": 0},
+     ["mc", "warmup", FUNCTION, "--ell", "0"], "mc warmup does not read 'ell'"),
+    ({"op": "fold", "pairs": "no"}, None, "pairs must be true or false"),
+    ({"op": "fold", "pairs": 1}, None, "pairs must be true or false"),
+    ({"op": "verify"}, None, "verify requires check"),
+    ({"op": "mc"}, None, "mc requires kind"),
+    ({"op": "verify", "check": 5}, None, "check must be a string"),
+]
+
+
+INAPPLICABLE_IDS = [
+    "folding-delta-alone", "folding-ell-alone", "sampling-delta-ell", "default-strategy-delta-ell",
+    "greedy-probability", "max-coefficient-probability", "folding-probability-and-schedule",
+    "warmup-p", "theorem-2-p", "theorem-1-delta", "warmup-ell", "pairs-string", "pairs-number",
+    "verify-no-check", "mc-no-kind", "check-number",
+]
+
+
+@pytest.mark.parametrize("analysis, argv, message", INAPPLICABLE, ids=INAPPLICABLE_IDS)
+def test_a_parameter_no_one_reads_is_refused(tmp_path, analysis, argv, message):
+    code, err = experiment(tmp_path, analysis)
+    assert code == USAGE_ERROR and message in err and "Traceback" not in err
+    if argv is not None:
+        code, out, err = cli(argv)
+        assert code == USAGE_ERROR and message in err and out == ""
+
+
+def test_build_config_refuses_what_its_strategy_does_not_read():
+    for strategy in ("sampling", "max-coefficient", "greedy-min-bucket"):
+        with pytest.raises(ValueError, match="takes neither"):
+            pdt.BuildConfig(strategy=strategy, delta=Fraction(1, 5), ell=Fraction(1, 2))
+    for strategy in ("max-coefficient", "greedy-min-bucket"):
+        with pytest.raises(ValueError, match="no probability"):
+            pdt.BuildConfig(strategy=strategy, probability=0.25)
+    for half in ({"delta": Fraction(1, 5)}, {"ell": Fraction(1, 2)}):
+        with pytest.raises(ValueError, match="together"):
+            pdt.BuildConfig(strategy="folding-sampling", **half)
+    # what each strategy does read is still accepted
+    pdt.BuildConfig(strategy="sampling", probability=0.25)
+    pdt.BuildConfig(strategy="folding-sampling", probability=0.25)
+    pdt.BuildConfig(strategy="folding-sampling", delta=Fraction(1, 5), ell=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("pairs", [True, False])
+def test_fold_pairs_takes_a_json_bool(pairs):
+    report = run_experiment({"functions": [{"family": "conjunction", "mask": 3, "n": 2}],
+                             "analyses": [{"op": "fold", "pairs": pairs}]})
+    profile = report.results[0]["analyses"][0]["result"]["profile"]
+    assert ("pairs" in profile) is pairs
+
+
+def test_analyses_are_refused_before_any_function_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    with pytest.raises(ConfigError, match="unknown parameter 'elll'"):
+        run_experiment({"functions": [ENTRY], "analyses": [{"op": "analyze"}, {"op": "fold", "elll": 1}]})
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["analyze", "parity:mask=1,n=1,n=2"], "n"),
+    (["analyze", "addressing:k=16,k=64"], "k"),
+    (["gen", "addressing", "k=16", "k=64"], "k"),
+    (["gen", "junta", "masks=1", "masks=2", "n=2", "--inner", "x.json"], "masks"),
+])
+def test_a_repeated_family_parameter_is_refused(argv, key):
+    code, out, err = cli(argv)
+    assert code == USAGE_ERROR and f"parameter {key!r} given twice" in err and out == ""
+
+
+def test_function_expressions_and_gen_share_one_parser():
+    assert function_entry("parity:mask=1,n=2,") == {"family": "parity", "mask": 1, "n": 2}
+    for text in ("parity:mask,n=2", "parity:=1", "parity:mask=x"):
+        with pytest.raises(ValueError):
+            function_entry(text)

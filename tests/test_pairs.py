@@ -233,6 +233,19 @@ def test_weighted_sums_over_many_blocks_match_a_dict_sum():
     assert dict(zip(directions.tolist(), sums.tolist())) == expected
 
 
+@pytest.mark.parametrize("block_entries", [1, 2, 7])
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_weighted_block_sums_gather_across_chunks(block_entries, data):
+    # _sum_by gathers the values of block_entries directions at a time, so
+    # directions of several pairs fall on both sides of a chunk boundary
+    masks = data.draw(supports)
+    weights = data.draw(st.lists(weight_values, min_size=len(masks), max_size=len(masks)))
+    with forced("blocks"), mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        directions, sums = direction_sums(np.array(masks, dtype=np.int64), weights)
+    assert dict(zip(directions.tolist(), sums.tolist())) == naive_sums(masks, weights)
+
+
 @given(st.lists(st.integers(0, 9), max_size=6), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
 @settings(max_examples=60, deadline=None)
 def test_pair_blocks_list_each_segments_combinations(sizes, block_entries):
