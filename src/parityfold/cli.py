@@ -192,7 +192,7 @@ def cmd_op(args) -> int:
     spectrum = spectral.wht(table)
     params = {name: getattr(args, name) for name in runner.OPS[op][1] if getattr(args, name, None) is not None}
     if op == "pdt":  # the op in two halves, so the tree and log come from its build
-        build = runner.build_tree(spectrum, runner.op_params(op, params, args.seed))
+        build = pdt.build_pdt(spectrum, runner.op_params(op, params, args.seed))
         result = runner.tree_summary(table, build)
         if args.output:
             Path(args.output).write_text(canonical_json(build.tree.to_dict()))
@@ -285,26 +285,26 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help=f"refuse functions above this dimension (default {max_n})")
 
 
-def _op_parser(sub, common, command: str, op: str, help: str, choices: dict, function_nargs=None):
-    """The subcommand that runs op: the op's required params as positional
-    choices, then FUNCTION, then a flag per other param, each defaulting to
-    None and showing the op table's default."""
+def _op_parser(sub, common, command: str, op: str, help: str, cli_only: tuple = ()):
+    """The subcommand that runs op: the op's required choice, from the op
+    table (plus cli_only, the CLI's own choices, which take no FUNCTION),
+    and FUNCTION as positionals, and a flag per other param, each
+    defaulting to None and showing the op table's default."""
     parser = sub.add_parser(command, parents=[common], help=help, allow_abbrev=False)  # flags are op keys, in full
-    declared = runner.OPS[op][1]
-    for name, (_, default, *kinds) in declared.items():
+    for name, (parse, default, *kinds) in runner.OPS[op][1].items():
+        if name == "seed":  # the global --seed
+            continue
         if default is runner.REQUIRED and not kinds:
-            parser.add_argument(name, choices=choices[name])
-    parser.add_argument("function", nargs=function_nargs)
-    for name, (parse, default, *kinds) in declared.items():
-        if (default is runner.REQUIRED and not kinds) or name == "seed":  # seed: the global --seed
+            parser.add_argument(name, choices=[*parse, *cli_only])
             continue
         shown = [f"{' and '.join(kinds)} only"] if kinds else []
         if parse is bool:
             kwargs = {"action": "store_true"}
         else:
-            kwargs = {"type": int if parse is json_int else str, "choices": choices.get(name)}
+            kwargs = {"type": int if parse is json_int else str, "choices": None if callable(parse) else parse}
             shown += [] if default is None or default is runner.REQUIRED else [f"default {default}"]
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=", ".join(shown) or None, **kwargs)
+    parser.add_argument("function", nargs="?" if cli_only else None)
     parser.set_defaults(func=cmd_op, op=op)
     return parser
 
@@ -329,20 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_analyze = _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities", {})
+    p_analyze = _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities")
     p_analyze.add_argument("--restrict", default=None,
                            help="constraint-system JSON file to restrict by")
-    _op_parser(sub, common, "fold", "fold", "direction classes, folding parameters, heavy participants", {})
-    checks = ["pair-condition", "three-fold", "single-direction", "sign-feasibility",
-              "counterexample", "titsworth", "parseval"]
+    _op_parser(sub, common, "fold", "fold", "direction classes, folding parameters, heavy participants")
     p_verify = _op_parser(sub, common, "verify", "verify", "structural verifiers (exit 1 on failure)",
-                          {"check": checks}, function_nargs="?")
+                          cli_only=("counterexample",))
     p_verify.add_argument("--n", type=int, default=None, help="dimension for counterexample")
     p_verify.set_defaults(func=cmd_verify)
 
     p_pdt = sub.add_parser("pdt", parents=[common], help="build / verify / measure parity decision trees")
     pdt_sub = p_pdt.add_subparsers(dest="pdt_command", required=True)
-    p_build = _op_parser(pdt_sub, common, "build", "pdt", "build a tree", {"strategy": list(pdt.STRATEGIES)})
+    p_build = _op_parser(pdt_sub, common, "build", "pdt", "build a tree")
     p_build.add_argument("-o", "--output", default=None, help="write the tree JSON here")
     p_build.add_argument("--log", default=None, help="write the per-node build log (JSON lines)")
     p_tverify = pdt_sub.add_parser("verify", parents=[common])
@@ -353,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_depth.add_argument("tree")
     p_depth.set_defaults(func=cmd_pdt)
 
-    _op_parser(sub, common, "mc", "mc", "seeded Monte Carlo bucket experiments",
-               {"kind": ["theorem-1", "warmup", "theorem-2"]})
+    _op_parser(sub, common, "mc", "mc", "seeded Monte Carlo bucket experiments")
 
     p_exp = sub.add_parser("experiment", parents=[common], help="run a config-driven experiment")
     p_exp.add_argument("config")

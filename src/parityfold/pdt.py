@@ -14,7 +14,8 @@ function has it), so restriction stays within k * 2^n <= 2^48.  `_draw`
 marks the union of every build resample attempt and every uncertain
 Monte Carlo trial; `_run_trials` sets one generator to each trial's
 state from `_trial_states`; `_fold_unions` folds every drawn union, and
-a certain union once.
+a certain union once.  `check_sampling` holds each range check of a
+sampling run's seed, trials, p, delta and ell.
 """
 
 from __future__ import annotations
@@ -197,6 +198,30 @@ def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_sampling(
+    seed: int | None = None, trials: int | None = None, p: Fraction | float | None = None,
+    delta: Fraction | float | None = None, ell: Fraction | float | None = None,
+) -> tuple[Fraction | None, Fraction | None]:
+    """The checks of a seeded sampling run that do not depend on the
+    function, each made on what is given: seed >= 0, trials in [1, 2^32]
+    (trial t's seed is (seed, t), with t one 32-bit word), p in [0, 1],
+    delta in (0, 1] and ell an exponent (`as_exponent`).  A seed or trial
+    count that the seeding does not number is a SeedRangeError.  Returns
+    delta and ell exact, or None where not given."""
+    if seed is not None and seed < 0:
+        raise SeedRangeError(f"seed must be >= 0, got {seed}")
+    if trials is not None and trials < 1:
+        raise ValueError("need at least one trial")
+    if trials is not None and trials > 1 << 32:
+        raise SeedRangeError(f"at most 2^32 trials, got {trials}")
+    if p is not None and not 0 <= p <= 1:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    delta = None if delta is None else Fraction(delta)
+    if delta is not None and not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    return delta, None if ell is None else as_exponent(ell)
+
+
 def sample_parity(
     support: Iterable[int] | np.ndarray, p: float, rng: np.random.Generator
 ) -> list[int]:
@@ -205,8 +230,7 @@ def sample_parity(
     Elements are visited in sorted order with one batched uniform draw, so
     the result is a pure function of (support, p, generator state).
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    check_sampling(p=p)
     if not isinstance(support, np.ndarray):
         support = np.array(list(support), dtype=np.int64)
     masks = np.sort(support)
@@ -225,8 +249,7 @@ def _draw(union: np.ndarray, probabilities: tuple[float, ...], rng: np.random.Ge
     every uncertain Monte Carlo trial.  A p outside [0, 1] is refused
     before any draw.  Returns ``union``, for ``_fold_unions``."""
     for p in probabilities:
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
+        check_sampling(p=p)
     union.fill(False)
     for p in probabilities:
         union |= rng.random(union.shape) < p
@@ -302,19 +325,13 @@ class BuildConfig:
             raise ValueError(f"probability must lie in (0, 1], got {self.probability}")
         if self.resample_cap < 1:
             raise ValueError("resample cap must be >= 1")
-        if self.seed < 0:
-            raise SeedRangeError(f"seed must be >= 0, got {self.seed}")
+        delta, ell = check_sampling(self.seed, delta=self.delta, ell=self.ell)
         eps = Fraction(self.epsilon)
         if not 0 < eps < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
         object.__setattr__(self, "epsilon", eps)
-        if self.delta is not None:
-            delta = Fraction(self.delta)
-            if not 0 < delta <= 1:
-                raise ValueError(f"delta must lie in (0, 1], got {delta}")
-            object.__setattr__(self, "delta", delta)
-        if self.ell is not None:
-            object.__setattr__(self, "ell", as_exponent(self.ell))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "ell", ell)
         # a parameter the strategy would not read is refused
         if self.probability is not None and self.strategy not in SAMPLING:
             raise ValueError(f"strategy {self.strategy} draws nothing, so it takes no probability")
@@ -692,8 +709,7 @@ def _run_trials(
     in chunks of about _TRIAL_CHUNK_CELLS label cells: `_trial_states`
     computes the chunk's states in one vectorized pass, one generator is
     set to each in turn and `_draw`s that trial's row, and `_fold_unions`
-    folds the chunk.  A seed below 0, or more than 2^32 trials (t past one
-    32-bit word), is a SeedRangeError.
+    folds the chunk.
 
     The union is certain when some clamped phase is exactly 1 or every
     phase is 0: ``rng.random(k)`` lies in [0, 1), so every generator
@@ -703,11 +719,8 @@ def _run_trials(
     At desk scale that covers the warm-up at k <= 1,897 and theorem 2 at
     delta = 1 and ell <= 1/2 for every n <= 20 (its second phase clamps
     to 1).  Every uncertain union is drawn from its (seed, t) state.
+    Its callers make `check_sampling`'s checks first.
     """
-    if seed < 0:
-        raise SeedRangeError(f"seed must be >= 0, got {seed}")
-    if trials > 1 << 32:
-        raise SeedRangeError(f"at most 2^32 trials, got {trials}")
     masks = spectrum.masks
     k = len(masks)
     probabilities = tuple(min(1.0, p) for p in requested)
@@ -759,14 +772,11 @@ def estimate_bucket_reduction(
 ) -> TrialStats:
     """Monte Carlo estimate of E[buckets/k] under one-phase parity sampling
     at probability p."""
+    check_sampling(seed, trials, p=p)
     spectrum = _as_spectrum(f)
     k = spectrum.sparsity
     if k < 4:
         raise ValueError(f"need sparsity >= 4, got {k}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
     return _run_trials(spectrum, (float(p),), trials, seed)
 
 
@@ -776,10 +786,9 @@ def warmup_success_rate(
     """Fraction of trials where sampling at 2*sqrt(log2 k)/k^(1/4) buckets
     the support down to k/2; the probability is clamped to 1 at small k
     (recorded in the stats)."""
+    check_sampling(seed, trials)
     spectrum = _as_spectrum(f)
     k = spectrum.sparsity
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if k < 2:
         raise ValueError(f"need sparsity >= 2, got {k}")
     requested = 2 * math.sqrt(math.log2(k)) / k**0.25
@@ -800,13 +809,9 @@ def folding_sampling_trial(
     folding_parameters); both phase probabilities are clamped to 1 when the
     formulas exceed it at desk scale.
     """
+    delta, ell = check_sampling(seed, trials, delta=delta, ell=ell)
     spectrum = _as_spectrum(f)
     k = spectrum.sparsity
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    delta = Fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     achieved = folding_parameters(spectrum.masks, ell)
     if achieved.delta < delta:
         raise NotFoldingError(

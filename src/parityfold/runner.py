@@ -6,12 +6,15 @@ Reports are byte-identical across runs with the same config and seeds,
 so they carry no wall-clock data (the CLI prints timing to stderr).
 
 ``OPS`` is the op table, the one place that knows each op's
-parameters: it maps each analysis op to its function
+parameters and choices: it maps each analysis op to its function
 ``(table, spectrum, params) -> dict`` and to its parameters, each with a
-parser and a default.  ``run_op`` refuses a key its op does not read,
-parses each value once and hands the op the parsed dict.
-``run_experiment`` and every CLI op subcommand run ops through it, with
-functions resolved by ``resolve_function``.
+parser and a default; verify's checks and mc's kinds are the keys of
+``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``pdt.STRATEGIES``.
+``op_params`` is the one gate: it refuses a key its op does not read,
+parses and checks each value once and hands the op what it reads
+(pdt's ``BuildConfig``).  ``run_experiment`` passes every analysis
+through it before any function is built, by ``resolve_function``; the
+CLI op subcommands run ops through ``run_op``.
 
 Reports, ``--json`` output, ``gen`` files and saved trees are written
 by ``canonical_json``: the bytes ``json.dumps`` writes with sorted keys
@@ -25,7 +28,6 @@ cost is linear in the output at any depth.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -127,41 +129,52 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
     return out
 
 
+def _three_fold(spectrum: FourierSpectrum) -> dict:
+    try:
+        witnesses = folding.verify_three_fold(spectrum)
+    except folding.ThreeFoldViolationError as exc:
+        return {"passed": False, "missing": exc.missing}
+    return {"passed": True, "witnesses": {str(a): b for a, b in sorted(witnesses.items())}}
+
+
+def _single_direction(spectrum: FourierSpectrum) -> dict:
+    try:
+        report = folding.single_direction_structure(spectrum)
+    except folding.SingleDirectionViolationError as exc:
+        return {"passed": False, "error": str(exc)}
+    return {"passed": True, "report": report.to_dict()}
+
+
+def _pair_condition(spectrum: FourierSpectrum) -> dict:
+    result = folding.check_pair_condition(spectrum.masks)
+    return {"passed": result.ok, "violation": result.violation}
+
+
+def _sign_feasibility(spectrum: FourierSpectrum) -> dict:
+    result = folding.sign_feasibility(spectrum.masks)
+    return {"passed": result.feasible, "detail": result.to_dict()}
+
+
+def _titsworth(spectrum: FourierSpectrum) -> dict:
+    violations = spectral.verify_titsworth(spectrum)
+    return {"passed": not violations, "violations": violations}
+
+
+# verify's checks: check -> its result block on a spectrum.  Each block
+# calls the library through its module attribute, which bench/tracing.py
+# swaps for a timing wrapper
+VERIFY_CHECKS = {
+    "pair-condition": _pair_condition,
+    "three-fold": _three_fold,
+    "single-direction": _single_direction,
+    "sign-feasibility": _sign_feasibility,
+    "titsworth": _titsworth,
+    "parseval": lambda spectrum: {"passed": spectral.verify_parseval(spectrum)},
+}
+
+
 def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    check = params["check"]
-    if check == "pair-condition":
-        result = folding.check_pair_condition(spectrum.masks)
-        return {"check": check, "passed": result.ok, "violation": result.violation}
-    if check == "three-fold":
-        try:
-            witnesses = folding.verify_three_fold(spectrum)
-        except folding.ThreeFoldViolationError as exc:
-            return {"check": check, "passed": False, "missing": exc.missing}
-        return {
-            "check": check,
-            "passed": True,
-            "witnesses": {str(a): b for a, b in sorted(witnesses.items())},
-        }
-    if check == "single-direction":
-        try:
-            report = folding.single_direction_structure(spectrum)
-        except folding.SingleDirectionViolationError as exc:
-            return {"check": check, "passed": False, "error": str(exc)}
-        return {"check": check, "passed": True, "report": report.to_dict()}
-    if check == "sign-feasibility":
-        result = folding.sign_feasibility(spectrum.masks)
-        return {"check": check, "passed": result.feasible, "detail": result.to_dict()}
-    if check == "titsworth":
-        violations = spectral.verify_titsworth(spectrum)
-        return {"check": check, "passed": not violations, "violations": violations}
-    if check == "parseval":
-        return {"check": check, "passed": spectral.verify_parseval(spectrum)}
-    raise ConfigError(f"unknown verify check {check!r}")
-
-
-def build_tree(spectrum: FourierSpectrum, params: dict) -> pdt.BuildResult:
-    """The pdt op's build, from its parsed params."""
-    return pdt.build_pdt(spectrum, pdt.BuildConfig(**params))
+    return {"check": params["check"], **VERIFY_CHECKS[params["check"]](spectrum)}
 
 
 def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
@@ -175,52 +188,56 @@ def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
     }
 
 
-def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    return tree_summary(table, build_tree(spectrum, params))
+def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, config: pdt.BuildConfig) -> dict:
+    return tree_summary(table, pdt.build_pdt(spectrum, config))
+
+
+# mc's kinds: kind -> its TrialStats on a spectrum, from the parsed params,
+# the library called through its module attribute as in VERIFY_CHECKS
+MC_KINDS = {
+    "theorem-1": lambda spectrum, v: pdt.estimate_bucket_reduction(spectrum, v["p"], v["trials"], v["seed"]),
+    "warmup": lambda spectrum, v: pdt.warmup_success_rate(spectrum, v["trials"], v["seed"]),
+    "theorem-2": lambda spectrum, v: pdt.folding_sampling_trial(spectrum, v["delta"], v["ell"], v["trials"], v["seed"]),
+}
 
 
 def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    kind, trials, seed = params["kind"], params["trials"], params["seed"]
-    if kind == "theorem-1":
-        stats = pdt.estimate_bucket_reduction(spectrum, params["p"], trials, seed)
-    elif kind == "warmup":
-        stats = pdt.warmup_success_rate(spectrum, trials, seed)
-    elif kind == "theorem-2":
-        stats = pdt.folding_sampling_trial(spectrum, params["delta"], params["ell"], trials, seed)
-    else:
-        raise ConfigError(f"unknown mc kind {kind!r}")
-    return {"kind": kind, "seed": seed, "stats": stats.to_dict()}
+    return {"kind": params["kind"], "seed": params["seed"], "stats": MC_KINDS[params["kind"]](spectrum, params).to_dict()}
+
+
+def parse_exponent(value, what: str = "value") -> Fraction:
+    """A fraction that is an exponent in [0, 1], as `folding.as_exponent` checks."""
+    return folding.as_exponent(parse_fraction(value, what))
 
 
 REQUIRED = object()  # the default of a param that the op cannot run without
-_BUILD = {field.name: field.default for field in dataclasses.fields(pdt.BuildConfig)}
 
 # op -> (function, {param: (parser, default[, kinds...])}).  A parser is a
-# function (value, name) -> value, or the JSON type (bool, str) that the
-# value must have; a string names a choice that the op checks.  A default
-# of None leaves the param out unless it is given; seed defaults to the
-# run's seed; pdt's defaults are BuildConfig's own.  A param that names
-# kinds is read only by those values of the op's kind, and refused for the
-# others.
+# function (value, name) -> value, the JSON type (bool) that the value must
+# have, or the op's choices (a table's keys), one of which the value must
+# name.  A default of None leaves the param out unless it is
+# given; seed defaults to the run's seed; pdt's defaults are BuildConfig's
+# own.  A param that names kinds is read only by those values of the op's
+# kind, and refused for the others.
 OPS = {
     "analyze": (analyze_summary, {}),
     "fold": (fold_summary, {
-        "ell": (parse_fraction, Fraction(1, 2)),
+        "ell": (parse_exponent, Fraction(1, 2)),
         "delta": (parse_fraction, None),
         "pairs": (bool, False),
     }),
-    "verify": (verify_summary, {"check": (str, REQUIRED)}),
+    "verify": (verify_summary, {"check": (VERIFY_CHECKS, REQUIRED)}),
     "pdt": (pdt_summary, {
-        "strategy": (str, _BUILD["strategy"]),
+        "strategy": (pdt.STRATEGIES, pdt.BuildConfig.strategy),
         "probability": (parse_fraction, None),
-        "resample_cap": (json_int, _BUILD["resample_cap"]),
-        "epsilon": (parse_fraction, _BUILD["epsilon"]),
+        "resample_cap": (json_int, pdt.BuildConfig.resample_cap),
+        "epsilon": (parse_fraction, pdt.BuildConfig.epsilon),
         "seed": (json_int, None),
         "delta": (parse_fraction, None),
         "ell": (parse_fraction, None),
     }),
     "mc": (mc_summary, {
-        "kind": (str, REQUIRED),
+        "kind": (MC_KINDS, REQUIRED),
         "trials": (json_int, 100),
         "seed": (json_int, None),
         "p": (parse_fraction, REQUIRED, "theorem-1"),
@@ -230,35 +247,52 @@ OPS = {
 }
 
 
-def op_params(op: str, params: dict, seed: int) -> dict:
-    """The params of one op, parsed, with the op's defaults filled in."""
+def _parse(parse, value, what: str):
+    """One op value, by its parser in OPS."""
+    if not callable(parse):  # the op's choices
+        if json_of(value, str, what) not in parse:
+            raise ConfigError(f"unknown {what} {value!r}; pick from {', '.join(parse)}")
+        return value
+    return json_of(value, parse, what) if isinstance(parse, type) else parse(value, what)
+
+
+def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
+    """What op reads, from its params: each value parsed and checked, the
+    op's defaults filled in, and pdt's BuildConfig built.  Every check
+    that does not depend on the function is made here, so a config runs
+    it on every analysis before any function is built; each refusal is a
+    ConfigError, and a parse error names the op and the key."""
     if not isinstance(op, str) or op not in OPS:
         raise ConfigError(f"unknown analysis op {op!r}")
     declared = OPS[op][1]
-    kind = params.get("kind")
     for key in params:
         if key not in declared:
             raise ConfigError(f"{op}: unknown parameter {key!r}; {op} reads {', '.join(declared) or 'none'}")
-        kinds = declared[key][2:]
-        if kinds and kind not in kinds:
-            raise ConfigError(f"{op} {kind} does not read {key!r}; only {' and '.join(kinds)} does")
     values = {"seed": seed} if "seed" in declared else {}
-    for name, (parse, default, *kinds) in declared.items():
-        if name in params:
-            values[name] = json_of(params[name], parse, name) if isinstance(parse, type) else parse(params[name], name)
-        elif kinds and kind not in kinds:
-            continue
-        elif default is REQUIRED:
-            raise ConfigError(f"{op}{f' {kind}' if kinds else ''} requires {name}")
-        elif default is not None:
-            values[name] = default
+    try:
+        for name, (parse, default, *kinds) in declared.items():
+            kind = values.get("kind")  # mc declares kind first, so it is checked before any kind tag
+            if kinds and kind not in kinds:
+                if name in params:
+                    raise ConfigError(f"{op} {kind} does not read {name!r}; only {' and '.join(kinds)} does")
+            elif name in params:
+                values[name] = _parse(parse, params[name], f"{op} {name}")
+            elif default is REQUIRED:
+                raise ConfigError(f"{op}{f' {kind}' if kinds else ''} requires {name}")
+            elif default is not None:
+                values[name] = default
+        if op == "pdt":
+            return pdt.BuildConfig(**values)
+        if op == "mc":
+            pdt.check_sampling(values["seed"], values["trials"], values.get("p"), values.get("delta"), values.get("ell"))
+    except ValueError as exc:  # a parser's, BuildConfig's or check_sampling's refusal
+        raise ConfigError(str(exc)) from None
     return values
 
 
 def run_op(op: str, table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
     """The result block of one analysis op on one function."""
-    values = op_params(op, params, seed)
-    return OPS[op][0](table, spectrum, values)
+    return OPS[op][0](table, spectrum, op_params(op, params, seed))
 
 
 @dataclass(frozen=True)

@@ -226,12 +226,15 @@ def wht(table: TruthTable) -> FourierSpectrum:
 def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
     """Inverse transform; raises NotBooleanValuedError unless every point is +-1."""
     full = 1 << spectrum.n
+    coefficients = spectrum.coefficients
+    # no +-1 function has |c| > 2^n; within it every sum fits int64.  The
+    # comparisons are exact, where abs would wrap -2^63
+    outside = (coefficients > full) | (coefficients < -full)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])  # the first, in ascending mask order
+        raise NotBooleanValuedError(f"|c| = {abs(int(coefficients[bad]))} > 2^n at mask {spectrum.masks[bad]}")
     arr = np.zeros(full, dtype=np.int64)
-    for mask, c in spectrum.coeffs.items():
-        # no +-1 function has |c| > 2^n; within it every sum fits int64
-        if abs(int(c)) > full:
-            raise NotBooleanValuedError(f"|c| = {abs(int(c))} > 2^n at mask {mask}")
-        arr[mask] = c
+    arr[spectrum.masks] = coefficients
     fwht_inplace(arr)
     if not np.all(np.abs(arr) == full):
         bad = int(np.flatnonzero(np.abs(arr) != full)[0])

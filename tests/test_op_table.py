@@ -1,6 +1,7 @@
 """The runner's op table: one home for every op parameter's parser and
 default, shared by experiment configs and the CLI op subcommands."""
 
+import importlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -86,8 +87,7 @@ def test_help_shows_the_table_defaults():
 
 
 def test_pdt_defaults_are_build_configs_own():
-    params = runner.op_params("pdt", {}, 5)
-    assert pdt.BuildConfig(**params) == pdt.BuildConfig(seed=5)
+    assert runner.op_params("pdt", {}, 5) == pdt.BuildConfig(seed=5)
 
 
 # (config analysis, subcommand argv, the key the error names)
@@ -180,13 +180,86 @@ def test_fold_pairs_takes_a_json_bool(pairs):
     assert ("pairs" in profile) is pairs
 
 
-def test_analyses_are_refused_before_any_function_is_built(monkeypatch):
+# analyses that no function can run, and the words of each refusal
+REFUSED = {
+    "fold-elll": ({"op": "fold", "elll": 1}, "unknown parameter 'elll'"),
+    "verify-check": ({"op": "verify", "check": "three-folds"}, "unknown verify check 'three-folds'; pick from"),
+    "mc-kind": ({"op": "mc", "kind": "warmp"}, "unknown mc kind 'warmp'; pick from theorem-1, warmup, theorem-2"),
+    # the kind is checked before the params it reads
+    "mc-kind-with-p": ({"op": "mc", "kind": "warmp", "p": "1/4"}, "unknown mc kind 'warmp'"),
+    "pdt-strategy": ({"op": "pdt", "strategy": "greedy"}, "unknown pdt strategy 'greedy'"),
+    "pdt-resample-cap": ({"op": "pdt", "resample_cap": 0}, "resample cap must be >= 1"),
+    "pdt-seed": ({"op": "pdt", "seed": -1}, "seed must be >= 0, got -1"),
+    "pdt-sampling-delta-ell": ({"op": "pdt", "strategy": "sampling", "delta": "1/5", "ell": "1/2"}, "takes neither"),
+    "fold-ell": ({"op": "fold", "ell": 2}, "exponent must be <= 1"),
+    "mc-trials": ({"op": "mc", "kind": "warmup", "trials": 0}, "need at least one trial"),
+    "mc-seed": ({"op": "mc", "kind": "warmup", "seed": -1}, "seed must be >= 0, got -1"),
+    "mc-p": ({"op": "mc", "kind": "theorem-1", "p": "3/2"}, "probability must lie in [0, 1], got 3/2"),
+    # a malformed value names the op and the key
+    "mc-trials-string": ({"op": "mc", "kind": "warmup", "trials": "5"}, "mc trials must be an integer, got '5'"),
+    "fold-pairs-string": ({"op": "fold", "pairs": "no"}, "fold pairs must be true or false, got str"),
+    "verify-check-number": ({"op": "verify", "check": 5}, "verify check must be a string, got int"),
+    "mc-p-fraction": ({"op": "mc", "kind": "theorem-1", "p": "1/x"}, "mc p: bad fraction '1/x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_analyses_are_refused_before_any_function_is_built(tmp_path, monkeypatch, case):
+    analysis, message = REFUSED[case]
+
     def never(*args):
         raise AssertionError("a function was built")
 
     monkeypatch.setattr(runner, "build_function", never)
-    with pytest.raises(ConfigError, match="unknown parameter 'elll'"):
-        run_experiment({"functions": [ENTRY], "analyses": [{"op": "analyze"}, {"op": "fold", "elll": 1}]})
+    with pytest.raises(ConfigError) as refused:
+        run_experiment({"functions": [ENTRY], "analyses": [{"op": "analyze"}, analysis]})
+    assert message in str(refused.value)
+    code, err = experiment(tmp_path, analysis)
+    assert code == USAGE_ERROR and message in err and "Traceback" not in err
+
+
+def test_the_choices_are_the_dispatch_tables_keys():
+    declared = {op: params for op, (_, params) in runner.OPS.items()}
+    assert declared["verify"]["check"][0] is runner.VERIFY_CHECKS
+    assert declared["mc"]["kind"][0] is runner.MC_KINDS
+    assert declared["pdt"]["strategy"][0] is pdt.STRATEGIES
+    # every kind tag names a kind
+    tags = {kind for params in declared.values() for _, _, *kinds in params.values() for kind in kinds}
+    assert tags <= set(runner.MC_KINDS)
+    # the CLI offers the same choices, plus verify's CLI-only counterexample
+    for argv, choices in ((["verify", "three-folds", FUNCTION], [*runner.VERIFY_CHECKS, "counterexample"]),
+                          (["mc", "warmp", FUNCTION], list(runner.MC_KINDS)),
+                          (["pdt", "build", FUNCTION, "--strategy", "greedy"], list(pdt.STRATEGIES))):
+        code, out, err = cli(argv)
+        assert code == USAGE_ERROR and out == ""
+        assert "(choose from " + ", ".join(map(repr, choices)) + ")" in err
+
+
+# each dispatched call, by the module attribute that bench/tracing.py swaps
+DISPATCHED = [
+    ({"op": "verify", "check": "pair-condition"}, "folding", "check_pair_condition"),
+    ({"op": "verify", "check": "three-fold"}, "folding", "verify_three_fold"),
+    ({"op": "verify", "check": "single-direction"}, "folding", "single_direction_structure"),
+    ({"op": "verify", "check": "sign-feasibility"}, "folding", "sign_feasibility"),
+    ({"op": "verify", "check": "titsworth"}, "spectral", "verify_titsworth"),
+    ({"op": "verify", "check": "parseval"}, "spectral", "verify_parseval"),
+    ({"op": "mc", "kind": "theorem-1", "p": "1/4"}, "pdt", "estimate_bucket_reduction"),
+    ({"op": "mc", "kind": "warmup"}, "pdt", "warmup_success_rate"),
+    ({"op": "mc", "kind": "theorem-2"}, "pdt", "folding_sampling_trial"),
+]
+
+
+@pytest.mark.parametrize("analysis, module, attr", DISPATCHED, ids=[f"{m}.{a}" for _, m, a in DISPATCHED])
+def test_dispatch_calls_the_library_through_its_module_attribute(monkeypatch, analysis, module, attr):
+    class Called(Exception):
+        pass
+
+    def swapped(*args):
+        raise Called
+
+    monkeypatch.setattr(importlib.import_module(f"parityfold.{module}"), attr, swapped)
+    with pytest.raises(Called):
+        run_experiment({"functions": [ENTRY], "analyses": [analysis]})
 
 
 @pytest.mark.parametrize("argv, key", [

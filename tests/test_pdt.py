@@ -872,16 +872,51 @@ def test_fold_unions_is_exact_on_24_bit_masks(data):
     assert pdt._fold_unions(np.array(masks, dtype=np.int64), union) == expected
 
 
-@pytest.mark.parametrize("kind", ["certain", "uncertain"])
-def test_run_trials_refuses_what_the_seeding_does_not_number(kind):
+MC_RUNS = {
+    "theorem-1": lambda spectrum, trials, seed: estimate_bucket_reduction(spectrum, 0.3, trials, seed),
+    "warmup": lambda spectrum, trials, seed: warmup_success_rate(spectrum, trials, seed),
+    "theorem-2": lambda spectrum, trials, seed: folding_sampling_trial(spectrum, 1, 0, trials, seed),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MC_RUNS))
+def test_mc_refuses_what_the_seeding_does_not_number(monkeypatch, kind):
     # t is one 32-bit entropy word and numpy refuses a negative seed; both
-    # are refused up front, before a certain union is repeated trials times
+    # are refused up front, before any trial runs; at k = 16 the warm-up
+    # and theorem 2 are certain unions, which would be repeated trials times
+    def never(*args):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(pdt, "_run_trials", never)
     spectrum = wht(gen_inner_product(2))
-    requested = (1.0,) if kind == "certain" else (0.3,)
     with pytest.raises(SeedRangeError, match="seed must be >= 0, got -1"):
-        pdt._run_trials(spectrum, requested, 5, -1)
+        MC_RUNS[kind](spectrum, 5, -1)
     with pytest.raises(SeedRangeError, match=r"at most 2\^32 trials"):
-        pdt._run_trials(spectrum, requested, 2**32 + 1, 0)
+        MC_RUNS[kind](spectrum, 2**32 + 1, 0)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        MC_RUNS[kind](spectrum, 0, 0)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"trials": 0}, "need at least one trial"),
+    ({"trials": 2**32 + 1}, r"at most 2\^32 trials"),
+    ({"p": Fraction(3, 2)}, r"probability must lie in \[0, 1\]"),
+    ({"p": -0.1}, r"probability must lie in \[0, 1\]"),
+    ({"delta": 0}, r"delta must lie in \(0, 1\]"),
+    ({"delta": Fraction(6, 5)}, r"delta must lie in \(0, 1\]"),
+    ({"ell": 2}, "exponent must be <= 1"),
+    ({"ell": -0.5}, "exponent must be >= 0"),
+])
+def test_check_sampling_refuses_each_value_out_of_range(params, message):
+    with pytest.raises(ValueError, match=message):
+        pdt.check_sampling(**params)
+
+
+def test_check_sampling_accepts_the_edges_and_returns_exact_delta_and_ell():
+    assert pdt.check_sampling(0) == (None, None)
+    assert pdt.check_sampling(0, 1, 0, 1, 0) == (1, 0)
+    assert pdt.check_sampling(0, 2**32, 1, 0.5, 0.5) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_deterministic_builds_seed_no_generator(monkeypatch):
