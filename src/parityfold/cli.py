@@ -93,11 +93,10 @@ def cmd_gen(args) -> int:
 
 
 # each op subcommand's text lines and exit code, from (args, label,
-# spectrum, payload); analyze adds its --restrict block to the payload
+# spectrum, the op's result block); they render the block and compute nothing
 
 
-def _analyze_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
-    result = payload["analyze"]
+def _analyze_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
     lines = [
         f"function: {label} (n = {spectrum.n})",
         f"sparsity k = {result['sparsity']}",
@@ -106,32 +105,18 @@ def _analyze_text(args, label: str, spectrum: FourierSpectrum, payload: dict) ->
         f"parseval: {result['parseval']}",
         f"titsworth violations: {result['titsworth_violations']}",
     ]
-    if args.restrict:
-        system = restriction.system_from_list(spectral.read_json(args.restrict), spectrum.n)
-        restricted = restriction.restrict(spectrum, system)
-        gammas = [mask for mask, _ in system.constraints]
-        bound = restriction.identification_bound_check(spectrum.support(), gammas, spectrum.n)
-        payload["restrict"] = {
-            "constraints": restriction.system_to_list(system),
-            "codimension": system.codimension,
-            "restricted_sparsity": restricted.sparsity,
-            "restricted_support": restricted.masks.tolist(),
-            "bucket_report": bound.report.to_dict(),
-            "identified_count": bound.identified_count,
-            "identification_bound": bound.bound,
-        }
+    if block := result.get("restrict"):
         lines += [
-            f"restricted by {args.restrict} (codimension {system.codimension}): "
-            f"sparsity {restricted.sparsity}",
-            f"buckets {bound.actual} <= bound {bound.bound} "
-            f"(h = {bound.identified_count})",
+            f"restricted by {len(block['constraints'])} constraints (codimension {block['codimension']}): "
+            f"sparsity {block['restricted_sparsity']}",
+            f"buckets {block['bucket_report']['bucket_count']} <= bound {block['identification_bound']} "
+            f"(h = {block['identified_count']})",
         ]
     ok = result["parseval"] and not result["titsworth_violations"]
     return lines, 0 if ok else CHECK_FAILED
 
 
-def _fold_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
-    result = payload["fold"]
+def _fold_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
     profile = result["profile"]
     lines = [
         f"function: {label} (k = {spectrum.sparsity})",
@@ -146,13 +131,12 @@ def _fold_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tu
     return lines, 0
 
 
-def _verify_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
-    passed = payload["verify"]["passed"]
+def _verify_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+    passed = result["passed"]
     return [f"function: {label}", f"{args.check}: {'pass' if passed else 'FAIL'}"], 0 if passed else CHECK_FAILED
 
 
-def _pdt_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
-    result = payload["pdt"]
+def _pdt_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
     lines = [
         f"function: {label}",
         f"strategy {result['strategy']}, seed {result['seed']}",
@@ -161,8 +145,8 @@ def _pdt_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tup
     return lines, 0 if result["verified"] else CHECK_FAILED
 
 
-def _mc_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tuple[list[str], int]:
-    stats = payload["mc"]["stats"]
+def _mc_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+    stats = result["stats"]
     lines = [
         f"function: {label} (k = {stats['k']})",
         f"{args.kind}: {stats['trials']} trials, p = {stats['probabilities']}"
@@ -175,11 +159,11 @@ def _mc_text(args, label: str, spectrum: FourierSpectrum, payload: dict) -> tupl
             f"success fraction (buckets <= {stats['success_threshold']}): "
             f"{stats['success_fraction']}"
         )
-    if args.csv:
-        text = pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(stats) + "\n"
-        Path(args.csv).write_text(text)
     return lines, 0
 
+
+# op params whose flag names a JSON file that holds the value
+FILE_PARAMS = ("restrict",)
 
 _TEXT = {"analyze": _analyze_text, "fold": _fold_text, "verify": _verify_text, "pdt": _pdt_text, "mc": _mc_text}
 
@@ -191,6 +175,7 @@ def cmd_op(args) -> int:
     label, table = _resolve(args)
     spectrum = spectral.wht(table)
     params = {name: getattr(args, name) for name in runner.OPS[op][1] if getattr(args, name, None) is not None}
+    params.update((name, spectral.read_json(params[name])) for name in FILE_PARAMS if name in params)
     if op == "pdt":  # the op in two halves, so the tree and log come from its build
         build = pdt.build_pdt(spectrum, runner.op_params(op, params, args.seed))
         result = runner.tree_summary(table, build)
@@ -200,8 +185,10 @@ def cmd_op(args) -> int:
             Path(args.log).write_text(build.log_jsonl() + "\n")
     else:
         result = runner.run_op(op, table, spectrum, params, args.seed)
+    if op == "mc" and args.csv:
+        Path(args.csv).write_text(pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(result["stats"]) + "\n")
     payload = {"function": label, op: result, **({"n": table.n} if op == "analyze" else {})}
-    lines, code = _TEXT[op](args, label, spectrum, payload)
+    lines, code = _TEXT[op](args, label, spectrum, result)
     _emit(args, payload, lines)
     return code
 
@@ -301,7 +288,8 @@ def _op_parser(sub, common, command: str, op: str, help: str, cli_only: tuple = 
         if parse is bool:
             kwargs = {"action": "store_true"}
         else:
-            kwargs = {"type": int if parse is json_int else str, "choices": None if callable(parse) else parse}
+            kwargs = {"type": int if parse is json_int else str, "choices": None if callable(parse) else parse,
+                      "metavar": "FILE" if name in FILE_PARAMS else None}
             shown += [] if default is None or default is runner.REQUIRED else [f"default {default}"]
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=", ".join(shown) or None, **kwargs)
     parser.add_argument("function", nargs="?" if cli_only else None)
@@ -329,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_analyze = _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities")
-    p_analyze.add_argument("--restrict", default=None,
-                           help="constraint-system JSON file to restrict by")
+    _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities")
     _op_parser(sub, common, "fold", "fold", "direction classes, folding parameters, heavy participants")
     p_verify = _op_parser(sub, common, "verify", "verify", "structural verifiers (exit 1 on failure)",
                           cli_only=("counterexample",))

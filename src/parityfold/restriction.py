@@ -26,7 +26,7 @@ import numpy as np
 # bench/tracing.py binds coset_label here by name; it is otherwise unused
 from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
-from .spectral import FourierSpectrum, json_int, json_of
+from .spectral import FourierSpectrum
 
 
 class InconsistentConstraintsError(ValueError):
@@ -174,18 +174,6 @@ class BucketReport:
             "identified_count": self.identified_count,
             "buckets": {str(label): list(self.buckets[label]) for label in sorted(self.buckets)},
         }
-
-
-def system_to_list(system: AffineConstraintSystem) -> list[dict]:
-    return [{"mask": mask, "bit": bit} for mask, bit in system.constraints]
-
-
-def system_from_list(data: list, n: int) -> AffineConstraintSystem:
-    constraints = []
-    for entry in json_of(data, list, "constraint system"):
-        entry = json_of(entry, dict, "constraint")
-        constraints.append((json_int(entry["mask"], "mask"), json_int(entry["bit"], "bit")))
-    return AffineConstraintSystem(n, tuple(constraints))
 
 
 def bucket_complexity(

@@ -14,7 +14,10 @@ parser and a default; verify's checks and mc's kinds are the keys of
 parses and checks each value once and hands the op what it reads
 (pdt's ``BuildConfig``).  ``run_experiment`` passes every analysis
 through it before any function is built, by ``resolve_function``; the
-CLI op subcommands run ops through ``run_op``.
+CLI op subcommands run ops through ``run_op``.  analyze's ``restrict``,
+a constraint list ``[{"mask": m, "bit": 0 or 1}, ...]``, adds a
+``restrict`` block: the spectrum restricted to the affine subspace the
+constraints cut out, and its buckets against the identification bound.
 
 Reports, ``--json`` output, ``gen`` files and saved trees are written
 by ``canonical_json``: the bytes ``json.dumps`` writes with sorted keys
@@ -35,7 +38,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import folding, pdt, spectral
+from . import folding, pdt, restriction, spectral
 from .families import FunctionSpec, _table_dimension, build_function
 from .spectral import FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json
 
@@ -102,7 +105,7 @@ def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, Trut
 
 def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
     l1 = spectral.spectral_l1(spectrum)
-    return {
+    out = {
         "sparsity": spectrum.sparsity,
         "support": spectrum.masks.tolist(),
         "plateaued": spectral.is_plateaued(spectrum),
@@ -111,6 +114,21 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
         "parseval": spectral.verify_parseval(spectrum),
         "titsworth_violations": spectral.verify_titsworth(spectrum),
     }
+    if "restrict" in params:  # a mask outside n bits or an inconsistent system is a ValueError here
+        constraints = params["restrict"]
+        system = restriction.AffineConstraintSystem(spectrum.n, constraints)
+        restricted = restriction.restrict(spectrum, system)
+        bound = restriction.identification_bound_check(spectrum.support(), [mask for mask, _ in constraints], spectrum.n)
+        out["restrict"] = {
+            "constraints": [{"mask": mask, "bit": bit} for mask, bit in constraints],
+            "codimension": system.codimension,
+            "restricted_sparsity": restricted.sparsity,
+            "restricted_support": restricted.masks.tolist(),
+            "bucket_report": bound.report.to_dict(),
+            "identified_count": bound.identified_count,
+            "identification_bound": bound.bound,
+        }
+    return out
 
 
 def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
@@ -210,6 +228,20 @@ def parse_exponent(value, what: str = "value") -> Fraction:
     return folding.as_exponent(parse_fraction(value, what))
 
 
+def parse_constraints(value, what: str = "value") -> tuple[tuple[int, int], ...]:
+    """A constraint list [{"mask": m, "bit": 0 or 1}, ...] as (mask, bit)
+    pairs, m >= 0; the masks are checked against n when the op runs."""
+    constraints = []
+    for entry in json_of(value, list, what):
+        if set(json_of(entry, dict, f"{what} constraint")) != {"mask", "bit"}:
+            raise ConfigError(f"{what}: a constraint is {{\"mask\": m, \"bit\": 0 or 1}}, got {entry!r}")
+        mask, bit = json_int(entry["mask"], f"{what} mask"), json_int(entry["bit"], f"{what} bit")
+        if mask < 0 or bit not in (0, 1):
+            raise ConfigError(f"{what}: mask must be >= 0 and bit 0 or 1, got {entry!r}")
+        constraints.append((mask, bit))
+    return tuple(constraints)
+
+
 REQUIRED = object()  # the default of a param that the op cannot run without
 
 # op -> (function, {param: (parser, default[, kinds...])}).  A parser is a
@@ -220,7 +252,7 @@ REQUIRED = object()  # the default of a param that the op cannot run without
 # own.  A param that names kinds is read only by those values of the op's
 # kind, and refused for the others.
 OPS = {
-    "analyze": (analyze_summary, {}),
+    "analyze": (analyze_summary, {"restrict": (parse_constraints, None)}),
     "fold": (fold_summary, {
         "ell": (parse_exponent, Fraction(1, 2)),
         "delta": (parse_fraction, None),
@@ -283,8 +315,8 @@ def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
                 values[name] = default
         if op == "pdt":
             return pdt.BuildConfig(**values)
-        if op == "mc":
-            pdt.check_sampling(values["seed"], values["trials"], values.get("p"), values.get("delta"), values.get("ell"))
+        # the sampling values mc and fold read (fold's delta, which picks heavy participants)
+        pdt.check_sampling(values.get("seed"), values.get("trials"), values.get("p"), values.get("delta"), values.get("ell"))
     except ValueError as exc:  # a parser's, BuildConfig's or check_sampling's refusal
         raise ConfigError(str(exc)) from None
     return values

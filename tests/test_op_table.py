@@ -15,11 +15,14 @@ from parityfold.runner import ConfigError, run_experiment
 
 FUNCTION = "addressing:k=16"
 ENTRY = {"family": "addressing", "k": 16}
+SYSTEM = [{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]  # a constraint list; the CLI reads it from system.json
 
 # each op subcommand with only its required arguments, and the analysis
-# that names the same op in a config
+# that names the same op in a config; analyze-restrict adds a param whose
+# flag names a file
 SUBCOMMANDS = {
     "analyze": (["analyze", FUNCTION], {"op": "analyze"}),
+    "analyze-restrict": (["analyze", FUNCTION, "--restrict", "system.json"], {"op": "analyze", "restrict": SYSTEM}),
     "fold": (["fold", FUNCTION], {"op": "fold"}),
     "verify": (["verify", "parseval", FUNCTION], {"op": "verify", "check": "parseval"}),
     "pdt": (["pdt", "build", FUNCTION], {"op": "pdt"}),
@@ -47,7 +50,8 @@ def experiment(tmp_path, analysis, seed=0):
 
 
 def test_the_table_covers_every_subcommand():
-    assert set(SUBCOMMANDS) == set(runner.OPS)
+    assert set(runner.OPS) <= set(SUBCOMMANDS)
+    assert {analysis["op"] for _, analysis in SUBCOMMANDS.values()} == set(runner.OPS)
 
 
 @pytest.mark.parametrize("op", sorted(runner.OPS))
@@ -61,14 +65,16 @@ def test_every_op_refuses_an_unknown_key(tmp_path, op):
     assert code == USAGE_ERROR and "--bogus-key" in err and out == ""
 
 
-@pytest.mark.parametrize("op", sorted(runner.OPS))
-def test_a_subcommand_prints_the_block_its_op_writes_in_a_config(op):
-    argv, analysis = SUBCOMMANDS[op]
+@pytest.mark.parametrize("case", sorted(SUBCOMMANDS))
+def test_a_subcommand_prints_the_block_its_op_writes_in_a_config(tmp_path, monkeypatch, case):
+    argv, analysis = SUBCOMMANDS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text(json.dumps(SYSTEM))
     code, out, _ = cli(["--seed", "3", "--json"] + argv)
     assert code == 0
     report = run_experiment({"seed": 3, "functions": [ENTRY], "analyses": [analysis]})
     expected = json.loads(report.to_json())["results"][0]["analyses"][0]["result"]
-    assert json.loads(out)[op] == expected
+    assert json.loads(out)[analysis["op"]] == expected
 
 
 def test_mc_runs_the_table_default_of_trials():
@@ -200,6 +206,18 @@ REFUSED = {
     "fold-pairs-string": ({"op": "fold", "pairs": "no"}, "fold pairs must be true or false, got str"),
     "verify-check-number": ({"op": "verify", "check": 5}, "verify check must be a string, got int"),
     "mc-p-fraction": ({"op": "mc", "kind": "theorem-1", "p": "1/x"}, "mc p: bad fraction '1/x'"),
+    # fold's delta lies in (0, 1], as pdt's and mc's do
+    "fold-delta-negative": ({"op": "fold", "delta": "-1"}, "delta must lie in (0, 1], got -1"),
+    "fold-delta-zero": ({"op": "fold", "delta": "0"}, "delta must lie in (0, 1], got 0"),
+    "fold-delta-above-one": ({"op": "fold", "delta": "5"}, "delta must lie in (0, 1], got 5"),
+    # a constraint list is [{"mask": m >= 0, "bit": 0 or 1}, ...]
+    "restrict-not-a-list": ({"op": "analyze", "restrict": 3}, "analyze restrict must be an array, got int"),
+    "restrict-no-mask": ({"op": "analyze", "restrict": [{"bit": 1}]}, "analyze restrict: a constraint is"),
+    "restrict-bit-2": ({"op": "analyze", "restrict": [{"mask": 1, "bit": 2}]}, "bit 0 or 1, got {'mask': 1, 'bit': 2}"),
+    "restrict-bool-mask": ({"op": "analyze", "restrict": [{"mask": True, "bit": 1}]},
+                           "analyze restrict mask must be an integer, got True"),
+    "restrict-negative-mask": ({"op": "analyze", "restrict": [{"mask": -1, "bit": 1}]},
+                               "mask must be >= 0 and bit 0 or 1, got {'mask': -1, 'bit': 1}"),
 }
 
 
@@ -216,6 +234,25 @@ def test_analyses_are_refused_before_any_function_is_built(tmp_path, monkeypatch
     assert message in str(refused.value)
     code, err = experiment(tmp_path, analysis)
     assert code == USAGE_ERROR and message in err and "Traceback" not in err
+
+
+# constraint lists that parse but that only the function's n (6 for
+# addressing k = 16) can refuse, and the words of each refusal
+UNRESTRICTABLE = {
+    "mask-outside-n": ([{"mask": 1 << 6, "bit": 1}], "mask 0x40 does not fit in 6 bits"),
+    "inconsistent": ([{"mask": 3, "bit": 0}, {"mask": 5, "bit": 0}, {"mask": 6, "bit": 1}], "forces 0 = 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESTRICTABLE))
+def test_a_system_the_function_refuses_is_a_usage_error(tmp_path, case):
+    system, message = UNRESTRICTABLE[case]
+    code, err = experiment(tmp_path, {"op": "analyze", "restrict": system})
+    assert code == USAGE_ERROR and message in err and "Traceback" not in err
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = cli(["analyze", FUNCTION, "--restrict", str(path)])
+    assert code == USAGE_ERROR and message in err and out == ""
 
 
 def test_the_choices_are_the_dispatch_tables_keys():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from parityfold import restriction
 from parityfold.cli import main
+from parityfold.runner import ConfigError, op_params
 from parityfold.restriction import (
     AffineConstraintSystem,
     BucketReport,
@@ -19,7 +20,6 @@ from parityfold.restriction import (
     identified,
     restrict,
     restrict_batch,
-    system_from_list,
 )
 from parityfold.gf2 import DimensionMismatchError, Echelon, labels, row_reduce
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
@@ -195,9 +195,9 @@ NON_INTEGER_SYSTEMS = {
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_SYSTEMS))
-def test_system_from_list_needs_json_integers(name):
-    with pytest.raises(ValueError, match="must be an integer"):
-        system_from_list(NON_INTEGER_SYSTEMS[name], 2)
+def test_the_restrict_parser_needs_json_integers(name):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        op_params("analyze", {"restrict": NON_INTEGER_SYSTEMS[name]}, 0)
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_SYSTEMS))
@@ -322,7 +322,7 @@ def test_analyze_restrict_partitions_the_support_once(monkeypatch, tmp_path, cap
     path.write_text(json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]))
     assert main(["--json", "analyze", "addressing:k=16", "--restrict", str(path)]) == 0
     assert len(calls) == 1
-    payload = json.loads(capsys.readouterr().out)["restrict"]
+    payload = json.loads(capsys.readouterr().out)["analyze"]["restrict"]
     assert payload["bucket_report"] == real(*calls[0]).to_dict()
 
 

@@ -400,11 +400,11 @@ def test_cli_analyze_with_constraint_file(tmp_path, capsys):
         "--json", "analyze", "conjunction:mask=3,n=2", "--restrict", str(system_path)
     )
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out)["analyze"]["restrict"]
     # fixing x1 = 1 collapses the conjunction to a single character
-    assert payload["restrict"]["restricted_sparsity"] == 1
-    assert payload["restrict"]["restricted_support"] == [2]
-    assert payload["restrict"]["bucket_report"]["bucket_count"] == 2
+    assert payload["restricted_sparsity"] == 1
+    assert payload["restricted_support"] == [2]
+    assert payload["bucket_report"]["bucket_count"] == 2
 
 
 def test_cli_gen_junta(tmp_path, capsys):
@@ -450,7 +450,10 @@ def test_cli_usage_error_exit_code():
 # holding the fixtures below, once in text mode and once with --json; the
 # digest covers every exit code, every stdout and every file left in the
 # directory.  The analyze "granular" field was dropped from those
-# recordings, the one intended difference.
+# recordings, the one intended difference.  analyze-restrict was
+# re-recorded when restriction became an analyze param: its --json block
+# moved from the top level to analyze.restrict, and its text line names
+# the constraint count, not the file.
 GOLDEN_FIXTURES = {
     "system.json": json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]),
     "spectrum.json": json.dumps(
@@ -526,7 +529,7 @@ def golden_digest(record):
 # case: (exit codes, digest in text mode, digest with --json)
 GOLDEN = {
     "analyze": ((0,), "a70a77d06ae1feb4d30a8a0d2d630467355af382484344f855d2914a11d9ec07", "e79e9d1b27997aee0babbdef859eadd318c043a6c50aefe72918c41793473af8"),
-    "analyze-restrict": ((0,), "db0947f6b98d8ffc86d2b13bbfd7c8c2c3531b03ebdc01270ba57b78b414ff9c", "6a5745d59038db41166c9ba7beb7007262c19f090dd277fcfb222ae5fd4408af"),
+    "analyze-restrict": ((0,), "8b2fff50fc027b021b4dab88b9cb93156217d754ed1d69388ede39fab55601a3", "406388fa0e5d5606e0e6a06450649d875915fb0d36d7f5991e84ef17f2293a4f"),
     "analyze-spectrum-file": ((0,), "59b9c05b07a34c00b7625c69114cb82a3600fc27f6c8248e384d746f511d99f5", "02baf4e553eb9753cd6e7f5cdd7e57062b2ecb9d7566d5a286603a119da9bb03"),
     "fold-delta": ((0,), "ffe902c4c498709b64607eb01d2fa3fd5fc20034073622b886e42276c5683967", "92bac784d2d6e9ac18c218c0e8dc9fc5367ce7fba8e44d4f4b7627f38ef0238b"),
     "fold-pairs": ((0,), "1e0bf3b7102790d9fc53608ead99aacce2a268acaa64d42fc0ab94a6796d0076", "85c01a09b7365206718fe9f0849a56241a8da92cf5dcbd0cc704b911f345320d"),
