@@ -5,7 +5,8 @@ or as an inline family expression like ``addressing:k=16`` or
 ``random:n=6,seed=3``.  ``--json`` switches every command to canonical
 machine-readable output; seeded commands byte-reproduce their reports.
 The op subcommands (analyze, fold, verify, pdt build, mc) run one op of
-the runner's op table on one function, as an ``experiment`` config does.
+the runner's op table on one function, as an ``experiment`` config does,
+and check the op's params before they build the function.
 
 Exit codes: 0 all checks pass, 1 a verifier failed, 2 usage error.
 """
@@ -13,13 +14,14 @@ Exit codes: 0 all checks pass, 1 a verifier failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
 from . import families, folding, pdt, restriction, runner, spectral
 from .runner import canonical_json
-from .spectral import FourierSpectrum, TruthTable, json_int
+from .spectral import json_int
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -54,10 +56,6 @@ def function_entry(text: str) -> dict:
     return {"family": family, **key_values([item for item in body.split(",") if item], text)}
 
 
-def _resolve(args) -> tuple[str, TruthTable]:
-    return runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
-
-
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.json:
         sys.stdout.write(canonical_json(payload))
@@ -76,6 +74,9 @@ def cmd_gen(args) -> int:
         if not isinstance(n, int):
             raise UsageError("gen junta requires one integer n=N")
         label = f"junta(inner={args.inner},n={n})"
+        for key in params:
+            if key not in ("masks", "n"):  # the inner comes from --inner
+                raise UsageError(f"gen junta: unknown parameter {key!r}; gen junta reads masks, n")
         if n > args.max_n:
             raise UsageError(f"{label}: n = {n} exceeds max_n = {args.max_n}")  # before 2^n entries
         _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
@@ -92,13 +93,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# each op subcommand's text lines and exit code, from (args, label,
-# spectrum, the op's result block); they render the block and compute nothing
+# each op subcommand's text lines and exit code, from (label, the
+# function's n, the op's result block); they render the block and compute nothing
 
 
-def _analyze_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+def _analyze_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     lines = [
-        f"function: {label} (n = {spectrum.n})",
+        f"function: {label} (n = {n})",
         f"sparsity k = {result['sparsity']}",
         f"plateaued: {result['plateaued']}",
         f"spectral l1 = {result['l1']} (l1^2 <= k: {result['l1_squared_le_sparsity']})",
@@ -116,10 +117,10 @@ def _analyze_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> 
     return lines, 0 if ok else CHECK_FAILED
 
 
-def _fold_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+def _fold_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     profile = result["profile"]
     lines = [
-        f"function: {label} (k = {spectrum.sparsity})",
+        f"function: {label} (k = {profile['k']})",
         f"directions: {profile['direction_count']}, "
         f"class sizes {profile['min_class_size']}..{profile['max_class_size']}",
         f"histogram: {profile['histogram']}",
@@ -127,16 +128,16 @@ def _fold_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tup
         f"({result['heavy_pair_count']} heavy pairs, class threshold {result['class_size_threshold']})",
     ]
     if "heavy_participants" in result:
-        lines.append(f"heavy participants: {len(result['heavy_participants'])} of {spectrum.sparsity}")
+        lines.append(f"heavy participants: {len(result['heavy_participants'])} of {profile['k']}")
     return lines, 0
 
 
-def _verify_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+def _verify_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     passed = result["passed"]
-    return [f"function: {label}", f"{args.check}: {'pass' if passed else 'FAIL'}"], 0 if passed else CHECK_FAILED
+    return [f"function: {label}", f"{result['check']}: {'pass' if passed else 'FAIL'}"], 0 if passed else CHECK_FAILED
 
 
-def _pdt_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+def _pdt_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     lines = [
         f"function: {label}",
         f"strategy {result['strategy']}, seed {result['seed']}",
@@ -145,11 +146,11 @@ def _pdt_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tupl
     return lines, 0 if result["verified"] else CHECK_FAILED
 
 
-def _mc_text(args, label: str, spectrum: FourierSpectrum, result: dict) -> tuple[list[str], int]:
+def _mc_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     stats = result["stats"]
     lines = [
         f"function: {label} (k = {stats['k']})",
-        f"{args.kind}: {stats['trials']} trials, p = {stats['probabilities']}"
+        f"{result['kind']}: {stats['trials']} trials, p = {stats['probabilities']}"
         + (" (clamped)" if stats["clamped"] else ""),
         f"mean buckets/k = {stats['mean_bucket_fraction']} "
         f"~= {stats['mean_bucket_fraction_float']:.6f}, CI95 {stats['ci95']}",
@@ -170,25 +171,27 @@ _TEXT = {"analyze": _analyze_text, "fold": _fold_text, "verify": _verify_text, "
 
 def cmd_op(args) -> int:
     """One op of the runner's op table on FUNCTION, its params read from
-    args by the op's names (an unset flag is None and left out)."""
+    args by the op's names (an unset flag is None and left out) and
+    checked, as a config's are, before the function is built."""
     op = args.op
-    label, table = _resolve(args)
-    spectrum = spectral.wht(table)
     params = {name: getattr(args, name) for name in runner.OPS[op][1] if getattr(args, name, None) is not None}
     params.update((name, spectral.read_json(params[name])) for name in FILE_PARAMS if name in params)
-    if op == "pdt":  # the op in two halves, so the tree and log come from its build
-        build = pdt.build_pdt(spectrum, runner.op_params(op, params, args.seed))
+    values = runner.op_params(op, params, args.seed)
+    label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
+    spectrum = spectral.wht(table)
+    if op == "pdt":  # the op in two halves, so the tree comes from its build
+        build = pdt.build_pdt(spectrum, values)
         result = runner.tree_summary(table, build)
         if args.output:
             Path(args.output).write_text(canonical_json(build.tree.to_dict()))
         if args.log:
-            Path(args.log).write_text(build.log_jsonl() + "\n")
+            Path(args.log).write_text("\n".join(json.dumps(r, sort_keys=True) for r in result["node_records"]) + "\n")
     else:
-        result = runner.run_op(op, table, spectrum, params, args.seed)
+        result = runner.OPS[op][0](table, spectrum, values)
     if op == "mc" and args.csv:
         Path(args.csv).write_text(pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(result["stats"]) + "\n")
     payload = {"function": label, op: result, **({"n": table.n} if op == "analyze" else {})}
-    lines, code = _TEXT[op](args, label, spectrum, result)
+    lines, code = _TEXT[op](label, table.n, result)
     _emit(args, payload, lines)
     return code
 
@@ -225,7 +228,7 @@ def cmd_verify(args) -> int:
 def cmd_pdt(args) -> int:
     tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
     if args.pdt_command == "verify":
-        label, table = _resolve(args)
+        label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
         ok = pdt.verify_tree(tree, table)
         _emit(
             args,
@@ -308,10 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common], help="generate a corpus function as truth-table JSON")
-    p_gen.add_argument("family", choices=[
-        "addressing", "modified-addressing", "inner-product", "parity",
-        "conjunction", "junta", "random",
-    ])
+    p_gen.add_argument("family", choices=list(families.FAMILIES))
     p_gen.add_argument("param", nargs="*", help="family parameters, e.g. k=16 or n=6")
     p_gen.add_argument("--inner", default=None, help="inner function file for junta")
     p_gen.add_argument("-o", "--output", default=None)

@@ -140,55 +140,72 @@ class FunctionSpec:
         return f"{self.family}({items})"
 
 
-def _required(family: str, params: dict, key: str):
-    """A family parameter that has no default, named in the error when missing."""
-    if key not in params:
-        raise InvalidFamilyParameterError(f"{family}: missing parameter {key!r}")
-    return params[key]
+def _check_keys(family: str, params: dict, declared) -> None:
+    """Refuse a missing key of declared, then a key of params that family
+    does not read; each error names the family and the key."""
+    for key in declared:
+        if key not in params:
+            raise InvalidFamilyParameterError(f"{family}: missing parameter {key!r}")
+    for key in params:
+        if key not in declared:
+            raise InvalidFamilyParameterError(f"{family}: unknown parameter {key!r}; {family} reads {', '.join(declared)}")
 
 
-def _table_dimension(family: str, params: dict, what: str) -> int | None:
-    """The n of a family's table from its parameters alone: stated (read
-    as the integer `what`), or derived from the parameters that imply it."""
-    if family in ("addressing", "modified-addressing"):
-        addr_bits, sqrt_k = _check_addressing_k(json_int(_required(family, params, "k"), "k"))
-        return (2 if family == "modified-addressing" else 0) + addr_bits + sqrt_k
-    if family == "inner-product":
-        return 2 * json_int(_required(family, params, "m"), "m")
-    return None if params.get("n") is None else json_int(params["n"], what)
+def _inner(value, what: str) -> FunctionSpec:
+    """A junta's inner entry {"family": name, "params": {...}}."""
+    inner = json_of(value, dict, what)
+    _check_keys("junta inner", inner, ("family", "params"))
+    return FunctionSpec(inner["family"], json_of(inner["params"], dict, "inner params"))
+
+
+def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
+    # before the inner table is built: at most n independent masks, one
+    # per inner variable
+    if len(masks) > n:
+        raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
+    inner_n = _table_dimension(inner.family, inner.params)
+    if inner_n != len(masks):
+        raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
+    return n
+
+
+# family -> (generator, {param: parser}, the n of its table).  A parser is
+# a function (value, name) -> value; the generator and the n function take
+# the parsed params by name, and the n function makes every check that
+# needs no table, so it runs before the generator.
+FAMILIES = {
+    "addressing": (gen_addressing, {"k": json_int}, lambda k: sum(_check_addressing_k(k))),
+    "modified-addressing": (gen_modified_addressing, {"k": json_int}, lambda k: 2 + sum(_check_addressing_k(k))),
+    "inner-product": (gen_inner_product, {"m": json_int}, lambda m: 2 * m),
+    "parity": (gen_parity, {"mask": json_int, "n": json_int}, lambda mask, n: n),
+    "conjunction": (gen_conjunction, {"mask": json_int, "n": json_int}, lambda mask, n: n),
+    "junta": (lambda inner, masks, n: gen_junta(build_function(inner), masks, n), {
+        "inner": _inner,
+        "masks": lambda value, what: [json_int(mask, "mask") for mask in json_of(value, list, what)],
+        "n": json_int,
+    }, _junta_dimension),
+    "random": (gen_random, {"n": json_int, "seed": json_int}, lambda n, seed: n),
+}
+
+
+def _values(family: str, params: dict) -> dict:
+    """A family's params, each parsed by FAMILIES; an unknown family, a
+    missing param and then a param the family does not read are refused."""
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise InvalidFamilyParameterError(f"unknown family {family!r}")
+    declared = FAMILIES[family][1]
+    _check_keys(family, params, declared)
+    return {key: parse(params[key], key) for key, parse in declared.items()}
+
+
+def _table_dimension(family: str, params: dict) -> int:
+    """The n of a family's table from its parameters alone."""
+    values = _values(family, params)  # before FAMILIES is indexed by a family that may not be a string
+    return FAMILIES[family][2](**values)
 
 
 def build_function(spec: FunctionSpec) -> TruthTable:
     """The table of a corpus entry; parameters must be integers, as in JSON."""
-    family, p = spec.family, spec.params
-
-    def param(key: str) -> int:
-        return json_int(_required(family, p, key), key)
-
-    if family == "addressing":
-        return gen_addressing(param("k"))
-    if family == "modified-addressing":
-        return gen_modified_addressing(param("k"))
-    if family == "inner-product":
-        return gen_inner_product(param("m"))
-    if family == "parity":
-        return gen_parity(param("mask"), param("n"))
-    if family == "conjunction":
-        return gen_conjunction(param("mask"), param("n"))
-    if family == "junta":
-        inner = json_of(_required(family, p, "inner"), dict, "inner")
-        inner_family = _required("junta inner", inner, "family")
-        inner_params = json_of(_required("junta inner", inner, "params"), dict, "inner params")
-        masks = [json_int(m, "mask") for m in json_of(_required(family, p, "masks"), list, "masks")]
-        n = param("n")
-        # before the inner table is built: at most n independent masks, one
-        # per inner variable
-        if len(masks) > n:
-            raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
-        inner_n = _table_dimension(inner_family, inner_params, "inner n")
-        if inner_n is not None and inner_n != len(masks):
-            raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
-        return gen_junta(build_function(FunctionSpec(inner_family, inner_params)), masks, n)
-    if family == "random":
-        return gen_random(param("n"), param("seed"))
-    raise InvalidFamilyParameterError(f"unknown family {family!r}")
+    values = _values(spec.family, spec.params)
+    FAMILIES[spec.family][2](**values)  # a junta's masks are checked before its inner table is built
+    return FAMILIES[spec.family][0](**values)

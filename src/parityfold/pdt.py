@@ -20,7 +20,6 @@ sampling run's seed, trials, p, delta and ell.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -370,9 +369,6 @@ class BuildResult:
 
     def depth(self) -> int:
         return self.tree.depth()
-
-    def log_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in self.log)
 
 
 def _folding_probabilities(k: int, delta: float, ell: float) -> tuple[float, float]:

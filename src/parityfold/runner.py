@@ -13,8 +13,9 @@ parser and a default; verify's checks and mc's kinds are the keys of
 ``op_params`` is the one gate: it refuses a key its op does not read,
 parses and checks each value once and hands the op what it reads
 (pdt's ``BuildConfig``).  ``run_experiment`` passes every analysis
-through it before any function is built, by ``resolve_function``; the
-CLI op subcommands run ops through ``run_op``.  analyze's ``restrict``,
+through it, and every function entry through ``check_function``, before
+``resolve_function`` builds any function; a CLI op subcommand calls
+``op_params`` before ``resolve_function`` too.  analyze's ``restrict``,
 a constraint list ``[{"mask": m, "bit": 0 or 1}, ...]``, adds a
 ``restrict`` block: the spectrum restricted to the affine subspace the
 constraints cut out, and its buckets against the identification bound.
@@ -77,25 +78,29 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
-    """(label, truth table) of a corpus entry: {"path": file} or
-    {"family": name, **params}; spectrum files are inverted to tables."""
+def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
+    """(label, spec) of a corpus entry, {"path": file} (spec None) or
+    {"family": name, **params}, after every check that needs no table: a
+    path is a string; a family reads every param given and its n is at
+    most max_n."""
     if "path" in entry:
         if not isinstance(entry["path"], str):
             raise ConfigError(f"function path must be a string, got {entry['path']!r}")
-        path = base_dir / entry["path"]
-        loaded = load_function(path)
-        label = str(entry["path"])
-    elif "family" in entry:
-        params = {key: value for key, value in entry.items() if key != "family"}
-        spec = FunctionSpec(entry["family"], params)
-        label = spec.label()
-        n = _table_dimension(spec.family, params, "n")
-        if n is not None and n > max_n:
-            raise ConfigError(f"{label}: n = {n} exceeds max_n = {max_n}")  # before 2^n entries
-        loaded = build_function(spec)
-    else:
+        return entry["path"], None
+    if "family" not in entry:
         raise ConfigError(f"function entry needs 'family' or 'path': {entry!r}")
+    spec = FunctionSpec(entry["family"], {key: value for key, value in entry.items() if key != "family"})
+    n = _table_dimension(spec.family, spec.params)
+    if n > max_n:
+        raise ConfigError(f"{spec.label()}: n = {n} exceeds max_n = {max_n}")  # before 2^n entries
+    return spec.label(), spec
+
+
+def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
+    """(label, truth table) of a corpus entry, checked by check_function
+    first; spectrum files are inverted to tables."""
+    label, spec = check_function(entry, max_n)
+    loaded = load_function(base_dir / entry["path"]) if spec is None else build_function(spec)
     if loaded.n > max_n:
         raise ConfigError(f"{label}: n = {loaded.n} exceeds max_n = {max_n}")
     if isinstance(loaded, spectral.FourierSpectrum):
@@ -322,11 +327,6 @@ def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
     return values
 
 
-def run_op(op: str, table: TruthTable, spectrum: FourierSpectrum, params: dict, seed: int) -> dict:
-    """The result block of one analysis op on one function."""
-    return OPS[op][0](table, spectrum, op_params(op, params, seed))
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     version: str
@@ -495,8 +495,10 @@ def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport
             json_of(analysis, dict, "analysis")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # every analysis is parsed, and refused, before any function is built
+    # every analysis and every function entry is checked, and refused, before any function is built
     ops = [(a.get("op"), op_params(a.get("op"), {k: v for k, v in a.items() if k != "op"}, seed)) for a in analyses]
+    for entry in functions:
+        check_function(entry, max_n)
     results: list[dict] = []
     for entry in functions:
         label, table = resolve_function(entry, base_dir, max_n)

@@ -597,7 +597,7 @@ def test_fold_op_builds_one_profile(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(folding, "direction_classes", counting)
-    out = runner.run_op("fold", None, spectrum, {"ell": "1/2", "delta": "1/4"}, 0)
+    out = runner.OPS["fold"][0](None, spectrum, runner.op_params("fold", {"ell": "1/2", "delta": "1/4"}, 0))
     assert len(calls) == 1
     assert out["delta"] == str(expected_params.delta)
     assert out["class_size_threshold"] == expected_params.class_size_threshold

@@ -236,6 +236,56 @@ def test_analyses_are_refused_before_any_function_is_built(tmp_path, monkeypatch
     assert code == USAGE_ERROR and message in err and "Traceback" not in err
 
 
+RESTRICT_ARGV = ["analyze", FUNCTION, "--restrict", "system.json"]  # system.json holds the case's restrict
+# each REFUSED case on its subcommand; argparse refuses the values that
+# have no flag form (a JSON string for an integer, a bool flag's value,
+# an unknown choice) on its own
+REFUSED_ARGV = {
+    "fold-elll": ["fold", FUNCTION, "--elll", "1"],
+    "verify-check": ["verify", "three-folds", FUNCTION],
+    "mc-kind": ["mc", "warmp", FUNCTION],
+    "mc-kind-with-p": ["mc", "warmp", FUNCTION, "--p", "1/4"],
+    "pdt-strategy": ["pdt", "build", FUNCTION, "--strategy", "greedy"],
+    "pdt-resample-cap": ["pdt", "build", FUNCTION, "--resample-cap", "0"],
+    "pdt-seed": ["--seed", "-1", "pdt", "build", FUNCTION],
+    "pdt-sampling-delta-ell": ["pdt", "build", FUNCTION, "--strategy", "sampling", "--delta", "1/5", "--ell", "1/2"],
+    "fold-ell": ["fold", FUNCTION, "--ell", "2"],
+    "mc-trials": ["mc", "warmup", FUNCTION, "--trials", "0"],
+    "mc-seed": ["--seed", "-1", "mc", "warmup", FUNCTION],
+    "mc-p": ["mc", "theorem-1", FUNCTION, "--p", "3/2"],
+    "mc-trials-string": ["mc", "warmup", FUNCTION, "--trials", "five"],
+    "fold-pairs-string": ["fold", FUNCTION, "--pairs", "no"],
+    "verify-check-number": ["verify", "5", FUNCTION],
+    "mc-p-fraction": ["mc", "theorem-1", FUNCTION, "--p", "1/x"],
+    "fold-delta-negative": ["fold", FUNCTION, "--delta", "-1"],
+    "fold-delta-zero": ["fold", FUNCTION, "--delta", "0"],
+    "fold-delta-above-one": ["fold", "random:n=20,seed=1", "--delta", "5"],
+    "restrict-not-a-list": RESTRICT_ARGV,
+    "restrict-no-mask": RESTRICT_ARGV,
+    "restrict-bit-2": RESTRICT_ARGV,
+    "restrict-bool-mask": RESTRICT_ARGV,
+    "restrict-negative-mask": RESTRICT_ARGV,
+}
+
+
+def test_every_refused_analysis_has_a_subcommand_form():
+    assert set(REFUSED_ARGV) == set(REFUSED)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_subcommands_refuse_before_any_function_is_built(tmp_path, monkeypatch, case):
+    analysis, message = REFUSED[case]
+
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text(json.dumps(analysis.get("restrict")))
+    code, out, err = cli(REFUSED_ARGV[case])
+    assert code == USAGE_ERROR and out == "" and "Traceback" not in err
+    assert message in err or err.startswith("usage:")  # argparse's own refusal names the flag instead
+
 # constraint lists that parse but that only the function's n (6 for
 # addressing k = 16) can refuse, and the words of each refusal
 UNRESTRICTABLE = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import pdt
+from parityfold import pdt, runner
 from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
@@ -539,11 +539,15 @@ def test_build_addressing64_sound_within_depth_budget():
     assert result.depth() <= 4 * math.isqrt(64)
 
 
-def test_build_log_jsonl():
-    result = build_pdt(gen_addressing(4), BuildConfig(seed=2))
-    lines = result.log_jsonl().splitlines()
-    assert len(lines) == len(result.log)
-    assert all(line.startswith("{") for line in lines)
+def test_build_log_jsonl(tmp_path):
+    # pdt build --log writes the result block's node records, one JSON object a line
+    log = tmp_path / "build.jsonl"
+    assert main(["--seed", "2", "--json", "pdt", "build", "addressing:k=4", "--log", str(log)]) == 0
+    block = runner.run_experiment({"seed": 2, "functions": [{"family": "addressing", "k": 4}],
+                                   "analyses": [{"op": "pdt"}]}).results[0]["analyses"][0]["result"]
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert records == block["node_records"] != []
+    assert log.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in block["node_records"])
 
 
 def test_config_validation():

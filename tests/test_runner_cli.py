@@ -182,6 +182,52 @@ def test_a_missing_family_parameter_is_named(tmp_path, capsys, entry, family, pa
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# family entries that give a key their family does not read, and the words
+# of each refusal; an inner entry and its params are read like an entry
+UNREAD = {
+    "addressing": ({"family": "addressing", "k": 16, "kk": 64}, "addressing: unknown parameter 'kk'; addressing reads k"),
+    "inner-product": ({"family": "inner-product", "m": 2, "n": 9}, "inner-product: unknown parameter 'n'; inner-product reads m"),
+    "parity": ({"family": "parity", "mask": 3, "n": 2, "seed": 5}, "parity: unknown parameter 'seed'; parity reads mask, n"),
+    "junta-inner": ({"family": "junta", "n": 2, "masks": [1, 2], "inner": {**JUNTA_INNER, "n": 2}},
+                    "junta inner: unknown parameter 'n'; junta inner reads family, params"),
+    "junta-inner-params": ({"family": "junta", "n": 2, "masks": [1, 2],
+                            "inner": {"family": "inner-product", "params": {"m": 1, "n": 2}}},
+                           "inner-product: unknown parameter 'n'; inner-product reads m"),
+    "non-string-family": ({"family": ["addressing"], "k": 16}, "unknown family ['addressing']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_a_key_the_family_does_not_read_is_refused_before_any_function_is_built(tmp_path, monkeypatch, capsys, case):
+    entry, message = UNREAD[case]
+
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    # the bad entry comes last, after one that would build
+    config = {"functions": [{"family": "addressing", "k": 16}, entry], "analyses": [{"op": "analyze"}]}
+    with pytest.raises(families.InvalidFamilyParameterError) as raised:
+        run_experiment(config)
+    assert str(raised.value) == message
+    assert run_cli("experiment", str(make_config(tmp_path, config))) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    params = {key: value for key, value in entry.items() if key != "family"}
+    if type(entry["family"]) is str and all(type(value) is int for value in params.values()):  # inline and gen
+        items = [f"{key}={value}" for key, value in params.items()]
+        for argv in (["analyze", f"{entry['family']}:" + ",".join(items)], ["gen", entry["family"], *items]):
+            assert run_cli(*argv) == USAGE_ERROR
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_gen_junta_reads_only_masks_and_n(tmp_path, capsys):
+    inner = tmp_path / "inner.json"
+    assert run_cli("gen", "conjunction", "mask=3", "n=2", "-o", str(inner)) == 0
+    assert run_cli("gen", "junta", "masks=3,5", "n=4", "--inner", str(inner)) == 0
+    capsys.readouterr()
+    assert run_cli("gen", "junta", "masks=3,5", "n=4", "foo=1", "--inner", str(inner)) == USAGE_ERROR
+    assert capsys.readouterr() == ("", "error: gen junta: unknown parameter 'foo'; gen junta reads masks, n\n")
+
 def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "addressing:k=16") == 0
     assert run_cli("verify", "counterexample", "--n", "5") == 0
@@ -607,13 +653,13 @@ def test_pdt_and_mc_ops_reuse_the_runner_spectrum(monkeypatch):
 )
 def test_cli_op_subcommands_run_the_op_table(monkeypatch, capsys, argv, op):
     calls = []
-    real = runner.run_op
+    real, params = runner.OPS[op]
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append(op)
         return real(*args)
 
-    monkeypatch.setattr(runner, "run_op", counting)
+    monkeypatch.setitem(runner.OPS, op, (counting, params))
     assert main(argv) == 0
     assert calls == [op]
     capsys.readouterr()
