@@ -128,7 +128,8 @@ class FoldingProfile:
         delta = Fraction(delta)
         params = self.folding_parameters(ell)
         counts, _ = self.partners(params.class_size_threshold)
-        members = [a for a, c in zip(self.masks.tolist(), counts.tolist()) if 2 * c >= delta * k]
+        # 2c >= delta*k for an integer c in [0, k) is c >= ceil(delta*k/2), clipped to [0, k]
+        members = self.masks[counts >= min(max(math.ceil(delta * k / 2), 0), k)].tolist()
         if params.delta >= delta and k >= HEAVY_BOUND_MIN_K and 3 * len(members) < delta * k:
             raise FoldingBoundError(
                 f"|U| = {len(members)} below delta*k/3 = {delta * k / 3} at k={k}"
@@ -149,12 +150,10 @@ class FoldingProfile:
             "min_class_size": self.min_class_size,
             "max_class_size": self.max_class_size,
             "histogram": {str(s): c for s, c in self.histogram().items()},
-            "classes": {str(g): c for g, c in zip(self.directions.tolist(), self.counts.tolist())},
+            "classes": dict(zip(map(str, self.directions.tolist()), self.counts.tolist())),
         }
         if self.pairs is not None:
-            out["pairs"] = {
-                str(g): [list(p) for p in self.pairs[g]] for g in sorted(self.pairs)
-            }
+            out["pairs"] = {str(g): [list(p) for p in pairs] for g, pairs in self.pairs.items()}
         return out
 
 
@@ -286,11 +285,11 @@ def verify_three_fold(spectrum: FourierSpectrum) -> dict[int, int]:
         raise SparsityTooSmallError(
             f"k = {spectrum.sparsity} <= 4; the three-fold guarantee needs k > 4"
         )
-    witnesses = three_fold_witnesses(spectrum.masks)
-    missing = sorted(a for a, b in witnesses.items() if b is None)
-    if missing:
-        raise ThreeFoldViolationError(missing)
-    return {a: b for a, b in witnesses.items() if b is not None}
+    profile = direction_classes(spectrum.masks)
+    counts, first = profile.partners(3)
+    if len(missing := profile.masks[counts == 0]):
+        raise ThreeFoldViolationError(missing.tolist())  # sorted, as masks are
+    return dict(zip(profile.masks.tolist(), profile.masks[first].tolist()))
 
 
 @dataclass(frozen=True)
@@ -310,12 +309,8 @@ class SingleDirectionReport:
             "positive_count": self.positive_count,
             "negative_count": self.negative_count,
             "plateaued": self.plateaued,
-            "nontrivial_counts": {
-                str(a): c for a, c in sorted(self.nontrivial_counts.items())
-            },
-            "single_direction": {
-                str(a): list(v) for a, v in sorted(self.single_direction.items())
-            },
+            "nontrivial_counts": dict(zip(map(str, self.nontrivial_counts), self.nontrivial_counts.values())),
+            "single_direction": {str(a): list(v) for a, v in self.single_direction.items()},
         }
 
 
@@ -385,7 +380,7 @@ class SignFeasibilityResult:
             "constraint_count": len(self.constraints),
         }
         if self.assignment is not None:
-            out["assignment"] = {str(a): s for a, s in sorted(self.assignment.items())}
+            out["assignment"] = dict(zip(map(str, self.assignment), self.assignment.values()))
         if self.witness is not None:
             out["witness"] = [
                 {

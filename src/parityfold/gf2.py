@@ -5,15 +5,18 @@ x_{i+1}; n is capped at 24 so every mask fits comfortably in one word
 and exhaustive checks over 2^n stay desk-scale.
 
 `Echelon` is the one elimination kernel and the one basis type: reduced
-row-echelon rows, pivots (leading bits, kept as one-bit masks) strictly
-decreasing, each row tagged with the independent inserts summing to it
-(bit j: the j-th insert), so tags are unique and a payload packed as one
-mask reads as parity(tag & payload): constraint right-hand sides, or the
-sign constraints a witness combines.  A label or an insert is one tagged
-O(rank) pass; an independent insert adds a pass over the rows and an
-O(rank log rank) re-sort.  `row_reduce` builds one from range-checked
-vectors, `coset_label` is its `reduce_tagged` label, and `in_span` and
-`extend_basis` wrap that label.
+row-echelon rows indexed by their pivots (leading bits, kept as one-bit
+masks), with the mask of all pivots beside them, each row tagged with the
+independent inserts summing to it (bit j: the j-th insert), so tags are
+unique and a payload packed as one mask reads as parity(tag & payload):
+constraint right-hand sides, or the sign constraints a witness combines.
+No row has a bit at another row's pivot, so a label XORs in exactly the
+rows whose pivots v has, one pass over the bits of v & pivots; an
+independent insert also rewrites the rows that hold its new pivot, all
+of them rows with higher pivots.  `rows` is the sorted view, (row,
+pivot, tag) by decreasing pivot, built when it is read.  `row_reduce`
+builds one from range-checked vectors, `coset_label` is its
+`reduce_tagged` label, and `in_span` and `extend_basis` wrap that label.
 
 `label_step` is the same elimination on a numpy array of labels, and
 `labels` runs it once per row, XOR-ing the row's tag, or any payload in
@@ -52,22 +55,31 @@ class Echelon:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.rows: list[tuple[int, int, int]] = []
         self.inserted = 0
+        self._pivots = 0  # the OR of every row's pivot
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (row, tag)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[tuple[int, int, int]]:
+        return [(row, pivot, tag) for pivot, (row, tag) in sorted(self._rows.items(), reverse=True)]
 
     def reduce_tagged(self, v: int) -> tuple[int, int]:
         """(label, tag): v plus the inserted vectors named by tag is label,
         the canonical representative of v modulo the row span."""
         tag = 0
-        # the rows are reduced, so clearing one pivot never sets another: one pass
-        for row, pivot, row_tag in self.rows:
-            if v & pivot:
-                v ^= row
-                tag ^= row_tag
+        # the rows are reduced, so clearing one pivot never sets another:
+        # the pivots to clear are the ones v has
+        hit = v & self._pivots
+        while hit:
+            pivot = hit & -hit
+            hit ^= pivot
+            row, row_tag = self._rows[pivot]
+            v ^= row
+            tag ^= row_tag
         return v, tag
 
     def insert(self, v: int) -> int:
@@ -79,8 +91,16 @@ class Echelon:
         if not red:
             return tag
         pivot = 1 << (red.bit_length() - 1)
-        rows = [(r ^ red, p, t ^ tag) if r & pivot else (r, p, t) for r, p, t in self.rows]
-        self.rows = sorted(rows + [(red, pivot, tag)], reverse=True)  # pivots are distinct
+        rows = self._rows
+        above = self._pivots & -(pivot << 1)  # a row's bits are at most its pivot
+        while above:
+            p = above & -above
+            above ^= p
+            r, t = rows[p]
+            if r & pivot:
+                rows[p] = (r ^ red, t ^ tag)
+        rows[pivot] = (red, tag)
+        self._pivots |= pivot
         return 0
 
 

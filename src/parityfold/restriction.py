@@ -172,7 +172,7 @@ class BucketReport:
         return {
             "bucket_count": self.bucket_count,
             "identified_count": self.identified_count,
-            "buckets": {str(label): list(self.buckets[label]) for label in sorted(self.buckets)},
+            "buckets": {str(label): list(members) for label, members in self.buckets.items()},
         }
 
 

@@ -27,7 +27,10 @@ encoder; json's indenting encoder is pure Python and pays one generator
 hop per nesting level for each piece it writes.  Here scalars are
 formatted by a table keyed on their exact type, each run of scalar
 items is one join, and open containers sit on an explicit stack, so the
-cost is linear in the output at any depth.
+cost is linear in the output at any depth.  A container of at least
+``SCALAR_RUN_MIN`` scalars of one exact type (a list or tuple, or a dict
+whose keys are all ``str``), such as a support list or a per-mask map,
+is written by one ``map`` and ``join``, with no Python step per item.
 """
 
 from __future__ import annotations
@@ -81,11 +84,13 @@ def load_config(path: str | Path) -> dict:
 def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
     """(label, spec) of a corpus entry, {"path": file} (spec None) or
     {"family": name, **params}, after every check that needs no table: a
-    path is a string; a family reads every param given and its n is at
-    most max_n."""
+    path is a string and the entry's one key; a family reads every param
+    given and its n is at most max_n."""
     if "path" in entry:
         if not isinstance(entry["path"], str):
             raise ConfigError(f"function path must be a string, got {entry['path']!r}")
+        if stray := sorted(map(repr, set(entry) - {"path"})):
+            raise ConfigError(f"{entry['path']}: unknown key {', '.join(stray)}; a path entry reads only 'path'")
         return entry["path"], None
     if "family" not in entry:
         raise ConfigError(f"function entry needs 'family' or 'path': {entry!r}")
@@ -157,7 +162,7 @@ def _three_fold(spectrum: FourierSpectrum) -> dict:
         witnesses = folding.verify_three_fold(spectrum)
     except folding.ThreeFoldViolationError as exc:
         return {"passed": False, "missing": exc.missing}
-    return {"passed": True, "witnesses": {str(a): b for a, b in sorted(witnesses.items())}}
+    return {"passed": True, "witnesses": dict(zip(map(str, witnesses), witnesses.values()))}
 
 
 def _single_direction(spectrum: FourierSpectrum) -> dict:
@@ -391,6 +396,28 @@ def _scalar_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# a container of at least this many scalars of one exact type is one join
+SCALAR_RUN_MIN = 16
+
+
+def _scalar_run(value, indent: str) -> str | None:
+    """JSON text of a list, tuple or str-keyed dict of scalars of one exact
+    type, brackets included, its items one indent step below ``indent``
+    (the newline and indent of the container itself); None otherwise."""
+    types = set(map(type, value.values() if isinstance(value, dict) else value))
+    fmt = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
+    if fmt is None:
+        return None
+    inner = indent + "  "
+    if not isinstance(value, dict):
+        return "[" + inner + ("," + inner).join(map(fmt, value)) + indent + "]"
+    if set(map(type, value)) != {str}:
+        return None
+    keys = sorted(value)
+    items = zip(map(encode_basestring_ascii, keys), map(fmt, map(value.__getitem__, keys)))
+    return "{" + inner + ("," + inner).join(map(": ".join, items)) + indent + "}"
+
+
 def _key_prefix(key) -> str:
     """'"key": ' for a dict key, coerced to a string as json coerces it."""
     if isinstance(key, str):
@@ -412,7 +439,9 @@ def canonical_json(obj) -> str:
     Open containers live on an explicit stack, not on the call stack, so
     every depth that json.loads reads is written back. Each run of scalar
     items is one join, and text goes to ``out`` once, so the cost is
-    linear in the output at any depth.
+    linear in the output at any depth. A container of SCALAR_RUN_MIN or
+    more scalars of one exact type, keyed by str if a dict, is one map and
+    join (`_scalar_run`), not a pass of the loop per item.
     """
     out: list[str] = []
     open_ids: set[int] = set()
@@ -448,6 +477,9 @@ def canonical_json(obj) -> str:
                 continue
             if not value:
                 parts.append(head + ("{}" if isinstance(value, dict) else "[]"))
+                continue
+            if len(value) >= SCALAR_RUN_MIN and (run := _scalar_run(value, inner)) is not None:
+                parts.append(head + run)
                 continue
         if parts:
             out.append(sep + ("," + inner).join(parts))

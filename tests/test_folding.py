@@ -20,6 +20,7 @@ from parityfold.folding import (
     FoldingBoundError,
     SingleDirectionViolationError,
     SparsityTooSmallError,
+    ThreeFoldViolationError,
     addressing_folding_profile,
     check_pair_condition,
     counterexample_support,
@@ -148,6 +149,54 @@ def test_kernel_matches_pair_loop_oracles(support, delta, ell, block_entries):
 )
 def test_kernel_matches_pair_loop_oracles_fixed(support):
     assert_kernel_matches_oracles(support, Fraction(1, 9), Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        addressing_support(16)[0],
+        sorted(wht(gen_inner_product(3)).support()),  # k = 64: the averaging bound is checked
+        sorted(wht(gen_modified_addressing(16)).support()),
+        sorted(wht(gen_random(5, 3)).support()),
+        counterexample_support(7),
+    ],
+    ids=["addressing-16", "inner-product-3", "modified-addressing-16", "random-5", "counterexample-7"],
+)
+def test_heavy_participants_matches_the_per_mask_fraction_rule(support):
+    k = len(support)
+    profile = direction_classes(support)
+    for ell in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+        counts, _ = profile.partners(profile.folding_parameters(ell).class_size_threshold)
+        # delta*k = 2c is a tie for the masks with c partners, 2c +- 1 is odd
+        deltas = {Fraction(2 * c + d, k) for c in set(counts.tolist()) for d in (-1, 0, 1) if 2 * c + d > 0}
+        for delta in sorted(deltas | {Fraction(1, 10**6)}):
+            # naive_heavy is the per-mask rule 2c >= delta*k in Fractions
+            assert outcome(heavy_participants, support, delta, ell) == outcome(naive_heavy, support, delta, ell)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        counterexample_support(5),
+        counterexample_support(9),
+        {m << 2 for m in counterexample_support(5)} | {1, 2},  # two strays below the rest
+        {m << 2 for m in counterexample_support(9)} | {2, 1},
+        (16, 8, 4, 2, 1),  # every class has one pair
+        (1024, 7, 6, 5, 4, 3, 2, 1, 0, 2048),  # a subspace and two strays
+    ],
+    ids=["counterexample-5", "counterexample-9", "strays-5", "strays-9", "singletons", "subspace-strays"],
+)
+def test_verify_three_fold_matches_the_oracle_and_lists_missing_masks_sorted(support):
+    witnesses = naive_three_fold(support)
+    expected = [a for a, b in witnesses.items() if b is None]  # in mask order
+    spectrum = FourierSpectrum(max(support).bit_length(), dict.fromkeys(support, 1))
+    if not expected:
+        assert verify_three_fold(spectrum) == witnesses
+        return
+    with pytest.raises(ThreeFoldViolationError) as raised:
+        verify_three_fold(spectrum)
+    assert raised.value.missing == sorted(expected) == expected
+    assert all(type(a) is int for a in raised.value.missing)
 
 
 def and2_support():

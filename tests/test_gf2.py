@@ -190,6 +190,65 @@ def test_echelon_tags_name_the_inserts_summing_to_each_row(n, data):
         assert label == coset_label(v, row_reduce(vecs, n))
 
 
+class ListEchelon:
+    """Reference: the list-based Echelon, rows kept sorted by decreasing
+    pivot, a label one pass over every row, an insert a re-sort."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = []
+        self.inserted = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce_tagged(self, v):
+        tag = 0
+        for row, pivot, row_tag in self.rows:
+            if v & pivot:
+                v ^= row
+                tag ^= row_tag
+        return v, tag
+
+    def insert(self, v):
+        red, tag = self.reduce_tagged(v)
+        tag |= 1 << self.inserted
+        self.inserted += 1
+        if not red:
+            return tag
+        pivot = 1 << (red.bit_length() - 1)
+        rows = [(r ^ red, p, t ^ tag) if r & pivot else (r, p, t) for r, p, t in self.rows]
+        self.rows = sorted(rows + [(red, pivot, tag)], reverse=True)
+        return 0
+
+
+def sign_system_rows(data):
+    """Rows like sign feasibility's: 4 of k variables each, up to 2k rows."""
+    k = data.draw(st.integers(4, 128))
+    members = st.lists(st.integers(0, k - 1), min_size=4, max_size=4, unique=True)
+    rows = data.draw(st.lists(members.map(lambda ms: sum(1 << m for m in ms)), max_size=2 * k))
+    return k, rows, data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=8))
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pivot_indexed_echelon_matches_the_list_reference(wide, data):
+    if wide:
+        n, vecs, probes = sign_system_rows(data)
+    else:
+        n = data.draw(st.integers(1, 24))
+        vecs, probes = vectors_and_probes(n, data)
+        vecs += data.draw(st.lists(st.sampled_from(vecs), max_size=4)) if vecs else []  # repeats are dependent
+    echelon, reference = Echelon(n), ListEchelon(n)
+    for v in vecs:
+        assert echelon.insert(v) == reference.insert(v)
+        assert echelon.rows == reference.rows
+        assert echelon.rank == reference.rank and echelon.inserted == reference.inserted
+    for v in [*probes, *vecs][:64]:
+        assert echelon.reduce_tagged(v) == reference.reduce_tagged(v)
+
+
 @given(DIMENSIONS, st.data())
 @settings(max_examples=150, deadline=None)
 def test_vectorized_labels_match_reduce_tagged_and_coset_label(n, data):

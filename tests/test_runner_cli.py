@@ -228,6 +228,29 @@ def test_gen_junta_reads_only_masks_and_n(tmp_path, capsys):
     assert run_cli("gen", "junta", "masks=3,5", "n=4", "foo=1", "--inner", str(inner)) == USAGE_ERROR
     assert capsys.readouterr() == ("", "error: gen junta: unknown parameter 'foo'; gen junta reads masks, n\n")
 
+
+def test_a_path_entry_reads_only_path(tmp_path, monkeypatch, capsys):
+    assert run_cli("gen", "addressing", "k=16", "-o", str(tmp_path / "f.json")) == 0
+    good = {"functions": [{"path": "f.json"}], "analyses": [{"op": "analyze"}]}
+    assert run_cli("experiment", str(make_config(tmp_path, good))) == 0
+    capsys.readouterr()
+
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    monkeypatch.setattr(runner, "load_function", never)
+    # the stray keys of a family entry beside the path, in the last entry
+    stray = {"path": "f.json", "family": "addressing", "k": 16, "seed": 3}
+    config = {"functions": [{"family": "addressing", "k": 16}, stray], "analyses": [{"op": "analyze"}]}
+    message = "f.json: unknown key 'family', 'k', 'seed'; a path entry reads only 'path'"
+    with pytest.raises(ConfigError) as raised:
+        run_experiment(config, tmp_path)
+    assert str(raised.value) == message
+    assert run_cli("experiment", str(make_config(tmp_path, config))) == USAGE_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "addressing:k=16") == 0
     assert run_cli("verify", "counterexample", "--n", "5") == 0
@@ -777,6 +800,46 @@ def test_canonical_json_equals_json_dumps(tree):
     assert runner.canonical_json(tree) == json_dumps_text(tree)
 
 
+def scalar_runs(items):
+    """Lists, tuples and str-keyed dicts of SCALAR_RUN_MIN or more items."""
+    size = {"min_size": runner.SCALAR_RUN_MIN, "max_size": runner.SCALAR_RUN_MIN + 4}
+    return st.lists(items, **size) | st.lists(items, **size).map(tuple) | st.dictionaries(TREE_STRINGS, items, **size)
+
+
+# one-type runs, which canonical_json writes with one join, and runs it must
+# write with its stack loop: bools next to ints, and dicts with other keys
+SCALAR_RUNS = st.one_of(
+    scalar_runs(st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))),
+    scalar_runs(st.sampled_from(SPECIAL_FLOATS)),
+    scalar_runs(TREE_STRINGS),
+    scalar_runs(st.booleans()),
+    scalar_runs(st.none()),
+    scalar_runs(st.booleans() | st.integers(-2, 2)),
+    st.dictionaries(st.booleans() | TREE_INTS, TREE_INTS, min_size=runner.SCALAR_RUN_MIN, max_size=runner.SCALAR_RUN_MIN + 4),
+)
+
+
+@given(st.recursive(SCALAR_RUNS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TREE_STRINGS, inner, max_size=3), max_leaves=4))
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_writes_scalar_runs_as_json_dumps_does(tree):
+    assert runner.canonical_json(tree) == json_dumps_text(tree)
+
+
+def test_only_one_type_runs_of_scalar_run_min_items_take_one_join(monkeypatch):
+    runs = []
+
+    def record(value, inner):
+        runs.append((len(value), text := scalar_run(value, inner)))
+        return text
+
+    scalar_run = runner._scalar_run
+    monkeypatch.setattr(runner, "_scalar_run", record)
+    size = runner.SCALAR_RUN_MIN
+    tree = [list(range(size)), list(range(size - 1)), [True] * 8 + [1] * (size - 8), {str(i): 1.5 for i in range(size)}]
+    assert runner.canonical_json(tree) == json_dumps_text(tree)
+    assert [(n, text is not None) for n, text in runs] == [(size, True), (size, False), (size, True)]
+
+
 class IntKind(enum.IntEnum):
     A = 3
 
@@ -803,6 +866,7 @@ class Table(dict):
     Real(2.5), {Real(-0.0): Real("nan")}, np.float64(1.25), {np.float64(1e300): 1},
     Items([1, Items()]), Table(b=1, a=Table()), [True, 1, False, 0, 1.0],
     {True: 1, 2: "x", 1.5: None}, {None: [None]}, [float("nan"), {-math.inf: math.inf}],
+    [IntKind.A] * 16, {str(i): IntKind.A for i in range(16)}, [Text("q\n")] * 16, {Text(i): Text("v") for i in "abcdefghijklmnop"},
 ], ids=repr)
 def test_canonical_json_handles_subclasses_and_empty_containers(value):
     assert runner.canonical_json(value) == json_dumps_text(value)
