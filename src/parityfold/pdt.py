@@ -13,9 +13,11 @@ tree positions at the end.  |c_a| > 2^n is refused up front (no +-1
 function has it), so restriction stays within k * 2^n <= 2^48.  `_draw`
 marks the union of every build resample attempt and every uncertain
 Monte Carlo trial; `_run_trials` sets one generator to each trial's
-state from `_trial_states`; `_fold_unions` folds every drawn union, and
-a certain union once.  `check_sampling` holds each range check of a
-sampling run's seed, trials, p, delta and ell.
+state from `_trial_states`, and `_fold_unions` folds every drawn union.
+A certain union folds nothing: every trial reports size k and bucket
+count 1 when a phase is 1, size 0 and count k when every phase is 0.
+`check_sampling` holds each range check of a sampling run's seed,
+trials, p, delta and ell.
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ def _draw(union: np.ndarray, probabilities: tuple[float, ...], rng: np.random.Ge
     before any draw.  Returns ``union``, for ``_fold_unions``."""
     for p in probabilities:
         check_sampling(p=p)
-    union.fill(False)
-    for p in probabilities:
+    first, *rest = probabilities
+    np.less(rng.random(union.shape), first, out=union)
+    for p in rest:
         union |= rng.random(union.shape) < p
     return union
 
@@ -710,19 +713,22 @@ def _run_trials(
     The union is certain when some clamped phase is exactly 1 or every
     phase is 0: ``rng.random(k)`` lies in [0, 1), so every generator
     marks the whole support, or none of it.  Then no generator is seeded
-    and one all-True or all-False row is folded and repeated ``trials``
-    times, which is the step each (seed, t) generator would have drawn.
-    At desk scale that covers the warm-up at k <= 1,897 and theorem 2 at
-    delta = 1 and ell <= 1/2 for every n <= 20 (its second phase clamps
-    to 1).  Every uncertain union is drawn from its (seed, t) state.
-    Its callers make `check_sampling`'s checks first.
+    and nothing is folded: the step each (seed, t) generator would have
+    drawn is known in closed form.  With a phase at 1 every member is
+    marked and span(S) holds S, so each trial has sample size k and
+    bucket count 1; with every phase at 0 nothing is marked and the k
+    masks are distinct, so each has size 0 and count k.  At desk scale
+    that covers the warm-up at k <= 1,897 and theorem 2 at delta = 1 and
+    ell <= 1/2 for every n <= 20 (its second phase clamps to 1).  Every
+    uncertain union is drawn from its (seed, t) state.  Its callers make
+    `check_sampling`'s checks first.
     """
     masks = spectrum.masks
     k = len(masks)
     probabilities = tuple(min(1.0, p) for p in requested)
     marked = 1.0 in probabilities
     if marked or not any(probabilities):
-        steps = _fold_unions(masks, np.full((1, k), marked)) * trials
+        sample_sizes, bucket_counts = [k if marked else 0] * trials, [1 if marked else k] * trials
     else:
         rng = np.random.Generator(np.random.PCG64(0))
         union = np.empty((max(1, _TRIAL_CHUNK_CELLS // (k + 1)), k), dtype=bool)
@@ -733,8 +739,8 @@ def _run_trials(
                 rng.bit_generator.state = state
                 _draw(row, probabilities, rng)
             steps += _fold_unions(masks, union[: len(states)])
-    bucket_counts = [count for _, _, count in steps]
-    sample_sizes = [size for _, size, _ in steps]
+        bucket_counts = [count for _, _, count in steps]
+        sample_sizes = [size for _, size, _ in steps]
     mean = Fraction(sum(bucket_counts), trials * k)
     fractions = [b / k for b in bucket_counts]
     mean_f = sum(fractions) / trials

@@ -812,6 +812,38 @@ def test_certain_union_seeds_no_generator(monkeypatch):
         estimate_bucket_reduction(gen_inner_product(2), 0.3, 5, 0)
 
 
+@pytest.mark.parametrize("m, kind, p", [
+    (2, "warmup", None), (5, "warmup", None), (2, "theorem-2", None), (2, "theorem-1", 0.0), (2, "theorem-1", 1.0),
+])
+@pytest.mark.parametrize("seed", [0, 2**40 + 3])
+def test_certain_unions_fold_nothing(monkeypatch, m, kind, p, seed):
+    # the warm-up clamps to p = 1 at k = 16 and k = 1,024, theorem 2 at
+    # delta = 1, ell = 0 clamps its second phase, and theorem 1 is certain
+    # at p = 0 and p = 1: each run is the drawn trials' stats, in closed
+    # form, with no fold, no trial state and no generator
+    f = gen_inner_product(m)
+    spectrum = wht(f)
+    k, trials = spectrum.sparsity, 20
+    if kind == "warmup":
+        requested, threshold = (2 * math.sqrt(math.log2(k)) / k**0.25,), Fraction(k, 2)
+        run = functools.partial(warmup_success_rate, f, trials, seed)
+    elif kind == "theorem-2":
+        requested, threshold = pdt._folding_probabilities(k, 1.0, 0.0), k - Fraction(k, 6)
+        run = functools.partial(folding_sampling_trial, f, 1, 0, trials, seed)
+    else:
+        requested, threshold = (p,), None
+        run = functools.partial(estimate_bucket_reduction, f, p, trials, seed)
+    expected = drawn_trial_stats(spectrum, requested, trials, seed, threshold)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certain union folded, hashed or seeded")
+
+    monkeypatch.setattr(pdt, "_fold_unions", refuse)
+    monkeypatch.setattr(pdt, "_trial_states", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert run() == expected
+
+
 SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
 SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**96 - 1))
 
@@ -874,6 +906,24 @@ def test_fold_unions_is_exact_on_24_bit_masks(data):
         kept = tuple(m for m, marked in zip(masks, row) if marked and basis.insert(m) == 0)
         expected.append((kept, sum(row), len({coset_label(a, basis) for a in masks})))
     assert pdt._fold_unions(np.array(masks, dtype=np.int64), union) == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_certain_union_closed_form_is_the_fold_of_a_certain_row(data):
+    # on supports of up to 24-bit masks, mask 0 among them, a run at p = 1
+    # reports what the fold of an all-True row gives, and one at p = 0
+    # what the fold of an all-False row gives, in every trial
+    top = 1 << 23
+    masks = sorted(data.draw(st.sets(
+        st.just(0) | st.integers(0, 2 * top - 1) | st.integers(top, 2 * top - 1), min_size=1, max_size=30
+    )))
+    spectrum = FourierSpectrum(24, dict.fromkeys(masks, 1))
+    trials, seed = data.draw(st.integers(1, 13)), data.draw(st.integers(0, 2**32 - 1))
+    for p in (1.0, 0.0):
+        stats = pdt._run_trials(spectrum, (p,), trials, seed)
+        ((_, size, count),) = pdt._fold_unions(np.array(masks, dtype=np.int64), np.full((1, len(masks)), p == 1.0))
+        assert (stats.sample_sizes, stats.bucket_counts) == ((size,) * trials, (count,) * trials)
 
 
 MC_RUNS = {
@@ -953,6 +1003,28 @@ def test_build_attempt_draws_k_uniforms_per_phase_when_certain(phases):
         fresh.random(len(support))
     assert rng.bit_generator.state == fresh.bit_generator.state
     assert size == len(support)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_draw_takes_one_random_k_per_phase_from_the_first_phase_on(data):
+    # the first phase writes the row in place and each later one is ORed
+    # in: whatever stale marks the row held, it ends as the union of
+    # sample_parity replays from the same seed, and the generator ends where
+    # one random(k) per phase leaves it, so writing the first phase skips
+    # no draw
+    support = sorted(data.draw(st.sets(st.integers(0, (1 << 24) - 1), min_size=1, max_size=40)))
+    phases = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=3)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    row = np.array(data.draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support))), dtype=bool)
+    rng, replay, counted = (np.random.default_rng(seed) for _ in range(3))
+    pdt._draw(row, phases, rng)
+    union = set()
+    for p in phases:
+        union.update(sample_parity(support, p, replay))
+        counted.random(len(support))
+    assert [m for m, marked in zip(support, row.tolist()) if marked] == sorted(union)
+    assert rng.bit_generator.state == replay.bit_generator.state == counted.bit_generator.state
 
 
 BAD_TREES = {
