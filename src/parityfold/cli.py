@@ -63,6 +63,13 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+# gen junta's params, its inner coming from --inner; one mask is an int
+GEN_JUNTA = {
+    "masks": (lambda value, what: value if isinstance(value, list) else [value], []),
+    "n": (json_int, runner.REQUIRED),
+}
+
+
 def cmd_gen(args) -> int:
     params = key_values(args.param or [], f"gen {args.family}")
     if args.family == "random" and "seed" not in params:
@@ -70,18 +77,12 @@ def cmd_gen(args) -> int:
     if args.family == "junta":
         if not args.inner:
             raise UsageError("gen junta requires --inner FILE")
-        n = params.get("n")
-        if not isinstance(n, int):
-            raise UsageError("gen junta requires one integer n=N")
+        masks, n = spectral.read_keys("gen junta", params, GEN_JUNTA).values()
         label = f"junta(inner={args.inner},n={n})"
-        for key in params:
-            if key not in ("masks", "n"):  # the inner comes from --inner
-                raise UsageError(f"gen junta: unknown parameter {key!r}; gen junta reads masks, n")
         if n > args.max_n:
             raise UsageError(f"{label}: n = {n} exceeds max_n = {args.max_n}")  # before 2^n entries
         _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
-        masks = params.get("masks", [])
-        table = families.gen_junta(inner, masks if isinstance(masks, list) else [masks], n)
+        table = families.gen_junta(inner, masks, n)
     else:
         label, table = runner.resolve_function({"family": args.family, **params}, Path("."), args.max_n)
     text = canonical_json(spectral.table_to_dict(table))

@@ -8,6 +8,10 @@ Variable layout conventions (fixed for file interop):
   - the modified ("if-else") variant prepends its two selector bits at
     positions 0 and 1.
   - inner product on 2m variables pairs bits (0,1), (2,3), ...
+
+A corpus entry's params, and a junta's inner entry, are read by
+`spectral.read_keys`, the one reader of a JSON object's keys, against
+the family table; its refusals here are InvalidFamilyParameterErrors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf2 import MAX_DIMENSION, check_vector, row_reduce
-from .spectral import TruthTable, json_int, json_of, parity_of
+from .spectral import REQUIRED, TruthTable, json_int, json_of, parity_of, read_keys
 
 MAX_TABLE_DIMENSION = 20
 
@@ -140,22 +144,9 @@ class FunctionSpec:
         return f"{self.family}({items})"
 
 
-def _check_keys(family: str, params: dict, declared) -> None:
-    """Refuse a missing key of declared, then a key of params that family
-    does not read; each error names the family and the key."""
-    for key in declared:
-        if key not in params:
-            raise InvalidFamilyParameterError(f"{family}: missing parameter {key!r}")
-    for key in params:
-        if key not in declared:
-            raise InvalidFamilyParameterError(f"{family}: unknown parameter {key!r}; {family} reads {', '.join(declared)}")
-
-
 def _inner(value, what: str) -> FunctionSpec:
     """A junta's inner entry {"family": name, "params": {...}}."""
-    inner = json_of(value, dict, what)
-    _check_keys("junta inner", inner, ("family", "params"))
-    return FunctionSpec(inner["family"], json_of(inner["params"], dict, "inner params"))
+    return FunctionSpec(*read_keys(what, value, {"family": (object, REQUIRED), "params": (dict, REQUIRED)}).values())
 
 
 def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
@@ -169,33 +160,36 @@ def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
     return n
 
 
-# family -> (generator, {param: parser}, the n of its table).  A parser is
-# a function (value, name) -> value; the generator and the n function take
+INT = (json_int, REQUIRED)  # a family's integer param
+
+# family -> (generator, {param: (parser, REQUIRED)}, the n of its table),
+# the params read by `read_keys`.  The generator and the n function take
 # the parsed params by name, and the n function makes every check that
 # needs no table, so it runs before the generator.
 FAMILIES = {
-    "addressing": (gen_addressing, {"k": json_int}, lambda k: sum(_check_addressing_k(k))),
-    "modified-addressing": (gen_modified_addressing, {"k": json_int}, lambda k: 2 + sum(_check_addressing_k(k))),
-    "inner-product": (gen_inner_product, {"m": json_int}, lambda m: 2 * m),
-    "parity": (gen_parity, {"mask": json_int, "n": json_int}, lambda mask, n: n),
-    "conjunction": (gen_conjunction, {"mask": json_int, "n": json_int}, lambda mask, n: n),
+    "addressing": (gen_addressing, {"k": INT}, lambda k: sum(_check_addressing_k(k))),
+    "modified-addressing": (gen_modified_addressing, {"k": INT}, lambda k: 2 + sum(_check_addressing_k(k))),
+    "inner-product": (gen_inner_product, {"m": INT}, lambda m: 2 * m),
+    "parity": (gen_parity, {"mask": INT, "n": INT}, lambda mask, n: n),
+    "conjunction": (gen_conjunction, {"mask": INT, "n": INT}, lambda mask, n: n),
     "junta": (lambda inner, masks, n: gen_junta(build_function(inner), masks, n), {
-        "inner": _inner,
-        "masks": lambda value, what: [json_int(mask, "mask") for mask in json_of(value, list, what)],
-        "n": json_int,
+        "inner": (_inner, REQUIRED),
+        "masks": (lambda value, what: [json_int(mask, "mask") for mask in json_of(value, list, what)], REQUIRED),
+        "n": INT,
     }, _junta_dimension),
-    "random": (gen_random, {"n": json_int, "seed": json_int}, lambda n, seed: n),
+    "random": (gen_random, {"n": INT, "seed": INT}, lambda n, seed: n),
 }
 
 
 def _values(family: str, params: dict) -> dict:
-    """A family's params, each parsed by FAMILIES; an unknown family, a
-    missing param and then a param the family does not read are refused."""
+    """A family's params, read by `read_keys` against FAMILIES, after an
+    unknown family is refused."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidFamilyParameterError(f"unknown family {family!r}")
-    declared = FAMILIES[family][1]
-    _check_keys(family, params, declared)
-    return {key: parse(params[key], key) for key, parse in declared.items()}
+    try:
+        return read_keys(family, params, FAMILIES[family][1])
+    except ValueError as exc:
+        raise InvalidFamilyParameterError(str(exc)) from None
 
 
 def _table_dimension(family: str, params: dict) -> int:

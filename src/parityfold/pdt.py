@@ -258,10 +258,12 @@ def _draw(union: np.ndarray, probabilities: tuple[float, ...], rng: np.random.Ge
     return union
 
 
-def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
-    """(kept batch, union size, bucket count) for each row of a (rows, k)
-    boolean matrix of unions over the sorted support ``masks``; it draws
-    nothing.
+def _fold_unions(masks: np.ndarray, union: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(steps, union sizes, bucket counts) of the rows of a (rows, k)
+    boolean matrix of unions over the sorted support ``masks``, as arrays
+    indexed by row; it draws nothing.  Row r's kept batch is the masks at
+    the columns ``steps[r]`` below k, in order: each step past the last
+    kept member is k.
 
     The rows share one (rows, k) matrix of the support's coset labels:
     each elimination step takes, in every row, the first union member in
@@ -273,7 +275,7 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, 
     bits.
     """
     rows, k = union.shape
-    sizes = union.sum(axis=1).tolist()
+    sizes = union.sum(axis=1)
     # column k is a sentinel, live with label 0: a row with no live
     # member left steps on it, and a step on row 0 is no step
     live = np.zeros((rows, k + 1), dtype=bool)
@@ -294,15 +296,11 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> list[tuple[tuple[int, 
         np.logical_and(live_body, labels_body, out=live_body)
         firsts.append(first)
     # once a row steps on the sentinel it does for good, so its kept
-    # members are the prefix of its steps before the first -1
-    steps = np.array(firsts, dtype=np.int64).reshape(-1, rows) - starts
-    kept = np.append(masks, -1)[steps.T].tolist()
+    # members are the prefix of its steps below k
+    steps = (np.array(firsts, dtype=np.int64).reshape(-1, rows) - starts).T
     labels_body.sort(axis=1)
     counts = 1 + (labels_body[:, 1:] != labels_body[:, :-1]).sum(axis=1)
-    return [
-        (tuple(m for m in row if m >= 0), size, count)
-        for row, size, count in zip(kept, sizes, counts.tolist())
-    ]
+    return steps, sizes, counts
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,8 @@ def _select_frontier(
         target = (1 - config.epsilon) * k
         union = np.empty((1, k), dtype=bool)  # one row, drawn again per attempt
         for attempt in range(1, config.resample_cap + 1):
-            ((batch, _, bcount),) = _fold_unions(masks, _draw(union, probs, rng))
+            steps, _, counts = _fold_unions(masks, _draw(union, probs, rng))
+            batch, bcount = tuple(masks[steps[0][steps[0] < k]].tolist()), int(counts[0])
             if batch and (best is None or bcount < best[1]):
                 best = (batch, bcount)
             if met := bool(batch) and bcount <= target:
@@ -732,15 +731,15 @@ def _run_trials(
     else:
         rng = np.random.Generator(np.random.PCG64(0))
         union = np.empty((max(1, _TRIAL_CHUNK_CELLS // (k + 1)), k), dtype=bool)
-        steps = []
+        sample_sizes, bucket_counts = [], []
         for lo in range(0, trials, len(union)):
             states = _trial_states(seed, np.arange(lo, min(lo + len(union), trials), dtype=np.uint32))
             for row, state in zip(union, states):
                 rng.bit_generator.state = state
                 _draw(row, probabilities, rng)
-            steps += _fold_unions(masks, union[: len(states)])
-        bucket_counts = [count for _, _, count in steps]
-        sample_sizes = [size for _, size, _ in steps]
+            _, sizes, counts = _fold_unions(masks, union[: len(states)])
+            sample_sizes += sizes.tolist()
+            bucket_counts += counts.tolist()
     mean = Fraction(sum(bucket_counts), trials * k)
     fractions = [b / k for b in bucket_counts]
     mean_f = sum(fractions) / trials

@@ -10,15 +10,18 @@ parameters and choices: it maps each analysis op to its function
 ``(table, spectrum, params) -> dict`` and to its parameters, each with a
 parser and a default; verify's checks and mc's kinds are the keys of
 ``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``pdt.STRATEGIES``.
-``op_params`` is the one gate: it refuses a key its op does not read,
-parses and checks each value once and hands the op what it reads
-(pdt's ``BuildConfig``).  ``run_experiment`` passes every analysis
-through it, and every function entry through ``check_function``, before
-``resolve_function`` builds any function; a CLI op subcommand calls
-``op_params`` before ``resolve_function`` too.  analyze's ``restrict``,
-a constraint list ``[{"mask": m, "bit": 0 or 1}, ...]``, adds a
-``restrict`` block: the spectrum restricted to the affine subspace the
-constraints cut out, and its buckets against the identification bound.
+``op_params`` is the one gate: it reads an op's params with
+``spectral.read_keys``, the one reader of a JSON object's keys, checks
+each value and hands the op what it reads (pdt's ``BuildConfig``).
+``run_experiment`` reads the config's top level (``CONFIG``) with
+``read_keys``, passes every analysis through ``op_params`` and every
+function entry through ``check_function``, which reads them with
+``read_keys`` too, before ``resolve_function`` builds any function; a CLI
+op subcommand calls ``op_params`` before ``resolve_function`` too.
+analyze's ``restrict``, a constraint list ``[{"mask": m, "bit": 0 or
+1}, ...]``, adds a ``restrict`` block: the spectrum restricted to the
+affine subspace the constraints cut out, and its buckets against the
+identification bound.
 
 Reports, ``--json`` output, ``gen`` files and saved trees are written
 by ``canonical_json``: the bytes ``json.dumps`` writes with sorted keys
@@ -44,7 +47,7 @@ from pathlib import Path
 
 from . import folding, pdt, restriction, spectral
 from .families import FunctionSpec, _table_dimension, build_function
-from .spectral import FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json
+from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
 VERSION = "0.1.0"
 DEFAULT_MAX_N = 20
@@ -84,16 +87,13 @@ def load_config(path: str | Path) -> dict:
 def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
     """(label, spec) of a corpus entry, {"path": file} (spec None) or
     {"family": name, **params}, after every check that needs no table: a
-    path is a string and the entry's one key; a family reads every param
-    given and its n is at most max_n."""
-    if "path" in entry:
-        if not isinstance(entry["path"], str):
-            raise ConfigError(f"function path must be a string, got {entry['path']!r}")
-        if stray := sorted(map(repr, set(entry) - {"path"})):
-            raise ConfigError(f"{entry['path']}: unknown key {', '.join(stray)}; a path entry reads only 'path'")
-        return entry["path"], None
-    if "family" not in entry:
-        raise ConfigError(f"function entry needs 'family' or 'path': {entry!r}")
+    family reads every param given and its n is at most max_n.  An entry
+    without a family is a path entry."""
+    try:
+        if "path" in json_of(entry, dict, "function entry") or "family" not in entry:
+            return read_keys("path entry", entry, {"path": (str, REQUIRED)})["path"], None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     spec = FunctionSpec(entry["family"], {key: value for key, value in entry.items() if key != "family"})
     n = _table_dimension(spec.family, spec.params)
     if n > max_n:
@@ -243,24 +243,19 @@ def parse_constraints(value, what: str = "value") -> tuple[tuple[int, int], ...]
     pairs, m >= 0; the masks are checked against n when the op runs."""
     constraints = []
     for entry in json_of(value, list, what):
-        if set(json_of(entry, dict, f"{what} constraint")) != {"mask", "bit"}:
-            raise ConfigError(f"{what}: a constraint is {{\"mask\": m, \"bit\": 0 or 1}}, got {entry!r}")
-        mask, bit = json_int(entry["mask"], f"{what} mask"), json_int(entry["bit"], f"{what} bit")
+        mask, bit = read_keys(f"{what} constraint", entry, {"mask": (json_int, REQUIRED), "bit": (json_int, REQUIRED)}).values()
         if mask < 0 or bit not in (0, 1):
             raise ConfigError(f"{what}: mask must be >= 0 and bit 0 or 1, got {entry!r}")
         constraints.append((mask, bit))
     return tuple(constraints)
 
 
-REQUIRED = object()  # the default of a param that the op cannot run without
-
-# op -> (function, {param: (parser, default[, kinds...])}).  A parser is a
-# function (value, name) -> value, the JSON type (bool) that the value must
-# have, or the op's choices (a table's keys), one of which the value must
-# name.  A default of None leaves the param out unless it is
-# given; seed defaults to the run's seed; pdt's defaults are BuildConfig's
-# own.  A param that names kinds is read only by those values of the op's
-# kind, and refused for the others.
+# op -> (function, {param: (parser, default[, kinds...])}), each param
+# read by `read_keys` (a parser is a function, a JSON type or the op's
+# choices; a default is a value, None or REQUIRED).  seed defaults to the
+# run's seed; pdt's defaults are BuildConfig's own.  A param that names
+# kinds is read only by those values of the op's kind, and refused for the
+# others.
 OPS = {
     "analyze": (analyze_summary, {"restrict": (parse_constraints, None)}),
     "fold": (fold_summary, {
@@ -288,41 +283,31 @@ OPS = {
     }),
 }
 
-
-def _parse(parse, value, what: str):
-    """One op value, by its parser in OPS."""
-    if not callable(parse):  # the op's choices
-        if json_of(value, str, what) not in parse:
-            raise ConfigError(f"unknown {what} {value!r}; pick from {', '.join(parse)}")
-        return value
-    return json_of(value, parse, what) if isinstance(parse, type) else parse(value, what)
+# the params each mc kind reads: those that name no kind or name it
+KIND_PARAMS = {
+    kind: {name: spec[:2] for name, spec in OPS["mc"][1].items() if kind in spec[2:] or len(spec) == 2} for kind in MC_KINDS
+}
 
 
 def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
-    """What op reads, from its params: each value parsed and checked, the
-    op's defaults filled in, and pdt's BuildConfig built.  Every check
-    that does not depend on the function is made here, so a config runs
-    it on every analysis before any function is built; each refusal is a
-    ConfigError, and a parse error names the op and the key."""
+    """What op reads, from its params, by `read_keys`: each value parsed
+    and checked, the op's defaults filled in, and pdt's BuildConfig built.
+    Every check that does not depend on the function is made here, so a
+    config runs it on every analysis before any function is built; each
+    refusal is a ConfigError, and a parse error names the op and the key."""
     if not isinstance(op, str) or op not in OPS:
         raise ConfigError(f"unknown analysis op {op!r}")
     declared = OPS[op][1]
-    for key in params:
-        if key not in declared:
-            raise ConfigError(f"{op}: unknown parameter {key!r}; {op} reads {', '.join(declared) or 'none'}")
-    values = {"seed": seed} if "seed" in declared else {}
     try:
-        for name, (parse, default, *kinds) in declared.items():
-            kind = values.get("kind")  # mc declares kind first, so it is checked before any kind tag
-            if kinds and kind not in kinds:
-                if name in params:
-                    raise ConfigError(f"{op} {kind} does not read {name!r}; only {' and '.join(kinds)} does")
-            elif name in params:
-                values[name] = _parse(parse, params[name], f"{op} {name}")
-            elif default is REQUIRED:
-                raise ConfigError(f"{op}{f' {kind}' if kinds else ''} requires {name}")
-            elif default is not None:
-                values[name] = default
+        if op == "mc":  # its kind, read first, picks the params it reads
+            kind = read_keys(op, {"kind": params["kind"]} if "kind" in params else {}, {"kind": declared["kind"]})["kind"]
+            for name in params:
+                if name not in KIND_PARAMS[kind] and name in declared:
+                    raise ConfigError(f"{op} {kind} does not read {name!r}; only {' and '.join(declared[name][2:])} does")
+            declared = KIND_PARAMS[kind]
+        values = read_keys(op, params, declared)
+        if "seed" in declared:
+            values.setdefault("seed", seed)
         if op == "pdt":
             return pdt.BuildConfig(**values)
         # the sampling values mc and fold read (fold's delta, which picks heavy participants)
@@ -514,17 +499,22 @@ def _flatten(obj, prefix: str = "") -> dict:
     return out
 
 
+# the keys of a config's top level; each analysis is an object, and note
+# takes any value, which the report echoes with the rest of the config and
+# nothing reads
+CONFIG = {
+    "seed": (json_int, 0),
+    "max_n": (json_int, DEFAULT_MAX_N),
+    "functions": (list, REQUIRED),
+    "analyses": (lambda value, what: [json_of(item, dict, "analysis") for item in json_of(value, list, what)], []),
+    "note": (object, None),
+}
+
+
 def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport:
     base_dir = Path(base_dir)
     try:
-        seed = json_int(config.get("seed", 0), "seed")
-        max_n = json_int(config.get("max_n", DEFAULT_MAX_N), "max_n")
-        functions = json_of(config.get("functions", []), list, "functions")
-        analyses = json_of(config.get("analyses", []), list, "analyses")
-        for entry in functions:
-            json_of(entry, dict, "function entry")
-        for analysis in analyses:
-            json_of(analysis, dict, "analysis")
+        seed, max_n, functions, analyses, *_ = read_keys("config", config, CONFIG).values()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # every analysis and every function entry is checked, and refused, before any function is built

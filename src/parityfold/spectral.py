@@ -16,6 +16,15 @@ f^2 = 1.  The WHT `fwht_inplace` lives in `pairs` for that route.
 readers take integers only as JSON integers (`json_int`): a bool or a
 float is an error, never a truncated int.
 
+`read_keys` is the one reader of a JSON object's keys, for the whole
+library: configs, analyses, function entries and the function files
+here.  It takes a table of the keys the object may hold, each with a
+parser and a default, refuses a missing required key and then a key the
+table does not name, each in one wording that names the object and the
+key, and parses each value once.  A spectrum file's coefficient entries
+pass one inline test each; only an entry that fails it is read by
+`read_keys`, for its message.
+
 A spectrum has one form, its support sorted once into read-only arrays,
 and every analysis reads those; sums that must be exact beyond int64
 (Parseval, l1, the pair kernel's weight bound) take them as Python ints
@@ -316,10 +325,51 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true
 
 def json_of(value, kind: type, what: str):
     """A JSON object, array, string or bool (kind dict, list, str or bool)
-    read from a file."""
+    read from a file; kind object takes any value."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+REQUIRED = object()  # the default of a key that its object cannot go without
+
+
+def _parse(parse, value, what: str):
+    """One value, by its parser in a table of `read_keys`."""
+    if not callable(parse):  # the choices (a table's keys)
+        if json_of(value, str, what) not in parse:
+            raise ValueError(f"unknown {what} {value!r}; pick from {', '.join(parse)}")
+        return value
+    return json_of(value, parse, what) if isinstance(parse, type) else parse(value, what)
+
+
+def read_keys(owner: str, given, declared: dict) -> dict:
+    """The values of the JSON object ``given``, by ``declared``: key ->
+    (parser, default).  A parser is a function (value, name) -> value, the
+    JSON type (dict, list, str, bool, or object for any value) that the
+    value must have, or the choices (a table's keys), one of which the
+    value must name.  A default is a value, None (the key is left out
+    unless given) or REQUIRED.
+
+    ``given`` must be an object; then a missing REQUIRED key is refused,
+    then a key that ``declared`` does not name, each as a ValueError that
+    names ``owner`` and the key.  Each value is parsed once, its errors
+    named "owner key", and the defaults are filled in, in the order of
+    ``declared``.
+    """
+    json_of(given, dict, owner)
+    if missing := [key for key, (_, default) in declared.items() if default is REQUIRED and key not in given]:
+        raise ValueError(f"{owner}: missing parameter {missing[0]!r}")
+    if not given.keys() <= declared.keys():
+        key = next(key for key in given if key not in declared)
+        raise ValueError(f"{owner}: unknown parameter {key!r}; {owner} reads {', '.join(declared) or 'none'}")
+    values = {}
+    for key, (parse, default) in declared.items():
+        if key in given:
+            values[key] = _parse(parse, given[key], f"{owner} {key}")
+        elif default is not None:
+            values[key] = default
+    return values
 
 
 def read_json(path: str | Path):
@@ -336,22 +386,31 @@ def table_to_dict(table: TruthTable) -> dict:
 
 
 def table_from_dict(data: dict) -> TruthTable:
-    values = json_of(json_of(data, dict, "truth table")["values"], list, "values")
+    n, values = read_keys("truth table", data, {"n": (json_int, REQUIRED), "values": (list, REQUIRED)}).values()
     # np.array would read JSON true/false as 1/0
     if any(isinstance(v, bool) for v in values):
         raise ValueError("truth table entries must be +-1, not booleans")
-    return TruthTable(json_int(data["n"], "n"), np.array(values))
+    return TruthTable(n, np.array(values))
+
+
+def _coefficient(entry, n: int) -> tuple[int, int]:
+    """(mask, num) of a coefficient entry that `spectrum_from_dict`'s inline
+    test did not pass, read by `read_keys` and checked for its typed error."""
+    mask, num = read_keys("coefficient", entry, {"mask": (object, REQUIRED), "num": (object, REQUIRED)}).values()
+    _check_entry(mask, num, n)
+    return int(mask), num
 
 
 def spectrum_from_dict(data: dict) -> FourierSpectrum:
-    n = json_int(json_of(data, dict, "spectrum")["n"], "n")
+    n, entries = read_keys("spectrum", data, {"n": (json_int, REQUIRED), "coeffs": (list, REQUIRED)}).values()
     coeffs: dict[int, int] = {}
-    for entry in json_of(data["coeffs"], list, "coeffs"):
-        mask = json_int(json_of(entry, dict, "coefficient")["mask"], "mask")
-        num = json_int(entry["num"], f"coefficient at mask {mask}")
-        if num == 0:
-            raise ValueError(f"coefficient at mask {mask} must be a nonzero integer")
-        check_vector(mask, n)
+    for entry in entries:
+        # one inline test, passed by {"mask": m, "num": c} with a Python int
+        # m; FourierSpectrum checks m and c as it checks every entry
+        if type(entry) is dict and len(entry) == 2 and type(mask := entry.get("mask")) is int and "num" in entry:
+            num = entry["num"]
+        else:
+            mask, num = _coefficient(entry, n)
         if mask in coeffs:
             raise ValueError(f"duplicate mask {mask}")
         coeffs[mask] = num

@@ -139,8 +139,8 @@ INAPPLICABLE = [
      ["mc", "warmup", FUNCTION, "--ell", "0"], "mc warmup does not read 'ell'"),
     ({"op": "fold", "pairs": "no"}, None, "pairs must be true or false"),
     ({"op": "fold", "pairs": 1}, None, "pairs must be true or false"),
-    ({"op": "verify"}, None, "verify requires check"),
-    ({"op": "mc"}, None, "mc requires kind"),
+    ({"op": "verify"}, None, "verify: missing parameter 'check'"),
+    ({"op": "mc"}, None, "mc: missing parameter 'kind'"),
     ({"op": "verify", "check": 5}, None, "check must be a string"),
 ]
 
@@ -212,10 +212,10 @@ REFUSED = {
     "fold-delta-above-one": ({"op": "fold", "delta": "5"}, "delta must lie in (0, 1], got 5"),
     # a constraint list is [{"mask": m >= 0, "bit": 0 or 1}, ...]
     "restrict-not-a-list": ({"op": "analyze", "restrict": 3}, "analyze restrict must be an array, got int"),
-    "restrict-no-mask": ({"op": "analyze", "restrict": [{"bit": 1}]}, "analyze restrict: a constraint is"),
+    "restrict-no-mask": ({"op": "analyze", "restrict": [{"bit": 1}]}, "analyze restrict constraint: missing parameter 'mask'"),
     "restrict-bit-2": ({"op": "analyze", "restrict": [{"mask": 1, "bit": 2}]}, "bit 0 or 1, got {'mask': 1, 'bit': 2}"),
     "restrict-bool-mask": ({"op": "analyze", "restrict": [{"mask": True, "bit": 1}]},
-                           "analyze restrict mask must be an integer, got True"),
+                           "analyze restrict constraint mask must be an integer, got True"),
     "restrict-negative-mask": ({"op": "analyze", "restrict": [{"mask": -1, "bit": 1}]},
                                "mask must be >= 0 and bit 0 or 1, got {'mask': -1, 'bit': 1}"),
 }

@@ -58,11 +58,20 @@ def tree_of(n, root):
     return ParityDecisionTree.from_dict({"n": n, "root": root})
 
 
+def fold_rows(masks, union):
+    """(kept batch, union size, bucket count) of each row of a fold, from
+    the step, size and count arrays of pdt._fold_unions."""
+    steps, sizes, counts = pdt._fold_unions(masks, union)
+    k = len(masks)
+    kept = [tuple(masks[row[row < k]].tolist()) for row in steps]
+    return list(zip(kept, sizes.tolist(), counts.tolist()))
+
+
 def one_step(support, probabilities, rng):
     """One sampling step from rng, as a build attempt takes it: one row
     drawn, then folded."""
     masks = np.array(support, dtype=np.int64)
-    (step,) = pdt._fold_unions(masks, pdt._draw(np.empty((1, len(masks)), dtype=bool), probabilities, rng))
+    (step,) = fold_rows(masks, pdt._draw(np.empty((1, len(masks)), dtype=bool), probabilities, rng))
     return step
 
 
@@ -704,7 +713,7 @@ def test_trial_rows_equal_one_generator_calls(n, data):
     union = np.empty((len(seeds), len(support)), dtype=bool)
     for row, s in zip(union, seeds):
         pdt._draw(row, probs, np.random.default_rng(s))
-    rows = pdt._fold_unions(np.array(support, dtype=np.int64), union)
+    rows = fold_rows(np.array(support, dtype=np.int64), union)
     assert rows == [one_step(support, probs, np.random.default_rng(s)) for s in seeds]
 
 
@@ -905,7 +914,7 @@ def test_fold_unions_is_exact_on_24_bit_masks(data):
         basis = row_reduce((), 24)
         kept = tuple(m for m, marked in zip(masks, row) if marked and basis.insert(m) == 0)
         expected.append((kept, sum(row), len({coset_label(a, basis) for a in masks})))
-    assert pdt._fold_unions(np.array(masks, dtype=np.int64), union) == expected
+    assert fold_rows(np.array(masks, dtype=np.int64), union) == expected
 
 
 @given(st.data())
@@ -922,7 +931,7 @@ def test_certain_union_closed_form_is_the_fold_of_a_certain_row(data):
     trials, seed = data.draw(st.integers(1, 13)), data.draw(st.integers(0, 2**32 - 1))
     for p in (1.0, 0.0):
         stats = pdt._run_trials(spectrum, (p,), trials, seed)
-        ((_, size, count),) = pdt._fold_unions(np.array(masks, dtype=np.int64), np.full((1, len(masks)), p == 1.0))
+        ((_, size, count),) = fold_rows(np.array(masks, dtype=np.int64), np.full((1, len(masks)), p == 1.0))
         assert (stats.sample_sizes, stats.bucket_counts) == ((size,) * trials, (count,) * trials)
 
 

@@ -243,7 +243,7 @@ def test_a_path_entry_reads_only_path(tmp_path, monkeypatch, capsys):
     # the stray keys of a family entry beside the path, in the last entry
     stray = {"path": "f.json", "family": "addressing", "k": 16, "seed": 3}
     config = {"functions": [{"family": "addressing", "k": 16}, stray], "analyses": [{"op": "analyze"}]}
-    message = "f.json: unknown key 'family', 'k', 'seed'; a path entry reads only 'path'"
+    message = "path entry: unknown parameter 'family'; path entry reads path"
     with pytest.raises(ConfigError) as raised:
         run_experiment(config, tmp_path)
     assert str(raised.value) == message
@@ -413,7 +413,7 @@ def test_max_n_guard_comes_before_building_a_derived_dimension_table(monkeypatch
 
 @pytest.mark.parametrize("n", [1.5, True, "4"])
 def test_a_stated_non_integer_n_is_named_n(n):
-    with pytest.raises(ValueError, match=r"^n must be an integer"):
+    with pytest.raises(ValueError, match=r"^random n must be an integer"):
         runner.run_experiment({"functions": [{"family": "random", "n": n, "seed": 0}], "analyses": []})
 
 
@@ -641,7 +641,7 @@ def test_cli_golden_bytes(tmp_path, case, json_mode):
 def test_mc_theorem1_without_p_is_a_config_error():
     config = {"functions": [{"family": "inner-product", "m": 2}],
               "analyses": [{"op": "mc", "kind": "theorem-1", "trials": 5}]}
-    with pytest.raises(ConfigError, match="mc theorem-1 requires p"):
+    with pytest.raises(ConfigError, match="mc: missing parameter 'p'"):
         run_experiment(config)
 
 

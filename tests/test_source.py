@@ -310,3 +310,19 @@ def test_a_frontier_is_restricted_in_one_call():
             loops = loops + [type(node).__name__]
         todo.extend((scope, loops, child) for child in ast.iter_child_nodes(node))
     assert found == [("build_pdt", ["While"])], f"restrict_frontier call sites in pdt.py: {found}"
+
+
+def test_key_refusals_are_worded_only_in_read_keys():
+    # spectral.read_keys is the one reader of a JSON object's keys; a key
+    # refusal worded anywhere else is a second reader, which may disagree
+    found, inside = [], set()
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for wording in re.findall(r"(?:unknown|missing) parameter", node.value):
+                    if f"{path.name}:{scope}" == "spectral.py:read_keys":
+                        inside.add(wording)
+                    else:
+                        found.append(f"{path.name}:{node.lineno} {scope}")
+    assert not found, f"key refusals worded outside read_keys: {found}"
+    assert inside == {"unknown parameter", "missing parameter"}
