@@ -15,7 +15,6 @@ from .families import (
 from .folding import (
     FoldingParameters,
     FoldingProfile,
-    addressing_folding_profile,
     check_pair_condition,
     counterexample_support,
     direction_classes,
@@ -32,7 +31,6 @@ from .pdt import (
     ParityDecisionTree,
     TrialStats,
     build_pdt,
-    check_calculus_inequality,
     estimate_bucket_reduction,
     folding_sampling_trial,
     sample_parity,
@@ -55,7 +53,6 @@ from .spectral import (
     inverse_wht,
     is_plateaued,
     load_function,
-    normalize_signs,
     spectral_l1,
     verify_parseval,
     verify_titsworth,

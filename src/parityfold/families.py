@@ -9,9 +9,11 @@ Variable layout conventions (fixed for file interop):
     positions 0 and 1.
   - inner product on 2m variables pairs bits (0,1), (2,3), ...
 
-A corpus entry's params, and a junta's inner entry, are read by
-`spectral.read_keys`, the one reader of a JSON object's keys, against
-the family table; its refusals here are InvalidFamilyParameterErrors.
+A corpus entry's params, and a junta's inner entry, are read once, by
+`read_function` through `spectral.read_keys` (the one reader of a JSON
+object's keys) against the family table, into a FunctionSpec whose
+parsed values `build_function` builds from; the refusals here are
+InvalidFamilyParameterErrors.
 """
 
 from __future__ import annotations
@@ -134,19 +136,17 @@ def gen_random(n: int, seed: int) -> TruthTable:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Declarative corpus entry, e.g. {"family": "addressing", "k": 16}."""
+    """A family, its params as `read_function` parsed them and the n of
+    its table, e.g. FunctionSpec("addressing", {"k": 16}, 6)."""
 
     family: str
     params: dict
-
-    def label(self) -> str:
-        items = ",".join(f"{key}={self.params[key]}" for key in sorted(self.params))
-        return f"{self.family}({items})"
+    n: int
 
 
 def _inner(value, what: str) -> FunctionSpec:
     """A junta's inner entry {"family": name, "params": {...}}."""
-    return FunctionSpec(*read_keys(what, value, {"family": (object, REQUIRED), "params": (dict, REQUIRED)}).values())
+    return read_function(*read_keys(what, value, {"family": (object, REQUIRED), "params": (dict, REQUIRED)}).values())
 
 
 def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
@@ -154,9 +154,8 @@ def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
     # per inner variable
     if len(masks) > n:
         raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
-    inner_n = _table_dimension(inner.family, inner.params)
-    if inner_n != len(masks):
-        raise InvalidFamilyParameterError(f"need {inner_n} embedding masks, got {len(masks)}")
+    if inner.n != len(masks):
+        raise InvalidFamilyParameterError(f"need {inner.n} embedding masks, got {len(masks)}")
     return n
 
 
@@ -181,25 +180,19 @@ FAMILIES = {
 }
 
 
-def _values(family: str, params: dict) -> dict:
-    """A family's params, read by `read_keys` against FAMILIES, after an
-    unknown family is refused."""
+def read_function(family: str, params: dict) -> FunctionSpec:
+    """A family's params, read once by `read_keys` against FAMILIES after
+    an unknown family is refused, and the n of its table from them: every
+    check that needs no table."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidFamilyParameterError(f"unknown family {family!r}")
     try:
-        return read_keys(family, params, FAMILIES[family][1])
+        values = read_keys(family, params, FAMILIES[family][1])
     except ValueError as exc:
         raise InvalidFamilyParameterError(str(exc)) from None
-
-
-def _table_dimension(family: str, params: dict) -> int:
-    """The n of a family's table from its parameters alone."""
-    values = _values(family, params)  # before FAMILIES is indexed by a family that may not be a string
-    return FAMILIES[family][2](**values)
+    return FunctionSpec(family, values, FAMILIES[family][2](**values))
 
 
 def build_function(spec: FunctionSpec) -> TruthTable:
-    """The table of a corpus entry; parameters must be integers, as in JSON."""
-    values = _values(spec.family, spec.params)
-    FAMILIES[spec.family][2](**values)  # a junta's masks are checked before its inner table is built
-    return FAMILIES[spec.family][0](**values)
+    """The table of a function `read_function` read, from its parsed params."""
+    return FAMILIES[spec.family][0](**spec.params)

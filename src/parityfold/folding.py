@@ -37,7 +37,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .families import addressing_support
 from .gf2 import MAX_DIMENSION, Echelon
 from .pairs import direction_pairs, direction_sums, heavy_partners
 from .spectral import FourierSpectrum, is_plateaued
@@ -66,10 +65,6 @@ class SingleDirectionViolationError(RuntimeError):
 
 class FoldingBoundError(RuntimeError):
     pass
-
-
-class AddressingProfileError(RuntimeError):
-    """A class of the addressing support breaks the profile's claims: a bug."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,17 +262,6 @@ def heavy_participants(
     return direction_classes(support).heavy_participants(delta, ell)
 
 
-def three_fold_witnesses(support: Iterable[int]) -> dict[int, int | None]:
-    """For each support element, the smallest partner whose direction class
-    has size >= 3, or None when no such partner exists (no sparsity gate)."""
-    profile = direction_classes(support)
-    masks = profile.masks.tolist()
-    counts, first = profile.partners(3)
-    return {
-        a: masks[j] if c else None for a, c, j in zip(masks, counts.tolist(), first.tolist())
-    }
-
-
 def verify_three_fold(spectrum: FourierSpectrum) -> dict[int, int]:
     """Witness map alpha -> beta with |class(alpha+beta)| >= 3 for every
     support element; guaranteed to exist for +-1 functions with k > 4."""
@@ -437,80 +421,3 @@ def counterexample_support(n: int) -> tuple[int, ...]:
     singletons = [1 << i for i in range(n)]
     triples = [1 | (1 << j) | (1 << (n - 1)) for j in range(1, n - 2 + 1)]
     return tuple(sorted(singletons + triples))
-
-
-# ---------------------------------------------------------------------------
-# addressing profile
-# ---------------------------------------------------------------------------
-
-SAME_TARGET_COUNT_NOTE = (
-    "same-target class sizes are unordered-pair counts (k/2 per direction); "
-    "counting ordered pairs doubles this to k"
-)
-
-
-@dataclass(frozen=True)
-class AddressingFoldingReport:
-    k: int
-    sqrt_k: int
-    same_target_direction_count: int  # directions within one target variable
-    same_target_class_sizes: tuple[int, ...]
-    same_target_pair_count: int
-    cross_target_direction_count: int  # directions across two target variables
-    cross_target_class_sizes: tuple[int, ...]
-    cross_target_pair_count: int
-    cross_target_pair_fraction: Fraction
-    counting_note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "sqrt_k": self.sqrt_k,
-            "same_target": {
-                "direction_count": self.same_target_direction_count,
-                "class_sizes": list(self.same_target_class_sizes),
-                "pair_count": self.same_target_pair_count,
-            },
-            "cross_target": {
-                "direction_count": self.cross_target_direction_count,
-                "class_sizes": list(self.cross_target_class_sizes),
-                "pair_count": self.cross_target_pair_count,
-                "pair_fraction": str(self.cross_target_pair_fraction),
-            },
-            "counting_note": self.counting_note,
-        }
-
-
-def addressing_folding_profile(k: int) -> AddressingFoldingReport:
-    """Classify every folding direction of the addressing support.
-
-    Same-target directions (both pair members select the same target bit)
-    versus cross-target directions (two different target bits).  The
-    cross-target classes all have exactly sqrt(k) pairs and carry
-    (1 - o(1)) of all support pairs; same-target classes have k/2
-    unordered pairs each (see counting_note for the ordered convention).
-    """
-    if k > 256:
-        raise ValueError(f"desk-scale guard: k <= 256, got {k}")
-    support, addr_bits = addressing_support(k)
-    profile = direction_classes(support)
-    bits = np.bitwise_count(profile.directions >> addr_bits)  # target bits
-    if len(bad := np.flatnonzero((bits != 0) & (bits != 2))):
-        raise AddressingProfileError(f"direction {profile.directions[bad[0]]} touches {bits[bad[0]]} target bits")
-    same, cross = profile.counts[bits == 0].tolist(), profile.counts[bits == 2].tolist()
-    sqrt_k = math.isqrt(k)
-    if set(cross) != {sqrt_k}:
-        raise AddressingProfileError(f"cross-target class sizes {set(cross)} != {{{sqrt_k}}}")
-    total = math.comb(len(support), 2)
-    return AddressingFoldingReport(
-        k=k,
-        sqrt_k=sqrt_k,
-        same_target_direction_count=len(same),
-        same_target_class_sizes=tuple(sorted(set(same))),
-        same_target_pair_count=sum(same),
-        cross_target_direction_count=len(cross),
-        cross_target_class_sizes=tuple(sorted(set(cross))),
-        cross_target_pair_count=sum(cross),
-        cross_target_pair_fraction=Fraction(sum(cross), total),
-        counting_note=SAME_TARGET_COUNT_NOTE,
-    )

@@ -36,7 +36,7 @@ from .folding import as_exponent, folding_parameters
 from .gf2 import MAX_DIMENSION, check_vector, coset_label, extend_basis, label_step, labels, row_reduce
 from .pairs import top_directions
 from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_frontier
-from .spectral import FourierSpectrum, TruthTable, json_int, json_of, parity, wht
+from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, parity, read_keys, wht
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
 SAMPLING = STRATEGIES[:2]  # the strategies that draw
@@ -128,30 +128,40 @@ class ParityDecisionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
-        """The tree of a dict, numbered breadth first; a leaf other than
-        +-1, a query outside 1 .. 2^n - 1 or a node without pos or neg is a
-        ValueError."""
-        n = json_int(json_of(data, dict, "tree").get("n"), "n")
+        """The tree of a dict, numbered breadth first, each object read by
+        `read_keys` against TREE_KEYS; a leaf other than +-1 or a query
+        outside 1 .. 2^n - 1 is a ValueError."""
+        n, root = read_keys("tree", data, TREE_KEYS["tree"]).values()
         query, child, values = [], [], []
-        queue = deque([(data.get("root"), None)])
+        queue = deque([(root, None)])
         while queue:  # each node with the child slot that names it
             node, slot = queue.popleft()
             if "leaf" in json_of(node, dict, "tree node"):
-                if json_int(node["leaf"], "leaf") not in (-1, 1):
-                    raise ValueError(f"leaf value must be +-1, got {node['leaf']!r}")
+                (leaf,) = read_keys("tree leaf", node, TREE_KEYS["leaf"]).values()
+                if leaf not in (-1, 1):
+                    raise ValueError(f"leaf value must be +-1, got {leaf!r}")
                 number = ~len(values)
-                values.append(node["leaf"])
+                values.append(leaf)
             else:
-                check_vector(json_int(node.get("query"), "query"), n)
-                if not node["query"]:
+                mask, pos, neg = read_keys("tree node", node, TREE_KEYS["node"]).values()
+                check_vector(mask, n)
+                if not mask:
                     raise ValueError("internal queries must be nonzero masks")
                 number = len(query)
-                query.append(node["query"])
+                query.append(mask)
                 child += (0, 0)
-                queue += ((node.get("pos"), 2 * number), (node.get("neg"), 2 * number + 1))
+                queue += ((pos, 2 * number), (neg, 2 * number + 1))
             if slot is not None:
                 child[slot] = number
         return cls(n, *(np.array(a, dtype=t) for a, t in ((query, np.uint32), (child, np.int32), (values, np.int8))))
+
+
+# the keys of a tree file's objects: the tree, a leaf and an internal node
+TREE_KEYS = {
+    "tree": {"n": (json_int, REQUIRED), "root": (object, REQUIRED)},
+    "leaf": {"leaf": (json_int, REQUIRED)},
+    "node": {"query": (json_int, REQUIRED), "pos": (object, REQUIRED), "neg": (object, REQUIRED)},
+}
 
 
 # inputs per chunk in verify_tree: 2^16 keeps a level's arrays (about 1 MiB)
@@ -820,16 +830,3 @@ def folding_sampling_trial(
         )
     requested = _folding_probabilities(k, float(delta), float(achieved.ell))
     return _run_trials(spectrum, requested, trials, seed, k - delta * k / 6)
-
-
-def check_calculus_inequality(d: int, p: Fraction | float) -> bool:
-    """(1-p)^d <= 1 - p*d/2 for integer d >= 0 and p*d <= 1, evaluated in
-    exact rational arithmetic."""
-    if not isinstance(d, int) or d < 0:
-        raise ValueError(f"d must be a non-negative integer, got {d!r}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p * d > 1:
-        raise ValueError(f"need p*d <= 1, got {p * d}")
-    return (1 - p) ** d <= 1 - Fraction(1, 2) * p * d

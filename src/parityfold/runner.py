@@ -15,9 +15,10 @@ parser and a default; verify's checks and mc's kinds are the keys of
 each value and hands the op what it reads (pdt's ``BuildConfig``).
 ``run_experiment`` reads the config's top level (``CONFIG``) with
 ``read_keys``, passes every analysis through ``op_params`` and every
-function entry through ``check_function``, which reads them with
-``read_keys`` too, before ``resolve_function`` builds any function; a CLI
-op subcommand calls ``op_params`` before ``resolve_function`` too.
+function entry through ``check_function``, which reads each once with
+``read_keys`` too, before any function is built from the values read; a
+CLI op subcommand calls ``op_params`` before ``resolve_function``, which
+is ``check_function`` and the build for one entry.
 analyze's ``restrict``, a constraint list ``[{"mask": m, "bit": 0 or
 1}, ...]``, adds a ``restrict`` block: the spectrum restricted to the
 affine subspace the constraints cut out, and its buckets against the
@@ -46,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import folding, pdt, restriction, spectral
-from .families import FunctionSpec, _table_dimension, build_function
+from .families import FunctionSpec, build_function, read_function
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
 VERSION = "0.1.0"
@@ -85,32 +86,39 @@ def load_config(path: str | Path) -> dict:
 
 
 def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
-    """(label, spec) of a corpus entry, {"path": file} (spec None) or
-    {"family": name, **params}, after every check that needs no table: a
-    family reads every param given and its n is at most max_n.  An entry
-    without a family is a path entry."""
+    """(label, spec) of a corpus entry, {"path": file} (spec None, the
+    label its path) or {"family": name, **params} (spec as
+    `families.read_function` read it), after every check that needs no
+    table: a family reads every param given and its n is at most max_n.
+    An entry without a family is a path entry."""
     try:
         if "path" in json_of(entry, dict, "function entry") or "family" not in entry:
             return read_keys("path entry", entry, {"path": (str, REQUIRED)})["path"], None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec = FunctionSpec(entry["family"], {key: value for key, value in entry.items() if key != "family"})
-    n = _table_dimension(spec.family, spec.params)
-    if n > max_n:
-        raise ConfigError(f"{spec.label()}: n = {n} exceeds max_n = {max_n}")  # before 2^n entries
-    return spec.label(), spec
+    params = {key: value for key, value in entry.items() if key != "family"}
+    spec = read_function(entry["family"], params)
+    label = f"{spec.family}({','.join(f'{key}={params[key]}' for key in sorted(params))})"
+    if spec.n > max_n:
+        raise ConfigError(f"{label}: n = {spec.n} exceeds max_n = {max_n}")  # before 2^n entries
+    return label, spec
 
 
 def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
     """(label, truth table) of a corpus entry, checked by check_function
-    first; spectrum files are inverted to tables."""
+    first."""
     label, spec = check_function(entry, max_n)
-    loaded = load_function(base_dir / entry["path"]) if spec is None else build_function(spec)
+    return label, _table(label, spec, base_dir, max_n)
+
+
+def _table(label: str, spec: FunctionSpec | None, base_dir: Path, max_n: int) -> TruthTable:
+    """The truth table of a checked entry; spectrum files are inverted to tables."""
+    loaded = load_function(base_dir / label) if spec is None else build_function(spec)
     if loaded.n > max_n:
         raise ConfigError(f"{label}: n = {loaded.n} exceeds max_n = {max_n}")
     if isinstance(loaded, spectral.FourierSpectrum):
         loaded = spectral.inverse_wht(loaded)  # 2^n entries, so after the max_n check
-    return label, loaded
+    return loaded
 
 
 def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
@@ -519,11 +527,10 @@ def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport
         raise ConfigError(str(exc)) from None
     # every analysis and every function entry is checked, and refused, before any function is built
     ops = [(a.get("op"), op_params(a.get("op"), {k: v for k, v in a.items() if k != "op"}, seed)) for a in analyses]
-    for entry in functions:
-        check_function(entry, max_n)
+    checked = [check_function(entry, max_n) for entry in functions]
     results: list[dict] = []
-    for entry in functions:
-        label, table = resolve_function(entry, base_dir, max_n)
+    for label, spec in checked:
+        table = _table(label, spec, base_dir, max_n)
         spectrum = spectral.wht(table)
         block = {"function": label, "n": table.n, "analyses": []}
         for op, values in ops:

@@ -57,14 +57,6 @@ class NotBooleanValuedError(ValueError):
     """The spectrum does not evaluate to +-1 everywhere."""
 
 
-class AlphaNotInSupportError(ValueError):
-    pass
-
-
-class BetaNotInSupportError(ValueError):
-    pass
-
-
 def parity(mask: int, x: int) -> int:
     """<mask, x> over F2."""
     return (mask & x).bit_count() & 1
@@ -112,12 +104,6 @@ class TruthTable:
 
     def negate(self) -> "TruthTable":
         return TruthTable(self.n, -self.values)
-
-    def shift(self, y: int) -> "TruthTable":
-        """The input-translated function x -> f(x + y)."""
-        check_vector(y, self.n)
-        idx = np.arange(1 << self.n) ^ y
-        return TruthTable(self.n, self.values[idx])
 
 
 def _is_integer(value) -> bool:
@@ -279,33 +265,6 @@ def is_plateaued(spectrum: FourierSpectrum) -> bool:
 def spectral_l1(spectrum: FourierSpectrum) -> Fraction:
     """Exact sum of |fhat(a)|; squares to at most the sparsity for +-1 functions."""
     return Fraction(sum(map(abs, spectrum.coefficients.tolist())), 1 << spectrum.n)
-
-
-def normalize_signs(table: TruthTable, alpha: int, beta: int) -> TruthTable:
-    """A function +-f(x + y) with the same coefficient magnitudes as f and
-    both the alpha and beta coefficients strictly positive.
-
-    When a translation is required, the smallest y with chi_{alpha+beta}(y)
-    = -1 is used, making the output deterministic.
-    """
-    if alpha == beta:
-        raise ValueError("alpha and beta must be distinct")
-    spectrum = wht(table)
-    ca = spectrum[alpha]
-    cb = spectrum[beta]
-    if ca == 0:
-        raise AlphaNotInSupportError(f"mask {alpha} not in support")
-    if cb == 0:
-        raise BetaNotInSupportError(f"mask {beta} not in support")
-    if ca * cb > 0:
-        return table if ca > 0 else table.negate()
-    diff = alpha ^ beta
-    y = diff & -diff  # lowest set bit: smallest y with odd overlap
-    shifted = table.shift(y)
-    # shifted coefficient at alpha is ca * chi_alpha(y)
-    if ca * character(alpha, y) > 0:
-        return shifted
-    return shifted.negate()
 
 
 # ---------------------------------------------------------------------------

@@ -25,18 +25,16 @@ from parityfold.families import (
     gen_random,
 )
 from parityfold.folding import (
-    addressing_folding_profile,
     check_pair_condition,
     counterexample_support,
+    direction_classes,
     sign_feasibility,
     single_direction_structure,
-    three_fold_witnesses,
     verify_three_fold,
 )
 from parityfold.pdt import (
     BuildConfig,
     build_pdt,
-    check_calculus_inequality,
     estimate_bucket_reduction,
     verify_tree,
     warmup_success_rate,
@@ -101,15 +99,15 @@ def test_criterion_02_wht_roundtrip():
 
 def test_criterion_03_addressing_profile():
     for k in (4, 16, 64):
-        report = addressing_folding_profile(k)
-        sqrt_k = math.isqrt(k)
-        assert report.cross_target_class_sizes == (sqrt_k,), k
-        assert report.cross_target_pair_fraction >= 1 - Fraction(2, sqrt_k), k
-        # oracle count for same-target directions, with the convention note
-        assert report.same_target_class_sizes == (k // 2,), k
-        assert report.counting_note
-        print(f"    k={k}: same-target sizes {report.same_target_class_sizes} "
-              f"(note: {report.counting_note})")
+        profile = direction_classes(wht(gen_addressing(k)).masks)
+        addr_bits, sqrt_k = int(math.log2(k)) // 2, math.isqrt(k)
+        touched = np.bitwise_count(profile.directions >> addr_bits)  # target bits per direction
+        assert set(touched.tolist()) == {0, 2}, k
+        cross = profile.counts[touched == 2]
+        assert set(cross.tolist()) == {sqrt_k}, k
+        assert Fraction(int(cross.sum()), profile.total_pairs) >= 1 - Fraction(2, sqrt_k), k
+        # same-target classes count unordered pairs: k/2 each (k ordered)
+        assert set(profile.counts[touched == 0].tolist()) == {k // 2}, k
     record(3, "cross-target classes = sqrt(k) exactly and carry >= 1 - 2/sqrt(k) "
               "of all pairs for k in {4, 16, 64}")
 
@@ -136,7 +134,7 @@ def test_criterion_04_three_fold():
     # boundary: the sparsity-4 conjunction has no witness at all, so the
     # k > 4 hypothesis is tight at desk scale
     and2 = wht(gen_conjunction(0b11, 2))
-    assert set(three_fold_witnesses(and2.support()).values()) == {None}
+    assert not direction_classes(and2.masks).partners(3)[0].any()
     record(4, f"every support element has a size->=3 direction on {checked} corpus "
               f"functions and {randoms} random tables; k = 4 boundary confirmed")
 
@@ -217,7 +215,7 @@ def test_criterion_10_rational_inequality_sweep():
             p = Fraction(j, 100)
             if p * d > 1:
                 continue
-            assert check_calculus_inequality(d, p), (d, p)
+            assert (1 - p) ** d <= 1 - p * d / 2, (d, p)
             points += 1
     record(10, f"(1-p)^d <= 1 - pd/2 at all {points} exact-rational grid points")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from parityfold import families
+from parityfold import families, runner
 from parityfold.families import (
     FunctionSpec,
     InvalidFamilyParameterError,
@@ -13,6 +13,7 @@ from parityfold.families import (
     gen_modified_addressing,
     gen_parity,
     gen_random,
+    read_function,
 )
 from parityfold.spectral import is_plateaued, verify_parseval, verify_titsworth, wht
 
@@ -137,10 +138,10 @@ def test_generated_tables_pass_exact_identities():
 
 
 def test_build_function_specs():
-    assert build_function(FunctionSpec("addressing", {"k": 4})) == gen_addressing(4)
-    assert build_function(FunctionSpec("random", {"n": 4, "seed": 9})) == gen_random(4, 9)
+    assert build_function(read_function("addressing", {"k": 4})) == gen_addressing(4)
+    assert build_function(read_function("random", {"n": 4, "seed": 9})) == gen_random(4, 9)
     junta = build_function(
-        FunctionSpec(
+        read_function(
             "junta",
             {
                 "inner": {"family": "conjunction", "params": {"mask": 3, "n": 2}},
@@ -151,7 +152,7 @@ def test_build_function_specs():
     )
     assert junta == gen_conjunction(0b11, 2)
     with pytest.raises(InvalidFamilyParameterError):
-        build_function(FunctionSpec("nope", {}))
+        build_function(read_function("nope", {}))
 
 
 @pytest.mark.parametrize("family,params", [
@@ -167,7 +168,7 @@ def test_build_function_specs():
 def test_build_function_refuses_malformed_parameters(family, params):
     # parameters arrive from config files: integers only, masks within n
     with pytest.raises(ValueError):
-        build_function(FunctionSpec(family, params))
+        build_function(read_function(family, params))
 
 
 @pytest.mark.parametrize("masks, n, inner_n", [
@@ -179,7 +180,7 @@ def test_junta_checks_its_masks_before_building_the_inner_table(monkeypatch, mas
     monkeypatch.setattr(families, "gen_random", lambda *args: calls.append(args))
     inner = {"family": "random", "params": {"n": inner_n, "seed": 0}}
     with pytest.raises(InvalidFamilyParameterError):
-        build_function(FunctionSpec("junta", {"inner": inner, "masks": masks, "n": n}))
+        build_function(read_function("junta", {"inner": inner, "masks": masks, "n": n}))
     assert calls == []
 
 
@@ -192,15 +193,16 @@ def test_junta_derives_the_inner_dimension_before_building_the_inner_table(monke
     calls = []
     monkeypatch.setattr(families, generator, lambda *args: calls.append(args))
     with pytest.raises(InvalidFamilyParameterError, match="embedding masks, got 2"):
-        build_function(FunctionSpec("junta", {"inner": inner, "masks": [1, 2], "n": 4}))
+        build_function(read_function("junta", {"inner": inner, "masks": [1, 2], "n": 4}))
     assert calls == []
 
 
 def test_junta_accepts_derived_inner_dimensions_that_fit():
     inner = {"family": "addressing", "params": {"k": 4}}  # n = 1 + 2
-    junta = build_function(FunctionSpec("junta", {"inner": inner, "masks": [1, 2, 4], "n": 3}))
+    junta = build_function(read_function("junta", {"inner": inner, "masks": [1, 2, 4], "n": 3}))
     assert junta == gen_addressing(4)
 
 
 def test_labels():
-    assert FunctionSpec("addressing", {"k": 16}).label() == "addressing(k=16)"
+    assert read_function("addressing", {"k": 16}) == FunctionSpec("addressing", {"k": 16}, 6)
+    assert runner.check_function({"family": "addressing", "k": 16}, 20)[0] == "addressing(k=16)"

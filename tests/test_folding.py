@@ -21,7 +21,6 @@ from parityfold.folding import (
     SingleDirectionViolationError,
     SparsityTooSmallError,
     ThreeFoldViolationError,
-    addressing_folding_profile,
     check_pair_condition,
     counterexample_support,
     direction_classes,
@@ -31,7 +30,6 @@ from parityfold.folding import (
     sign_constraints,
     sign_feasibility,
     single_direction_structure,
-    three_fold_witnesses,
     verify_three_fold,
 )
 from parityfold.spectral import FourierSpectrum, wht
@@ -113,7 +111,10 @@ def assert_kernel_matches_oracles(support, delta, ell):
     profile = direction_classes(support, include_pairs=True)
     assert profile.classes == naive_classes(support)
     assert profile.pairs == naive_pairs(support)
-    assert three_fold_witnesses(support) == naive_three_fold(support)
+    counts, first = profile.partners(3)
+    masks = profile.masks.tolist()
+    witnesses = {a: masks[j] if c else None for a, c, j in zip(masks, counts.tolist(), first.tolist())}
+    assert witnesses == naive_three_fold(support)
     report = outcome(single_direction_structure, spectrum)
     if isinstance(report, tuple):
         assert report == outcome(naive_single_direction, spectrum)
@@ -331,7 +332,9 @@ def test_heavy_participants_addressing_bound_checked():
 
 
 def test_three_fold_witnesses_and2_all_missing():
-    assert set(three_fold_witnesses(and2_support()).values()) == {None}
+    # AND2's four masks fold in classes of two pairs: no partner in a class of three
+    counts, _ = direction_classes(and2_support()).partners(3)
+    assert counts.tolist() == [0, 0, 0, 0]
 
 
 def test_verify_three_fold_gate():
@@ -459,38 +462,23 @@ def test_counterexample_n5_masks():
 
 @pytest.mark.parametrize("k", [4, 16, 64])
 def test_addressing_folding_profile(k):
-    report = addressing_folding_profile(k)
-    sqrt_k = math.isqrt(k)
-    assert report.cross_target_class_sizes == (sqrt_k,)
-    assert report.same_target_class_sizes == (k // 2,)
-    assert report.cross_target_pair_fraction == Fraction(k - sqrt_k, k - 1)
-    assert report.cross_target_pair_fraction >= 1 - Fraction(2, sqrt_k)
-    total = report.same_target_pair_count + report.cross_target_pair_count
-    assert total == math.comb(k, 2)
-    assert "ordered" in report.counting_note
-
-
-def test_addressing_folding_profile_guards():
-    with pytest.raises(ValueError):
-        addressing_folding_profile(1024)
-    with pytest.raises(Exception):
-        addressing_folding_profile(8)
-
-
-@pytest.mark.parametrize(
-    "broken",
-    [
-        lambda support: [*support, 0b111100],  # a mask on all four target bits
-        lambda support: support[1:],  # cross-target classes of 3, not 4
-    ],
-    ids=["target-bits", "class-sizes"],
-)
-def test_addressing_profile_failure_is_a_typed_error(monkeypatch, broken):
-    # a library check only: no CLI path calls addressing_folding_profile
-    real = folding.direction_classes
-    monkeypatch.setattr(folding, "direction_classes", lambda support: real(broken(support)))
-    with pytest.raises(folding.AddressingProfileError):
-        addressing_folding_profile(16)
+    # in the fold report's classes, a direction of the addressing support
+    # touches no target bit (a class of k/2 pairs) or two target bits (a
+    # class of sqrt(k) pairs), and the two-target classes carry a fraction
+    # (k - sqrt(k)) / (k - 1) >= 1 - 2/sqrt(k) of all pairs
+    table = gen_addressing(k)
+    spectrum = wht(table)
+    result = runner.OPS["fold"][0](table, spectrum, runner.op_params("fold", {}, 0))
+    addr_bits, sqrt_k = int(math.log2(k)) // 2, math.isqrt(k)
+    sizes = {0: set(), 2: set()}
+    cross = 0
+    for direction, size in result["profile"]["classes"].items():
+        touched = (int(direction) >> addr_bits).bit_count()
+        assert touched in (0, 2), (direction, touched)
+        sizes[touched].add(size)
+        cross += size if touched == 2 else 0
+    assert sizes == {0: {k // 2}, 2: {sqrt_k}}
+    assert Fraction(cross, math.comb(k, 2)) == Fraction(k - sqrt_k, k - 1) >= 1 - Fraction(2, sqrt_k)
 
 
 @pytest.mark.parametrize("x, expected", [(0.49, "49/100"), (0.3, "3/10"), (1e-4, "1/10000")])

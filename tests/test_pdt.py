@@ -28,7 +28,6 @@ from parityfold.pdt import (
     ResampleCapExceededError,
     SeedRangeError,
     build_pdt,
-    check_calculus_inequality,
     estimate_bucket_reduction,
     folding_sampling_trial,
     sample_parity,
@@ -638,13 +637,10 @@ def test_folding_sampling_trial_rejects_non_folding():
 
 
 def test_calculus_inequality_examples():
-    assert check_calculus_inequality(0, Fraction(1, 3))
-    assert check_calculus_inequality(1, Fraction(1))  # 0 <= 1/2
-    assert check_calculus_inequality(10, Fraction(1, 10))
-    with pytest.raises(ValueError):
-        check_calculus_inequality(10, Fraction(1, 2))  # p*d = 5 > 1
-    with pytest.raises(ValueError):
-        check_calculus_inequality(-1, Fraction(1, 2))
+    # (1-p)^d <= 1 - p*d/2 in exact rationals, which the analysis uses for p*d <= 1
+    for d, p in ((0, Fraction(1, 3)), (1, Fraction(1)), (10, Fraction(1, 10))):  # (1, 1): 0 <= 1/2
+        assert (1 - p) ** d <= 1 - p * d / 2
+    assert (1 - Fraction(1, 2)) ** 10 > 1 - Fraction(1, 2) * 10 / 2  # p*d = 5 > 1: it fails
 
 
 @given(st.integers(0, 60), st.data())
@@ -652,7 +648,7 @@ def test_calculus_inequality_examples():
 def test_calculus_inequality_property(d, data):
     denom = data.draw(st.integers(max(1, d), 4 * max(1, d)))
     p = Fraction(1, denom) if d else data.draw(st.fractions(0, 1))
-    assert check_calculus_inequality(d, p)
+    assert (1 - p) ** d <= 1 - p * d / 2
 
 
 @given(st.integers(1, 10), st.data())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parityfold import runner
+from parityfold import families, runner
 from parityfold.cli import USAGE_ERROR, main
 from parityfold.spectral import REQUIRED, json_int, read_keys
 
@@ -65,7 +65,8 @@ def restrict(constraint):
 
 # every keyed object that the library reads: (command, input, owner, key)
 # for one stray key and then for one missing key.  An experiment reads a
-# config, gen junta its key=value params and analyze a function file.
+# config, gen junta its key=value params, analyze a function file and pdt
+# depth a tree file.
 REFUSALS = {
     "config": (
         ("experiment", {**config(), "analysis": [{"op": "analyze"}]}, "config", "analysis"),
@@ -111,6 +112,14 @@ REFUSALS = {
         ("analyze", {"n": 1, "coeffs": [{"mask": 1, "num": 2, "den": 1}]}, "coefficient", "den"),
         ("analyze", {"n": 2, "coeffs": [{"mask": 1, "num": 2}, {"mask": 0, "nm": 4}]}, "coefficient", "num"),
     ),
+    "tree-file": (
+        ("pdt depth", {"n": 2, "root": {"leaf": 1}, "rot": 5}, "tree", "rot"),
+        ("pdt depth", {"root": {"leaf": 1}}, "tree", "n"),
+    ),
+    "tree-node": (  # a leaf that also carries a query, and a node without neg
+        ("pdt depth", {"n": 2, "root": {"leaf": 1, "query": 3, "pos": {"leaf": 1}}}, "tree leaf", "query"),
+        ("pdt depth", {"n": 2, "root": {"query": 3, "pos": {"leaf": 1}}}, "tree node", "neg"),
+    ),
 }
 
 
@@ -123,7 +132,7 @@ def run(tmp_path, command, given):
     else:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(given))
-        argv = [command, str(path)]
+        argv = [*command.split(), str(path)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -145,3 +154,23 @@ def test_every_keyed_object_refuses_a_stray_and_a_missing_key(tmp_path, monkeypa
         assert err.startswith(f"error: {owner}: unknown parameter {key!r}; {owner} reads ")
     else:
         assert err == f"error: {owner}: missing parameter {key!r}\n"
+
+
+def test_each_object_of_a_config_is_read_once(tmp_path, monkeypatch):
+    # check_function reads a family entry's params, and the runner builds the
+    # table from what it read: a junta reads its inner entry and params once too
+    owners = []
+
+    def counted(owner, given, declared):
+        owners.append(owner)
+        return read_keys(owner, given, declared)
+
+    monkeypatch.setattr(families, "read_keys", counted)
+    monkeypatch.setattr(runner, "read_keys", counted)
+    (tmp_path / "t.json").write_text(json.dumps(TABLE))
+    inner = {"family": "conjunction", "params": {"mask": 3, "n": 2}}
+    report = runner.run_experiment(config([ENTRY, junta(inner), {"path": "t.json"}]), tmp_path)
+    assert sorted(owners) == sorted(["config", "analyze", "addressing", "junta", "junta inner", "conjunction", "path entry"])
+    assert [block["function"] for block in report.results] == [
+        "addressing(k=16)", f"junta(inner={inner},masks=[1, 2],n=2)", "t.json"
+    ]

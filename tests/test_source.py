@@ -76,7 +76,6 @@ def test_the_wht_butterfly_is_defined_once():
 # `sorted(set(...))` outside spectral.py that sorts no spectrum's support
 SORTED_SET_EXCEPTIONS = {
     "folding.py:_sorted_support",  # a caller's own support list; a spectrum passes its masks
-    "folding.py:addressing_folding_profile",  # class sizes
 }
 
 

@@ -10,8 +10,6 @@ from parityfold.cli import main
 from parityfold.gf2 import DimensionMismatchError
 from parityfold.pairs import WeightBoundError
 from parityfold.spectral import (
-    AlphaNotInSupportError,
-    BetaNotInSupportError,
     FourierSpectrum,
     NotBooleanValuedError,
     TruthTable,
@@ -20,7 +18,6 @@ from parityfold.spectral import (
     is_plateaued,
     json_int,
     load_function,
-    normalize_signs,
     spectral_l1,
     spectrum_from_dict,
     table_from_dict,
@@ -409,53 +406,6 @@ def test_spectral_l1():
 def test_l1_bound_for_boolean_spectra(n, seed):
     s = wht(random_table(n, seed))
     assert spectral_l1(s) ** 2 <= s.sparsity
-
-
-def test_normalize_signs_already_positive():
-    t = and2()
-    assert normalize_signs(t, 0b01, 0b10) == t
-
-
-def test_normalize_signs_global_negation():
-    t = and2().negate()
-    assert normalize_signs(t, 0b01, 0b10) == and2()
-
-
-def test_normalize_signs_with_shift():
-    # shift AND2 so the two target coefficients get opposite signs
-    base = and2().shift(0b10)  # flips sign of coefficients with bit 1 set
-    s = wht(base)
-    assert s[0b01] * s[0b10] < 0
-    fixed = normalize_signs(base, 0b01, 0b10)
-    fs = wht(fixed)
-    assert fs[0b01] > 0 and fs[0b10] > 0
-    assert {a: abs(c) for a, c in fs.coeffs.items()} == {
-        a: abs(c) for a, c in s.coeffs.items()
-    }
-
-
-@given(st.integers(2, 6), st.integers(0, 2**32))
-@settings(max_examples=40, deadline=None)
-def test_normalize_signs_preserves_magnitudes(n, seed):
-    t = random_table(n, seed)
-    s = wht(t)
-    supp = sorted(s.support())
-    if len(supp) < 2:
-        return
-    rng = np.random.default_rng(seed + 1)
-    alpha, beta = rng.choice(supp, size=2, replace=False)
-    g = normalize_signs(t, int(alpha), int(beta))
-    gs = wht(g)
-    assert gs[int(alpha)] > 0 and gs[int(beta)] > 0
-    assert sorted(map(abs, gs.coeffs.values())) == sorted(map(abs, s.coeffs.values()))
-    assert gs.support() == s.support()
-
-
-def test_normalize_signs_errors():
-    with pytest.raises(AlphaNotInSupportError):
-        normalize_signs(TruthTable(2, np.ones(4)), 1, 0)
-    with pytest.raises(BetaNotInSupportError):
-        normalize_signs(TruthTable(2, np.ones(4)), 0, 1)
 
 
 def test_evaluate_agreement():
