@@ -24,13 +24,20 @@ Per-direction sums take one of two routes, chosen by `dense_route` alone:
 
 - Blocks: `pair_blocks`, the one sparse pair listing, in blocks of whole
   rows of at most BLOCK_ENTRIES = 2^16 pairs.  A sum sorts all of a call's
-  pair keys once (segment << 24 | direction for `top_directions`),
-  O(k^2 log k) numpy work, nothing sized 2^n.
+  pair keys once, O(k^2 log k) numpy work, nothing sized 2^n.
 - Dense: XOR autocorrelations on (2^n, columns) int64 tables, where n is
   the bit length of the largest mask, O(n 2^n) work.  Over ordered pairs
   sum_{a^b=g} w_a w_b = WHT(WHT(w)^2)[g] / 2^n; it is halved for
   unordered pairs and g = 0 (the diagonal) is dropped.  It runs when
   n 2^n < k^2 / 2.
+
+`top_directions`, the kernel of a greedy round, takes a frontier of
+segments.  Each dense-route segment takes the argmax of its own dense
+counts.  The listed pairs of all the others are keyed segment << m |
+direction, m the widest sparse segment's bit length, and counted at once:
+one bincount into a (segments, 2^m) table while it has at most
+BLOCK_ENTRIES cells, else one sort of the keys, as the blocks' sums do
+(masks of 17 to 24 bits, or more than 2^16 / 2^m sparse segments).
 
 Weighted sums are exact in int64 on the blocks while S = sum w^2 < 2^63: a
 mask lies in at most one pair per direction, so every |w_a w_b| and every
@@ -127,7 +134,7 @@ def _sum_by(keys: np.ndarray, values: np.ndarray | None) -> tuple[np.ndarray, np
     """Sorted distinct keys (all >= 0), as int64, and per key its count, or
     its sum of values.  Both sort `keys` in place.
 
-    Counts take any keys, such as segment << 24 | direction.  Sums take
+    Counts take any keys, such as segment << m | direction.  Sums take
     int64 keys packed as key << w | position, w = len(keys).bit_length(),
     where position indexes values: keys below 2^(63 - w), as directions
     below 2^24 are for any array that fits in memory.  They gather values
@@ -189,11 +196,15 @@ def direction_sums(
 
 def top_directions(masks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Per segment masks[bounds[i]:bounds[i + 1]] of >= 2 sorted distinct
-    masks, the direction of the most pairs, the smallest on a tie.  Segments
-    on the dense route take the argmax of their `direction_sums` counts; the
-    rest count all their pairs at once, keyed segment << 24 | direction."""
+    masks below 2^24, the direction of the most pairs, the smallest on a
+    tie.  Segments on the dense route take the argmax of their
+    `direction_sums` counts; the rest count all their pairs at once, keyed
+    segment << m | direction for m the widest of their bit lengths: one
+    bincount into a (segments, 2^m) table when it has at most
+    BLOCK_ENTRIES cells, else one sort of the keys."""
     sizes = bounds[1:] - bounds[:-1]
-    dense = dense_route(np.frexp(masks[bounds[1:] - 1])[1], sizes)
+    bits = np.frexp(masks[bounds[1:] - 1])[1]
+    dense = dense_route(bits, sizes)
     out = np.zeros(len(sizes), dtype=np.int64)
     for i in dense.nonzero()[0].tolist():
         directions, counts = direction_sums(masks[bounds[i] : bounds[i + 1]])
@@ -201,13 +212,19 @@ def top_directions(masks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     if dense.all():
         return out
     sparse = (~dense).nonzero()[0]
+    m = int(bits[sparse].max())
     seg = np.arange(len(sparse)).repeat(sizes[sparse])
     listed = pair_blocks(masks[(~dense).repeat(sizes)], np.concatenate(([0], sizes[sparse].cumsum())))
-    keys, counts = _sum_by(np.concatenate([seg.take(a) << 24 | xor for a, _, xor in listed]), None)
+    keys = np.concatenate([seg.take(a) << m | xor for a, _, xor in listed])
+    if len(sparse) << m <= BLOCK_ENTRIES:
+        table = np.bincount(keys, minlength=len(sparse) << m).reshape(len(sparse), 1 << m)
+        out[sparse] = table.argmax(axis=1)
+        return out
+    keys, counts = _sum_by(keys, None)
     # by segment, then the most pairs; the stable sort keeps the smallest
     # direction first, and each segment starts where it does in the sorted keys
-    order = np.lexsort((-counts, keys >> 24))
-    out[sparse] = keys[order[(keys >> 24).searchsorted(np.arange(len(sparse)))]] & 0xFFFFFF
+    order = np.lexsort((-counts, keys >> m))
+    out[sparse] = keys[order[(keys >> m).searchsorted(np.arange(len(sparse)))]] & (1 << m) - 1
     return out
 
 

@@ -1,6 +1,8 @@
-"""The pair kernel's two routes: XOR autocorrelations through the WHT
-(dense) and row blocks of pair XORs, against pair-loop oracles and each
-other, at the exact int64 bound, and in whole reports."""
+"""The pair kernel's routes against pair-loop oracles and each other, at
+the exact int64 bound, and in whole reports: XOR autocorrelations through
+the WHT (dense) and row blocks of pair XORs for the per-direction sums,
+and dense tables, a bincount table and one sort of pair keys for a
+frontier's top directions."""
 
 import contextlib
 import itertools
@@ -268,16 +270,45 @@ def naive_top(segment):
     return min(counts, key=lambda g: (-counts[g], g))
 
 
+def coset(basis, offset):
+    """offset + span(basis), sorted: every direction of the span holds k/2
+    pairs, so they all tie."""
+    span = {0}
+    for g in basis:
+        span |= {a ^ g for a in span}
+    return sorted(a ^ offset for a in span)
+
+
+cosets = st.integers(1, 9).flatmap(
+    lambda n: st.builds(coset, st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6), st.integers(0, (1 << n) - 1))
+)
+# all but at most a quarter of the masks below 2^n: dense_route picks them
+# for every n here, so one frontier holds dense segments of several widths
+full_supports = st.integers(4, 7).flatmap(
+    lambda n: st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n - 2).map(lambda gone: sorted(set(range(1 << n)) - gone))
+)
+# masks of up to 24 bits: their (segments, 2^24) count table is past the
+# bound, so their pair keys are sorted; forced dense, they would take
+# tables of 2^24 rows, so the dense runs leave them out
+wide_supports = st.lists(st.integers(0, (1 << 24) - 1), min_size=2, max_size=40, unique=True).map(sorted)
+
+
 @pytest.mark.parametrize("route", ROUTES)
-@given(st.lists(supports.map(sorted), min_size=1, max_size=4), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
+@given(st.data(), st.sampled_from([1, 7, pairs.BLOCK_ENTRIES]))
 @settings(max_examples=60, deadline=None)
-def test_top_directions_match_pair_loop(route, segments, block_entries):
-    # small block budgets split one segment's rows; large ones span segments
+def test_top_directions_match_pair_loop(route, data, block_entries):
+    # small block budgets split one segment's rows and sort every sparse
+    # frontier; at the default one, chosen routes reach the dense counts,
+    # the bincount table and (with wide masks) the sort
+    kinds = supports.map(sorted) | cosets | full_supports
+    segments = data.draw(st.lists(kinds if route == "dense" else kinds | wide_supports, min_size=1, max_size=5))
     masks = np.array([a for segment in segments for a in segment], dtype=np.int64)
     bounds = np.cumsum([0, *map(len, segments)])
-    with forced(route), mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+    with (forced(route), mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries),
+          mock.patch.object(np, "bincount", wraps=np.bincount) as tables):
         top = pairs.top_directions(masks, bounds)
     assert top.tolist() == [naive_top(segment) for segment in segments]
+    assert all(call.kwargs["minlength"] <= block_entries for call in tables.call_args_list)
 
 
 def fold_verify_ops():
@@ -289,13 +320,15 @@ def fold_verify_ops():
 
 @pytest.mark.parametrize("function", [{"family": "inner-product", "m": 4},
                                       {"family": "random", "n": 9, "seed": 7}])
-def test_reports_are_byte_identical_on_both_routes(function, monkeypatch):
+def test_reports_are_byte_identical_on_both_routes(function):
+    # at BLOCK_ENTRIES = 1 every greedy round sorts its sparse pair keys
     config = {"seed": 0, "functions": [function], "analyses": fold_verify_ops()}
-    reports = {}
-    for dense in (True, False):
-        monkeypatch.setattr(pairs, "dense_route", lambda n, k: np.full(np.shape(k), dense))
-        reports[dense] = runner.run_experiment(config).to_json()
-    assert reports[True] == reports[False]
+    reports = []
+    for route, block_entries in [("dense", pairs.BLOCK_ENTRIES), ("blocks", pairs.BLOCK_ENTRIES),
+                                 ("blocks", 1), ("chosen", 1)]:
+        with forced(route), mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+            reports.append(runner.run_experiment(config).to_json())
+    assert reports[1:] == reports[:1] * 3
 
 
 def test_sign_constraints_list_only_size_two_classes(monkeypatch):
