@@ -41,8 +41,6 @@ from .restriction import (
     AffineConstraintSystem,
     BucketReport,
     bucket_complexity,
-    identification_bound_check,
-    identified,
     restrict,
     restrict_batch,
 )

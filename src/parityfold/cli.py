@@ -271,9 +271,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="canonical JSON output")
     parser.add_argument("--csv", default=default(None),
                         help="write a CSV summary to this path (mc and experiment only)")
-    max_n = runner.DEFAULT_MAX_N
+    max_n = spectral.MAX_TABLE_DIMENSION
     parser.add_argument("--max-n", type=int, default=default(max_n), dest="max_n",
-                        help=f"refuse functions above this dimension (default {max_n})")
+                        help=f"refuse functions above this dimension, at most {max_n} (default {max_n})")
 
 
 def _op_parser(sub, common, command: str, op: str, help: str, cli_only: tuple = ()):
@@ -354,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.csv is not None and args.command not in ("mc", "experiment"):
             raise UsageError(f"--csv applies only to mc and experiment, not {args.command}")
+        runner.parse_max_n(args.max_n)  # before any function is built
         return args.func(args)
     except (folding.FoldingBoundError, restriction.IdentificationBoundError, pdt.ResampleCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import MAX_DIMENSION, check_vector, row_reduce
-from .spectral import REQUIRED, TruthTable, json_int, json_of, parity_of, read_keys
-
-MAX_TABLE_DIMENSION = 20
+from .gf2 import check_vector, row_reduce
+from .spectral import MAX_TABLE_DIMENSION, REQUIRED, TruthTable, json_int, json_of, parity_of, read_keys
 
 
 class InvalidFamilyParameterError(ValueError):
@@ -40,6 +38,14 @@ def _check_addressing_k(k: int) -> tuple[int, int]:
     addr_bits = int(math.log2(k)) // 2
     sqrt_k = math.isqrt(k)
     return addr_bits, sqrt_k
+
+
+def _size(n: int, what: str) -> int:
+    """2^n, the entries of a table on n variables, once n is within the
+    table cap."""
+    if not 0 <= n <= MAX_TABLE_DIMENSION:  # before 2^n entries are made
+        raise InvalidFamilyParameterError(f"{what}: n = {n} outside [0, {MAX_TABLE_DIMENSION}]")
+    return 1 << n
 
 
 def addressing_support(k: int) -> tuple[tuple[int, ...], int]:
@@ -56,9 +62,7 @@ def gen_addressing(k: int) -> TruthTable:
     """Address bits select which target bit's sign is output."""
     addr_bits, sqrt_k = _check_addressing_k(k)
     n = addr_bits + sqrt_k
-    if n > MAX_TABLE_DIMENSION:
-        raise InvalidFamilyParameterError(f"k={k} needs n={n} > {MAX_TABLE_DIMENSION}")
-    idx = np.arange(1 << n, dtype=np.uint32)
+    idx = np.arange(_size(n, f"addressing k={k}"), dtype=np.uint32)
     addr = idx & ((1 << addr_bits) - 1)
     selected = (idx >> (addr_bits + addr)) & 1
     return TruthTable(n, 1 - 2 * selected.astype(np.int64))
@@ -69,9 +73,7 @@ def gen_modified_addressing(k: int) -> TruthTable:
     and of z2 where it is -1."""
     addr_bits, sqrt_k = _check_addressing_k(k)
     n = 2 + addr_bits + sqrt_k
-    if n > MAX_TABLE_DIMENSION:
-        raise InvalidFamilyParameterError(f"k={k} needs n={n} > {MAX_TABLE_DIMENSION}")
-    idx = np.arange(1 << n, dtype=np.uint32)
+    idx = np.arange(_size(n, f"modified-addressing k={k}"), dtype=np.uint32)
     z1 = idx & 1
     z2 = (idx >> 1) & 1
     addr = (idx >> 2) & ((1 << addr_bits) - 1)
@@ -85,10 +87,8 @@ def gen_inner_product(m: int) -> TruthTable:
     if m < 1:
         raise InvalidFamilyParameterError(f"m must be >= 1, got {m}")
     n = 2 * m
-    if n > MAX_TABLE_DIMENSION:
-        raise InvalidFamilyParameterError(f"m={m} needs n={n} > {MAX_TABLE_DIMENSION}")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    acc = np.zeros(1 << n, dtype=np.uint32)
+    idx = np.arange(_size(n, f"inner-product m={m}"), dtype=np.uint32)
+    acc = np.zeros(len(idx), dtype=np.uint32)
     for i in range(m):
         acc ^= ((idx >> (2 * i)) & 1) & ((idx >> (2 * i + 1)) & 1)
     return TruthTable(n, 1 - 2 * acc.astype(np.int64))
@@ -96,14 +96,14 @@ def gen_inner_product(m: int) -> TruthTable:
 
 def gen_parity(mask: int, n: int) -> TruthTable:
     check_vector(mask, n)
-    idx = np.arange(1 << n, dtype=np.uint64)
+    idx = np.arange(_size(n, "parity"), dtype=np.uint64)
     return TruthTable(n, 1 - 2 * parity_of(idx & np.uint64(mask)).astype(np.int64))
 
 
 def gen_conjunction(mask: int, n: int) -> TruthTable:
     """-1 exactly where all variables in mask are set."""
     check_vector(mask, n)
-    idx = np.arange(1 << n, dtype=np.uint64)
+    idx = np.arange(_size(n, "conjunction"), dtype=np.uint64)
     hit = (idx & np.uint64(mask)) == np.uint64(mask)
     return TruthTable(n, np.where(hit, -1, 1).astype(np.int64))
 
@@ -120,18 +120,17 @@ def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
         )
     if row_reduce(masks, n).rank != len(masks):
         raise InvalidFamilyParameterError("embedding masks must be linearly independent")
-    idx = np.arange(1 << n, dtype=np.uint64)
-    inner_index = np.zeros(1 << n, dtype=np.int64)
+    idx = np.arange(_size(n, "junta"), dtype=np.uint64)
+    inner_index = np.zeros(len(idx), dtype=np.int64)
     for i, mask in enumerate(masks):
         inner_index |= parity_of(idx & np.uint64(mask)).astype(np.int64) << i
     return TruthTable(n, inner.values[inner_index])
 
 
 def gen_random(n: int, seed: int) -> TruthTable:
-    if not 0 <= n <= MAX_DIMENSION:  # before 2^n entries are drawn
-        raise InvalidFamilyParameterError(f"n must lie in [0, {MAX_DIMENSION}], got {n}")
+    size = _size(n, "random")
     rng = np.random.default_rng(seed)
-    return TruthTable(n, 1 - 2 * rng.integers(0, 2, size=1 << n, dtype=np.int64))
+    return TruthTable(n, 1 - 2 * rng.integers(0, 2, size=size, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Bit-level linear algebra over F2 using int bitsets.
 
 Vectors in F2^n are ints whose bit i is the coefficient of variable
-x_{i+1}; n is capped at 24 so every mask fits comfortably in one word
-and exhaustive checks over 2^n stay desk-scale.
+x_{i+1}; n is capped at 24 so every mask fits comfortably in one word.
+Truth tables, and so exhaustive checks over 2^n, stop at n = 20
+(`spectral.MAX_TABLE_DIMENSION`).
 
 `Echelon` is the one elimination kernel and the one basis type: reduced
 row-echelon rows indexed by their pivots (leading bits, kept as one-bit

@@ -171,7 +171,8 @@ _VERIFY_CHUNK = 1 << 16
 
 
 def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
-    """Exhaustive agreement check over all 2^n inputs, capped at n = 20.
+    """Exhaustive agreement check over all 2^n inputs of the table, whose
+    n is at most `spectral.MAX_TABLE_DIMENSION`.
 
     The inputs run down the arrays together, one pass per level: x at
     internal node s moves to child[2s + <query[s], x>], and inputs that
@@ -180,8 +181,6 @@ def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
     """
     if tree.n != table.n:
         raise ValueError(f"dimension mismatch: tree n={tree.n}, table n={table.n}")
-    if table.n > 20:
-        raise ValueError(f"exhaustive verification capped at n = 20, got {table.n}")
     query, child, values = tree.query, tree.child, tree.values
     if len(query):  # a query outside n bits is a DimensionMismatchError
         check_vector(int(query.max()), tree.n)

@@ -1,5 +1,4 @@
-"""Affine-subspace machinery: spectrum restriction, bucket complexity,
-and character identification.
+"""Affine-subspace machinery: spectrum restriction and bucket complexity.
 
 A constraint system {(g_i, b_i)} carves out the affine subspace
 H = {x | <g_i, x> = b_i for all i}.  Restricting a spectrum to H groups
@@ -14,6 +13,12 @@ a mask's tag is its sign flip on H; sums are Python ints.
 `restrict_frontier` restricts many spectra, each to all 2^b subspaces of
 its batch, with one (2^b, buckets) table and one WHT along the tag axis;
 `restrict_batch` is its one-spectrum form.
+
+`bucket_complexity` partitions a support of k masks into the cosets of
+span(Gamma).  Its `BucketReport` carries h, the masks that share a
+bucket, and the identification bound k - ceil(h/2) on the bucket count
+(singletons number k - h, shared buckets at most h/2), and refuses a
+count above that bound when it is made.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-# bench/tracing.py binds coset_label here by name; it is otherwise unused
+# bench/tracing.py binds coset_label and in_span here by name; they are otherwise unused
 from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
 from .spectral import FourierSpectrum
@@ -158,15 +163,28 @@ def restrict_frontier(
 
 @dataclass(frozen=True)
 class BucketReport:
-    """Partition of a support set into cosets of span(Gamma)."""
+    """Partition of a support set into cosets of span(Gamma), with h
+    (``identified_count``), the support elements that share a bucket."""
 
     bucket_count: int
     buckets: dict[int, tuple[int, ...]]
     identified_count: int
 
+    def __post_init__(self) -> None:
+        if self.bucket_count > self.bound:
+            raise IdentificationBoundError(
+                f"{self.bucket_count} buckets exceed k - ceil(h/2) = {self.bound} "
+                f"at k={self.support_size}, h={self.identified_count}"
+            )
+
     @property
     def support_size(self) -> int:
         return sum(len(b) for b in self.buckets.values())
+
+    @property
+    def bound(self) -> int:
+        """The identification bound k - ceil(h/2) on the bucket count."""
+        return self.support_size - (self.identified_count + 1) // 2
 
     def to_dict(self) -> dict:
         return {
@@ -190,35 +208,3 @@ def bucket_complexity(
     buckets = {label: tuple(sorted(members)) for label, members in groups.items()}
     identified = sum(len(b) for b in buckets.values() if len(b) >= 2)
     return BucketReport(len(buckets), buckets, identified)
-
-
-def identified(beta: int, delta: int, gammas: Iterable[int], n: int) -> bool:
-    """True when beta and delta land in the same coset of span(gammas)."""
-    check_vector(beta, n)
-    check_vector(delta, n)
-    return in_span(beta ^ delta, row_reduce(gammas, n))
-
-
-@dataclass(frozen=True)
-class IdentificationBound:
-    identified_count: int  # h: support elements sharing a bucket with another
-    bound: int  # k - ceil(h/2)
-    report: BucketReport  # the partition the bound was checked on
-
-    @property
-    def actual(self) -> int:
-        """The bucket count."""
-        return self.report.bucket_count
-
-
-def identification_bound_check(
-    support: Iterable[int], gammas: Iterable[int], n: int
-) -> IdentificationBound:
-    report = bucket_complexity(support, gammas, n)
-    k = report.support_size
-    h = report.identified_count
-    bound = k - (h + 1) // 2
-    # singleton buckets number k - h, shared buckets at most h/2
-    if 2 * report.bucket_count > 2 * k - h:
-        raise IdentificationBoundError(f"{report.bucket_count} buckets exceed k - h/2 at k={k}, h={h}")
-    return IdentificationBound(h, bound, report)

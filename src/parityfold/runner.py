@@ -51,7 +51,6 @@ from .families import FunctionSpec, build_function, read_function
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
 VERSION = "0.1.0"
-DEFAULT_MAX_N = 20
 
 
 class ConfigError(ValueError):
@@ -71,6 +70,13 @@ def parse_fraction(value, what: str = "value") -> Fraction:
     if isinstance(value, float) and math.isfinite(value):
         return folding.float_fraction(value)
     raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+
+
+def parse_max_n(value, what: str = "max_n") -> int:
+    """A cap on the functions' n: an integer in [0, spectral.MAX_TABLE_DIMENSION]."""
+    if not 0 <= json_int(value, what) <= spectral.MAX_TABLE_DIMENSION:
+        raise ConfigError(f"{what} must lie in [0, {spectral.MAX_TABLE_DIMENSION}], got {value}")
+    return value
 
 
 def load_config(path: str | Path) -> dict:
@@ -136,15 +142,15 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
         constraints = params["restrict"]
         system = restriction.AffineConstraintSystem(spectrum.n, constraints)
         restricted = restriction.restrict(spectrum, system)
-        bound = restriction.identification_bound_check(spectrum.support(), [mask for mask, _ in constraints], spectrum.n)
+        report = restriction.bucket_complexity(spectrum.masks.tolist(), [mask for mask, _ in constraints], spectrum.n)
         out["restrict"] = {
             "constraints": [{"mask": mask, "bit": bit} for mask, bit in constraints],
             "codimension": system.codimension,
             "restricted_sparsity": restricted.sparsity,
             "restricted_support": restricted.masks.tolist(),
-            "bucket_report": bound.report.to_dict(),
-            "identified_count": bound.identified_count,
-            "identification_bound": bound.bound,
+            "bucket_report": report.to_dict(),
+            "identified_count": report.identified_count,
+            "identification_bound": report.bound,
         }
     return out
 
@@ -512,7 +518,7 @@ def _flatten(obj, prefix: str = "") -> dict:
 # nothing reads
 CONFIG = {
     "seed": (json_int, 0),
-    "max_n": (json_int, DEFAULT_MAX_N),
+    "max_n": (parse_max_n, spectral.MAX_TABLE_DIMENSION),
     "functions": (list, REQUIRED),
     "analyses": (lambda value, what: [json_of(item, dict, "analysis") for item in json_of(value, list, what)], []),
     "note": (object, None),

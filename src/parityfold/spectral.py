@@ -1,7 +1,9 @@
 """Exact Boolean-function representations and Walsh-Hadamard analysis.
 
-A function f : F2^n -> {-1, +1} is held either as a dense truth table or
-as a sparse spectrum of scaled-integer coefficients c_a = fhat(a) * 2^n.
+A function f : F2^n -> {-1, +1} is held either as a dense truth table,
+n <= MAX_TABLE_DIMENSION (20, the one cap on a table, which TruthTable
+enforces), or as a sparse spectrum of scaled-integer coefficients
+c_a = fhat(a) * 2^n, n <= gf2.MAX_DIMENSION (24).
 Every coefficient of a +-1 function is an integral multiple of 1/2^n, so
 the scaled form is lossless and all identities below are exact integer
 equations (zero tolerance).
@@ -52,6 +54,8 @@ import numpy as np
 from .gf2 import MAX_DIMENSION, check_vector
 from .pairs import direction_sums, fwht_inplace
 
+MAX_TABLE_DIMENSION = 20  # a truth table's n, and the runner's max_n, at most this
+
 
 class NotBooleanValuedError(ValueError):
     """The spectrum does not evaluate to +-1 everywhere."""
@@ -78,8 +82,8 @@ class TruthTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension {self.n} outside [0, {MAX_DIMENSION}]")
+        if not 0 <= self.n <= MAX_TABLE_DIMENSION:
+            raise ValueError(f"dimension {self.n} outside [0, {MAX_TABLE_DIMENSION}]")
         # validate before the int8 cast, which would wrap 255 to -1
         vals = np.asarray(self.values)
         if vals.shape != (1 << self.n,):
@@ -101,9 +105,6 @@ class TruthTable:
     def evaluate(self, x: int) -> int:
         check_vector(x, self.n)
         return int(self.values[x])
-
-    def negate(self) -> "TruthTable":
-        return TruthTable(self.n, -self.values)
 
 
 def _is_integer(value) -> bool:
@@ -220,6 +221,8 @@ def wht(table: TruthTable) -> FourierSpectrum:
 
 def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
     """Inverse transform; raises NotBooleanValuedError unless every point is +-1."""
+    if spectrum.n > MAX_TABLE_DIMENSION:  # before 2^n entries
+        raise ValueError(f"dimension {spectrum.n} outside [0, {MAX_TABLE_DIMENSION}]")
     full = 1 << spectrum.n
     coefficients = spectrum.coefficients
     # no +-1 function has |c| > 2^n; within it every sum fits int64.  The

@@ -124,6 +124,22 @@ def test_random_refuses_a_dimension_beyond_the_cap_before_drawing(n):
         gen_random(n, 0)
 
 
+@pytest.mark.parametrize("generate, what", [
+    (lambda: gen_addressing(1024), "addressing k=1024: n = 37"),
+    (lambda: gen_modified_addressing(256), "modified-addressing k=256: n = 22"),
+    (lambda: gen_inner_product(11), "inner-product m=11: n = 22"),
+    (lambda: gen_parity(1, 21), "parity: n = 21"),
+    (lambda: gen_conjunction(1, 21), "conjunction: n = 21"),
+    (lambda: gen_junta(gen_parity(1, 1), [1], 21), "junta: n = 21"),
+    (lambda: gen_random(21, 0), "random: n = 21"),
+])
+def test_every_generator_refuses_a_table_above_the_cap(generate, what):
+    # the one table cap, spectral.MAX_TABLE_DIMENSION, refused before the
+    # 2^n inputs are made, whatever the family (masks still go to n = 24)
+    with pytest.raises(InvalidFamilyParameterError, match=rf"^{what} outside \[0, 20\]$"):
+        generate()
+
+
 def test_generated_tables_pass_exact_identities():
     for table in [
         gen_addressing(16),

@@ -4,13 +4,19 @@ default, shared by experiment configs and the CLI op subcommands."""
 import importlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from parityfold import pdt, runner
 from parityfold.cli import USAGE_ERROR, function_entry, main
+from parityfold.folding import SparsityTooSmallError
+from parityfold.gf2 import DimensionMismatchError
+from parityfold.pdt import NotFoldingError
+from parityfold.restriction import InconsistentConstraintsError
 from parityfold.runner import ConfigError, run_experiment
 
 FUNCTION = "addressing:k=16"
@@ -303,6 +309,52 @@ def test_a_system_the_function_refuses_is_a_usage_error(tmp_path, case):
     path.write_text(json.dumps(system))
     code, out, err = cli(["analyze", FUNCTION, "--restrict", str(path)])
     assert code == USAGE_ERROR and message in err and out == ""
+
+
+# the refusals that depend on the function, each as the README lists it:
+# (function, analysis, error type, the start of its message).  A plain
+# ValueError is named in the README by its message, a subclass by its name
+SPARSITY_1 = {"family": "parity", "mask": 3, "n": 3}
+OVER_4096 = {"family": "random", "n": 13, "seed": 1}
+FUNCTION_REFUSALS = {
+    "restrict-mask-outside-n": (ENTRY, {"op": "analyze", "restrict": UNRESTRICTABLE["mask-outside-n"][0]},
+                                DimensionMismatchError, "mask 0x40 does not fit in 6 bits"),
+    "restrict-inconsistent": (ENTRY, {"op": "analyze", "restrict": UNRESTRICTABLE["inconsistent"][0]},
+                              InconsistentConstraintsError, "constraint system forces 0 = 1"),
+    "mc-theorem-1-sparsity": (SPARSITY_1, {"op": "mc", "kind": "theorem-1", "p": "1/2"}, ValueError, "need sparsity >= 4"),
+    "mc-warmup-sparsity": (SPARSITY_1, {"op": "mc", "kind": "warmup"}, ValueError, "need sparsity >= 2"),
+    **{
+        f"{name}-sparsity-1": (SPARSITY_1, analysis, ValueError, "need at least 2 support elements, got 1")
+        for name, analysis in [
+            ("fold", {"op": "fold"}),
+            ("pair-condition", {"op": "verify", "check": "pair-condition"}),
+            ("single-direction", {"op": "verify", "check": "single-direction"}),
+            ("mc-theorem-2", {"op": "mc", "kind": "theorem-2"}),
+        ]
+    },
+    **{
+        f"{name}-over-4096": (OVER_4096, analysis, ValueError, "pair lists disabled for k > 4096")
+        for name, analysis in [
+            ("fold-pairs", {"op": "fold", "pairs": True}),
+            ("sign-feasibility", {"op": "verify", "check": "sign-feasibility"}),
+        ]
+    },
+    "not-folding": (ENTRY, {"op": "mc", "kind": "theorem-2", "delta": 1, "ell": "1/2"}, NotFoldingError,
+                    "support achieves delta = "),
+    "three-fold-sparsity": ({"family": "addressing", "k": 4}, {"op": "verify", "check": "three-fold"},
+                            SparsityTooSmallError, "k = 4 <= 4; the three-fold guarantee needs k > 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUNCTION_REFUSALS))
+def test_each_function_refusal_the_readme_lists(case):
+    entry, analysis, error, message = FUNCTION_REFUSALS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as caught:  # a ValueError is exit 2
+        run_experiment({"functions": [entry], "analyses": [analysis]})
+    assert caught.type is error
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Seven refusals depend on the function", 1)[1].split("\n\n")[1]  # the list after its intro
+    assert f"`{message if error is ValueError else error.__name__}`" in " ".join(listed.split())
 
 
 def test_the_choices_are_the_dispatch_tables_keys():

@@ -169,7 +169,7 @@ def test_verify_tree_deep_decision_list(n, depth):
     # 5000 levels exceed the default recursion limit: the check has no recursion
     tree, table = decision_list(depth, n), gen_parity(1, n)
     assert verify_tree(tree, table)
-    assert not verify_tree(tree, table.negate())
+    assert not verify_tree(tree, TruthTable(n, -table.values))
     assert not verify_tree(tree, gen_parity(1 << (n - 1), n))
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import operator
 
 import numpy as np
@@ -16,8 +17,6 @@ from parityfold.restriction import (
     IdentificationBoundError,
     InconsistentConstraintsError,
     bucket_complexity,
-    identification_bound_check,
-    identified,
     restrict,
     restrict_batch,
 )
@@ -120,22 +119,16 @@ def test_bucket_complexity_full_basis():
     assert report.bucket_count == 1
 
 
-def test_identified():
-    assert identified(5, 5, [0b11], 3)  # beta + beta = 0
-    assert identified(0b01, 0b10, [0b11], 2)
-    assert not identified(0b01, 0b10, [0b01], 2)
-
-
 def test_identification_bound_and2():
-    result = identification_bound_check({0, 1, 2, 3}, [0b11], 2)
-    assert result.identified_count == 4
-    assert result.bound == 2
-    assert result.actual == 2
+    report = bucket_complexity({0, 1, 2, 3}, [0b11], 2)
+    assert report.identified_count == 4
+    assert report.bound == 2
+    assert report.bucket_count == 2
 
 
 def test_identification_bound_no_gamma():
-    result = identification_bound_check({0, 1, 2, 3}, [], 2)
-    assert (result.identified_count, result.bound, result.actual) == (0, 4, 4)
+    report = bucket_complexity({0, 1, 2, 3}, [], 2)
+    assert (report.identified_count, report.bound, report.bucket_count) == (0, 4, 4)
 
 
 @given(st.integers(2, 7), st.integers(0, 2**32), st.data())
@@ -144,8 +137,8 @@ def test_observation_bounds_hold(n, seed, data):
     s = wht(random_table(n, seed))
     rng = np.random.default_rng(seed + 5)
     masks = [int(rng.integers(1, 1 << n)) for _ in range(data.draw(st.integers(0, 4)))]
-    result = identification_bound_check(s.support(), masks, n)
-    assert 2 * result.actual <= 2 * s.sparsity - result.identified_count
+    report = bucket_complexity(s.support(), masks, n)
+    assert 2 * report.bucket_count <= 2 * s.sparsity - report.identified_count
 
 
 @given(st.integers(2, 7), st.integers(0, 2**32))
@@ -175,11 +168,12 @@ def test_codimension():
 
 
 def test_identification_bound_violation_is_a_typed_error(monkeypatch, tmp_path, capsys):
-    # one bucket of two masks reported as two buckets: 2 * 2 > 2k - h = 2
-    bogus = BucketReport(2, {0: (0, 3)}, 2)
-    monkeypatch.setattr(restriction, "bucket_complexity", lambda *args: bogus)
-    with pytest.raises(IdentificationBoundError):
-        identification_bound_check({0, 3}, [0b11], 2)
+    # one bucket of two masks reported as two buckets: 2 > k - ceil(h/2) = 1
+    assert BucketReport(1, {0: (0, 3)}, 2).bound == 1
+    with pytest.raises(IdentificationBoundError, match=r"^2 buckets exceed k - ceil\(h/2\) = 1 at k=2, h=2$"):
+        BucketReport(2, {0: (0, 3)}, 2)
+    # a partition that breaks the bound in analyze is a failed check, exit 1
+    monkeypatch.setattr(restriction, "bucket_complexity", lambda *args: BucketReport(2, {0: (0, 3)}, 2))
     path = tmp_path / "system.json"
     path.write_text(json.dumps([{"mask": 3, "bit": 1}]))
     assert main(["analyze", "addressing:k=16", "--restrict", str(path)]) == 1
@@ -326,12 +320,6 @@ def test_analyze_restrict_partitions_the_support_once(monkeypatch, tmp_path, cap
     assert payload["bucket_report"] == real(*calls[0]).to_dict()
 
 
-def test_identification_bound_keeps_its_report():
-    result = identification_bound_check({0, 1, 2, 3}, [0b11], 2)
-    assert result.report == bucket_complexity({0, 1, 2, 3}, [0b11], 2)
-    assert result.actual == result.report.bucket_count
-
-
 # Batched restriction and the vectorized bucket count against the
 # single-system path and a Python set: n <= 8 on random tables, n = 24 (the
 # cap) on sparse supports whose masks share a few base vectors.
@@ -351,6 +339,30 @@ def draw_spectrum_and_batch(data, n):
         coeffs = st.integers(-(1 << n), 1 << n).filter(bool)
         spectrum = FourierSpectrum(n, {m: data.draw(coeffs) for m in draw_masks(data, n, base, 40)})
     return spectrum, independent(draw_masks(data, n, base, 6), n)
+
+
+@given(BATCH_DIMENSIONS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_bucket_report_is_the_coset_partition_within_its_bound(n, data):
+    # masks that share a few base vectors, so buckets merge at n = 24 too;
+    # the gammas may be dependent and the support empty
+    base = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    support = sorted(set(draw_masks(data, n, base, 40)))
+    gammas = draw_masks(data, n, base, 5)
+    span = {0}
+    for g in gammas:
+        span |= {s ^ g for s in span}
+    cosets = {frozenset(a ^ s for s in span) for a in support}
+    partition = {coset: tuple(a for a in support if a in coset) for coset in cosets}
+    report = bucket_complexity(support, gammas, n)
+    assert sorted(report.buckets.values()) == sorted(partition.values())
+    for label, members in report.buckets.items():
+        assert all(label ^ a in span for a in members)
+    h = sum(len(members) for members in partition.values() if len(members) > 1)
+    assert (report.bucket_count, report.identified_count) == (len(partition), h)
+    assert report.support_size == len(support)
+    assert report.bound == len(support) - math.ceil(h / 2)
+    assert report.bucket_count <= report.bound
 
 
 @given(BATCH_DIMENSIONS, st.data())

@@ -366,6 +366,47 @@ def test_cli_max_n_guard(capsys):
     capsys.readouterr()
 
 
+ZERO_PARITY = {"family": "parity", "mask": 0, "n": 0}
+
+
+def cli_exit(argv, capsys):
+    """(exit code, stderr) of main(argv), an argparse refusal included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_n", [-1, 21, True, "20"])
+def test_a_max_n_outside_0_to_20_is_refused_before_any_function_is_built(monkeypatch, tmp_path, capsys, max_n):
+    def refuse(*args):
+        raise RuntimeError("built a function")
+
+    monkeypatch.setattr(runner, "build_function", refuse)
+    config = {"max_n": max_n, "functions": [ZERO_PARITY], "analyses": [{"op": "analyze"}]}
+    with pytest.raises(ConfigError, match=r"^config max_n must (lie in \[0, 20\]|be an integer), got"):
+        run_experiment(config)
+    assert cli_exit(["experiment", str(make_config(tmp_path, config))], capsys)[0] == USAGE_ERROR
+    flag = json.dumps(max_n) if isinstance(max_n, str) else str(max_n).lower()
+    for argv in (["--max-n", flag, "analyze", "parity:mask=0,n=0"], ["analyze", "parity:mask=0,n=0", "--max-n", flag]):
+        code, err = cli_exit(argv, capsys)
+        assert code == USAGE_ERROR
+        if isinstance(max_n, (bool, str)):  # not an int: argparse refuses it
+            assert "argument --max-n: invalid int value" in err
+        else:
+            assert err == f"error: max_n must lie in [0, 20], got {max_n}\n"
+
+
+@pytest.mark.parametrize("max_n", [0, 20])
+def test_a_max_n_from_0_to_20_is_read(tmp_path, capsys, max_n):
+    config = {"max_n": max_n, "functions": [ZERO_PARITY], "analyses": [{"op": "analyze"}]}
+    assert run_experiment(config).results[0]["n"] == 0
+    assert cli_exit(["experiment", str(make_config(tmp_path, config))], capsys)[0] == 0
+    assert cli_exit(["--max-n", str(max_n), "analyze", "parity:mask=0,n=0"], capsys)[0] == 0
+    assert cli_exit(["analyze", "parity:mask=0,n=0", "--max-n", str(max_n)], capsys)[0] == 0
+
+
 def test_cli_max_n_guard_comes_before_inverting_a_spectrum_file(tmp_path, monkeypatch, capsys):
     # inverse_wht allocates 2^n entries, so a refused file must not reach it
     def refuse(spectrum):
@@ -920,7 +961,7 @@ def test_cli_experiment_echoes_the_deepest_config_it_reads(tmp_path):
         lo, hi = (mid, hi) if reads(mid) else (lo, mid)
     text, config = deep_note_config(lo)
     path.write_text(text)
-    report = {"version": runner.VERSION, "config": {**config, "max_n": runner.DEFAULT_MAX_N}, "results": []}
+    report = {"version": runner.VERSION, "config": {**config, "max_n": spectral.MAX_TABLE_DIMENSION}, "results": []}
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 2 * lo)  # json.dumps recurses once per level
     try:

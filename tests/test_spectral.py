@@ -10,6 +10,7 @@ from parityfold.cli import main
 from parityfold.gf2 import DimensionMismatchError
 from parityfold.pairs import WeightBoundError
 from parityfold.spectral import (
+    MAX_TABLE_DIMENSION,
     FourierSpectrum,
     NotBooleanValuedError,
     TruthTable,
@@ -457,6 +458,16 @@ def test_table_validation():
         TruthTable(1, np.array([1, 2]))
     with pytest.raises(ValueError):
         table_from_dict({"n": 1, "values": [1, 0]})
+
+
+def test_a_truth_table_is_capped_at_n_20():
+    # MAX_TABLE_DIMENSION is the one cap on a table; a spectrum's n goes to 24
+    assert MAX_TABLE_DIMENSION == 20
+    assert TruthTable(20, np.ones(1 << 20, np.int8)).n == 20
+    with pytest.raises(ValueError, match=r"^dimension 21 outside \[0, 20\]$"):
+        TruthTable(21, np.ones(1 << 21, np.int8))
+    with pytest.raises(ValueError, match=r"^dimension 21 outside \[0, 20\]$"):
+        inverse_wht(FourierSpectrum(21, {0: 1 << 21}))  # before its 2^21 entries
 
 
 @pytest.mark.parametrize(
