@@ -164,6 +164,17 @@ def _mc_text(label: str, n: int, result: dict) -> tuple[list[str], int]:
     return lines, 0
 
 
+def _mc_csv(stats: dict) -> str:
+    """mc's --csv file of its stats block: a header and one row."""
+    row = [
+        stats["trials"], stats["k"], ";".join(map(repr, stats["probabilities"])), stats["clamped"],
+        repr(stats["mean_bucket_fraction_float"]), *map(repr, stats["ci95"]),
+        stats.get("success_threshold", ""), stats.get("success_fraction", ""),
+    ]
+    header = "trials,k,probabilities,clamped,mean_bucket_fraction,ci95_low,ci95_high,success_threshold,success_fraction"
+    return header + "\n" + ",".join(map(str, row)) + "\n"
+
+
 # op params whose flag names a JSON file that holds the value
 FILE_PARAMS = ("restrict",)
 
@@ -190,7 +201,7 @@ def cmd_op(args) -> int:
     else:
         result = runner.OPS[op][0](table, spectrum, values)
     if op == "mc" and args.csv:
-        Path(args.csv).write_text(pdt.TrialStats.CSV_HEADER + "\n" + pdt.TrialStats.csv_row(result["stats"]) + "\n")
+        Path(args.csv).write_text(_mc_csv(result["stats"]))
     payload = {"function": label, op: result, **({"n": table.n} if op == "analyze" else {})}
     lines, code = _TEXT[op](label, table.n, result)
     _emit(args, payload, lines)
@@ -213,7 +224,7 @@ def cmd_verify(args) -> int:
         "n": args.n,
         "support": list(support),
         "pair_condition": pair.ok,
-        "sign_feasibility": sign.to_dict(),
+        "sign_feasibility": runner.sign_block(sign),
         "passed": passed,
     }
     lines = [
@@ -244,8 +255,9 @@ def cmd_pdt(args) -> int:
 def cmd_experiment(args) -> int:
     started = time.monotonic()
     config = runner.load_config(args.config)
-    if args.max_n is not None:
-        config.setdefault("max_n", args.max_n)
+    if "max_n" in config:  # the smaller cap applies, and the report echoes it
+        args.max_n = min(args.max_n, runner.parse_max_n(config["max_n"], "config max_n"))
+    config["max_n"] = args.max_n
     report = runner.run_experiment(config, Path(args.config).parent)
     text = report.to_json()
     if args.output:

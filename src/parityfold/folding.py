@@ -136,21 +136,6 @@ class FoldingProfile:
         sizes, how_many = np.unique(self.counts, return_counts=True)
         return dict(zip(sizes.tolist(), how_many.tolist()))
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "direction_count": len(self.directions),
-            "total_pairs": self.total_pairs,
-            "min_class_size": self.min_class_size,
-            "max_class_size": self.max_class_size,
-            "histogram": {str(s): c for s, c in self.histogram().items()},
-            "classes": dict(zip(map(str, self.directions.tolist()), self.counts.tolist())),
-        }
-        if self.pairs is not None:
-            out["pairs"] = {str(g): [list(p) for p in pairs] for g, pairs in self.pairs.items()}
-        return out
-
 
 def _sorted_support(support: Iterable[int]) -> np.ndarray:
     """The distinct masks of a support in ascending order, as int64; a
@@ -286,17 +271,6 @@ class SingleDirectionReport:
     nontrivial_counts: dict[int, int]  # alpha -> #betas with class size >= 3
     single_direction: dict[int, tuple[int, int]]  # alpha -> (beta, class size)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "positive_count": self.positive_count,
-            "negative_count": self.negative_count,
-            "plateaued": self.plateaued,
-            "nontrivial_counts": dict(zip(map(str, self.nontrivial_counts), self.nontrivial_counts.values())),
-            "single_direction": {str(a): list(v) for a, v in self.single_direction.items()},
-        }
-
 
 def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionReport:
     """Per-element count of nontrivial (size >= 3) directions.
@@ -357,23 +331,6 @@ class SignFeasibilityResult:
     constraints: tuple[SignConstraint, ...]
     assignment: dict[int, int] | None  # mask -> +-1 satisfying all constraints
     witness: tuple[SignConstraint, ...] | None  # constraints XOR-ing to 0 = 1
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "feasible": self.feasible,
-            "constraint_count": len(self.constraints),
-        }
-        if self.assignment is not None:
-            out["assignment"] = dict(zip(map(str, self.assignment), self.assignment.values()))
-        if self.witness is not None:
-            out["witness"] = [
-                {
-                    "direction": c.direction,
-                    "pairs": [list(c.pair1), list(c.pair2)],
-                }
-                for c in self.witness
-            ]
-        return out
 
 
 def sign_constraints(support: Iterable[int]) -> tuple[SignConstraint, ...]:

@@ -366,10 +366,6 @@ class NodeRecord:
     probabilities: tuple[float, ...]
     clamped: bool
 
-    def to_dict(self) -> dict:
-        tuples = {"batch": list(self.batch), "probabilities": list(self.probabilities)}
-        return {**vars(self), **tuples, "batch_size": len(self.batch)}
-
 
 @dataclass(frozen=True)
 class BuildResult:
@@ -604,47 +600,6 @@ class TrialStats:
     ci95: tuple[float, float]  # normal-approximation CI for the mean of B/k
     success_threshold: Fraction | None = None  # success means B <= threshold
     success_fraction: Fraction | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "k": self.k,
-            "probabilities": list(self.probabilities),
-            "requested": list(self.requested),
-            "clamped": self.clamped,
-            "bucket_counts": list(self.bucket_counts),
-            "sample_sizes": list(self.sample_sizes),
-            "mean_bucket_fraction": str(self.mean_bucket_fraction),
-            "mean_bucket_fraction_float": float(self.mean_bucket_fraction),
-            "ci95": list(self.ci95),
-        }
-        if self.success_threshold is not None:
-            out["success_threshold"] = str(self.success_threshold)
-            out["success_fraction"] = str(self.success_fraction)
-            out["success_fraction_float"] = float(self.success_fraction)
-        return out
-
-    CSV_HEADER = (
-        "trials,k,probabilities,clamped,mean_bucket_fraction,ci95_low,ci95_high,"
-        "success_threshold,success_fraction"
-    )
-
-    @staticmethod
-    def csv_row(stats: dict) -> str:
-        """The CSV_HEADER row of stats in to_dict() form."""
-        return ",".join(
-            [
-                str(stats["trials"]),
-                str(stats["k"]),
-                ";".join(repr(p) for p in stats["probabilities"]),
-                str(stats["clamped"]),
-                repr(stats["mean_bucket_fraction_float"]),
-                repr(stats["ci95"][0]),
-                repr(stats["ci95"][1]),
-                stats.get("success_threshold", ""),
-                stats.get("success_fraction", ""),
-            ]
-        )
 
 
 def _trial_states(seed: int, t: np.ndarray) -> list[dict]:

@@ -186,13 +186,6 @@ class BucketReport:
         """The identification bound k - ceil(h/2) on the bucket count."""
         return self.support_size - (self.identified_count + 1) // 2
 
-    def to_dict(self) -> dict:
-        return {
-            "bucket_count": self.bucket_count,
-            "identified_count": self.identified_count,
-            "buckets": {str(label): list(members) for label, members in self.buckets.items()},
-        }
-
 
 def bucket_complexity(
     support: Iterable[int], gammas: Iterable[int], n: int

@@ -5,11 +5,16 @@ echoes the config and holds one result block per (function, analysis).
 Reports are byte-identical across runs with the same config and seeds,
 so they carry no wall-clock data (the CLI prints timing to stderr).
 
-``OPS`` is the op table, the one place that knows each op's
-parameters and choices: it maps each analysis op to its function
-``(table, spectrum, params) -> dict`` and to its parameters, each with a
-parser and a default; verify's checks and mc's kinds are the keys of
+``OPS`` is the op table, which owns each op's params and its block: it
+maps each analysis op to its function ``(table, spectrum, params) ->
+dict``, the one place that builds the op's result block from the
+library's typed results, and to its parameters, each with a parser and a
+default; verify's checks and mc's kinds are the keys of
 ``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``pdt.STRATEGIES``.
+The library's result types have no dict form (the tree file format
+aside), so the report schema is this module's alone; the CLI renders
+the blocks, and its ``verify counterexample`` takes its sign block from
+``sign_block``.
 ``op_params`` is the one gate: it reads an op's params with
 ``spectral.read_keys``, the one reader of a JSON object's keys, checks
 each value and hands the op what it reads (pdt's ``BuildConfig``).
@@ -148,7 +153,11 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
             "codimension": system.codimension,
             "restricted_sparsity": restricted.sparsity,
             "restricted_support": restricted.masks.tolist(),
-            "bucket_report": report.to_dict(),
+            "bucket_report": {
+                "bucket_count": report.bucket_count,
+                "identified_count": report.identified_count,
+                "buckets": {str(label): list(members) for label, members in report.buckets.items()},
+            },
             "identified_count": report.identified_count,
             "identification_bound": report.bound,
         }
@@ -159,8 +168,20 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
     ell = params["ell"]
     profile = folding.direction_classes(spectrum.masks, include_pairs=params["pairs"])
     fp = profile.folding_parameters(ell)
+    block = {
+        "n": profile.n,
+        "k": profile.k,
+        "direction_count": len(profile.directions),
+        "total_pairs": profile.total_pairs,
+        "min_class_size": profile.min_class_size,
+        "max_class_size": profile.max_class_size,
+        "histogram": {str(s): c for s, c in profile.histogram().items()},
+        "classes": dict(zip(map(str, profile.directions.tolist()), profile.counts.tolist())),
+    }
+    if profile.pairs is not None:
+        block["pairs"] = {str(g): [list(p) for p in pairs] for g, pairs in profile.pairs.items()}
     out = {
-        "profile": profile.to_dict(),
+        "profile": block,
         "ell": str(fp.ell),
         "delta": str(fp.delta),
         "heavy_pair_count": fp.heavy_pair_count,
@@ -184,7 +205,15 @@ def _single_direction(spectrum: FourierSpectrum) -> dict:
         report = folding.single_direction_structure(spectrum)
     except folding.SingleDirectionViolationError as exc:
         return {"passed": False, "error": str(exc)}
-    return {"passed": True, "report": report.to_dict()}
+    return {"passed": True, "report": {
+        "n": report.n,
+        "k": report.k,
+        "positive_count": report.positive_count,
+        "negative_count": report.negative_count,
+        "plateaued": report.plateaued,
+        "nontrivial_counts": dict(zip(map(str, report.nontrivial_counts), report.nontrivial_counts.values())),
+        "single_direction": {str(a): list(v) for a, v in report.single_direction.items()},
+    }}
 
 
 def _pair_condition(spectrum: FourierSpectrum) -> dict:
@@ -192,9 +221,20 @@ def _pair_condition(spectrum: FourierSpectrum) -> dict:
     return {"passed": result.ok, "violation": result.violation}
 
 
+def sign_block(result: folding.SignFeasibilityResult) -> dict:
+    """The block of a sign system: verify sign-feasibility's detail, and
+    the CLI's verify counterexample's sign_feasibility."""
+    out: dict = {"feasible": result.feasible, "constraint_count": len(result.constraints)}
+    if result.assignment is not None:
+        out["assignment"] = dict(zip(map(str, result.assignment), result.assignment.values()))
+    if result.witness is not None:
+        out["witness"] = [{"direction": c.direction, "pairs": [list(c.pair1), list(c.pair2)]} for c in result.witness]
+    return out
+
+
 def _sign_feasibility(spectrum: FourierSpectrum) -> dict:
     result = folding.sign_feasibility(spectrum.masks)
-    return {"passed": result.feasible, "detail": result.to_dict()}
+    return {"passed": result.feasible, "detail": sign_block(result)}
 
 
 def _titsworth(spectrum: FourierSpectrum) -> dict:
@@ -226,7 +266,10 @@ def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
         "seed": build.config.seed,
         "depth": build.depth(),
         "verified": pdt.verify_tree(build.tree, table),
-        "node_records": [r.to_dict() for r in build.log],
+        "node_records": [
+            {**vars(r), "batch": list(r.batch), "probabilities": list(r.probabilities), "batch_size": len(r.batch)}
+            for r in build.log
+        ],
     }
 
 
@@ -244,7 +287,24 @@ MC_KINDS = {
 
 
 def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    return {"kind": params["kind"], "seed": params["seed"], "stats": MC_KINDS[params["kind"]](spectrum, params).to_dict()}
+    stats = MC_KINDS[params["kind"]](spectrum, params)
+    block = {
+        "trials": stats.trials,
+        "k": stats.k,
+        "probabilities": list(stats.probabilities),
+        "requested": list(stats.requested),
+        "clamped": stats.clamped,
+        "bucket_counts": list(stats.bucket_counts),
+        "sample_sizes": list(stats.sample_sizes),
+        "mean_bucket_fraction": str(stats.mean_bucket_fraction),
+        "mean_bucket_fraction_float": float(stats.mean_bucket_fraction),
+        "ci95": list(stats.ci95),
+    }
+    if stats.success_threshold is not None:
+        block["success_threshold"] = str(stats.success_threshold)
+        block["success_fraction"] = str(stats.success_fraction)
+        block["success_fraction_float"] = float(stats.success_fraction)
+    return {"kind": params["kind"], "seed": params["seed"], "stats": block}
 
 
 def parse_exponent(value, what: str = "value") -> Fraction:

@@ -44,6 +44,7 @@ from parityfold.restriction import (
     bucket_complexity,
     restrict,
 )
+from parityfold.runner import tree_summary
 from parityfold.spectral import (
     inverse_wht,
     verify_parseval,
@@ -175,8 +176,8 @@ def test_criterion_07_pdt_soundness_and_depth():
             d = result.depth()
             if d > budget:
                 print(f"    DEPTH TRACE {name} seed {seed}: depth {d} > {budget}")
-                for rec in result.log:
-                    print(f"      {json.dumps(rec.to_dict(), sort_keys=True)}")
+                for rec in tree_summary(table, result)["node_records"]:
+                    print(f"      {json.dumps(rec, sort_keys=True)}")
                 pytest.fail(f"{name} seed {seed}: depth {d} exceeds 4*sqrt(k) = {budget}")
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"builds took {elapsed:.1f}s, budget 120s"

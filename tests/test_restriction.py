@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import restriction
+from parityfold import restriction, runner
 from parityfold.cli import main
+from parityfold.families import gen_addressing
 from parityfold.runner import ConfigError, op_params
 from parityfold.restriction import (
     AffineConstraintSystem,
@@ -317,7 +318,11 @@ def test_analyze_restrict_partitions_the_support_once(monkeypatch, tmp_path, cap
     assert main(["--json", "analyze", "addressing:k=16", "--restrict", str(path)]) == 0
     assert len(calls) == 1
     payload = json.loads(capsys.readouterr().out)["analyze"]["restrict"]
-    assert payload["bucket_report"] == real(*calls[0]).to_dict()
+    # the runner's block of the same call's report
+    table = gen_addressing(16)
+    expected = runner.analyze_summary(table, wht(table), {"restrict": ((3, 1), (12, 0))})["restrict"]
+    assert calls[1] == calls[0]
+    assert payload["bucket_report"] == expected["bucket_report"]
 
 
 # Batched restriction and the vectorized bucket count against the

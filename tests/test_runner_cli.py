@@ -407,6 +407,25 @@ def test_a_max_n_from_0_to_20_is_read(tmp_path, capsys, max_n):
     assert cli_exit(["analyze", "parity:mask=0,n=0", "--max-n", str(max_n)], capsys)[0] == 0
 
 
+@pytest.mark.parametrize("flag_first", [True, False], ids=["flag-before", "flag-after"])
+def test_cli_experiment_runs_with_the_smaller_of_the_flag_and_the_config_max_n(tmp_path, capsys, flag_first):
+    def argv(config, cap):
+        path = str(make_config(tmp_path, config))
+        return ["--max-n", cap, "experiment", path] if flag_first else ["experiment", path, "--max-n", cap]
+
+    capped = {"max_n": 20, "functions": [{"family": "random", "n": 6, "seed": 1}], "analyses": [{"op": "analyze"}]}
+    assert cli_exit(argv(capped, "4"), capsys) == (USAGE_ERROR, "error: random(n=6,seed=1): n = 6 exceeds max_n = 4\n")
+    # the report echoes the cap that applied, the flag's or the config's
+    out = tmp_path / "report.json"
+    for stated, echoed in (({"max_n": 20}, 8), ({"max_n": 4}, 4), ({}, 8)):
+        config = {"functions": [ZERO_PARITY], "analyses": [{"op": "analyze"}], **stated}
+        assert cli_exit(argv(config, "8") + ["-o", str(out)], capsys)[0] == 0
+        assert json.loads(out.read_text())["config"]["max_n"] == echoed
+    # a bad config value keeps the config reader's message
+    code, err = cli_exit(argv({**capped, "max_n": 21}, "4"), capsys)
+    assert (code, err) == (USAGE_ERROR, "error: config max_n must lie in [0, 20], got 21\n")
+
+
 def test_cli_max_n_guard_comes_before_inverting_a_spectrum_file(tmp_path, monkeypatch, capsys):
     # inverse_wht allocates 2^n entries, so a refused file must not reach it
     def refuse(spectrum):

@@ -55,6 +55,23 @@ def scoped_nodes(path):
         todo.extend((scope, child) for child in ast.iter_child_nodes(node))
 
 
+def test_only_the_runner_builds_result_blocks():
+    # runner's op functions write every report block, and the CLI renders
+    # them; the library's result types stay typed values, whose one dict
+    # form is the tree file format
+    found = []
+    for name in ("folding.py", "pdt.py", "restriction.py"):
+        todo = [("<module>", ast.parse((Path(parityfold.__file__).parent / name).read_text()))]
+        while todo:
+            owner, node = todo.pop()
+            defined = getattr(node, "name", None) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id)
+            if defined and (defined == "to_dict" or "csv" in defined.lower()):
+                found.append(f"{name}:{owner}.{defined}")
+            owner = node.name if isinstance(node, ast.ClassDef) else owner
+            todo.extend((owner, child) for child in ast.iter_child_nodes(node))
+    assert found == ["pdt.py:ParityDecisionTree.to_dict"], f"result blocks built outside the runner: {found}"
+
+
 def test_the_wht_butterfly_is_defined_once():
     # spectral, restriction and the dense pair route share one WHT, and its
     # radix steps are the library's only matrix products
