@@ -212,7 +212,11 @@ def cmd_verify(args) -> int:
     if args.check != "counterexample":
         if args.function is None:
             raise UsageError(f"verify {args.check} requires a FUNCTION argument")
+        if args.n is not None:
+            raise UsageError(f"verify {args.check} does not read --n; only counterexample does")
         return cmd_op(args)
+    if args.function is not None:
+        raise UsageError(f"verify counterexample does not read a FUNCTION argument, got {args.function!r}")
     if args.n is None:
         raise UsageError("verify counterexample requires --n")
     support = folding.counterexample_support(args.n)

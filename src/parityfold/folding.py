@@ -12,14 +12,20 @@ function.
 `direction_classes` counts the classes with the pair kernel of `pairs`,
 in exact integers: an XOR autocorrelation of the support's indicator
 through the WHT, O(n 2^n), on dense supports (n 2^n < k^2 / 2), and one
-sort of all pair directions, O(k^2 log k), otherwise.  Every other check
-reads class sizes from the profile's sorted `directions` and `counts`
-(`classes` is a read-only dict view of them).  `partners` counts heavy
-partners as the XOR convolution of the support with the heavy directions
-on dense supports and finds each smallest partner by a chunked scan that
-stops once every mask has one; on sparse supports it binary-searches each
-pair's direction, O(k^2 log D).  Sign constraints list only the pairs of
-size-2 classes.
+sort of all pair directions, O(k^2 log k), otherwise.  A profile is its
+arrays: every other check reads class sizes from its sorted `directions`
+and `counts`.  `partners` counts heavy partners as the XOR convolution
+of the support with the heavy directions on dense supports and finds
+each smallest partner by a chunked scan that stops once every mask has
+one; on sparse supports it binary-searches each pair's direction,
+O(k^2 log D).
+
+Pairs themselves are listed only by `pairs.direction_pairs`, as three
+int64 arrays (direction, a, b) grouped by ascending direction, and only
+for supports of at most `pairs.PAIR_LIST_GUARD` masks, which it alone
+refuses above.  The sign system lists the size-2 directions, so a class's
+two pairs are adjacent rows, and each constraint is the row
+(direction, a, b, c, d).
 
 A support is any iterable of masks.  A spectrum's `masks`, sorted int64
 already, is used as it is, and the checks that take a spectrum pass
@@ -31,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -41,7 +45,6 @@ from .gf2 import MAX_DIMENSION, Echelon
 from .pairs import direction_pairs, direction_sums, heavy_partners
 from .spectral import FourierSpectrum, is_plateaued
 
-PAIR_LIST_GUARD = 1 << 12
 # heavy_participants checks the delta*k/3 averaging bound from this k on
 HEAVY_BOUND_MIN_K = 64
 
@@ -75,15 +78,9 @@ class FoldingProfile:
     masks: np.ndarray = field(repr=False)
     directions: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    pairs: dict[int, tuple[tuple[int, int], ...]] | None = None
 
     def __eq__(self, other: object) -> bool:  # the support determines the classes
-        return isinstance(other, FoldingProfile) and np.array_equal(self.masks, other.masks) and self.pairs == other.pairs
-
-    @cached_property
-    def classes(self) -> MappingProxyType[int, int]:
-        """direction -> class size, a read-only view of the arrays made on first use."""
-        return MappingProxyType(dict(zip(self.directions.tolist(), self.counts.tolist())))
+        return isinstance(other, FoldingProfile) and np.array_equal(self.masks, other.masks)
 
     @property
     def total_pairs(self) -> int:
@@ -147,11 +144,8 @@ def _sorted_support(support: Iterable[int]) -> np.ndarray:
     return np.array(sorted(set(support)), dtype=np.int64)
 
 
-def direction_classes(
-    support: Iterable[int], include_pairs: bool = False
-) -> FoldingProfile:
-    """Exact unordered-pair count per folding direction; include_pairs lists
-    each direction's pairs (a, b), a < b, in row-major order of the support."""
+def direction_classes(support: Iterable[int]) -> FoldingProfile:
+    """Exact unordered-pair count per folding direction."""
     masks = _sorted_support(support)
     k = len(masks)
     if k < 2:
@@ -159,17 +153,7 @@ def direction_classes(
     if masks[0] < 0:
         raise ValueError(f"masks must be non-negative, got {int(masks[0])}")
     directions, counts = direction_sums(masks)
-    pairs = _pair_lists(masks, directions) if include_pairs else None
-    return FoldingProfile(int(masks[-1]).bit_length(), k, masks, directions, counts, pairs)
-
-
-def _pair_lists(
-    masks: np.ndarray, directions: np.ndarray
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """`pairs.direction_pairs`, refused above PAIR_LIST_GUARD masks."""
-    if len(masks) > PAIR_LIST_GUARD:
-        raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
-    return direction_pairs(masks, directions)
+    return FoldingProfile(int(masks[-1]).bit_length(), k, masks, directions, counts)
 
 
 @dataclass(frozen=True)
@@ -311,33 +295,18 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignConstraint:
-    """A direction whose class has exactly two pairs {(a,b), (c,d)}: the
-    correlation sum then forces sign(a)sign(b)sign(c)sign(d) = -1."""
-
-    direction: int
-    pair1: tuple[int, int]
-    pair2: tuple[int, int]
-
-    @property
-    def members(self) -> tuple[int, int, int, int]:
-        return (*self.pair1, *self.pair2)
+# a constraint (direction, a, b, c, d): the class of the direction has exactly
+# the two pairs (a, b) and (c, d), so the correlation sum forces
+# sign(a)sign(b)sign(c)sign(d) = -1
+Constraint = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
 class SignFeasibilityResult:
     feasible: bool
-    constraints: tuple[SignConstraint, ...]
+    constraints: tuple[Constraint, ...]  # one per size-2 class, in direction order
     assignment: dict[int, int] | None  # mask -> +-1 satisfying all constraints
-    witness: tuple[SignConstraint, ...] | None  # constraints XOR-ing to 0 = 1
-
-
-def sign_constraints(support: Iterable[int]) -> tuple[SignConstraint, ...]:
-    """One constraint per size-2 class, in direction order."""
-    profile = direction_classes(support)
-    listed = _pair_lists(profile.masks, profile.directions[profile.counts == 2])
-    return tuple(SignConstraint(g, *pairs) for g, pairs in listed.items())
+    witness: tuple[Constraint, ...] | None  # constraints XOR-ing to 0 = 1
 
 
 def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
@@ -351,13 +320,15 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     constraints that are deliberately not modeled).
     """
     masks = _sorted_support(support)
-    index = {a: i for i, a in enumerate(masks.tolist())}
     if len(masks) < 2:
-        return SignFeasibilityResult(True, (), {a: 1 for a in index}, None)
-    constraints = sign_constraints(masks)
+        return SignFeasibilityResult(True, (), dict.fromkeys(masks.tolist(), 1), None)
+    profile = direction_classes(masks)
+    g, a, b = direction_pairs(masks, profile.directions[profile.counts == 2])
+    members = np.column_stack((a[::2], b[::2], a[1::2], b[1::2]))  # a class's pairs are adjacent rows
+    constraints = tuple(map(tuple, np.column_stack((g[::2], members)).tolist()))
     echelon = Echelon(len(masks))  # over variable masks; tags name constraints
-    for ci, cons in enumerate(constraints):
-        varmask = sum(1 << index[member] for member in cons.members)  # distinct members
+    for ci, (w, x, y, z) in enumerate(masks.searchsorted(members).tolist()):
+        varmask = 1 << w | 1 << x | 1 << y | 1 << z  # four distinct members
         # a dependent insert names the constraints (this one included) whose
         # varmasks sum to 0; every rhs is 1, so their rhs is the count's parity
         if (combo := echelon.insert(varmask)).bit_count() & 1:
@@ -366,7 +337,7 @@ def sign_feasibility(support: Iterable[int]) -> SignFeasibilityResult:
     # RREF leaves each pivot variable only in its own row, so free variables
     # read +1 and each pivot reads its row's rhs, the parity of the row's tag
     negative = {pivot.bit_length() - 1 for _, pivot, tag in echelon.rows if tag.bit_count() & 1}
-    assignment = {a: (-1 if i in negative else 1) for a, i in index.items()}
+    assignment = {a: (-1 if i in negative else 1) for i, a in enumerate(masks.tolist())}
     return SignFeasibilityResult(True, constraints, assignment, None)
 
 

@@ -2,6 +2,13 @@
 grouped by direction a ^ b, and the WHT it shares with restriction and
 the spectral transforms.
 
+A pair list has one form, `direction_pairs`' three int64 arrays
+(direction, a, b): a row per pair whose direction is asked for, grouped
+by ascending direction and row-major within one.  It is the one owner
+of the PAIR_LIST_GUARD refusal (`pair lists disabled for k > 4096`),
+made before any pair is listed, whatever the directions asked for, so
+fold's `pairs` block and the sign system refuse alike.
+
 `fwht_inplace` is the library's one WHT.  Level h (a power of two) pairs
 rows h apart, and its contiguous blocks are h * columns cells wide.  While they are at most RADIX_WIDTH = 64 cells wide, it takes
 three levels at a time, one int64 `np.matmul` by the 8x8
@@ -55,6 +62,8 @@ import numpy as np
 
 BLOCK_ENTRIES = 1 << 16
 RADIX_WIDTH = 64
+# pair lists, which hold up to k^2 / 2 rows, are refused above this k
+PAIR_LIST_GUARD = 1 << 12
 # the 8x8 Sylvester-Hadamard matrix, (-1)^<s, t>; its leading 2x2 and 4x4
 # blocks are the smaller ones
 _HADAMARD = np.array([[1 - 2 * ((s & t).bit_count() & 1) for t in range(8)] for s in range(8)], dtype=np.int64)
@@ -271,18 +280,18 @@ def heavy_partners(
 
 def direction_pairs(
     masks: np.ndarray, directions: np.ndarray
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The pairs (a, b), a before b, of each realized direction in the
-    sorted array `directions`, in row-major order, keyed in direction order."""
-    if not len(directions):
-        return {}
-    found = []
-    for a, b, xor in pair_blocks(masks, (0, len(masks))):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pair list: (direction, a, b) as three int64 arrays, a row per pair
+    (a, b), a before b, of the sorted int64 masks whose direction a ^ b is
+    in the sorted array `directions`; grouped by ascending direction,
+    row-major within a direction.  Refused above PAIR_LIST_GUARD masks,
+    whatever the directions."""
+    if len(masks) > PAIR_LIST_GUARD:
+        raise ValueError(f"pair lists disabled for k > {PAIR_LIST_GUARD}")
+    found = [(np.empty(0, dtype=np.int64),) * 3]
+    for a, b, xor in pair_blocks(masks, (0, len(masks))) if len(directions) else ():
         keep = directions[directions.searchsorted(xor).clip(max=len(directions) - 1)] == xor
         found.append((xor[keep], masks[a[keep]], masks[b[keep]]))  # row-major
     g, a, b = map(np.concatenate, zip(*found))
-    order = np.argsort(g, kind="stable")  # grouped by direction, row-major within
-    g, flat = g[order], list(zip(a[order].tolist(), b[order].tolist()))
-    starts = np.flatnonzero(np.diff(g, prepend=-1)).tolist()
-    ends = starts[1:] + [len(flat)]
-    return {int(g[s]): tuple(flat[s:e]) for s, e in zip(starts, ends)}
+    order = np.argsort(g, kind="stable")
+    return g[order], a[order], b[order]

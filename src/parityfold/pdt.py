@@ -130,8 +130,10 @@ class ParityDecisionTree:
     def from_dict(cls, data: dict) -> "ParityDecisionTree":
         """The tree of a dict, numbered breadth first, each object read by
         `read_keys` against TREE_KEYS; a leaf other than +-1 or a query
-        outside 1 .. 2^n - 1 is a ValueError."""
+        outside 1 .. 2^n - 1, or an n outside [0, MAX_DIMENSION], is a
+        ValueError."""
         n, root = read_keys("tree", data, TREE_KEYS["tree"]).values()
+        check_vector(0, n)  # n itself, before any node: a leaf-only tree has no mask
         query, child, values = [], [], []
         queue = deque([(root, None)])
         while queue:  # each node with the child slot that names it

@@ -44,6 +44,8 @@ is written by one ``map`` and ``join``, with no Python step per item.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +53,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import folding, pdt, restriction, spectral
+import numpy as np
+
+from . import folding, pairs, pdt, restriction, spectral
 from .families import FunctionSpec, build_function, read_function
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
@@ -166,7 +170,7 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
 
 def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
     ell = params["ell"]
-    profile = folding.direction_classes(spectrum.masks, include_pairs=params["pairs"])
+    profile = folding.direction_classes(spectrum.masks)
     fp = profile.folding_parameters(ell)
     block = {
         "n": profile.n,
@@ -178,8 +182,10 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
         "histogram": {str(s): c for s, c in profile.histogram().items()},
         "classes": dict(zip(map(str, profile.directions.tolist()), profile.counts.tolist())),
     }
-    if profile.pairs is not None:
-        block["pairs"] = {str(g): [list(p) for p in pairs] for g, pairs in profile.pairs.items()}
+    if params["pairs"]:  # every pair, grouped by direction as the classes are
+        _, a, b = pairs.direction_pairs(profile.masks, profile.directions)
+        rows, ends = np.column_stack((a, b)).tolist(), profile.counts.cumsum().tolist()
+        block["pairs"] = {g: rows[end - size : end] for (g, size), end in zip(block["classes"].items(), ends)}
     out = {
         "profile": block,
         "ell": str(fp.ell),
@@ -228,7 +234,7 @@ def sign_block(result: folding.SignFeasibilityResult) -> dict:
     if result.assignment is not None:
         out["assignment"] = dict(zip(map(str, result.assignment), result.assignment.values()))
     if result.witness is not None:
-        out["witness"] = [{"direction": c.direction, "pairs": [list(c.pair1), list(c.pair2)]} for c in result.witness]
+        out["witness"] = [{"direction": g, "pairs": [[a, b], [c, d]]} for g, a, b, c, d in result.witness]
     return out
 
 
@@ -404,14 +410,18 @@ class ExperimentReport:
         return canonical_json(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["function,op,field,value"]
+        """A row per leaf of each result block, by the csv module's minimal
+        quoting, so a label with a comma is one quoted field; a value's
+        commas are written as ';'."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("function", "op", "field", "value"))
         for block in self.results:
             for op_result in block["analyses"]:
                 flat = _flatten(op_result.get("result", {}))
-                for key in sorted(flat):
-                    value = str(flat[key]).replace(",", ";")
-                    lines.append(f"{block['function']},{op_result['op']},{key},{value}")
-        return "\n".join(lines) + "\n"
+                writer.writerows((block["function"], op_result["op"], key, str(flat[key]).replace(",", ";"))
+                                 for key in sorted(flat))
+        return out.getvalue()
 
 
 _INFINITY = float("inf")

@@ -27,7 +27,6 @@ from parityfold.folding import (
     folding_parameters,
     heavy_class_threshold,
     heavy_participants,
-    sign_constraints,
     sign_feasibility,
     single_direction_structure,
     verify_three_fold,
@@ -49,6 +48,31 @@ def naive_pairs(support):
     for a, b in itertools.combinations(sorted(support), 2):
         out.setdefault(a ^ b, []).append((a, b))
     return {g: tuple(v) for g, v in out.items()}
+
+
+def naive_constraints(support):
+    """Oracle: a row (direction, a, b, c, d) per class of exactly two pairs
+    (a, b) and (c, d), in direction order."""
+    rows = []
+    for g, listed in sorted(naive_pairs(support).items()):
+        if len(listed) == 2:
+            (a, b), (c, d) = listed
+            rows.append((g, a, b, c, d))
+    return tuple(rows)
+
+
+def classes(profile):
+    """direction -> class size, from the profile's arrays."""
+    return dict(zip(profile.directions.tolist(), profile.counts.tolist()))
+
+
+def listed_pairs(profile):
+    """The pair list of every realized direction, as the naive_pairs dict."""
+    g, a, b = pairs.direction_pairs(profile.masks, profile.directions)
+    out = {}
+    for direction, pair in zip(g.tolist(), zip(a.tolist(), b.tolist())):
+        out.setdefault(direction, []).append(pair)
+    return {direction: tuple(v) for direction, v in out.items()}
 
 
 def naive_three_fold(support):
@@ -108,9 +132,9 @@ def outcome(fn, *args):
 
 def assert_kernel_matches_oracles(support, delta, ell):
     spectrum = FourierSpectrum(max(support).bit_length(), {m: 1 for m in support})
-    profile = direction_classes(support, include_pairs=True)
-    assert profile.classes == naive_classes(support)
-    assert profile.pairs == naive_pairs(support)
+    profile = direction_classes(support)
+    assert classes(profile) == naive_classes(support)
+    assert listed_pairs(profile) == naive_pairs(support)
     counts, first = profile.partners(3)
     masks = profile.masks.tolist()
     witnesses = {a: masks[j] if c else None for a, c, j in zip(masks, counts.tolist(), first.tolist())}
@@ -206,13 +230,11 @@ def and2_support():
 
 def test_direction_classes_and2():
     profile = direction_classes(and2_support())
-    assert profile.classes == {1: 2, 2: 2, 3: 2}
+    assert classes(profile) == {1: 2, 2: 2, 3: 2}
     assert profile.total_pairs == 6
-    # the classes are a read-only view, and a profile compares by its support
-    with pytest.raises(TypeError):
-        profile.classes[1] = 3
+    # a profile compares by its support
     assert profile == direction_classes([3, 2, 1, 0])
-    assert profile != direction_classes({0, 1, 2, 4}) and profile != direction_classes({0, 1, 2, 3}, True)
+    assert profile != direction_classes({0, 1, 2, 4})
 
 
 def test_direction_classes_take_a_spectrum_masks_as_they_are():
@@ -223,13 +245,13 @@ def test_direction_classes_take_a_spectrum_masks_as_they_are():
     shuffled = np.concatenate((spectrum.masks[::-1], spectrum.masks[:3]))
     for support in (shuffled, shuffled.astype(np.int32), spectrum.masks.tolist()):
         again = direction_classes(support)
-        assert again.classes == profile.classes and np.array_equal(again.masks, spectrum.masks)
+        assert classes(again) == classes(profile) and np.array_equal(again.masks, spectrum.masks)
     assert sign_feasibility(shuffled) == sign_feasibility(spectrum.masks) == sign_feasibility(set(spectrum.masks.tolist()))
 
 
 def test_direction_classes_two_elements():
     profile = direction_classes({0b001, 0b110})
-    assert profile.classes == {0b111: 1}
+    assert classes(profile) == {0b111: 1}
     with pytest.raises(ValueError):
         direction_classes({-1, 1})
 
@@ -239,7 +261,7 @@ def test_direction_classes_addressing_cross_counts():
     # exactly sqrt(16) = 4 pairs
     masks, addr_bits = addressing_support(16)
     profile = direction_classes(masks)
-    for g, count in profile.classes.items():
+    for g, count in classes(profile).items():
         if (g >> addr_bits).bit_count() == 2:
             assert count == 4
 
@@ -250,9 +272,9 @@ def test_direction_classes_match_oracle_and_sum(n, seed):
     s = wht(gen_random(n, seed))
     if s.sparsity < 2:
         return
-    profile = direction_classes(s.support(), include_pairs=True)
-    assert profile.classes == naive_classes(s.support())
-    assert profile.pairs == naive_pairs(s.support())
+    profile = direction_classes(s.support())
+    assert classes(profile) == naive_classes(s.support())
+    assert listed_pairs(profile) == naive_pairs(s.support())
     assert profile.total_pairs == math.comb(s.sparsity, 2)
 
 
@@ -354,9 +376,9 @@ def test_verify_three_fold_families(spectrum_factory):
     s = spectrum_factory()
     witnesses = verify_three_fold(s)
     assert set(witnesses) == s.support()
-    profile = direction_classes(s.support())
+    sizes = classes(direction_classes(s.support()))
     for a, b in witnesses.items():
-        assert profile.classes[a ^ b] >= 3
+        assert sizes[a ^ b] >= 3
 
 
 @given(st.integers(3, 8), st.integers(0, 2**32))
@@ -408,14 +430,12 @@ def test_sign_feasibility_and2():
     assert result.feasible
     # actual AND2 signs satisfy every extracted constraint
     actual = {a: (1 if c > 0 else -1) for a, c in wht_and2().coeffs.items()}
-    for cons in result.constraints:
-        a, b = cons.pair1
-        c, d = cons.pair2
+    for _, a, b, c, d in result.constraints:
         assert actual[a] * actual[b] * actual[c] * actual[d] == -1
     # and so does the returned assignment
-    for cons in result.constraints:
+    for _, *members in result.constraints:
         prod = 1
-        for m in cons.members:
+        for m in members:
             prod *= result.assignment[m]
         assert prod == -1
 
@@ -431,8 +451,8 @@ def test_sign_feasibility_boolean_supports(n, seed):
     result = sign_feasibility(s.support())
     assert result.feasible
     actual = {a: (1 if c > 0 else -1) for a, c in s.coeffs.items()}
-    for cons in result.constraints:
-        assert math.prod(actual[m] for m in cons.members) == -1
+    for _, *members in result.constraints:
+        assert math.prod(actual[m] for m in members) == -1
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -445,8 +465,8 @@ def test_counterexample_support(n):
     assert result.witness
     # the witness constraints XOR to the empty variable set with odd rhs
     member_multiset: dict[int, int] = {}
-    for cons in result.witness:
-        for m in cons.members:
+    for _, *members in result.witness:
+        for m in members:
             member_multiset[m] = member_multiset.get(m, 0) ^ 1
     assert all(v == 0 for v in member_multiset.values())
     assert len(result.witness) % 2 == 1
@@ -493,11 +513,11 @@ def seed_sign_system(support):
     elimination kernel, as (feasible, assignment, witness)."""
     masks = sorted(set(support))
     index = {a: i for i, a in enumerate(masks)}
-    constraints = sign_constraints(masks)
+    constraints = naive_constraints(masks)
     rows = []  # (varmask, rhs, combo), decreasing leads
-    for ci, cons in enumerate(constraints):
+    for ci, (_, *members) in enumerate(constraints):
         varmask = 0
-        for member in cons.members:
+        for member in members:
             varmask |= 1 << index[member]
         rhs, combo = 1, 1 << ci
         for r, rb, rc in rows:
@@ -524,13 +544,13 @@ def seed_sign_system(support):
 
 def assert_sign_result_sound(result):
     if result.feasible:
-        for cons in result.constraints:
-            assert math.prod(result.assignment[m] for m in cons.members) == -1
+        for _, *members in result.constraints:
+            assert math.prod(result.assignment[m] for m in members) == -1
     else:
         # the witness's variable sets cancel while its odd count of rhs 1s sums to 1
         cancelled = set()
-        for cons in result.witness:
-            cancelled ^= set(cons.members)
+        for _, *members in result.witness:
+            cancelled ^= set(members)
         assert not cancelled and len(result.witness) % 2 == 1
 
 
@@ -555,6 +575,7 @@ def test_sign_feasibility_matches_seed_rref(n, data):
     if len(support) < 2:
         return
     result = sign_feasibility(support)
+    assert result.constraints == naive_constraints(support)
     assert (result.feasible, result.assignment, result.witness) == seed_sign_system(support)
     assert_sign_result_sound(result)
 
@@ -563,6 +584,7 @@ def test_sign_feasibility_matches_seed_rref(n, data):
 def test_counterexample_sign_system_matches_seed_rref(n):
     support = counterexample_support(n)
     result = sign_feasibility(support)
+    assert result.constraints == naive_constraints(support)
     assert (result.feasible, result.assignment, result.witness) == seed_sign_system(support)
 
 
@@ -576,7 +598,7 @@ def test_sign_feasibility_matches_all_sign_vectors(support):
     feasible = False
     for signs in itertools.product((1, -1), repeat=len(masks)):
         sign = dict(zip(masks, signs))
-        feasible |= all(math.prod(sign[m] for m in c.members) == -1 for c in result.constraints)
+        feasible |= all(math.prod(sign[m] for m in members) == -1 for _, *members in result.constraints)
     assert result.feasible == feasible
     assert_sign_result_sound(result)
 
@@ -613,12 +635,14 @@ def test_exponents_above_one_are_refused(capsys, ell):
 
 
 def test_pair_lists_are_refused_above_the_guard():
-    support = range(folding.PAIR_LIST_GUARD + 1)
+    # the classes are counted; only the ops that list pairs refuse
+    support = range(pairs.PAIR_LIST_GUARD + 1)
+    assert direction_classes(support).k == pairs.PAIR_LIST_GUARD + 1
     with pytest.raises(ValueError, match="pair lists disabled"):
-        direction_classes(support, include_pairs=True)
+        sign_feasibility(support)
+    spectrum = FourierSpectrum(13, dict.fromkeys(support, 1))
     with pytest.raises(ValueError, match="pair lists disabled"):
-        sign_constraints(support)
-    assert direction_classes(support).k == folding.PAIR_LIST_GUARD + 1
+        runner.OPS["fold"][0](None, spectrum, runner.op_params("fold", {"pairs": True}, 0))
 
 
 def test_fold_op_builds_one_profile(monkeypatch):

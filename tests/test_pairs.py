@@ -5,8 +5,10 @@ and dense tables, a bincount table and one sort of pair keys for a
 frontier's top directions."""
 
 import contextlib
+import functools
 import itertools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -343,4 +345,50 @@ def test_sign_constraints_list_only_size_two_classes(monkeypatch):
     result = runner.run_experiment(config).results[0]["analyses"][0]["result"]
     assert result["passed"] and result["detail"]["constraint_count"] == 0
     assert listed == [0]
-    assert pairs.direction_pairs(np.arange(0, 64, 3), np.array([], np.int64)) == {}
+    listing = pairs.direction_pairs(np.arange(0, 64, 3), np.array([], np.int64))
+    assert [(x.dtype, len(x)) for x in listing] == [(np.int64, 0)] * 3
+
+
+def spanned(data, bits):
+    """Sums of a few base vectors of up to `bits` bits: supports with
+    classes of several pairs."""
+    base = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=2, max_size=5))
+    picks = st.lists(st.booleans(), min_size=len(base), max_size=len(base))
+    return {functools.reduce(operator.xor, itertools.compress(base, data.draw(picks)), 0)
+            for _ in range(data.draw(st.integers(2, 24)))}
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, pairs.BLOCK_ENTRIES])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_direction_pairs_match_a_pair_loop(block_entries, data):
+    # 24-bit masks, spans with classes of several pairs, unrealized
+    # directions and empty direction lists; every block bound splits rows
+    if data.draw(st.booleans()):
+        support = data.draw(st.sets(st.integers(0, (1 << 24) - 1), min_size=2, max_size=40))
+    else:
+        support = spanned(data, data.draw(st.sampled_from([4, 24])))
+    if len(support) < 2:
+        return
+    masks = np.array(sorted(support), dtype=np.int64)
+    realized = sorted({a ^ b for a, b in itertools.combinations(masks.tolist(), 2)})
+    chosen = {*data.draw(st.lists(st.sampled_from(realized))),
+              *data.draw(st.lists(st.integers(1, (1 << 24) - 1), max_size=3))}
+    expected = sorted(((a ^ b, a, b) for a, b in itertools.combinations(masks.tolist(), 2) if a ^ b in chosen),
+                      key=lambda row: row[0])  # stable: row-major within a direction
+    with mock.patch.object(pairs, "BLOCK_ENTRIES", block_entries):
+        listing = pairs.direction_pairs(masks, np.array(sorted(chosen), dtype=np.int64))
+    assert all(x.dtype == np.int64 for x in listing)
+    assert list(zip(*(x.tolist() for x in listing))) == expected
+
+
+def test_direction_pairs_are_refused_above_the_guard_whatever_the_directions():
+    none = np.array([], dtype=np.int64)
+    at_guard = np.arange(pairs.PAIR_LIST_GUARD, dtype=np.int64)
+    assert all(len(x) == 0 for x in pairs.direction_pairs(at_guard, none))
+    g, a, b = pairs.direction_pairs(at_guard, np.array([pairs.PAIR_LIST_GUARD - 1]))
+    assert len(g) == pairs.PAIR_LIST_GUARD // 2 and (a ^ b).tolist() == g.tolist()
+    over = np.arange(pairs.PAIR_LIST_GUARD + 1, dtype=np.int64)
+    for directions in (none, np.array([1], dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"^pair lists disabled for k > 4096$"):
+            pairs.direction_pairs(over, directions)

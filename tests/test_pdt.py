@@ -1039,6 +1039,9 @@ BAD_TREES = {
     "query-negative": {"n": 2, "root": node(1, leaf(1), node(-3, leaf(1), leaf(-1)))},
     "no-pos": {"n": 2, "root": {"query": 1, "neg": leaf(-1)}},
     "no-neg": {"n": 2, "root": node(1, leaf(1), {"query": 2, "pos": leaf(1)})},
+    # a leaf-only tree has no query to check n through
+    "leaf-only-n-negative": {"n": -5, "root": leaf(1)},
+    "leaf-only-n-25": {"n": 25, "root": leaf(1)},
 }
 
 

@@ -1,3 +1,4 @@
+import csv
 import enum
 import hashlib
 import io
@@ -91,6 +92,26 @@ def test_report_csv():
     lines = csv_text.splitlines()
     assert lines[0] == "function,op,field,value"
     assert any("sparsity,4" in line for line in lines)
+
+
+def test_report_csv_rows_read_as_four_fields_whatever_the_label(tmp_path):
+    # a family label such as random(n=4,seed=1) and a path with a comma are
+    # quoted; a label without one is written as it is
+    (tmp_path / "f,g.json").write_text(json.dumps({"n": 2, "values": [1, -1, -1, 1]}))
+    config = {"functions": [{"family": "random", "n": 4, "seed": 1}, {"path": "f,g.json"},
+                            {"family": "addressing", "k": 4}],
+              "analyses": [{"op": "analyze"}, {"op": "verify", "check": "sign-feasibility"}]}
+    csv_path = tmp_path / "summary.csv"
+    assert run_cli("--csv", str(csv_path), "experiment", str(make_config(tmp_path, config)),
+                   "-o", str(tmp_path / "r.json")) == 0
+    text = csv_path.read_text()
+    assert text == run_experiment(config, tmp_path).to_csv() and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["function", "op", "field", "value"]
+    assert {len(row) for row in rows} == {4}
+    assert {row[0] for row in rows[1:]} == {"random(n=4,seed=1)", "f,g.json", "addressing(k=4)"}
+    assert '"random(n=4,seed=1)",analyze,sparsity,' in text
+    assert "\naddressing(k=4),analyze,sparsity,4\n" in text  # no comma: unquoted
 
 
 def run_cli(*argv):
@@ -259,6 +280,20 @@ def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "conjunction:mask=3,n=2") == 2
     assert run_cli("verify", "pair-condition") == 2  # missing function
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "three-fold", "addressing:k=16", "--n", "5"], "verify three-fold does not read --n"),
+    (["verify", "sign-feasibility", "addressing:k=16", "--n", "5"], "verify sign-feasibility does not read --n"),
+    (["verify", "counterexample", "addressing:k=16", "--n", "5"],
+     "verify counterexample does not read a FUNCTION argument, got 'addressing:k=16'"),
+    (["verify", "counterexample", "addressing:k=16"], "verify counterexample does not read a FUNCTION argument"),
+], ids=["three-fold-n", "sign-feasibility-n", "counterexample-function", "counterexample-function-no-n"])
+def test_cli_verify_refuses_input_it_does_not_read(capsys, argv, message):
+    for json_flag in ([], ["--json"]):
+        assert run_cli(*json_flag, *argv) == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
 
 
 def test_cli_fold(capsys):
@@ -582,7 +617,10 @@ def test_cli_usage_error_exit_code():
 # recordings, the one intended difference.  analyze-restrict was
 # re-recorded when restriction became an analyze param: its --json block
 # moved from the top level to analyze.restrict, and its text line names
-# the constraint count, not the file.
+# the constraint count, not the file.  The two modified-addressing cases
+# were recorded before pair lists became arrays.  experiment was
+# re-recorded when its CSV rows took csv quoting: the random(n=5,seed=3)
+# rows quote their label, and no other byte moved.
 GOLDEN_FIXTURES = {
     "system.json": json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]),
     "spectrum.json": json.dumps(
@@ -600,11 +638,13 @@ GOLDEN_CASES = {
     "analyze-spectrum-file": [["analyze", "spectrum.json"]],
     "fold-delta": [["fold", "addressing:k=16", "--delta", "1/5"]],
     "fold-pairs": [["fold", "conjunction:mask=3,n=2", "--pairs"]],
+    "fold-pairs-modified-addressing": [["fold", "modified-addressing:k=4", "--pairs"]],
     **{
         f"verify-{check}": [["verify", check, "addressing:k=16"]]
         for check in ("pair-condition", "three-fold", "single-direction",
                       "sign-feasibility", "titsworth", "parseval")
     },
+    "verify-sign-feasibility-modified-addressing": [["verify", "sign-feasibility", "modified-addressing:k=4"]],
     "verify-counterexample": [["verify", "counterexample", "--n", "5"]],
     **{
         f"pdt-build-{strategy}": [BUILD + ["--strategy", strategy]]
@@ -662,12 +702,14 @@ GOLDEN = {
     "analyze-spectrum-file": ((0,), "59b9c05b07a34c00b7625c69114cb82a3600fc27f6c8248e384d746f511d99f5", "02baf4e553eb9753cd6e7f5cdd7e57062b2ecb9d7566d5a286603a119da9bb03"),
     "fold-delta": ((0,), "ffe902c4c498709b64607eb01d2fa3fd5fc20034073622b886e42276c5683967", "92bac784d2d6e9ac18c218c0e8dc9fc5367ce7fba8e44d4f4b7627f38ef0238b"),
     "fold-pairs": ((0,), "1e0bf3b7102790d9fc53608ead99aacce2a268acaa64d42fc0ab94a6796d0076", "85c01a09b7365206718fe9f0849a56241a8da92cf5dcbd0cc704b911f345320d"),
+    "fold-pairs-modified-addressing": ((0,), "a57ff718dd504eed82bf5234b8b3b3722a8b29980981677ffc199c7665b71301", "4f9286f682bc00927d3c100a1dfde79511363b50e9e0d41633b2aed1db525d59"),
     "verify-pair-condition": ((0,), "87ed0fc19907b2cc067ede949ad8db36efaf77c140d05e36a80647501181ac7c", "8204726ebb5d960ab828fab08ed126913bcabbc5faa6b6c3390cc3603080b03c"),
     "verify-three-fold": ((0,), "d8162a01e00fc054278496d239e7b449f881e96d5cca7b227e987e945b7c19be", "d44fb2e749279e172357abdbd994d12d589c2baf6ef8b92e035ed37eff7fd3ef"),
     "verify-single-direction": ((0,), "1143b5f000e8d43a2fa108ca7606fbdb55591819115a9525dff9c7eb86e329ce", "686fed2b906713464dbf5fbf9760458e68861f868e8e86863f7981fca0bdb5b2"),
     "verify-sign-feasibility": ((0,), "c37a24ce70ea1753bd0ec592f46db75e89369fe7f79c4899b20abcd0b750b10b", "5ae1269d4147eb98899b45e33ee8f335e8dc64d8134a3add2efedf2240fe9418"),
     "verify-titsworth": ((0,), "11558296fcb20e1cca9db2ab8673b80e58e3b4558d5e50896680157eb03d3e17", "66b26ea92db31d29fa2ef929a1377b62371525ccea5ae906e5bebade4f689dcc"),
     "verify-parseval": ((0,), "b942813525f4fa3d75197d5f73f91b5571488bf0a8b2bdd135d72cc499042bba", "410fa0e47a63f72d916f4e3c8eea3a0fa4f65d7bcf9217395a7fc8b955b0b582"),
+    "verify-sign-feasibility-modified-addressing": ((0,), "272e60987b4b9125771b4b0fe3ba1b18cefa5ed7e725ab1a64534d869cb1ccac", "756b7bd35d98e45482261663b0643f1b6db5e760cca62ed95122ef44a6d1c9c4"),
     "verify-counterexample": ((0,), "0024e0cea84a9d654e08ad93f1f5459cd09743a7d14456dfa902084a0dc3f7b6", "1a35cc42654bd511928a6b114188387cdfb700d30e0593d19f7cad637c4a8734"),
     "pdt-build-sampling": ((0,), "9b01b21d0cf4a7d5653f4ff482edf42af7abc7953cca4bc6e0ca8d3a807e4ec9", "ee2d79ce3d6cb9ef3c2e245fe65f4246e6c66578f318b75640ba28d757a1c827"),
     "pdt-build-folding-sampling": ((0,), "03bd57daa0d504a76ea62f2edebbf99ba7572e44df88df8176c06f378a839dcd", "cef19693de3699ca1f098d05d94dd3fc60750d73429c727ed7ab5a3df877a5d0"),
@@ -680,7 +722,7 @@ GOLDEN = {
     "mc-warmup": ((0,), "6e160d824f2a12b36a425316edcb2dbb1ee98e635c4a484b624feee48db46e73", "29062ae4b8d09476f4a6a251a7d19de71fb4cd0948bc92ced3e493db4036b263"),
     "mc-theorem-2": ((0,), "a6ae5a8c2ac5c22b75b47af4d994b0c7290a379695657dee864b7732a6f4d853", "c33bc78e9654f2b49a0de0ad808b774dce761a87f858922cdac7ae98491edfb0"),
     "gen-junta": ((0, 0, 0), "6f64c124257e119a2f42bd752d2295324eec6f89f2a5c0102d97d0217ed53cac", "96cc8dcd8eb08940dce02328e1d5c1691418b42f85e39a4aef34f76b44092aff"),
-    "experiment": ((0,), "a9000a0a5794c6fb417f7982627666af1f25df25b1e81e7d0b2ec1b7911fedf6", "a9000a0a5794c6fb417f7982627666af1f25df25b1e81e7d0b2ec1b7911fedf6"),
+    "experiment": ((0,), "89355f2f78b6257901e26bb89ebc725c61c27710bce45869b438283f06fd1508", "89355f2f78b6257901e26bb89ebc725c61c27710bce45869b438283f06fd1508"),
     "error-missing-p": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-not-folding": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-max-n": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
