@@ -1,60 +1,56 @@
 """Exact Fourier-spectral analysis of Boolean functions over F2^n and
-parity decision tree construction via randomized parity sampling."""
+parity decision tree construction via randomized parity sampling.
 
-from .families import (
-    FunctionSpec,
-    build_function,
-    gen_addressing,
-    gen_conjunction,
-    gen_inner_product,
-    gen_junta,
-    gen_modified_addressing,
-    gen_parity,
-    gen_random,
-)
-from .folding import (
-    FoldingParameters,
-    FoldingProfile,
-    check_pair_condition,
-    counterexample_support,
-    direction_classes,
-    folding_parameters,
-    heavy_participants,
-    sign_feasibility,
-    single_direction_structure,
-    verify_three_fold,
-)
-from .gf2 import Echelon, coset_label, in_span, row_reduce
-from .pdt import (
-    BuildConfig,
-    BuildResult,
-    ParityDecisionTree,
-    TrialStats,
-    build_pdt,
-    estimate_bucket_reduction,
-    folding_sampling_trial,
-    sample_parity,
-    verify_tree,
-    warmup_success_rate,
-)
-from .restriction import (
-    AffineConstraintSystem,
-    BucketReport,
-    bucket_complexity,
-    restrict,
-    restrict_batch,
-)
-from .runner import ExperimentReport, run_experiment
-from .spectral import (
-    FourierSpectrum,
-    TruthTable,
-    inverse_wht,
-    is_plateaued,
-    load_function,
-    spectral_l1,
-    verify_parseval,
-    verify_titsworth,
-    wht,
-)
+Each public name is imported from its module on first access (PEP 562),
+so ``import parityfold`` loads no module and a run loads only the
+modules its ops use: fold, verify and analyze never import the builder
+(`pdt`) or `restriction`.  ``EXPORTS`` maps each public name to its
+module; ``__all__`` and ``dir()`` are read from it.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines
+_MODULES = {
+    "families": (
+        "FunctionSpec", "build_function", "gen_addressing", "gen_conjunction", "gen_inner_product",
+        "gen_junta", "gen_modified_addressing", "gen_parity", "gen_random",
+    ),
+    "folding": (
+        "FoldingParameters", "FoldingProfile", "check_pair_condition", "counterexample_support",
+        "direction_classes", "folding_parameters", "heavy_participants", "sign_feasibility",
+        "single_direction_structure", "verify_three_fold",
+    ),
+    "gf2": ("Echelon", "coset_label", "in_span", "row_reduce"),
+    "params": ("BuildConfig",),
+    "pdt": (
+        "BuildResult", "ParityDecisionTree", "TrialStats", "build_pdt", "estimate_bucket_reduction",
+        "folding_sampling_trial", "sample_parity", "verify_tree", "warmup_success_rate",
+    ),
+    "restriction": ("AffineConstraintSystem", "BucketReport", "bucket_complexity", "restrict", "restrict_batch"),
+    "runner": ("ExperimentReport", "run_experiment"),
+    "spectral": (
+        "FourierSpectrum", "TruthTable", "inverse_wht", "is_plateaued", "load_function", "spectral_l1",
+        "verify_parseval", "verify_titsworth", "wht",
+    ),
+}
+
+# public name -> the module that defines it
+EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(EXPORTS)
+
+
+def __getattr__(name: str):
+    module = EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | EXPORTS.keys())

@@ -8,7 +8,10 @@ The op subcommands (analyze, fold, verify, pdt build, mc) run one op of
 the runner's op table on one function, as an ``experiment`` config does,
 and check the op's params before they build the function.
 
-Exit codes: 0 all checks pass, 1 a verifier failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verifier failed or a bound failed to
+hold (`params.CheckFailedError`), 2 usage error.  The builder (`pdt`) is
+imported by the commands that build or read a tree, and by the runner
+for pdt and mc ops, not by this module.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import families, folding, pdt, restriction, runner, spectral
+from . import families, folding, runner, spectral
+from .params import CheckFailedError
 from .runner import canonical_json
 from .spectral import json_int
 
@@ -192,6 +196,8 @@ def cmd_op(args) -> int:
     label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
     spectrum = spectral.wht(table)
     if op == "pdt":  # the op in two halves, so the tree comes from its build
+        from . import pdt
+
         build = pdt.build_pdt(spectrum, values)
         result = runner.tree_summary(table, build)
         if args.output:
@@ -242,6 +248,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pdt(args) -> int:
+    from . import pdt
+
     tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
     if args.pdt_command == "verify":
         label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
@@ -372,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--csv applies only to mc and experiment, not {args.command}")
         runner.parse_max_n(args.max_n)  # before any function is built
         return args.func(args)
-    except (folding.FoldingBoundError, restriction.IdentificationBoundError, pdt.ResampleCapExceededError) as exc:
+    except CheckFailedError as exc:  # a bound failed to hold
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, OSError, KeyError) as exc:  # UsageError and ConfigError among them

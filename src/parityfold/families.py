@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf2 import check_vector, row_reduce
-from .spectral import MAX_TABLE_DIMENSION, REQUIRED, TruthTable, json_int, json_of, parity_of, read_keys
+from .spectral import MAX_TABLE_DIMENSION, REQUIRED, TruthTable, json_int, json_of, read_keys
 
 
 class InvalidFamilyParameterError(ValueError):
@@ -58,14 +58,34 @@ def addressing_support(k: int) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(masks)), addr_bits
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)^b as int8 for an array of bits b in {0, 1}: a generated
+    table's values."""
+    signs = bits.astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def _selected_targets(addr_bits: int, sqrt_k: int) -> np.ndarray:
+    """The addressing bit at every input of addr_bits + sqrt_k variables:
+    target bit v where the address is v, one row per value of the target
+    bits and one column per address."""
+    targets = np.arange(1 << sqrt_k, dtype=np.uint32)
+    return (targets[:, None] >> np.arange(1 << addr_bits, dtype=np.uint32)) & 1
+
+
 def gen_addressing(k: int) -> TruthTable:
     """Address bits select which target bit's sign is output."""
     addr_bits, sqrt_k = _check_addressing_k(k)
     n = addr_bits + sqrt_k
-    idx = np.arange(_size(n, f"addressing k={k}"), dtype=np.uint32)
-    addr = idx & ((1 << addr_bits) - 1)
-    selected = (idx >> (addr_bits + addr)) & 1
-    return TruthTable(n, 1 - 2 * selected.astype(np.int64))
+    _size(n, f"addressing k={k}")  # the cap, before 2^n entries
+    return TruthTable._of_signs(n, _signs(_selected_targets(addr_bits, sqrt_k).ravel()))
+
+
+# modified addressing's values at (z1, z2) = 00, 10, 01, 11: the sign of z1
+# where the addressing core is +1 (row 0) and of z2 where it is -1 (row 1)
+_SELECTOR_SIGNS = np.array([[1, -1, 1, -1], [1, 1, -1, -1]], dtype=np.int8)
 
 
 def gen_modified_addressing(k: int) -> TruthTable:
@@ -73,13 +93,8 @@ def gen_modified_addressing(k: int) -> TruthTable:
     and of z2 where it is -1."""
     addr_bits, sqrt_k = _check_addressing_k(k)
     n = 2 + addr_bits + sqrt_k
-    idx = np.arange(_size(n, f"modified-addressing k={k}"), dtype=np.uint32)
-    z1 = idx & 1
-    z2 = (idx >> 1) & 1
-    addr = (idx >> 2) & ((1 << addr_bits) - 1)
-    core_negative = (idx >> (2 + addr_bits + addr)) & 1
-    selector = np.where(core_negative == 0, z1, z2)
-    return TruthTable(n, 1 - 2 * selector.astype(np.int64))
+    _size(n, f"modified-addressing k={k}")  # the cap, before 2^n entries
+    return TruthTable._of_signs(n, _SELECTOR_SIGNS[_selected_targets(addr_bits, sqrt_k).ravel()].ravel())
 
 
 def gen_inner_product(m: int) -> TruthTable:
@@ -88,24 +103,21 @@ def gen_inner_product(m: int) -> TruthTable:
         raise InvalidFamilyParameterError(f"m must be >= 1, got {m}")
     n = 2 * m
     idx = np.arange(_size(n, f"inner-product m={m}"), dtype=np.uint32)
-    acc = np.zeros(len(idx), dtype=np.uint32)
-    for i in range(m):
-        acc ^= ((idx >> (2 * i)) & 1) & ((idx >> (2 * i + 1)) & 1)
-    return TruthTable(n, 1 - 2 * acc.astype(np.int64))
+    # bit 2i of x & x >> 1 is the product of bits 2i and 2i + 1
+    return TruthTable._of_signs(n, _signs(np.bitwise_count(idx & (idx >> 1) & 0x55555555) & 1))
 
 
 def gen_parity(mask: int, n: int) -> TruthTable:
     check_vector(mask, n)
-    idx = np.arange(_size(n, "parity"), dtype=np.uint64)
-    return TruthTable(n, 1 - 2 * parity_of(idx & np.uint64(mask)).astype(np.int64))
+    idx = np.arange(_size(n, "parity"), dtype=np.uint32)
+    return TruthTable._of_signs(n, _signs(np.bitwise_count(idx & mask) & 1))
 
 
 def gen_conjunction(mask: int, n: int) -> TruthTable:
     """-1 exactly where all variables in mask are set."""
     check_vector(mask, n)
-    idx = np.arange(_size(n, "conjunction"), dtype=np.uint64)
-    hit = (idx & np.uint64(mask)) == np.uint64(mask)
-    return TruthTable(n, np.where(hit, -1, 1).astype(np.int64))
+    idx = np.arange(_size(n, "conjunction"), dtype=np.uint32)
+    return TruthTable._of_signs(n, _signs((idx & mask) == mask))
 
 
 def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
@@ -120,17 +132,17 @@ def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
         )
     if row_reduce(masks, n).rank != len(masks):
         raise InvalidFamilyParameterError("embedding masks must be linearly independent")
-    idx = np.arange(_size(n, "junta"), dtype=np.uint64)
-    inner_index = np.zeros(len(idx), dtype=np.int64)
+    idx = np.arange(_size(n, "junta"), dtype=np.uint32)
+    inner_index = np.zeros(len(idx), dtype=np.intp)
     for i, mask in enumerate(masks):
-        inner_index |= parity_of(idx & np.uint64(mask)).astype(np.int64) << i
-    return TruthTable(n, inner.values[inner_index])
+        inner_index |= (np.bitwise_count(idx & mask) & 1).astype(np.intp) << i
+    return TruthTable._of_signs(n, inner.values[inner_index])  # inner's values are +-1 int8
 
 
 def gen_random(n: int, seed: int) -> TruthTable:
     size = _size(n, "random")
     rng = np.random.default_rng(seed)
-    return TruthTable(n, 1 - 2 * rng.integers(0, 2, size=size, dtype=np.int64))
+    return TruthTable._of_signs(n, _signs(rng.integers(0, 2, size=size, dtype=np.int64)))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ import numpy as np
 
 from .gf2 import MAX_DIMENSION, Echelon
 from .pairs import direction_pairs, direction_sums, heavy_partners
+from .params import CheckFailedError, as_exponent
 from .spectral import FourierSpectrum, is_plateaued
 
 # heavy_participants checks the delta*k/3 averaging bound from this k on
@@ -66,8 +67,8 @@ class SingleDirectionViolationError(RuntimeError):
     pass
 
 
-class FoldingBoundError(RuntimeError):
-    pass
+class FoldingBoundError(CheckFailedError):
+    """Fewer heavy participants than the delta*k/3 averaging bound guarantees."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,28 +178,6 @@ def _floor_root(x: int, b: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid**b <= x else (lo, mid)
     return lo
-
-
-def float_fraction(x: float) -> Fraction:
-    """The closest fraction to x with denominator <= 10^6, so 0.49 -> 49/100
-    and 1e-4 -> 1/10000 rather than their binary expansions."""
-    return Fraction(x).limit_denominator(10**6)
-
-
-def as_exponent(ell: Fraction | float | int) -> Fraction:
-    """Normalize an exponent in [0, 1] to an exact small rational; floats
-    snap by `float_fraction`."""
-    if isinstance(ell, float):
-        ell = float_fraction(ell)
-    ell = Fraction(ell)
-    if ell < 0:
-        raise ValueError(f"exponent must be >= 0, got {ell}")
-    if ell > 1:
-        # classes have at most k/2 pairs, so none reaches k^ell + 1 from ell = 1 on
-        raise ValueError(f"exponent must be <= 1, got {ell}")
-    if ell.denominator > 10_000:
-        raise ValueError(f"exponent denominator {ell.denominator} too large")
-    return ell
 
 
 def heavy_class_threshold(k: int, ell: Fraction | float | int) -> int:

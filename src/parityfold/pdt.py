@@ -16,8 +16,10 @@ Monte Carlo trial; `_run_trials` sets one generator to each trial's
 state from `_trial_states`, and `_fold_unions` folds every drawn union.
 A certain union folds nothing: every trial reports size k and bucket
 count 1 when a phase is 1, size 0 and count k when every phase is 0.
-`check_sampling` holds each range check of a sampling run's seed,
-trials, p, delta and ell.
+The build's parameters (`BuildConfig`, with its strategies) and
+`check_sampling`, which holds each range check of a sampling run's seed,
+trials, p, delta and ell, live in `params`, so a run that builds no tree
+reads them without importing this module.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .folding import as_exponent, folding_parameters
+from .folding import folding_parameters
 # bench/tracing.py binds coset_label, extend_basis, restrict and
 # AffineConstraintSystem here by name; they are otherwise unused
 from .gf2 import MAX_DIMENSION, check_vector, coset_label, extend_basis, label_step, labels, row_reduce
 from .pairs import top_directions
+from .params import SAMPLING, BuildConfig, CheckFailedError, check_sampling
 from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_frontier
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, parity, read_keys, wht
-
-STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
-SAMPLING = STRATEGIES[:2]  # the strategies that draw
 
 
 class DegenerateInputError(ValueError):
@@ -50,11 +50,7 @@ class NotFoldingError(ValueError):
     """The requested (delta, ell) folding hypothesis does not hold."""
 
 
-class SeedRangeError(ValueError):
-    """A seed below 0, or more trials than a 32-bit trial index t numbers."""
-
-
-class ResampleCapExceededError(RuntimeError):
+class ResampleCapExceededError(CheckFailedError):
     def __init__(self, cap: int, best_batch: tuple[int, ...] | None, best_bucket_count: int | None):
         super().__init__(
             f"no batch met the progress requirement within {cap} resamples "
@@ -210,30 +206,6 @@ def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_sampling(
-    seed: int | None = None, trials: int | None = None, p: Fraction | float | None = None,
-    delta: Fraction | float | None = None, ell: Fraction | float | None = None,
-) -> tuple[Fraction | None, Fraction | None]:
-    """The checks of a seeded sampling run that do not depend on the
-    function, each made on what is given: seed >= 0, trials in [1, 2^32]
-    (trial t's seed is (seed, t), with t one 32-bit word), p in [0, 1],
-    delta in (0, 1] and ell an exponent (`as_exponent`).  A seed or trial
-    count that the seeding does not number is a SeedRangeError.  Returns
-    delta and ell exact, or None where not given."""
-    if seed is not None and seed < 0:
-        raise SeedRangeError(f"seed must be >= 0, got {seed}")
-    if trials is not None and trials < 1:
-        raise ValueError("need at least one trial")
-    if trials is not None and trials > 1 << 32:
-        raise SeedRangeError(f"at most 2^32 trials, got {trials}")
-    if p is not None and not 0 <= p <= 1:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    delta = None if delta is None else Fraction(delta)
-    if delta is not None and not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return delta, None if ell is None else as_exponent(ell)
-
-
 def sample_parity(
     support: Iterable[int] | np.ndarray, p: float, rng: np.random.Generator
 ) -> list[int]:
@@ -317,42 +289,6 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 # tree construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BuildConfig:
-    strategy: str = "sampling"
-    probability: Fraction | float | None = None  # overrides the per-node formula
-    resample_cap: int = 64
-    epsilon: Fraction = Fraction(1, 2)  # progress requirement per batch
-    seed: int = 0
-    delta: Fraction | None = None  # folding-sampling parameters
-    ell: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
-        if self.probability is not None and not 0 < self.probability <= 1:
-            raise ValueError(f"probability must lie in (0, 1], got {self.probability}")
-        if self.resample_cap < 1:
-            raise ValueError("resample cap must be >= 1")
-        delta, ell = check_sampling(self.seed, delta=self.delta, ell=self.ell)
-        eps = Fraction(self.epsilon)
-        if not 0 < eps < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "ell", ell)
-        # a parameter the strategy would not read is refused
-        if self.probability is not None and self.strategy not in SAMPLING:
-            raise ValueError(f"strategy {self.strategy} draws nothing, so it takes no probability")
-        if (self.delta, self.ell) != (None, None):
-            if self.strategy != "folding-sampling":
-                raise ValueError(f"delta and ell are folding-sampling's; strategy {self.strategy} takes neither")
-            if None in (self.delta, self.ell):
-                raise ValueError("folding-sampling takes delta and ell together, or neither")
-            if self.probability is not None:
-                raise ValueError("a probability replaces the delta and ell schedule; give one or the other")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ import numpy as np
 # bench/tracing.py binds coset_label and in_span here by name; they are otherwise unused
 from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
 from .pairs import fwht_inplace
+from .params import CheckFailedError
 from .spectral import FourierSpectrum
 
 
@@ -38,7 +39,7 @@ class InconsistentConstraintsError(ValueError):
     """Some F2-combination of the constraints forces 0 = 1."""
 
 
-class IdentificationBoundError(RuntimeError):
+class IdentificationBoundError(CheckFailedError):
     """A bucket count broke the identification bound: an implementation bug."""
 
 

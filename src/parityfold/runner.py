@@ -10,14 +10,19 @@ maps each analysis op to its function ``(table, spectrum, params) ->
 dict``, the one place that builds the op's result block from the
 library's typed results, and to its parameters, each with a parser and a
 default; verify's checks and mc's kinds are the keys of
-``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``pdt.STRATEGIES``.
+``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``params.STRATEGIES``.
+The table reads only ``params`` for pdt and mc, and the op functions
+import ``pdt`` and ``restriction`` when they first call them, always
+through the module attribute (which bench/tracing.py swaps for a timing
+wrapper), so a run of fold, verify and analyze ops without ``restrict``
+never imports either.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
 the blocks, and its ``verify counterexample`` takes its sign block from
 ``sign_block``.
 ``op_params`` is the one gate: it reads an op's params with
 ``spectral.read_keys``, the one reader of a JSON object's keys, checks
-each value and hands the op what it reads (pdt's ``BuildConfig``).
+each value and hands the op what it reads (pdt's ``params.BuildConfig``).
 ``run_experiment`` reads the config's top level (``CONFIG``) with
 ``read_keys``, passes every analysis through ``op_params`` and every
 function entry through ``check_function``, which reads each once with
@@ -44,8 +49,6 @@ is written by one ``map`` and ``join``, with no Python step per item.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -55,8 +58,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import folding, pairs, pdt, restriction, spectral
+from . import folding, pairs, spectral
 from .families import FunctionSpec, build_function, read_function
+from .params import STRATEGIES, BuildConfig, as_exponent, check_sampling, float_fraction
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
 VERSION = "0.1.0"
@@ -77,7 +81,7 @@ def parse_fraction(value, what: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{what}: bad fraction {value!r}: {exc}") from None
     if isinstance(value, float) and math.isfinite(value):
-        return folding.float_fraction(value)
+        return float_fraction(value)
     raise ConfigError(f"{what}: expected a finite number, got {value!r}")
 
 
@@ -148,6 +152,8 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
         "titsworth_violations": spectral.verify_titsworth(spectrum),
     }
     if "restrict" in params:  # a mask outside n bits or an inconsistent system is a ValueError here
+        from . import restriction
+
         constraints = params["restrict"]
         system = restriction.AffineConstraintSystem(spectrum.n, constraints)
         restricted = restriction.restrict(spectrum, system)
@@ -265,8 +271,10 @@ def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -
     return {"check": params["check"], **VERIFY_CHECKS[params["check"]](spectrum)}
 
 
-def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
-    """The pdt op's result block for a build of table."""
+def tree_summary(table: TruthTable, build) -> dict:
+    """The pdt op's result block for a `pdt.BuildResult` of table."""
+    from . import pdt
+
     return {
         "strategy": build.config.strategy,
         "seed": build.config.seed,
@@ -279,21 +287,26 @@ def tree_summary(table: TruthTable, build: pdt.BuildResult) -> dict:
     }
 
 
-def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, config: pdt.BuildConfig) -> dict:
+def pdt_summary(table: TruthTable, spectrum: FourierSpectrum, config: BuildConfig) -> dict:
+    from . import pdt
+
     return tree_summary(table, pdt.build_pdt(spectrum, config))
 
 
-# mc's kinds: kind -> its TrialStats on a spectrum, from the parsed params,
-# the library called through its module attribute as in VERIFY_CHECKS
+# mc's kinds: kind -> its TrialStats on a spectrum, from the pdt module and
+# the parsed params, the library called through its module attribute as in
+# VERIFY_CHECKS
 MC_KINDS = {
-    "theorem-1": lambda spectrum, v: pdt.estimate_bucket_reduction(spectrum, v["p"], v["trials"], v["seed"]),
-    "warmup": lambda spectrum, v: pdt.warmup_success_rate(spectrum, v["trials"], v["seed"]),
-    "theorem-2": lambda spectrum, v: pdt.folding_sampling_trial(spectrum, v["delta"], v["ell"], v["trials"], v["seed"]),
+    "theorem-1": lambda pdt, spectrum, v: pdt.estimate_bucket_reduction(spectrum, v["p"], v["trials"], v["seed"]),
+    "warmup": lambda pdt, spectrum, v: pdt.warmup_success_rate(spectrum, v["trials"], v["seed"]),
+    "theorem-2": lambda pdt, spectrum, v: pdt.folding_sampling_trial(spectrum, v["delta"], v["ell"], v["trials"], v["seed"]),
 }
 
 
 def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    stats = MC_KINDS[params["kind"]](spectrum, params)
+    from . import pdt
+
+    stats = MC_KINDS[params["kind"]](pdt, spectrum, params)
     block = {
         "trials": stats.trials,
         "k": stats.k,
@@ -314,8 +327,8 @@ def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> di
 
 
 def parse_exponent(value, what: str = "value") -> Fraction:
-    """A fraction that is an exponent in [0, 1], as `folding.as_exponent` checks."""
-    return folding.as_exponent(parse_fraction(value, what))
+    """A fraction that is an exponent in [0, 1], as `params.as_exponent` checks."""
+    return as_exponent(parse_fraction(value, what))
 
 
 def parse_constraints(value, what: str = "value") -> tuple[tuple[int, int], ...]:
@@ -345,10 +358,10 @@ OPS = {
     }),
     "verify": (verify_summary, {"check": (VERIFY_CHECKS, REQUIRED)}),
     "pdt": (pdt_summary, {
-        "strategy": (pdt.STRATEGIES, pdt.BuildConfig.strategy),
+        "strategy": (STRATEGIES, BuildConfig.strategy),
         "probability": (parse_fraction, None),
-        "resample_cap": (json_int, pdt.BuildConfig.resample_cap),
-        "epsilon": (parse_fraction, pdt.BuildConfig.epsilon),
+        "resample_cap": (json_int, BuildConfig.resample_cap),
+        "epsilon": (parse_fraction, BuildConfig.epsilon),
         "seed": (json_int, None),
         "delta": (parse_fraction, None),
         "ell": (parse_fraction, None),
@@ -369,7 +382,7 @@ KIND_PARAMS = {
 }
 
 
-def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
+def op_params(op: str, params: dict, seed: int) -> dict | BuildConfig:
     """What op reads, from its params, by `read_keys`: each value parsed
     and checked, the op's defaults filled in, and pdt's BuildConfig built.
     Every check that does not depend on the function is made here, so a
@@ -389,9 +402,9 @@ def op_params(op: str, params: dict, seed: int) -> dict | pdt.BuildConfig:
         if "seed" in declared:
             values.setdefault("seed", seed)
         if op == "pdt":
-            return pdt.BuildConfig(**values)
+            return BuildConfig(**values)
         # the sampling values mc and fold read (fold's delta, which picks heavy participants)
-        pdt.check_sampling(values.get("seed"), values.get("trials"), values.get("p"), values.get("delta"), values.get("ell"))
+        check_sampling(values.get("seed"), values.get("trials"), values.get("p"), values.get("delta"), values.get("ell"))
     except ValueError as exc:  # a parser's, BuildConfig's or check_sampling's refusal
         raise ConfigError(str(exc)) from None
     return values
@@ -413,6 +426,9 @@ class ExperimentReport:
         """A row per leaf of each result block, by the csv module's minimal
         quoting, so a label with a comma is one quoted field; a value's
         commas are written as ';'."""
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("function", "op", "field", "value"))

@@ -71,11 +71,6 @@ def character(mask: int, x: int) -> int:
     return -1 if parity(mask, x) else 1
 
 
-def parity_of(masked: np.ndarray) -> np.ndarray:
-    """Vectorized popcount parity of a uint32/uint64 array."""
-    return (np.bitwise_count(masked) & 1).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class TruthTable:
     n: int
@@ -94,6 +89,16 @@ class TruthTable:
         vals = vals.astype(np.int8)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _of_signs(cls, n: int, values: np.ndarray) -> TruthTable:
+        """The table of 2^n int8 values, each +-1, taken as they are: no
+        check per entry, for a generator's own array, which the table
+        keeps, read-only."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "values", _read_only(values))
+        return table
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from parityfold import families, runner
 from parityfold.families import (
@@ -15,7 +17,8 @@ from parityfold.families import (
     gen_random,
     read_function,
 )
-from parityfold.spectral import is_plateaued, verify_parseval, verify_titsworth, wht
+from parityfold.gf2 import row_reduce
+from parityfold.spectral import TruthTable, is_plateaued, verify_parseval, verify_titsworth, wht
 
 
 def test_addressing_k4_spectrum():
@@ -222,3 +225,72 @@ def test_junta_accepts_derived_inner_dimensions_that_fit():
 def test_labels():
     assert read_function("addressing", {"k": 16}) == FunctionSpec("addressing", {"k": 16}, 6)
     assert runner.check_function({"family": "addressing", "k": 16}, 20)[0] == "addressing(k=16)"
+
+
+def _address_sign(x: int, addr_bits: int) -> int:
+    """(-1)^(target bit v of x), v the value of x's low addr_bits bits."""
+    return -1 if x >> (addr_bits + (x & ((1 << addr_bits) - 1))) & 1 else 1
+
+
+def _sign(bit: int) -> int:
+    return -1 if bit & 1 else 1
+
+
+# family -> f(x) of its parsed params, one input at a time, from the
+# definitions in the families module docstring
+ORACLES = {
+    "addressing": lambda x, k: _address_sign(x, k.bit_length() // 2),
+    "modified-addressing": lambda x, k: _sign(x >> (1 if _address_sign(x >> 2, k.bit_length() // 2) < 0 else 0)),
+    "inner-product": lambda x, m: _sign(sum(x >> (2 * i) & x >> (2 * i + 1) for i in range(m))),
+    "parity": lambda x, mask, n: _sign((x & mask).bit_count()),
+    "conjunction": lambda x, mask, n: -1 if x & mask == mask else 1,
+}
+
+
+@st.composite
+def family_entries(draw):
+    """(family, params) of a corpus entry with at most 10 variables."""
+    family = draw(st.sampled_from([*ORACLES, "random", "junta"]))
+    if family == "addressing":
+        return family, {"k": draw(st.sampled_from([4, 16, 64]))}
+    if family == "modified-addressing":
+        return family, {"k": draw(st.sampled_from([4, 16]))}
+    if family == "inner-product":
+        return family, {"m": draw(st.integers(1, 5))}
+    n = draw(st.integers(0, 10))
+    if family in ("parity", "conjunction"):
+        return family, {"mask": draw(st.integers(0, (1 << n) - 1)), "n": n}
+    if family == "random":
+        return family, {"n": n, "seed": draw(st.integers(0, 2**32))}
+    inner_n = draw(st.integers(0, n))
+    masks = draw(st.lists(st.integers(1, max(1, (1 << n) - 1)), min_size=inner_n, max_size=inner_n))
+    assume(row_reduce(masks, n).rank == inner_n)
+    inner = {"family": "random", "params": {"n": inner_n, "seed": draw(st.integers(0, 99))}}
+    return family, {"inner": inner, "masks": masks, "n": n}
+
+
+def naive_table(family, params):
+    """The values of an entry's table, from its family's definition."""
+    if family == "random":  # the seeded stream, one draw of 2^n bits
+        bits = np.random.default_rng(params["seed"]).integers(0, 2, size=1 << params["n"], dtype=np.int64)
+        return [_sign(int(b)) for b in bits]
+    if family == "junta":
+        inner = naive_table(params["inner"]["family"], params["inner"]["params"])
+        return [inner[sum(((x & mask).bit_count() & 1) << i for i, mask in enumerate(params["masks"]))]
+                for x in range(1 << params["n"])]
+    n = read_function(family, params).n
+    return [ORACLES[family](x, **params) for x in range(1 << n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_entries())
+def test_every_family_builds_its_validated_table(entry):
+    # generators hand their own int8 signs to the table unchecked; each
+    # must be what the checking constructor accepts, and the definition
+    family, params = entry
+    table = build_function(read_function(family, params))
+    values = table.values
+    assert values.dtype == np.int8 and values.shape == (1 << table.n,) and not values.flags.writeable
+    assert np.all((values == 1) | (values == -1))
+    assert TruthTable(table.n, values) == table
+    assert values.tolist() == naive_table(family, params)

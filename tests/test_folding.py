@@ -31,6 +31,7 @@ from parityfold.folding import (
     single_direction_structure,
     verify_three_fold,
 )
+from parityfold.params import as_exponent, float_fraction
 from parityfold.spectral import FourierSpectrum, wht
 
 
@@ -504,8 +505,8 @@ def test_addressing_folding_profile(k):
 @pytest.mark.parametrize("x, expected", [(0.49, "49/100"), (0.3, "3/10"), (1e-4, "1/10000")])
 def test_exponents_and_fractions_snap_floats_alike(x, expected):
     # a denominator limit of 1000 would read 1e-4 as 0
-    assert folding.float_fraction(x) == Fraction(expected)
-    assert folding.as_exponent(x) == runner.parse_fraction(x) == Fraction(expected)
+    assert float_fraction(x) == Fraction(expected)
+    assert as_exponent(x) == runner.parse_fraction(x) == Fraction(expected)
 
 
 def seed_sign_system(support):

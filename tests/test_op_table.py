@@ -15,6 +15,7 @@ from parityfold import pdt, runner
 from parityfold.cli import USAGE_ERROR, function_entry, main
 from parityfold.folding import SparsityTooSmallError
 from parityfold.gf2 import DimensionMismatchError
+from parityfold.params import STRATEGIES
 from parityfold.pdt import NotFoldingError
 from parityfold.restriction import InconsistentConstraintsError
 from parityfold.runner import ConfigError, run_experiment
@@ -361,14 +362,14 @@ def test_the_choices_are_the_dispatch_tables_keys():
     declared = {op: params for op, (_, params) in runner.OPS.items()}
     assert declared["verify"]["check"][0] is runner.VERIFY_CHECKS
     assert declared["mc"]["kind"][0] is runner.MC_KINDS
-    assert declared["pdt"]["strategy"][0] is pdt.STRATEGIES
+    assert declared["pdt"]["strategy"][0] is STRATEGIES
     # every kind tag names a kind
     tags = {kind for params in declared.values() for _, _, *kinds in params.values() for kind in kinds}
     assert tags <= set(runner.MC_KINDS)
     # the CLI offers the same choices, plus verify's CLI-only counterexample
     for argv, choices in ((["verify", "three-folds", FUNCTION], [*runner.VERIFY_CHECKS, "counterexample"]),
                           (["mc", "warmp", FUNCTION], list(runner.MC_KINDS)),
-                          (["pdt", "build", FUNCTION, "--strategy", "greedy"], list(pdt.STRATEGIES))):
+                          (["pdt", "build", FUNCTION, "--strategy", "greedy"], list(STRATEGIES))):
         code, out, err = cli(argv)
         assert code == USAGE_ERROR and out == ""
         assert "(choose from " + ", ".join(map(repr, choices)) + ")" in err

@@ -26,7 +26,6 @@ from parityfold.pdt import (
     NotFoldingError,
     ParityDecisionTree,
     ResampleCapExceededError,
-    SeedRangeError,
     build_pdt,
     estimate_bucket_reduction,
     folding_sampling_trial,
@@ -36,6 +35,7 @@ from parityfold.pdt import (
     _select_frontier,
 )
 from parityfold.pairs import dense_route
+from parityfold.params import STRATEGIES, SeedRangeError, check_sampling
 from parityfold.restriction import bucket_complexity, restrict_batch
 from parityfold.runner import canonical_json
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
@@ -969,13 +969,13 @@ def test_mc_refuses_what_the_seeding_does_not_number(monkeypatch, kind):
 ])
 def test_check_sampling_refuses_each_value_out_of_range(params, message):
     with pytest.raises(ValueError, match=message):
-        pdt.check_sampling(**params)
+        check_sampling(**params)
 
 
 def test_check_sampling_accepts_the_edges_and_returns_exact_delta_and_ell():
-    assert pdt.check_sampling(0) == (None, None)
-    assert pdt.check_sampling(0, 1, 0, 1, 0) == (1, 0)
-    assert pdt.check_sampling(0, 2**32, 1, 0.5, 0.5) == (Fraction(1, 2), Fraction(1, 2))
+    assert check_sampling(0) == (None, None)
+    assert check_sampling(0, 1, 0, 1, 0) == (1, 0)
+    assert check_sampling(0, 2**32, 1, 0.5, 0.5) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_deterministic_builds_seed_no_generator(monkeypatch):
@@ -991,7 +991,7 @@ def test_deterministic_builds_seed_no_generator(monkeypatch):
         build_pdt(gen_addressing(16), BuildConfig(strategy="sampling"))
 
 
-@pytest.mark.parametrize("strategy", pdt.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_build_config_refuses_a_negative_seed(strategy):
     with pytest.raises(SeedRangeError, match="seed must be >= 0, got -1"):
         BuildConfig(strategy=strategy, seed=-1)
@@ -1057,7 +1057,7 @@ def test_tree_from_dict_refuses_what_no_tree_has(tmp_path, capsys, name):
     assert err.count("error:") == 2 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("strategy", pdt.STRATEGIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_build_refuses_a_restriction_with_no_support(strategy):
     # f = (1 + chi_1) / 2 is 0 where x1 = 1: both children of the query x1
     # are signed characters only for a +-1 function

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import families, pdt, runner, spectral
-from parityfold.cli import USAGE_ERROR, main
+from parityfold import families, folding, pdt, restriction, runner, spectral
+from parityfold.cli import CHECK_FAILED, USAGE_ERROR, main
 from parityfold.families import gen_inner_product
+from parityfold.params import STRATEGIES, CheckFailedError
 from parityfold.runner import ConfigError, load_config, run_experiment
 from parityfold.spectral import wht
 
@@ -758,7 +759,7 @@ def test_pdt_and_mc_ops_reuse_the_runner_spectrum(monkeypatch):
     monkeypatch.setattr(pdt, "wht", counting)
     report = run_experiment({
         "functions": [{"family": "inner-product", "m": 2}],
-        "analyses": [{"op": "pdt", "strategy": strategy} for strategy in pdt.STRATEGIES]
+        "analyses": [{"op": "pdt", "strategy": strategy} for strategy in STRATEGIES]
         + [{"op": "mc", "kind": "theorem-1", "p": "1/4", "trials": 5},
            {"op": "mc", "kind": "warmup", "trials": 5},
            {"op": "mc", "kind": "theorem-2", "trials": 5}],
@@ -805,6 +806,52 @@ def test_cli_turns_running_out_of_memory_into_a_usage_error(tmp_path, monkeypatc
     assert main(argv) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
+# the errors of a bound that failed to hold, each exit 1 and an error line
+CHECK_FAILURES = [
+    lambda: folding.FoldingBoundError("|U| = 1 below delta*k/3 = 2 at k=64"),
+    lambda: restriction.IdentificationBoundError("2 buckets exceed k - ceil(h/2) = 1 at k=2, h=2"),
+    lambda: pdt.ResampleCapExceededError(64, None, None),
+]
+
+
+@pytest.mark.parametrize("make", CHECK_FAILURES)
+@pytest.mark.parametrize("via", ["subcommand", "experiment"])
+def test_cli_maps_a_failed_bound_to_exit_1(tmp_path, monkeypatch, capsys, make, via):
+    error = make()
+    assert isinstance(error, CheckFailedError)
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(folding, "verify_three_fold", broken)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"functions": [{"family": "addressing", "k": 16}],
+                                  "analyses": [{"op": "verify", "check": "three-fold"}]}))
+    argv = ["verify", "three-fold", "addressing:k=16"] if via == "subcommand" else ["experiment", str(config)]
+    assert main(argv) == CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+def test_cli_maps_a_failed_bound_to_exit_1_without_loading_the_builder(tmp_path):
+    # the exit-1 mapping needs no module that raises it: a fold experiment
+    # in a fresh interpreter never imports pdt or restriction
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"functions": [{"family": "addressing", "k": 16}], "analyses": [{"op": "fold"}]}))
+    script = (
+        "import sys\n"
+        "from parityfold import cli, folding\n"
+        "def broken(*args):\n"
+        "    raise folding.FoldingBoundError('bound broken')\n"
+        "folding.direction_classes = broken\n"
+        f"code = cli.main(['experiment', {str(config)!r}])\n"
+        "loaded = sorted(m for m in ('parityfold.pdt', 'parityfold.restriction') if m in sys.modules)\n"
+        "print(code, loaded)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert (run.stdout, run.stderr) == ("1 []\n", "error: bound broken\n")
 
 
 # File readers check the JSON shape they index into, so a malformed file is

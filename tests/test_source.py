@@ -238,20 +238,15 @@ def test_the_scalar_elimination_step_lives_in_reduce_tagged():
 
 def test_relative_imports_are_used_exported_or_bench_bound():
     # a name imported from a sibling module is used where it is imported,
-    # re-exported from there by __init__.py, or bound there by name in
-    # bench/tracing.py; an import kept for nothing else is dead code
+    # exported from there through the package's name table, or bound there
+    # by name in bench/tracing.py; an import kept for nothing else is dead code
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     bench_bound = {tuple(entry[:2]) for entry in tracing.SPANS + tracing.AGGREGATES}
     package = Path(parityfold.__file__).parent
-    exported = {
-        (node.module, alias.asname or alias.name)
-        for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    exported = {(module, name) for name, module in parityfold.EXPORTS.items()}
     unused = []
     for path in sorted(package.rglob("*.py")):
         if path.name == "__init__.py":
