@@ -2,11 +2,13 @@
 
 Functions are given either as a JSON file path (truth table or spectrum)
 or as an inline family expression like ``addressing:k=16`` or
-``random:n=6,seed=3``.  ``--json`` switches every command to canonical
-machine-readable output; seeded commands byte-reproduce their reports.
-The op subcommands (analyze, fold, verify, pdt build, mc) run one op of
-the runner's op table on one function, as an ``experiment`` config does,
-and check the op's params before they build the function.
+``random:n=6,seed=3``; ``counterexample:n=5`` names a support, which the
+ops that read only the masks take.  ``--json`` switches every command to
+canonical machine-readable output; seeded commands byte-reproduce their
+reports.  The op subcommands (analyze, fold, verify, pdt build, mc) run
+one op of the runner's op table on one entry, as an ``experiment``
+config does, and check the op's params and the entry before they build
+the function.
 
 Exit codes: 0 all checks pass, 1 a verifier failed or a bound failed to
 hold (`params.CheckFailedError`), 2 usage error.  The builder (`pdt`) is
@@ -22,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import families, folding, runner, spectral
+from . import families, runner, spectral
 from .params import CheckFailedError
 from .runner import canonical_json
 from .spectral import json_int
@@ -193,8 +195,8 @@ def cmd_op(args) -> int:
     params = {name: getattr(args, name) for name in runner.OPS[op][1] if getattr(args, name, None) is not None}
     params.update((name, spectral.read_json(params[name])) for name in FILE_PARAMS if name in params)
     values = runner.op_params(op, params, args.seed)
-    label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
-    spectrum = spectral.wht(table)
+    label, spec = runner.check_function(function_entry(args.function), args.max_n, [(op, values)])
+    table, spectrum = runner.op_input(label, spec, Path("."), args.max_n)
     if op == "pdt":  # the op in two halves, so the tree comes from its build
         from . import pdt
 
@@ -209,42 +211,9 @@ def cmd_op(args) -> int:
     if op == "mc" and args.csv:
         Path(args.csv).write_text(_mc_csv(result["stats"]))
     payload = {"function": label, op: result, **({"n": table.n} if op == "analyze" else {})}
-    lines, code = _TEXT[op](label, table.n, result)
+    lines, code = _TEXT[op](label, spectrum.n, result)
     _emit(args, payload, lines)
     return code
-
-
-def cmd_verify(args) -> int:
-    if args.check != "counterexample":
-        if args.function is None:
-            raise UsageError(f"verify {args.check} requires a FUNCTION argument")
-        if args.n is not None:
-            raise UsageError(f"verify {args.check} does not read --n; only counterexample does")
-        return cmd_op(args)
-    if args.function is not None:
-        raise UsageError(f"verify counterexample does not read a FUNCTION argument, got {args.function!r}")
-    if args.n is None:
-        raise UsageError("verify counterexample requires --n")
-    support = folding.counterexample_support(args.n)
-    pair = folding.check_pair_condition(support)
-    sign = folding.sign_feasibility(support)
-    passed = pair.ok and not sign.feasible
-    payload = {
-        "check": "counterexample",
-        "n": args.n,
-        "support": list(support),
-        "pair_condition": pair.ok,
-        "sign_feasibility": runner.sign_block(sign),
-        "passed": passed,
-    }
-    lines = [
-        f"counterexample support, n = {args.n}: {len(support)} masks",
-        f"pair condition holds: {pair.ok}",
-        f"sign system infeasible: {not sign.feasible} "
-        f"(witness of {0 if sign.witness is None else len(sign.witness)} constraints)",
-    ]
-    _emit(args, payload, lines)
-    return 0 if passed else CHECK_FAILED
 
 
 def cmd_pdt(args) -> int:
@@ -300,17 +269,16 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help=f"refuse functions above this dimension, at most {max_n} (default {max_n})")
 
 
-def _op_parser(sub, common, command: str, op: str, help: str, cli_only: tuple = ()):
+def _op_parser(sub, common, command: str, op: str, help: str):
     """The subcommand that runs op: the op's required choice, from the op
-    table (plus cli_only, the CLI's own choices, which take no FUNCTION),
-    and FUNCTION as positionals, and a flag per other param, each
+    table, and FUNCTION as positionals, and a flag per other param, each
     defaulting to None and showing the op table's default."""
     parser = sub.add_parser(command, parents=[common], help=help, allow_abbrev=False)  # flags are op keys, in full
     for name, (parse, default, *kinds) in runner.OPS[op][1].items():
         if name == "seed":  # the global --seed
             continue
         if default is runner.REQUIRED and not kinds:
-            parser.add_argument(name, choices=[*parse, *cli_only])
+            parser.add_argument(name, choices=parse)
             continue
         shown = [f"{' and '.join(kinds)} only"] if kinds else []
         if parse is bool:
@@ -320,7 +288,7 @@ def _op_parser(sub, common, command: str, op: str, help: str, cli_only: tuple = 
                       "metavar": "FILE" if name in FILE_PARAMS else None}
             shown += [] if default is None or default is runner.REQUIRED else [f"default {default}"]
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=", ".join(shown) or None, **kwargs)
-    parser.add_argument("function", nargs="?" if cli_only else None)
+    parser.add_argument("function")
     parser.set_defaults(func=cmd_op, op=op)
     return parser
 
@@ -344,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _op_parser(sub, common, "analyze", "analyze", "spectrum, sparsity, plateaued, l1, exact identities")
     _op_parser(sub, common, "fold", "fold", "direction classes, folding parameters, heavy participants")
-    p_verify = _op_parser(sub, common, "verify", "verify", "structural verifiers (exit 1 on failure)",
-                          cli_only=("counterexample",))
-    p_verify.add_argument("--n", type=int, default=None, help="dimension for counterexample")
-    p_verify.set_defaults(func=cmd_verify)
+    _op_parser(sub, common, "verify", "verify", "structural verifiers (exit 1 on failure)")
 
     p_pdt = sub.add_parser("pdt", parents=[common], help="build / verify / measure parity decision trees")
     pdt_sub = p_pdt.add_subparsers(dest="pdt_command", required=True)

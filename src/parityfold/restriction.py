@@ -43,6 +43,25 @@ class IdentificationBoundError(CheckFailedError):
     """A bucket count broke the identification bound: an implementation bug."""
 
 
+def _eliminate(constraints: Iterable[tuple[int, int]], n: int) -> tuple[Echelon, int, bool]:
+    """(echelon, bits, consistent) of (mask, bit) constraints, the masks
+    inserted without range checks."""
+    echelon, bits, consistent = Echelon(n), 0, True
+    for i, (mask, bit) in enumerate(constraints):
+        bits |= bit << i
+        if tag := echelon.insert(mask):  # constraints whose masks sum to 0
+            consistent &= not (tag & bits).bit_count() & 1
+    return echelon, bits, consistent
+
+
+def check_consistent(constraints: Iterable[tuple[int, int]]) -> None:
+    """Refuse (mask, bit) constraints some F2-combination of which forces
+    0 = 1.  The masks are not range checked: whether a system is
+    consistent does not depend on the n its masks fit in."""
+    if not _eliminate(constraints, 0)[2]:
+        raise InconsistentConstraintsError("constraint system forces 0 = 1")
+
+
 @dataclass(frozen=True)
 class AffineConstraintSystem:
     """List of (mask, bit) parity constraints plus their elimination kernel.
@@ -60,16 +79,11 @@ class AffineConstraintSystem:
     consistent: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        echelon = Echelon(self.n)
-        bits = 0
-        consistent = True
-        for i, (mask, bit) in enumerate(self.constraints):
+        for mask, bit in self.constraints:
             check_vector(mask, self.n)
             if bit not in (0, 1):
                 raise ValueError(f"constraint bit must be 0 or 1, got {bit!r}")
-            bits |= bit << i
-            if tag := echelon.insert(mask):  # constraints whose masks sum to 0
-                consistent &= not (tag & bits).bit_count() & 1
+        echelon, bits, consistent = _eliminate(self.constraints, self.n)
         object.__setattr__(self, "echelon", echelon)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "consistent", consistent)

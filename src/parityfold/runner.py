@@ -18,8 +18,7 @@ wrapper), so a run of fold, verify and analyze ops without ``restrict``
 never imports either.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
-the blocks, and its ``verify counterexample`` takes its sign block from
-``sign_block``.
+the blocks.
 ``op_params`` is the one gate: it reads an op's params with
 ``spectral.read_keys``, the one reader of a JSON object's keys, checks
 each value and hands the op what it reads (pdt's ``params.BuildConfig``).
@@ -27,8 +26,12 @@ each value and hands the op what it reads (pdt's ``params.BuildConfig``).
 ``read_keys``, passes every analysis through ``op_params`` and every
 function entry through ``check_function``, which reads each once with
 ``read_keys`` too, before any function is built from the values read; a
-CLI op subcommand calls ``op_params`` before ``resolve_function``, which
-is ``check_function`` and the build for one entry.
+CLI op subcommand calls ``op_params`` and ``check_function`` the same
+way on its one entry.  Both then take what the ops read from
+``op_input``: a function's table and spectrum, or a support entry's
+``spectral.FourierSupport`` in place of the spectrum, with no table.
+``MASKS_ONLY`` names the analyses that read only the masks;
+``check_function`` refuses a support entry under any other.
 analyze's ``restrict``, a constraint list ``[{"mask": m, "bit": 0 or
 1}, ...]``, adds a ``restrict`` block: the spectrum restricted to the
 affine subspace the constraints cut out, and its buckets against the
@@ -61,7 +64,7 @@ import numpy as np
 from . import folding, pairs, spectral
 from .families import FunctionSpec, build_function, read_function
 from .params import STRATEGIES, BuildConfig, as_exponent, check_sampling, float_fraction
-from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, load_function, read_json, read_keys
+from .spectral import REQUIRED, FourierSpectrum, FourierSupport, TruthTable, json_int, json_of, load_function, read_json, read_keys
 
 VERSION = "0.1.0"
 
@@ -104,15 +107,23 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
-    """(label, spec) of a corpus entry, {"path": file} (spec None, the
-    label its path) or {"family": name, **params} (spec as
-    `families.read_function` read it), after every check that needs no
-    table: a family reads every param given and its n is at most max_n.
-    An entry without a family is a path entry."""
+def check_function(entry: dict, max_n: int, ops: list | tuple = ()) -> tuple[str, FunctionSpec | FourierSupport | None]:
+    """(label, spec) of a corpus entry, after every check that needs no
+    table: {"path": file} (spec None, the label its path), a support entry
+    (spec the `FourierSupport`, see `_read_support`), or {"family": name,
+    **params} (spec as `families.read_function` read it, its n at most
+    max_n).  An entry without a family or a support is a path entry.  A
+    support entry under an analysis of ops, (op, values) pairs, that reads
+    more than the masks is refused."""
     try:
-        if "path" in json_of(entry, dict, "function entry") or "family" not in entry:
+        if "path" in json_of(entry, dict, "function entry") or not entry.keys() & {"family", "support"}:
             return read_keys("path entry", entry, {"path": (str, REQUIRED)})["path"], None
+        if "support" in entry or entry["family"] == "counterexample":
+            label, support = _read_support(entry)
+            for op, values in ops:
+                if (name := f"{op} {values['check']}" if op == "verify" else op) not in MASKS_ONLY:
+                    raise ConfigError(f"{label}: {name} reads the Fourier coefficients, and a support entry has only its masks")
+            return label, support
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     params = {key: value for key, value in entry.items() if key != "family"}
@@ -123,11 +134,35 @@ def check_function(entry: dict, max_n: int) -> tuple[str, FunctionSpec | None]:
     return label, spec
 
 
+def _read_support(entry: dict) -> tuple[str, FourierSupport]:
+    """(label, support) of {"support": masks, "n": n} or of the named
+    support {"family": "counterexample", "n": n}, both read by
+    `spectral.support_from_dict`; a support has no table, so max_n does
+    not apply."""
+    if "support" in entry:
+        support = spectral.support_from_dict(entry)
+        return f"support(k={support.sparsity},n={support.n})", support
+    n = read_keys("counterexample", {key: value for key, value in entry.items() if key != "family"}, {"n": (json_int, REQUIRED)})["n"]
+    return f"counterexample(n={n})", spectral.support_from_dict({"support": list(folding.counterexample_support(n)), "n": n})
+
+
 def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
     """(label, truth table) of a corpus entry, checked by check_function
-    first."""
+    first; a support entry has no table, and is refused."""
     label, spec = check_function(entry, max_n)
+    if isinstance(spec, FourierSupport):
+        raise ConfigError(f"{label}: a support entry has no truth table")
     return label, _table(label, spec, base_dir, max_n)
+
+
+def op_input(label: str, spec: FunctionSpec | FourierSupport | None, base_dir: Path, max_n: int):
+    """(table, spectrum) that an op reads of an entry check_function
+    checked, (label, spec): a support entry has no table, and its support
+    stands in for the spectrum."""
+    if isinstance(spec, FourierSupport):
+        return None, spec
+    table = _table(label, spec, base_dir, max_n)
+    return table, spectral.wht(table)
 
 
 def _table(label: str, spec: FunctionSpec | None, base_dir: Path, max_n: int) -> TruthTable:
@@ -151,7 +186,7 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
         "parseval": spectral.verify_parseval(spectrum),
         "titsworth_violations": spectral.verify_titsworth(spectrum),
     }
-    if "restrict" in params:  # a mask outside n bits or an inconsistent system is a ValueError here
+    if "restrict" in params:  # a mask outside n bits is a ValueError here; op_params refused an inconsistent system
         from . import restriction
 
         constraints = params["restrict"]
@@ -233,20 +268,14 @@ def _pair_condition(spectrum: FourierSpectrum) -> dict:
     return {"passed": result.ok, "violation": result.violation}
 
 
-def sign_block(result: folding.SignFeasibilityResult) -> dict:
-    """The block of a sign system: verify sign-feasibility's detail, and
-    the CLI's verify counterexample's sign_feasibility."""
-    out: dict = {"feasible": result.feasible, "constraint_count": len(result.constraints)}
-    if result.assignment is not None:
-        out["assignment"] = dict(zip(map(str, result.assignment), result.assignment.values()))
-    if result.witness is not None:
-        out["witness"] = [{"direction": g, "pairs": [[a, b], [c, d]]} for g, a, b, c, d in result.witness]
-    return out
-
-
 def _sign_feasibility(spectrum: FourierSpectrum) -> dict:
     result = folding.sign_feasibility(spectrum.masks)
-    return {"passed": result.feasible, "detail": sign_block(result)}
+    detail: dict = {"feasible": result.feasible, "constraint_count": len(result.constraints)}
+    if result.assignment is not None:
+        detail["assignment"] = dict(zip(map(str, result.assignment), result.assignment.values()))
+    if result.witness is not None:
+        detail["witness"] = [{"direction": g, "pairs": [[a, b], [c, d]]} for g, a, b, c, d in result.witness]
+    return {"passed": result.feasible, "detail": detail}
 
 
 def _titsworth(spectrum: FourierSpectrum) -> dict:
@@ -376,6 +405,10 @@ OPS = {
     }),
 }
 
+# the analyses, an op or "verify <check>", that read only a spectrum's n and
+# masks: a support entry, which has no coefficients, runs these alone
+MASKS_ONLY = {"fold", "mc", "verify pair-condition", "verify three-fold", "verify sign-feasibility"}
+
 # the params each mc kind reads: those that name no kind or name it
 KIND_PARAMS = {
     kind: {name: spec[:2] for name, spec in OPS["mc"][1].items() if kind in spec[2:] or len(spec) == 2} for kind in MC_KINDS
@@ -387,7 +420,9 @@ def op_params(op: str, params: dict, seed: int) -> dict | BuildConfig:
     and checked, the op's defaults filled in, and pdt's BuildConfig built.
     Every check that does not depend on the function is made here, so a
     config runs it on every analysis before any function is built; each
-    refusal is a ConfigError, and a parse error names the op and the key."""
+    refusal is a ConfigError, and a parse error names the op and the key,
+    but for an inconsistent restrict system, an InconsistentConstraintsError
+    as when the op runs."""
     if not isinstance(op, str) or op not in OPS:
         raise ConfigError(f"unknown analysis op {op!r}")
     declared = OPS[op][1]
@@ -407,6 +442,10 @@ def op_params(op: str, params: dict, seed: int) -> dict | BuildConfig:
         check_sampling(values.get("seed"), values.get("trials"), values.get("p"), values.get("delta"), values.get("ell"))
     except ValueError as exc:  # a parser's, BuildConfig's or check_sampling's refusal
         raise ConfigError(str(exc)) from None
+    if "restrict" in values:  # consistency does not depend on n, so it is checked here
+        from . import restriction
+
+        restriction.check_consistent(values["restrict"])
     return values
 
 
@@ -619,12 +658,11 @@ def run_experiment(config: dict, base_dir: str | Path = ".") -> ExperimentReport
         raise ConfigError(str(exc)) from None
     # every analysis and every function entry is checked, and refused, before any function is built
     ops = [(a.get("op"), op_params(a.get("op"), {k: v for k, v in a.items() if k != "op"}, seed)) for a in analyses]
-    checked = [check_function(entry, max_n) for entry in functions]
+    checked = [check_function(entry, max_n, ops) for entry in functions]
     results: list[dict] = []
     for label, spec in checked:
-        table = _table(label, spec, base_dir, max_n)
-        spectrum = spectral.wht(table)
-        block = {"function": label, "n": table.n, "analyses": []}
+        table, spectrum = op_input(label, spec, base_dir, max_n)
+        block = {"function": label, "n": spectrum.n, "analyses": []}
         for op, values in ops:
             block["analyses"].append({"op": op, "result": OPS[op][0](table, spectrum, values)})
         results.append(block)

@@ -37,6 +37,10 @@ construction.  The public constructor checks a dict's entries by
 inline test, building an error message only for the first entry that
 fails it, and copies them into the arrays.
 
+A `FourierSupport` is a support with no coefficients: n and one sorted,
+read-only `masks` array, which `support_from_dict` reads from a support
+entry.  The ops that read only the masks take it in place of a spectrum.
+
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
 
@@ -354,9 +358,10 @@ def table_to_dict(table: TruthTable) -> dict:
 
 def table_from_dict(data: dict) -> TruthTable:
     n, values = read_keys("truth table", data, {"n": (json_int, REQUIRED), "values": (list, REQUIRED)}).values()
-    # np.array would read JSON true/false as 1/0
-    if any(isinstance(v, bool) for v in values):
-        raise ValueError("truth table entries must be +-1, not booleans")
+    # np.array would read JSON true/false as 1/0 and 1.0 as 1
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"truth table entries must be the JSON integers +-1, not floats or booleans; got {bad!r}")
     return TruthTable(n, np.array(values))
 
 
@@ -382,6 +387,36 @@ def spectrum_from_dict(data: dict) -> FourierSpectrum:
             raise ValueError(f"duplicate mask {mask}")
         coeffs[mask] = num
     return FourierSpectrum(n, coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class FourierSupport:
+    """A Fourier support S with no coefficients: n and its masks, sorted
+    once into one read-only int64 array.  An op that reads only a
+    spectrum's masks reads a support as it reads a spectrum, through
+    `n`, `masks` and `sparsity`."""
+
+    n: int
+    masks: np.ndarray = field(repr=False)
+
+    @property
+    def sparsity(self) -> int:
+        return len(self.masks)
+
+
+def support_from_dict(data: dict) -> FourierSupport:
+    """A support entry {"support": [m_1, ..., m_k], "n": N}: N <=
+    MAX_DIMENSION and k >= 1 distinct masks, each a JSON integer (by
+    `json_int`'s rule) below 2^N."""
+    masks, n = read_keys("support entry", data, {"support": (list, REQUIRED), "n": (json_int, REQUIRED)}).values()
+    if not masks:
+        raise ValueError("support entry: the support is empty")
+    for mask in masks:  # check_vector checks n first
+        check_vector(json_int(mask, "support entry mask"), n)
+    ordered = np.sort(np.array(masks, dtype=np.int64))
+    if len(repeated := ordered[1:][ordered[1:] == ordered[:-1]]):
+        raise ValueError(f"support entry: duplicate mask {repeated[0]}")
+    return FourierSupport(n, _read_only(ordered))
 
 
 def load_function(path: str | Path):

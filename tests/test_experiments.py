@@ -4,12 +4,14 @@ facts that the config's note states are checked on its report."""
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from parityfold.cli import main
+from parityfold.runner import run_experiment
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.json"))
 
@@ -66,6 +68,22 @@ def check_parity_decision_trees(results: dict) -> None:
     assert [tree["strategy"] for tree in trees[9:]] == ["sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket"]
 
 
+def check_non_realizable_supports(results: dict) -> None:
+    for n in (5, 9):
+        fold, pair, three, sign = results[f"counterexample(n={n})"]
+        assert fold["profile"]["k"] == 2 * n - 2 and pair["passed"] and three["passed"]
+        assert not sign["passed"] and not sign["detail"]["feasible"]
+        # an odd number of constraints with right-hand side 1 whose masks cancel: 0 = 1
+        witness = sign["detail"]["witness"]
+        members = Counter(mask for constraint in witness for pair in constraint["pairs"] for mask in pair)
+        assert len(witness) % 2 == 1 and all(count % 2 == 0 for count in members.values())
+    fold, *checks = results["support(k=16,n=6)"]
+    assert all(check["passed"] for check in checks) and "assignment" in checks[-1]["detail"]
+    config03 = json.loads((CONFIGS[0].parent / "03_folding_structure.json").read_text())
+    function = by_function(run_experiment(config03).to_dict())["addressing(k=16)"][0]
+    assert fold["profile"]["classes"] == function["profile"]["classes"]
+
+
 # config stem -> the facts its note states, checked on its report
 CHECKS = {
     "01_spectral_identities": check_spectral_identities,
@@ -73,6 +91,7 @@ CHECKS = {
     "03_folding_structure": check_folding_structure,
     "04_parity_sampling_monte_carlo": check_parity_sampling_monte_carlo,
     "05_parity_decision_trees": check_parity_decision_trees,
+    "06_non_realizable_supports": check_non_realizable_supports,
 }
 
 # op -> the library's own verdict on its result block
@@ -96,7 +115,9 @@ def test_config_runs(tmp_path, config):
     assert written[0] == written[1]
     report = json.loads(written[0])
     assert report["config"]["note"] == json.loads(config.read_text())["note"]  # echoed, read by nothing
-    for block in report["results"]:
+    for block, entry in zip(report["results"], report["config"]["functions"]):
+        if "support" in entry or entry.get("family") == "counterexample":
+            continue  # a support's verdicts are findings, which its config's check states
         for analysis in block["analyses"]:
             verdict = VERDICTS.get(analysis["op"], lambda result: True)
             assert verdict(analysis["result"]), (block["function"], analysis["op"])

@@ -366,8 +366,8 @@ def test_the_choices_are_the_dispatch_tables_keys():
     # every kind tag names a kind
     tags = {kind for params in declared.values() for _, _, *kinds in params.values() for kind in kinds}
     assert tags <= set(runner.MC_KINDS)
-    # the CLI offers the same choices, plus verify's CLI-only counterexample
-    for argv, choices in ((["verify", "three-folds", FUNCTION], [*runner.VERIFY_CHECKS, "counterexample"]),
+    # the CLI offers the same choices
+    for argv, choices in ((["verify", "three-folds", FUNCTION], list(runner.VERIFY_CHECKS)),
                           (["mc", "warmp", FUNCTION], list(runner.MC_KINDS)),
                           (["pdt", "build", FUNCTION, "--strategy", "greedy"], list(STRATEGIES))):
         code, out, err = cli(argv)
@@ -418,3 +418,24 @@ def test_function_expressions_and_gen_share_one_parser():
     for text in ("parity:mask,n=2", "parity:=1", "parity:mask=x"):
         with pytest.raises(ValueError):
             function_entry(text)
+
+
+def test_an_inconsistent_system_is_refused_before_any_function_is_built(tmp_path, monkeypatch):
+    # whether a system is consistent does not depend on n, so op_params
+    # refuses it before the n = 18 table is built
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    system = [{"mask": 3, "bit": 1}, {"mask": 3, "bit": 0}]
+    config = {"functions": [{"family": "random", "n": 18, "seed": 1}, ENTRY],
+              "analyses": [{"op": "fold"}, {"op": "analyze", "restrict": system}]}
+    with pytest.raises(InconsistentConstraintsError, match="^constraint system forces 0 = 1$"):
+        run_experiment(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = cli(["experiment", str(path)])
+    assert (code, out, err) == (USAGE_ERROR, "", "error: constraint system forces 0 = 1\n")
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    code, out, err = cli(["analyze", "random:n=18,seed=1", "--restrict", str(tmp_path / "system.json")])
+    assert (code, out, err) == (USAGE_ERROR, "", "error: constraint system forces 0 = 1\n")

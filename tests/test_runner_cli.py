@@ -275,26 +275,63 @@ def test_a_path_entry_reads_only_path(tmp_path, monkeypatch, capsys):
 
 def test_cli_verify_exit_codes(capsys):
     assert run_cli("verify", "three-fold", "addressing:k=16") == 0
-    assert run_cli("verify", "counterexample", "--n", "5") == 0
-    assert run_cli("verify", "counterexample", "--n", "70") == 2  # beyond the mask cap
+    assert run_cli("verify", "pair-condition", "counterexample:n=5") == 0
+    assert run_cli("verify", "sign-feasibility", "counterexample:n=5") == 1  # an infeasible sign system
+    assert run_cli("verify", "pair-condition", "counterexample:n=70") == 2  # beyond the mask cap
     # a sparsity-4 function fails the three-fold precondition -> usage error
     assert run_cli("verify", "three-fold", "conjunction:mask=3,n=2") == 2
-    assert run_cli("verify", "pair-condition") == 2  # missing function
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "pair-condition")  # missing function
+    assert exc.value.code == USAGE_ERROR
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "three-fold", "addressing:k=16", "--n", "5"], "verify three-fold does not read --n"),
-    (["verify", "sign-feasibility", "addressing:k=16", "--n", "5"], "verify sign-feasibility does not read --n"),
-    (["verify", "counterexample", "addressing:k=16", "--n", "5"],
-     "verify counterexample does not read a FUNCTION argument, got 'addressing:k=16'"),
-    (["verify", "counterexample", "addressing:k=16"], "verify counterexample does not read a FUNCTION argument"),
+    (["verify", "three-fold", "addressing:k=16", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["verify", "sign-feasibility", "addressing:k=16", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["verify", "counterexample", "addressing:k=16", "--n", "5"], "argument check: invalid choice: 'counterexample'"),
+    (["verify", "counterexample", "addressing:k=16"], "argument check: invalid choice: 'counterexample'"),
 ], ids=["three-fold-n", "sign-feasibility-n", "counterexample-function", "counterexample-function-no-n"])
 def test_cli_verify_refuses_input_it_does_not_read(capsys, argv, message):
     for json_flag in ([], ["--json"]):
-        assert run_cli(*json_flag, *argv) == USAGE_ERROR
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*json_flag, *argv)
+        assert exc.value.code == USAGE_ERROR
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {message}")
+        assert out == "" and f"error: {message}" in err
+
+
+# the --json payload of the deleted `verify counterexample --n 5`, recorded
+# before it was deleted
+COUNTEREXAMPLE_5 = {
+    "check": "counterexample", "n": 5, "pair_condition": True, "passed": True,
+    "sign_feasibility": {"constraint_count": 12, "feasible": False, "witness": [
+        {"direction": 3, "pairs": [[1, 2], [16, 19]]},
+        {"direction": 5, "pairs": [[1, 4], [16, 21]]},
+        {"direction": 6, "pairs": [[2, 4], [19, 21]]},
+    ]},
+    "support": [1, 2, 4, 8, 16, 19, 21, 25],
+}
+
+
+def test_the_counterexample_runs_through_the_op_table(capsys):
+    assert runner.check_function({"family": "counterexample", "n": 5}, 20)[1].masks.tolist() == COUNTEREXAMPLE_5["support"]
+    assert run_cli("--json", "verify", "pair-condition", "counterexample:n=5") == 0
+    assert json.loads(capsys.readouterr().out)["verify"] == {"check": "pair-condition", "passed": True, "violation": None}
+    assert run_cli("--json", "verify", "sign-feasibility", "counterexample:n=5") == 1
+    result = json.loads(capsys.readouterr().out)["verify"]
+    assert result["passed"] is False
+    assert runner.canonical_json(result["detail"]) == runner.canonical_json(COUNTEREXAMPLE_5["sign_feasibility"])
+
+
+@pytest.mark.parametrize("argv", [["verify", "pair-condition"], ["analyze"]], ids=["verify", "analyze"])
+def test_a_missing_function_is_an_argparse_error(capsys, argv):
+    for json_flag in ([], ["--json"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*json_flag, *argv)
+        assert exc.value.code == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and "the following arguments are required: function" in err
 
 
 def test_cli_fold(capsys):
@@ -646,7 +683,6 @@ GOLDEN_CASES = {
                       "sign-feasibility", "titsworth", "parseval")
     },
     "verify-sign-feasibility-modified-addressing": [["verify", "sign-feasibility", "modified-addressing:k=4"]],
-    "verify-counterexample": [["verify", "counterexample", "--n", "5"]],
     **{
         f"pdt-build-{strategy}": [BUILD + ["--strategy", strategy]]
         for strategy in ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -667,7 +703,6 @@ GOLDEN_CASES = {
     "error-missing-p": [["mc", "theorem-1", "inner-product:m=2"]],
     "error-not-folding": [["mc", "theorem-2", "addressing:k=16", "--delta", "1", "--ell", "1/2"]],
     "error-max-n": [["--max-n", "4", "analyze", "addressing:k=16"]],
-    "error-missing-function": [["verify", "pair-condition"]],
     "error-sparsity-too-small": [["verify", "three-fold", "conjunction:mask=3,n=2"]],
 }
 
@@ -711,7 +746,6 @@ GOLDEN = {
     "verify-titsworth": ((0,), "11558296fcb20e1cca9db2ab8673b80e58e3b4558d5e50896680157eb03d3e17", "66b26ea92db31d29fa2ef929a1377b62371525ccea5ae906e5bebade4f689dcc"),
     "verify-parseval": ((0,), "b942813525f4fa3d75197d5f73f91b5571488bf0a8b2bdd135d72cc499042bba", "410fa0e47a63f72d916f4e3c8eea3a0fa4f65d7bcf9217395a7fc8b955b0b582"),
     "verify-sign-feasibility-modified-addressing": ((0,), "272e60987b4b9125771b4b0fe3ba1b18cefa5ed7e725ab1a64534d869cb1ccac", "756b7bd35d98e45482261663b0643f1b6db5e760cca62ed95122ef44a6d1c9c4"),
-    "verify-counterexample": ((0,), "0024e0cea84a9d654e08ad93f1f5459cd09743a7d14456dfa902084a0dc3f7b6", "1a35cc42654bd511928a6b114188387cdfb700d30e0593d19f7cad637c4a8734"),
     "pdt-build-sampling": ((0,), "9b01b21d0cf4a7d5653f4ff482edf42af7abc7953cca4bc6e0ca8d3a807e4ec9", "ee2d79ce3d6cb9ef3c2e245fe65f4246e6c66578f318b75640ba28d757a1c827"),
     "pdt-build-folding-sampling": ((0,), "03bd57daa0d504a76ea62f2edebbf99ba7572e44df88df8176c06f378a839dcd", "cef19693de3699ca1f098d05d94dd3fc60750d73429c727ed7ab5a3df877a5d0"),
     "pdt-build-max-coefficient": ((0,), "d0ae089d52e5ddecbf7e77ff997b3bc6cd802004659dc51bd8207de224e0c10c", "7d587cf2c6ce345332589d04a19721b27a482ef3044cd6b47e65a5d7d8eae2c7"),
@@ -727,7 +761,6 @@ GOLDEN = {
     "error-missing-p": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-not-folding": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-max-n": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
-    "error-missing-function": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-sparsity-too-small": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
 }
 

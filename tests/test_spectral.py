@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -505,6 +506,19 @@ def test_table_from_dict_rejects_json_booleans(values):
     # np.array would read true as 1 and false as 0
     with pytest.raises(ValueError, match="booleans"):
         table_from_dict({"n": 1, "values": values})
+
+
+@pytest.mark.parametrize("text", ["1.0", "-1.0", "1e0", "true"])
+def test_table_files_refuse_floats_and_booleans(tmp_path, capsys, text):
+    # np.array would read 1.0 and 1e0 as 1, and true as 1
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "values": [' + text + ', -1]}')
+    value = json.loads(text)
+    message = f"truth table entries must be the JSON integers +-1, not floats or booleans; got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        table_from_dict(json.loads(path.read_text()))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_rejects_boolean_table_file(tmp_path, capsys):
