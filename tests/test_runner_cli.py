@@ -658,7 +658,12 @@ def test_cli_usage_error_exit_code():
 # the constraint count, not the file.  The two modified-addressing cases
 # were recorded before pair lists became arrays.  experiment was
 # re-recorded when its CSV rows took csv quoting: the random(n=5,seed=3)
-# rows quote their label, and no other byte moved.
+# rows quote their label, and no other byte moved.  verify-counterexample
+# was re-recorded when the counterexample became a support entry: it runs
+# verify pair-condition and verify sign-feasibility on counterexample:n=5
+# in place of the deleted verify counterexample --n 5.  error-missing-function
+# is argparse's own exit since verify took FUNCTION as a positional; its
+# stdout stays empty and its digest did not move.
 GOLDEN_FIXTURES = {
     "system.json": json.dumps([{"mask": 3, "bit": 1}, {"mask": 12, "bit": 0}]),
     "spectrum.json": json.dumps(
@@ -683,6 +688,8 @@ GOLDEN_CASES = {
                       "sign-feasibility", "titsworth", "parseval")
     },
     "verify-sign-feasibility-modified-addressing": [["verify", "sign-feasibility", "modified-addressing:k=4"]],
+    "verify-counterexample": [["verify", "pair-condition", "counterexample:n=5"],
+                              ["verify", "sign-feasibility", "counterexample:n=5"]],
     **{
         f"pdt-build-{strategy}": [BUILD + ["--strategy", strategy]]
         for strategy in ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -704,6 +711,7 @@ GOLDEN_CASES = {
     "error-not-folding": [["mc", "theorem-2", "addressing:k=16", "--delta", "1", "--ell", "1/2"]],
     "error-max-n": [["--max-n", "4", "analyze", "addressing:k=16"]],
     "error-sparsity-too-small": [["verify", "three-fold", "conjunction:mask=3,n=2"]],
+    "error-missing-function": [["verify", "pair-condition"]],
 }
 
 
@@ -718,8 +726,13 @@ def golden_record(directory, argvs, json_mode):
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                code = main((["--json"] if json_mode else []) + argv)
-            assert code != USAGE_ERROR or err.getvalue().startswith("error: ")
+                try:
+                    code = main((["--json"] if json_mode else []) + argv)
+                except SystemExit as exc:  # argparse refused the command line
+                    code = exc.code
+                    assert code == USAGE_ERROR and ": error: " in err.getvalue()
+                else:
+                    assert code != USAGE_ERROR or err.getvalue().startswith("error: ")
             runs.append([code, out.getvalue()])
     finally:
         os.chdir(cwd)
@@ -746,6 +759,7 @@ GOLDEN = {
     "verify-titsworth": ((0,), "11558296fcb20e1cca9db2ab8673b80e58e3b4558d5e50896680157eb03d3e17", "66b26ea92db31d29fa2ef929a1377b62371525ccea5ae906e5bebade4f689dcc"),
     "verify-parseval": ((0,), "b942813525f4fa3d75197d5f73f91b5571488bf0a8b2bdd135d72cc499042bba", "410fa0e47a63f72d916f4e3c8eea3a0fa4f65d7bcf9217395a7fc8b955b0b582"),
     "verify-sign-feasibility-modified-addressing": ((0,), "272e60987b4b9125771b4b0fe3ba1b18cefa5ed7e725ab1a64534d869cb1ccac", "756b7bd35d98e45482261663b0643f1b6db5e760cca62ed95122ef44a6d1c9c4"),
+    "verify-counterexample": ((0, 1), "b5ffdabf81569901ba15c19c17663bf10d63338053eb482823dd517a5279b47e", "e2ce20d7c29d39478d848dee4585aa24750c245c8d9d26ee8486f0d8a77cb9d6"),
     "pdt-build-sampling": ((0,), "9b01b21d0cf4a7d5653f4ff482edf42af7abc7953cca4bc6e0ca8d3a807e4ec9", "ee2d79ce3d6cb9ef3c2e245fe65f4246e6c66578f318b75640ba28d757a1c827"),
     "pdt-build-folding-sampling": ((0,), "03bd57daa0d504a76ea62f2edebbf99ba7572e44df88df8176c06f378a839dcd", "cef19693de3699ca1f098d05d94dd3fc60750d73429c727ed7ab5a3df877a5d0"),
     "pdt-build-max-coefficient": ((0,), "d0ae089d52e5ddecbf7e77ff997b3bc6cd802004659dc51bd8207de224e0c10c", "7d587cf2c6ce345332589d04a19721b27a482ef3044cd6b47e65a5d7d8eae2c7"),
@@ -762,6 +776,7 @@ GOLDEN = {
     "error-not-folding": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-max-n": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
     "error-sparsity-too-small": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
+    "error-missing-function": ((2,), "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef", "ef401e984f80e2ebab5a41d9a1dcf58ed3b26006168deca8677959364e0137ef"),
 }
 
 
