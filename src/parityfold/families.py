@@ -19,8 +19,7 @@ InvalidFamilyParameterErrors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,8 +144,7 @@ def gen_random(n: int, seed: int) -> TruthTable:
     return TruthTable._of_signs(n, _signs(rng.integers(0, 2, size=size, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """A family, its params as `read_function` parsed them and the n of
     its table, e.g. FunctionSpec("addressing", {"k": 16}, 6)."""
 

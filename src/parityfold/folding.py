@@ -35,9 +35,8 @@ theirs; any other support is sorted once, by `_sorted_support`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -71,17 +70,22 @@ class FoldingBoundError(CheckFailedError):
     """Fewer heavy participants than the delta*k/3 averaging bound guarantees."""
 
 
-@dataclass(frozen=True, eq=False)
 class FoldingProfile:
-    n: int
-    k: int
-    # sorted support, sorted realized directions and their class sizes
-    masks: np.ndarray = field(repr=False)
-    directions: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+    """The direction classes of a support of k masks in n bits: the sorted
+    support, the sorted realized directions and their class sizes, as
+    arrays.  Profiles are immutable, and compare by their masks."""
+
+    def __init__(self, n: int, k: int, masks: np.ndarray, directions: np.ndarray, counts: np.ndarray) -> None:
+        self.__dict__.update(n=n, k=k, masks=masks, directions=directions, counts=counts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: profiles are immutable")
 
     def __eq__(self, other: object) -> bool:  # the support determines the classes
         return isinstance(other, FoldingProfile) and np.array_equal(self.masks, other.masks)
+
+    def __repr__(self) -> str:
+        return f"FoldingProfile(n={self.n!r}, k={self.k!r})"
 
     @property
     def total_pairs(self) -> int:
@@ -157,8 +161,7 @@ def direction_classes(support: Iterable[int]) -> FoldingProfile:
     return FoldingProfile(int(masks[-1]).bit_length(), k, masks, directions, counts)
 
 
-@dataclass(frozen=True)
-class PairCondition:
+class PairCondition(NamedTuple):
     ok: bool
     violation: int | None  # smallest direction with a single pair, if any
 
@@ -190,8 +193,7 @@ def heavy_class_threshold(k: int, ell: Fraction | float | int) -> int:
     return ceil_pow + 1
 
 
-@dataclass(frozen=True)
-class FoldingParameters:
+class FoldingParameters(NamedTuple):
     ell: Fraction
     delta: Fraction  # maximal achievable fraction at this exponent
     heavy_pair_count: int
@@ -224,8 +226,7 @@ def verify_three_fold(spectrum: FourierSpectrum) -> dict[int, int]:
     return dict(zip(profile.masks.tolist(), profile.masks[first].tolist()))
 
 
-@dataclass(frozen=True)
-class SingleDirectionReport:
+class SingleDirectionReport(NamedTuple):
     n: int
     k: int
     positive_count: int
@@ -280,8 +281,7 @@ def single_direction_structure(spectrum: FourierSpectrum) -> SingleDirectionRepo
 Constraint = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class SignFeasibilityResult:
+class SignFeasibilityResult(NamedTuple):
     feasible: bool
     constraints: tuple[Constraint, ...]  # one per size-2 class, in direction order
     assignment: dict[int, int] | None  # mask -> +-1 satisfying all constraints

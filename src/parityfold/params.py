@@ -18,7 +18,6 @@ importing the modules that raise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
@@ -79,37 +78,59 @@ def check_sampling(
     return delta, None if ell is None else as_exponent(ell)
 
 
-@dataclass(frozen=True)
 class BuildConfig:
-    strategy: str = "sampling"
-    probability: Fraction | float | None = None  # overrides the per-node formula
-    resample_cap: int = 64
-    epsilon: Fraction = Fraction(1, 2)  # progress requirement per batch
-    seed: int = 0
-    delta: Fraction | None = None  # folding-sampling parameters
-    ell: Fraction | None = None
+    """A build's parameters, checked when made.  The class attributes are
+    the defaults.  A config is immutable, and compares and hashes by its
+    seven values."""
 
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
-        if self.probability is not None and not 0 < self.probability <= 1:
-            raise ValueError(f"probability must lie in (0, 1], got {self.probability}")
-        if self.resample_cap < 1:
+    strategy = "sampling"
+    probability = None  # overrides the per-node formula
+    resample_cap = 64
+    epsilon = Fraction(1, 2)  # progress requirement per batch
+    seed = 0
+    delta = None  # folding-sampling parameters
+    ell = None
+
+    def __init__(
+        self, strategy: str = strategy, probability: Fraction | float | None = probability,
+        resample_cap: int = resample_cap, epsilon: Fraction = epsilon, seed: int = seed,
+        delta: Fraction | None = delta, ell: Fraction | None = ell,
+    ) -> None:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
+        if probability is not None and not 0 < probability <= 1:
+            raise ValueError(f"probability must lie in (0, 1], got {probability}")
+        if resample_cap < 1:
             raise ValueError("resample cap must be >= 1")
-        delta, ell = check_sampling(self.seed, delta=self.delta, ell=self.ell)
-        eps = Fraction(self.epsilon)
-        if not 0 < eps < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "ell", ell)
+        delta, ell = check_sampling(seed, delta=delta, ell=ell)
+        epsilon = Fraction(epsilon)
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
         # a parameter the strategy would not read is refused
-        if self.probability is not None and self.strategy not in SAMPLING:
-            raise ValueError(f"strategy {self.strategy} draws nothing, so it takes no probability")
-        if (self.delta, self.ell) != (None, None):
-            if self.strategy != "folding-sampling":
-                raise ValueError(f"delta and ell are folding-sampling's; strategy {self.strategy} takes neither")
-            if None in (self.delta, self.ell):
+        if probability is not None and strategy not in SAMPLING:
+            raise ValueError(f"strategy {strategy} draws nothing, so it takes no probability")
+        if (delta, ell) != (None, None):
+            if strategy != "folding-sampling":
+                raise ValueError(f"delta and ell are folding-sampling's; strategy {strategy} takes neither")
+            if None in (delta, ell):
                 raise ValueError("folding-sampling takes delta and ell together, or neither")
-            if self.probability is not None:
+            if probability is not None:
                 raise ValueError("a probability replaces the delta and ell schedule; give one or the other")
+        self.__dict__.update(
+            strategy=strategy, probability=probability, resample_cap=resample_cap, epsilon=epsilon,
+            seed=seed, delta=delta, ell=ell,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: build configs are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BuildConfig):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"BuildConfig({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"

@@ -20,15 +20,19 @@ The build's parameters (`BuildConfig`, with its strategies) and
 `check_sampling`, which holds each range check of a sampling run's seed,
 trials, p, delta and ell, live in `params`, so a run that builds no tree
 reads them without importing this module.
+
+The result records (`NodeRecord`, `BuildResult`, `TrialStats`) are
+`typing.NamedTuple`s and `ParityDecisionTree` a plain class whose
+`__setattr__` refuses, so importing this module generates no code for
+them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,18 +69,21 @@ class ResampleCapExceededError(CheckFailedError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class ParityDecisionTree:
     """A tree over F2^n in level order (breadth first, pos before neg), so
     == compares arrays: query[i] is internal node i's mask (uint32), child[2i]
     and child[2i + 1] its pos (+1) and neg children (int32; ~j is leaf j),
     values[j] leaf j's +-1 (int8).  The root is node 0, else leaf 0.  No
-    walk recurses; `from_dict` checks each node."""
+    walk recurses; `from_dict` checks each node.  Trees are immutable."""
 
-    n: int
-    query: np.ndarray
-    child: np.ndarray
-    values: np.ndarray
+    def __init__(self, n: int, query: np.ndarray, child: np.ndarray, values: np.ndarray) -> None:
+        self.__dict__.update(n=n, query=query, child=child, values=values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: trees are immutable")
+
+    def __repr__(self) -> str:
+        return f"ParityDecisionTree(n={self.n!r}, query={self.query!r}, child={self.child!r}, values={self.values!r})"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ParityDecisionTree) and self.n == other.n and all(
@@ -291,8 +298,7 @@ def _fold_unions(masks: np.ndarray, union: np.ndarray) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     node_id: int
     depth: int
     sparsity_before: int
@@ -305,8 +311,7 @@ class NodeRecord:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     tree: ParityDecisionTree
     log: tuple[NodeRecord, ...]
     config: BuildConfig
@@ -525,8 +530,7 @@ def _assemble(n: int, singles: list, records: list) -> tuple[ParityDecisionTree,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     trials: int
     k: int
     probabilities: tuple[float, ...]  # used per phase, after clamping

@@ -23,7 +23,6 @@ count above that bound when it is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -62,31 +61,37 @@ def check_consistent(constraints: Iterable[tuple[int, int]]) -> None:
         raise InconsistentConstraintsError("constraint system forces 0 = 1")
 
 
-@dataclass(frozen=True)
 class AffineConstraintSystem:
     """List of (mask, bit) parity constraints plus their elimination kernel.
 
     Bit i of ``bits`` is constraint i's right-hand side, so the value a
     reduction's combination of constraints takes on H is parity(tag & bits).
     Inconsistent systems can be constructed (e.g. loaded from a file) but
-    raise as soon as they are used to restrict.
+    raise as soon as they are used to restrict.  Systems are immutable,
+    and compare and hash by n and constraints.
     """
 
-    n: int
-    constraints: tuple[tuple[int, int], ...]
-    echelon: Echelon = field(init=False, repr=False, compare=False)
-    bits: int = field(init=False, repr=False, compare=False)
-    consistent: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        for mask, bit in self.constraints:
-            check_vector(mask, self.n)
+    def __init__(self, n: int, constraints: tuple[tuple[int, int], ...]) -> None:
+        for mask, bit in constraints:
+            check_vector(mask, n)
             if bit not in (0, 1):
                 raise ValueError(f"constraint bit must be 0 or 1, got {bit!r}")
-        echelon, bits, consistent = _eliminate(self.constraints, self.n)
-        object.__setattr__(self, "echelon", echelon)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "consistent", consistent)
+        echelon, bits, consistent = _eliminate(constraints, n)
+        self.__dict__.update(n=n, constraints=constraints, echelon=echelon, bits=bits, consistent=consistent)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: constraint systems are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AffineConstraintSystem):
+            return NotImplemented
+        return (self.n, self.constraints) == (other.n, other.constraints)  # they fix the rest
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.constraints))
+
+    def __repr__(self) -> str:
+        return f"AffineConstraintSystem(n={self.n!r}, constraints={self.constraints!r}, consistent={self.consistent!r})"
 
     @property
     def codimension(self) -> int:
@@ -176,21 +181,29 @@ def restrict_frontier(
     return child, keys >> MAX_DIMENSION, keys & (1 << MAX_DIMENSION) - 1, table[child, bucket]
 
 
-@dataclass(frozen=True)
 class BucketReport:
     """Partition of a support set into cosets of span(Gamma), with h
-    (``identified_count``), the support elements that share a bucket."""
+    (``identified_count``), the support elements that share a bucket.
+    Reports are immutable, and compare by their three values."""
 
-    bucket_count: int
-    buckets: dict[int, tuple[int, ...]]
-    identified_count: int
-
-    def __post_init__(self) -> None:
-        if self.bucket_count > self.bound:
+    def __init__(self, bucket_count: int, buckets: dict[int, tuple[int, ...]], identified_count: int) -> None:
+        self.__dict__.update(bucket_count=bucket_count, buckets=buckets, identified_count=identified_count)
+        if bucket_count > self.bound:
             raise IdentificationBoundError(
-                f"{self.bucket_count} buckets exceed k - ceil(h/2) = {self.bound} "
-                f"at k={self.support_size}, h={self.identified_count}"
+                f"{bucket_count} buckets exceed k - ceil(h/2) = {self.bound} "
+                f"at k={self.support_size}, h={identified_count}"
             )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: bucket reports are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BucketReport):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"BucketReport({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"
 
     @property
     def support_size(self) -> int:

@@ -18,7 +18,9 @@ wrapper), so a run of fold, verify and analyze ops without ``restrict``
 never imports either.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
-the blocks.
+the blocks.  Records such as ``pdt.NodeRecord`` are ``typing.NamedTuple``s,
+whose ``_asdict`` a block reads, as is ``ExperimentReport``; no value type
+of the library runs generated code when its class is made at import.
 ``op_params`` is the one gate: it reads an op's params with
 ``spectral.read_keys``, the one reader of a JSON object's keys, checks
 each value and hands the op what it reads (pdt's ``params.BuildConfig``).
@@ -31,7 +33,9 @@ way on its one entry.  Both then take what the ops read from
 ``op_input``: a function's table and spectrum, or a support entry's
 ``spectral.FourierSupport`` in place of the spectrum, with no table.
 ``MASKS_ONLY`` names the analyses that read only the masks;
-``check_function`` refuses a support entry under any other.
+``check_function`` refuses a support entry under any other.  An explicit
+support's label, ``support(k=K,n=N,sha256=D)``, carries a digest of its
+masks, so no two supports share one.
 analyze's ``restrict``, a constraint list ``[{"mask": m, "bit": 0 or
 1}, ...]``, adds a ``restrict`` block: the spectrum restricted to the
 affine subspace the constraints cut out, and its buckets against the
@@ -54,10 +58,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,10 +142,15 @@ def _read_support(entry: dict) -> tuple[str, FourierSupport]:
     """(label, support) of {"support": masks, "n": n} or of the named
     support {"family": "counterexample", "n": n}, both read by
     `spectral.support_from_dict`; a support has no table, so max_n does
-    not apply."""
+    not apply.  An explicit support's label ends in the first 12 hex
+    digits of the SHA-256 of its sorted masks, written in decimal and
+    joined by commas, so two supports of equal k and n get two labels."""
     if "support" in entry:
+        import hashlib
+
         support = spectral.support_from_dict(entry)
-        return f"support(k={support.sparsity},n={support.n})", support
+        digest = hashlib.sha256(",".join(map(str, support.masks.tolist())).encode()).hexdigest()[:12]
+        return f"support(k={support.sparsity},n={support.n},sha256={digest})", support
     n = read_keys("counterexample", {key: value for key, value in entry.items() if key != "family"}, {"n": (json_int, REQUIRED)})["n"]
     return f"counterexample(n={n})", spectral.support_from_dict({"support": list(folding.counterexample_support(n)), "n": n})
 
@@ -310,7 +319,7 @@ def tree_summary(table: TruthTable, build) -> dict:
         "depth": build.depth(),
         "verified": pdt.verify_tree(build.tree, table),
         "node_records": [
-            {**vars(r), "batch": list(r.batch), "probabilities": list(r.probabilities), "batch_size": len(r.batch)}
+            {**r._asdict(), "batch": list(r.batch), "probabilities": list(r.probabilities), "batch_size": len(r.batch)}
             for r in build.log
         ],
     }
@@ -449,8 +458,7 @@ def op_params(op: str, params: dict, seed: int) -> dict | BuildConfig:
     return values
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     version: str
     config: dict
     results: list[dict]

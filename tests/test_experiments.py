@@ -17,8 +17,11 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("
 
 
 def by_function(report: dict) -> dict:
-    """function label -> its op results, in the config's order."""
-    return {block["function"]: [a["result"] for a in block["analyses"]] for block in report["results"]}
+    """function label -> its op results, in the config's order; no two
+    entries share a label."""
+    results = {block["function"]: [a["result"] for a in block["analyses"]] for block in report["results"]}
+    assert len(results) == len(report["results"]), "two function entries share a label"
+    return results
 
 
 def check_spectral_identities(results: dict) -> None:
@@ -77,7 +80,7 @@ def check_non_realizable_supports(results: dict) -> None:
         witness = sign["detail"]["witness"]
         members = Counter(mask for constraint in witness for pair in constraint["pairs"] for mask in pair)
         assert len(witness) % 2 == 1 and all(count % 2 == 0 for count in members.values())
-    fold, *checks = results["support(k=16,n=6)"]
+    fold, *checks = results["support(k=16,n=6,sha256=6d4183421b63)"]
     assert all(check["passed"] for check in checks) and "assignment" in checks[-1]["detail"]
     config03 = json.loads((CONFIGS[0].parent / "03_folding_structure.json").read_text())
     function = by_function(run_experiment(config03).to_dict())["addressing(k=16)"][0]

@@ -18,6 +18,7 @@ from parityfold.families import (
 )
 from parityfold.folding import (
     FoldingBoundError,
+    SingleDirectionReport,
     SingleDirectionViolationError,
     SparsityTooSmallError,
     ThreeFoldViolationError,
@@ -141,7 +142,7 @@ def assert_kernel_matches_oracles(support, delta, ell):
     witnesses = {a: masks[j] if c else None for a, c, j in zip(masks, counts.tolist(), first.tolist())}
     assert witnesses == naive_three_fold(support)
     report = outcome(single_direction_structure, spectrum)
-    if isinstance(report, tuple):
+    if not isinstance(report, SingleDirectionReport):  # the (error type, message) of a refusal
         assert report == outcome(naive_single_direction, spectrum)
     else:
         expected = (report.nontrivial_counts, report.single_direction)

@@ -73,6 +73,27 @@ def test_the_ops_that_use_the_builder_load_it(tmp_path, analysis, loaded):
         assert modules & BUILDER == loaded
 
 
+def test_a_run_never_loads_dataclasses():
+    # the library's value types are made without generated code; a build
+    # and a Monte Carlo op run after the CLI's import, and dataclasses
+    # stays unloaded, unless numpy itself loads it
+    config = {"functions": [{"family": "addressing", "k": 16}],
+              "analyses": [{"op": "pdt"}, {"op": "mc", "kind": "warmup", "trials": 3}]}
+    code = (
+        "import sys, numpy\n"
+        "print('dataclasses' in sys.modules)\n"
+        "from parityfold import cli, runner\n"
+        f"runner.run_experiment({config!r}).to_json()\n"
+        "print('dataclasses' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    by_numpy, after_run = run.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("numpy loads dataclasses here")
+    assert after_run == "False"
+
+
 def test_every_public_name_resolves_to_the_object_its_module_defines():
     assert parityfold.__all__ == sorted(parityfold.EXPORTS)
     for name, module in parityfold.EXPORTS.items():

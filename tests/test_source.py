@@ -337,3 +337,18 @@ def test_key_refusals_are_worded_only_in_read_keys():
                         found.append(f"{path.name}:{node.lineno} {scope}")
     assert not found, f"key refusals worded outside read_keys: {found}"
     assert inside == {"unknown parameter", "missing parameter"}
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass runs exec on generated source when its class is made,
+    # about 0.7 ms each at import; the value types are NamedTuples or
+    # plain classes instead
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"dataclasses imported in the library: {found}"

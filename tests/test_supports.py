@@ -91,7 +91,7 @@ def test_coefficient_ops_refuse_a_support_before_anything_is_built(monkeypatch, 
     for module, attr in ((runner, "build_function"), (runner, "load_function"), (spectral, "wht")):
         monkeypatch.setattr(module, attr, never)
     config = {"functions": [{"family": "addressing", "k": 16}, ADDRESSING_16], "analyses": [{"op": "fold"}, analysis]}
-    message = f"support(k=16,n=6): {name} reads the Fourier coefficients, and a support entry has only its masks"
+    message = f"support(k=16,n=6,sha256=6d4183421b63): {name} reads the Fourier coefficients, and a support entry has only its masks"
     with pytest.raises(ConfigError) as refused:
         run_experiment(config)
     assert str(refused.value) == message
@@ -130,6 +130,16 @@ def test_the_support_reader_refuses_before_anything_is_built(monkeypatch, case):
     with pytest.raises(ConfigError) as refused:
         run_experiment(config)
     assert str(refused.value).startswith(message)
+
+
+def test_a_support_label_names_its_masks():
+    # a digest of the sorted masks, so supports of equal k and n differ
+    labels = [runner.check_function({"support": masks, "n": 2}, 20)[0] for masks in ([1, 2], [2, 1], [1, 3])]
+    assert labels[0] == labels[1] == "support(k=2,n=2,sha256=17f8af97ad4a)"
+    assert labels[2] == "support(k=2,n=2,sha256=ef96f1f6b55a)"
+    config = {"functions": [{"support": [1, 2], "n": 2}, {"support": [1, 3], "n": 2}],
+              "analyses": [{"op": "verify", "check": "pair-condition"}]}
+    assert [block["function"] for block in run_experiment(config).results] == [labels[0], labels[2]]
 
 
 def test_a_support_is_n_and_one_sorted_read_only_mask_array():
