@@ -25,6 +25,16 @@ The result records (`NodeRecord`, `BuildResult`, `TrialStats`) are
 `typing.NamedTuple`s and `ParityDecisionTree` a plain class whose
 `__setattr__` refuses, so importing this module generates no code for
 them.
+
+Importing this module loads neither `folding` nor `restriction`.
+`build_pdt` imports `restriction` when it runs and `folding_sampling_trial`
+imports `folding`, each calling through the module attribute, so a
+wrapper set there (bench/tracing.py's on `folding.folding_parameters`)
+sees every call; `_distinct`, which greedy selection shares with
+restriction, lives in `pairs`.  So a Monte Carlo run compiles neither,
+and a build does not compile `folding`.  The names bench/tracing.py
+binds here and this module never uses resolve through ``TRACED_NAMES``
+(PEP 562), as the package's public names do.
 """
 
 from __future__ import annotations
@@ -32,18 +42,32 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from importlib import import_module
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .folding import folding_parameters
-# bench/tracing.py binds coset_label, extend_basis, restrict and
-# AffineConstraintSystem here by name; they are otherwise unused
-from .gf2 import MAX_DIMENSION, check_vector, coset_label, extend_basis, label_step, labels, row_reduce
-from .pairs import top_directions
+from .gf2 import MAX_DIMENSION, check_vector, label_step, labels, row_reduce
+from .pairs import _distinct, top_directions
 from .params import SAMPLING, BuildConfig, CheckFailedError, check_sampling
-from .restriction import AffineConstraintSystem, _distinct, restrict, restrict_frontier
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, parity, read_keys, wht
+
+# name -> the module that defines it, for the names bench/tracing.py binds
+# here and nothing in this module uses; each is imported on first access
+TRACED_NAMES = {
+    "coset_label": "gf2",
+    "extend_basis": "gf2",
+    "restrict": "restriction",
+    "AffineConstraintSystem": "restriction",
+    "folding_parameters": "folding",
+}
+
+
+def __getattr__(name: str):
+    module = TRACED_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 class DegenerateInputError(ValueError):
@@ -436,6 +460,8 @@ def build_pdt(
     subtree of queries and 2^b exact children, child j where the branch
     bits j lead.  Deterministic frontiers are whole levels; sampling ones
     single nodes, depth first, pos before neg."""
+    from . import restriction
+
     config = config or BuildConfig()
     spectrum = _as_spectrum(f)
     masks, coeffs = spectrum.masks, spectrum.coefficients
@@ -479,7 +505,7 @@ def build_pdt(
         # below 2^b, so its children j >= 2^b repeat child j mod 2^b and are dropped
         b = np.array([len(p[0]) for p in picked], dtype=np.int64)
         wide, seg = int(b.max()), np.arange(len(sizes)).repeat(sizes)
-        j, node, masks, coeffs = restrict_frontier(seg, label, tag, coeffs, wide)
+        j, node, masks, coeffs = restriction.restrict_frontier(seg, label, tag, coeffs, wide)
         counts = np.bincount(j * len(here) + node, minlength=len(here) << wide).reshape(1 << wide, len(here))
         records.append((here, sizes.tolist(), picked, counts.max(axis=0).tolist()))
         live = np.arange(1 << wide)[:, None] < 1 << b  # [j, node]
@@ -716,10 +742,12 @@ def folding_sampling_trial(
     folding_parameters); both phase probabilities are clamped to 1 when the
     formulas exceed it at desk scale.
     """
+    from . import folding
+
     delta, ell = check_sampling(seed, trials, delta=delta, ell=ell)
     spectrum = _as_spectrum(f)
     k = spectrum.sparsity
-    achieved = folding_parameters(spectrum.masks, ell)
+    achieved = folding.folding_parameters(spectrum.masks, ell)
     if achieved.delta < delta:
         raise NotFoldingError(
             f"support achieves delta = {achieved.delta} at this exponent, below requested {delta}"

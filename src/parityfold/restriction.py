@@ -29,7 +29,7 @@ import numpy as np
 
 # bench/tracing.py binds coset_label and in_span here by name; they are otherwise unused
 from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
-from .pairs import fwht_inplace
+from .pairs import _distinct, fwht_inplace
 from .params import CheckFailedError
 from .spectral import FourierSpectrum
 
@@ -123,17 +123,6 @@ def restrict(
     for a, negate, c in zip(label.tolist(), flip.tolist(), spectrum.coefficients.tolist()):
         out[a] = out.get(a, 0) + (-c if negate else c)
     return FourierSpectrum(spectrum.n, {a: c for a, c in out.items() if c})
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, faster than np.unique: 3.8 against 8.2 µs at
-    64 keys and 10.6 against 107 µs at 1,024 on a 2-core Xeon host with
-    numpy 2.4, whose np.unique also imports numpy.ma (about 12 ms) on its
-    first call, through np.ma.is_masked."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[FourierSpectrum]:

@@ -12,10 +12,15 @@ library's typed results, and to its parameters, each with a parser and a
 default; verify's checks and mc's kinds are the keys of
 ``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``params.STRATEGIES``.
 The table reads only ``params`` for pdt and mc, and the op functions
-import ``pdt`` and ``restriction`` when they first call them, always
-through the module attribute (which bench/tracing.py swaps for a timing
-wrapper), so a run of fold, verify and analyze ops without ``restrict``
-never imports either.
+import ``pdt``, ``restriction`` and ``folding`` when they first call
+them, always through the module attribute (which bench/tracing.py swaps
+for a timing wrapper): fold, the verify checks but titsworth and
+parseval, and a counterexample entry import ``folding``, analyze with
+``restrict`` imports ``restriction``, and pdt and mc import ``pdt``, which
+imports the rest a build or a trial calls.  So a run of fold, verify and
+analyze ops without ``restrict`` never imports the builder, and a
+Monte Carlo run of warmup or theorem-1 trials imports neither
+``folding`` nor ``restriction``.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
 the blocks.  Records such as ``pdt.NodeRecord`` are ``typing.NamedTuple``s,
@@ -65,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import folding, pairs, spectral
+from . import pairs, spectral
 from .families import FunctionSpec, build_function, read_function
 from .params import STRATEGIES, BuildConfig, as_exponent, check_sampling, float_fraction
 from .spectral import REQUIRED, FourierSpectrum, FourierSupport, TruthTable, json_int, json_of, load_function, read_json, read_keys
@@ -151,6 +156,8 @@ def _read_support(entry: dict) -> tuple[str, FourierSupport]:
         support = spectral.support_from_dict(entry)
         digest = hashlib.sha256(",".join(map(str, support.masks.tolist())).encode()).hexdigest()[:12]
         return f"support(k={support.sparsity},n={support.n},sha256={digest})", support
+    from . import folding
+
     n = read_keys("counterexample", {key: value for key, value in entry.items() if key != "family"}, {"n": (json_int, REQUIRED)})["n"]
     return f"counterexample(n={n})", spectral.support_from_dict({"support": list(folding.counterexample_support(n)), "n": n})
 
@@ -219,6 +226,8 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
 
 
 def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
+    from . import folding
+
     ell = params["ell"]
     profile = folding.direction_classes(spectrum.masks)
     fp = profile.folding_parameters(ell)
@@ -249,6 +258,8 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
 
 
 def _three_fold(spectrum: FourierSpectrum) -> dict:
+    from . import folding
+
     try:
         witnesses = folding.verify_three_fold(spectrum)
     except folding.ThreeFoldViolationError as exc:
@@ -257,6 +268,8 @@ def _three_fold(spectrum: FourierSpectrum) -> dict:
 
 
 def _single_direction(spectrum: FourierSpectrum) -> dict:
+    from . import folding
+
     try:
         report = folding.single_direction_structure(spectrum)
     except folding.SingleDirectionViolationError as exc:
@@ -273,11 +286,15 @@ def _single_direction(spectrum: FourierSpectrum) -> dict:
 
 
 def _pair_condition(spectrum: FourierSpectrum) -> dict:
+    from . import folding
+
     result = folding.check_pair_condition(spectrum.masks)
     return {"passed": result.ok, "violation": result.violation}
 
 
 def _sign_feasibility(spectrum: FourierSpectrum) -> dict:
+    from . import folding
+
     result = folding.sign_feasibility(spectrum.masks)
     detail: dict = {"feasible": result.feasible, "constraint_count": len(result.constraints)}
     if result.assignment is not None:

@@ -1,16 +1,21 @@
 """What a run imports: the package resolves its public names on first
 access, and a run loads only the modules its ops use."""
 
+import ast
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import parityfold
 
 BUILDER = {"parityfold.pdt", "parityfold.restriction"}
+LAYERS = {"parityfold.folding", "parityfold.pdt", "parityfold.restriction"}
 
 FOLD_VERIFY_ANALYZE = {
     "functions": [{"family": "addressing", "k": 16}, {"family": "random", "n": 5, "seed": 3}],
@@ -64,13 +69,97 @@ def test_fold_verify_and_analyze_never_import_the_builder(tmp_path):
 
 @pytest.mark.parametrize("analysis, loaded", [
     ({"op": "pdt", "strategy": "greedy-min-bucket"}, BUILDER),
-    ({"op": "mc", "kind": "warmup", "trials": 3}, BUILDER),
+    ({"op": "mc", "kind": "warmup", "trials": 3}, {"parityfold.pdt"}),
     ({"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]}, {"parityfold.restriction"}),
 ])
 def test_the_ops_that_use_the_builder_load_it(tmp_path, analysis, loaded):
     config = {"functions": [{"family": "addressing", "k": 16}], "analyses": [{"op": "fold"}, analysis]}
     for modules in (library_imports(config), cli_imports(tmp_path, config)):
         assert modules & BUILDER == loaded
+
+
+@pytest.mark.parametrize("analysis, loaded", [
+    ({"op": "pdt", "strategy": "greedy-min-bucket"}, {"parityfold.pdt", "parityfold.restriction"}),
+    ({"op": "pdt", "strategy": "folding-sampling"}, {"parityfold.pdt", "parityfold.restriction"}),
+    ({"op": "mc", "kind": "warmup", "trials": 3}, {"parityfold.pdt"}),
+    ({"op": "mc", "kind": "theorem-1", "p": "1/32", "trials": 3}, {"parityfold.pdt"}),
+    ({"op": "mc", "kind": "theorem-2", "delta": 1, "ell": 0, "trials": 3}, {"parityfold.folding", "parityfold.pdt"}),
+    ({"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]}, {"parityfold.restriction"}),
+    ({"op": "fold"}, {"parityfold.folding"}),
+    ({"op": "verify", "check": "titsworth"}, set()),
+    ({"op": "analyze"}, set()),
+])
+def test_each_op_loads_only_the_layers_it_runs(tmp_path, analysis, loaded):
+    # where no bytecode is cached, a module loaded is a module compiled: a
+    # build never runs folding, and a warmup or theorem-1 trial runs
+    # neither folding nor restriction
+    config = {"functions": [{"family": "addressing", "k": 16}], "analyses": [analysis]}
+    for modules in (library_imports(config), cli_imports(tmp_path, config)):
+        assert modules & LAYERS == loaded
+
+
+def bench_tracing():
+    """bench/tracing.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_pdt_resolves_only_the_names_bench_tracing_binds_there():
+    from parityfold import pdt
+
+    tracing = bench_tracing()
+    bound = {attr for module, attr, *_ in tracing.SPANS + tracing.AGGREGATES if module == "pdt"}
+    tree = ast.parse(Path(pdt.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for name, module in pdt.TRACED_NAMES.items():
+        assert name in bound and name not in used, name
+        assert getattr(pdt, name) is getattr(importlib.import_module(f"parityfold.{module}"), name)
+    with pytest.raises(AttributeError, match=r"^module 'parityfold.pdt' has no attribute 'no_such_name'$"):
+        pdt.no_such_name
+    assert not fresh("from parityfold import pdt") & {"parityfold.folding", "parityfold.restriction"}
+
+
+# one op of each kind whose layers moved: a sampling build (one row
+# reduction per node), a theorem-2 trial, a fold and a restriction
+TRACED_OPS = {
+    "pdt": {"op": "pdt", "strategy": "sampling"},
+    "mc": {"op": "mc", "kind": "theorem-2", "delta": 1, "ell": 0, "trials": 5},
+    "fold": {"op": "fold"},
+    "analyze": {"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]},
+}
+
+
+def test_tracing_counts_each_layer_once_per_op_and_changes_no_report():
+    from parityfold import pdt, runner
+
+    tracing = bench_tracing()
+    configs = {op: {"functions": [{"family": "addressing", "k": 16}], "analyses": [a]} for op, a in TRACED_OPS.items()}
+    plain = {op: runner.run_experiment(config).to_json() for op, config in configs.items()}
+    tracer, before = tracing.Tracer(), set(vars(pdt))
+    tracer.install()
+    try:
+        traced = {op: tracer.op(op, lambda c=config: runner.run_experiment(c).to_json()) for op, config in configs.items()}
+    finally:
+        tracer.restore()
+        # restore puts back what install read, and pdt.folding_parameters
+        # read folding's wrapper; dropping the bindings lets TRACED_NAMES
+        # resolve them again
+        for name in set(vars(pdt)) - before:
+            delattr(pdt, name)
+    assert traced == plain
+    counts = {op: Counter(span[tracing.NAME] for span in tracer.spans if span[tracing.OP] == op) for op in configs}
+    nodes = len(json.loads(plain["pdt"])["results"][0]["analyses"][0]["result"]["node_records"])
+    each = {"op": 1, "runner.run_experiment": 1, "families.build_function": 1, "spectral.wht": 1}
+    assert counts == {
+        "pdt": {**each, "pdt.build_pdt": 1, "gf2.row_reduce": nodes, "pdt.verify_tree": 1},
+        "mc": {**each, "pdt.mc": 1, "folding.folding_parameters": 1, "folding.direction_classes": 1},
+        "fold": {**each, "folding.direction_classes": 1},
+        "analyze": {**each, "spectral.parseval": 1, "spectral.titsworth": 1, "gf2.row_reduce": 1},
+    }
+    assert nodes > 1
 
 
 def test_a_run_never_loads_dataclasses():

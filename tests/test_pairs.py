@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parityfold import pairs, runner
 from parityfold.folding import direction_classes
@@ -264,6 +264,23 @@ def test_pair_blocks_list_each_segments_combinations(sizes, block_entries):
     for (a, _, _), (after, _, _) in itertools.pairwise([block for block in blocks if block[0]]):
         assert a[-1] != after[0]  # whole rows
     assert all(len(a) <= block_entries or len(set(a)) == 1 for a, _, _ in blocks)
+
+
+@pytest.mark.parametrize("dtype, shift", [(np.int64, 17), (np.int32, 0)])
+@given(st.lists(st.integers(-(2**31), 2**31 - 1) | st.integers(0, 7), max_size=60))
+@example(values=[])
+@example(values=[-1])
+@settings(max_examples=60, deadline=None)
+def test_distinct_equals_np_unique(dtype, shift, values):
+    # the sorted distinct keys of every frontier (segment << 24 | label, up
+    # to 2^48 in int64), for restriction's buckets and greedy selection's
+    # label classes; small values repeat, so most draws hold duplicates
+    keys = np.array(values, dtype=dtype) << shift
+    given_keys = keys.copy()
+    distinct = pairs._distinct(keys)
+    assert distinct.dtype == dtype
+    assert distinct.tolist() == np.unique(keys).tolist()
+    assert np.array_equal(keys, given_keys)  # the input is left as it was
 
 
 def naive_top(segment):

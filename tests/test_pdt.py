@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import pdt, runner
+from parityfold import pdt, restriction, runner
 from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
@@ -1079,9 +1079,9 @@ def test_greedy_build_restricts_once_per_frontier(monkeypatch):
         calls.append((width, int(nodes.max()) + 1))
         return restrict_frontier(nodes, label, tag, coeffs, width)
 
-    select_frontier, restrict_frontier = pdt._select_frontier, pdt.restrict_frontier
+    select_frontier, restrict_frontier = pdt._select_frontier, restriction.restrict_frontier
     monkeypatch.setattr(pdt, "_select_frontier", selecting)
-    monkeypatch.setattr(pdt, "restrict_frontier", counting)
+    monkeypatch.setattr(restriction, "restrict_frontier", counting)
     table = gen_random(12, 0)
     result = build_pdt(table, BuildConfig(strategy="greedy-min-bucket"))
     assert verify_tree(result.tree, table)
