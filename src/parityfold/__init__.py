@@ -3,8 +3,9 @@ parity decision tree construction via randomized parity sampling.
 
 Each public name is imported from its module on first access (PEP 562),
 so ``import parityfold`` loads no module and a run loads only the
-modules its ops use: fold, verify and analyze never import the builder
-(`pdt`) or `restriction`.  ``EXPORTS`` maps each public name to its
+modules its ops use: fold, verify and analyze never import the tree
+modules (`pdt`, `builder`, `trials`) or `restriction`, and a Monte Carlo
+run never imports the builder.  ``EXPORTS`` maps each public name to its
 module; ``__all__`` and ``dir()`` are read from it.
 """
 
@@ -23,18 +24,17 @@ _MODULES = {
         "direction_classes", "folding_parameters", "heavy_participants", "sign_feasibility",
         "single_direction_structure", "verify_three_fold",
     ),
+    "builder": ("BuildResult", "build_pdt"),
     "gf2": ("Echelon", "coset_label", "in_span", "row_reduce"),
     "params": ("BuildConfig",),
-    "pdt": (
-        "BuildResult", "ParityDecisionTree", "TrialStats", "build_pdt", "estimate_bucket_reduction",
-        "folding_sampling_trial", "sample_parity", "verify_tree", "warmup_success_rate",
-    ),
+    "pdt": ("ParityDecisionTree", "sample_parity", "verify_tree"),
     "restriction": ("AffineConstraintSystem", "BucketReport", "bucket_complexity", "restrict", "restrict_batch"),
     "runner": ("ExperimentReport", "run_experiment"),
     "spectral": (
         "FourierSpectrum", "TruthTable", "inverse_wht", "is_plateaued", "load_function", "spectral_l1",
         "verify_parseval", "verify_titsworth", "wht",
     ),
+    "trials": ("TrialStats", "estimate_bucket_reduction", "folding_sampling_trial", "warmup_success_rate"),
 }
 
 # public name -> the module that defines it

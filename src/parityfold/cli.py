@@ -11,9 +11,10 @@ config does, and check the op's params and the entry before they build
 the function.
 
 Exit codes: 0 all checks pass, 1 a verifier failed or a bound failed to
-hold (`params.CheckFailedError`), 2 usage error.  The builder (`pdt`) is
-imported by the commands that build or read a tree, and by the runner
-for pdt and mc ops, not by this module.
+hold (`params.CheckFailedError`), 2 usage error.  The tree module
+(`pdt`) is imported by the commands that build or read a tree, and by
+the runner for pdt and mc ops, not by this module; `pdt.build_pdt`
+loads the builder (`builder`) when a build first reaches it.
 """
 
 from __future__ import annotations

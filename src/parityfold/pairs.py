@@ -1,6 +1,5 @@
 """The pair kernel: the pairs (a, b), a before b, of k distinct masks >= 0,
-grouped by direction a ^ b, and the WHT it shares with restriction and
-the spectral transforms.
+grouped by direction a ^ b.
 
 A pair list has one form, `direction_pairs`' three int64 arrays
 (direction, a, b): a row per pair whose direction is asked for, grouped
@@ -9,31 +8,14 @@ of the PAIR_LIST_GUARD refusal (`pair lists disabled for k > 4096`),
 made before any pair is listed, whatever the directions asked for, so
 fold's `pairs` block and the sign system refuse alike.
 
-`fwht_inplace` is the library's one WHT.  Level h (a power of two) pairs
-rows h apart, and its contiguous blocks are h * columns cells wide.  While they are at most RADIX_WIDTH = 64 cells wide, it takes
-three levels at a time, one int64 `np.matmul` by the 8x8
-Sylvester-Hadamard matrix (its 2x2 or 4x4 block for the last one or two
-levels): the first nine levels of a one-column table such as a truth
-table (all of it up to n = 9), the first six of a table of up to 8
-columns and the first three of one of up to 64, such as small (2^b,
-buckets) restriction tables.  Wider levels, and tables of more than 64
-columns from the start, take the butterfly, a level at a time: there a
-matmul's eight products per cell cost more than the numpy calls it saves.
-
-Both are exact with no float and no BLAS.  numpy's integer matmul, like
-the butterfly's + and -, is arithmetic mod 2^64, so either computes the
-transform in Z/2^64, and every final value in [-2^63, 2^63) comes back
-exact whatever the partial sums in between do.  A radix step's output is
-the butterfly's value three levels later, so the bounds below on final
-values hold for both.
-
 Per-direction sums take one of two routes, chosen by `dense_route` alone:
 
 - Blocks: `pair_blocks`, the one sparse pair listing, in blocks of whole
   rows of at most BLOCK_ENTRIES = 2^16 pairs.  A sum sorts all of a call's
   pair keys once, O(k^2 log k) numpy work, nothing sized 2^n.
 - Dense: XOR autocorrelations on (2^n, columns) int64 tables, where n is
-  the bit length of the largest mask, O(n 2^n) work.  Over ordered pairs
+  the bit length of the largest mask, O(n 2^n) work, through
+  `spectral.fwht_inplace`, the library's one WHT.  Over ordered pairs
   sum_{a^b=g} w_a w_b = WHT(WHT(w)^2)[g] / 2^n; it is halved for
   unordered pairs and g = 0 (the diagonal) is dropped.  It runs when
   n 2^n < k^2 / 2.
@@ -57,6 +39,11 @@ integers; above that the blocks run instead.
 24 | label, for restriction's buckets and for greedy selection's label
 classes alike; it lives here, beside `_sum_by`, so a build selects its
 batches without importing `restriction`.
+
+Only pair work loads this module: the builder and `restriction` import
+it, as `folding` does, while `spectral.verify_titsworth` and the runner's
+fold op import it when they run.  A run of Monte Carlo warm-up or
+theorem-1 trials, or of `verify parseval`, never compiles it.
 """
 
 from __future__ import annotations
@@ -65,37 +52,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .spectral import fwht_inplace
+
 BLOCK_ENTRIES = 1 << 16
-RADIX_WIDTH = 64
 # pair lists, which hold up to k^2 / 2 rows, are refused above this k
 PAIR_LIST_GUARD = 1 << 12
-# the 8x8 Sylvester-Hadamard matrix, (-1)^<s, t>; its leading 2x2 and 4x4
-# blocks are the smaller ones
-_HADAMARD = np.array([[1 - 2 * ((s & t).bit_count() & 1) for t in range(8)] for s in range(8)], dtype=np.int64)
 
 
 class WeightBoundError(ValueError):
     """The weights' squares sum to 2^63 or more, so int64 pair sums could wrap."""
-
-
-def fwht_inplace(arr: np.ndarray) -> None:
-    """Unnormalized WHT along axis 0 (length a power of two) of a
-    C-contiguous int64 array, so that every reshape is a view: radix steps
-    while a level's blocks are at most RADIX_WIDTH cells wide, butterflies
-    after."""
-    rows, width = len(arr), arr.size // len(arr)  # width: cells per row
-    h = 1
-    while h < rows and h * width <= RADIX_WIDTH:
-        r = min(3, (rows // h).bit_length() - 1)  # the bits left, up to three
-        view = arr.reshape(rows // (h << r), 1 << r, h * width)
-        view[...] = np.matmul(_HADAMARD[: 1 << r, : 1 << r], view)
-        h <<= r
-    while h < rows:
-        view = arr.reshape(rows // (2 * h), 2, h * width)
-        top = view[:, 0].copy()
-        view[:, 0] += view[:, 1]
-        view[:, 1] = top - view[:, 1]
-        h <<= 1
 
 
 def dense_route(n: int, k: int) -> bool:

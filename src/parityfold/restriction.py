@@ -11,8 +11,10 @@ Restrictions label the support once with `gf2.labels`.  `restrict` gives
 each echelon row its right-hand-side bit parity(tag & bits) as its tag, so
 a mask's tag is its sign flip on H; sums are Python ints.
 `restrict_frontier` restricts many spectra, each to all 2^b subspaces of
-its batch, with one (2^b, buckets) table and one WHT along the tag axis;
-`restrict_batch` is its one-spectrum form.
+its batch, with one (2^b, buckets) table and one WHT along the tag axis
+(`spectral.fwht_inplace`); `restrict_batch` is its one-spectrum form.
+Its bucket keys come from `pairs._distinct`, so this module loads the
+pair kernel; the builder imports it only when a build runs.
 
 `bucket_complexity` partitions a support of k masks into the cosets of
 span(Gamma).  Its `BucketReport` carries h, the masks that share a
@@ -29,9 +31,9 @@ import numpy as np
 
 # bench/tracing.py binds coset_label and in_span here by name; they are otherwise unused
 from .gf2 import MAX_DIMENSION, Echelon, check_vector, coset_label, in_span, labels, row_reduce
-from .pairs import _distinct, fwht_inplace
+from .pairs import _distinct
 from .params import CheckFailedError
-from .spectral import FourierSpectrum
+from .spectral import FourierSpectrum, fwht_inplace
 
 
 class InconsistentConstraintsError(ValueError):

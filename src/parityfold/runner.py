@@ -12,18 +12,21 @@ library's typed results, and to its parameters, each with a parser and a
 default; verify's checks and mc's kinds are the keys of
 ``VERIFY_CHECKS`` and ``MC_KINDS``, pdt's strategies ``params.STRATEGIES``.
 The table reads only ``params`` for pdt and mc, and the op functions
-import ``pdt``, ``restriction`` and ``folding`` when they first call
-them, always through the module attribute (which bench/tracing.py swaps
-for a timing wrapper): fold, the verify checks but titsworth and
-parseval, and a counterexample entry import ``folding``, analyze with
-``restrict`` imports ``restriction``, and pdt and mc import ``pdt``, which
-imports the rest a build or a trial calls.  So a run of fold, verify and
-analyze ops without ``restrict`` never imports the builder, and a
-Monte Carlo run of warmup or theorem-1 trials imports neither
-``folding`` nor ``restriction``.
+import ``pdt``, ``restriction``, ``folding`` and ``pairs`` when they
+first call them, always through the module attribute (which
+bench/tracing.py swaps for a timing wrapper): fold, the verify checks
+but titsworth and parseval, and a counterexample entry import
+``folding``, fold ``pairs`` too, analyze with ``restrict``
+imports ``restriction``, and pdt and mc import ``pdt``.  ``pdt`` resolves
+``build_pdt`` from ``builder`` and the three trial functions from
+``trials`` on first access (``pdt.TRACED_NAMES``), so a run of fold,
+verify and analyze ops without ``restrict`` never imports the builder,
+a build never imports the trials, and a Monte Carlo run of warmup or
+theorem-1 trials imports neither the builder, ``folding``,
+``restriction`` nor ``pairs``.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
-the blocks.  Records such as ``pdt.NodeRecord`` are ``typing.NamedTuple``s,
+the blocks.  Records such as ``builder.NodeRecord`` are ``typing.NamedTuple``s,
 whose ``_asdict`` a block reads, as is ``ExperimentReport``; no value type
 of the library runs generated code when its class is made at import.
 ``op_params`` is the one gate: it reads an op's params with
@@ -70,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pairs, spectral
+from . import spectral
 from .families import FunctionSpec, build_function, read_function
 from .params import STRATEGIES, BuildConfig, as_exponent, check_sampling, float_fraction
 from .spectral import REQUIRED, FourierSpectrum, FourierSupport, TruthTable, json_int, json_of, load_function, read_json, read_keys
@@ -226,7 +229,7 @@ def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) 
 
 
 def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
-    from . import folding
+    from . import folding, pairs
 
     ell = params["ell"]
     profile = folding.direction_classes(spectrum.masks)
@@ -327,7 +330,7 @@ def verify_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -
 
 
 def tree_summary(table: TruthTable, build) -> dict:
-    """The pdt op's result block for a `pdt.BuildResult` of table."""
+    """The pdt op's result block for a `builder.BuildResult` of table."""
     from . import pdt
 
     return {

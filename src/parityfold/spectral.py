@@ -8,15 +8,40 @@ Every coefficient of a +-1 function is an integral multiple of 1/2^n, so
 the scaled form is lossless and all identities below are exact integer
 equations (zero tolerance).
 
+`fwht_inplace` is the library's one WHT, for `wht` and `inverse_wht`
+here, restriction's (2^b, buckets) tables and the pair kernel's dense
+route.  Level h (a power of two) pairs rows h apart, and its contiguous
+blocks are h * columns cells wide.  While they are at most RADIX_WIDTH =
+64 cells wide, it takes three levels at a time, one int64 `np.matmul` by
+the 8x8 Sylvester-Hadamard matrix (its 2x2 or 4x4 block for the last one
+or two levels): the first nine levels of a one-column table such as a
+truth table (all of it up to n = 9), the first six of a table of up to 8
+columns and the first three of one of up to 64, such as small (2^b,
+buckets) restriction tables.  Wider levels, and tables of more than 64
+columns from the start, take the butterfly, a level at a time: there a
+matmul's eight products per cell cost more than the numpy calls it saves.
+Both are exact with no float and no BLAS.  numpy's integer matmul, like
+the butterfly's + and -, is arithmetic mod 2^64, so either computes the
+transform in Z/2^64, and every final value in [-2^63, 2^63) comes back
+exact whatever the partial sums in between do.  A radix step's output is
+the butterfly's value three levels later, so a bound on final values
+(the pair kernel's, from Parseval) holds for both.
+
 Titsworth sums run on the pair kernel of `pairs`, exact in int64 for any
 spectrum with sum c_a^2 < 2^63 (Parseval spectra have 4^n <= 2^48), and
 raise WeightBoundError above it.  On dense spectra they are one XOR
 autocorrelation of the coefficients, WHT(WHT(c)^2) / 2^n: WHT(c) is
 2^n f, so this is the transform of 4^n f^2, which vanishes off 0 when
-f^2 = 1.  The WHT `fwht_inplace` lives in `pairs` for that route.
+f^2 = 1.  `verify_titsworth` imports `pairs` when it runs, so a run with
+no pair work (Monte Carlo warm-up and theorem-1 trials, `verify
+parseval`) never compiles the pair kernel.
 `inverse_wht` refuses |c_a| > 2^n before its int64 transform.  File
 readers take integers only as JSON integers (`json_int`): a bool or a
-float is an error, never a truncated int.
+float is an error, never a truncated int.  `read_json`, the reader of
+every input file (configs with their function and support entries,
+table, spectrum and tree files, `--restrict` systems), refuses a key
+repeated in one object, which `json.loads` would otherwise settle
+silently by keeping the last value.
 
 `read_keys` is the one reader of a JSON object's keys, for the whole
 library: configs, analyses, function entries and the function files
@@ -60,9 +85,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .gf2 import MAX_DIMENSION, check_vector
-from .pairs import direction_sums, fwht_inplace
 
 MAX_TABLE_DIMENSION = 20  # a truth table's n, and the runner's max_n, at most this
+RADIX_WIDTH = 64
+# the 8x8 Sylvester-Hadamard matrix, (-1)^<s, t>; its leading 2x2 and 4x4
+# blocks are the smaller ones
+_HADAMARD = np.array([[1 - 2 * ((s & t).bit_count() & 1) for t in range(8)] for s in range(8)], dtype=np.int64)
 
 
 class NotBooleanValuedError(ValueError):
@@ -226,6 +254,26 @@ class FourierSpectrum:
         raise NotBooleanValuedError(f"evaluation at {x} is {scaled}/{full}, not +-1")
 
 
+def fwht_inplace(arr: np.ndarray) -> None:
+    """Unnormalized WHT along axis 0 (length a power of two) of a
+    C-contiguous int64 array, so that every reshape is a view: radix steps
+    while a level's blocks are at most RADIX_WIDTH cells wide, butterflies
+    after."""
+    rows, width = len(arr), arr.size // len(arr)  # width: cells per row
+    h = 1
+    while h < rows and h * width <= RADIX_WIDTH:
+        r = min(3, (rows // h).bit_length() - 1)  # the bits left, up to three
+        view = arr.reshape(rows // (h << r), 1 << r, h * width)
+        view[...] = np.matmul(_HADAMARD[: 1 << r, : 1 << r], view)
+        h <<= r
+    while h < rows:
+        view = arr.reshape(rows // (2 * h), 2, h * width)
+        top = view[:, 0].copy()
+        view[:, 0] += view[:, 1]
+        view[:, 1] = top - view[:, 1]
+        h <<= 1
+
+
 def wht(table: TruthTable) -> FourierSpectrum:
     """Exact Walsh-Hadamard transform, c_a = sum_x f(x) chi_a(x)."""
     arr = table.values.astype(np.int64)
@@ -270,9 +318,11 @@ def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
     raises WeightBoundError once sum c_a^2 >= 2^63.  Empty list == the
     correlation condition holds exactly; spectra of +-1 functions always pass.
     """
+    from . import pairs
+
     if spectrum.sparsity <= 1:
         return []
-    directions, sums = direction_sums(spectrum.masks, spectrum.coefficients.tolist())
+    directions, sums = pairs.direction_sums(spectrum.masks, spectrum.coefficients.tolist())
     return directions[sums != 0].tolist()
 
 
@@ -350,10 +400,22 @@ def read_keys(owner: str, given, declared: dict) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON value in a file; nesting too deep to parse is a ValueError."""
+    """The JSON value in a file; nesting too deep to parse, or a key
+    repeated in one object, is a ValueError."""
     text = Path(path).read_text()
+
+    def unique(items: list) -> dict:
+        value = dict(items)
+        if len(value) < len(items):  # name the first key seen twice
+            seen = set()
+            for key, _ in items:
+                if key in seen:
+                    raise ValueError(f"{path}: key {key!r} repeated in one JSON object")
+                seen.add(key)
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 

@@ -32,8 +32,8 @@ from parityfold.folding import (
     single_direction_structure,
     verify_three_fold,
 )
+from parityfold.params import BuildConfig
 from parityfold.pdt import (
-    BuildConfig,
     build_pdt,
     estimate_bucket_reduction,
     verify_tree,

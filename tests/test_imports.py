@@ -14,8 +14,16 @@ import pytest
 
 import parityfold
 
-BUILDER = {"parityfold.pdt", "parityfold.restriction"}
-LAYERS = {"parityfold.folding", "parityfold.pdt", "parityfold.restriction"}
+BUILDER = {"parityfold.builder", "parityfold.pdt", "parityfold.restriction"}
+LAYERS = {
+    "parityfold.builder", "parityfold.folding", "parityfold.pairs", "parityfold.pdt", "parityfold.restriction",
+    "parityfold.trials",
+}
+# what every run loads beside the layers its ops run (and cli through the CLI)
+EVERY_RUN = {
+    "parityfold", "parityfold.families", "parityfold.gf2", "parityfold.params", "parityfold.runner",
+    "parityfold.spectral",
+}
 
 FOLD_VERIFY_ANALYZE = {
     "functions": [{"family": "addressing", "k": 16}, {"family": "random", "n": 5, "seed": 3}],
@@ -78,24 +86,34 @@ def test_the_ops_that_use_the_builder_load_it(tmp_path, analysis, loaded):
         assert modules & BUILDER == loaded
 
 
+# the layers of a build, of a Monte Carlo run and of the folding ops
+BUILD = BUILDER | {"parityfold.pairs"}
+TRIALS = {"parityfold.pdt", "parityfold.trials"}
+FOLDING = {"parityfold.folding", "parityfold.pairs"}
+
+
 @pytest.mark.parametrize("analysis, loaded", [
-    ({"op": "pdt", "strategy": "greedy-min-bucket"}, {"parityfold.pdt", "parityfold.restriction"}),
-    ({"op": "pdt", "strategy": "folding-sampling"}, {"parityfold.pdt", "parityfold.restriction"}),
-    ({"op": "mc", "kind": "warmup", "trials": 3}, {"parityfold.pdt"}),
-    ({"op": "mc", "kind": "theorem-1", "p": "1/32", "trials": 3}, {"parityfold.pdt"}),
-    ({"op": "mc", "kind": "theorem-2", "delta": 1, "ell": 0, "trials": 3}, {"parityfold.folding", "parityfold.pdt"}),
-    ({"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]}, {"parityfold.restriction"}),
-    ({"op": "fold"}, {"parityfold.folding"}),
-    ({"op": "verify", "check": "titsworth"}, set()),
-    ({"op": "analyze"}, set()),
+    ({"op": "pdt", "strategy": "greedy-min-bucket"}, BUILD),
+    ({"op": "pdt", "strategy": "folding-sampling"}, BUILD),
+    ({"op": "mc", "kind": "warmup", "trials": 3}, TRIALS),
+    ({"op": "mc", "kind": "theorem-1", "p": "1/32", "trials": 3}, TRIALS),
+    ({"op": "mc", "kind": "theorem-2", "delta": 1, "ell": 0, "trials": 3}, TRIALS | FOLDING),
+    ({"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]}, {"parityfold.pairs", "parityfold.restriction"}),
+    ({"op": "fold"}, FOLDING),
+    ({"op": "verify", "check": "titsworth"}, {"parityfold.pairs"}),
+    ({"op": "analyze"}, {"parityfold.pairs"}),
+    ({"op": "verify", "check": "three-fold"}, FOLDING),
+    ({"op": "verify", "check": "sign-feasibility"}, FOLDING),
+    ({"op": "verify", "check": "parseval"}, set()),
 ])
 def test_each_op_loads_only_the_layers_it_runs(tmp_path, analysis, loaded):
     # where no bytecode is cached, a module loaded is a module compiled: a
-    # build never runs folding, and a warmup or theorem-1 trial runs
-    # neither folding nor restriction
+    # build never runs folding or the trials, and a warmup or theorem-1
+    # trial runs neither the builder, folding, restriction nor the pair kernel
     config = {"functions": [{"family": "addressing", "k": 16}], "analyses": [analysis]}
     for modules in (library_imports(config), cli_imports(tmp_path, config)):
         assert modules & LAYERS == loaded
+        assert modules - LAYERS - {"parityfold.cli"} == EVERY_RUN
 
 
 def bench_tracing():
@@ -117,16 +135,27 @@ def test_pdt_resolves_only_the_names_bench_tracing_binds_there():
     for name, module in pdt.TRACED_NAMES.items():
         assert name in bound and name not in used, name
         assert getattr(pdt, name) is getattr(importlib.import_module(f"parityfold.{module}"), name)
+        namespace: dict = {}
+        exec(f"from parityfold.pdt import {name}", namespace)
+        assert namespace[name] is getattr(pdt, name)
     with pytest.raises(AttributeError, match=r"^module 'parityfold.pdt' has no attribute 'no_such_name'$"):
         pdt.no_such_name
-    assert not fresh("from parityfold import pdt") & {"parityfold.folding", "parityfold.restriction"}
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+        from parityfold.pdt import no_such_name  # noqa: F401
+    # importing pdt loads no layer beside it, and each name its home alone
+    assert fresh("from parityfold import pdt") & LAYERS == {"parityfold.pdt"}
+    assert fresh("from parityfold.pdt import build_pdt") & LAYERS == {"parityfold.builder", "parityfold.pairs", "parityfold.pdt"}
+    assert fresh("from parityfold.pdt import warmup_success_rate") & LAYERS == TRIALS
 
 
 # one op of each kind whose layers moved: a sampling build (one row
-# reduction per node), a theorem-2 trial, a fold and a restriction
+# reduction per node) and a greedy one (none), a theorem-2 and a theorem-1
+# trial, a fold and a restriction
 TRACED_OPS = {
     "pdt": {"op": "pdt", "strategy": "sampling"},
+    "greedy": {"op": "pdt", "strategy": "greedy-min-bucket"},
     "mc": {"op": "mc", "kind": "theorem-2", "delta": 1, "ell": 0, "trials": 5},
+    "theorem-1": {"op": "mc", "kind": "theorem-1", "p": "1/32", "trials": 5},
     "fold": {"op": "fold"},
     "analyze": {"op": "analyze", "restrict": [{"mask": 3, "bit": 1}]},
 }
@@ -146,7 +175,7 @@ def test_tracing_counts_each_layer_once_per_op_and_changes_no_report():
         tracer.restore()
         # restore puts back what install read, and pdt.folding_parameters
         # read folding's wrapper; dropping the bindings lets TRACED_NAMES
-        # resolve them again
+        # resolve them again, build_pdt and the trial functions among them
         for name in set(vars(pdt)) - before:
             delattr(pdt, name)
     assert traced == plain
@@ -155,7 +184,9 @@ def test_tracing_counts_each_layer_once_per_op_and_changes_no_report():
     each = {"op": 1, "runner.run_experiment": 1, "families.build_function": 1, "spectral.wht": 1}
     assert counts == {
         "pdt": {**each, "pdt.build_pdt": 1, "gf2.row_reduce": nodes, "pdt.verify_tree": 1},
+        "greedy": {**each, "pdt.build_pdt": 1, "pdt.verify_tree": 1},
         "mc": {**each, "pdt.mc": 1, "folding.folding_parameters": 1, "folding.direction_classes": 1},
+        "theorem-1": {**each, "pdt.mc": 1},
         "fold": {**each, "folding.direction_classes": 1},
         "analyze": {**each, "spectral.parseval": 1, "spectral.titsworth": 1, "gf2.row_reduce": 1},
     }

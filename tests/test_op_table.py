@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from parityfold import pdt, runner
+from parityfold import runner
 from parityfold.cli import USAGE_ERROR, function_entry, main
 from parityfold.folding import SparsityTooSmallError
 from parityfold.gf2 import DimensionMismatchError
-from parityfold.params import STRATEGIES
+from parityfold.params import STRATEGIES, BuildConfig
 from parityfold.pdt import NotFoldingError
 from parityfold.restriction import InconsistentConstraintsError
 from parityfold.runner import ConfigError, run_experiment
@@ -100,7 +100,7 @@ def test_help_shows_the_table_defaults():
 
 
 def test_pdt_defaults_are_build_configs_own():
-    assert runner.op_params("pdt", {}, 5) == pdt.BuildConfig(seed=5)
+    assert runner.op_params("pdt", {}, 5) == BuildConfig(seed=5)
 
 
 # (config analysis, subcommand argv, the key the error names)
@@ -172,17 +172,17 @@ def test_a_parameter_no_one_reads_is_refused(tmp_path, analysis, argv, message):
 def test_build_config_refuses_what_its_strategy_does_not_read():
     for strategy in ("sampling", "max-coefficient", "greedy-min-bucket"):
         with pytest.raises(ValueError, match="takes neither"):
-            pdt.BuildConfig(strategy=strategy, delta=Fraction(1, 5), ell=Fraction(1, 2))
+            BuildConfig(strategy=strategy, delta=Fraction(1, 5), ell=Fraction(1, 2))
     for strategy in ("max-coefficient", "greedy-min-bucket"):
         with pytest.raises(ValueError, match="no probability"):
-            pdt.BuildConfig(strategy=strategy, probability=0.25)
+            BuildConfig(strategy=strategy, probability=0.25)
     for half in ({"delta": Fraction(1, 5)}, {"ell": Fraction(1, 2)}):
         with pytest.raises(ValueError, match="together"):
-            pdt.BuildConfig(strategy="folding-sampling", **half)
+            BuildConfig(strategy="folding-sampling", **half)
     # what each strategy does read is still accepted
-    pdt.BuildConfig(strategy="sampling", probability=0.25)
-    pdt.BuildConfig(strategy="folding-sampling", probability=0.25)
-    pdt.BuildConfig(strategy="folding-sampling", delta=Fraction(1, 5), ell=Fraction(1, 2))
+    BuildConfig(strategy="sampling", probability=0.25)
+    BuildConfig(strategy="folding-sampling", probability=0.25)
+    BuildConfig(strategy="folding-sampling", delta=Fraction(1, 5), ell=Fraction(1, 2))
 
 
 @pytest.mark.parametrize("pairs", [True, False])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from parityfold import pairs, runner
+from parityfold import pairs, runner, spectral
 from parityfold.folding import direction_classes
 from parityfold.pairs import WeightBoundError, direction_sums
 from parityfold.spectral import FourierSpectrum, verify_titsworth
@@ -58,7 +58,7 @@ def test_fwht_matches_a_python_int_oracle(columns):
         full = rng.integers(-(2**63), 2**63, size=shape, dtype=np.int64)
         for values in (bounded, full):
             got = values.copy()
-            pairs.fwht_inplace(got)
+            spectral.fwht_inplace(got)
             expected = python_wht(values, n)
             if values is bounded:  # every final value fits int64
                 assert got.tolist() == expected.tolist()
@@ -72,7 +72,7 @@ def test_fwht_matches_the_butterfly_on_boolean_tables(columns):
         shape = (1 << n,) if columns == 1 else (1 << n, columns)
         table = 1 - 2 * rng.integers(0, 2, size=shape, dtype=np.int64)
         got, expected = table.copy(), table.copy()
-        pairs.fwht_inplace(got)
+        spectral.fwht_inplace(got)
         butterfly_wht(expected)
         assert np.array_equal(got, expected), n
 
@@ -86,7 +86,7 @@ def test_fwht_is_exact_when_partial_sums_wrap():
         n = len(values).bit_length() - 1
         expected = python_wht(arr, n).tolist()
         assert max(map(abs, expected)) < 2**63 <= max(itertools.accumulate(values))
-        pairs.fwht_inplace(arr)
+        spectral.fwht_inplace(arr)
         assert arr.tolist() == expected
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parityfold import pdt, restriction, runner
+from parityfold import builder, pdt, restriction, runner
+from parityfold import trials as mc
 from parityfold.cli import main
 from parityfold.families import (
     gen_addressing,
@@ -20,8 +21,8 @@ from parityfold.families import (
 )
 from parityfold.gf2 import DimensionMismatchError, coset_label, extend_basis, row_reduce
 from parityfold.folding import counterexample_support
+from parityfold.builder import _select_frontier
 from parityfold.pdt import (
-    BuildConfig,
     DegenerateInputError,
     NotFoldingError,
     ParityDecisionTree,
@@ -32,10 +33,9 @@ from parityfold.pdt import (
     sample_parity,
     verify_tree,
     warmup_success_rate,
-    _select_frontier,
 )
 from parityfold.pairs import dense_route
-from parityfold.params import STRATEGIES, SeedRangeError, check_sampling
+from parityfold.params import STRATEGIES, BuildConfig, SeedRangeError, check_sampling
 from parityfold.restriction import bucket_complexity, restrict_batch
 from parityfold.runner import canonical_json
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
@@ -718,7 +718,7 @@ def test_trials_spanning_several_chunks_match_per_trial_calls(monkeypatch, cells
     spectrum = wht(gen_inner_product(2))  # k = 16: 2 trials per 40 cells, 5 per 100
     support = sorted(spectrum.coeffs)
     single = [one_step(support, (0.2,), np.random.default_rng((9, t))) for t in range(13)]
-    monkeypatch.setattr(pdt, "_TRIAL_CHUNK_CELLS", cells)
+    monkeypatch.setattr(mc, "_TRIAL_CHUNK_CELLS", cells)
     stats = estimate_bucket_reduction(spectrum, 0.2, 13, 9)
     assert stats.bucket_counts == tuple(count for _, _, count in single)
     assert stats.sample_sizes == tuple(size for _, size, _ in single)
@@ -763,7 +763,7 @@ def drawn_trial_stats(spectrum, requested, trials, seed, threshold):
     if trials >= 2:
         var = sum((x - mean_f) ** 2 for x in fractions) / (trials - 1)
         half = 1.96 * math.sqrt(var / trials)
-    return pdt.TrialStats(
+    return mc.TrialStats(
         trials=trials,
         k=k,
         probabilities=probabilities,
@@ -795,9 +795,9 @@ def test_certain_union_equals_the_drawn_trials(n, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     k = spectrum.sparsity
     threshold = data.draw(st.sampled_from([None, Fraction(k, 2), k - Fraction(k, 6), Fraction(1, 3)]))
-    with mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
+    with mock.patch.object(mc, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
         expected = drawn_trial_stats(spectrum, requested, trials, seed, threshold)
-        assert pdt._run_trials(spectrum, requested, trials, seed, threshold) == expected
+        assert mc._run_trials(spectrum, requested, trials, seed, threshold) == expected
 
 
 def test_certain_union_seeds_no_generator(monkeypatch):
@@ -807,7 +807,7 @@ def test_certain_union_seeds_no_generator(monkeypatch):
         raise AssertionError("a certain union seeded a generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(pdt, "_trial_states", refuse)
+    monkeypatch.setattr(mc, "_trial_states", refuse)
     warmup = warmup_success_rate(gen_inner_product(2), 50, 0)
     folding = folding_sampling_trial(gen_inner_product(2), 1, 0, 50, 0)
     assert warmup.probabilities == (1.0,) and folding.probabilities[1] == 1.0
@@ -843,8 +843,8 @@ def test_certain_unions_fold_nothing(monkeypatch, m, kind, p, seed):
     def refuse(*args, **kwargs):
         raise AssertionError("a certain union folded, hashed or seeded")
 
-    monkeypatch.setattr(pdt, "_fold_unions", refuse)
-    monkeypatch.setattr(pdt, "_trial_states", refuse)
+    monkeypatch.setattr(mc, "_fold_unions", refuse)
+    monkeypatch.setattr(mc, "_trial_states", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert run() == expected
 
@@ -862,7 +862,7 @@ def test_trial_states_are_numpys_seeded_states(seed, trials, cells, numbers):
     def numpys(t):
         return [np.random.default_rng((seed, int(i))).bit_generator.state for i in t]
 
-    trial_states, seen = pdt._trial_states, []
+    trial_states, seen = mc._trial_states, []
     t = np.array(numbers, dtype=np.uint32)
     assert trial_states(seed, t) == numpys(t)
 
@@ -870,8 +870,8 @@ def test_trial_states_are_numpys_seeded_states(seed, trials, cells, numbers):
         seen.append(trial_states(seed, t))
         return seen[-1]
 
-    with mock.patch.object(pdt, "_trial_states", spy), mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", cells):
-        pdt._run_trials(wht(gen_inner_product(2)), (0.3,), trials, seed)
+    with mock.patch.object(mc, "_trial_states", spy), mock.patch.object(mc, "_TRIAL_CHUNK_CELLS", cells):
+        mc._run_trials(wht(gen_inner_product(2)), (0.3,), trials, seed)
     assert [state for chunk in seen for state in chunk] == numpys(range(trials))
     assert len(seen) == -(-trials // max(1, cells // 17))
 
@@ -890,9 +890,9 @@ def test_uncertain_trials_equal_per_trial_generators(n, data):
     threshold = {"theorem-1": None, "warmup": Fraction(k, 2), "theorem-2": k - Fraction(k, 6)}[kind]
     trials = data.draw(st.integers(1, 13))
     seed = data.draw(SEEDS)
-    with mock.patch.object(pdt, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
+    with mock.patch.object(mc, "_TRIAL_CHUNK_CELLS", data.draw(st.sampled_from([1, 40, 2**16]))):
         expected = drawn_trial_stats(spectrum, requested, trials, seed, threshold)
-        assert pdt._run_trials(spectrum, requested, trials, seed, threshold) == expected
+        assert mc._run_trials(spectrum, requested, trials, seed, threshold) == expected
 
 
 @given(st.data())
@@ -926,7 +926,7 @@ def test_certain_union_closed_form_is_the_fold_of_a_certain_row(data):
     spectrum = FourierSpectrum(24, dict.fromkeys(masks, 1))
     trials, seed = data.draw(st.integers(1, 13)), data.draw(st.integers(0, 2**32 - 1))
     for p in (1.0, 0.0):
-        stats = pdt._run_trials(spectrum, (p,), trials, seed)
+        stats = mc._run_trials(spectrum, (p,), trials, seed)
         ((_, size, count),) = fold_rows(np.array(masks, dtype=np.int64), np.full((1, len(masks)), p == 1.0))
         assert (stats.sample_sizes, stats.bucket_counts) == ((size,) * trials, (count,) * trials)
 
@@ -946,7 +946,7 @@ def test_mc_refuses_what_the_seeding_does_not_number(monkeypatch, kind):
     def never(*args):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(pdt, "_run_trials", never)
+    monkeypatch.setattr(mc, "_run_trials", never)
     spectrum = wht(gen_inner_product(2))
     with pytest.raises(SeedRangeError, match="seed must be >= 0, got -1"):
         MC_RUNS[kind](spectrum, 5, -1)
@@ -1079,8 +1079,8 @@ def test_greedy_build_restricts_once_per_frontier(monkeypatch):
         calls.append((width, int(nodes.max()) + 1))
         return restrict_frontier(nodes, label, tag, coeffs, width)
 
-    select_frontier, restrict_frontier = pdt._select_frontier, restriction.restrict_frontier
-    monkeypatch.setattr(pdt, "_select_frontier", selecting)
+    select_frontier, restrict_frontier = builder._select_frontier, restriction.restrict_frontier
+    monkeypatch.setattr(builder, "_select_frontier", selecting)
     monkeypatch.setattr(restriction, "restrict_frontier", counting)
     table = gen_random(12, 0)
     result = build_pdt(table, BuildConfig(strategy="greedy-min-bucket"))

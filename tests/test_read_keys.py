@@ -174,3 +174,47 @@ def test_each_object_of_a_config_is_read_once(tmp_path, monkeypatch):
     assert [block["function"] for block in report.results] == [
         "addressing(k=16)", f"junta(inner={inner},masks=[1, 2],n=2)", "t.json"
     ]
+
+
+# one input of each file kind with a key repeated in one object, as raw
+# JSON text: json.loads alone keeps the last value, so {"seed": 1, "seed":
+# 7} would run with seed 7 and a repeated family key would build another
+# function than the one first written
+REPEATED = {
+    "config": (
+        "experiment",
+        '{"seed": 1, "seed": 7, "functions": [{"family": "addressing", "k": 16}], "analyses": [{"op": "analyze"}]}',
+        "seed",
+    ),
+    "function-entry": (
+        "experiment",
+        '{"functions": [{"family": "random", "n": 3, "seed": 1, "seed": 2}], "analyses": [{"op": "analyze"}]}',
+        "seed",
+    ),
+    "support-entry": (
+        "experiment", '{"functions": [{"support": [1, 2], "n": 2, "n": 3}], "analyses": [{"op": "fold"}]}', "n",
+    ),
+    "table-file": ("analyze", '{"n": 1, "values": [1, -1], "n": 1}', "n"),
+    "spectrum-file": ("analyze", '{"n": 1, "coeffs": [{"mask": 1, "num": 2, "num": 2}]}', "num"),
+    "tree-file": (
+        "pdt depth", '{"n": 2, "root": {"query": 3, "pos": {"leaf": 1}, "neg": {"leaf": -1}, "pos": {"leaf": -1}}}', "pos",
+    ),
+    "restrict-file": ("analyze addressing:k=16 --restrict", '[{"mask": 3, "bit": 1, "bit": 0}]', "bit"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED))
+def test_every_input_file_refuses_a_repeated_key(tmp_path, monkeypatch, case):
+    command, text, key = REPEATED[case]
+
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*command.split(), str(path)])
+    assert (code, out.getvalue()) == (USAGE_ERROR, "")
+    assert err.getvalue() == f"error: {path}: key {key!r} repeated in one JSON object\n"

@@ -60,7 +60,7 @@ def test_only_the_runner_builds_result_blocks():
     # them; the library's result types stay typed values, whose one dict
     # form is the tree file format
     found = []
-    for name in ("folding.py", "pdt.py", "restriction.py"):
+    for name in ("builder.py", "folding.py", "pdt.py", "restriction.py", "trials.py"):
         todo = [("<module>", ast.parse((Path(parityfold.__file__).parent / name).read_text()))]
         while todo:
             owner, node = todo.pop()
@@ -73,8 +73,9 @@ def test_only_the_runner_builds_result_blocks():
 
 
 def test_the_wht_butterfly_is_defined_once():
-    # spectral, restriction and the dense pair route share one WHT, and its
-    # radix steps are the library's only matrix products
+    # spectral, restriction and the dense pair route share one WHT, which
+    # spectral defines, and its radix steps are the library's only matrix
+    # products
     found, products = [], set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
         for scope, node in scoped_nodes(path):
@@ -87,7 +88,7 @@ def test_the_wht_butterfly_is_defined_once():
             if isinstance(node, ast.Name) and node.id == "_HADAMARD" and isinstance(node.ctx, ast.Load):
                 products.add(f"{path.name}:{scope}")
     assert len(found) == 1, f"fwht_inplace definitions: {found}"
-    assert products == {"pairs.py:fwht_inplace"}, f"matrix products outside the WHT: {sorted(products)}"
+    assert products == {"spectral.py:fwht_inplace"}, f"matrix products outside the WHT: {sorted(products)}"
 
 
 # `sorted(set(...))` outside spectral.py that sorts no spectrum's support
@@ -265,8 +266,8 @@ def test_relative_imports_are_used_exported_or_bench_bound():
 def test_generators_are_made_only_where_they_draw():
     # default_rng seeds a SeedSequence per call: gen_random makes one per
     # table and a sampling build one per build, while the Monte Carlo
-    # trials share one that pdt._run_trials sets to each (seed, t) state
-    # pdt._trial_states computes
+    # trials share one that trials._run_trials sets to each (seed, t) state
+    # trials._trial_states computes
     found = set()
     for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
         todo = [("<module>", ast.parse(path.read_text(), filename=str(path)))]
@@ -282,14 +283,14 @@ def test_generators_are_made_only_where_they_draw():
             for child in ast.iter_child_nodes(node):
                 guarded = any(child is b for b in branch)
                 todo.append((f"{scope} if {ast.unparse(node.test)}" if guarded else scope, child))
-    assert found == {"families.py:gen_random", "pdt.py:build_pdt if sampling"}, (
+    assert found == {"families.py:gen_random", "builder.py:build_pdt if sampling"}, (
         f"generators made outside the drawing code: {sorted(found)}"
     )
 
 
 def test_the_seeding_constants_live_in_the_trial_seeding_function():
     # numpy's SeedSequence hash constants and PCG64's multiplier; tests check
-    # pdt._trial_states against numpy, so a second copy would drift unseen
+    # trials._trial_states against numpy, so a second copy would drift unseen
     constants = {
         0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715,
         0x2360ED051FC65DA44385DF649FCCF645,
@@ -300,7 +301,7 @@ def test_the_seeding_constants_live_in_the_trial_seeding_function():
             for node in ast.walk(top):
                 if isinstance(node, ast.Constant) and node.value in constants:
                     found.add((f"{path.name}:{getattr(top, 'name', '<module>')}", node.value))
-    assert {where for where, _ in found} == {"pdt.py:_trial_states"}, f"seeding constants: {sorted(found)}"
+    assert {where for where, _ in found} == {"trials.py:_trial_states"}, f"seeding constants: {sorted(found)}"
     assert {value for _, value in found} == constants
 
 
@@ -308,7 +309,7 @@ def test_a_frontier_is_restricted_in_one_call():
     # build_pdt restricts a whole frontier, whatever its batch widths, with
     # one restrict_frontier call: its one call site sits in the frontier
     # loop itself, with no loop or comprehension of its own around it
-    path = Path(parityfold.__file__).parent / "pdt.py"
+    path = Path(parityfold.__file__).parent / "builder.py"
     found = []
     todo = [("<module>", [], ast.parse(path.read_text(), filename=str(path)))]
     while todo:
@@ -320,7 +321,7 @@ def test_a_frontier_is_restricted_in_one_call():
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             loops = loops + [type(node).__name__]
         todo.extend((scope, loops, child) for child in ast.iter_child_nodes(node))
-    assert found == [("build_pdt", ["While"])], f"restrict_frontier call sites in pdt.py: {found}"
+    assert found == [("build_pdt", ["While"])], f"restrict_frontier call sites in builder.py: {found}"
 
 
 def test_key_refusals_are_worded_only_in_read_keys():

@@ -16,6 +16,7 @@ from parityfold.spectral import (
     NotBooleanValuedError,
     TruthTable,
     character,
+    fwht_inplace,
     inverse_wht,
     is_plateaued,
     json_int,
@@ -287,7 +288,7 @@ def test_wht_dict_matches_a_per_mask_reference(n, seed):
     # give the same Python ints in the same (ascending) key order
     t = random_table(n, seed)
     arr = t.values.astype(np.int64)
-    pairs.fwht_inplace(arr)
+    fwht_inplace(arr)
     reference = {int(mask): int(arr[mask]) for mask in np.nonzero(arr)[0]}
     coeffs = wht(t).coeffs
     assert list(coeffs.items()) == list(reference.items())
