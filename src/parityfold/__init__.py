@@ -9,8 +9,6 @@ run never imports the builder.  ``EXPORTS`` maps each public name to its
 module; ``__all__`` and ``dir()`` are read from it.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # module -> the public names it defines
@@ -47,7 +45,8 @@ def __getattr__(name: str):
     module = EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -19,8 +19,7 @@ and `_distinct` pick greedy batches, and `build_pdt` imports
 `restriction` when it runs, calling `restriction.restrict_frontier`
 through the module attribute.  Callers reach `build_pdt` as
 `pdt.build_pdt` (`pdt.TRACED_NAMES`), so a Monte Carlo run never
-compiles this module.  The records are `typing.NamedTuple`s, so
-importing it generates no code for them.
+compiles this module.
 """
 
 from __future__ import annotations

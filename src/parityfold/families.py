@@ -168,6 +168,13 @@ def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
     return n
 
 
+def _random_dimension(n: int, seed: int) -> int:
+    # numpy's generator refuses a negative seed only as the table is drawn
+    if seed < 0:
+        raise InvalidFamilyParameterError(f"random: seed must be >= 0, got {seed}")
+    return n
+
+
 INT = (json_int, REQUIRED)  # a family's integer param
 
 # family -> (generator, {param: (parser, REQUIRED)}, the n of its table),
@@ -185,7 +192,7 @@ FAMILIES = {
         "masks": (lambda value, what: [json_int(mask, "mask") for mask in json_of(value, list, what)], REQUIRED),
         "n": INT,
     }, _junta_dimension),
-    "random": (gen_random, {"n": INT, "seed": INT}, lambda n, seed: n),
+    "random": (gen_random, {"n": INT, "seed": INT}, _random_dimension),
 }
 
 

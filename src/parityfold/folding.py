@@ -40,8 +40,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .gf2 import MAX_DIMENSION, Echelon
-from .pairs import direction_pairs, direction_sums, heavy_partners
+from .gf2 import MAX_DIMENSION, Echelon, Value
+from .pairs import _sum_by, direction_pairs, direction_sums, heavy_partners
 from .params import CheckFailedError, as_exponent
 from .spectral import FourierSpectrum, is_plateaued
 
@@ -70,22 +70,12 @@ class FoldingBoundError(CheckFailedError):
     """Fewer heavy participants than the delta*k/3 averaging bound guarantees."""
 
 
-class FoldingProfile:
+class FoldingProfile(Value):
     """The direction classes of a support of k masks in n bits: the sorted
     support, the sorted realized directions and their class sizes, as
-    arrays.  Profiles are immutable, and compare by their masks."""
+    arrays."""
 
-    def __init__(self, n: int, k: int, masks: np.ndarray, directions: np.ndarray, counts: np.ndarray) -> None:
-        self.__dict__.update(n=n, k=k, masks=masks, directions=directions, counts=counts)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: profiles are immutable")
-
-    def __eq__(self, other: object) -> bool:  # the support determines the classes
-        return isinstance(other, FoldingProfile) and np.array_equal(self.masks, other.masks)
-
-    def __repr__(self) -> str:
-        return f"FoldingProfile(n={self.n!r}, k={self.k!r})"
+    _fields = ("n", "k", "masks", "directions", "counts")
 
     @property
     def total_pairs(self) -> int:
@@ -135,7 +125,7 @@ class FoldingProfile:
 
     def histogram(self) -> dict[int, int]:
         """class size -> number of directions of that size"""
-        sizes, how_many = np.unique(self.counts, return_counts=True)
+        sizes, how_many = _sum_by(self.counts.copy(), None)
         return dict(zip(sizes.tolist(), how_many.tolist()))
 
 

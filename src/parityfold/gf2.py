@@ -27,6 +27,8 @@ the grown span, as neither has a bit at an existing pivot.  Given one
 row per leading-axis slice, `label_step` steps every slice of a label
 matrix at once: the Monte Carlo trials of an op fold their pivots in
 together.
+
+`Value` is the base of the library's plain value types.
 """
 
 from __future__ import annotations
@@ -40,6 +42,51 @@ MAX_DIMENSION = 24
 
 class DimensionMismatchError(ValueError):
     """A vector has bits set at positions >= n, or dimensions disagree."""
+
+
+class Value:
+    """The base of the library's plain value types: immutable, and made,
+    compared, hashed and shown by the names in ``_fields``.
+
+    ``__init__`` fills the instance ``__dict__`` from its positional
+    arguments, one per field; a type that checks its arguments defines its
+    own and ends by calling this one.  ``==`` compares the fields, arrays
+    by ``np.array_equal``, and only between values of one type; ``hash``
+    hashes the field tuple, so it raises TypeError where a field is an
+    array or a dict.
+
+    No value type of the library runs generated code when its class is
+    made at import: the plain types subclass this one, whose methods are
+    written out here, the records are ``typing.NamedTuple``s, and no
+    module imports ``dataclasses``, whose frozen classes exec generated
+    method source, about 0.7 ms each.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} values are immutable")
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._astuple(), other._astuple())
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__name__}({fields})"
 
 
 def check_vector(v: int, n: int) -> None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .gf2 import Value
+
 STRATEGIES = ("sampling", "folding-sampling", "max-coefficient", "greedy-min-bucket")
 SAMPLING = STRATEGIES[:2]  # the strategies that draw
 
@@ -78,10 +80,11 @@ def check_sampling(
     return delta, None if ell is None else as_exponent(ell)
 
 
-class BuildConfig:
+class BuildConfig(Value):
     """A build's parameters, checked when made.  The class attributes are
-    the defaults.  A config is immutable, and compares and hashes by its
-    seven values."""
+    the defaults."""
+
+    _fields = ("strategy", "probability", "resample_cap", "epsilon", "seed", "delta", "ell")
 
     strategy = "sampling"
     probability = None  # overrides the per-node formula
@@ -116,21 +119,4 @@ class BuildConfig:
                 raise ValueError("folding-sampling takes delta and ell together, or neither")
             if probability is not None:
                 raise ValueError("a probability replaces the delta and ell schedule; give one or the other")
-        self.__dict__.update(
-            strategy=strategy, probability=probability, resample_cap=resample_cap, epsilon=epsilon,
-            seed=seed, delta=delta, ell=ell,
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: build configs are immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BuildConfig):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"BuildConfig({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"
+        super().__init__(strategy, probability, resample_cap, epsilon, seed, delta, ell)

@@ -26,9 +26,7 @@ reduction per sampling node.
 
 The build's parameters (`BuildConfig`, with its strategies) and
 `check_sampling`, which holds each range check of a sampling run's seed,
-trials, p, delta and ell, live in `params`.  `ParityDecisionTree` is a
-plain class whose `__setattr__` refuses, so importing this module
-generates no code for it.
+trials, p, delta and ell, live in `params`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import check_vector, label_step, labels, row_reduce
+from .gf2 import Value, check_vector, label_step, labels, row_reduce
 from .params import CheckFailedError, check_sampling
 from .spectral import REQUIRED, FourierSpectrum, TruthTable, json_int, json_of, parity, read_keys, wht
 
@@ -91,26 +89,14 @@ class ResampleCapExceededError(CheckFailedError):
 # ---------------------------------------------------------------------------
 
 
-class ParityDecisionTree:
+class ParityDecisionTree(Value):
     """A tree over F2^n in level order (breadth first, pos before neg), so
     == compares arrays: query[i] is internal node i's mask (uint32), child[2i]
     and child[2i + 1] its pos (+1) and neg children (int32; ~j is leaf j),
     values[j] leaf j's +-1 (int8).  The root is node 0, else leaf 0.  No
-    walk recurses; `from_dict` checks each node.  Trees are immutable."""
+    walk recurses; `from_dict` checks each node."""
 
-    def __init__(self, n: int, query: np.ndarray, child: np.ndarray, values: np.ndarray) -> None:
-        self.__dict__.update(n=n, query=query, child=child, values=values)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: trees are immutable")
-
-    def __repr__(self) -> str:
-        return f"ParityDecisionTree(n={self.n!r}, query={self.query!r}, child={self.child!r}, values={self.values!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ParityDecisionTree) and self.n == other.n and all(
-            map(np.array_equal, (self.query, self.child, self.values), (other.query, other.child, other.values))
-        )
+    _fields = ("n", "query", "child", "values")
 
     def evaluate(self, x: int) -> int:
         state = 0 if len(self.query) else ~0

@@ -26,9 +26,10 @@ theorem-1 trials imports neither the builder, ``folding``,
 ``restriction`` nor ``pairs``.
 The library's result types have no dict form (the tree file format
 aside), so the report schema is this module's alone; the CLI renders
-the blocks.  Records such as ``builder.NodeRecord`` are ``typing.NamedTuple``s,
-whose ``_asdict`` a block reads, as is ``ExperimentReport``; no value type
-of the library runs generated code when its class is made at import.
+the blocks.  Records such as ``folding.FoldingParameters`` and
+``trials.TrialStats`` are ``typing.NamedTuple``s, whose fields
+``_record`` writes as a block holds them; ``tree_summary`` writes each
+``builder.NodeRecord`` itself.
 ``op_params`` is the one gate: it reads an op's params with
 ``spectral.read_keys``, the one reader of a JSON object's keys, checks
 each value and hands the op what it reads (pdt's ``params.BuildConfig``).
@@ -194,6 +195,23 @@ def _table(label: str, spec: FunctionSpec | None, base_dir: Path, max_n: int) ->
     return loaded
 
 
+def _record(record: NamedTuple) -> dict:
+    """A record's fields as a block holds them: a Fraction as its text, a
+    tuple as a list, a map with its keys as text and its tuple values as
+    lists; a None field is left out."""
+    block = {}
+    for key, value in record._asdict().items():
+        if isinstance(value, Fraction):
+            value = str(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = {str(k): list(v) if isinstance(v, tuple) else v for k, v in value.items()}
+        if value is not None:
+            block[key] = value
+    return block
+
+
 def analyze_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> dict:
     l1 = spectral.spectral_l1(spectrum)
     out = {
@@ -233,7 +251,6 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
 
     ell = params["ell"]
     profile = folding.direction_classes(spectrum.masks)
-    fp = profile.folding_parameters(ell)
     block = {
         "n": profile.n,
         "k": profile.k,
@@ -248,13 +265,7 @@ def fold_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> 
         _, a, b = pairs.direction_pairs(profile.masks, profile.directions)
         rows, ends = np.column_stack((a, b)).tolist(), profile.counts.cumsum().tolist()
         block["pairs"] = {g: rows[end - size : end] for (g, size), end in zip(block["classes"].items(), ends)}
-    out = {
-        "profile": block,
-        "ell": str(fp.ell),
-        "delta": str(fp.delta),
-        "heavy_pair_count": fp.heavy_pair_count,
-        "class_size_threshold": fp.class_size_threshold,
-    }
+    out = {"profile": block, **_record(profile.folding_parameters(ell))}
     if "delta" in params:
         out["heavy_participants"] = sorted(profile.heavy_participants(params["delta"], ell))
     return out
@@ -277,15 +288,7 @@ def _single_direction(spectrum: FourierSpectrum) -> dict:
         report = folding.single_direction_structure(spectrum)
     except folding.SingleDirectionViolationError as exc:
         return {"passed": False, "error": str(exc)}
-    return {"passed": True, "report": {
-        "n": report.n,
-        "k": report.k,
-        "positive_count": report.positive_count,
-        "negative_count": report.negative_count,
-        "plateaued": report.plateaued,
-        "nontrivial_counts": dict(zip(map(str, report.nontrivial_counts), report.nontrivial_counts.values())),
-        "single_direction": {str(a): list(v) for a, v in report.single_direction.items()},
-    }}
+    return {"passed": True, "report": _record(report)}
 
 
 def _pair_condition(spectrum: FourierSpectrum) -> dict:
@@ -365,21 +368,9 @@ def mc_summary(table: TruthTable, spectrum: FourierSpectrum, params: dict) -> di
     from . import pdt
 
     stats = MC_KINDS[params["kind"]](pdt, spectrum, params)
-    block = {
-        "trials": stats.trials,
-        "k": stats.k,
-        "probabilities": list(stats.probabilities),
-        "requested": list(stats.requested),
-        "clamped": stats.clamped,
-        "bucket_counts": list(stats.bucket_counts),
-        "sample_sizes": list(stats.sample_sizes),
-        "mean_bucket_fraction": str(stats.mean_bucket_fraction),
-        "mean_bucket_fraction_float": float(stats.mean_bucket_fraction),
-        "ci95": list(stats.ci95),
-    }
-    if stats.success_threshold is not None:
-        block["success_threshold"] = str(stats.success_threshold)
-        block["success_fraction"] = str(stats.success_fraction)
+    block = _record(stats)
+    block["mean_bucket_fraction_float"] = float(stats.mean_bucket_fraction)
+    if stats.success_fraction is not None:
         block["success_fraction_float"] = float(stats.success_fraction)
     return {"kind": params["kind"], "seed": params["seed"], "stats": block}
 

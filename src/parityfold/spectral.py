@@ -66,11 +66,6 @@ A `FourierSupport` is a support with no coefficients: n and one sorted,
 read-only `masks` array, which `support_from_dict` reads from a support
 entry.  The ops that read only the masks take it in place of a spectrum.
 
-`TruthTable`, `FourierSpectrum` and `FourierSupport` are plain classes:
-`__init__` fills the instance `__dict__` and `__setattr__` refuses, so
-making the class at import execs no generated method source (a frozen
-class from the standard library's code generator takes about 0.7 ms).
-
 Truth-table index convention: bit i of the index is variable x_{i+1}.
 """
 
@@ -84,7 +79,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf2 import MAX_DIMENSION, check_vector
+from .gf2 import MAX_DIMENSION, Value, check_vector
 
 MAX_TABLE_DIMENSION = 20  # a truth table's n, and the runner's max_n, at most this
 RADIX_WIDTH = 64
@@ -107,9 +102,10 @@ def character(mask: int, x: int) -> int:
     return -1 if parity(mask, x) else 1
 
 
-class TruthTable:
-    """The 2^n values of a +-1 function, one read-only int8 array; immutable,
-    and compared by n and values."""
+class TruthTable(Value):
+    """The 2^n values of a +-1 function, one read-only int8 array."""
+
+    _fields = ("n", "values")
 
     def __init__(self, n: int, values: np.ndarray) -> None:
         if not 0 <= n <= MAX_TABLE_DIMENSION:
@@ -121,7 +117,7 @@ class TruthTable:
         if not np.all((vals == 1) | (vals == -1)):
             raise ValueError("truth table entries must be +-1")
         # always a copy: the caller's array, and views of it, stay theirs
-        self.__dict__.update(n=n, values=_read_only(vals.astype(np.int8)))
+        super().__init__(n, _read_only(vals.astype(np.int8)))
 
     @classmethod
     def _of_signs(cls, n: int, values: np.ndarray) -> TruthTable:
@@ -129,21 +125,8 @@ class TruthTable:
         check per entry, for a generator's own array, which the table
         keeps, read-only."""
         table = object.__new__(cls)
-        table.__dict__.update(n=n, values=_read_only(values))
+        Value.__init__(table, n, _read_only(values))
         return table
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: truth tables are immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.n == other.n
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self) -> str:
-        return f"TruthTable(n={self.n!r})"
 
     def evaluate(self, x: int) -> int:
         check_vector(x, self.n)
@@ -172,14 +155,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class FourierSpectrum:
+class FourierSpectrum(Value):
     """Sparse exact spectrum: the nonzero c_a, with fhat(a) = c_a / 2^n.
 
     Its state is `n` and two read-only arrays in ascending mask order,
     `masks` (int64) and `coefficients` (int64, or Python ints in an object
     array when one does not fit int64); `coeffs` is their read-only dict
-    view, made on first use.  Spectra are immutable and compare by n and entries.
+    view, made on first use.
     """
+
+    _fields = ("n", "masks", "coefficients")
 
     def __init__(self, n: int, coeffs: dict[int, int]) -> None:
         if not 0 <= n <= MAX_DIMENSION:
@@ -196,7 +181,7 @@ class FourierSpectrum:
         except OverflowError:  # exact Python ints beyond int64
             coefficients = np.array(values, dtype=object)
         masks = np.array(keys, dtype=np.int64)
-        self.__dict__.update(n=n, masks=_read_only(masks), coefficients=_read_only(coefficients))
+        super().__init__(n, _read_only(masks), _read_only(coefficients))
 
     @classmethod
     def _of_sorted(cls, n: int, masks: np.ndarray, coefficients: np.ndarray) -> FourierSpectrum:
@@ -204,22 +189,8 @@ class FourierSpectrum:
         and their nonzero int64 coefficients, taken as they are: no check
         per entry."""
         spectrum = object.__new__(cls)
-        spectrum.__dict__.update(n=n, masks=_read_only(masks), coefficients=_read_only(coefficients))
+        Value.__init__(spectrum, n, _read_only(masks), _read_only(coefficients))
         return spectrum
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: spectra are immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FourierSpectrum):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.masks, other.masks)
-            and np.array_equal(self.coefficients, other.coefficients)
-        )
-
-    __hash__ = None  # the arrays are not hashable
 
     def __repr__(self) -> str:
         return f"FourierSpectrum(n={self.n!r}, coeffs={dict(self.coeffs)!r})"
@@ -457,21 +428,13 @@ def spectrum_from_dict(data: dict) -> FourierSpectrum:
     return FourierSpectrum(n, coeffs)
 
 
-class FourierSupport:
+class FourierSupport(Value):
     """A Fourier support S with no coefficients: n and its masks, sorted
     once into one read-only int64 array.  An op that reads only a
     spectrum's masks reads a support as it reads a spectrum, through
-    `n`, `masks` and `sparsity`.  Supports are immutable, and compare by
-    identity."""
+    `n`, `masks` and `sparsity`."""
 
-    def __init__(self, n: int, masks: np.ndarray) -> None:
-        self.__dict__.update(n=n, masks=masks)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: supports are immutable")
-
-    def __repr__(self) -> str:
-        return f"FourierSupport(n={self.n!r})"
+    _fields = ("n", "masks")
 
     @property
     def sparsity(self) -> int:

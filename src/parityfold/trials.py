@@ -15,8 +15,7 @@ module imports neither the builder nor the pair kernel: a warm-up or
 theorem-1 run loads only `pdt` beside it.  `folding_sampling_trial`
 imports `folding` when it runs and calls `folding.folding_parameters`
 through the module attribute, so a wrapper set there
-(bench/tracing.py's) sees every call.  `TrialStats` is a
-`typing.NamedTuple`, so importing this module generates no code for it.
+(bench/tracing.py's) sees every call.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -294,3 +295,27 @@ def test_every_family_builds_its_validated_table(entry):
     assert np.all((values == 1) | (values == -1))
     assert TruthTable(table.n, values) == table
     assert values.tolist() == naive_table(family, params)
+
+
+def test_a_negative_random_seed_is_refused_before_any_table_is_built(tmp_path, monkeypatch, capsys):
+    # numpy's generator refuses it too, but only as the table is drawn,
+    # after the config's earlier functions ran, in words that name no key
+    from parityfold.cli import USAGE_ERROR, main
+
+    def never(*args):
+        raise AssertionError("a function was built")
+
+    monkeypatch.setattr(runner, "build_function", never)
+    message = "random: seed must be >= 0, got -1"
+    with pytest.raises(InvalidFamilyParameterError, match=message):
+        read_function("random", {"n": 3, "seed": -1})
+    config = {"functions": [{"family": "addressing", "k": 16}, {"family": "random", "n": 3, "seed": -1}],
+              "analyses": [{"op": "analyze"}]}
+    with pytest.raises(InvalidFamilyParameterError, match=message):
+        runner.run_experiment(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for argv in (["experiment", str(path)], ["gen", "random", "n=3", "seed=-1"], ["--seed", "-1", "gen", "random", "n=3"]):
+        assert main(argv) == USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and message in err

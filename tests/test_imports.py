@@ -46,18 +46,21 @@ def fresh(code: str) -> set[str]:
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
+def importtime(args: list[str]) -> set[str]:
+    """The parityfold modules that -X importtime lists for a fresh
+    interpreter run with args."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in names if name.startswith("parityfold")}
+
+
 def cli_imports(tmp_path, config: dict) -> set[str]:
     """The parityfold modules `python -m parityfold.cli experiment` imports
     on config, read from its -X importtime lines."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "parityfold.cli", "experiment", str(path), "-o", str(tmp_path / "out.json")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
-    return {name for name in names if name.startswith("parityfold")}
+    return importtime(["-m", "parityfold.cli", "experiment", str(path), "-o", str(tmp_path / "out.json")])
 
 
 def library_imports(config: dict) -> set[str]:
@@ -66,6 +69,14 @@ def library_imports(config: dict) -> set[str]:
 
 def test_importing_the_package_loads_no_module():
     assert fresh("import parityfold") == {"parityfold"}
+
+
+def test_importtime_lists_every_module_the_package_table_loads():
+    # importlib.import_module's loads do not show in -X importtime, which
+    # the CLI tests and CI read; __import__'s do
+    listed = importtime(["-c", "from parityfold import build_pdt"])
+    assert "parityfold.builder" in listed
+    assert listed == fresh("from parityfold import build_pdt")
 
 
 def test_fold_verify_and_analyze_never_import_the_builder(tmp_path):

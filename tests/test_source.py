@@ -353,3 +353,16 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"dataclasses imported in the library: {found}"
+
+
+def test_only_the_value_base_defines_immutability_equality_and_hashing():
+    # the plain value types inherit them from gf2.Value
+    found = []
+    for path in sorted(Path(parityfold.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):  # a method, or an assignment such as __hash__ = None
+                names = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+                names += [target.id for item in node.body if isinstance(item, ast.Assign)
+                          for target in item.targets if isinstance(target, ast.Name)]
+                found += [f"{path.name}:{node.name}.{name}" for name in names if name in ("__setattr__", "__eq__", "__hash__")]
+    assert found == ["gf2.py:Value.__setattr__", "gf2.py:Value.__eq__", "gf2.py:Value.__hash__"]

@@ -1,24 +1,25 @@
-"""The library's value types: immutable, equal and hashed as before, and
-checked when made."""
+"""The library's value types: immutable, compared and hashed by their
+fields, and checked when made."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from parityfold import families, folding, pdt, restriction, runner, spectral
-from parityfold.gf2 import DimensionMismatchError
+from parityfold.gf2 import DimensionMismatchError, Value
 from parityfold.params import BuildConfig, SeedRangeError
 
 
-@pytest.fixture(scope="module")
-def values() -> dict:
-    """type name -> one value of each of the library's 16 value types,
+def make_values() -> dict:
+    """type name -> one value of each of the library's 17 value types,
     made by the calls that make them."""
     table = families.gen_inner_product(2)
     spectrum = spectral.wht(table)
     build = pdt.build_pdt(table, BuildConfig(seed=1))
     return {
         "TruthTable": table,
+        "FourierSpectrum": spectrum,
         "FourierSupport": spectral.support_from_dict({"support": [1, 2], "n": 2}),
         "FunctionSpec": families.read_function("addressing", {"k": 16}),
         "FoldingProfile": folding.direction_classes(spectrum.masks),
@@ -38,7 +39,12 @@ def values() -> dict:
     }
 
 
-NAMES = ["TruthTable", "FourierSupport", "FunctionSpec", "FoldingProfile", "PairCondition", "FoldingParameters",
+@pytest.fixture(scope="module")
+def values() -> dict:
+    return make_values()
+
+
+NAMES = ["TruthTable", "FourierSpectrum", "FourierSupport", "FunctionSpec", "FoldingProfile", "PairCondition", "FoldingParameters",
          "SingleDirectionReport", "SignFeasibilityResult", "ParityDecisionTree", "NodeRecord", "BuildResult",
          "BuildConfig", "TrialStats", "AffineConstraintSystem", "BucketReport", "ExperimentReport"]
 
@@ -125,3 +131,56 @@ def test_constraint_systems_and_bucket_reports_compare_by_value():
     assert report == restriction.BucketReport(1, {0: (0, 3)}, 2) != restriction.BucketReport(2, {0: (0,), 3: (3,)}, 0)
     with pytest.raises(TypeError):
         hash(report)
+
+
+# the plain value types, which share gf2.Value; the rest are NamedTuples.
+# The first six hold an array or a dict, so their hash raises
+PLAIN = ["TruthTable", "FourierSpectrum", "FourierSupport", "FoldingProfile", "ParityDecisionTree", "BucketReport",
+         "BuildConfig", "AffineConstraintSystem"]
+UNHASHABLE = PLAIN[:6]
+
+
+def changed(value):
+    """A value of the same kind as value that differs from it."""
+    if isinstance(value, np.ndarray):
+        return value + 1
+    if isinstance(value, dict):
+        return {**value, -1: ()}
+    if isinstance(value, tuple):
+        return (*value, None)
+    if isinstance(value, str):
+        return value + "!"
+    return 1 if value is None else value + 1
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_values_compare_by_each_field(values, name):
+    value, again = values[name], make_values()[name]
+    assert isinstance(value, Value) and value._fields
+    assert value == again and again == value and value is not again
+    for field in value._fields:
+        other = object.__new__(type(value))
+        other.__dict__.update(vars(value), **{field: changed(getattr(value, field))})
+        assert value != other and other != value, field
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_values_hash_unless_a_field_is_an_array_or_a_dict(values, name):
+    value = values[name]
+    holds = any(isinstance(getattr(value, field), (np.ndarray, dict)) for field in value._fields)
+    assert holds == (name in UNHASHABLE)
+    if holds:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
+    else:
+        assert hash(value) == hash(make_values()[name])
+        assert hash(value) == hash(tuple(getattr(value, field) for field in value._fields))
+
+
+def test_supports_compare_by_value():
+    support = spectral.support_from_dict({"support": [6, 1, 2], "n": 3})
+    assert support == spectral.support_from_dict({"support": [1, 2, 6], "n": 3})
+    assert support != spectral.support_from_dict({"support": [1, 2, 6], "n": 4})
+    assert support != spectral.support_from_dict({"support": [1, 2, 5], "n": 3})
+    spectrum = spectral.FourierSpectrum(3, {1: 4, 2: 4, 6: 4})
+    assert (spectrum.n, spectrum.masks.tolist()) == (support.n, support.masks.tolist()) and support != spectrum
