@@ -40,7 +40,8 @@ class UsageError(ValueError):
 
 def key_values(items: list[str], source: str) -> dict:
     """Family parameters from key=value items: an integer, or integers
-    separated by commas; a key given twice is refused."""
+    separated by commas; any other value, and a key given twice, are
+    refused."""
     params: dict = {}
     for item in items:
         key, _, value = item.partition("=")
@@ -48,7 +49,10 @@ def key_values(items: list[str], source: str) -> dict:
             raise UsageError(f"bad parameter {item!r} in {source!r}; expected key=value")
         if key in params:
             raise UsageError(f"parameter {key!r} given twice in {source!r}")
-        params[key] = [int(x) for x in value.split(",")] if "," in value else int(value)
+        try:
+            params[key] = [int(x) for x in value.split(",")] if "," in value else int(value)
+        except ValueError:
+            raise UsageError(f"bad parameter {item!r} in {source!r}; expected an integer, or integers separated by commas") from None
     return params
 
 
@@ -81,17 +85,18 @@ def cmd_gen(args) -> int:
     params = key_values(args.param or [], f"gen {args.family}")
     if args.family == "random" and "seed" not in params:
         params["seed"] = args.seed
+    if (args.family == "junta") != bool(args.inner):
+        raise UsageError("gen junta requires --inner FILE, and no other family reads it")
     if args.family == "junta":
-        if not args.inner:
-            raise UsageError("gen junta requires --inner FILE")
         masks, n = spectral.read_keys("gen junta", params, GEN_JUNTA).values()
         label = f"junta(inner={args.inner},n={n})"
         if n > args.max_n:
             raise UsageError(f"{label}: n = {n} exceeds max_n = {args.max_n}")  # before 2^n entries
-        _, inner = runner.resolve_function({"path": args.inner}, Path("."), args.max_n)
+        inner = runner.load_table(*runner.check_function({"path": args.inner}, args.max_n), Path("."), args.max_n)
         table = families.gen_junta(inner, masks, n)
     else:
-        label, table = runner.resolve_function({"family": args.family, **params}, Path("."), args.max_n)
+        label, spec = runner.check_function({"family": args.family, **params}, args.max_n)
+        table = runner.load_table(label, spec, Path("."), args.max_n)
     text = canonical_json(spectral.table_to_dict(table))
     if args.output:
         Path(args.output).write_text(text)
@@ -222,8 +227,8 @@ def cmd_pdt(args) -> int:
 
     tree = pdt.ParityDecisionTree.from_dict(spectral.read_json(args.tree))
     if args.pdt_command == "verify":
-        label, table = runner.resolve_function(function_entry(args.function), Path("."), args.max_n)
-        ok = pdt.verify_tree(tree, table)
+        label, spec = runner.check_function(function_entry(args.function), args.max_n)
+        ok = pdt.verify_tree(tree, runner.load_table(label, spec, Path("."), args.max_n))
         _emit(
             args,
             {"tree": args.tree, "function": label, "verified": ok},

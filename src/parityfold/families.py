@@ -12,8 +12,16 @@ Variable layout conventions (fixed for file interop):
 A corpus entry's params, and a junta's inner entry, are read once, by
 `read_function` through `spectral.read_keys` (the one reader of a JSON
 object's keys) against the family table, into a FunctionSpec whose
-parsed values `build_function` builds from; the refusals here are
-InvalidFamilyParameterErrors.
+parsed values `build_function` builds from.  Each family's n function in
+`FAMILIES` is its one check: it makes every check that needs no table,
+before any table is built, and the public generator calls the same
+function rather than a copy of it.  Only the table cap, 2^n entries
+against MAX_TABLE_DIMENSION, waits for the generator (`_size`), so that a
+config's smaller max_n speaks first; for the same reason the mask checks
+of parity, conjunction and junta, whose words name gf2's wider cap on n,
+run only where n is within the table cap.  The refusals here are
+InvalidFamilyParameterErrors, and gf2's DimensionMismatchErrors for a
+mask that does not fit.
 """
 
 from __future__ import annotations
@@ -39,12 +47,18 @@ def _check_addressing_k(k: int) -> tuple[int, int]:
     return addr_bits, sqrt_k
 
 
+def _dimension(n: int, what: str, cap: float = math.inf) -> int:
+    """n, once it lies in [0, cap]; the refusal names the table cap, which
+    the n functions leave to max_n and `_size`."""
+    if not 0 <= n <= cap:
+        raise InvalidFamilyParameterError(f"{what}: n = {n} outside [0, {MAX_TABLE_DIMENSION}]")
+    return n
+
+
 def _size(n: int, what: str) -> int:
     """2^n, the entries of a table on n variables, once n is within the
     table cap."""
-    if not 0 <= n <= MAX_TABLE_DIMENSION:  # before 2^n entries are made
-        raise InvalidFamilyParameterError(f"{what}: n = {n} outside [0, {MAX_TABLE_DIMENSION}]")
-    return 1 << n
+    return 1 << _dimension(n, what, MAX_TABLE_DIMENSION)  # before 2^n entries are made
 
 
 def addressing_support(k: int) -> tuple[tuple[int, ...], int]:
@@ -98,24 +112,20 @@ def gen_modified_addressing(k: int) -> TruthTable:
 
 def gen_inner_product(m: int) -> TruthTable:
     """Bent function on 2m variables: sign of sum of products of bit pairs."""
-    if m < 1:
-        raise InvalidFamilyParameterError(f"m must be >= 1, got {m}")
-    n = 2 * m
+    n = _inner_product_dimension(m)
     idx = np.arange(_size(n, f"inner-product m={m}"), dtype=np.uint32)
     # bit 2i of x & x >> 1 is the product of bits 2i and 2i + 1
     return TruthTable._of_signs(n, _signs(np.bitwise_count(idx & (idx >> 1) & 0x55555555) & 1))
 
 
 def gen_parity(mask: int, n: int) -> TruthTable:
-    check_vector(mask, n)
-    idx = np.arange(_size(n, "parity"), dtype=np.uint32)
+    idx = np.arange(_size(_mask_dimension(mask, n), "parity"), dtype=np.uint32)
     return TruthTable._of_signs(n, _signs(np.bitwise_count(idx & mask) & 1))
 
 
 def gen_conjunction(mask: int, n: int) -> TruthTable:
     """-1 exactly where all variables in mask are set."""
-    check_vector(mask, n)
-    idx = np.arange(_size(n, "conjunction"), dtype=np.uint32)
+    idx = np.arange(_size(_mask_dimension(mask, n), "conjunction"), dtype=np.uint32)
     return TruthTable._of_signs(n, _signs((idx & mask) == mask))
 
 
@@ -125,13 +135,7 @@ def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
     The masks must be one per inner variable and linearly independent, so
     the sparsity of the result equals the inner sparsity.
     """
-    if len(masks) != inner.n:
-        raise InvalidFamilyParameterError(
-            f"need {inner.n} embedding masks, got {len(masks)}"
-        )
-    if row_reduce(masks, n).rank != len(masks):
-        raise InvalidFamilyParameterError("embedding masks must be linearly independent")
-    idx = np.arange(_size(n, "junta"), dtype=np.uint32)
+    idx = np.arange(_size(_junta_dimension(inner, masks, n), "junta"), dtype=np.uint32)
     inner_index = np.zeros(len(idx), dtype=np.intp)
     for i, mask in enumerate(masks):
         inner_index |= (np.bitwise_count(idx & mask) & 1).astype(np.intp) << i
@@ -139,7 +143,7 @@ def gen_junta(inner: TruthTable, masks: Sequence[int], n: int) -> TruthTable:
 
 
 def gen_random(n: int, seed: int) -> TruthTable:
-    size = _size(n, "random")
+    size = _size(_random_dimension(n, seed), "random")
     rng = np.random.default_rng(seed)
     return TruthTable._of_signs(n, _signs(rng.integers(0, 2, size=size, dtype=np.int64)))
 
@@ -158,13 +162,31 @@ def _inner(value, what: str) -> FunctionSpec:
     return read_function(*read_keys(what, value, {"family": (object, REQUIRED), "params": (dict, REQUIRED)}).values())
 
 
-def _junta_dimension(inner: FunctionSpec, masks: list[int], n: int) -> int:
-    # before the inner table is built: at most n independent masks, one
-    # per inner variable
+# the n functions: each takes a family's params by name, as its generator
+# does, and returns the n of its table after every check that needs no table
+
+
+def _inner_product_dimension(m: int) -> int:
+    if m < 1:
+        raise InvalidFamilyParameterError(f"m must be >= 1, got {m}")
+    return 2 * m
+
+
+def _mask_dimension(mask: int, n: int) -> int:
+    if n <= MAX_TABLE_DIMENSION:  # above it, max_n or `_size` refuses n first
+        check_vector(mask, n)
+    return n
+
+
+def _junta_dimension(inner: FunctionSpec | TruthTable, masks: Sequence[int], n: int) -> int:
+    # before the inner table is built: one mask per inner variable, and
+    # the masks independent in n
     if len(masks) > n:
         raise InvalidFamilyParameterError(f"{len(masks)} masks cannot be independent in n = {n}")
     if inner.n != len(masks):
         raise InvalidFamilyParameterError(f"need {inner.n} embedding masks, got {len(masks)}")
+    if n <= MAX_TABLE_DIMENSION and row_reduce(masks, n).rank != len(masks):  # as in _mask_dimension
+        raise InvalidFamilyParameterError("embedding masks must be linearly independent")
     return n
 
 
@@ -172,21 +194,20 @@ def _random_dimension(n: int, seed: int) -> int:
     # numpy's generator refuses a negative seed only as the table is drawn
     if seed < 0:
         raise InvalidFamilyParameterError(f"random: seed must be >= 0, got {seed}")
-    return n
+    return _dimension(n, "random")
 
 
 INT = (json_int, REQUIRED)  # a family's integer param
 
-# family -> (generator, {param: (parser, REQUIRED)}, the n of its table),
-# the params read by `read_keys`.  The generator and the n function take
-# the parsed params by name, and the n function makes every check that
-# needs no table, so it runs before the generator.
+# family -> (generator, {param: (parser, REQUIRED)}, its n function), the
+# params read by `read_keys`.  The n function is the family's one check; it
+# runs as the entry is read, and the generator runs it again.
 FAMILIES = {
     "addressing": (gen_addressing, {"k": INT}, lambda k: sum(_check_addressing_k(k))),
     "modified-addressing": (gen_modified_addressing, {"k": INT}, lambda k: 2 + sum(_check_addressing_k(k))),
-    "inner-product": (gen_inner_product, {"m": INT}, lambda m: 2 * m),
-    "parity": (gen_parity, {"mask": INT, "n": INT}, lambda mask, n: n),
-    "conjunction": (gen_conjunction, {"mask": INT, "n": INT}, lambda mask, n: n),
+    "inner-product": (gen_inner_product, {"m": INT}, _inner_product_dimension),
+    "parity": (gen_parity, {"mask": INT, "n": INT}, _mask_dimension),
+    "conjunction": (gen_conjunction, {"mask": INT, "n": INT}, _mask_dimension),
     "junta": (lambda inner, masks, n: gen_junta(build_function(inner), masks, n), {
         "inner": (_inner, REQUIRED),
         "masks": (lambda value, what: [json_int(mask, "mask") for mask in json_of(value, list, what)], REQUIRED),

@@ -65,7 +65,6 @@ is written by one ``map`` and ``join``, with no Python step per item.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -111,10 +110,8 @@ def parse_max_n(value, what: str = "max_n") -> int:
 def load_config(path: str | Path) -> dict:
     try:
         config = read_json(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    except ValueError as exc:  # read_json's refusals name the file
+        raise ConfigError(str(exc)) from None
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config
@@ -125,9 +122,12 @@ def check_function(entry: dict, max_n: int, ops: list | tuple = ()) -> tuple[str
     table: {"path": file} (spec None, the label its path), a support entry
     (spec the `FourierSupport`, see `_read_support`), or {"family": name,
     **params} (spec as `families.read_function` read it, its n at most
-    max_n).  An entry without a family or a support is a path entry.  A
-    support entry under an analysis of ops, (op, values) pairs, that reads
-    more than the masks is refused."""
+    max_n).  A family's n function in `families.FAMILIES` is its one check,
+    and `read_function` runs it here, so every family check comes before
+    any table is built; `load_table` builds the table.  An entry without a
+    family or a support is a path entry.  A support entry under an
+    analysis of ops, (op, values) pairs, that reads more than the masks is
+    refused."""
     try:
         if "path" in json_of(entry, dict, "function entry") or not entry.keys() & {"family", "support"}:
             return read_keys("path entry", entry, {"path": (str, REQUIRED)})["path"], None
@@ -166,27 +166,22 @@ def _read_support(entry: dict) -> tuple[str, FourierSupport]:
     return f"counterexample(n={n})", spectral.support_from_dict({"support": list(folding.counterexample_support(n)), "n": n})
 
 
-def resolve_function(entry: dict, base_dir: Path, max_n: int) -> tuple[str, TruthTable]:
-    """(label, truth table) of a corpus entry, checked by check_function
-    first; a support entry has no table, and is refused."""
-    label, spec = check_function(entry, max_n)
-    if isinstance(spec, FourierSupport):
-        raise ConfigError(f"{label}: a support entry has no truth table")
-    return label, _table(label, spec, base_dir, max_n)
-
-
 def op_input(label: str, spec: FunctionSpec | FourierSupport | None, base_dir: Path, max_n: int):
     """(table, spectrum) that an op reads of an entry check_function
     checked, (label, spec): a support entry has no table, and its support
     stands in for the spectrum."""
     if isinstance(spec, FourierSupport):
         return None, spec
-    table = _table(label, spec, base_dir, max_n)
+    table = load_table(label, spec, base_dir, max_n)
     return table, spectral.wht(table)
 
 
-def _table(label: str, spec: FunctionSpec | None, base_dir: Path, max_n: int) -> TruthTable:
-    """The truth table of a checked entry; spectrum files are inverted to tables."""
+def load_table(label: str, spec: FunctionSpec | FourierSupport | None, base_dir: Path, max_n: int) -> TruthTable:
+    """The truth table of an entry check_function checked, (label, spec);
+    spectrum files are inverted to tables, and a support entry, which has
+    no table, is refused."""
+    if isinstance(spec, FourierSupport):
+        raise ConfigError(f"{label}: a support entry has no truth table")
     loaded = load_function(base_dir / label) if spec is None else build_function(spec)
     if loaded.n > max_n:
         raise ConfigError(f"{label}: n = {loaded.n} exceeds max_n = {max_n}")

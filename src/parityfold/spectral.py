@@ -39,7 +39,8 @@ parseval`) never compiles the pair kernel.
 readers take integers only as JSON integers (`json_int`): a bool or a
 float is an error, never a truncated int.  `read_json`, the reader of
 every input file (configs with their function and support entries,
-table, spectrum and tree files, `--restrict` systems), refuses a key
+table, spectrum and tree files, `--restrict` systems), names the file in
+each refusal, a syntax error by line and column, and refuses a key
 repeated in one object, which `json.loads` would otherwise settle
 silently by keeping the last value.
 
@@ -371,8 +372,10 @@ def read_keys(owner: str, given, declared: dict) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON value in a file; nesting too deep to parse, or a key
-    repeated in one object, is a ValueError."""
+    """The JSON value in a file.  Every input file is read here, and this
+    is the one place that catches a JSON syntax error: it (by line and
+    column), nesting too deep to parse and a key repeated in one object
+    are each a ValueError that names the file."""
     text = Path(path).read_text()
 
     def unique(items: list) -> dict:
@@ -387,6 +390,8 @@ def read_json(path: str | Path):
 
     try:
         return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 

@@ -18,7 +18,7 @@ from parityfold.families import (
     gen_random,
     read_function,
 )
-from parityfold.gf2 import row_reduce
+from parityfold.gf2 import DimensionMismatchError, row_reduce
 from parityfold.spectral import TruthTable, is_plateaued, verify_parseval, verify_titsworth, wht
 
 
@@ -319,3 +319,54 @@ def test_a_negative_random_seed_is_refused_before_any_table_is_built(tmp_path, m
         assert main(argv) == USAGE_ERROR
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+
+JUNTA_INNER = {"family": "random", "params": {"n": 2, "seed": 0}}
+
+# entries that were refused only as their own table was built, after the
+# config's earlier functions: each with its refusal, the generator call that
+# refuses it in the same words, and its command-line form (a junta has none)
+TABLE_FREE_REFUSALS = {
+    "random-negative-n": ({"family": "random", "n": -3, "seed": 1}, InvalidFamilyParameterError,
+                          "random: n = -3 outside [0, 20]", lambda: gen_random(-3, 1), "random:n=-3,seed=1"),
+    "parity-mask-beyond-n": ({"family": "parity", "mask": 8, "n": 3}, DimensionMismatchError,
+                             "mask 0x8 does not fit in 3 bits", lambda: gen_parity(8, 3), "parity:mask=8,n=3"),
+    "conjunction-negative-n": ({"family": "conjunction", "mask": 1, "n": -1}, DimensionMismatchError,
+                               "dimension -1 outside [0, 24]", lambda: gen_conjunction(1, -1), "conjunction:mask=1,n=-1"),
+    "inner-product-m-0": ({"family": "inner-product", "m": 0}, InvalidFamilyParameterError,
+                          "m must be >= 1, got 0", lambda: gen_inner_product(0), "inner-product:m=0"),
+    "junta-dependent-masks": ({"family": "junta", "inner": JUNTA_INNER, "masks": [1, 1], "n": 4},
+                              InvalidFamilyParameterError, "embedding masks must be linearly independent",
+                              lambda: gen_junta(gen_random(2, 0), [1, 1], 4), None),
+    "junta-mask-beyond-n": ({"family": "junta", "inner": JUNTA_INNER, "masks": [1, 32], "n": 4},
+                            DimensionMismatchError, "mask 0x20 does not fit in 4 bits",
+                            lambda: gen_junta(gen_random(2, 0), [1, 32], 4), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_FREE_REFUSALS))
+def test_every_family_check_comes_before_any_table_is_built(monkeypatch, capsys, case):
+    # the n function of each family in FAMILIES is its one check, and the
+    # generator runs the same function
+    from parityfold.cli import USAGE_ERROR, main
+
+    entry, error, message, generate, expression = TABLE_FREE_REFUSALS[case]
+    built, build = [], runner.build_function
+    monkeypatch.setattr(runner, "build_function", lambda spec: built.append(spec.family) or build(spec))
+    config = {"functions": [{"family": "addressing", "k": 16}, entry], "analyses": [{"op": "analyze"}]}
+    with pytest.raises(ValueError) as refused:
+        runner.run_experiment(config)
+    assert (type(refused.value), str(refused.value), built) == (error, message, [])
+    with pytest.raises(ValueError) as generated:
+        generate()
+    assert (type(generated.value), str(generated.value)) == (error, message)
+    if expression:
+        assert main(["analyze", expression]) == USAGE_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert built == []
+
+
+def test_gen_random_refuses_a_negative_seed_as_its_n_function_does():
+    # numpy refused it too, in words that name no key
+    with pytest.raises(InvalidFamilyParameterError, match="^random: seed must be >= 0, got -1$"):
+        gen_random(3, -1)

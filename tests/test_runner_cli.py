@@ -1201,3 +1201,72 @@ def test_cli_never_tracebacks_on_any_json_value(tmp_path_factory, command, value
     code, err = run_on_file(FILE_COMMANDS[command], path)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def json_syntax_error(text):
+    """`read_json`'s words for a JSON syntax error in text, after the path."""
+    with pytest.raises(json.JSONDecodeError) as raised:
+        json.loads(text)
+    return f"line {raised.value.lineno} column {raised.value.colno}: {raised.value.msg}"
+
+
+# a truncated file of each kind that a command reads: (its text, the
+# command, with FILE for the file's path)
+TRUNCATED_FILES = {
+    "truth-table": ('{"n": 1, "values": [1, -1', ["analyze", "FILE"]),
+    "spectrum": ('{"n": 1, "coeffs": [{"mask": 1, "num": 2}', ["analyze", "FILE"]),
+    "tree": ('{"n": 1, "root": {"leaf": 1}', ["pdt", "depth", "FILE"]),
+    "restrict": ('[{"mask": 3, "bit": 1}', ["analyze", "addressing:k=16", "--restrict", "FILE"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRUNCATED_FILES))
+def test_a_json_syntax_error_names_its_file(tmp_path, capsys, kind):
+    text, argv = TRUNCATED_FILES[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == USAGE_ERROR
+    assert capsys.readouterr() == ("", f"error: {path}: {json_syntax_error(text)}\n")
+
+
+def test_a_json_syntax_error_in_a_path_entry_names_its_file(tmp_path, capsys):
+    text = TRUNCATED_FILES["truth-table"][0]
+    (tmp_path / "table.json").write_text(text)
+    config = make_config(tmp_path, {"functions": [{"path": "table.json"}], "analyses": [{"op": "analyze"}]})
+    assert main(["experiment", str(config)]) == USAGE_ERROR
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'table.json'}: {json_syntax_error(text)}\n")
+
+
+def test_a_config_syntax_error_keeps_its_words(tmp_path, capsys):
+    text = '{"functions": [{"family": "addressing", "k": 16}'
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    message = f"{path}: {json_syntax_error(text)}"
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert str(refused.value) == message
+    assert main(["experiment", str(path)]) == USAGE_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, item, source", [
+    (["analyze", "addressing:k=abc"], "k=abc", "addressing:k=abc"),
+    (["gen", "random", "n=x"], "n=x", "gen random"),
+    (["gen", "junta", "masks=1,x", "n=2"], "masks=1,x", "gen junta"),
+])
+def test_a_family_parameter_that_is_not_an_integer_is_a_usage_error(monkeypatch, capsys, argv, item, source):
+    monkeypatch.setattr(runner, "build_function", lambda spec: pytest.fail("a function was built"))
+    assert main(argv) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: bad parameter {item!r} in {source!r}; ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "addressing", "k=4", "--inner", "nonexistent.json"],
+    ["gen", "random", "n=3", "--inner", "nonexistent.json"],
+    ["gen", "junta", "masks=1", "n=1"],
+])
+def test_gen_takes_inner_with_junta_alone(monkeypatch, capsys, argv):
+    monkeypatch.setattr(runner, "build_function", lambda spec: pytest.fail("a function was built"))
+    assert main(argv) == USAGE_ERROR
+    assert capsys.readouterr() == ("", "error: gen junta requires --inner FILE, and no other family reads it\n")

@@ -76,7 +76,7 @@ def test_every_analysis_is_masks_only_or_refused_on_a_support():
 @given(n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_masks_only_analyses_read_a_support_as_they_read_its_function(n, seed):
     function = {"family": "random", "n": n, "seed": seed}
-    support = {"support": spectral.wht(runner.resolve_function(function, None, n)[1]).masks.tolist(), "n": n}
+    support = {"support": spectral.wht(runner.load_table(*runner.check_function(function, n), None, n)).masks.tolist(), "n": n}
     for analysis in MASKS_ONLY:
         assert outcome(support, analysis) == outcome(function, analysis), analysis
 
