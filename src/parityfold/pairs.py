@@ -13,9 +13,10 @@ Per-direction sums take one of two routes, chosen by `dense_route` alone:
 - Blocks: `pair_blocks`, the one sparse pair listing, in blocks of whole
   rows of at most BLOCK_ENTRIES = 2^16 pairs.  A sum sorts all of a call's
   pair keys once, O(k^2 log k) numpy work, nothing sized 2^n.
-- Dense: XOR autocorrelations on (2^n, columns) int64 tables, where n is
+- Dense: XOR autocorrelations of int64 columns of 2^n cells, where n is
   the bit length of the largest mask, O(n 2^n) work, through
-  `spectral.fwht_inplace`, the library's one WHT.  Over ordered pairs
+  `spectral.fwht_inplace`, the library's one WHT, one contiguous column
+  at a time (the rows of one (columns, 2^n) table).  Over ordered pairs
   sum_{a^b=g} w_a w_b = WHT(WHT(w)^2)[g] / 2^n; it is halved for
   unordered pairs and g = 0 (the diagonal) is dropped.  It runs when
   n 2^n < k^2 / 2.
@@ -83,11 +84,16 @@ def _dense_bits(masks: np.ndarray, bound: int) -> int | None:
     return n if dense_route(n, len(masks)) and bound << n < 1 << 63 else None
 
 
-def _table(n: int, *columns: tuple[np.ndarray, np.ndarray | int]) -> np.ndarray:
-    """A (2^n, len(columns)) int64 table; column j holds values at rows."""
-    table = np.zeros((1 << n, len(columns)), dtype=np.int64)
-    for j, (rows, values) in enumerate(columns):
-        table[rows, j] = values
+def _transforms(n: int, *columns: tuple[np.ndarray, np.ndarray | int]) -> np.ndarray:
+    """The WHTs of int64 columns of 2^n cells, column j holding values at
+    rows, as the rows of one (len(columns), 2^n) table.  Each is
+    transformed alone: a column of more than RADIX_ROWS cells takes
+    constant-geometry passes whose inner loops run down the column, where
+    a (2^n, 2) table's would be two cells long."""
+    table = np.zeros((len(columns), 1 << n), dtype=np.int64)
+    for column, (rows, values) in zip(table, columns):
+        column[rows] = values
+        fwht_inplace(column)
     return table
 
 
@@ -159,13 +165,13 @@ def direction_sums(
     w, total = (None, k) if weights is None else _weights(weights)
     n = _dense_bits(masks, max(k, total))
     if n is not None:
-        table = _table(n, (masks, 1)) if w is None else _table(n, (masks, 1), (masks, w))
-        fwht_inplace(table)
+        table = _transforms(n, (masks, 1)) if w is None else _transforms(n, (masks, 1), (masks, w))
         table *= table
-        fwht_inplace(table)
+        for column in table:
+            fwht_inplace(column)
         table >>= n + 1  # ordered pairs to unordered; both divisions are exact
-        directions = np.flatnonzero(table[1:, 0]) + 1
-        return directions, table[directions, -1]
+        directions = np.flatnonzero(table[0, 1:]) + 1
+        return directions, table[-1, directions]
     # every pair's direction, written block by block into one array: int32
     # unless a mask has 32 bits or more (a spectrum's have at most 24);
     # weighted, int64 and packed with the pair's position, as _sum_by takes it
@@ -237,9 +243,8 @@ def heavy_partners(
     # counts are the XOR convolution of the support's and the heavy
     # directions' indicators, read at the support; partial sums stay within
     # 2^n * max(k, directions) by Cauchy-Schwarz and Parseval
-    table = _table(n, (masks, 1), (directions[heavy], 1))
-    fwht_inplace(table)
-    product = table[:, 0] * table[:, 1]
+    support, classes = _transforms(n, (masks, 1), (directions[heavy], 1))
+    product = support * classes
     fwht_inplace(product)
     counts = product[masks] >> n
     # smallest partners: sorted column chunks of doubling width (within

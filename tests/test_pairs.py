@@ -24,8 +24,9 @@ ROUTES = ["dense", "blocks", "chosen"]
 
 
 def butterfly_wht(arr):
-    """Oracle: the radix-2 butterfly, one level at a time, as the library
-    ran it before its radix-8 steps."""
+    """Oracle: the radix-2 butterfly, one level at a time and in place, as
+    the library ran it before its radix-8 steps and constant-geometry
+    passes; int64 arithmetic, so exact mod 2^64."""
     h = 1
     while h < len(arr):
         view = arr.reshape(len(arr) // (2 * h), 2, h, *arr.shape[1:])
@@ -49,8 +50,9 @@ def wrapped(values):
 
 @pytest.mark.parametrize("columns", [1, 2, 3, 8, 17, 600])
 def test_fwht_matches_a_python_int_oracle(columns):
-    # 600 columns is a wide (2^b, buckets) restriction table, all butterflies;
-    # full-range entries wrap, and the transform is exact mod 2^64
+    # 600 columns is a wide (2^b, buckets) restriction table, which takes
+    # no radix step: 0 to 7 constant-geometry passes; full-range entries
+    # wrap, and the transform is exact mod 2^64
     rng = np.random.default_rng(columns)
     for n in range(8):
         shape = (1 << n,) if columns == 1 else (1 << n, columns)
@@ -75,6 +77,40 @@ def test_fwht_matches_the_butterfly_on_boolean_tables(columns):
         spectral.fwht_inplace(got)
         butterfly_wht(expected)
         assert np.array_equal(got, expected), n
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 65])
+def test_fwht_matches_the_butterfly_mod_2_64_on_tall_tables(columns):
+    # 2^11 to 2^14 rows, above the Python-int oracle's n < 8: one column
+    # takes constant-geometry passes from its first level, 2 and 3 columns
+    # radix steps first and 65 columns none; full-range entries wrap, and
+    # both sides are exact mod 2^64
+    rng = np.random.default_rng(columns)
+    for n in range(11, 15):
+        shape = (1 << n,) if columns == 1 else (1 << n, columns)
+        values = rng.integers(-(2**63), 2**63, size=shape, dtype=np.int64)
+        got, expected = values.copy(), values.copy()
+        spectral.fwht_inplace(got)
+        butterfly_wht(expected)
+        assert np.array_equal(got, expected), n
+
+
+@pytest.mark.parametrize("shape, passes", [
+    ((1 << 11,), 11), ((1 << 12,), 12),  # one column: passes only
+    ((1 << 11, 2), 5), ((1 << 12, 2), 6),  # six levels of radix steps first
+    ((2, 600), 1), ((4, 600), 2),  # a wide restriction table
+])
+def test_fwht_leaves_the_result_in_the_callers_array(shape, passes):
+    # after an odd number of passes the result is in the scratch buffer and
+    # is copied back, after an even one it ends in place.  The table is a
+    # row of a larger array, as the pair kernel passes its columns; the
+    # rows beside it keep their values
+    rng = np.random.default_rng(passes)
+    outer = rng.integers(-(2**40), 2**40, size=(3, *shape), dtype=np.int64)
+    expected = outer.copy()
+    butterfly_wht(expected[1])
+    assert spectral.fwht_inplace(outer[1]) is None
+    assert np.array_equal(outer, expected)
 
 
 def test_fwht_is_exact_when_partial_sums_wrap():

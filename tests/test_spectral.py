@@ -92,9 +92,40 @@ def test_wht_matches_naive_oracle(n, seed):
 
 @given(st.integers(0, 10), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
+# above RADIX_ROWS rows, an odd and an even number of constant-geometry
+# passes in int32 forward and in int64 back
+@example(11, 1)
+@example(12, 2)
+@example(13, 3)
+@example(14, 4)
 def test_roundtrip(n, seed):
     t = random_table(n, seed)
     assert inverse_wht(wht(t)) == t
+
+
+@pytest.mark.parametrize("kind", ["constant", "negated character", "random"])
+def test_wht_in_int32_equals_the_int64_transform_at_the_table_cap(kind):
+    # wht transforms its +-1 table in int32, exact because every partial
+    # sum is within 2^n <= 2^20, and returns int64 coefficients, which
+    # reach +-2^20 on a constant and on a character
+    n, mask = MAX_TABLE_DIMENSION, 1 << 19 | 0b1011
+    x = np.arange(1 << n)
+    values = {
+        "constant": np.ones(1 << n, dtype=np.int8),
+        "negated character": np.where(np.bitwise_count(x & mask) & 1, 1, -1),
+        "random": random_table(n, 20).values,
+    }[kind]
+    t = TruthTable(n, values)
+    s = wht(t)
+    arr = t.values.astype(np.int64)
+    fwht_inplace(arr)
+    assert s.coefficients.dtype == np.int64
+    assert np.array_equal(s.masks, np.flatnonzero(arr))
+    assert np.array_equal(s.coefficients, arr[s.masks])
+    if kind == "constant":
+        assert dict(s.coeffs) == {0: 1 << n}
+    if kind == "negated character":
+        assert dict(s.coeffs) == {mask: -(1 << n)}
 
 
 def test_inverse_wht_rejects_non_boolean():
