@@ -1,18 +1,22 @@
 """The tree builder: `build_pdt` and its records, `NodeRecord` and
 `BuildResult`.
 
-`build_pdt` grows a `pdt.ParityDecisionTree` from frontiers of restricted
-spectra, whose characters are coset labels reduced against every query
-above, so paths are irredundant and depth <= n.  The deterministic
-strategies take a level per step: one set of kernel calls picks every
-batch and one `restrict_frontier` call, as wide as the widest batch,
-makes every child.  The sampling strategies take nodes one by one, depth
-first, so the generator draws follow the tree: each resample attempt
-draws with `pdt._draw` and folds with `pdt._fold_unions`, and the kept
-batch labels its node's support through `pdt._batch_labels`.  Ids, log
-order and arrays come from tree positions at the end.  |c_a| > 2^n is
-refused up front (no +-1 function has it), so restriction stays within
-k * 2^n <= 2^48.
+`build_pdt` grows a `pdt.ParityDecisionTree` from frontiers of
+restricted spectra, whose characters are coset labels reduced against
+every query above, so paths are irredundant and depth <= n.  The
+deterministic strategies take a level per step: one set of kernel calls
+picks every batch and one `restrict_frontier` call, as wide as the
+widest batch, makes every child.  The sampling strategies take nodes one
+by one, depth first, so the generator draws follow the tree: each
+resample attempt draws with `pdt._draw` and folds with
+`pdt._fold_unions`, and the kept batch labels its node's support through
+`pdt._batch_labels`.  A frontier's keys, node << 24 | label, are sorted
+once, by `_select_frontier`, and `restrict_frontier` takes them sorted:
+a deterministic frontier's last round sorts them to count its buckets,
+and a sampling node sorts its kept batch's labels.  Ids, log order and
+arrays come from tree positions at the end.  |c_a| > 2^n is refused up
+front (no +-1 function has it), so restriction stays within k * 2^n <=
+2^48.
 
 This module imports the pair kernel (`pairs`), whose `top_directions`
 and `_distinct` pick greedy batches, and `build_pdt` imports
@@ -106,16 +110,20 @@ def _heaviest_pair_directions(
 
 def _select_frontier(
     masks: np.ndarray, coeffs: np.ndarray, bounds: np.ndarray, config: BuildConfig, rng, n: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Batches for a frontier, node i with the sorted distinct masks
-    masks[bounds[i]:bounds[i + 1]], two or more: each mask's label and tag
-    against its batch (batch[0] on the tag's top bit), and per node (batch,
-    bucket_count, resamples, target_met, probabilities, clamped).  Sampling
-    takes one node, drawing until the span buckets it to (1 - epsilon) k,
-    else keeping the best strictly-progressing batch at the cap.  The
-    deterministic strategies fold a direction per node and round, in one set
-    of kernel calls: max-coefficient once, greedy-min-bucket (the largest
-    label-pair class, covering every single-query merge) to the target."""
+    masks[bounds[i]:bounds[i + 1]], two or more: each mask's key node << 24
+    | label and tag against its node's batch (batch[0] on the tag's top
+    bit), the sorted distinct keys, which `restriction.restrict_frontier`
+    takes as its buckets, and per node (batch, bucket_count, resamples,
+    target_met, probabilities, clamped).  Sampling takes one node, drawing
+    until the span buckets it to (1 - epsilon) k, else keeping the best
+    strictly-progressing batch at the cap, and sorts its kept batch's
+    labels once.  The deterministic strategies fold a direction per node
+    and round, in one set of kernel calls: max-coefficient once,
+    greedy-min-bucket (the largest label-pair class, covering every
+    single-query merge) to the target.  Each round sorts the frontier's
+    keys to count its buckets, so the last round's are the buckets."""
     if config.strategy in SAMPLING:
         k, best, met = len(masks), None, False
         requested, probs = _schedule_probabilities(config.strategy, k, config)
@@ -131,16 +139,18 @@ def _select_frontier(
         if not met and (best is None or best[1] > k - 1):
             raise ResampleCapExceededError(config.resample_cap, best and best[0], best and best[1])
         picked = (*best, attempt, met, probs, requested != probs)
-        return (*_batch_labels(masks, best[0], n), [picked])
+        label, tag = _batch_labels(masks, best[0], n)  # one node, node 0: its keys are its labels
+        return label, _distinct(label), tag, [picked]
     sizes = bounds[1:] - bounds[:-1]
     seg = dseg = np.arange(len(sizes)).repeat(sizes)
-    # a node stops at a bucket count <= (1 - epsilon) k, in integers
+    # a node stops at a bucket count <= (1 - epsilon) k, in Python integers
     eps = config.epsilon
-    limit = np.array([(eps.denominator - eps.numerator) * k // eps.denominator for k in sizes.tolist()])
+    limit = ((eps.denominator - eps.numerator) * sizes.astype(object) // eps.denominator).astype(np.int64)
     stop = np.maximum(limit, 1)
     greedy = config.strategy == "greedy-min-bucket"
     label, tag = masks.copy(), np.zeros_like(masks)
     counts, distinct, rounds = sizes, masks, []
+    # every node starts above its stop (k >= 2 > limit), so one round always runs
     while np.count_nonzero(active := counts > stop) and (greedy or not rounds):
         if not greedy:
             step = _heaviest_pair_directions(masks, np.abs(coeffs), seg, bounds[:-1])
@@ -150,12 +160,13 @@ def _select_frontier(
         row = step[seg]
         tag = tag << (row != 0) | label_step(label, row)
         rounds.append(step)
-        keys = _distinct(seg << MAX_DIMENSION | label)
-        dseg, distinct = keys >> MAX_DIMENSION, keys & (1 << MAX_DIMENSION) - 1
+        keys = seg << MAX_DIMENSION | label
+        buckets = _distinct(keys)
+        dseg, distinct = buckets >> MAX_DIMENSION, buckets & (1 << MAX_DIMENSION) - 1
         counts = np.bincount(dseg, minlength=len(sizes))
     batches = [tuple(g for g in row if g) for row in np.array(rounds).T.tolist()]
     met = (counts <= limit).tolist()
-    return label, tag, [(b, c, 1, m, (), False) for b, c, m in zip(batches, counts.tolist(), met)]
+    return keys, buckets, tag, [(b, c, 1, m, (), False) for b, c, m in zip(batches, counts.tolist(), met)]
 
 
 _PATH = (1 << MAX_DIMENSION) - 1  # a tree position is depth << MAX_DIMENSION | path
@@ -212,12 +223,12 @@ def build_pdt(
             i = int(np.argmax(sizes < 2))
             what = f"sparsity-1 spectrum with |c| = {abs(int(coeffs[bounds[i]]))} != 2^n" if sizes[i] else "no support"
             raise DegenerateInputError(f"{what}; input is not a +-1 function")
-        label, tag, picked = _select_frontier(masks, coeffs, bounds, config, rng, n)
+        keys, buckets, tag, picked = _select_frontier(masks, coeffs, bounds, config, rng, n)
         # one table as wide as the widest batch: a node of b queries has tags
         # below 2^b, so its children j >= 2^b repeat child j mod 2^b and are dropped
         b = np.array([len(p[0]) for p in picked], dtype=np.int64)
-        wide, seg = int(b.max()), np.arange(len(sizes)).repeat(sizes)
-        j, node, masks, coeffs = restriction.restrict_frontier(seg, label, tag, coeffs, wide)
+        wide = int(b.max())
+        j, node, masks, coeffs = restriction.restrict_frontier(keys, buckets, tag, coeffs, wide)
         counts = np.bincount(j * len(here) + node, minlength=len(here) << wide).reshape(1 << wide, len(here))
         records.append((here, sizes.tolist(), picked, counts.max(axis=0).tolist()))
         live = np.arange(1 << wide)[:, None] < 1 << b  # [j, node]

@@ -188,31 +188,46 @@ def verify_tree(tree: ParityDecisionTree, table: TruthTable) -> bool:
     n is at most `spectral.MAX_TABLE_DIMENSION`.
 
     The inputs run down the arrays together, one pass per level: x at
-    internal node s moves to child[2s + <query[s], x>], and inputs that
-    reach a leaf are checked and dropped, so the numpy calls grow with the
-    depth, not the node count.  Chunks of _VERIFY_CHUNK inputs stay in cache.
+    node s moves to child[2s + <query[s], x>].  Leaves are absorbing
+    nodes, numbered after the internal ones, that ask mask 0 and lead back
+    to themselves, so a level is one take, parity, take chain over every
+    input.  A chunk's walk stops once every input sits on a leaf.  It
+    checks and drops the inputs on leaves only once at least half of
+    those it walks have arrived: a complete tree checks its inputs once,
+    at the bottom, and a deep decision list walks at most twice the
+    inputs still above a leaf.  Chunks of _VERIFY_CHUNK inputs stay in
+    cache.
     """
     if tree.n != table.n:
         raise ValueError(f"dimension mismatch: tree n={tree.n}, table n={table.n}")
     query, child, values = tree.query, tree.child, tree.values
     if len(query):  # a query outside n bits is a DimensionMismatchError
         check_vector(int(query.max()), tree.n)
+    # a state is 2s at node s, whose child slots are 2s and 2s + 1; leaf j
+    # is node inner + j, so the states from 2 * inner on are leaves
+    inner = len(query)
+    leaves = np.arange(inner, inner + len(values), dtype=np.int32)
+    query = np.concatenate((query, np.zeros(len(values), dtype=np.uint32))).repeat(2)
+    child = 2 * np.concatenate((np.where(child < 0, inner + ~child, child), leaves.repeat(2))).astype(np.int32)
+    value = np.concatenate((np.zeros(inner, dtype=np.int8), values)).repeat(2)
     size = 1 << table.n
     for lo in range(0, size, _VERIFY_CHUNK):
         x = np.arange(lo, min(lo + _VERIFY_CHUNK, size), dtype=np.uint32)
-        state = np.full(len(x), 0 if len(query) else ~0, dtype=np.int32)
+        state = np.zeros(len(x), dtype=np.int32)  # node 0: the root query, else leaf 0
         while True:
-            # index arrays and take: boolean-mask indexing is slower here
-            done = np.flatnonzero(state < 0)
-            if len(done):
-                if not np.array_equal(table.values.take(x.take(done)), values.take(~state.take(done))):
+            done = state >= 2 * inner
+            arrived = np.count_nonzero(done)
+            if 2 * arrived >= len(state):
+                if arrived < len(state):  # check the arrived, walk on with the rest
+                    at, inside = np.flatnonzero(done), np.flatnonzero(~done)
+                    if np.count_nonzero(table.values.take(x.take(at)) != value.take(state.take(at))):
+                        return False
+                    x, state = x.take(inside), state.take(inside)
+                elif np.count_nonzero(table.values.take(x) != value.take(state)):
                     return False
-                inside = np.flatnonzero(state >= 0)
-                x, state = x.take(inside), state.take(inside)
-                if not len(x):
+                else:
                     break
-            bits = np.bitwise_count(x & query.take(state)) & 1
-            state = child.take(2 * state + bits)
+            state = child.take(state + (np.bitwise_count(x & query.take(state)) & 1))
     return True
 
 

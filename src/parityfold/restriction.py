@@ -13,8 +13,11 @@ a mask's tag is its sign flip on H; sums are Python ints.
 `restrict_frontier` restricts many spectra, each to all 2^b subspaces of
 its batch, with one (2^b, buckets) table and one WHT along the tag axis
 (`spectral.fwht_inplace`); `restrict_batch` is its one-spectrum form.
-Its bucket keys come from `pairs._distinct`, so this module loads the
-pair kernel; the builder imports it only when a build runs.
+Its caller sorts the bucket keys, node << 24 | label, and it never
+sorts: a deterministic build hands over the keys its batch selection's
+last round sorted, and a sampling node and `restrict_batch` sort their
+own with `pairs._distinct`, so this module loads the pair kernel; the
+builder imports it only when a build runs.
 
 `bucket_complexity` partitions a support of k masks into the cosets of
 span(Gamma).  Its `BucketReport` carries h, the masks that share a
@@ -126,21 +129,26 @@ def restrict_batch(spectrum: FourierSpectrum, batch: tuple[int, ...]) -> list[Fo
     masks, coeffs = spectrum.masks, spectrum.coefficients
     if sum(map(abs, coeffs.tolist())) >= 1 << 63:
         raise ValueError("sum of |c_a| >= 2^63 would overflow the int64 restriction table")
-    # below that bound every c_a fits, so coeffs is an int64 array
-    child, _, label, coeff = restrict_frontier(np.zeros_like(masks), *labels(masks, echelon.rows), coeffs, len(batch))
+    # below that bound every c_a fits, so coeffs is an int64 array; one
+    # spectrum is node 0, so its keys are its labels
+    label, tag = labels(masks, echelon.rows)
+    child, _, label, coeff = restrict_frontier(label, _distinct(label), tag, coeffs, len(batch))
     bounds = child.searchsorted(np.arange((1 << len(batch)) + 1)).tolist()
     # each child's labels are sorted, below 2^n, and its coefficients nonzero
     return [FourierSpectrum._of_sorted(spectrum.n, label[lo:hi], coeff[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def restrict_frontier(
-    nodes: np.ndarray, label: np.ndarray, tag: np.ndarray, coeffs: np.ndarray, width: int
+    keys: np.ndarray, buckets: np.ndarray, tag: np.ndarray, coeffs: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Spectra restricted each to the 2^width subspaces of its own batch:
-    element e is c_a of spectrum nodes[e] with a's `gf2.labels` label and
-    tag, and child j is where tag bit i's parity is bit i of j.  A WHT along
-    the tag axis of cells [tag, (node, label)] is exact while each sum |c_a|
-    < 2^63.  Returns (j, node, label, c) of nonzero coefficients, sorted.
+    element e is c_a of spectrum `node`, keyed node << 24 | label by a's
+    `gf2.labels` label, with a's tag, and child j is where tag bit i's
+    parity is bit i of j.  ``buckets`` is the sorted distinct keys, which
+    the caller sorts (`pairs._distinct`) and this never does: it only
+    searches them.  A WHT along the tag axis of cells [tag, bucket] is
+    exact while each sum |c_a| < 2^63.  Returns (j, node, label, c) of
+    nonzero coefficients, sorted.
 
     A spectrum whose batch is narrower, with tags below 2^b for some b <
     width, gets its 2^b children repeated 2^(width - b) times (child j is
@@ -151,8 +159,6 @@ def restrict_frontier(
     table per width; greedy-min-bucket on random n = 12, 14 and 16 mixes
     only those, at 1.09-1.30 times overall and up to 1.99 times on one
     frontier."""
-    keys = nodes << MAX_DIMENSION | label
-    buckets = _distinct(keys)
     table = np.zeros((1 << width, len(buckets)), dtype=np.int64)
     table[tag, buckets.searchsorted(keys)] = coeffs  # one c_a per cell: label and tag give back a
     fwht_inplace(table)

@@ -60,14 +60,23 @@ items is one join, and open containers sit on an explicit stack, so the
 cost is linear in the output at any depth.  A container of at least
 ``SCALAR_RUN_MIN`` scalars of one exact type (a list or tuple, or a dict
 whose keys are all ``str``), such as a support list or a per-mask map,
-is written by one ``map`` and ``join``, with no Python step per item.
+is written by one ``map`` and ``join``, with no Python step per item.  A
+list of at least ``RECORD_RUN_MIN`` dicts that share one set of ``str``
+keys, each key's values scalars of one exact type or lists of them, such
+as a build's ``node_records``, is a record list: its keys are sorted once,
+each key's values are formatted as one column, and each record is one
+join.  A shorter list, such as a config's one-entry ``functions``, and
+any other list take the stack loop.  ``tree_summary`` builds each node
+record from ``builder.NodeRecord``'s fields, with no ``_asdict``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -337,7 +346,12 @@ def tree_summary(table: TruthTable, build) -> dict:
         "depth": build.depth(),
         "verified": pdt.verify_tree(build.tree, table),
         "node_records": [
-            {**r._asdict(), "batch": list(r.batch), "probabilities": list(r.probabilities), "batch_size": len(r.batch)}
+            {
+                "node_id": r.node_id, "depth": r.depth, "sparsity_before": r.sparsity_before, "batch": list(r.batch),
+                "bucket_count": r.bucket_count, "max_child_sparsity": r.max_child_sparsity, "resamples": r.resamples,
+                "target_met": r.target_met, "probabilities": list(r.probabilities), "clamped": r.clamped,
+                "batch_size": len(r.batch),
+            }
             for r in build.log
         ],
     }
@@ -556,6 +570,47 @@ def _scalar_run(value, indent: str) -> str | None:
     return "{" + inner + ("," + inner).join(map(": ".join, items)) + indent + "}"
 
 
+# a list of at least this many dicts that share one set of str keys, each
+# key's values scalars of one type or lists of scalars of one type, is
+# written a record per join
+RECORD_RUN_MIN = 4
+
+
+def _record_run(value, indent: str) -> str | None:
+    """JSON text of a list or tuple of dicts that share one set of str
+    keys, such as a build's node log, brackets included, its items one
+    indent step below ``indent``; None unless each key's values are all
+    scalars of one exact type in _SCALAR_TEXT, or all lists or tuples of
+    scalars of one such type.  The keys are sorted once, each key's values
+    are formatted as one column by one map, and each record is one join."""
+    if set(map(type, value)) != {dict}:
+        return None
+    keys = value[0].keys()
+    if not all(map(keys.__eq__, map(dict.keys, value))) or set(map(type, keys)) != {str}:
+        return None
+    names = sorted(keys)
+    rows = map(itemgetter(*names), value) if len(names) > 1 else zip(map(itemgetter(*names), value))
+    inner = indent + "  "  # a record's braces
+    field = inner + "  "  # its fields
+    entry = "," + field + "  "  # the items of a list value
+    columns = []
+    for name, column in zip(names, zip(*rows)):
+        nested = set(map(type, column)) <= {list, tuple}
+        cells = [cell for values in column for cell in values] if nested else column
+        types = set(map(type, cells))
+        # with no cells (every list empty) the format is never called
+        if len(types) > 1 or (fmt := _SCALAR_TEXT.get(types.pop()) if types else str) is None:
+            return None
+        head = encode_basestring_ascii(name) + ": "
+        if nested:
+            texts = map(fmt, cells)
+            columns.append([head + "[" + entry[1:] + entry.join(islice(texts, len(values))) + field + "]" if values else head + "[]" for values in column])
+        else:
+            columns.append(map(head.__add__, map(fmt, cells)))
+    records = (inner + "}," + inner + "{" + field).join(map(("," + field).join, zip(*columns)))
+    return "[" + inner + "{" + field + records + inner + "}" + indent + "]"
+
+
 def _key_prefix(key) -> str:
     """'"key": ' for a dict key, coerced to a string as json coerces it."""
     if isinstance(key, str):
@@ -579,7 +634,9 @@ def canonical_json(obj) -> str:
     items is one join, and text goes to ``out`` once, so the cost is
     linear in the output at any depth. A container of SCALAR_RUN_MIN or
     more scalars of one exact type, keyed by str if a dict, is one map and
-    join (`_scalar_run`), not a pass of the loop per item.
+    join (`_scalar_run`), not a pass of the loop per item, and a list of
+    RECORD_RUN_MIN or more dicts with one set of str keys and one type
+    per key is a join per record (`_record_run`).
     """
     out: list[str] = []
     open_ids: set[int] = set()
@@ -616,7 +673,11 @@ def canonical_json(obj) -> str:
             if not value:
                 parts.append(head + ("{}" if isinstance(value, dict) else "[]"))
                 continue
-            if len(value) >= SCALAR_RUN_MIN and (run := _scalar_run(value, inner)) is not None:
+            if not isinstance(value, dict) and type(value[0]) is dict:
+                run = _record_run(value, inner) if len(value) >= RECORD_RUN_MIN else None
+            else:
+                run = _scalar_run(value, inner) if len(value) >= SCALAR_RUN_MIN else None
+            if run is not None:
                 parts.append(head + run)
                 continue
         if parts:

@@ -302,9 +302,20 @@ def inverse_wht(spectrum: FourierSpectrum) -> TruthTable:
     return TruthTable(spectrum.n, (arr // full).astype(np.int8))
 
 
+def _abs_sum(coefficients: np.ndarray, power: int) -> int:
+    """sum |c_a|^power, power 1 or 2, exactly: in int64 when k max|c|^power
+    < 2^63, which bounds every partial sum and puts every c above -2^63,
+    where np.abs would wrap; in Python ints otherwise, as for an object
+    array of coefficients beyond int64."""
+    c = coefficients
+    if c.dtype != object and len(c) and len(c) * max(int(c.max()), -int(c.min())) ** power < 1 << 63:
+        return int((c * c if power == 2 else np.abs(c)).sum())
+    return sum(v * v for v in c.tolist()) if power == 2 else sum(map(abs, c.tolist()))
+
+
 def verify_parseval(spectrum: FourierSpectrum) -> bool:
     """sum c_a^2 == 4^n, the exact scaled form of sum fhat^2 = 1."""
-    return sum(c * c for c in spectrum.coefficients.tolist()) == 1 << (2 * spectrum.n)
+    return _abs_sum(spectrum.coefficients, 2) == 1 << (2 * spectrum.n)
 
 
 def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
@@ -324,12 +335,19 @@ def verify_titsworth(spectrum: FourierSpectrum) -> list[int]:
 
 
 def is_plateaued(spectrum: FourierSpectrum) -> bool:
-    return len(set(map(abs, spectrum.coefficients.tolist()))) <= 1
+    """Whether every |c_a| is one value: the largest and smallest c are
+    equal, or opposite with every c one of the two.  int64 arrays compare
+    with no abs, which would wrap at -2^63."""
+    c = spectrum.coefficients
+    if c.dtype == object or not len(c):
+        return len(set(map(abs, c.tolist()))) <= 1
+    top, bottom = int(c.max()), int(c.min())
+    return top == bottom or top == -bottom and not np.count_nonzero((c != top) & (c != bottom))
 
 
 def spectral_l1(spectrum: FourierSpectrum) -> Fraction:
     """Exact sum of |fhat(a)|; squares to at most the sparsity for +-1 functions."""
-    return Fraction(sum(map(abs, spectrum.coefficients.tolist())), 1 << spectrum.n)
+    return Fraction(_abs_sum(spectrum.coefficients, 1), 1 << spectrum.n)
 
 
 # ---------------------------------------------------------------------------

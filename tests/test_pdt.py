@@ -173,6 +173,112 @@ def test_verify_tree_deep_decision_list(n, depth):
     assert not verify_tree(tree, gen_parity(1 << (n - 1), n))
 
 
+def complete_tree(batch, table):
+    """The complete tree of depth n that asks batch[i] at level i, for a
+    batch of rank n, and the leaf values of the table: x's leaf lies where
+    the branch bits <batch[i], x> lead."""
+    n = len(batch)
+    leaves = [None] * (1 << n)
+    for x in range(1 << n):
+        leaves[sum(((g & x).bit_count() & 1) << i for i, g in enumerate(batch))] = leaf(int(table.values[x]))
+    level = leaves  # level i's nodes by their branch bits, bit j taken at level j
+    for i in reversed(range(n)):
+        level = [node(batch[i], level[path], level[path | 1 << i]) for path in range(1 << i)]
+    return tree_of(n, level[0])
+
+
+def agrees(tree, table):
+    return all(tree.evaluate(x) == table.values[x] for x in range(1 << tree.n))
+
+
+@given(st.integers(1, 7), st.data())
+@settings(max_examples=40, deadline=None)
+def test_verify_tree_matches_evaluate_on_complete_trees(n, data):
+    # a full-rank batch: the unit vectors, mixed by random row additions
+    batch = [1 << i for i in range(n)]
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)):
+        if i != j:
+            batch[i] ^= batch[j]
+    assert row_reduce(batch, n).rank == n
+    table = gen_random(n, data.draw(st.integers(0, 2**32)))
+    tree = complete_tree(batch, table)
+    assert tree.depth() == n and len(tree.values) == 1 << n
+    flip = data.draw(st.none() | st.integers(0, (1 << n) - 1))
+    if flip is not None:  # every leaf is on the last level
+        values = table.values.copy()
+        values[flip] = -values[flip]
+        table = TruthTable(n, values)
+    for chunk in (pdt._VERIFY_CHUNK, 3):
+        with mock.patch.object(pdt, "_VERIFY_CHUNK", chunk):
+            assert verify_tree(tree, table) == agrees(tree, table) == (flip is None)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_verify_tree_matches_evaluate_on_a_single_leaf(n):
+    for value in (1, -1):
+        tree = tree_of(n, leaf(value))
+        assert verify_tree(tree, TruthTable(n, np.full(1 << n, value))) and agrees(tree, TruthTable(n, np.full(1 << n, value)))
+        wrong = np.full(1 << n, value)
+        wrong[-1] = -value
+        assert not verify_tree(tree, TruthTable(n, wrong)) and not agrees(tree, TruthTable(n, wrong))
+
+
+def test_verify_tree_matches_evaluate_across_two_chunks():
+    # at n = 17 the inputs with x17 = 1 fill the second chunk, whose leaves
+    # lie two or three levels down, and the first chunk's at two
+    n, high = 17, 1 << 16
+    tree = tree_of(n, node(high, node(1, leaf(1), leaf(-1)), node(3, node(high | 2, leaf(-1), leaf(1)), leaf(1))))
+    values = np.array([tree.evaluate(x) for x in range(1 << n)], dtype=np.int8)
+    assert 2 * pdt._VERIFY_CHUNK == 1 << n
+    assert verify_tree(tree, TruthTable(n, values))
+    for x in (0, high - 1, high, (1 << n) - 4, (1 << n) - 1):  # x17 = 1, x1 = x2 = 0 runs three levels
+        wrong = values.copy()
+        wrong[x] = -wrong[x]
+        assert not verify_tree(tree, TruthTable(n, wrong))
+
+
+def test_verify_tree_keeps_early_arrivals_on_their_leaves():
+    # in chunks of 3 inputs some reach a leaf while fewer than half of their
+    # chunk have, and walk on with the rest: each stays on its own leaf,
+    # whose value differs from leaf 0's
+    tree = tree_of(4, node(
+        7,
+        node(5, leaf(1), node(2, node(1, leaf(-1), leaf(1)), leaf(-1))),
+        node(5, node(10, node(11, leaf(1), leaf(-1)), node(7, leaf(1), leaf(1))), node(12, node(4, leaf(1), leaf(-1)), node(15, leaf(-1), leaf(1)))),
+    ))
+    values = np.array([tree.evaluate(x) for x in range(16)], dtype=np.int8)
+    with mock.patch.object(pdt, "_VERIFY_CHUNK", 3):
+        assert verify_tree(tree, TruthTable(4, values))
+        for x in range(16):
+            wrong = values.copy()
+            wrong[x] = -wrong[x]
+            assert not verify_tree(tree, TruthTable(4, wrong))
+
+
+@pytest.mark.parametrize("strategy", ["greedy-min-bucket", "sampling"])
+def test_verify_tree_finds_a_table_wrong_only_at_a_last_level_leaf(strategy):
+    table = gen_random(8, 3)
+    tree = build_pdt(table, BuildConfig(strategy=strategy)).tree
+    assert verify_tree(tree, table) and agrees(tree, table)
+
+    def leaf_depth(x):
+        state, d = 0, 0
+        while state >= 0:
+            state, d = int(tree.child[2 * state + ((int(tree.query[state]) & x).bit_count() & 1)]), d + 1
+        return d
+
+    bottom = [x for x in range(1 << 8) if leaf_depth(x) == tree.depth()]
+    assert bottom and len(bottom) < 1 << 8  # leaves on other levels too
+    for x in bottom[:: max(1, len(bottom) // 4)]:
+        values = table.values.copy()
+        values[x] = -values[x]
+        assert not verify_tree(tree, TruthTable(8, values)) and not agrees(tree, TruthTable(8, values))
+    # a decision list, wrong only at its bottom leaf (x1 = 1, xn = 0)
+    tree, values = decision_list(40, 6), gen_parity(1, 6).values.copy()
+    values[1] = -values[1]
+    assert not verify_tree(tree, TruthTable(6, values)) and not agrees(tree, TruthTable(6, values))
+
+
 @pytest.mark.parametrize("depth", [900, 5000])
 def test_deep_tree_walks_have_no_recursion(depth):
     # 5000 levels exceed the default recursion limit
@@ -255,7 +361,8 @@ def select(spectra, cfg):
     masks = np.array([a for support in supports for a in support], dtype=np.int64)
     coeffs = np.array([s.coeffs[a] for s, support in zip(spectra, supports) for a in support], dtype=np.int64)
     bounds = np.cumsum([0] + [len(support) for support in supports])
-    label, tag, picked = _select_frontier(masks, coeffs, bounds, cfg, None, n)
+    keys, _, tag, picked = _select_frontier(masks, coeffs, bounds, cfg, None, n)
+    label = keys & (1 << 24) - 1
     for lo, hi, (batch, *_) in zip(bounds, bounds[1:], picked):
         basis = row_reduce(batch, n)
         for a, lab, t in zip(masks[lo:hi].tolist(), label[lo:hi].tolist(), tag[lo:hi].tolist()):
@@ -281,6 +388,14 @@ def test_greedy_batch_matches_pair_loop_oracle(support, epsilon):
 def test_greedy_batch_matches_pair_loop_oracle_at_mask_cap():
     support = counterexample_support(24)
     assert_greedy_matches_oracle(FourierSpectrum(24, {m: 1 for m in support}), Fraction(9, 10))
+
+
+@given(st.sets(st.integers(0, 255), min_size=2, max_size=40), st.sampled_from([Fraction(1, 2**70), Fraction(2**70 - 1, 2**70)]))
+@settings(max_examples=20, deadline=None)
+def test_greedy_batch_matches_pair_loop_oracle_past_int64_epsilon(support, epsilon):
+    # (1 - epsilon) k, rounded down, in Python ints: the denominator times k
+    # would wrap int64
+    assert_greedy_matches_oracle(FourierSpectrum(8, {m: 1 for m in support}), epsilon)
 
 
 def naive_max_coefficient_direction(spectrum):
@@ -689,7 +804,7 @@ def test_build_attempt_and_mc_trial_are_the_same_step(seed):
     try:
         masks = np.array(sorted(spectrum.coeffs), dtype=np.int64)
         bounds = np.array([0, len(masks)])
-        ((batch, bcount, *_),) = _select_frontier(masks, masks, bounds, cfg, np.random.default_rng((seed, 0)), spectrum.n)[2]
+        ((batch, bcount, *_),) = _select_frontier(masks, masks, bounds, cfg, np.random.default_rng((seed, 0)), spectrum.n)[3]
     except ResampleCapExceededError as exc:  # the attempt made no progress
         batch, bcount = exc.best_batch, exc.best_bucket_count
     stats = estimate_bucket_reduction(spectrum, p, 1, seed)
@@ -1072,12 +1187,12 @@ def test_greedy_build_restricts_once_per_frontier(monkeypatch):
 
     def selecting(*args):
         out = select_frontier(*args)
-        selected.append([len(p[0]) for p in out[2]])
+        selected.append([len(p[0]) for p in out[3]])
         return out
 
-    def counting(nodes, label, tag, coeffs, width):
-        calls.append((width, int(nodes.max()) + 1))
-        return restrict_frontier(nodes, label, tag, coeffs, width)
+    def counting(keys, buckets, tag, coeffs, width):
+        calls.append((width, int(keys.max() >> 24) + 1))
+        return restrict_frontier(keys, buckets, tag, coeffs, width)
 
     select_frontier, restrict_frontier = builder._select_frontier, restriction.restrict_frontier
     monkeypatch.setattr(builder, "_select_frontier", selecting)
@@ -1089,6 +1204,50 @@ def test_greedy_build_restricts_once_per_frontier(monkeypatch):
     assert any(len(set(widths)) > 1 for widths in selected)  # a frontier mixes widths
     assert sum(nodes for _, nodes in calls) == len(result.log)
     assert len(calls) < len(result.log)
+
+
+@given(st.lists(SMALL_SUPPORTS, min_size=1, max_size=5), st.sampled_from(["max-coefficient", "greedy-min-bucket"]))
+@settings(max_examples=60, deadline=None)
+def test_restriction_takes_the_sorted_keys_of_selection(supports, strategy):
+    # the buckets a deterministic selection hands over are the sorted
+    # distinct keys of its masks, so restriction returns what its own sort gave
+    spectra = [FourierSpectrum(8, coeffs) for coeffs in supports]
+    masks = np.concatenate([s.masks for s in spectra])
+    coeffs = np.concatenate([s.coefficients for s in spectra])
+    bounds = np.cumsum([0] + [s.sparsity for s in spectra])
+    keys, buckets, tag, picked = _select_frontier(masks, coeffs, bounds, BuildConfig(strategy=strategy), None, 8)
+    assert np.array_equal(keys >> 24, np.arange(len(spectra)).repeat(np.diff(bounds)))
+    assert np.array_equal(buckets, np.unique(keys))
+    wide = max(len(p[0]) for p in picked)
+    given_keys = restriction.restrict_frontier(keys, buckets, tag, coeffs, wide)
+    own_sort = restriction.restrict_frontier(keys, np.unique(keys), tag, coeffs, wide)
+    assert all(np.array_equal(a, b) for a, b in zip(given_keys, own_sort))
+
+
+@pytest.mark.parametrize("strategy", ["max-coefficient", "greedy-min-bucket"])
+def test_a_deterministic_build_sorts_its_keys_once_per_round(monkeypatch, strategy):
+    # _distinct runs once per selection round (a frontier's widest batch
+    # has one query per round) and never inside restriction
+    sorts, widths = [], []
+
+    def counting(where):
+        def sort(values):
+            sorts.append(where)
+            return distinct(values)
+        return sort
+
+    def restricting(keys, buckets, tag, coeffs, width):
+        widths.append(width)
+        return restrict_frontier(keys, buckets, tag, coeffs, width)
+
+    distinct, restrict_frontier = builder._distinct, restriction.restrict_frontier
+    monkeypatch.setattr(builder, "_distinct", counting("builder"))
+    monkeypatch.setattr(restriction, "_distinct", counting("restriction"))
+    monkeypatch.setattr(restriction, "restrict_frontier", restricting)
+    table = gen_random(10, 2)
+    assert verify_tree(build_pdt(table, BuildConfig(strategy=strategy)).tree, table)
+    assert sorts == ["builder"] * sum(widths)
+    assert len(widths) > 1
 
 
 def replay_sampling_build(spectrum, config, log):

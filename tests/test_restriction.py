@@ -22,6 +22,7 @@ from parityfold.restriction import (
     restrict_batch,
 )
 from parityfold.gf2 import DimensionMismatchError, Echelon, labels, row_reduce
+from parityfold.pairs import _distinct
 from parityfold.spectral import FourierSpectrum, TruthTable, wht
 
 
@@ -382,6 +383,14 @@ def test_restrict_batch_children_match_restrict(n, data):
         assert child == restrict(spectrum, AffineConstraintSystem(n, tuple(zip(batch, bits))))
 
 
+def restrict_parts(parts, width):
+    """restrict_frontier on per-spectrum (nodes, label, tag, coeffs) parts,
+    concatenated, with their keys node << 24 | label sorted here."""
+    nodes, label, tag, coeffs = map(np.concatenate, zip(*parts))
+    keys = nodes << 24 | label
+    return restriction.restrict_frontier(keys, _distinct(keys), tag, coeffs, width)
+
+
 @given(BATCH_DIMENSIONS, st.integers(1, 5), st.data())
 @settings(max_examples=100, deadline=None)
 def test_frontier_restriction_children_match_restrict(n, count, data):
@@ -394,7 +403,7 @@ def test_frontier_restriction_children_match_restrict(n, count, data):
          np.fromiter(s.coeffs.values(), np.int64))
         for i, (s, batch) in enumerate(frontier)
     ]
-    child, node, label, coeff = restriction.restrict_frontier(*map(np.concatenate, zip(*parts)), width)
+    child, node, label, coeff = restrict_parts(parts, width)
     rows = list(zip(child.tolist(), node.tolist(), label.tolist()))
     assert rows == sorted(set(rows))
     got: dict = {}
@@ -425,7 +434,7 @@ def test_mixed_width_frontier_restricts_in_one_call(n, data):
         for i, (s, batch) in enumerate(frontier)
     ]
     wide = max(widths)
-    child, node, label, coeff = restriction.restrict_frontier(*map(np.concatenate, zip(*parts)), wide)
+    child, node, label, coeff = restrict_parts(parts, wide)
     got: dict = {}
     for j, i, a, c in zip(child.tolist(), node.tolist(), label.tolist(), coeff.tolist()):
         got.setdefault((j, i), {})[a] = c

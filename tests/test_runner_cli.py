@@ -1037,6 +1037,62 @@ def test_only_one_type_runs_of_scalar_run_min_items_take_one_join(monkeypatch):
     assert [(n, text is not None) for n, text in runs] == [(size, True), (size, False), (size, True)]
 
 
+# record lists, which canonical_json writes a record per join: a column of
+# one scalar type, of scalar lists (empty ones too) or of anything a record
+# holds, and lists it must write with its stack loop: ragged key sets, a
+# dict or a list of lists as a value, int keys, a dict subclass
+RECORD_COLUMNS = st.sampled_from([
+    TREE_INTS, st.floats() | st.sampled_from(SPECIAL_FLOATS), st.booleans(), st.none(), TREE_STRINGS,
+    st.lists(TREE_SCALARS, max_size=3) | st.lists(TREE_SCALARS, max_size=3).map(tuple),
+    TREE_SCALARS | st.lists(TREE_SCALARS, max_size=3),
+])
+
+
+@st.composite
+def record_lists(draw):
+    keys = draw(st.lists(TREE_STRINGS, min_size=1, max_size=5, unique=True))
+    columns = {key: draw(RECORD_COLUMNS) for key in keys}
+    count = draw(st.integers(1, runner.RECORD_RUN_MIN + 3))  # both sides of the minimum
+    records = [{key: draw(column) for key, column in columns.items()} for _ in range(count)]
+    i = draw(st.integers(0, count - 1))
+    change = draw(st.sampled_from(["none"] * 6 + ["drop a key", "add a key", "dict value", "nested lists", "int keys", "subclass"]))
+    if change == "drop a key":
+        del records[i][keys[0]]
+    elif change == "add a key":
+        records[i][draw(TREE_STRINGS.filter(lambda key: key not in keys))] = 1
+    elif change in ("dict value", "nested lists"):
+        records[i][keys[-1]] = {"x": [1.5]} if change == "dict value" else [[1, 2], []]
+    elif change == "int keys":
+        records = [dict(enumerate(record.values())) for record in records]
+    elif change == "subclass":
+        records[i] = Table(records[i])
+    return draw(st.sampled_from([records, tuple(records), {"log": records, "n": 2}, [[records], 3]]))
+
+
+@given(record_lists())
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_writes_record_lists_as_json_dumps_does(tree):
+    assert runner.canonical_json(tree) == json_dumps_text(tree)
+
+
+def test_a_node_log_takes_the_record_path_and_a_one_entry_list_does_not(monkeypatch):
+    runs = []
+
+    def record(value, inner):
+        runs.append((len(value), text := record_run(value, inner)))
+        return text
+
+    record_run = runner._record_run
+    monkeypatch.setattr(runner, "_record_run", record)
+    config = {"functions": [{"family": "random", "n": 8, "seed": 1}], "analyses": [{"op": "pdt", "strategy": "greedy-min-bucket"}]}
+    report = run_experiment(config)
+    log = report.results[0]["analyses"][0]["result"]["node_records"]
+    assert len(log) >= runner.RECORD_RUN_MIN
+    # functions, analyses and results each hold one dict: no record path
+    assert report.to_json() == json_dumps_text(report.to_dict())
+    assert [(n, text is not None) for n, text in runs] == [(len(log), True)]
+
+
 class IntKind(enum.IntEnum):
     A = 3
 

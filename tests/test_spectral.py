@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -440,6 +441,48 @@ def test_spectral_l1():
 def test_l1_bound_for_boolean_spectra(n, seed):
     s = wht(random_table(n, seed))
     assert spectral_l1(s) ** 2 <= s.sparsity
+
+
+# coefficients whose sums, squares and absolute values reach past int64:
+# -2^63, whose np.abs wraps, values near +-2^63, and values past it, which
+# make an object array
+EDGE_COEFFICIENTS = st.sampled_from([2**63 - 1, 2**63, 2**62, 3 * 2**31, 2**32, 2**64]).flatmap(lambda c: st.sampled_from([c, -c]))
+WIDE_COEFFICIENTS = st.integers(-3, 3).filter(bool) | st.integers(-(2**64), 2**64).filter(bool) | EDGE_COEFFICIENTS
+
+
+@given(st.integers(0, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_coefficient_sums_match_their_python_int_forms(n, data):
+    # from k = 1 to k = 2^n: one |c| for all (plateaued), one |c| and some
+    # smaller values between -|c| and |c|, or one c each
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n, unique=True))
+    top = data.draw(WIDE_COEFFICIENTS)
+    kind = data.draw(st.sampled_from(["plateau", "between", "free"]))
+    if kind == "free":
+        coeffs = {m: data.draw(WIDE_COEFFICIENTS) for m in masks}
+    else:
+        choices = [top, -top] + ([top // 2 or 1] if kind == "between" else [])
+        coeffs = {m: data.draw(st.sampled_from(choices)) for m in masks}
+    spectrum = FourierSpectrum(n, coeffs)
+    values = list(coeffs.values())
+    assert verify_parseval(spectrum) == (sum(c * c for c in values) == 4**n)
+    assert spectral_l1(spectrum) == Fraction(sum(map(abs, values)), 2**n)
+    assert is_plateaued(spectrum) == (len(set(map(abs, values))) <= 1)
+
+
+def test_coefficient_sums_that_would_wrap_int64_stay_exact():
+    # int64 coefficients whose sums cross 2^63 take Python ints: in int64
+    # 2^64 + 4 would wrap to 4 = 4^1, and 2^63 + 1 to -2^63 + 1
+    assert FourierSpectrum(1, {0: 2, 1: 2**32}).coefficients.dtype == np.int64
+    assert not verify_parseval(FourierSpectrum(1, {0: 2, 1: 2**32}))
+    assert spectral_l1(FourierSpectrum(1, {0: 1, 1: 2**63 - 1})) == 2**62
+    # -2^63 fits int64, and np.abs would keep it negative
+    assert spectral_l1(FourierSpectrum(0, {0: -(2**63)})) == 2**63
+    assert is_plateaued(FourierSpectrum(0, {0: -(2**63)}))
+    assert not is_plateaued(FourierSpectrum(1, {0: -(2**63), 1: 2**63 - 1}))
+    assert is_plateaued(FourierSpectrum(2, {0: 2**62, 1: -(2**62), 3: 2**62}))
+    assert spectral_l1(FourierSpectrum(3, {})) == 0 and is_plateaued(FourierSpectrum(3, {}))
+    assert not verify_parseval(FourierSpectrum(3, {}))
 
 
 def test_evaluate_agreement():
